@@ -11,8 +11,8 @@ use adaptraj_bench::{banner, build_datasets, Scale};
 use adaptraj_data::domain::DomainId;
 use adaptraj_eval::stats::paired_bootstrap;
 use adaptraj_eval::{
-    ade, build_predictor, fde, leave_one_out, runner::pooled_train, runner::target_test,
-    BackboneKind, CellSpec, MethodKind, TextTable,
+    ade, build_predictor, leave_one_out, runner::pooled_train, runner::target_test, BackboneKind,
+    CellSpec, MethodKind, TextTable,
 };
 use adaptraj_tensor::Rng;
 
@@ -78,12 +78,11 @@ fn main() {
                 let mut rng = Rng::seed_from(cfg.eval_seed + seed);
                 for w in &test {
                     // Best-of-k per window, k matching the tables.
-                    let mut best = f32::INFINITY;
-                    for _ in 0..cfg.samples_k {
-                        let p = predictor.predict(w, &mut rng);
-                        best = best.min(ade(&p, &w.fut));
-                        let _ = fde(&p, &w.fut);
-                    }
+                    let samples = predictor.predict_k(w, cfg.samples_k, &mut rng);
+                    let best = samples
+                        .iter()
+                        .map(|p| ade(p, &w.fut))
+                        .fold(f32::INFINITY, f32::min);
                     out.push(best);
                 }
             }

@@ -433,7 +433,7 @@ fn pecnet_adaptraj_batched_training_loss_matches_per_window_mean() {
 // Batched inference bit-identity: the serving contract.
 // ---------------------------------------------------------------------------
 //
-// `Predictor::predict_batch` over a coalesced batch must reproduce the
+// `Predictor::sample` over a coalesced batch must reproduce the
 // per-window `predict` calls *bit for bit* — this is what lets
 // `adaptraj-serve` micro-batch concurrent requests into one tape pass
 // while honoring the offline-eval bit-identity contract. Unlike the loss
@@ -453,14 +453,34 @@ fn serving_windows() -> Vec<TrajWindow> {
     ]
 }
 
-fn assert_predict_batch_bit_identical(label: &str, model: &dyn Predictor) {
+fn assert_same_track(label: &str, got: &[Point], want: &[Point]) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (t, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g[0].to_bits() == w[0].to_bits() && g[1].to_bits() == w[1].to_bits(),
+            "{label} step {t}: batched {g:?} != single {w:?}"
+        );
+    }
+}
+
+/// One-sample batched calls over the five ragged windows equal
+/// per-window `predict` calls, and consecutive calls continue the
+/// per-window streams.
+fn assert_sample_bit_identical(label: &str, model: &dyn Predictor) {
     let ws = serving_windows();
     let batch = WindowBatch::new(ws.iter().collect(), (0..ws.len() as u64).collect());
     let mut batch_rngs: Vec<Rng> = (0..ws.len()).map(|i| Rng::seed_from(wseed(i))).collect();
     // Two consecutive batched samples: streams must continue exactly as
     // per-window `predict` continues them.
-    let got0 = model.predict_batch(&batch, &mut batch_rngs);
-    let got1 = model.predict_batch(&batch, &mut batch_rngs);
+    let mut one_sample = || -> Vec<Vec<Point>> {
+        model
+            .sample(&batch, &mut batch_rngs, 1)
+            .into_iter()
+            .map(|mut s| s.remove(0))
+            .collect()
+    };
+    let got0 = one_sample();
+    let got1 = one_sample();
     for (i, w) in ws.iter().enumerate() {
         let mut rng = Rng::seed_from(wseed(i));
         let want0 = model.predict(w, &mut rng);
@@ -469,15 +489,122 @@ fn assert_predict_batch_bit_identical(label: &str, model: &dyn Predictor) {
             .into_iter()
             .enumerate()
         {
-            assert_eq!(
-                got.len(),
-                want.len(),
-                "{label}: window {i} sample {s} length"
-            );
-            for (t, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert!(
-                    g[0].to_bits() == w[0].to_bits() && g[1].to_bits() == w[1].to_bits(),
-                    "{label}: window {i} sample {s} step {t}: batched {g:?} != single {w:?}"
+            assert_same_track(&format!("{label}: window {i} sample {s}"), got, want);
+        }
+    }
+}
+
+#[test]
+fn sample_bit_identical_vanilla_pecnet() {
+    assert_sample_bit_identical("pecnet-vanilla", &vanilla_pecnet());
+}
+
+#[test]
+fn sample_bit_identical_vanilla_lbebm() {
+    assert_sample_bit_identical("lbebm-vanilla", &vanilla_lbebm());
+}
+
+#[test]
+fn sample_bit_identical_vanilla_sociallstm() {
+    assert_sample_bit_identical("sociallstm-vanilla", &vanilla_sociallstm());
+}
+
+#[test]
+fn sample_bit_identical_counter() {
+    assert_sample_bit_identical("pecnet-counter", &counter_pecnet());
+}
+
+#[test]
+fn sample_bit_identical_causalmotion() {
+    assert_sample_bit_identical("pecnet-causalmotion", &causalmotion_pecnet());
+}
+
+#[test]
+fn sample_bit_identical_adaptraj() {
+    assert_sample_bit_identical("pecnet-adaptraj", &adaptraj_pecnet());
+}
+
+fn vanilla_pecnet() -> Vanilla<PecNet> {
+    Vanilla::new(TrainerConfig::smoke(), |s, r| {
+        PecNet::new(s, r, BackboneConfig::default())
+    })
+}
+
+fn vanilla_lbebm() -> Vanilla<Lbebm> {
+    Vanilla::new(TrainerConfig::smoke(), |s, r| {
+        Lbebm::new(s, r, BackboneConfig::default())
+    })
+}
+
+fn vanilla_sociallstm() -> Vanilla<SocialLstm> {
+    Vanilla::new(TrainerConfig::smoke(), |s, r| {
+        SocialLstm::new(s, r, BackboneConfig::default())
+    })
+}
+
+fn counter_pecnet() -> Counter<PecNet> {
+    Counter::new(TrainerConfig::smoke(), |s, r| {
+        PecNet::new(s, r, BackboneConfig::default())
+    })
+}
+
+fn causalmotion_pecnet() -> CausalMotion<PecNet> {
+    CausalMotion::new(TrainerConfig::smoke(), |s, r| {
+        PecNet::new(s, r, BackboneConfig::default())
+    })
+}
+
+fn adaptraj_pecnet() -> AdapTraj<PecNet> {
+    AdapTraj::new(
+        AdapTrajConfig::smoke(),
+        &[DomainId::EthUcy, DomainId::LCas],
+        |s, r, extra| PecNet::new(s, r, BackboneConfig::default().with_extra(extra)),
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Encode once, sample k: `sample(batch, rngs, k)` is k successive
+// `predict` calls per window.
+// ---------------------------------------------------------------------------
+
+/// For a lone window and for the five ragged mixed-domain windows, and
+/// for k ∈ {0, 1, 3}: window `b`'s `k` samples equal `k` successive
+/// `predict` calls on its rng bit for bit, and every rng ends in the same
+/// state (its next draw agrees).
+fn assert_sample_k_matches_repeated_predict(label: &str, model: &dyn Predictor) {
+    let ws = serving_windows();
+    for b in [1, ws.len()] {
+        let batch = WindowBatch::new(ws[..b].iter().collect(), (0..b as u64).collect());
+        for k in [0, 1, 3] {
+            let mut rngs: Vec<Rng> = (0..b).map(|i| Rng::seed_from(wseed(i))).collect();
+            let got = model.sample(&batch, &mut rngs, k);
+            assert_eq!(got.len(), b, "{label}: B={b} k={k}: one entry per window");
+            for (i, w) in ws[..b].iter().enumerate() {
+                let mut rng = Rng::seed_from(wseed(i));
+                assert_eq!(
+                    got[i].len(),
+                    k,
+                    "{label}: B={b} k={k} window {i}: sample count"
+                );
+                for (j, track) in got[i].iter().enumerate() {
+                    let want = model.predict(w, &mut rng);
+                    assert_same_track(
+                        &format!("{label}: B={b} k={k} window {i} sample {j}"),
+                        track,
+                        &want,
+                    );
+                }
+                // Same end state: the next raw draw and the next normal
+                // deviate (which exposes a cached Box–Muller spare) agree.
+                assert_eq!(
+                    rngs[i].next_u64(),
+                    rng.next_u64(),
+                    "{label}: B={b} k={k} window {i}: rng end state"
+                );
+                assert_eq!(
+                    rngs[i].standard_normal().to_bits(),
+                    rng.standard_normal().to_bits(),
+                    "{label}: B={b} k={k} window {i}: rng spare normal"
                 );
             }
         }
@@ -485,51 +612,11 @@ fn assert_predict_batch_bit_identical(label: &str, model: &dyn Predictor) {
 }
 
 #[test]
-fn predict_batch_bit_identical_vanilla_pecnet() {
-    let model = Vanilla::new(TrainerConfig::smoke(), |s, r| {
-        PecNet::new(s, r, BackboneConfig::default())
-    });
-    assert_predict_batch_bit_identical("pecnet-vanilla", &model);
-}
-
-#[test]
-fn predict_batch_bit_identical_vanilla_lbebm() {
-    let model = Vanilla::new(TrainerConfig::smoke(), |s, r| {
-        Lbebm::new(s, r, BackboneConfig::default())
-    });
-    assert_predict_batch_bit_identical("lbebm-vanilla", &model);
-}
-
-#[test]
-fn predict_batch_bit_identical_vanilla_sociallstm() {
-    let model = Vanilla::new(TrainerConfig::smoke(), |s, r| {
-        SocialLstm::new(s, r, BackboneConfig::default())
-    });
-    assert_predict_batch_bit_identical("sociallstm-vanilla", &model);
-}
-
-#[test]
-fn predict_batch_bit_identical_counter() {
-    let model = Counter::new(TrainerConfig::smoke(), |s, r| {
-        PecNet::new(s, r, BackboneConfig::default())
-    });
-    assert_predict_batch_bit_identical("pecnet-counter", &model);
-}
-
-#[test]
-fn predict_batch_bit_identical_causalmotion() {
-    let model = CausalMotion::new(TrainerConfig::smoke(), |s, r| {
-        PecNet::new(s, r, BackboneConfig::default())
-    });
-    assert_predict_batch_bit_identical("pecnet-causalmotion", &model);
-}
-
-#[test]
-fn predict_batch_bit_identical_adaptraj() {
-    let model = AdapTraj::new(
-        AdapTrajConfig::smoke(),
-        &[DomainId::EthUcy, DomainId::LCas],
-        |s, r, extra| PecNet::new(s, r, BackboneConfig::default().with_extra(extra)),
-    );
-    assert_predict_batch_bit_identical("pecnet-adaptraj", &model);
+fn sample_k_matches_repeated_predict_all_configurations() {
+    assert_sample_k_matches_repeated_predict("pecnet-vanilla", &vanilla_pecnet());
+    assert_sample_k_matches_repeated_predict("lbebm-vanilla", &vanilla_lbebm());
+    assert_sample_k_matches_repeated_predict("sociallstm-vanilla", &vanilla_sociallstm());
+    assert_sample_k_matches_repeated_predict("pecnet-counter", &counter_pecnet());
+    assert_sample_k_matches_repeated_predict("pecnet-causalmotion", &causalmotion_pecnet());
+    assert_sample_k_matches_repeated_predict("pecnet-adaptraj", &adaptraj_pecnet());
 }

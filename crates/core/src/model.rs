@@ -9,10 +9,10 @@ use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOW
 use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_exec::{window_seed, WorkerPool};
-use adaptraj_models::backbone::{base_loss, batch_pred_points, tensor_to_points, EncodedScene};
+use adaptraj_models::backbone::{base_loss, EncodedScene};
 use adaptraj_models::diagnostics::HealthAccum;
 use adaptraj_models::predictor::{cap_per_domain, group_norms, Predictor, TrainReport};
-use adaptraj_models::traits::{Backbone, ForwardCtx, GenMode};
+use adaptraj_models::traits::{sample_backbone, Backbone, ForwardCtx, GenMode};
 use adaptraj_obs::{
     health, obs_info, obs_warn, profile, timeline, EpochRecord, LossComponents, PhaseTiming, Span,
 };
@@ -620,8 +620,6 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
         report
     }
 
-    /// Inference (Sec. III-E.2): the target domain is unknown, so the
-    /// specific features always come from the aggregator over all experts.
     fn store(&self) -> &ParamStore {
         &self.store
     }
@@ -630,43 +628,15 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
         &mut self.store
     }
 
-    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point> {
-        adaptraj_tensor::with_pooled(|tape| {
-            let batch = WindowBatch::single(w, 0);
-            let enc = {
-                let _p = profile::phase("encode");
-                self.backbone.encode(&self.store, tape, &batch)
-            };
-            let extra = {
-                let _p = profile::phase("features");
-                let feats = self.features(tape, &enc, None);
-                self.extra_features(tape, &feats)
-            };
-            let _p = profile::phase("generate");
-            let mut ctx = ForwardCtx::sample(&self.store, tape, std::slice::from_mut(rng));
-            let gen = self.backbone.generate(&mut ctx, &batch, &enc, Some(extra));
-            tensor_to_points(ctx.tape.value(gen.pred))
-        })
-    }
-
-    fn predict_batch(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng]) -> Vec<Vec<Point>> {
-        assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
-        // The aggregator path (target domain unknown) is per-window rows
-        // end to end, so a coalesced batch needs no domain homogeneity.
-        adaptraj_tensor::with_pooled(|tape| {
-            let enc = {
-                let _p = profile::phase("encode");
-                self.backbone.encode(&self.store, tape, batch)
-            };
-            let extra = {
-                let _p = profile::phase("features");
-                let feats = self.features(tape, &enc, None);
-                self.extra_features(tape, &feats)
-            };
-            let _p = profile::phase("generate");
-            let mut ctx = ForwardCtx::sample(&self.store, tape, rngs);
-            let gen = self.backbone.generate(&mut ctx, batch, &enc, Some(extra));
-            batch_pred_points(ctx.tape.value(gen.pred), batch.len())
+    /// Inference (Sec. III-E.2): the target domain is unknown, so the
+    /// specific features always come from the aggregator over all
+    /// experts. That path is per-window rows end to end, so a coalesced
+    /// batch needs no domain homogeneity.
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
+        sample_backbone(&self.backbone, &self.store, batch, rngs, k, |tape, enc| {
+            let _p = profile::phase("features");
+            let feats = self.features(tape, enc, None);
+            Some(self.extra_features(tape, &feats))
         })
     }
 }

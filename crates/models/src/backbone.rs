@@ -227,29 +227,6 @@ impl SceneEncoder {
         };
         let h_focal = tape.gather_rows(h_all, &batch.focal_rows()); // [B, hidden]
 
-        // Single-window fast path: no padding can exist, so Eq. 3
-        // collapses to the direct attention/mean over all agent rows —
-        // the same values as the slot-grid formulation below with ~8
-        // fewer tape nodes. This is the per-window inference hot path.
-        if batch.len() == 1 {
-            let p_i = match self.kind {
-                InteractionKind::Attention => {
-                    let q = self.w_q.forward(store, tape, h_focal); // [1, d]
-                    let k = self.w_k.forward(store, tape, h_all); // [N, d]
-                    let v = self.w_v.forward(store, tape, h_all); // [N, d]
-                    let scores = tape.matmul_nt(q, k); // [1, N], q·kᵀ untransposed
-                    let scaled = tape.scale(scores, 1.0 / (self.inter_dim as f32).sqrt());
-                    let attn = tape.softmax_rows(scaled);
-                    tape.matmul(attn, v) // [1, d]
-                }
-                InteractionKind::MeanPool => {
-                    let act = self.w_v.forward_act(store, tape, h_all, FusedAct::Relu);
-                    tape.mean_rows(act)
-                }
-            };
-            return EncodedScene { h_focal, p_i };
-        }
-
         // Eq. 3 over the padded `[B·A_max]` slot grid.
         let b = batch.len();
         let a_max = batch.max_agents();
@@ -490,12 +467,6 @@ pub fn batch_endpoint_tensor(batch: &WindowBatch<'_>) -> Tensor {
     Tensor::from_vec(batch.len(), 2, data)
 }
 
-/// Converts a batch-of-one `[T_PRED, 2]` prediction tensor into points.
-pub fn tensor_to_points(t: &Tensor) -> Vec<Point> {
-    assert_eq!(t.cols(), 2);
-    (0..t.rows()).map(|r| [t.at(r, 0), t.at(r, 1)]).collect()
-}
-
 /// Unstacks a time-major `[T_PRED·B, 2]` prediction into per-window
 /// tracks, in batch order.
 pub fn batch_pred_points(t: &Tensor, b: usize) -> Vec<Vec<Point>> {
@@ -707,7 +678,7 @@ mod tests {
             batch_future_tensor(&single).data(),
             future_tensor(&ws[0]).data()
         );
-        let pts = tensor_to_points(&future_tensor(&ws[0]));
+        let pts = batch_pred_points(&future_tensor(&ws[0]), 1).remove(0);
         assert_eq!(pts.len(), T_PRED);
         assert_eq!(pts[0], ws[0].fut[0]);
     }

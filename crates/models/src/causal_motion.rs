@@ -13,7 +13,7 @@
 
 use crate::config::TrainerConfig;
 use crate::predictor::{cap_per_domain, Predictor, TrainReport};
-use crate::traits::{Backbone, ForwardCtx};
+use crate::traits::{sample_backbone, Backbone, ForwardCtx};
 use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_exec::{window_seed, WorkerPool};
@@ -180,24 +180,10 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
         &mut self.store
     }
 
-    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point> {
-        // Inference is architecturally identical to vanilla (the paper
-        // notes near-identical inference time for CausalMotion).
-        adaptraj_tensor::with_pooled(|tape| {
-            let batch = WindowBatch::single(w, 0);
-            let mut ctx = ForwardCtx::sample(&self.store, tape, std::slice::from_mut(rng));
-            let pred = self.backbone.sample_forward(&mut ctx, &batch, None);
-            crate::backbone::tensor_to_points(ctx.tape.value(pred))
-        })
-    }
-
-    fn predict_batch(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng]) -> Vec<Vec<Point>> {
-        assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
-        adaptraj_tensor::with_pooled(|tape| {
-            let mut ctx = ForwardCtx::sample(&self.store, tape, rngs);
-            let pred = self.backbone.sample_forward(&mut ctx, batch, None);
-            crate::backbone::batch_pred_points(ctx.tape.value(pred), batch.len())
-        })
+    /// Inference is architecturally identical to vanilla (the paper notes
+    /// near-identical inference time for CausalMotion).
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
+        sample_backbone(&self.backbone, &self.store, batch, rngs, k, |_, _| None)
     }
 }
 

@@ -12,14 +12,16 @@
 //! extra counterfactual pass is also why its inference is slightly slower
 //! (Tab. VIII).
 
+use crate::backbone::EncodedScene;
 use crate::config::TrainerConfig;
 use crate::predictor::{cap_per_domain, Predictor, TrainReport};
 use crate::trainer::Trainer;
-use crate::traits::{Backbone, ForwardCtx};
+use crate::traits::{sample_passes, Backbone, ForwardCtx};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
+use adaptraj_obs::profile;
 use adaptraj_tensor::optim::Adam;
-use adaptraj_tensor::{ParamStore, Rng};
+use adaptraj_tensor::{ParamStore, Rng, Tape};
 
 /// Strength of the counterfactual subtraction (1.0 = fully remove the
 /// neighbor-caused component, as described in the paper).
@@ -103,64 +105,50 @@ impl<B: Backbone> Predictor for Counter<B> {
         &mut self.store
     }
 
-    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point> {
-        // Use a shared latent draw for the factual and counterfactual
-        // passes so the subtraction isolates the neighbor effect rather
-        // than sampling noise.
-        let seed = ((rng.unit().to_bits() as u64) << 32) | rng.unit().to_bits() as u64;
-        adaptraj_tensor::with_pooled(|tape| {
-            let batch = WindowBatch::single(w, 0);
-            let mut r1 = Rng::seed_from(seed);
-            let mut ctx1 = ForwardCtx::sample(&self.store, tape, std::slice::from_mut(&mut r1));
-            let y_fact = self.backbone.sample_forward(&mut ctx1, &batch, None);
-
-            let cf = counterfactual_of(w);
-            let cf_batch = WindowBatch::single(&cf, 0);
-            let mut r2 = Rng::seed_from(seed);
-            let mut ctx2 =
-                ForwardCtx::sample(&self.store, ctx1.tape, std::slice::from_mut(&mut r2));
-            let y_cf = self.backbone.sample_forward(&mut ctx2, &cf_batch, None);
-            let tape = ctx2.tape;
-
-            // Y_final = Y(X,E) − β·(Y(X,E) − Y(X,∅)): subtract the
-            // neighbor-caused component.
-            let effect = tape.sub(y_fact, y_cf);
-            let scaled = tape.scale(effect, CF_STRENGTH);
-            let y_final = tape.sub(y_fact, scaled);
-            crate::backbone::tensor_to_points(tape.value(y_final))
-        })
-    }
-
-    fn predict_batch(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng]) -> Vec<Vec<Point>> {
+    /// Both scenes — factual and counterfactual — are encoded once; each
+    /// sample then runs both generate passes on one shared latent draw.
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
         assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
-        // Derive each window's shared factual/counterfactual seed from its
-        // own rng exactly as the batch-of-one path does, so streams stay
-        // aligned with per-window `predict` calls.
-        let seeds: Vec<u64> = rngs
-            .iter_mut()
-            .map(|rng| ((rng.unit().to_bits() as u64) << 32) | rng.unit().to_bits() as u64)
+        let cf: Vec<TrajWindow> = batch
+            .windows()
+            .iter()
+            .map(|w| counterfactual_of(w))
             .collect();
-        adaptraj_tensor::with_pooled(|tape| {
-            let mut r1: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
-            let mut ctx1 = ForwardCtx::sample(&self.store, tape, &mut r1);
-            let y_fact = self.backbone.sample_forward(&mut ctx1, batch, None);
-
-            let cf: Vec<TrajWindow> = batch
-                .windows()
-                .iter()
-                .map(|w| counterfactual_of(w))
-                .collect();
-            let cf_batch = WindowBatch::new(cf.iter().collect(), batch.ids().to_vec());
-            let mut r2: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
-            let mut ctx2 = ForwardCtx::sample(&self.store, ctx1.tape, &mut r2);
-            let y_cf = self.backbone.sample_forward(&mut ctx2, &cf_batch, None);
-            let tape = ctx2.tape;
-
-            let effect = tape.sub(y_fact, y_cf);
-            let scaled = tape.scale(effect, CF_STRENGTH);
-            let y_final = tape.sub(y_fact, scaled);
-            crate::backbone::batch_pred_points(tape.value(y_final), batch.len())
-        })
+        let cf_batch = WindowBatch::new(cf.iter().collect(), batch.ids().to_vec());
+        let store = &self.store;
+        let backbone = &self.backbone;
+        sample_passes(
+            batch.len(),
+            k,
+            |tape| {
+                let _p = profile::phase("encode");
+                (
+                    backbone.encode(store, tape, batch),
+                    backbone.encode(store, tape, &cf_batch),
+                )
+            },
+            |tape, (enc, enc_cf)| {
+                // The factual and counterfactual passes share each
+                // window's latent draw, so the subtraction isolates the
+                // neighbor effect rather than sampling noise.
+                let seeds: Vec<u64> = rngs
+                    .iter_mut()
+                    .map(|rng| ((rng.unit().to_bits() as u64) << 32) | rng.unit().to_bits() as u64)
+                    .collect();
+                let generate = |tape: &mut Tape, b: &WindowBatch<'_>, enc: &EncodedScene| {
+                    let mut r: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+                    let mut ctx = ForwardCtx::sample(store, tape, &mut r);
+                    backbone.generate(&mut ctx, b, enc, None).pred
+                };
+                let y_fact = generate(tape, batch, enc);
+                let y_cf = generate(tape, &cf_batch, enc_cf);
+                // Y_final = Y(X,E) − β·(Y(X,E) − Y(X,∅)): subtract the
+                // neighbor-caused component.
+                let effect = tape.sub(y_fact, y_cf);
+                let scaled = tape.scale(effect, CF_STRENGTH);
+                tape.sub(y_fact, scaled)
+            },
+        )
     }
 }
 

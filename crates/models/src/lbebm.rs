@@ -263,8 +263,9 @@ mod tests {
         assert_eq!(tape.value(pred).shape(), (T_PRED, 2));
         assert!(tape.value(loss).item().is_finite());
         let mut t2 = Tape::new();
+        let enc = model.encode(&store, &mut t2, &batch);
         let mut c2 = ForwardCtx::sample(&store, &mut t2, std::slice::from_mut(&mut rng));
-        let s = model.sample_forward(&mut c2, &batch, None);
+        let s = model.generate(&mut c2, &batch, &enc, None).pred;
         assert_eq!(t2.value(s).shape(), (T_PRED, 2));
     }
 
@@ -348,13 +349,12 @@ mod tests {
         let model = Lbebm::new(&mut store, &mut rng, BackboneConfig::default());
         let w = toy_window(0.2);
         let batch = WindowBatch::single(&w, 0);
-        let mut t1 = Tape::new();
-        let mut c1 = ForwardCtx::sample(&store, &mut t1, std::slice::from_mut(&mut rng));
-        let s1 = model.sample_forward(&mut c1, &batch, None);
-        let mut t2 = Tape::new();
-        let mut c2 = ForwardCtx::sample(&store, &mut t2, std::slice::from_mut(&mut rng));
-        let s2 = model.sample_forward(&mut c2, &batch, None);
-        assert_ne!(t1.value(s1).data(), t2.value(s2).data());
+        let mut tape = Tape::new();
+        let enc = model.encode(&store, &mut tape, &batch);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let s1 = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let s2 = model.generate(&mut ctx, &batch, &enc, None).pred;
+        assert_ne!(tape.value(s1).data(), tape.value(s2).data());
     }
 
     #[test]

@@ -213,8 +213,9 @@ mod tests {
         assert!(tape.value(loss).item().is_finite());
 
         let mut tape2 = Tape::new();
+        let enc = model.encode(&store, &mut tape2, &batch);
         let mut ctx2 = ForwardCtx::sample(&store, &mut tape2, std::slice::from_mut(&mut rng));
-        let sample = model.sample_forward(&mut ctx2, &batch, None);
+        let sample = model.generate(&mut ctx2, &batch, &enc, None).pred;
         assert_eq!(tape2.value(sample).shape(), (T_PRED, 2));
     }
 
@@ -275,15 +276,14 @@ mod tests {
         let model = PecNet::new(&mut store, &mut rng, BackboneConfig::default());
         let w = toy_window(0.3);
         let batch = WindowBatch::single(&w, 0);
-        let mut t1 = Tape::new();
-        let mut c1 = ForwardCtx::sample(&store, &mut t1, std::slice::from_mut(&mut rng));
-        let s1 = model.sample_forward(&mut c1, &batch, None);
-        let mut t2 = Tape::new();
-        let mut c2 = ForwardCtx::sample(&store, &mut t2, std::slice::from_mut(&mut rng));
-        let s2 = model.sample_forward(&mut c2, &batch, None);
+        let mut tape = Tape::new();
+        let enc = model.encode(&store, &mut tape, &batch);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let s1 = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let s2 = model.generate(&mut ctx, &batch, &enc, None).pred;
         assert_ne!(
-            t1.value(s1).data(),
-            t2.value(s2).data(),
+            tape.value(s1).data(),
+            tape.value(s2).data(),
             "different latent draws must produce different futures"
         );
     }

@@ -93,37 +93,33 @@ pub trait Predictor: Send + Sync {
     /// adaptation of single-source methods).
     fn fit(&mut self, train: &[TrajWindow]) -> TrainReport;
 
-    /// One sampled future for a window.
-    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point>;
+    /// `k` sampled futures for every window of a batch, `[B][k]` in batch
+    /// order, with one rng per window. This is the one inference entry
+    /// point: best-of-k evaluation, serving and the single-window
+    /// wrappers below all come through it.
+    ///
+    /// Impls encode the batch (and derive any conditioning from it) once,
+    /// then run `k` sample passes one after another on the same tape
+    /// ([`crate::traits::sample_passes`]). Encoding draws no randomness,
+    /// so window `b`'s sample `j` is bit-identical to the `j`-th of `k`
+    /// successive `predict(windows()[b], &mut rngs[b])` calls, and each
+    /// `rngs[b]` ends where those calls would leave it. The same holds
+    /// whatever other windows share the batch (the serving bit-identity
+    /// contract, pinned by `batch_equivalence.rs` and `tests/serve.rs`):
+    /// batched kernels are row-wise over per-window rows, pad slots
+    /// contribute exact zeros, and each window draws latents from its own
+    /// rng stream. `k = 0` returns `B` empty vectors.
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>>;
 
-    /// `k` independent future samples (for best-of-k evaluation).
-    fn predict_k(&self, w: &TrajWindow, k: usize, rng: &mut Rng) -> Vec<Vec<Point>> {
-        (0..k).map(|_| self.predict(w, rng)).collect()
+    /// One sampled future for a window.
+    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point> {
+        self.predict_k(w, 1, rng).remove(0)
     }
 
-    /// One sampled future per window of a coalesced batch, with one rng
-    /// per window in batch order.
-    ///
-    /// Contract (the serving bit-identity contract, pinned by
-    /// `batch_equivalence.rs` and `tests/serve.rs`): window `b`'s points
-    /// are bit-identical to `predict(windows()[b], &mut rngs[b])`, no
-    /// matter how many other windows share the batch. Batched kernels are
-    /// row-wise over per-window rows, pad slots contribute exact zeros,
-    /// and each window draws latents from its own rng stream, so a batch
-    /// of B reproduces B batch-of-one passes bit for bit. Each `rngs[b]`
-    /// is advanced exactly as `predict` would advance it, so repeated
-    /// calls continue the per-window sample streams.
-    ///
-    /// The default runs per-window batch-of-one passes; method impls
-    /// override it with a single batched tape pass.
-    fn predict_batch(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng]) -> Vec<Vec<Point>> {
-        assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
-        batch
-            .windows()
-            .iter()
-            .zip(rngs.iter_mut())
-            .map(|(w, rng)| self.predict(w, rng))
-            .collect()
+    /// `k` sampled futures for a window (for best-of-k evaluation).
+    fn predict_k(&self, w: &TrajWindow, k: usize, rng: &mut Rng) -> Vec<Vec<Point>> {
+        self.sample(&WindowBatch::single(w, 0), std::slice::from_mut(rng), k)
+            .remove(0)
     }
 
     /// The model's parameters (for checkpointing via

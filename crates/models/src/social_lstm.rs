@@ -158,13 +158,12 @@ mod tests {
         let model = SocialLstm::new(&mut store, &mut rng, BackboneConfig::default());
         let w = toy_window(0.3);
         let batch = WindowBatch::single(&w, 0);
-        let mut t1 = Tape::new();
-        let mut c1 = ForwardCtx::sample(&store, &mut t1, std::slice::from_mut(&mut rng));
-        let a = model.sample_forward(&mut c1, &batch, None);
-        let mut t2 = Tape::new();
-        let mut c2 = ForwardCtx::sample(&store, &mut t2, std::slice::from_mut(&mut rng));
-        let b = model.sample_forward(&mut c2, &batch, None);
-        assert_ne!(t1.value(a).data(), t2.value(b).data());
+        let mut tape = Tape::new();
+        let enc = model.encode(&store, &mut tape, &batch);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let a = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let b = model.generate(&mut ctx, &batch, &enc, None).pred;
+        assert_ne!(tape.value(a).data(), tape.value(b).data());
     }
 
     #[test]

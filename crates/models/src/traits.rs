@@ -7,8 +7,9 @@
 //! The per-window path is the batch-of-one special case
 //! ([`WindowBatch::single`]).
 
-use crate::backbone::{base_loss, EncodedScene};
+use crate::backbone::{base_loss, batch_pred_points, EncodedScene};
 use crate::config::BackboneConfig;
+use adaptraj_data::trajectory::Point;
 use adaptraj_data::WindowBatch;
 use adaptraj_obs::profile;
 use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
@@ -101,10 +102,10 @@ pub struct Generation {
 ///
 /// Both stages take a [`WindowBatch`] and batch along rows: `encode`
 /// stacks all windows' agents ([`WindowBatch`]'s layout contract),
-/// `generate` works on `[B, ·]` per-window rows. `train_forward` and
-/// `sample_forward` are provided methods — the single entry points that
-/// wire encode → generate → loss with the profiling phases the
-/// observatory expects.
+/// `generate` works on `[B, ·]` per-window rows. `train_forward` is the
+/// provided training entry point that wires encode → generate → loss with
+/// the profiling phases the observatory expects; inference goes through
+/// [`sample_backbone`].
 ///
 /// `Send + Sync` is a supertrait so the worker-pool executor can share
 /// `&dyn Backbone` across threads; backbones are plain configuration data
@@ -155,23 +156,76 @@ pub trait Backbone: Send + Sync {
         }
         (gen.pred, loss)
     }
+}
 
-    /// One inference pass returning the predicted future positions
-    /// (`[T_PRED·B, 2]`, time-major). Forces [`GenMode::Sample`].
-    fn sample_forward(
-        &self,
-        ctx: &mut ForwardCtx<'_>,
-        batch: &WindowBatch<'_>,
-        extra: Option<Var>,
-    ) -> Var {
-        ctx.mode = GenMode::Sample;
-        let enc = {
-            let _p = profile::phase("encode");
-            self.encode(ctx.store, ctx.tape, batch)
-        };
-        let _p = profile::phase("generate");
-        self.generate(ctx, batch, &enc, extra).pred
+/// Encode once, sample `k`: the tape skeleton behind every
+/// [`crate::Predictor::sample`]. `prefix` records the deterministic part
+/// of the forward pass once (the scene encoding and any conditioning
+/// derived from it); `pass` then records one sampled prediction
+/// (`[T_PRED·B, 2]`, time-major) on top of it, `k` times in a row. After
+/// each pass the points are copied out and the tape is truncated back to
+/// the prefix, so it never holds more than one pass. Returns `[B][k]`
+/// tracks; `k = 0` records nothing.
+///
+/// The passes run one after another on the callers' per-window rngs, and
+/// the prefix draws no randomness, so pass `j` draws exactly what the
+/// `j`-th of `k` separate encode-and-sample calls would draw and returns
+/// the same bits.
+pub fn sample_passes<P>(
+    b: usize,
+    k: usize,
+    prefix: impl FnOnce(&mut Tape) -> P,
+    mut pass: impl FnMut(&mut Tape, &P) -> Var,
+) -> Vec<Vec<Vec<Point>>> {
+    let mut out: Vec<Vec<Vec<Point>>> = (0..b).map(|_| Vec::with_capacity(k)).collect();
+    if k == 0 {
+        return out;
     }
+    adaptraj_tensor::with_pooled(|tape| {
+        let shared = prefix(tape);
+        let mark = tape.len();
+        for _ in 0..k {
+            let _p = profile::phase("generate");
+            let pred = pass(tape, &shared);
+            for (track, points) in out.iter_mut().zip(batch_pred_points(tape.value(pred), b)) {
+                track.push(points);
+            }
+            tape.truncate(mark);
+        }
+    });
+    out
+}
+
+/// [`sample_passes`] for methods whose inference is one backbone pass:
+/// encode the batch, derive the optional `extra` conditioning from the
+/// encoding with `condition` (AdapTraj's features; `None` for vanilla and
+/// CausalMotion), then `k` sample-mode generates, window `b` drawing from
+/// `rngs[b]`.
+pub fn sample_backbone<B: Backbone + ?Sized>(
+    backbone: &B,
+    store: &ParamStore,
+    batch: &WindowBatch<'_>,
+    rngs: &mut [Rng],
+    k: usize,
+    condition: impl FnOnce(&mut Tape, &EncodedScene) -> Option<Var>,
+) -> Vec<Vec<Vec<Point>>> {
+    assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
+    sample_passes(
+        batch.len(),
+        k,
+        |tape| {
+            let enc = {
+                let _p = profile::phase("encode");
+                backbone.encode(store, tape, batch)
+            };
+            let extra = condition(tape, &enc);
+            (enc, extra)
+        },
+        |tape, (enc, extra)| {
+            let mut ctx = ForwardCtx::sample(store, tape, rngs);
+            backbone.generate(&mut ctx, batch, enc, *extra).pred
+        },
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::config::TrainerConfig;
 use crate::predictor::{cap_per_domain, Predictor, TrainReport};
 use crate::trainer::Trainer;
-use crate::traits::{Backbone, ForwardCtx};
+use crate::traits::{sample_backbone, Backbone, ForwardCtx};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
 use adaptraj_tensor::optim::Adam;
@@ -75,22 +75,8 @@ impl<B: Backbone> Predictor for Vanilla<B> {
         &mut self.store
     }
 
-    fn predict(&self, w: &TrajWindow, rng: &mut Rng) -> Vec<Point> {
-        adaptraj_tensor::with_pooled(|tape| {
-            let batch = WindowBatch::single(w, 0);
-            let mut ctx = ForwardCtx::sample(&self.store, tape, std::slice::from_mut(rng));
-            let pred = self.backbone.sample_forward(&mut ctx, &batch, None);
-            crate::backbone::tensor_to_points(ctx.tape.value(pred))
-        })
-    }
-
-    fn predict_batch(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng]) -> Vec<Vec<Point>> {
-        assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
-        adaptraj_tensor::with_pooled(|tape| {
-            let mut ctx = ForwardCtx::sample(&self.store, tape, rngs);
-            let pred = self.backbone.sample_forward(&mut ctx, batch, None);
-            crate::backbone::batch_pred_points(ctx.tape.value(pred), batch.len())
-        })
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
+        sample_backbone(&self.backbone, &self.store, batch, rngs, k, |_, _| None)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Production inference service: a zero-dependency HTTP/JSON server that
 //! micro-batches in-flight predict requests onto the batched execution
-//! path (`Predictor::predict_batch` over [`WindowBatch`]es run on an
+//! path (`Predictor::sample` over [`WindowBatch`]es run on an
 //! [`adaptraj_exec::WorkerPool`]).
 //!
 //! ## The serving contract
@@ -17,9 +17,10 @@
 //! (`crates/check/tests/batch_equivalence.rs` pins the kernel-level
 //! identity; `tests/serve.rs` pins it end-to-end through this server).
 //!
-//! Mixed `k` inside one batch is handled by running `max(k)` batched
-//! sample passes and letting each request keep its first `k` modes —
-//! per-window rng streams make the extra draws invisible to neighbors.
+//! Mixed `k` inside one batch is handled by one `sample` call that
+//! encodes the batch once and runs `max(k)` batched sample passes, each
+//! request keeping its first `k` modes — per-window rng streams make the
+//! extra draws invisible to neighbors.
 //!
 //! ## Architecture
 //!
@@ -27,7 +28,7 @@
 //! accept threads ──decode──▶ bounded queue ──▶ batcher thread
 //!      │ 400/413/408/503             │               │ coalesce ≤ batch window
 //!      ▼                            ▼               ▼ chunk ≤ MAX_WINDOWS_PER_JOB
-//!   error response            503 when full    WorkerPool::map(predict_batch)
+//!   error response            503 when full    WorkerPool::map(sample)
 //!                                                   │
 //!                                                   ▼ batcher writes responses
 //! ```
@@ -594,10 +595,11 @@ fn chunk_jobs(live: Vec<Pending>) -> Vec<Vec<Pending>> {
     jobs
 }
 
-/// Executes one job: `kmax` batched sample passes over the chunk's
-/// windows, each request keeping its first `k` modes. Per-window rng
-/// streams seeded from each request's seed make the result bit-identical
-/// to `predict_k(window, k, Rng::seed_from(seed))` offline.
+/// Executes one job: one [`Predictor::sample`] call that encodes the
+/// chunk's windows once and runs `kmax` batched sample passes over them,
+/// each request keeping its first `k` modes. Per-window rng streams
+/// seeded from each request's seed make the result bit-identical to
+/// `predict_k(window, k, Rng::seed_from(seed))` offline.
 fn run_job(predictor: &dyn Predictor, chunk: &[Pending], sh: &Shared) -> Vec<Vec<Vec<Point>>> {
     let ids: Vec<u64> = chunk
         .iter()
@@ -611,15 +613,9 @@ fn run_job(predictor: &dyn Predictor, chunk: &[Pending], sh: &Shared) -> Vec<Vec
         .map(|p| Rng::seed_from(p.request.seed))
         .collect();
     let kmax = chunk.iter().map(|p| p.request.k).max().unwrap_or(1);
-
-    let mut modes: Vec<Vec<Vec<Point>>> = vec![Vec::with_capacity(kmax); chunk.len()];
-    for _ in 0..kmax {
-        let sample = predictor.predict_batch(&batch, &mut rngs);
-        for (b, points) in sample.into_iter().enumerate() {
-            if modes[b].len() < chunk[b].request.k {
-                modes[b].push(points);
-            }
-        }
+    let mut modes = predictor.sample(&batch, &mut rngs, kmax);
+    for (m, p) in modes.iter_mut().zip(chunk) {
+        m.truncate(p.request.k);
     }
     modes
 }

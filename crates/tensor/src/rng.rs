@@ -72,6 +72,11 @@ impl Rng {
         }
     }
 
+    /// The raw next 64-bit output of the generator.
+    pub fn next_u64(&mut self) -> u64 {
+        self.inner.next_u64()
+    }
+
     /// Uniform sample in `[0, 1)`.
     pub fn unit(&mut self) -> f32 {
         // 24 high bits -> all f32 values in [0, 1) are representable.

@@ -330,7 +330,17 @@ impl Tape {
     /// metrics registry (`tensor.pool_reuse` & friends) — once per window
     /// instead of once per allocation.
     pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
+        self.truncate(0);
+        pool::flush_thread_metrics();
+    }
+
+    /// Drops every node recorded at or after position `len`, retiring
+    /// their buffers into the calling thread's pool as [`Tape::reset`]
+    /// does. Vars below `len` stay valid, so a caller can record a shared
+    /// prefix once (e.g. a scene encoding), then replay several suffixes
+    /// on top of it while the tape stays one suffix long.
+    pub fn truncate(&mut self, len: usize) {
+        for node in self.nodes.drain(len.min(self.nodes.len())..) {
             match node.op {
                 Op::HadamardConst(_, mask) => mask.recycle(),
                 Op::LstmCell { gates, c_act, .. } => {
@@ -341,8 +351,7 @@ impl Tape {
             }
             node.value.recycle();
         }
-        self.param_uses.clear();
-        pool::flush_thread_metrics();
+        self.param_uses.retain(|&(_, var)| var.0 < len);
     }
 
     /// Number of recorded nodes.
@@ -1697,6 +1706,50 @@ mod tests {
             pool_after.reuse_hits > pool_before.reuse_hits,
             "second pass did not reuse pooled buffers"
         );
+    }
+
+    #[test]
+    fn truncate_keeps_the_prefix_and_forgets_the_suffix() {
+        use crate::param::GroupId;
+        let mut store = ParamStore::new();
+        let w = store.register("w", rand_t(4, 4, 31), GroupId::DEFAULT);
+        let v = store.register("v", rand_t(4, 3, 32), GroupId::DEFAULT);
+        // One suffix on top of a prefix `h = x·w`: `sum(h·v)`.
+        let suffix = |tape: &mut Tape, h: Var| {
+            let vv = tape.param(&store, v);
+            let y = tape.matmul(h, vv);
+            tape.sum_all(y)
+        };
+        let prefix = |tape: &mut Tape| {
+            let x = tape.input(rand_t(2, 4, 33));
+            let wv = tape.param(&store, w);
+            tape.matmul(x, wv)
+        };
+
+        let mut fresh = Tape::new();
+        let h = prefix(&mut fresh);
+        let loss = suffix(&mut fresh, h);
+        let want_loss = fresh.value(loss).item();
+        let want = fresh.param_grads(&fresh.backward(loss));
+
+        let mut tape = Tape::new();
+        let h = prefix(&mut tape);
+        let mark = tape.len();
+        for _ in 0..3 {
+            let loss = suffix(&mut tape, h);
+            assert_eq!(tape.value(loss).item().to_bits(), want_loss.to_bits());
+            tape.truncate(mark);
+            assert_eq!(tape.len(), mark);
+        }
+        // A final suffix on the truncated tape: the dropped passes' param
+        // uses are gone, so each parameter's gradient is counted once.
+        let loss = suffix(&mut tape, h);
+        let got = tape.param_grads(&tape.backward(loss));
+        assert_eq!(got.len(), want.len());
+        for ((gi, g), (wi, w)) in got.iter().zip(&want) {
+            assert_eq!(gi, wi);
+            assert_eq!(g.data(), w.data());
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ cargo test -q --offline || fail=1
 step "cargo test --workspace"
 cargo test -q --workspace --offline || fail=1
 
+step "perfbench build + tests (the repository benchmark)"
+# perfbench is its own workspace with path dependencies on the crates,
+# so the workspace steps above never build it; a change to an API it
+# calls (e.g. the Predictor trait) must fail CI here, not in the
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml || fail=1
+
 step "determinism suite (workers 1 vs 4 bit-identity, batched jobs)"
 # Exercises the batched execution path end to end: keyed multi-window
 # jobs, batch-position-order gradient reduction, and the

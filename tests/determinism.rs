@@ -19,6 +19,19 @@ use adaptraj::obs::RegistryDelta;
 
 const SOURCES: [DomainId; 2] = [DomainId::EthUcy, DomainId::LCas];
 
+/// Serializes the tests that touch process-global state: the metrics
+/// registry (`adaptraj::obs::global()`), whose counter deltas
+/// `workers_1_and_4_are_bit_identical` compares and which every training
+/// run advances, and the intra-op hook with its flop threshold, which the
+/// splitting tests flip. Every test here that trains, reads the registry
+/// or flips the hook holds this lock for its whole body. A poisoned lock
+/// (a failed holder) is taken anyway, so one failure does not cascade.
+static PROCESS_GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn lock_process_globals() -> std::sync::MutexGuard<'static, ()> {
+    PROCESS_GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Trains the PECNet-AdapTraj smoke workload with the given worker count
 /// and returns the per-epoch losses, the tensor-op counter deltas of the
 /// fit, and the ADE/FDE of a small evaluation pass.
@@ -49,6 +62,7 @@ fn run_smoke_workload(workers: usize) -> (Vec<f32>, RegistryDelta, EvalResult) {
 
 #[test]
 fn workers_1_and_4_are_bit_identical() {
+    let _guard = lock_process_globals();
     let (losses_1, delta_1, eval_1) = run_smoke_workload(1);
     let (losses_4, delta_4, eval_4) = run_smoke_workload(4);
 
@@ -88,12 +102,6 @@ fn workers_1_and_4_are_bit_identical() {
     assert_eq!(eval_1.fde.to_bits(), eval_4.fde.to_bits(), "FDE differs");
 }
 
-/// The intra-op hook and its flop threshold are process-global; the two
-/// tests that flip them serialize against each other. (The hook is
-/// bitwise invisible by contract, so concurrent *readers* — the other
-/// determinism tests — are unaffected either way.)
-static INTRA_OP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// PR 10: with intra-op GEMM splitting force-enabled (every product
 /// splits across 3 lanes), the full smoke workload must still be
 /// bit-identical to the unsplit single-worker run. Row partitioning never
@@ -103,7 +111,7 @@ static INTRA_OP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn intra_op_splitting_is_bit_identical_across_worker_counts() {
     use adaptraj::tensor::kernels;
 
-    let _guard = INTRA_OP_LOCK.lock().unwrap();
+    let _guard = lock_process_globals();
     let (losses_ref, _, eval_ref) = run_smoke_workload(1);
 
     let prev_min = kernels::split_min_flops();
@@ -156,7 +164,7 @@ fn nested_pool_and_intra_op_split_does_not_deadlock() {
     use adaptraj::tensor::kernels;
     use adaptraj::tensor::{Rng, Tensor};
 
-    let _guard = INTRA_OP_LOCK.lock().unwrap();
+    let _guard = lock_process_globals();
     let mut rng = Rng::seed_from(77);
     let inputs: Vec<(Tensor, Tensor)> = (0..12)
         .map(|_| {
