@@ -4,10 +4,6 @@
 //!
 //! - `scalar` — the autovectorized fallback loops (`ADAPTRAJ_FORCE_SCALAR=1`)
 //! - `simd` — the explicit AVX2 microkernels (default where supported)
-//! - `fma` — the opt-in fused-multiply-add variant (`ADAPTRAJ_KERNEL=fma`)
-//! - `simd+Nt` — SIMD with intra-op row splitting across N scoped lanes
-//!   (threshold forced to 0 so every product splits; on a single-core host
-//!   this *measures the overhead floor*, not a speedup)
 //!
 //! Shapes (NN, with the NT/TN backward pairs derived from each):
 //!
@@ -19,7 +15,7 @@
 //! - time-major rollout embed: `[n·12,2]·[2,16]` — the PR-8 batched
 //!   decoder feeds all `T_PRED·batch` steps through one skinny GEMM
 //!
-//! Every SIMD/FMA-free NT/TN case is asserted bit-identical to the
+//! Every scalar NT/TN case is asserted bit-identical to the
 //! `transpose()+matmul` composition, and every SIMD case bit-identical to
 //! scalar — the same contracts the tape backward and the golden gate rely
 //! on. The `nt_dot` rows time the *dot-product formulation* of NT (row of
@@ -29,10 +25,9 @@
 //! the slowdown factor quoted in the `matmul_nt` doc comment.
 //!
 //! ```text
-//! matmul_kernels [--iters N] [--batch N,N,...] [--threads N] [--out PATH]
+//! matmul_kernels [--iters N] [--batch N,N,...] [--out PATH]
 //! ```
 
-use adaptraj_exec::intra_op;
 use adaptraj_tensor::{kernels, Kernel, Rng, Tensor};
 use std::time::Instant;
 
@@ -112,7 +107,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iters = 200usize;
     let mut batches = vec![8usize, 64];
-    let mut threads = 2usize;
     let mut out_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -135,13 +129,6 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--out" => {
                 out_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
                 i += 2;
@@ -151,23 +138,15 @@ fn main() {
     }
 
     // Dispatch paths available on this host, in report order.
-    let mut paths: Vec<(&str, Kernel, usize)> = vec![("scalar", Kernel::Scalar, 1)];
+    let mut paths = vec![("scalar", Kernel::Scalar)];
     if kernels::simd_available() {
-        paths.push(("simd", Kernel::Simd, 1));
-    }
-    if kernels::fma_available() {
-        paths.push(("fma", Kernel::Fma, 1));
-    }
-    if kernels::simd_available() && threads > 1 {
-        paths.push(("simd+threads", Kernel::Simd, threads));
+        paths.push(("simd", Kernel::Simd));
     }
 
     let mut report = Report { lines: Vec::new() };
     report.emit(format!(
-        "matmul_kernels: iters={iters} batches={batches:?} intra_op_threads={threads} \
-         (avx2={} fma={})",
-        kernels::simd_available(),
-        kernels::fma_available()
+        "matmul_kernels: iters={iters} batches={batches:?} (avx2={})",
+        kernels::simd_available()
     ));
     report.emit(format!(
         "{:<36} {:<16} {:<14} {:>12} {:>9}",
@@ -244,19 +223,10 @@ fn main() {
                 );
             }
 
-            for &(path, kernel, lanes) in &paths {
-                let prev_min = kernels::split_min_flops();
-                if lanes > 1 {
-                    kernels::set_split_min_flops(0);
-                    intra_op::install(lanes);
-                }
+            for &(path, kernel) in &paths {
                 let t_nn = time_ns(iters, || a.matmul_with(&b, kernel));
                 let t_nt = time_ns(iters, || g.matmul_nt_with(&b, kernel));
                 let t_tn = time_ns(iters, || a.matmul_tn_with(&g, kernel));
-                if lanes > 1 {
-                    intra_op::install(1);
-                    kernels::set_split_min_flops(prev_min);
-                }
                 for (op, t) in [
                     ("matmul (NN)", t_nn),
                     ("matmul_nt", t_nt),
@@ -291,6 +261,6 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: matmul_kernels [--iters N] [--batch N,N,...] [--threads N] [--out PATH]");
+    eprintln!("usage: matmul_kernels [--iters N] [--batch N,N,...] [--out PATH]");
     std::process::exit(2);
 }

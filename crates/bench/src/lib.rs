@@ -2,8 +2,8 @@
 //!
 //! Reproduction harness: one binary per table/figure of the paper's
 //! evaluation (run with `cargo run --release -p adaptraj-bench --bin
-//! <name> [-- --scale smoke|paper]`), plus criterion microbenchmarks
-//! (`cargo bench -p adaptraj-bench`).
+//! <name> [-- --scale smoke|paper]`), plus the `matmul_kernels`
+//! micro-bench.
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -11,7 +11,6 @@ use adaptraj_data::domain::DomainId;
 use adaptraj_eval::{
     build_predictor, pooled_train, target_test, BackboneKind, CellSpec, MethodKind, RunnerConfig,
 };
-use adaptraj_exec::intra_op;
 use adaptraj_models::TrainerConfig;
 use adaptraj_obs::json::{Arr, Obj};
 use adaptraj_obs::profile::{self, ProfileSnapshot};
@@ -320,9 +319,10 @@ impl PerfReport {
         for w in &self.workloads {
             wl = wl.push_raw(&w.to_json());
         }
-        // Kernel configuration rides along so a bench document records
-        // which GEMM dispatch produced it (PR 10). The comparator ignores
-        // unknown config keys, so older baselines stay comparable.
+        // The kernel rides along so a bench document records which GEMM
+        // dispatch produced it. The comparator ignores unknown config keys,
+        // so older baselines (which also carry intra-op fields) stay
+        // comparable.
         let config = Obj::new()
             .u64("epochs", self.config.epochs as u64)
             .u64("scenes", self.config.scenes as u64)
@@ -331,8 +331,6 @@ impl PerfReport {
             .u64("batch_size", self.config.batch_size as u64)
             .u64("seed", self.config.seed)
             .str("kernel", kernels::active_kernel().name())
-            .u64("intra_op_threads", intra_op::installed_threads() as u64)
-            .u64("split_min_flops", kernels::split_min_flops() as u64)
             .finish();
         let mut doc = Obj::new()
             .str("schema", BENCH_SCHEMA)

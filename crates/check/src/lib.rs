@@ -11,8 +11,8 @@
 //!   loss and AdapTraj's three-step objective on fixed-seed windows.
 //! * [`prop`] — an offline, zero-dependency property-test harness
 //!   (deterministic seeds, size-ramped generation, shrink-by-size) that
-//!   replaces the registry-gated proptest path for the algebraic and
-//!   structural tape invariants (`tests/tape_props.rs`).
+//!   runs the algebraic and structural tape invariants
+//!   (`tests/tape_props.rs`) and the workspace's cross-crate properties.
 //! * [`golden`] — fixed-seed micro-runs of every backbone pinned
 //!   bit-for-bit in committed `results/GOLDEN_*.json` files, gated by the
 //!   `golden_gate` binary and the `adaptraj check` subcommand.

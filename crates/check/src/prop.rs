@@ -1,10 +1,8 @@
 //! A small offline property-test harness over the workspace's own
 //! xoshiro [`Rng`].
 //!
-//! The registry-gated proptest suites (`tests/proptests.rs`,
-//! `crates/tensor/tests/proptest_ops.rs`) never run in the offline CI, so
-//! the algebraic and structural tape invariants they express were
-//! effectively unchecked. This harness keeps the useful half of proptest —
+//! The workspace builds without registry access, so `proptest` is not
+//! available. This harness keeps the useful half of proptest —
 //! randomized cases, a growing size parameter, and shrinking to a minimal
 //! failing case — with zero dependencies:
 //!

@@ -6,21 +6,14 @@
 //!
 //! Randomized through the offline `adaptraj_check::prop` harness; degenerate
 //! shapes (k=0, m=0, single row, all-zero `a`) get dedicated deterministic
-//! cases on top because a uniform draw visits them rarely. The forced-split
-//! test pins the other half of the tentpole: intra-op row partitioning is
-//! bitwise invisible at any lane count.
+//! cases on top because a uniform draw visits them rarely.
 //!
 //! These tests force kernels per call via `matmul_with` — the process-wide
 //! dispatch is never flipped, so they are safe to run concurrently with
 //! every other test in this binary.
 
 use adaptraj_check::prop::{check, Gen};
-use adaptraj_exec::intra_op;
 use adaptraj_tensor::{kernels, Kernel, Tensor};
-use std::sync::Mutex;
-
-/// Serializes tests that install the process-global intra-op hook.
-static HOOK_LOCK: Mutex<()> = Mutex::new(());
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -119,41 +112,6 @@ fn scalar_and_simd_agree_bitwise_on_degenerate_shapes() {
 }
 
 #[test]
-fn equivalence_holds_under_forced_intra_op_split() {
-    let _guard = HOOK_LOCK.lock().unwrap();
-    // Zero threshold + 4 lanes: every product in the property splits,
-    // including single-row and empty ones. Scalar, SIMD, and the unsplit
-    // reference must all coincide bitwise.
-    let prev_min = kernels::split_min_flops();
-    kernels::set_split_min_flops(0);
-    intra_op::install(4);
-    let result = std::panic::catch_unwind(|| {
-        check("kernel-equivalence-split", 60, |g| {
-            let n = g.int_in(0, 5 * g.size);
-            let k = g.int_in(0, 4 * g.size);
-            let m = g.int_in(0, 4 * g.size);
-            let a = sparse_tensor(g, n, k, 40);
-            let b = g.tensor(k, m);
-            check_all_products(&a, &b, "split")?;
-            // Split-vs-unsplit on the dispatch path actually used in prod.
-            let split = a.matmul(&b);
-            intra_op::install(1);
-            let unsplit = a.matmul(&b);
-            intra_op::install(4);
-            if bits(&split) != bits(&unsplit) {
-                return Err(format!("split result diverges from unsplit ({n},{k},{m})"));
-            }
-            Ok(())
-        });
-    });
-    intra_op::install(1);
-    kernels::set_split_min_flops(prev_min);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
-}
-
-#[test]
 fn active_kernel_resolves_and_is_stable() {
     // Whatever the environment selected, repeated reads must agree (the
     // dispatch is cached) and the choice must be runnable on this host.
@@ -162,6 +120,5 @@ fn active_kernel_resolves_and_is_stable() {
     match k {
         Kernel::Scalar => {}
         Kernel::Simd => assert!(kernels::simd_available()),
-        Kernel::Fma => assert!(kernels::fma_available()),
     }
 }

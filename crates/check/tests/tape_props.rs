@@ -1,10 +1,9 @@
 //! Randomized tape invariants and algebraic identities, run through the
 //! offline `adaptraj_check::prop` harness so they execute in the default
-//! `cargo test` (the proptest versions in `crates/tensor/tests/
-//! proptest_ops.rs` stay registry-gated and never run in offline CI).
+//! `cargo test`.
 //!
 //! Three structural invariants of the autodiff engine, then the key
-//! algebraic properties ported from the proptest suite.
+//! algebraic properties of the tape ops.
 
 use adaptraj_check::prop::{assert_close, check, Gen};
 use adaptraj_tensor::{pool, with_pooled, BufferPool, Tape, Tensor, Var};

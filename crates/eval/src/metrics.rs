@@ -137,9 +137,17 @@ mod tests {
         let (a, f) = best_of_k(&[bad.clone(), good.clone()], &gt);
         assert!((a - 0.1).abs() < 1e-5);
         assert!((f - 0.1).abs() < 1e-5);
-        // Monotonicity: adding samples can only improve the minimum.
-        let (a1, _) = best_of_k(&[bad], &gt);
-        assert!(a <= a1);
+        // Monotonicity: adding samples can only improve either minimum.
+        let (a1, f1) = best_of_k(std::slice::from_ref(&bad), &gt);
+        assert!(a <= a1 && f <= f1);
+        // A sample that wins on FDE alone lowers only the FDE minimum.
+        let last = gt.len() - 1;
+        let ends_right: Vec<Point> = gt
+            .iter()
+            .enumerate()
+            .map(|(t, p)| [p[0] + if t == last { 0.0 } else { 8.0 }, p[1]])
+            .collect();
+        assert_eq!(best_of_k(&[bad, ends_right], &gt), (a1, 0.0));
     }
 
     #[test]

@@ -35,8 +35,6 @@
 //! load per job when the timeline is disabled, and never any effect on
 //! dispatch order or result order.
 
-pub mod intra_op;
-
 use adaptraj_obs::{health, metrics, timeline};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};

@@ -2,8 +2,7 @@
 //!
 //! Three stages:
 //! 1. **Individual mobility layer** — MLP location embedding (Eq. 1) fed to
-//!    an LSTM or Transformer encoder (Eq. 2; the paper names both) over
-//!    every agent in the window.
+//!    an LSTM encoder (Eq. 2) over every agent in the window.
 //! 2. **Neighbor interaction layer** — an aggregation `φ` over all agents'
 //!    final hidden states producing the interaction tensor `P_i` (Eq. 3);
 //!    both the attention (PECNet-style non-local) and mean-pooling
@@ -24,10 +23,10 @@
 //! The concrete backbones (PECNet, LBEBM) compose these parts and differ
 //! in how `z` is produced and which auxiliary losses they add.
 
-use crate::config::{BackboneConfig, EncoderKind};
+use crate::config::BackboneConfig;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
 use adaptraj_data::WindowBatch;
-use adaptraj_tensor::nn::{Activation, Linear, Lstm, LstmCell, LstmState, Mlp, TransformerEncoder};
+use adaptraj_tensor::nn::{Activation, Linear, Lstm, LstmCell, LstmState, Mlp};
 use adaptraj_tensor::{FusedAct, GroupId, ParamStore, Rng, Tape, Tensor, Var};
 
 /// Parameter group for all backbone weights (the AdapTraj schedule
@@ -64,13 +63,6 @@ pub enum InteractionKind {
     MeanPool,
 }
 
-/// The sequence model behind the individual-mobility encoder (Eq. 2).
-#[derive(Debug, Clone)]
-enum MobilityEncoder {
-    Lstm(Lstm),
-    Transformer(TransformerEncoder),
-}
-
 /// Per-slot gather indices and validity flags for the padded `[B·A_max]`
 /// slot grid, in slot order (window-major). Pad slots re-gather the
 /// window's focal row — a real row, so shapes stay rectangular — and rely
@@ -94,7 +86,7 @@ pub fn padded_slots(batch: &WindowBatch<'_>) -> (Vec<usize>, Vec<bool>) {
 #[derive(Debug, Clone)]
 pub struct SceneEncoder {
     embed: Linear,
-    encoder: MobilityEncoder,
+    encoder: Lstm,
     kind: InteractionKind,
     w_q: Linear,
     w_k: Linear,
@@ -120,25 +112,14 @@ impl SceneEncoder {
                 cfg.embed_dim,
                 BACKBONE_GROUP,
             ),
-            encoder: match cfg.encoder {
-                EncoderKind::Lstm => MobilityEncoder::Lstm(Lstm::new(
-                    store,
-                    rng,
-                    &format!("{name}.enc"),
-                    cfg.embed_dim,
-                    cfg.hidden_dim,
-                    BACKBONE_GROUP,
-                )),
-                EncoderKind::Transformer => MobilityEncoder::Transformer(TransformerEncoder::new(
-                    store,
-                    rng,
-                    &format!("{name}.enc"),
-                    cfg.embed_dim,
-                    cfg.hidden_dim,
-                    1,
-                    BACKBONE_GROUP,
-                )),
-            },
+            encoder: Lstm::new(
+                store,
+                rng,
+                &format!("{name}.enc"),
+                cfg.embed_dim,
+                cfg.hidden_dim,
+                BACKBONE_GROUP,
+            ),
             w_q: Linear::new(
                 store,
                 rng,
@@ -177,20 +158,6 @@ impl SceneEncoder {
         self.inter_dim
     }
 
-    /// Stacks one agent's observed track as a `[T_OBS, 2]` tensor.
-    fn agent_track(w: &TrajWindow, agent: usize) -> Tensor {
-        let track = if agent == 0 {
-            &w.obs
-        } else {
-            &w.neighbors[agent - 1]
-        };
-        let mut data = Vec::with_capacity(T_OBS * 2);
-        for p in track {
-            data.extend_from_slice(p);
-        }
-        Tensor::from_vec(T_OBS, 2, data)
-    }
-
     /// Encodes a window batch: every agent of every window through
     /// Eq. 1–2 jointly (stacked agents are batch rows), then `φ` (Eq. 3)
     /// over the padded slot grid.
@@ -200,31 +167,14 @@ impl SceneEncoder {
         tape: &mut Tape,
         batch: &WindowBatch<'_>,
     ) -> EncodedScene {
-        let h_all = match &self.encoder {
-            // Eq. 1–2 over all agents of all windows jointly.
-            MobilityEncoder::Lstm(lstm) => {
-                let mut steps = Vec::with_capacity(T_OBS);
-                for t in 0..T_OBS {
-                    let pos = tape.constant(batch_step_positions(batch, t));
-                    steps.push(self.embed.forward_act(store, tape, pos, FusedAct::Relu));
-                }
-                let (_, final_state) = lstm.forward(store, tape, &steps);
-                final_state.h // [N_total, hidden]
-            }
-            // Per-agent sequences through the attention encoder, in
-            // stacked-row order.
-            MobilityEncoder::Transformer(trf) => {
-                let mut rows = Vec::with_capacity(batch.total_agents());
-                for w in batch.windows() {
-                    for a in 0..w.agents() {
-                        let seq = tape.constant(Self::agent_track(w, a));
-                        let e = self.embed.forward_act(store, tape, seq, FusedAct::Relu);
-                        rows.push(trf.encode_sequence(store, tape, e));
-                    }
-                }
-                tape.concat_rows(&rows) // [N_total, hidden]
-            }
-        };
+        // Eq. 1–2 over all agents of all windows jointly.
+        let mut steps = Vec::with_capacity(T_OBS);
+        for t in 0..T_OBS {
+            let pos = tape.constant(batch_step_positions(batch, t));
+            steps.push(self.embed.forward_act(store, tape, pos, FusedAct::Relu));
+        }
+        let (_, final_state) = self.encoder.forward(store, tape, &steps);
+        let h_all = final_state.h; // [N_total, hidden]
         let h_focal = tape.gather_rows(h_all, &batch.focal_rows()); // [B, hidden]
 
         // Eq. 3 over the padded `[B·A_max]` slot grid.
@@ -681,46 +631,6 @@ mod tests {
         let pts = batch_pred_points(&future_tensor(&ws[0]), 1).remove(0);
         assert_eq!(pts.len(), T_PRED);
         assert_eq!(pts[0], ws[0].fut[0]);
-    }
-
-    #[test]
-    fn transformer_encoder_variant_works() {
-        use crate::config::EncoderKind;
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(11);
-        let cfg = BackboneConfig::default().with_encoder(EncoderKind::Transformer);
-        let enc = SceneEncoder::new(&mut store, &mut rng, "t", &cfg, InteractionKind::Attention);
-        let ws = [toy_window(2), toy_window(1)];
-        let batch = WindowBatch::new(ws.iter().collect(), vec![0, 1]);
-        let mut tape = Tape::new();
-        let scene = enc.encode(&store, &mut tape, &batch);
-        assert_eq!(tape.value(scene.h_focal).shape(), (2, cfg.hidden_dim));
-        assert_eq!(tape.value(scene.p_i).shape(), (2, cfg.inter_dim));
-        assert!(tape.value(scene.h_focal).all_finite());
-        // Gradients reach the transformer parameters.
-        let sq = tape.mul(scene.h_focal, scene.h_focal);
-        let loss = tape.sum_all(sq);
-        let grads = tape.backward(loss);
-        assert!(!tape.param_grads(&grads).is_empty());
-    }
-
-    #[test]
-    fn lstm_and_transformer_encoders_differ() {
-        use crate::config::EncoderKind;
-        let w = toy_window(1);
-        let encode_with = |kind: EncoderKind| {
-            let mut store = ParamStore::new();
-            let mut rng = Rng::seed_from(3);
-            let cfg = BackboneConfig::default().with_encoder(kind);
-            let enc = SceneEncoder::new(&mut store, &mut rng, "e", &cfg, InteractionKind::MeanPool);
-            let mut tape = Tape::new();
-            let scene = enc.encode(&store, &mut tape, &WindowBatch::single(&w, 0));
-            tape.value(scene.h_focal).clone()
-        };
-        assert_ne!(
-            encode_with(EncoderKind::Lstm).data(),
-            encode_with(EncoderKind::Transformer).data()
-        );
     }
 
     #[test]

@@ -1,16 +1,5 @@
 //! Model hyperparameters.
 
-/// Which sequence model implements the individual-mobility encoder `φ`
-/// (Eq. 2). The paper names both LSTM and Transformer as valid choices
-/// (Sec. II-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncoderKind {
-    #[default]
-    Lstm,
-    /// A small self-attention encoder (single head, sinusoidal positions).
-    Transformer,
-}
-
 /// Architecture dimensions shared by the backbones. Sized for CPU training
 /// (the paper uses GPU-scale widths; the architecture is identical, only
 /// narrower — see DESIGN.md).
@@ -32,8 +21,6 @@ pub struct BackboneConfig {
     /// nothing). Fixed at construction because it sizes the decoder-init
     /// layer.
     pub extra_dim: usize,
-    /// Sequence model for the individual-mobility encoder.
-    pub encoder: EncoderKind,
 }
 
 impl Default for BackboneConfig {
@@ -45,7 +32,6 @@ impl Default for BackboneConfig {
             dec_hidden: 32,
             z_dim: 8,
             extra_dim: 0,
-            encoder: EncoderKind::Lstm,
         }
     }
 }
@@ -54,12 +40,6 @@ impl BackboneConfig {
     /// Same architecture with room for an extra conditioning vector.
     pub fn with_extra(mut self, extra_dim: usize) -> Self {
         self.extra_dim = extra_dim;
-        self
-    }
-
-    /// Same architecture with a different mobility encoder.
-    pub fn with_encoder(mut self, encoder: EncoderKind) -> Self {
-        self.encoder = encoder;
         self
     }
 

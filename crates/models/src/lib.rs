@@ -39,7 +39,7 @@ pub mod vanilla;
 
 pub use backbone::{EncodedScene, InteractionKind, RolloutDecoder, SceneEncoder, BACKBONE_GROUP};
 pub use causal_motion::CausalMotion;
-pub use config::{BackboneConfig, EncoderKind, TrainerConfig};
+pub use config::{BackboneConfig, TrainerConfig};
 pub use counter::Counter;
 pub use lbebm::Lbebm;
 pub use pecnet::PecNet;

@@ -5,6 +5,10 @@
 //! string escaping and push-style object/array builders that produce
 //! compact single-line JSON (one line per JSONL record).
 
+/// Largest integer `n` such that every integer in `0..=n` parses to an
+/// exact f64: `2^53 − 1`. [`Value::as_u64`] refuses anything above it.
+pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
+
 /// Escapes `s` into `buf` as the *contents* of a JSON string (no quotes).
 pub fn escape_into(buf: &mut String, s: &str) {
     for c in s.chars() {
@@ -211,9 +215,13 @@ impl Value {
         }
     }
 
+    /// The number as an unsigned integer, if it is one that survived the
+    /// f64 parse exactly: integral and at most [`MAX_SAFE_INTEGER`].
+    /// Larger literals may have been rounded (`2^53 + 1` parses as
+    /// `2^53`), so they are refused rather than silently changed.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_INTEGER as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -517,5 +525,16 @@ mod tests {
         assert!(v.get("a").is_none());
         assert!(v.as_str().is_none());
         assert_eq!(Value::parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(
+            Value::parse("9007199254740991").unwrap().as_u64(),
+            Some(MAX_SAFE_INTEGER)
+        );
+        for rounded in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(Value::parse(rounded).unwrap().as_u64(), None, "{rounded}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
-use adaptraj_obs::json::{Arr, Obj, Value};
+use adaptraj_obs::json::{Arr, Obj, Value, MAX_SAFE_INTEGER};
 
 /// Upper bound on neighbors per scene: a request is a single camera
 /// scene, not a crowd dump; this bounds per-request work.
@@ -246,12 +246,19 @@ pub fn decode_request(body: &str) -> Result<PredictRequest, CodecError> {
         .get("scene")
         .ok_or_else(|| err("invalid_scene", "request.scene is required"))?;
     let window = decode_scene(scene)?;
-    let seed = v.get("seed").and_then(|s| s.as_u64()).ok_or_else(|| {
-        err(
-            "invalid_request",
-            "request.seed (unsigned integer) is required",
-        )
-    })?;
+    let seed = v
+        .get("seed")
+        .ok_or_else(|| err("invalid_request", "request.seed is required"))?
+        .as_u64()
+        .ok_or_else(|| {
+            err(
+                "invalid_request",
+                format!(
+                    "request.seed must be an unsigned integer no greater than \
+                     2^53-1 ({MAX_SAFE_INTEGER}); larger JSON numbers lose precision"
+                ),
+            )
+        })?;
     let k = match v.get("k") {
         None => 1,
         Some(kv) => kv
@@ -388,6 +395,23 @@ mod tests {
             decode_request(&no_seed).unwrap_err().code,
             "invalid_request"
         );
+
+        // Seeds must survive the f64 parse exactly: 2^53-1 is the largest
+        // accepted; 2^53+1 (parses as 2^53) and 2^64 are refused, naming
+        // the limit, instead of reaching the model as a different seed.
+        let with_seed = |seed: &str| {
+            let scene = encode_scene(&w);
+            format!(r#"{{"scene":{scene},"seed":{seed}}}"#)
+        };
+        assert_eq!(
+            decode_request(&with_seed("9007199254740991")).unwrap().seed,
+            MAX_SAFE_INTEGER
+        );
+        for seed in ["9007199254740993", "18446744073709551616"] {
+            let e = decode_request(&with_seed(seed)).unwrap_err();
+            assert_eq!(e.code, "invalid_request", "{seed}");
+            assert!(e.message.contains("9007199254740991"), "{}", e.message);
+        }
 
         let big_k = Obj::new()
             .raw("scene", &encode_scene(&w))

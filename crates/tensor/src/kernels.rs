@@ -4,18 +4,16 @@
 //! ikj/axpy kernels (`matmul` NN, `matmul_nt`, `matmul_tn` — see
 //! [`crate::tensor::Tensor`]). Until PR 10 they relied entirely on LLVM's
 //! autovectorizer at the x86-64 baseline feature level (SSE2). This module
-//! adds explicit `std::arch` AVX2 microkernels with runtime dispatch, plus
-//! an intra-op row-partitioning hook so large batched GEMMs can split
-//! across helper threads (installed by `adaptraj-exec::intra_op`).
+//! adds an explicit `std::arch` AVX2 microkernel with runtime dispatch.
 //!
 //! # The accumulation-order contract
 //!
-//! All kernels in this module honor the contract pinned by the
+//! Both kernels in this module honor the contract pinned by the
 //! golden-regression gate: *each output element accumulates its k-terms in
 //! ascending order, skipping terms whose left-operand factor is exactly
-//! zero, with separate mul and add roundings*. The default SIMD path
-//! vectorizes across the m (output-column) axis only — 8 output elements
-//! advance through the same ascending-k sequence in lockstep, and IEEE-754
+//! zero, with separate mul and add roundings*. The SIMD path vectorizes
+//! across the m (output-column) axis only — 8 output elements advance
+//! through the same ascending-k sequence in lockstep, and IEEE-754
 //! `vmulps`/`vaddps` are lane-wise identical to scalar `*`/`+` — so its
 //! results are **bit-identical** to the scalar kernel for every input,
 //! including non-finite values. Register blocking (4 output rows × up to 32
@@ -23,30 +21,14 @@
 //! only *when* partial sums touch memory, never the per-element operation
 //! sequence.
 //!
-//! The opt-in FMA variant (`ADAPTRAJ_KERNEL=fma`) fuses each mul+add into
-//! one correctly-rounded `vfmadd` and is therefore allowed to produce
-//! different (ulp-level, typically *more* accurate) bits. It is excluded
-//! from the golden gate; finite-difference gradient checks cover it
-//! (`crates/check/tests/kernel_fma.rs`).
-//!
-//! Intra-op threading partitions **output rows**: each output element is
-//! still computed start-to-finish by exactly one thread in the same order,
-//! so row splits preserve bit-identity for free, at any thread count.
-//!
 //! # Dispatch
 //!
 //! The kernel is chosen once per process (cached in an atomic):
-//!
-//! - `ADAPTRAJ_FORCE_SCALAR=1` forces the scalar path (tier-1 CI runs a
-//!   full forced-scalar pass to pin scalar/SIMD agreement end to end).
-//! - `ADAPTRAJ_KERNEL=scalar|simd|fma` selects explicitly; `simd`/`fma`
-//!   fall back to scalar (with a tracing warning) when the CPU lacks
-//!   AVX2/FMA.
-//! - Otherwise: AVX2 detected → `simd`, else `scalar`. FMA is never chosen
-//!   automatically — it changes bits, so it must be opted into.
+//! `ADAPTRAJ_FORCE_SCALAR=1` forces the scalar path (tier-1 CI runs a full
+//! forced-scalar pass to pin scalar/SIMD agreement end to end); otherwise
+//! AVX2 detected → `simd`, else `scalar`.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which microkernel family services the matmul entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +38,6 @@ pub enum Kernel {
     /// Explicit AVX2, mul+add (separate roundings) — bit-identical to
     /// `Scalar` by the lane-wise IEEE argument above.
     Simd,
-    /// Explicit AVX2+FMA — fused rounding, ulp-level different results.
-    /// Opt-in only; never selected by auto-detection.
-    Fma,
 }
 
 impl Kernel {
@@ -66,7 +45,6 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Simd => "simd",
-            Kernel::Fma => "fma",
         }
     }
 }
@@ -77,8 +55,7 @@ static ACTIVE_KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
 fn kernel_from_u8(v: u8) -> Kernel {
     match v {
         0 => Kernel::Scalar,
-        1 => Kernel::Simd,
-        _ => Kernel::Fma,
+        _ => Kernel::Simd,
     }
 }
 
@@ -86,7 +63,6 @@ fn kernel_to_u8(k: Kernel) -> u8 {
     match k {
         Kernel::Scalar => 0,
         Kernel::Simd => 1,
-        Kernel::Fma => 2,
     }
 }
 
@@ -102,57 +78,13 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// True when the FMA variant can run (AVX2 + FMA).
-pub fn fma_available() -> bool {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// Resolves an `ADAPTRAJ_KERNEL` / `ADAPTRAJ_FORCE_SCALAR` request against
-/// CPU capabilities. Pure so the env parsing is unit-testable; `None`
-/// requests auto-detection.
-pub fn resolve_kernel(
-    force_scalar: bool,
-    requested: Option<&str>,
-    simd_ok: bool,
-    fma_ok: bool,
-) -> Result<Kernel, String> {
-    if force_scalar {
-        return Ok(Kernel::Scalar);
-    }
-    match requested {
-        None | Some("") => Ok(if simd_ok {
-            Kernel::Simd
-        } else {
-            Kernel::Scalar
-        }),
-        Some("scalar") => Ok(Kernel::Scalar),
-        Some("simd") => {
-            if simd_ok {
-                Ok(Kernel::Simd)
-            } else {
-                Err("ADAPTRAJ_KERNEL=simd requested but AVX2 is unavailable; using scalar".into())
-            }
-        }
-        Some("fma") => {
-            if fma_ok {
-                Ok(Kernel::Fma)
-            } else {
-                Err(
-                    "ADAPTRAJ_KERNEL=fma requested but AVX2+FMA is unavailable; using scalar"
-                        .into(),
-                )
-            }
-        }
-        Some(other) => Err(format!(
-            "unknown ADAPTRAJ_KERNEL='{other}' (expected scalar|simd|fma); using auto-detection"
-        )),
+/// Resolves `ADAPTRAJ_FORCE_SCALAR` against CPU capabilities. Pure so the
+/// selection rule is unit-testable.
+pub fn resolve_kernel(force_scalar: bool, simd_ok: bool) -> Kernel {
+    if simd_ok && !force_scalar {
+        Kernel::Simd
+    } else {
+        Kernel::Scalar
     }
 }
 
@@ -160,23 +92,7 @@ fn init_kernel_from_env() -> Kernel {
     let force_scalar = std::env::var("ADAPTRAJ_FORCE_SCALAR")
         .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
         .unwrap_or(false);
-    let requested = std::env::var("ADAPTRAJ_KERNEL").ok();
-    let k = match resolve_kernel(
-        force_scalar,
-        requested.as_deref(),
-        simd_available(),
-        fma_available(),
-    ) {
-        Ok(k) => k,
-        Err(msg) => {
-            adaptraj_obs::obs_warn!("tensor.kernels", "{msg}");
-            if msg.contains("unknown") && simd_available() {
-                Kernel::Simd
-            } else {
-                Kernel::Scalar
-            }
-        }
-    };
+    let k = resolve_kernel(force_scalar, simd_available());
     ACTIVE_KERNEL.store(kernel_to_u8(k), Ordering::Relaxed);
     k
 }
@@ -191,110 +107,16 @@ pub fn active_kernel() -> Kernel {
 }
 
 /// Overrides the process-wide kernel (micro-bench / test hook). Returns
-/// the previously active kernel. Requesting an unavailable family falls
-/// back to `Scalar`.
+/// the previously active kernel. Requesting `Simd` without AVX2 falls back
+/// to `Scalar`.
 pub fn set_active_kernel(k: Kernel) -> Kernel {
     let prev = active_kernel();
     let k = match k {
         Kernel::Simd if !simd_available() => Kernel::Scalar,
-        Kernel::Fma if !fma_available() => Kernel::Scalar,
         other => other,
     };
     ACTIVE_KERNEL.store(kernel_to_u8(k), Ordering::Relaxed);
     prev
-}
-
-// ---- intra-op row partitioning ------------------------------------------
-
-/// A scoped parallel-for over output-row ranges. Implementations MUST
-/// invoke `body` on disjoint `[start, end)` ranges that exactly cover
-/// `[0, rows)` (any order, any concurrency) and return only after every
-/// range completed. `adaptraj-exec::intra_op` installs one backed by
-/// scoped helper threads.
-pub type ParallelRows = dyn Fn(usize, &(dyn Fn(usize, usize) + Sync)) + Send + Sync;
-
-static PARALLEL_ROWS: RwLock<Option<Arc<ParallelRows>>> = RwLock::new(None);
-/// Fast-path flag mirroring `PARALLEL_ROWS.is_some()` so the common
-/// (uninstalled) case costs one relaxed load per GEMM, not a lock.
-static PARALLEL_INSTALLED: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or, with `None`, removes) the intra-op row splitter.
-pub fn set_parallel_rows(hook: Option<Arc<ParallelRows>>) {
-    let mut slot = PARALLEL_ROWS.write().unwrap_or_else(|p| p.into_inner());
-    PARALLEL_INSTALLED.store(u8::from(hook.is_some()), Ordering::Release);
-    *slot = hook;
-}
-
-/// True when an intra-op splitter is installed (bench-config reporting).
-pub fn parallel_rows_installed() -> bool {
-    PARALLEL_INSTALLED.load(Ordering::Acquire) != 0
-}
-
-/// The one tunable place for the split threshold: a GEMM is eligible for
-/// intra-op splitting when its flop count `2·n·k·m` is at least this.
-/// Sized so the split only triggers where the scoped-thread setup cost
-/// (tens of µs) is well under 10% of the kernel time. Overridable via
-/// `ADAPTRAJ_INTRA_OP_MIN_FLOPS`; recorded in the bench JSON config.
-pub const DEFAULT_SPLIT_MIN_FLOPS: usize = 4_000_000;
-
-const SPLIT_UNSET: usize = usize::MAX;
-static SPLIT_MIN_FLOPS: AtomicUsize = AtomicUsize::new(SPLIT_UNSET);
-
-/// Minimum `2·n·k·m` before a GEMM row-splits across intra-op threads.
-pub fn split_min_flops() -> usize {
-    match SPLIT_MIN_FLOPS.load(Ordering::Relaxed) {
-        SPLIT_UNSET => {
-            let v = std::env::var("ADAPTRAJ_INTRA_OP_MIN_FLOPS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_SPLIT_MIN_FLOPS);
-            SPLIT_MIN_FLOPS.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
-}
-
-/// Overrides the split threshold (tests / micro-bench).
-pub fn set_split_min_flops(v: usize) {
-    SPLIT_MIN_FLOPS.store(v, Ordering::Relaxed);
-}
-
-/// Runs `body` over `[0, rows)`, splitting across the installed intra-op
-/// hook when the GEMM is large enough. `body(start, end)` must be safe to
-/// run concurrently on disjoint ranges.
-fn for_rows(rows: usize, flops: usize, body: &(dyn Fn(usize, usize) + Sync)) {
-    if rows > 1 && flops >= split_min_flops() && parallel_rows_installed() {
-        let hook = PARALLEL_ROWS
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        if let Some(hook) = hook {
-            hook(rows, body);
-            return;
-        }
-    }
-    body(0, rows);
-}
-
-/// Shared-pointer wrapper so a `&mut [f32]` output buffer can be carved
-/// into disjoint row ranges across the intra-op threads.
-#[derive(Clone, Copy)]
-struct OutPtr(*mut f32);
-// SAFETY: every user writes only the `[start*m, end*m)` range handed to it
-// by `for_rows`, and the splitter contract guarantees ranges are disjoint.
-unsafe impl Send for OutPtr {}
-unsafe impl Sync for OutPtr {}
-
-impl OutPtr {
-    /// Reborrows output rows `[r0, r1)` of an `m`-column matrix.
-    ///
-    /// SAFETY: the caller must be the only holder of this row range (the
-    /// splitter disjointness contract) and the range must lie within the
-    /// allocation the pointer was taken from, which must outlive `'a`.
-    unsafe fn rows_mut<'a>(self, r0: usize, r1: usize, m: usize) -> &'a mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(r0 * m), (r1 - r0) * m)
-    }
 }
 
 // ---- kernel entry points -------------------------------------------------
@@ -313,12 +135,7 @@ pub fn gemm_nn(
     debug_assert_eq!(a.len(), n * k);
     debug_assert_eq!(b.len(), k * m);
     debug_assert_eq!(out.len(), n * m);
-    let p = OutPtr(out.as_mut_ptr());
-    for_rows(n, 2 * n * k * m, &|r0, r1| {
-        // SAFETY: disjoint row ranges per the splitter contract.
-        let rows = unsafe { p.rows_mut(r0, r1, m) };
-        run_rows(kernel, a, k, 1, b, rows, r0, r1, k, m);
-    });
+    run_rows(kernel, a, k, 1, b, out, n, k, m);
 }
 
 /// `out[n,m] += a[k,n]ᵀ · b[k,m]` — the TN product, a read with stride `n`
@@ -335,17 +152,12 @@ pub fn gemm_tn(
     debug_assert_eq!(a.len(), k * n);
     debug_assert_eq!(b.len(), k * m);
     debug_assert_eq!(out.len(), n * m);
-    let p = OutPtr(out.as_mut_ptr());
-    for_rows(n, 2 * n * k * m, &|r0, r1| {
-        // SAFETY: disjoint row ranges per the splitter contract.
-        let rows = unsafe { p.rows_mut(r0, r1, m) };
-        run_rows(kernel, a, 1, n, b, rows, r0, r1, k, m);
-    });
+    run_rows(kernel, a, 1, n, b, out, n, k, m);
 }
 
-/// Computes output rows `[r0, r1)` into `rows` (the sub-slice for exactly
-/// that range). `a` is addressed as `a[i*as0 + p*as1]`: `(k, 1)` for the
-/// NN product, `(1, n)` for TN — the only difference between the two.
+/// Computes all `n` output rows into `out`. `a` is addressed as
+/// `a[i*as0 + p*as1]`: `(k, 1)` for the NN product, `(1, n)` for TN — the
+/// only difference between the two.
 #[allow(clippy::too_many_arguments)]
 fn run_rows(
     kernel: Kernel,
@@ -353,44 +165,33 @@ fn run_rows(
     as0: usize,
     as1: usize,
     b: &[f32],
-    rows: &mut [f32],
-    r0: usize,
-    r1: usize,
+    out: &mut [f32],
+    n: usize,
     k: usize,
     m: usize,
 ) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    match kernel {
-        // SAFETY: dispatch guarantees the features are present.
-        Kernel::Simd => return unsafe { gemm_rows_avx2(a, as0, as1, b, rows, r0, r1, k, m) },
-        Kernel::Fma => return unsafe { gemm_rows_fma(a, as0, as1, b, rows, r0, r1, k, m) },
-        Kernel::Scalar => {}
+    if kernel == Kernel::Simd {
+        // SAFETY: dispatch only selects `Simd` when AVX2 was detected.
+        return unsafe { simd_impls::gemm_rows_avx2(a, as0, as1, b, out, n, k, m) };
     }
     #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
     let _ = kernel;
     if as1 == 1 {
-        scalar_rows_nn(a, b, rows, r0, r1, k, m);
+        scalar_rows_nn(a, b, out, n, k, m);
     } else {
-        scalar_rows_tn(a, as1, b, rows, r0, r1, k, m);
+        scalar_rows_tn(a, as1, b, out, k, m);
     }
 }
 
-/// The historical ikj loop (`Tensor::matmul` pre-PR-10), restricted to a
-/// row range. Per output element: k ascending, skip on `a == 0.0`,
-/// separate mul+add into the memory accumulator — the reference the SIMD
-/// paths must match bit for bit.
-fn scalar_rows_nn(
-    a: &[f32],
-    b: &[f32],
-    rows: &mut [f32],
-    r0: usize,
-    r1: usize,
-    k: usize,
-    m: usize,
-) {
-    for i in r0..r1 {
+/// The historical ikj loop (`Tensor::matmul` pre-PR-10). Per output
+/// element: k ascending, skip on `a == 0.0`, separate mul+add into the
+/// memory accumulator — the reference the SIMD path must match bit for
+/// bit.
+fn scalar_rows_nn(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    for i in 0..n {
         let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut rows[(i - r0) * m..(i - r0 + 1) * m];
+        let out_row = &mut out[i * m..(i + 1) * m];
         for (p, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
                 continue;
@@ -404,225 +205,24 @@ fn scalar_rows_nn(
 }
 
 /// The historical p-outer TN loop (`Tensor::matmul_tn` pre-PR-10): both
-/// `a` row `p` and `b` row `p` stream contiguously; each output row in
-/// `[r0, r1)` accumulates an axpy of `b`'s row. Identical per-element
+/// `a` row `p` and `b` row `p` stream contiguously; each of the `n`
+/// output rows accumulates an axpy of `b`'s row. Identical per-element
 /// term order to [`scalar_rows_nn`] (k ascending, zero-skip, separate
 /// mul+add), just a different loop nest.
-#[allow(clippy::too_many_arguments)]
-fn scalar_rows_tn(
-    a: &[f32],
-    n: usize,
-    b: &[f32],
-    rows: &mut [f32],
-    r0: usize,
-    r1: usize,
-    k: usize,
-    m: usize,
-) {
+fn scalar_rows_tn(a: &[f32], n: usize, b: &[f32], out: &mut [f32], k: usize, m: usize) {
     for p in 0..k {
-        let a_row = &a[p * n + r0..p * n + r1];
+        let a_row = &a[p * n..(p + 1) * n];
         let b_row = &b[p * m..(p + 1) * m];
         for (i, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
                 continue;
             }
-            let out_row = &mut rows[i * m..(i + 1) * m];
+            let out_row = &mut out[i * m..(i + 1) * m];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += av * bv;
             }
         }
     }
-}
-
-/// Generates the AVX2 microkernel body twice: once with separate
-/// mul+add (`Simd`, bit-identical to scalar) and once with fused
-/// multiply-add (`Fma`, fused rounding). Structure:
-///
-/// - 4 output rows × 2 ymm (16 columns) register block in the main loop:
-///   accumulators live in registers across the entire ascending-k sweep,
-///   b-row loads are shared by the 4 rows, and the zero-skip is applied
-///   per (row, k) exactly like the scalar kernel;
-/// - 1 row × up to 4 ymm (32 columns) for leftover rows;
-/// - 8-wide then scalar column tails, each with a private accumulator that
-///   performs the same op sequence as the scalar loop.
-macro_rules! gemm_rows_simd {
-    ($name:ident, $features:literal, $madd:expr) => {
-        #[target_feature(enable = $features)]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) unsafe fn $name(
-            a: &[f32],
-            as0: usize,
-            as1: usize,
-            b: &[f32],
-            rows: &mut [f32],
-            r0: usize,
-            r1: usize,
-            k: usize,
-            m: usize,
-        ) {
-            // madd(acc, a, b): acc ⊕ a·b — separate or fused rounding.
-            let madd = $madd;
-
-            let bp = b.as_ptr();
-            let ap = a.as_ptr();
-            let op = rows.as_mut_ptr();
-            let mut i = r0;
-            // ---- 4-row register block over 16-column panels ----
-            while i + 4 <= r1 {
-                let arow = |r: usize, p: usize| *ap.add((i + r) * as0 + p * as1);
-                let orow = |r: usize| op.add((i + r - r0) * m);
-                let mut j = 0;
-                while j + 16 <= m {
-                    let mut c00 = _mm256_setzero_ps();
-                    let mut c01 = _mm256_setzero_ps();
-                    let mut c10 = _mm256_setzero_ps();
-                    let mut c11 = _mm256_setzero_ps();
-                    let mut c20 = _mm256_setzero_ps();
-                    let mut c21 = _mm256_setzero_ps();
-                    let mut c30 = _mm256_setzero_ps();
-                    let mut c31 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let b0 = _mm256_loadu_ps(bp.add(p * m + j));
-                        let b1 = _mm256_loadu_ps(bp.add(p * m + j + 8));
-                        let a0 = arow(0, p);
-                        if a0 != 0.0 {
-                            let v = _mm256_set1_ps(a0);
-                            c00 = madd(c00, v, b0);
-                            c01 = madd(c01, v, b1);
-                        }
-                        let a1 = arow(1, p);
-                        if a1 != 0.0 {
-                            let v = _mm256_set1_ps(a1);
-                            c10 = madd(c10, v, b0);
-                            c11 = madd(c11, v, b1);
-                        }
-                        let a2 = arow(2, p);
-                        if a2 != 0.0 {
-                            let v = _mm256_set1_ps(a2);
-                            c20 = madd(c20, v, b0);
-                            c21 = madd(c21, v, b1);
-                        }
-                        let a3 = arow(3, p);
-                        if a3 != 0.0 {
-                            let v = _mm256_set1_ps(a3);
-                            c30 = madd(c30, v, b0);
-                            c31 = madd(c31, v, b1);
-                        }
-                    }
-                    _mm256_storeu_ps(orow(0).add(j), c00);
-                    _mm256_storeu_ps(orow(0).add(j + 8), c01);
-                    _mm256_storeu_ps(orow(1).add(j), c10);
-                    _mm256_storeu_ps(orow(1).add(j + 8), c11);
-                    _mm256_storeu_ps(orow(2).add(j), c20);
-                    _mm256_storeu_ps(orow(2).add(j + 8), c21);
-                    _mm256_storeu_ps(orow(3).add(j), c30);
-                    _mm256_storeu_ps(orow(3).add(j + 8), c31);
-                    j += 16;
-                }
-                // 8-wide panel shared by the 4 rows.
-                while j + 8 <= m {
-                    let mut c0 = _mm256_setzero_ps();
-                    let mut c1 = _mm256_setzero_ps();
-                    let mut c2 = _mm256_setzero_ps();
-                    let mut c3 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let b0 = _mm256_loadu_ps(bp.add(p * m + j));
-                        let a0 = arow(0, p);
-                        if a0 != 0.0 {
-                            c0 = madd(c0, _mm256_set1_ps(a0), b0);
-                        }
-                        let a1 = arow(1, p);
-                        if a1 != 0.0 {
-                            c1 = madd(c1, _mm256_set1_ps(a1), b0);
-                        }
-                        let a2 = arow(2, p);
-                        if a2 != 0.0 {
-                            c2 = madd(c2, _mm256_set1_ps(a2), b0);
-                        }
-                        let a3 = arow(3, p);
-                        if a3 != 0.0 {
-                            c3 = madd(c3, _mm256_set1_ps(a3), b0);
-                        }
-                    }
-                    _mm256_storeu_ps(orow(0).add(j), c0);
-                    _mm256_storeu_ps(orow(1).add(j), c1);
-                    _mm256_storeu_ps(orow(2).add(j), c2);
-                    _mm256_storeu_ps(orow(3).add(j), c3);
-                    j += 8;
-                }
-                // Scalar column tail, 4 rows.
-                while j < m {
-                    for r in 0..4 {
-                        let mut acc = 0.0f32;
-                        for p in 0..k {
-                            let av = arow(r, p);
-                            if av == 0.0 {
-                                continue;
-                            }
-                            acc += av * *bp.add(p * m + j);
-                        }
-                        *orow(r).add(j) = acc;
-                    }
-                    j += 1;
-                }
-                i += 4;
-            }
-            // ---- leftover rows, one at a time ----
-            while i < r1 {
-                let aval = |p: usize| *ap.add(i * as0 + p * as1);
-                let out_row = op.add((i - r0) * m);
-                let mut j = 0;
-                while j + 32 <= m {
-                    let mut c0 = _mm256_setzero_ps();
-                    let mut c1 = _mm256_setzero_ps();
-                    let mut c2 = _mm256_setzero_ps();
-                    let mut c3 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let av = aval(p);
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let v = _mm256_set1_ps(av);
-                        let bj = bp.add(p * m + j);
-                        c0 = madd(c0, v, _mm256_loadu_ps(bj));
-                        c1 = madd(c1, v, _mm256_loadu_ps(bj.add(8)));
-                        c2 = madd(c2, v, _mm256_loadu_ps(bj.add(16)));
-                        c3 = madd(c3, v, _mm256_loadu_ps(bj.add(24)));
-                    }
-                    _mm256_storeu_ps(out_row.add(j), c0);
-                    _mm256_storeu_ps(out_row.add(j + 8), c1);
-                    _mm256_storeu_ps(out_row.add(j + 16), c2);
-                    _mm256_storeu_ps(out_row.add(j + 24), c3);
-                    j += 32;
-                }
-                while j + 8 <= m {
-                    let mut c0 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let av = aval(p);
-                        if av == 0.0 {
-                            continue;
-                        }
-                        c0 = madd(c0, _mm256_set1_ps(av), _mm256_loadu_ps(bp.add(p * m + j)));
-                    }
-                    _mm256_storeu_ps(out_row.add(j), c0);
-                    j += 8;
-                }
-                while j < m {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        let av = aval(p);
-                        if av == 0.0 {
-                            continue;
-                        }
-                        acc += av * *bp.add(p * m + j);
-                    }
-                    *out_row.add(j) = acc;
-                    j += 1;
-                }
-                i += 1;
-            }
-        }
-    };
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -632,16 +232,196 @@ mod simd_impls {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    gemm_rows_simd!(gemm_rows_avx2, "avx2", |acc, a, b| _mm256_add_ps(
-        acc,
-        _mm256_mul_ps(a, b)
-    ));
-    gemm_rows_simd!(gemm_rows_fma, "avx2,fma", |acc, a, b| _mm256_fmadd_ps(
-        a, b, acc
-    ));
+    /// The AVX2 microkernel, separate mul+add (bit-identical to scalar).
+    /// Structure:
+    ///
+    /// - 4 output rows × 2 ymm (16 columns) register block in the main loop:
+    ///   accumulators live in registers across the entire ascending-k sweep,
+    ///   b-row loads are shared by the 4 rows, and the zero-skip is applied
+    ///   per (row, k) exactly like the scalar kernel;
+    /// - 1 row × up to 4 ymm (32 columns) for leftover rows;
+    /// - 8-wide then scalar column tails, each with a private accumulator that
+    ///   performs the same op sequence as the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `a` must hold every `a[i*as0 + p*as1]`
+    /// for `i < n`, `p < k`, and `b`/`out` must hold `k*m`/`n*m` elements.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemm_rows_avx2(
+        a: &[f32],
+        as0: usize,
+        as1: usize,
+        b: &[f32],
+        out: &mut [f32],
+        n: usize,
+        k: usize,
+        m: usize,
+    ) {
+        // madd(acc, a, b): acc ⊕ a·b with separate roundings.
+        let madd = |acc, a, b| _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+
+        let bp = b.as_ptr();
+        let ap = a.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut i = 0;
+        // ---- 4-row register block over 16-column panels ----
+        while i + 4 <= n {
+            let arow = |r: usize, p: usize| *ap.add((i + r) * as0 + p * as1);
+            let orow = |r: usize| op.add((i + r) * m);
+            let mut j = 0;
+            while j + 16 <= m {
+                let mut c00 = _mm256_setzero_ps();
+                let mut c01 = _mm256_setzero_ps();
+                let mut c10 = _mm256_setzero_ps();
+                let mut c11 = _mm256_setzero_ps();
+                let mut c20 = _mm256_setzero_ps();
+                let mut c21 = _mm256_setzero_ps();
+                let mut c30 = _mm256_setzero_ps();
+                let mut c31 = _mm256_setzero_ps();
+                for p in 0..k {
+                    let b0 = _mm256_loadu_ps(bp.add(p * m + j));
+                    let b1 = _mm256_loadu_ps(bp.add(p * m + j + 8));
+                    let a0 = arow(0, p);
+                    if a0 != 0.0 {
+                        let v = _mm256_set1_ps(a0);
+                        c00 = madd(c00, v, b0);
+                        c01 = madd(c01, v, b1);
+                    }
+                    let a1 = arow(1, p);
+                    if a1 != 0.0 {
+                        let v = _mm256_set1_ps(a1);
+                        c10 = madd(c10, v, b0);
+                        c11 = madd(c11, v, b1);
+                    }
+                    let a2 = arow(2, p);
+                    if a2 != 0.0 {
+                        let v = _mm256_set1_ps(a2);
+                        c20 = madd(c20, v, b0);
+                        c21 = madd(c21, v, b1);
+                    }
+                    let a3 = arow(3, p);
+                    if a3 != 0.0 {
+                        let v = _mm256_set1_ps(a3);
+                        c30 = madd(c30, v, b0);
+                        c31 = madd(c31, v, b1);
+                    }
+                }
+                _mm256_storeu_ps(orow(0).add(j), c00);
+                _mm256_storeu_ps(orow(0).add(j + 8), c01);
+                _mm256_storeu_ps(orow(1).add(j), c10);
+                _mm256_storeu_ps(orow(1).add(j + 8), c11);
+                _mm256_storeu_ps(orow(2).add(j), c20);
+                _mm256_storeu_ps(orow(2).add(j + 8), c21);
+                _mm256_storeu_ps(orow(3).add(j), c30);
+                _mm256_storeu_ps(orow(3).add(j + 8), c31);
+                j += 16;
+            }
+            // 8-wide panel shared by the 4 rows.
+            while j + 8 <= m {
+                let mut c0 = _mm256_setzero_ps();
+                let mut c1 = _mm256_setzero_ps();
+                let mut c2 = _mm256_setzero_ps();
+                let mut c3 = _mm256_setzero_ps();
+                for p in 0..k {
+                    let b0 = _mm256_loadu_ps(bp.add(p * m + j));
+                    let a0 = arow(0, p);
+                    if a0 != 0.0 {
+                        c0 = madd(c0, _mm256_set1_ps(a0), b0);
+                    }
+                    let a1 = arow(1, p);
+                    if a1 != 0.0 {
+                        c1 = madd(c1, _mm256_set1_ps(a1), b0);
+                    }
+                    let a2 = arow(2, p);
+                    if a2 != 0.0 {
+                        c2 = madd(c2, _mm256_set1_ps(a2), b0);
+                    }
+                    let a3 = arow(3, p);
+                    if a3 != 0.0 {
+                        c3 = madd(c3, _mm256_set1_ps(a3), b0);
+                    }
+                }
+                _mm256_storeu_ps(orow(0).add(j), c0);
+                _mm256_storeu_ps(orow(1).add(j), c1);
+                _mm256_storeu_ps(orow(2).add(j), c2);
+                _mm256_storeu_ps(orow(3).add(j), c3);
+                j += 8;
+            }
+            // Scalar column tail, 4 rows.
+            while j < m {
+                for r in 0..4 {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        let av = arow(r, p);
+                        if av == 0.0 {
+                            continue;
+                        }
+                        acc += av * *bp.add(p * m + j);
+                    }
+                    *orow(r).add(j) = acc;
+                }
+                j += 1;
+            }
+            i += 4;
+        }
+        // ---- leftover rows, one at a time ----
+        while i < n {
+            let aval = |p: usize| *ap.add(i * as0 + p * as1);
+            let out_row = op.add(i * m);
+            let mut j = 0;
+            while j + 32 <= m {
+                let mut c0 = _mm256_setzero_ps();
+                let mut c1 = _mm256_setzero_ps();
+                let mut c2 = _mm256_setzero_ps();
+                let mut c3 = _mm256_setzero_ps();
+                for p in 0..k {
+                    let av = aval(p);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let v = _mm256_set1_ps(av);
+                    let bj = bp.add(p * m + j);
+                    c0 = madd(c0, v, _mm256_loadu_ps(bj));
+                    c1 = madd(c1, v, _mm256_loadu_ps(bj.add(8)));
+                    c2 = madd(c2, v, _mm256_loadu_ps(bj.add(16)));
+                    c3 = madd(c3, v, _mm256_loadu_ps(bj.add(24)));
+                }
+                _mm256_storeu_ps(out_row.add(j), c0);
+                _mm256_storeu_ps(out_row.add(j + 8), c1);
+                _mm256_storeu_ps(out_row.add(j + 16), c2);
+                _mm256_storeu_ps(out_row.add(j + 24), c3);
+                j += 32;
+            }
+            while j + 8 <= m {
+                let mut c0 = _mm256_setzero_ps();
+                for p in 0..k {
+                    let av = aval(p);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    c0 = madd(c0, _mm256_set1_ps(av), _mm256_loadu_ps(bp.add(p * m + j)));
+                }
+                _mm256_storeu_ps(out_row.add(j), c0);
+                j += 8;
+            }
+            while j < m {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    let av = aval(p);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    acc += av * *bp.add(p * m + j);
+                }
+                *out_row.add(j) = acc;
+                j += 1;
+            }
+            i += 1;
+        }
+    }
 }
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-use simd_impls::{gemm_rows_avx2, gemm_rows_fma};
 
 #[cfg(test)]
 mod tests {
@@ -656,18 +436,10 @@ mod tests {
     #[test]
     fn resolve_kernel_env_matrix() {
         use Kernel::*;
-        assert_eq!(resolve_kernel(true, Some("fma"), true, true), Ok(Scalar));
-        assert_eq!(resolve_kernel(false, None, true, true), Ok(Simd));
-        assert_eq!(resolve_kernel(false, None, false, false), Ok(Scalar));
-        assert_eq!(
-            resolve_kernel(false, Some("scalar"), true, true),
-            Ok(Scalar)
-        );
-        assert_eq!(resolve_kernel(false, Some("simd"), true, false), Ok(Simd));
-        assert_eq!(resolve_kernel(false, Some("fma"), true, true), Ok(Fma));
-        assert!(resolve_kernel(false, Some("fma"), true, false).is_err());
-        assert!(resolve_kernel(false, Some("simd"), false, false).is_err());
-        assert!(resolve_kernel(false, Some("avx9000"), true, true).is_err());
+        assert_eq!(resolve_kernel(true, true), Scalar);
+        assert_eq!(resolve_kernel(false, true), Simd);
+        assert_eq!(resolve_kernel(false, false), Scalar);
+        assert_eq!(resolve_kernel(true, false), Scalar);
     }
 
     #[test]
@@ -714,76 +486,5 @@ mod tests {
             let simd_nt = a.matmul_nt_with(&bt, Kernel::Simd);
             assert_eq!(bits(&scalar_nt), bits(&simd_nt), "NT ({n},{k},{m})");
         }
-    }
-
-    #[test]
-    fn fma_matches_scalar_within_ulp_tolerance() {
-        if !fma_available() {
-            return;
-        }
-        let mut rng = Rng::seed_from(5);
-        let a = Tensor::randn(6, 40, 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(40, 24, 0.0, 1.0, &mut rng);
-        let scalar = a.matmul_with(&b, Kernel::Scalar);
-        let fma = a.matmul_with(&b, Kernel::Fma);
-        for (s, f) in scalar.data().iter().zip(fma.data()) {
-            let denom = s.abs().max(1.0);
-            assert!(
-                (s - f).abs() / denom < 1e-5,
-                "fma drifted beyond rounding: {s} vs {f}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_split_is_bitwise_invariant() {
-        // A hand-rolled splitter (3 uneven chunks on the calling thread)
-        // must reproduce the unsplit result exactly — the property the
-        // exec intra-op hook relies on.
-        let mut rng = Rng::seed_from(17);
-        let a = Tensor::randn(10, 48, 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(48, 64, 0.0, 1.0, &mut rng);
-        let unsplit = a.matmul(&b);
-        set_parallel_rows(Some(Arc::new(
-            |rows, body: &(dyn Fn(usize, usize) + Sync)| {
-                let cut1 = rows / 3;
-                let cut2 = 2 * rows / 3;
-                body(0, cut1);
-                body(cut1, cut2);
-                body(cut2, rows);
-            },
-        )));
-        let prev_min = split_min_flops();
-        set_split_min_flops(0);
-        let split = a.matmul(&b);
-        let split_tn = a.transpose().matmul_tn(&b);
-        set_split_min_flops(prev_min);
-        set_parallel_rows(None);
-        assert_eq!(bits(&unsplit), bits(&split));
-        assert_eq!(bits(&unsplit), bits(&split_tn));
-    }
-
-    #[test]
-    fn split_threshold_gates_small_gemms() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        set_parallel_rows(Some(Arc::new(
-            |rows, body: &(dyn Fn(usize, usize) + Sync)| {
-                CALLS.fetch_add(1, Ordering::Relaxed);
-                body(0, rows);
-            },
-        )));
-        let prev_min = split_min_flops();
-        set_split_min_flops(1_000_000_000);
-        let a = Tensor::ones(4, 4);
-        let _ = a.matmul(&a); // far below threshold: hook must not fire
-        let below = CALLS.load(Ordering::Relaxed);
-        set_split_min_flops(1);
-        let _ = a.matmul(&a);
-        let above = CALLS.load(Ordering::Relaxed);
-        set_split_min_flops(prev_min);
-        set_parallel_rows(None);
-        assert_eq!(below, 0, "hook fired below the flop threshold");
-        assert_eq!(above, 1, "hook did not fire above the flop threshold");
     }
 }

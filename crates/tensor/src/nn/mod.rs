@@ -7,13 +7,11 @@
 //! (backbone + extractors + aggregator) with unified optimization and
 //! per-group scheduling.
 
-mod attention;
 mod init;
 mod linear;
 mod lstm;
 mod mlp;
 
-pub use attention::{positional_encoding, TransformerEncoder};
 pub use init::{kaiming_std, xavier_std};
 pub use linear::Linear;
 pub use lstm::{Lstm, LstmCell, LstmState};

@@ -373,8 +373,6 @@ impl Tensor {
         let b_data = other.data.as_slice();
         let mut out = pool::alloc_zeroed(n * m);
         if k > 0 && m > 0 {
-            // Pack on the calling thread: the scratch must be fully
-            // written before the (possibly row-split) kernel reads it.
             let mut bt = pool::alloc_zeroed(k * m);
             for (j, b_row) in b_data.chunks_exact(k).enumerate() {
                 for (p, &v) in b_row.iter().enumerate() {

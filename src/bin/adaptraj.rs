@@ -104,14 +104,6 @@ fn write_trace(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
-    // Process-global kernel configuration: ADAPTRAJ_KERNEL /
-    // ADAPTRAJ_FORCE_SCALAR resolve lazily inside the tensor crate; the
-    // intra-op GEMM splitter needs an explicit install (the hook lives in
-    // adaptraj-exec, which tensor cannot depend on).
-    let intra_op_lanes = adaptraj::exec::intra_op::install_from_env();
-    if intra_op_lanes > 1 {
-        println!("intra-op GEMM splitting enabled: {intra_op_lanes} lanes");
-    }
     match cmd {
         Command::Help => {
             println!("{USAGE}");

@@ -22,10 +22,9 @@ const SOURCES: [DomainId; 2] = [DomainId::EthUcy, DomainId::LCas];
 /// Serializes the tests that touch process-global state: the metrics
 /// registry (`adaptraj::obs::global()`), whose counter deltas
 /// `workers_1_and_4_are_bit_identical` compares and which every training
-/// run advances, and the intra-op hook with its flop threshold, which the
-/// splitting tests flip. Every test here that trains, reads the registry
-/// or flips the hook holds this lock for its whole body. A poisoned lock
-/// (a failed holder) is taken anyway, so one failure does not cascade.
+/// run advances. Every test here that trains or reads the registry holds
+/// this lock for its whole body. A poisoned lock (a failed holder) is
+/// taken anyway, so one failure does not cascade.
 static PROCESS_GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock_process_globals() -> std::sync::MutexGuard<'static, ()> {
@@ -100,108 +99,6 @@ fn workers_1_and_4_are_bit_identical() {
     // Evaluation: parallel ADE/FDE reduce to the same bits.
     assert_eq!(eval_1.ade.to_bits(), eval_4.ade.to_bits(), "ADE differs");
     assert_eq!(eval_1.fde.to_bits(), eval_4.fde.to_bits(), "FDE differs");
-}
-
-/// PR 10: with intra-op GEMM splitting force-enabled (every product
-/// splits across 3 lanes), the full smoke workload must still be
-/// bit-identical to the unsplit single-worker run. Row partitioning never
-/// reorders any output element's accumulation, so the worker count *and*
-/// the intra-op lane count are both invisible in the bits.
-#[test]
-fn intra_op_splitting_is_bit_identical_across_worker_counts() {
-    use adaptraj::tensor::kernels;
-
-    let _guard = lock_process_globals();
-    let (losses_ref, _, eval_ref) = run_smoke_workload(1);
-
-    let prev_min = kernels::split_min_flops();
-    kernels::set_split_min_flops(0);
-    adaptraj::exec::intra_op::install(3);
-    let result = std::panic::catch_unwind(|| {
-        let mut out = Vec::new();
-        for workers in [1, 4] {
-            out.push((workers, run_smoke_workload(workers)));
-        }
-        out
-    });
-    adaptraj::exec::intra_op::install(1);
-    kernels::set_split_min_flops(prev_min);
-    let runs = match result {
-        Ok(r) => r,
-        Err(p) => std::panic::resume_unwind(p),
-    };
-
-    for (workers, (losses, _, eval)) in runs {
-        assert_eq!(losses.len(), losses_ref.len(), "workers={workers}");
-        for (e, (a, b)) in losses_ref.iter().zip(&losses).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "epoch {e} loss differs under intra-op split (workers={workers}): {a} vs {b}"
-            );
-        }
-        assert_eq!(
-            eval_ref.ade.to_bits(),
-            eval.ade.to_bits(),
-            "ADE differs under intra-op split (workers={workers})"
-        );
-        assert_eq!(
-            eval_ref.fde.to_bits(),
-            eval.fde.to_bits(),
-            "FDE differs under intra-op split (workers={workers})"
-        );
-    }
-}
-
-/// PR 10: a window job running on a pool worker that hits an intra-op
-/// split must not deadlock. The splitter uses fresh scoped threads — never
-/// the pool's shared queue — so even with every worker simultaneously
-/// inside a split (more splits than pool slots) the nest always makes
-/// progress. Saturate a small pool with GEMM jobs that all split to prove
-/// it, and check the results are the unsplit bits.
-#[test]
-fn nested_pool_and_intra_op_split_does_not_deadlock() {
-    use adaptraj::tensor::kernels;
-    use adaptraj::tensor::{Rng, Tensor};
-
-    let _guard = lock_process_globals();
-    let mut rng = Rng::seed_from(77);
-    let inputs: Vec<(Tensor, Tensor)> = (0..12)
-        .map(|_| {
-            (
-                Tensor::randn(24, 48, 0.0, 1.0, &mut rng),
-                Tensor::randn(48, 64, 0.0, 1.0, &mut rng),
-            )
-        })
-        .collect();
-    let expected: Vec<Vec<u32>> = inputs
-        .iter()
-        .map(|(a, b)| a.matmul(b).data().iter().map(|v| v.to_bits()).collect())
-        .collect();
-
-    let prev_min = kernels::split_min_flops();
-    kernels::set_split_min_flops(0);
-    adaptraj::exec::intra_op::install(4);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let pool = WorkerPool::new(2);
-        pool.map(&inputs, |_, (a, b)| {
-            // Runs on a pool worker; the matmul splits across 4 scoped
-            // lanes from inside the job.
-            a.matmul(b)
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<u32>>()
-        })
-        .expect("nested map must complete")
-    }));
-    adaptraj::exec::intra_op::install(1);
-    kernels::set_split_min_flops(prev_min);
-    let got = match result {
-        Ok(r) => r,
-        Err(p) => std::panic::resume_unwind(p),
-    };
-    assert_eq!(got, expected, "split-under-pool results drifted");
 }
 
 #[test]

@@ -123,20 +123,25 @@ fn predict_server_survives_hostile_input() {
     .expect("server start");
     assert_protocol_robustness(server.local_addr(), Duration::from_millis(300), "/healthz");
 
-    // Serve-specific: a well-framed request whose JSON body is garbage
-    // still yields a structured 400, not a hang or a connection drop.
+    // Serve-specific: a well-framed request whose JSON body is garbage,
+    // or whose seed is too large to survive the f64 parse (2^53 + 1),
+    // still yields a structured 400, not a hang, a connection drop or a
+    // prediction for a different seed.
     let addr = server.local_addr();
-    let bad_json = "{not json";
-    let resp = raw_exchange(
-        addr,
-        format!(
-            "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{bad_json}",
-            bad_json.len()
-        )
-        .as_bytes(),
-    );
-    assert_eq!(status_of(&resp), 400, "{resp:.200}");
-    assert!(!error_code(&resp).is_empty());
+    let scene = r#"{"domain":"sdd","obs":[[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]]}"#;
+    let big_seed = format!(r#"{{"scene":{scene},"seed":9007199254740993}}"#);
+    for body in ["{not json", big_seed.as_str()] {
+        let resp = raw_exchange(
+            addr,
+            format!(
+                "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        assert_eq!(status_of(&resp), 400, "{resp:.200}");
+        assert!(!error_code(&resp).is_empty());
+    }
 
     // And a wrong method on a known route is 405, not 404.
     let wrong_method = raw_exchange(addr, b"GET /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n");
