@@ -2,6 +2,7 @@
 
 use adaptraj_models::TrainerConfig;
 use adaptraj_tensor::GroupId;
+use std::ops::Range;
 
 /// Parameter group of the domain-invariant extractor (V_ind, V_nei,
 /// V_fuse).
@@ -123,14 +124,14 @@ impl AdapTrajConfig {
         2 * self.fused_dim
     }
 
-    /// Which training step (1, 2, or 3 per Alg. 1) an epoch belongs to.
-    pub fn step_of_epoch(&self, epoch: usize) -> usize {
-        if epoch < self.e_start {
-            1
-        } else if epoch < self.e_end {
-            2
-        } else {
-            3
+    /// The epochs of training step `step` (1, 2, or 3 per Alg. 1):
+    /// `[0, e_start)`, `[e_start, e_end)` and `[e_end, e_total)`.
+    pub fn step_epochs(&self, step: usize) -> Range<usize> {
+        match step {
+            1 => 0..self.e_start,
+            2 => self.e_start..self.e_end,
+            3 => self.e_end..self.e_total(),
+            _ => unreachable!("steps are 1..=3"),
         }
     }
 
@@ -172,12 +173,9 @@ mod tests {
             },
             ..Default::default()
         };
-        assert_eq!(c.step_of_epoch(0), 1);
-        assert_eq!(c.step_of_epoch(1), 1);
-        assert_eq!(c.step_of_epoch(2), 2);
-        assert_eq!(c.step_of_epoch(3), 2);
-        assert_eq!(c.step_of_epoch(4), 3);
-        assert_eq!(c.step_of_epoch(5), 3);
+        assert_eq!(c.step_epochs(1), 0..2);
+        assert_eq!(c.step_epochs(2), 2..4);
+        assert_eq!(c.step_epochs(3), 4..6);
     }
 
     #[test]

@@ -5,83 +5,34 @@ use crate::config::{AdapTrajConfig, AGGREGATOR_GROUP, SPECIFIC_GROUP};
 use crate::extractors::{Aggregator, Features, InvariantExtractor, SpecificExtractor};
 use crate::heads::{DomainClassifier, ReconDecoder};
 use crate::losses::ours_loss_parts;
-use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
+use adaptraj_data::batch::WindowBatch;
 use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow};
-use adaptraj_exec::{window_seed, WorkerPool};
 use adaptraj_models::backbone::{base_loss, EncodedScene};
-use adaptraj_models::diagnostics::HealthAccum;
-use adaptraj_models::predictor::{cap_per_domain, group_norms, Predictor, TrainReport};
+use adaptraj_models::config::TrainerConfig;
+use adaptraj_models::predictor::{cap_per_domain, Predictor, TrainReport};
 use adaptraj_models::traits::{sample_backbone, Backbone, ForwardCtx, GenMode};
-use adaptraj_obs::{
-    health, obs_info, obs_warn, profile, timeline, EpochRecord, LossComponents, PhaseTiming, Span,
-};
+use adaptraj_models::Trainer;
+use adaptraj_obs::{health, obs_info, profile, LossComponents};
 use adaptraj_tensor::optim::Adam;
-use adaptraj_tensor::{GradBuffer, ParamStore, Rng, Tape, Tensor, Var};
-use std::time::Instant;
-
-/// Raw (unweighted) loss-term values read off one job's tape — batch
-/// means over the job's windows; `NaN` marks a term this pass did not
-/// compute (e.g. `distill` on unmasked jobs). Used only for telemetry —
-/// the gradient flows through the weighted total.
-#[derive(Debug, Clone, Copy)]
-struct BatchLossValues {
-    backbone: f32,
-    recon: f32,
-    diff: f32,
-    similar: f32,
-    distill: f32,
-}
-
-/// Accumulates per-job loss-term means (weighted by job size) into
-/// per-epoch means, skipping the NaN placeholders so a term's mean covers
-/// only passes that computed it.
-#[derive(Debug, Default)]
-struct ComponentMeans {
-    sums: [f64; 5],
-    counts: [u64; 5],
-}
-
-impl ComponentMeans {
-    fn add(&mut self, v: &BatchLossValues, n_windows: u64) {
-        for (i, x) in [v.backbone, v.recon, v.diff, v.similar, v.distill]
-            .into_iter()
-            .enumerate()
-        {
-            if x.is_finite() {
-                self.sums[i] += x as f64 * n_windows as f64;
-                self.counts[i] += n_windows;
-            }
-        }
-    }
-
-    fn mean(&self, i: usize) -> f64 {
-        if self.counts[i] == 0 {
-            f64::NAN
-        } else {
-            self.sums[i] / self.counts[i] as f64
-        }
-    }
-
-    fn components(&self) -> LossComponents {
-        LossComponents {
-            backbone: self.mean(0),
-            recon: self.mean(1),
-            diff: self.mean(2),
-            similar: self.mean(3),
-            distill: self.mean(4),
-        }
-    }
-}
+use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
 /// A backbone wrapped with the AdapTraj framework: domain-invariant
 /// extractor, per-domain specific extractors, and the domain-specific
 /// aggregator, trained with the three-step schedule.
 pub struct AdapTraj<B: Backbone> {
-    backbone: B,
     store: ParamStore,
-    cfg: AdapTrajConfig,
     sources: Vec<DomainId>,
+    net: Framework<B>,
+}
+
+/// The framework's modules and config, held apart from the parameter
+/// store: every forward method reads parameters from the store it is
+/// handed, so the training closure can borrow the modules while
+/// [`Trainer`] holds the store mutably.
+struct Framework<B: Backbone> {
+    backbone: B,
+    cfg: AdapTrajConfig,
     invariant: InvariantExtractor,
     specific: SpecificExtractor,
     aggregator: Aggregator,
@@ -127,20 +78,22 @@ impl<B: Backbone> AdapTraj<B> {
         let recon = ReconDecoder::new(&mut store, &mut rng, cfg.feat_dim);
         let classifier = DomainClassifier::new(&mut store, &mut rng, cfg.feat_dim, sources.len());
         Self {
-            backbone,
             store,
-            cfg,
             sources: sources.to_vec(),
-            invariant,
-            specific,
-            aggregator,
-            recon,
-            classifier,
+            net: Framework {
+                backbone,
+                cfg,
+                invariant,
+                specific,
+                aggregator,
+                recon,
+                classifier,
+            },
         }
     }
 
     pub fn config(&self) -> &AdapTrajConfig {
-        &self.cfg
+        &self.net.cfg
     }
 
     pub fn sources(&self) -> &[DomainId] {
@@ -157,7 +110,7 @@ impl<B: Backbone> AdapTraj<B> {
     }
 
     pub fn backbone(&self) -> &B {
-        &self.backbone
+        &self.net.backbone
     }
 
     /// Derives the four features for an encoded scene. `expert = Some(k)`
@@ -166,28 +119,7 @@ impl<B: Backbone> AdapTraj<B> {
     /// aggregator over the summed expert outputs (Eqs. 21–22) — the only
     /// path available for unseen domains at inference.
     pub fn features(&self, tape: &mut Tape, enc: &EncodedScene, expert: Option<usize>) -> Features {
-        let inv_ind = self.invariant.individual(&self.store, tape, enc.h_focal);
-        let inv_nei = self.invariant.neighbor(&self.store, tape, enc.p_i);
-        let (spec_ind, spec_nei) = match expert {
-            Some(k) => (
-                self.specific.individual(&self.store, tape, k, enc.h_focal),
-                self.specific.neighbor(&self.store, tape, k, enc.p_i),
-            ),
-            None => {
-                let sum_ind = self.specific.individual_sum(&self.store, tape, enc.h_focal);
-                let sum_nei = self.specific.neighbor_sum(&self.store, tape, enc.p_i);
-                (
-                    self.aggregator.individual(&self.store, tape, sum_ind),
-                    self.aggregator.neighbor(&self.store, tape, sum_nei),
-                )
-            }
-        };
-        Features {
-            inv_ind,
-            inv_nei,
-            spec_ind,
-            spec_nei,
-        }
+        self.net.features(&self.store, tape, enc, expert)
     }
 
     /// Assembles the `extra` conditioning `[H^i | H^s]` (fused invariant +
@@ -195,115 +127,7 @@ impl<B: Backbone> AdapTraj<B> {
     /// removed family (the backbone width stays fixed). Shapes follow the
     /// batch: `[B, 2·fused_dim]` for `[B, feat_dim]` features.
     pub fn extra_features(&self, tape: &mut Tape, feats: &Features) -> Var {
-        let b = tape.value(feats.inv_ind).rows();
-        let h_inv = if self.cfg.ablation.use_invariant {
-            self.invariant
-                .fuse(&self.store, tape, feats.inv_ind, feats.inv_nei)
-        } else {
-            tape.constant(Tensor::zeros(b, self.cfg.fused_dim))
-        };
-        let h_spec = if self.cfg.ablation.use_specific {
-            self.specific
-                .fuse(&self.store, tape, feats.spec_ind, feats.spec_nei)
-        } else {
-            tape.constant(Tensor::zeros(b, self.cfg.fused_dim))
-        };
-        tape.concat_cols(&[h_inv, h_spec])
-    }
-
-    /// One training forward pass for a **domain-homogeneous** batch of
-    /// windows: the batch-mean `L_total = L_base + δ·L_ours` (Eqs. 23/25)
-    /// in a single tape pass. `masked` selects the teacher–student path:
-    /// the specific features come from the aggregator, and an explicit
-    /// distillation term pulls the student's (aggregator's) output toward
-    /// the *teacher's* — the true domain's expert, detached (Sec. III-D,
-    /// Fig. 2 labels `M` as the teacher of `A`). Without this term the
-    /// aggregator only receives indirect task-loss signal and needs far
-    /// more epochs to stop degrading the decoder's conditioning.
-    fn batch_loss(
-        &self,
-        ctx: &mut ForwardCtx<'_>,
-        batch: &WindowBatch<'_>,
-        masked: bool,
-        delta: f32,
-    ) -> (Var, BatchLossValues) {
-        ctx.mode = GenMode::Train;
-        let domain = batch.windows()[0].domain;
-        debug_assert!(
-            batch.windows().iter().all(|w| w.domain == domain),
-            "batch_loss requires a domain-homogeneous batch"
-        );
-        let domain_idx = self
-            .specific
-            .expert_of(domain)
-            .expect("training window from a non-source domain");
-        let enc = {
-            let _p = profile::phase("encode");
-            self.backbone.encode(ctx.store, ctx.tape, batch)
-        };
-        let expert = if masked { None } else { Some(domain_idx) };
-        let (feats, distill, extra) = {
-            let _p = profile::phase("features");
-            let tape = &mut *ctx.tape;
-            let feats = self.features(tape, &enc, expert);
-            let distill = if masked && self.cfg.ablation.use_specific {
-                // Teacher targets: the true domain's expert outputs, detached.
-                let t_ind = self
-                    .specific
-                    .individual(&self.store, tape, domain_idx, enc.h_focal);
-                let t_nei = self
-                    .specific
-                    .neighbor(&self.store, tape, domain_idx, enc.p_i);
-                let t_ind_val = tape.value(t_ind).clone();
-                let t_nei_val = tape.value(t_nei).clone();
-                let d_ind = tape.mse_to(feats.spec_ind, &t_ind_val);
-                let d_nei = tape.mse_to(feats.spec_nei, &t_nei_val);
-                Some(tape.add(d_ind, d_nei))
-            } else {
-                None
-            };
-            let extra = self.extra_features(tape, &feats);
-            (feats, distill, extra)
-        };
-        let (mut loss, backbone_val) = {
-            let _p = profile::phase("generate");
-            let gen = self.backbone.generate(ctx, batch, &enc, Some(extra));
-            let tape = &mut *ctx.tape;
-            let mut loss = base_loss(tape, gen.pred, batch);
-            if let Some(aux) = gen.aux_loss {
-                loss = tape.add(loss, aux);
-            }
-            let backbone_val = tape.value(loss).item();
-            (loss, backbone_val)
-        };
-        let tape = &mut *ctx.tape;
-        let parts = {
-            let _p = profile::phase("aux_loss");
-            ours_loss_parts(
-                &self.store,
-                tape,
-                &self.cfg,
-                &self.recon,
-                &self.classifier,
-                &feats,
-                batch,
-                domain_idx,
-            )
-        };
-        let weighted = tape.scale(parts.total, delta);
-        loss = tape.add(loss, weighted);
-        if let Some(d) = distill {
-            let weighted = tape.scale(d, self.cfg.distill_weight);
-            loss = tape.add(loss, weighted);
-        }
-        let values = BatchLossValues {
-            backbone: backbone_val,
-            recon: tape.value(parts.recon).item(),
-            diff: parts.diff.map_or(f32::NAN, |d| tape.value(d).item()),
-            similar: tape.value(parts.similar).item(),
-            distill: distill.map_or(f32::NAN, |d| tape.value(d).item()),
-        };
-        (loss, values)
+        self.net.extra_features(&self.store, tape, feats)
     }
 
     /// The full batch-mean training loss `L_total = L_base + δ·L_ours`
@@ -312,9 +136,9 @@ impl<B: Backbone> AdapTraj<B> {
     /// the returned node must match central finite differences over the
     /// store (modulo the intentional gradient-reversal and teacher-detach
     /// asymmetries documented there). The batch must be domain-homogeneous
-    /// (as produced by [`keyed_jobs`]); `ctx.store` must be this model's
-    /// own store — the extractor/head parameters are always read from
-    /// `self`, and `ctx.rngs` must hold one rng per batched window.
+    /// (as `Trainer` forms its jobs); every parameter is read from
+    /// `ctx.store`, which must be this model's own store, and `ctx.rngs`
+    /// must hold one rng per batched window.
     pub fn batch_training_loss(
         &self,
         ctx: &mut ForwardCtx<'_>,
@@ -322,7 +146,7 @@ impl<B: Backbone> AdapTraj<B> {
         masked: bool,
         delta: f32,
     ) -> Var {
-        self.batch_loss(ctx, batch, masked, delta).0
+        self.net.batch_loss(ctx, batch, masked, delta).0
     }
 
     /// Applies the per-step optimizer schedule of Alg. 1. Public so the
@@ -366,6 +190,154 @@ impl<B: Backbone> AdapTraj<B> {
     }
 }
 
+impl<B: Backbone> Framework<B> {
+    fn features(
+        &self,
+        store: &ParamStore,
+        tape: &mut Tape,
+        enc: &EncodedScene,
+        expert: Option<usize>,
+    ) -> Features {
+        let inv_ind = self.invariant.individual(store, tape, enc.h_focal);
+        let inv_nei = self.invariant.neighbor(store, tape, enc.p_i);
+        let (spec_ind, spec_nei) = match expert {
+            Some(k) => (
+                self.specific.individual(store, tape, k, enc.h_focal),
+                self.specific.neighbor(store, tape, k, enc.p_i),
+            ),
+            None => {
+                let sum_ind = self.specific.individual_sum(store, tape, enc.h_focal);
+                let sum_nei = self.specific.neighbor_sum(store, tape, enc.p_i);
+                (
+                    self.aggregator.individual(store, tape, sum_ind),
+                    self.aggregator.neighbor(store, tape, sum_nei),
+                )
+            }
+        };
+        Features {
+            inv_ind,
+            inv_nei,
+            spec_ind,
+            spec_nei,
+        }
+    }
+
+    fn extra_features(&self, store: &ParamStore, tape: &mut Tape, feats: &Features) -> Var {
+        let b = tape.value(feats.inv_ind).rows();
+        let h_inv = if self.cfg.ablation.use_invariant {
+            self.invariant
+                .fuse(store, tape, feats.inv_ind, feats.inv_nei)
+        } else {
+            tape.constant(Tensor::zeros(b, self.cfg.fused_dim))
+        };
+        let h_spec = if self.cfg.ablation.use_specific {
+            self.specific
+                .fuse(store, tape, feats.spec_ind, feats.spec_nei)
+        } else {
+            tape.constant(Tensor::zeros(b, self.cfg.fused_dim))
+        };
+        tape.concat_cols(&[h_inv, h_spec])
+    }
+
+    /// One training forward pass for a **domain-homogeneous** batch of
+    /// windows: the batch-mean `L_total = L_base + δ·L_ours` (Eqs. 23/25)
+    /// in a single tape pass, plus the raw (unweighted) loss-term values
+    /// for telemetry (`NaN` marks a term this pass did not compute, e.g.
+    /// `distill` on unmasked jobs). `masked` selects the teacher–student
+    /// path: the specific features come from the aggregator, and an
+    /// explicit distillation term pulls the student's (aggregator's)
+    /// output toward the *teacher's* — the true domain's expert, detached
+    /// (Sec. III-D, Fig. 2 labels `M` as the teacher of `A`). Without this
+    /// term the aggregator only receives indirect task-loss signal and
+    /// needs far more epochs to stop degrading the decoder's conditioning.
+    fn batch_loss(
+        &self,
+        ctx: &mut ForwardCtx<'_>,
+        batch: &WindowBatch<'_>,
+        masked: bool,
+        delta: f32,
+    ) -> (Var, LossComponents) {
+        ctx.mode = GenMode::Train;
+        let store = ctx.store;
+        let domain = batch.windows()[0].domain;
+        debug_assert!(
+            batch.windows().iter().all(|w| w.domain == domain),
+            "batch_loss requires a domain-homogeneous batch"
+        );
+        let domain_idx = self
+            .specific
+            .expert_of(domain)
+            .expect("training window from a non-source domain");
+        let enc = {
+            let _p = profile::phase("encode");
+            self.backbone.encode(store, ctx.tape, batch)
+        };
+        let expert = if masked { None } else { Some(domain_idx) };
+        let (feats, distill, extra) = {
+            let _p = profile::phase("features");
+            let tape = &mut *ctx.tape;
+            let feats = self.features(store, tape, &enc, expert);
+            let distill = if masked && self.cfg.ablation.use_specific {
+                // Teacher targets: the true domain's expert outputs, detached.
+                let t_ind = self
+                    .specific
+                    .individual(store, tape, domain_idx, enc.h_focal);
+                let t_nei = self.specific.neighbor(store, tape, domain_idx, enc.p_i);
+                let t_ind_val = tape.value(t_ind).clone();
+                let t_nei_val = tape.value(t_nei).clone();
+                let d_ind = tape.mse_to(feats.spec_ind, &t_ind_val);
+                let d_nei = tape.mse_to(feats.spec_nei, &t_nei_val);
+                Some(tape.add(d_ind, d_nei))
+            } else {
+                None
+            };
+            let extra = self.extra_features(store, tape, &feats);
+            (feats, distill, extra)
+        };
+        let (mut loss, backbone_val) = {
+            let _p = profile::phase("generate");
+            let gen = self.backbone.generate(ctx, batch, &enc, Some(extra));
+            let tape = &mut *ctx.tape;
+            let mut loss = base_loss(tape, gen.pred, batch);
+            if let Some(aux) = gen.aux_loss {
+                loss = tape.add(loss, aux);
+            }
+            let backbone_val = tape.value(loss).item();
+            (loss, backbone_val)
+        };
+        let tape = &mut *ctx.tape;
+        let parts = {
+            let _p = profile::phase("aux_loss");
+            ours_loss_parts(
+                store,
+                tape,
+                &self.cfg,
+                &self.recon,
+                &self.classifier,
+                &feats,
+                batch,
+                domain_idx,
+            )
+        };
+        let weighted = tape.scale(parts.total, delta);
+        loss = tape.add(loss, weighted);
+        if let Some(d) = distill {
+            let weighted = tape.scale(d, self.cfg.distill_weight);
+            loss = tape.add(loss, weighted);
+        }
+        let item =
+            |tape: &Tape, v: Option<Var>| v.map_or(f64::NAN, |v| tape.value(v).item() as f64);
+        let components = LossComponents {
+            backbone: backbone_val as f64,
+            recon: item(tape, Some(parts.recon)),
+            diff: item(tape, parts.diff),
+            similar: item(tape, Some(parts.similar)),
+            distill: item(tape, distill),
+        };
+        (loss, components)
+    }
+}
+
 /// Diagnostic view of the four features for one window (inference path).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureDiagnostics {
@@ -397,12 +369,14 @@ impl<B: Backbone> AdapTraj<B> {
     pub fn diagnostics(&self, w: &TrajWindow) -> FeatureDiagnostics {
         let mut tape = Tape::new();
         let batch = WindowBatch::single(w, 0);
-        let enc = self.backbone.encode(&self.store, &mut tape, &batch);
+        let enc = self.net.backbone.encode(&self.store, &mut tape, &batch);
         let feats = self.features(&mut tape, &enc, None);
         let h_inv = self
+            .net
             .invariant
             .fuse(&self.store, &mut tape, feats.inv_ind, feats.inv_nei);
         let h_spec = self
+            .net
             .specific
             .fuse(&self.store, &mut tape, feats.spec_ind, feats.spec_nei);
         FeatureDiagnostics {
@@ -416,205 +390,81 @@ impl<B: Backbone> AdapTraj<B> {
 
 impl<B: Backbone> Predictor for AdapTraj<B> {
     fn name(&self) -> String {
-        format!("{}-AdapTraj", self.backbone.name())
+        format!("{}-AdapTraj", self.net.backbone.name())
     }
 
     /// Alg. 1: step 1 trains backbone + extractors with δ; step 2 trains
     /// the aggregator (high lr) with domain-label masking at ratio σ;
-    /// step 3 fine-tunes everything at low lr, still with masking.
+    /// step 3 fine-tunes everything at low lr, still with masking. Each
+    /// non-empty step is one [`Trainer`] run sharing the optimizer and
+    /// the shuffle/mask rng; a health halt skips the remaining steps.
     fn fit(&mut self, train: &[TrajWindow]) -> TrainReport {
+        let net = &self.net;
+        let cfg = &net.cfg;
         for w in train {
             assert!(
-                self.specific.expert_of(w.domain).is_some(),
+                net.specific.expert_of(w.domain).is_some(),
                 "window from {:?} but sources are {:?}",
                 w.domain,
                 self.sources
             );
         }
-        let windows = cap_per_domain(train, &self.cfg.trainer);
-        let mut rng = Rng::seed_from(self.cfg.trainer.seed ^ 0xADA9);
-        let mut opt = Adam::new(self.cfg.trainer.lr);
+        let windows = cap_per_domain(train, &cfg.trainer);
+        let mut rng = Rng::seed_from(cfg.trainer.seed ^ 0xADA9);
+        let mut opt = Adam::new(cfg.trainer.lr);
         let mut report = TrainReport::default();
-        if windows.is_empty() {
-            return report;
-        }
         obs_info!(
             "core.fit",
             "AdapTraj training: {} windows, {} epochs (steps at e_start={}, e_end={})",
             windows.len(),
-            self.cfg.e_total(),
-            self.cfg.e_start,
-            self.cfg.e_end
+            cfg.e_total(),
+            cfg.e_start,
+            cfg.e_end
         );
-
-        // Wall-clock per schedule step, keyed `step - 1`.
-        let mut step_seconds = [0.0f64; 3];
-        let pool = WorkerPool::new(self.cfg.trainer.workers);
-        let seed = self.cfg.trainer.seed;
-        let windows_trained = adaptraj_obs::global().counter("exec.windows_trained");
-        for epoch in 0..self.cfg.e_total() {
-            let step = self.cfg.step_of_epoch(epoch);
-            Self::configure_schedule(&mut opt, &self.cfg, step);
+        for step in 1..=3 {
+            let epochs = cfg.step_epochs(step);
+            if epochs.is_empty() {
+                continue;
+            }
+            Self::configure_schedule(&mut opt, cfg, step);
             let delta = if step == 1 {
-                self.cfg.delta
+                cfg.delta
             } else {
-                self.cfg.delta_prime
+                cfg.delta_prime
             };
             let masking = step >= 2;
+            // The schedule always runs to `e_total`: no early stopping.
+            let step_cfg = TrainerConfig {
+                epochs: epochs.len(),
+                patience: 0,
+                ..cfg.trainer.clone()
+            };
             let phase = ["step1", "step2", "step3"][step - 1];
-
-            let mut span = Span::enter("core.fit", "epoch")
-                .with("epoch", epoch)
-                .with("step", step);
-            let _tl_epoch = timeline::span_with_arg("epoch", "train", ("epoch", epoch as u64));
-            // Profiler attribution for the three-step schedule: every op in
-            // this epoch lands under "step1" | "step2" | "step3" (with the
-            // window_loss sub-phases nested below, e.g. "step2/aux_loss").
-            let _profile_phase = profile::phase(phase);
-            let epoch_start = Instant::now();
-            let mut rec = EpochRecord::new(epoch, phase);
-            let mut means = ComponentMeans::default();
-            let mut epoch_loss = 0.0f64;
-            let mut seen = 0usize;
-            let mut grad_norm_sum = 0.0f64;
-            let mut batches = 0usize;
-            // Profiler path the worker threads re-enter, so their records
-            // roll up under the same "stepN" phase as the dispatcher's.
-            let profile_path = profile::current_path().unwrap_or_default();
-            // Per-source-domain gradient accumulation for the health
-            // observatory (inert unless health capture is enabled).
-            let mut diag =
-                HealthAccum::new(epoch as u64, phase, self.sources.iter().map(|d| d.name()));
-            let mut halted = false;
-            let batch_list = shuffled_batches(windows.len(), self.cfg.trainer.batch_size, &mut rng);
-            let n_batches = batch_list.len();
-            for (batch_idx, batch) in batch_list.into_iter().enumerate() {
-                let mut buf = GradBuffer::new();
-                let inv_total = 1.0 / batch.len() as f32;
-                // Masked flags come off the main-thread rng in batch order,
-                // *before* dispatch, so the draw sequence is independent of
-                // worker interleaving (and of worker count).
-                let flags: Vec<(usize, bool)> = batch
-                    .iter()
-                    .map(|&i| (i, masking && rng.chance(self.cfg.sigma)))
-                    .collect();
-                // Jobs are homogeneous in (domain, masked): `batch_loss`
-                // needs one expert per batch and one teacher/student path;
-                // `keyed_jobs` depends only on these keys, so the split is
-                // worker-count independent.
-                let keys: Vec<(DomainId, bool)> =
-                    flags.iter().map(|&(i, m)| (windows[i].domain, m)).collect();
-                let jobs: Vec<(WindowBatch<'_>, bool)> = keyed_jobs(&keys, MAX_WINDOWS_PER_JOB)
-                    .into_iter()
-                    .map(|pos| {
-                        let ws = pos.iter().map(|&p| windows[flags[p].0]).collect();
-                        let ids = pos.iter().map(|&p| flags[p].0 as u64).collect();
-                        (WindowBatch::new(ws, ids), flags[pos[0]].1)
-                    })
-                    .collect();
-                let this = &*self;
-                let results = pool
-                    .map(&jobs, |_, (wb, masked)| {
-                        let _p = profile::phase_at(&profile_path);
-                        let _h = health::batch_scope(epoch as u64, wb.ids());
-                        adaptraj_tensor::with_pooled(|tape| {
-                            let mut rngs: Vec<Rng> = wb
-                                .ids()
-                                .iter()
-                                .map(|&id| Rng::seed_from(window_seed(seed, epoch as u64, id)))
-                                .collect();
-                            let mut ctx = ForwardCtx::train(&this.store, tape, &mut rngs);
-                            let (loss, values) = this.batch_loss(&mut ctx, wb, *masked, delta);
-                            let val = tape.value(loss).item();
-                            if !val.is_finite() {
-                                return (val, values, Vec::new());
-                            }
-                            // `skip-window` policy: a tripped job drops
-                            // its gradient contribution via the existing
-                            // non-finite skip path.
-                            if health::should_skip_window() {
-                                return (f32::NAN, values, Vec::new());
-                            }
-                            let grads = tape.backward(loss);
-                            let pairs = tape.take_param_grads(grads);
-                            (val, values, pairs)
-                        })
-                    })
-                    .unwrap_or_else(|e| panic!("training worker panicked: {e}"));
-                // The flight recorder puts the whole reduction — absorb,
-                // clip, optimizer step, recycle — on one dispatcher-lane
-                // span, matching `models::trainer`'s `grad_reduce`.
-                let tl_reduce = timeline::span("grad_reduce", "train");
-                // Reduce in job order (weighted by job size): bit-identical
-                // for any worker count.
-                for ((wb, _), (val, values, pairs)) in jobs.iter().zip(results.iter()) {
-                    if !val.is_finite() {
-                        rec.non_finite_batches += wb.len() as u64;
-                        obs_warn!(
-                            "core.fit",
-                            "non-finite loss at epoch {epoch}, windows {:?}; skipping job",
-                            wb.ids()
-                        );
-                        continue;
-                    }
-                    let weight = wb.len() as f32 * inv_total;
-                    buf.absorb_pairs_scaled(pairs, weight);
-                    diag.absorb(wb.windows()[0].domain.name(), pairs, weight);
-                    epoch_loss += *val as f64 * wb.len() as f64;
-                    means.add(values, wb.len() as u64);
-                    seen += wb.len();
-                }
-                windows_trained.add(batch.len() as u64);
-                // Retire the shipped gradient buffers into this thread's
-                // pool so the next batch's reduction reuses them.
-                for (_, _, pairs) in results {
-                    for (_, g) in pairs {
-                        g.recycle();
-                    }
-                }
-                let norm = if self.cfg.trainer.grad_clip > 0.0 {
-                    buf.clip_global_norm(self.cfg.trainer.grad_clip)
-                } else {
-                    buf.global_norm()
-                };
-                grad_norm_sum += norm as f64;
-                batches += 1;
-                rec.group_norms = group_norms(&self.store, &buf);
-                let before = diag.pre_step(&self.store, batch_idx + 1 == n_batches);
-                opt.step(&mut self.store, &buf);
-                diag.post_step(&self.store, before);
-                buf.recycle();
-                drop(tl_reduce);
-                if health::halt_requested() {
-                    obs_warn!(
-                        "core.fit",
-                        "health tripwire requested halt at epoch {epoch}; stopping training"
-                    );
-                    halted = true;
-                    break;
-                }
-            }
-            diag.finish();
-            let mean_loss = (epoch_loss / seen.max(1) as f64) as f32;
-            rec.loss = mean_loss as f64;
-            rec.components = means.components();
-            rec.grad_norm = grad_norm_sum / batches.max(1) as f64;
-            rec.duration_s = epoch_start.elapsed().as_secs_f64();
-            step_seconds[step - 1] += rec.duration_s;
-            span.record("loss", rec.loss);
-            span.record("grad_norm", rec.grad_norm);
-            report.epoch_losses.push(mean_loss);
-            report.epochs.push(rec);
-            if halted {
+            let ran = Trainer::new(&step_cfg)
+                .phase(phase)
+                .epoch_offset(epochs.start)
+                .fit(
+                    &mut self.store,
+                    &mut opt,
+                    &windows,
+                    &mut rng,
+                    // Domain-label masking: jobs are homogeneous in
+                    // (domain, masked), one expert and one teacher/student
+                    // path per job.
+                    |rng| masking && rng.chance(cfg.sigma),
+                    |store, tape, wb, masked, rngs| {
+                        let mut ctx = ForwardCtx::train(store, tape, rngs);
+                        net.batch_loss(&mut ctx, wb, masked, delta)
+                    },
+                );
+            report.epoch_losses.extend(ran.epoch_losses);
+            report.epochs.extend(ran.epochs);
+            report.phases.extend(ran.phases.into_iter().map(|mut p| {
+                p.phase.insert_str(0, "train.");
+                p
+            }));
+            if health::halt_requested() {
                 break;
-            }
-        }
-        for (i, &secs) in step_seconds.iter().enumerate() {
-            if secs > 0.0 {
-                report.phases.push(PhaseTiming::new(
-                    ["train.step1", "train.step2", "train.step3"][i],
-                    secs,
-                ));
             }
         }
         report
@@ -633,11 +483,18 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
     /// experts. That path is per-window rows end to end, so a coalesced
     /// batch needs no domain homogeneity.
     fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
-        sample_backbone(&self.backbone, &self.store, batch, rngs, k, |tape, enc| {
-            let _p = profile::phase("features");
-            let feats = self.features(tape, enc, None);
-            Some(self.extra_features(tape, &feats))
-        })
+        sample_backbone(
+            &self.net.backbone,
+            &self.store,
+            batch,
+            rngs,
+            k,
+            |tape, enc| {
+                let _p = profile::phase("features");
+                let feats = self.features(tape, enc, None);
+                Some(self.extra_features(tape, &feats))
+            },
+        )
     }
 }
 
@@ -713,57 +570,74 @@ mod tests {
 
     #[test]
     fn fit_telemetry_labels_steps_and_decomposes_losses() {
-        let cfg = AdapTrajConfig {
-            e_start: 2,
-            e_end: 4,
-            trainer: TrainerConfig {
-                epochs: 6,
-                batch_size: 8,
-                ..TrainerConfig::smoke()
-            },
-            ..AdapTrajConfig::smoke()
-        };
-        let mut model = make_model(cfg);
-        let report = model.fit(&train_set());
-        assert_eq!(report.epochs.len(), 6);
-        let phases: Vec<&str> = report.epochs.iter().map(|e| e.phase.as_str()).collect();
-        assert_eq!(
-            phases,
-            ["step1", "step1", "step2", "step2", "step3", "step3"]
-        );
-        for e in &report.epochs {
-            assert!(e.loss.is_finite());
-            assert!(e.grad_norm.is_finite());
-            assert_eq!(e.non_finite_batches, 0);
-            // Every epoch computes the decomposed ours-loss terms.
-            for v in [
-                e.components.backbone,
-                e.components.recon,
-                e.components.diff,
-                e.components.similar,
-            ] {
-                assert!(
-                    v.is_finite(),
+        for (e_start, e_end, epochs, steps) in [
+            (
+                2,
+                4,
+                6,
+                &["step1", "step1", "step2", "step2", "step3", "step3"][..],
+            ),
+            // Empty step 1: only the steps that ran are labelled and timed.
+            (0, 2, 4, &["step2", "step2", "step3", "step3"][..]),
+        ] {
+            let cfg = AdapTrajConfig {
+                e_start,
+                e_end,
+                trainer: TrainerConfig {
+                    epochs,
+                    batch_size: 8,
+                    ..TrainerConfig::smoke()
+                },
+                ..AdapTrajConfig::smoke()
+            };
+            let mut model = make_model(cfg);
+            let report = model.fit(&train_set());
+            let phases: Vec<&str> = report.epochs.iter().map(|e| e.phase.as_str()).collect();
+            assert_eq!(phases, steps);
+            // Epoch numbers stay global across the schedule's steps.
+            let numbers: Vec<usize> = report.epochs.iter().map(|e| e.epoch).collect();
+            assert_eq!(numbers, (0..epochs).collect::<Vec<_>>());
+            for e in &report.epochs {
+                assert!(e.loss.is_finite());
+                assert!(e.grad_norm.is_finite());
+                assert_eq!(e.non_finite_batches, 0);
+                // Every epoch computes the decomposed ours-loss terms.
+                for v in [
+                    e.components.backbone,
+                    e.components.recon,
+                    e.components.diff,
+                    e.components.similar,
+                ] {
+                    assert!(
+                        v.is_finite(),
+                        "epoch {} components: {:?}",
+                        e.epoch,
+                        e.components
+                    );
+                }
+                // Distillation only runs on masked (step >= 2) passes.
+                assert_eq!(
+                    e.components.distill.is_finite(),
+                    e.phase != "step1",
                     "epoch {} components: {:?}",
                     e.epoch,
                     e.components
                 );
+                // Per-group norms cover the five framework groups.
+                let labels: Vec<&str> = e.group_norms.iter().map(|g| g.label.as_str()).collect();
+                assert_eq!(
+                    labels,
+                    ["backbone", "invariant", "specific", "aggregator", "aux"]
+                );
+                assert!(e.group_norms.iter().all(|g| g.param_norm > 0.0));
             }
-            // Per-group norms cover the five framework groups.
-            let labels: Vec<&str> = e.group_norms.iter().map(|g| g.label.as_str()).collect();
-            assert_eq!(
-                labels,
-                ["backbone", "invariant", "specific", "aggregator", "aux"]
-            );
-            assert!(e.group_norms.iter().all(|g| g.param_norm > 0.0));
+            // Per-step wall-clock covers exactly the steps that ran.
+            let timed: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
+            let mut want: Vec<String> = steps.iter().map(|s| format!("train.{s}")).collect();
+            want.dedup();
+            assert_eq!(timed, want);
+            assert!(report.phases.iter().all(|p| p.duration_s > 0.0));
         }
-        // Distillation only runs on masked (step >= 2) passes.
-        assert!(report.epochs[0].components.distill.is_nan());
-        assert!(report.epochs[5].components.distill.is_finite());
-        // Per-step wall-clock covers all three schedule steps.
-        let timed: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(timed, ["train.step1", "train.step2", "train.step3"]);
-        assert!(report.phases.iter().all(|p| p.duration_s > 0.0));
     }
 
     #[test]
@@ -789,7 +663,7 @@ mod tests {
         step1_cfg.e_start = 1;
         step1_cfg.e_end = 1;
         step1_cfg.trainer.epochs = 1;
-        model.cfg = step1_cfg;
+        model.net.cfg = step1_cfg;
         model.fit(&data);
         let spec_ids = model.store.ids_in_group(SPECIFIC_GROUP);
         let before: Vec<_> = spec_ids
@@ -802,7 +676,7 @@ mod tests {
         step2_cfg.e_start = 0;
         step2_cfg.e_end = 2;
         step2_cfg.trainer.epochs = 2;
-        model.cfg = step2_cfg;
+        model.net.cfg = step2_cfg;
         model.fit(&data);
         for (id, b) in spec_ids.iter().zip(&before) {
             assert_eq!(
@@ -836,11 +710,11 @@ mod tests {
         w2.domain = DomainId::LCas;
         let mut t1 = Tape::new();
         let b1 = WindowBatch::single(&w1, 0);
-        let e1 = model.backbone.encode(&model.store, &mut t1, &b1);
+        let e1 = model.backbone().encode(&model.store, &mut t1, &b1);
         let f1 = model.features(&mut t1, &e1, None);
         let mut t2 = Tape::new();
         let b2 = WindowBatch::single(&w2, 0);
-        let e2 = model.backbone.encode(&model.store, &mut t2, &b2);
+        let e2 = model.backbone().encode(&model.store, &mut t2, &b2);
         let f2 = model.features(&mut t2, &e2, None);
         assert_eq!(
             t1.value(f1.spec_ind).data(),
@@ -898,7 +772,7 @@ mod tests {
             let w = window(DomainId::EthUcy, 0.3, 0.0);
             let mut tape = Tape::new();
             let batch = WindowBatch::single(&w, 0);
-            let enc = model.backbone.encode(&model.store, &mut tape, &batch);
+            let enc = model.backbone().encode(&model.store, &mut tape, &batch);
             let feats = model.features(&mut tape, &enc, Some(0));
             let extra = model.extra_features(&mut tape, &feats);
             let v = tape.value(extra);

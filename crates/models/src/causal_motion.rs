@@ -17,9 +17,9 @@ use crate::traits::{sample_backbone, Backbone, ForwardCtx};
 use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_exec::{window_seed, WorkerPool};
-use adaptraj_obs::{EpochRecord, PhaseTiming};
+use adaptraj_obs::{health, obs_warn, profile, EpochRecord, PhaseTiming};
 use adaptraj_tensor::optim::Adam;
-use adaptraj_tensor::{GradBuffer, ParamStore, Rng};
+use adaptraj_tensor::{GradBuffer, ParamId, ParamStore, Rng, Tensor};
 
 /// Weight of the risk-variance (V-REx style) invariance penalty.
 const INVARIANCE_WEIGHT: f32 = 2.0;
@@ -73,8 +73,12 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
         let fit_start = std::time::Instant::now();
         for epoch in 0..self.cfg.epochs {
             let epoch_start = std::time::Instant::now();
+            let _profile_phase = profile::phase("train");
+            let profile_path = profile::current_path().unwrap_or_default();
+            let mut rec = EpochRecord::new(epoch, "train");
             let mut epoch_loss = 0.0;
             let mut seen = 0usize;
+            let mut halted = false;
             for batch in shuffled_batches(windows.len(), self.cfg.batch_size, &mut rng) {
                 // Two pseudo-environments: the batch halves. Per-half
                 // gradient buffers let us assemble the exact gradient of
@@ -100,7 +104,9 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
                 }
                 let results = pool
                     .map(&jobs, |_, (_, wb)| {
-                        crate::trainer::worker_tape(|tape| {
+                        let _p = profile::phase_at(&profile_path);
+                        let _h = health::batch_scope(epoch as u64, wb.ids());
+                        adaptraj_tensor::with_pooled(|tape| {
                             let mut rngs: Vec<Rng> = wb
                                 .ids()
                                 .iter()
@@ -110,48 +116,68 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
                             let (_, loss) = backbone.train_forward(&mut ctx, wb, None);
                             let tape = ctx.tape;
                             let val = tape.value(loss).item();
+                            // A non-finite loss, or a job tripped under the
+                            // `skip-window` policy, ships no gradient.
+                            if !val.is_finite() || health::should_skip_window() {
+                                return (f32::NAN, Vec::new());
+                            }
                             let grads = tape.backward(loss);
                             let pairs = tape.take_param_grads(grads);
                             (val, pairs)
                         })
                     })
                     .unwrap_or_else(|e| panic!("training worker panicked: {e}"));
-                let mut bufs = [GradBuffer::new(), GradBuffer::new()];
-                let mut risks = [0.0f32; 2];
-                // Reduce in job order (half 0's jobs then half 1's):
-                // bit-identical for any worker count.
-                for ((half, wb), (val, pairs)) in jobs.iter().zip(&results) {
-                    let n_half = halves[*half].len();
-                    let weight = wb.len() as f32 / n_half.max(1) as f32;
-                    bufs[*half].absorb_pairs_scaled(pairs, weight);
-                    risks[*half] += val * weight;
-                    epoch_loss += val * wb.len() as f32;
-                    seen += wb.len();
-                }
                 windows_trained.add(batch.len() as u64);
-                let mut total = GradBuffer::new();
-                total.scaled_add(&bufs[0], 0.5);
-                total.scaled_add(&bufs[1], 0.5);
-                if batch.len() > 1 {
-                    let gap = risks[0] - risks[1];
-                    let coeff = 2.0 * INVARIANCE_WEIGHT * gap;
-                    total.scaled_add(&bufs[0], coeff);
-                    total.scaled_add(&bufs[1], -coeff);
-                }
-                if self.cfg.grad_clip > 0.0 {
-                    total.clip_global_norm(self.cfg.grad_clip);
-                }
-                opt.step(&mut self.store, &total);
-                // Retire per-half buffers, the combined buffer, and the
-                // shipped gradient pairs into this thread's pool.
-                total.recycle();
-                let [b0, b1] = bufs;
-                b0.recycle();
-                b1.recycle();
-                for (_, pairs) in results {
-                    for (_, g) in pairs {
-                        g.recycle();
+                // The risk gap couples every job's gradient, so one bad job
+                // would spread to every parameter: the batch takes no step.
+                if results.iter().any(|(val, _)| !val.is_finite()) {
+                    rec.non_finite_batches += batch.len() as u64;
+                    obs_warn!(
+                        "models.fit",
+                        "non-finite loss at epoch {epoch}, windows {batch:?}; skipping batch"
+                    );
+                    recycle_pairs(results);
+                } else {
+                    let mut bufs = [GradBuffer::new(), GradBuffer::new()];
+                    let mut risks = [0.0f32; 2];
+                    // Reduce in job order (half 0's jobs then half 1's):
+                    // bit-identical for any worker count.
+                    for ((half, wb), (val, pairs)) in jobs.iter().zip(&results) {
+                        let n_half = halves[*half].len();
+                        let weight = wb.len() as f32 / n_half.max(1) as f32;
+                        bufs[*half].absorb_pairs_scaled(pairs, weight);
+                        risks[*half] += val * weight;
+                        epoch_loss += val * wb.len() as f32;
+                        seen += wb.len();
                     }
+                    let mut total = GradBuffer::new();
+                    total.scaled_add(&bufs[0], 0.5);
+                    total.scaled_add(&bufs[1], 0.5);
+                    if batch.len() > 1 {
+                        let gap = risks[0] - risks[1];
+                        let coeff = 2.0 * INVARIANCE_WEIGHT * gap;
+                        total.scaled_add(&bufs[0], coeff);
+                        total.scaled_add(&bufs[1], -coeff);
+                    }
+                    if self.cfg.grad_clip > 0.0 {
+                        total.clip_global_norm(self.cfg.grad_clip);
+                    }
+                    opt.step(&mut self.store, &total);
+                    // Retire per-half buffers, the combined buffer, and the
+                    // shipped gradient pairs into this thread's pool.
+                    total.recycle();
+                    let [b0, b1] = bufs;
+                    b0.recycle();
+                    b1.recycle();
+                    recycle_pairs(results);
+                }
+                if health::halt_requested() {
+                    obs_warn!(
+                        "models.fit",
+                        "health tripwire requested halt at epoch {epoch}; stopping training"
+                    );
+                    halted = true;
+                    break;
                 }
             }
             let mean = epoch_loss / seen.max(1) as f32;
@@ -160,11 +186,13 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
             // layer see CausalMotion the same way they see every other
             // trainer: `loss` is the mean per-window risk (the half-risk
             // V-REx penalty has no per-window decomposition to pin).
-            let mut rec = EpochRecord::new(epoch, "train");
             rec.loss = mean as f64;
             rec.components.backbone = mean as f64;
             rec.duration_s = epoch_start.elapsed().as_secs_f64();
             report.epochs.push(rec);
+            if halted {
+                break;
+            }
         }
         report
             .phases
@@ -184,6 +212,15 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
     /// near-identical inference time for CausalMotion).
     fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
         sample_backbone(&self.backbone, &self.store, batch, rngs, k, |_, _| None)
+    }
+}
+
+/// Retires the shipped gradient pairs into this thread's buffer pool.
+fn recycle_pairs(results: Vec<(f32, Vec<(ParamId, Tensor)>)>) {
+    for (_, pairs) in results {
+        for (_, g) in pairs {
+            g.recycle();
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use crate::trainer::Trainer;
 use crate::traits::{sample_passes, Backbone, ForwardCtx};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
-use adaptraj_obs::profile;
+use adaptraj_obs::{profile, LossComponents};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{ParamStore, Rng, Tape};
 
@@ -81,7 +81,8 @@ impl<B: Backbone> Predictor for Counter<B> {
             &mut opt,
             &windows,
             &mut rng,
-            |store, tape, wb, rngs| {
+            |_| (),
+            |store, tape, wb, (), rngs| {
                 let mut ctx = ForwardCtx::train(store, tape, rngs);
                 let (_, l_fact) = backbone.train_forward(&mut ctx, wb, None);
                 // Same batch with every neighborhood replaced by the
@@ -92,7 +93,7 @@ impl<B: Backbone> Predictor for Counter<B> {
                 let cf_batch = WindowBatch::new(cf.iter().collect(), wb.ids().to_vec());
                 let (_, l_cf) = backbone.train_forward(&mut ctx, &cf_batch, None);
                 let sum = ctx.tape.add(l_fact, l_cf);
-                ctx.tape.scale(sum, 0.5)
+                (ctx.tape.scale(sum, 0.5), LossComponents::default())
             },
         )
     }

@@ -1,9 +1,9 @@
 //! Per-domain gradient diagnostics feeding the health observatory
 //! (`adaptraj_obs::health`).
 //!
-//! Both training loops — `adaptraj-core`'s three-step AdapTraj schedule
-//! and [`crate::trainer::Trainer`] — reduce worker gradients in
-//! batch-position order. [`HealthAccum`] rides that reduction: while the
+//! The shared training loop, [`crate::trainer::Trainer`] (which also runs
+//! each step of AdapTraj's three-step schedule), reduces worker gradients
+//! in batch-position order. [`HealthAccum`] rides that reduction: while the
 //! observatory is enabled it additionally accumulates each window's
 //! gradient pairs into a per-source-domain [`GradBuffer`], and at epoch
 //! end emits the per-domain L2 norms, all pairwise cosine similarities

@@ -168,6 +168,7 @@ mod tests {
     use super::*;
     use crate::trainer::Trainer;
     use adaptraj_data::trajectory::T_TOTAL;
+    use adaptraj_obs::LossComponents;
     use adaptraj_tensor::optim::Adam;
 
     fn window_for(domain: DomainId, v: f32) -> TrajWindow {
@@ -253,10 +254,11 @@ mod tests {
             &mut opt,
             &windows,
             &mut rng,
-            |s, tape, _wb, _rngs| {
+            |_| (),
+            |s, tape, _wb, (), _rngs| {
                 let pv = tape.param(s, p);
                 let sq = tape.mul(pv, pv);
-                tape.sum_all(sq)
+                (tape.sum_all(sq), LossComponents::default())
             },
         );
         assert_eq!(report.epoch_losses.len(), 30);
@@ -284,10 +286,11 @@ mod tests {
             &mut opt,
             &windows,
             &mut rng,
-            |s, tape, _w, _r| {
+            |_| (),
+            |s, tape, _w, (), _r| {
                 let pv = tape.param(s, p);
                 let sq = tape.mul(pv, pv);
-                tape.sum_all(sq)
+                (tape.sum_all(sq), LossComponents::default())
             },
         );
         // 1 epoch to set the best + 3 stale epochs = 4 total.
@@ -317,10 +320,11 @@ mod tests {
             &mut opt,
             &windows,
             &mut rng,
-            |s, tape, _w, _r| {
+            |_| (),
+            |s, tape, _w, (), _r| {
                 let pv = tape.param(s, p);
                 let sq = tape.mul(pv, pv);
-                tape.sum_all(sq)
+                (tape.sum_all(sq), LossComponents::default())
             },
         );
         assert_eq!(report.epochs.len(), 3);
@@ -373,7 +377,11 @@ mod tests {
             &mut opt,
             &windows,
             &mut rng,
-            |_, tape, _w, _r| tape.constant(Tensor::scalar(f32::NAN)),
+            |_| (),
+            |_, tape, _w, (), _r| {
+                let nan = tape.constant(Tensor::scalar(f32::NAN));
+                (nan, LossComponents::default())
+            },
         );
         assert_eq!(report.epochs[0].non_finite_batches, 4);
         assert_eq!(store.value(p), &before, "NaN gradients leaked into params");
@@ -385,10 +393,17 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let cfg = TrainerConfig::smoke();
         let mut rng = Rng::seed_from(0);
-        let report =
-            Trainer::new(&cfg).fit(&mut store, &mut opt, &[], &mut rng, |_, tape, _, _| {
-                tape.constant(adaptraj_tensor::Tensor::scalar(0.0))
-            });
+        let report = Trainer::new(&cfg).fit(
+            &mut store,
+            &mut opt,
+            &[],
+            &mut rng,
+            |_| (),
+            |_, tape, _, (), _| {
+                let zero = tape.constant(adaptraj_tensor::Tensor::scalar(0.0));
+                (zero, LossComponents::default())
+            },
+        );
         assert!(report.epoch_losses.is_empty());
     }
 }

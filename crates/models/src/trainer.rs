@@ -1,24 +1,27 @@
 //! The `Trainer` builder: the shared mini-batch training loop behind a
 //! data-parallel worker-pool executor, batched per job.
 //!
-//! Each shuffled mini-batch is split into **domain-homogeneous jobs** of
-//! at most [`MAX_WINDOWS_PER_JOB`] windows ([`keyed_jobs`] — the split
-//! depends only on the batch's domain keys, never on the worker count).
-//! Per job, `per_batch` builds one batch-mean scalar loss on a fresh tape
-//! owned by the worker that runs it — one tape pass with batched
+//! Each shuffled mini-batch is split into **homogeneous jobs** of at most
+//! [`MAX_WINDOWS_PER_JOB`] windows ([`keyed_jobs`] over each window's
+//! `(domain, key)`, where the key is a caller-drawn per-window label —
+//! AdapTraj's domain-label mask, `()` for everyone else). The split
+//! depends only on those keys, never on the worker count. Per job,
+//! `per_batch` builds one batch-mean scalar loss on a fresh tape owned by
+//! the worker that runs it — one tape pass with batched
 //! `GEMM`/`FusedAffine`/`LstmCell` nodes for the whole job; job gradients
 //! are shipped back to the dispatching thread and reduced into one
 //! [`GradBuffer`] **in job order, weighted by job size**, so the
 //! accumulated sum — and therefore every optimizer step — is bit-identical
 //! for any worker count.
 //!
-//! Determinism contract: the caller's `rng` is consumed only for batch
-//! shuffling, in epoch order. Each window's latent draws come from a
-//! private `Rng` seeded with [`window_seed`]`(cfg.seed, epoch, window)` —
-//! handed to `per_batch` as one rng per window in batch order — which
-//! depends on the run seed and the window's position in `windows`, never
-//! on job formation, which worker picks up the job, or how jobs
-//! interleave.
+//! Determinism contract: the caller's `rng` is consumed only on the
+//! dispatching thread — for batch shuffling at the start of each epoch,
+//! then for the per-window keys, in batch order, before each batch's jobs
+//! form. Each window's latent draws come from a private `Rng` seeded with
+//! [`window_seed`]`(cfg.seed, epoch, window)` — handed to `per_batch` as
+//! one rng per window in batch order — which depends on the run seed and
+//! the window's position in `windows`, never on job formation, which
+//! worker picks up the job, or how jobs interleave.
 
 use crate::config::TrainerConfig;
 use crate::diagnostics::HealthAccum;
@@ -26,57 +29,88 @@ use crate::predictor::{group_norms, TrainReport};
 use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::TrajWindow;
 use adaptraj_exec::{window_seed, WorkerPool};
-use adaptraj_obs::{health, obs_info, obs_warn, profile, timeline, EpochRecord, PhaseTiming, Span};
+use adaptraj_obs::{
+    health, obs_info, obs_warn, profile, timeline, EpochRecord, LossComponents, PhaseTiming, Span,
+};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::param::ParamId;
 use adaptraj_tensor::{GradBuffer, ParamStore, Rng, Tape, Tensor, Var};
 use std::time::Instant;
 
 /// What one worker sends back for one job: the mean loss value over the
-/// job's windows and the already-extracted parameter gradients (empty
-/// when the loss came back non-finite — the guard runs on the worker so a
-/// NaN backward pass is never even attempted).
+/// job's windows, its loss components, and the already-extracted
+/// parameter gradients (empty when the loss came back non-finite — the
+/// guard runs on the worker so a NaN backward pass is never even
+/// attempted).
 struct JobResult {
     val: f32,
+    components: LossComponents,
     pairs: Vec<(ParamId, Tensor)>,
+}
+
+/// Accumulates per-job loss components (weighted by job size) into
+/// per-epoch means, skipping NaN placeholders so a term's mean covers
+/// only the jobs that computed it (all-NaN stays all-NaN).
+#[derive(Debug, Default)]
+struct ComponentMeans {
+    sums: [f64; 5],
+    counts: [u64; 5],
+}
+
+impl ComponentMeans {
+    fn add(&mut self, c: &LossComponents, n_windows: u64) {
+        for (i, x) in [c.backbone, c.recon, c.diff, c.similar, c.distill]
+            .into_iter()
+            .enumerate()
+        {
+            if x.is_finite() {
+                self.sums[i] += x * n_windows as f64;
+                self.counts[i] += n_windows;
+            }
+        }
+    }
+
+    fn components(&self) -> LossComponents {
+        let [backbone, recon, diff, similar, distill] = std::array::from_fn(|i| {
+            if self.counts[i] == 0 {
+                f64::NAN
+            } else {
+                self.sums[i] / self.counts[i] as f64
+            }
+        });
+        LossComponents {
+            backbone,
+            recon,
+            diff,
+            similar,
+            distill,
+        }
+    }
 }
 
 /// Builder for the shared training loop.
 ///
 /// ```ignore
 /// let report = Trainer::new(&cfg)
-///     .workers(4)
-///     .phase("step1")
-///     .on_epoch(|rec| eprintln!("epoch {} loss {}", rec.epoch, rec.loss))
-///     .fit(&mut store, &mut opt, &windows, &mut rng, per_batch);
+///     .phase("step2")
+///     .epoch_offset(4)
+///     .fit(&mut store, &mut opt, &windows, &mut rng, |rng| rng.chance(0.5), per_batch);
 /// ```
 pub struct Trainer<'a> {
     cfg: &'a TrainerConfig,
-    workers: usize,
     phase: &'a str,
     epoch_offset: usize,
-    #[allow(clippy::type_complexity)]
-    on_epoch: Option<Box<dyn FnMut(&EpochRecord) + 'a>>,
 }
 
 impl<'a> Trainer<'a> {
-    /// A trainer with the config's worker count, phase `"train"`, and no
-    /// epoch callback.
+    /// A trainer with phase `"train"` and epochs numbered from 0; the
+    /// worker count comes from `cfg.workers`.
     pub fn new(cfg: &'a TrainerConfig) -> Self {
         Self {
             cfg,
-            workers: cfg.workers,
             phase: "train",
             epoch_offset: 0,
-            on_epoch: None,
         }
-    }
-
-    /// Overrides the worker count (`0` or `1` = inline on the calling
-    /// thread).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
     }
 
     /// Telemetry label for this run of the loop ("train" for single-phase
@@ -93,40 +127,42 @@ impl<'a> Trainer<'a> {
         self
     }
 
-    /// Called with each epoch's finished [`EpochRecord`] (after it is
-    /// pushed onto the report).
-    pub fn on_epoch(mut self, f: impl FnMut(&EpochRecord) + 'a) -> Self {
-        self.on_epoch = Some(Box::new(f));
-        self
-    }
-
-    /// Runs the loop: per epoch, shuffled mini-batches split into
-    /// domain-homogeneous jobs; per job, a fresh tape + one private rng
-    /// per window on a worker thread; gradients averaged over the batch
-    /// (job weight = job size / batch size), clipped, and applied with
-    /// `opt`.
+    /// Runs the loop: per epoch, shuffled mini-batches split into jobs
+    /// homogeneous in `(domain, key)`; per job, a fresh tape + one private
+    /// rng per window on a worker thread; gradients averaged over the
+    /// batch (job weight = job size / batch size), clipped, and applied
+    /// with `opt`.
     ///
-    /// Telemetry per epoch: an `epoch` span (debug level), mean loss over
-    /// *finite* windows, the batch-averaged pre-clip global gradient norm,
-    /// per-group gradient/parameter norms from the final batch, and a
-    /// count of windows skipped because their job's loss came back
-    /// non-finite.
-    pub fn fit<F>(
-        mut self,
+    /// `job_key` draws each window's key from `rng` on this thread, once
+    /// per window per epoch in batch order; `per_batch` receives its job's
+    /// key and returns the loss node plus the job's [`LossComponents`]
+    /// (all-NaN when the method does not decompose its loss).
+    ///
+    /// Telemetry per epoch: an `epoch` span (debug level), mean loss and
+    /// loss components over *finite* windows, the batch-averaged pre-clip
+    /// global gradient norm, per-group gradient/parameter norms from the
+    /// final batch, and a count of windows skipped because their job's
+    /// loss came back non-finite.
+    pub fn fit<K, D, F>(
+        self,
         store: &mut ParamStore,
         opt: &mut Adam,
         windows: &[&TrajWindow],
         rng: &mut Rng,
+        mut job_key: D,
         per_batch: F,
     ) -> TrainReport
     where
-        F: Fn(&ParamStore, &mut Tape, &WindowBatch<'_>, &mut [Rng]) -> Var + Sync,
+        K: Copy + PartialEq + Sync,
+        D: FnMut(&mut Rng) -> K,
+        F: Fn(&ParamStore, &mut Tape, &WindowBatch<'_>, K, &mut [Rng]) -> (Var, LossComponents)
+            + Sync,
     {
         let mut report = TrainReport::default();
         if windows.is_empty() {
             return report;
         }
-        let pool = WorkerPool::new(self.workers);
+        let pool = WorkerPool::new(self.cfg.workers);
         let cfg = self.cfg;
         let windows_trained = adaptraj_obs::global().counter("exec.windows_trained");
         let phase_start = Instant::now();
@@ -152,6 +188,7 @@ impl<'a> Trainer<'a> {
             let profile_path = profile::current_path().unwrap_or_default();
             let epoch_start = Instant::now();
             let mut rec = EpochRecord::new(global_epoch, self.phase);
+            let mut means = ComponentMeans::default();
             let mut epoch_loss = 0.0f64;
             let mut seen = 0usize;
             let mut grad_norm_sum = 0.0f64;
@@ -165,26 +202,70 @@ impl<'a> Trainer<'a> {
             let batch_list = shuffled_batches(windows.len(), cfg.batch_size, rng);
             let n_batches = batch_list.len();
             for (batch_idx, batch) in batch_list.into_iter().enumerate() {
-                // Domain-homogeneous jobs; the split depends only on the
-                // batch's domain keys, so it is worker-count independent.
-                let keys: Vec<_> = batch.iter().map(|&i| windows[i].domain).collect();
-                let jobs: Vec<WindowBatch<'_>> = keyed_jobs(&keys, MAX_WINDOWS_PER_JOB)
+                // Keys come off the caller's rng here, in batch order and
+                // before dispatch; the job split depends only on
+                // `(domain, key)`, so both are worker-count independent.
+                let keys: Vec<_> = batch
+                    .iter()
+                    .map(|&i| (windows[i].domain, job_key(rng)))
+                    .collect();
+                let jobs: Vec<(WindowBatch<'_>, K)> = keyed_jobs(&keys, MAX_WINDOWS_PER_JOB)
                     .into_iter()
                     .map(|pos| {
                         let ws = pos.iter().map(|&p| windows[batch[p]]).collect();
                         let ids = pos.iter().map(|&p| batch[p] as u64).collect();
-                        WindowBatch::new(ws, ids)
+                        (WindowBatch::new(ws, ids), keys[pos[0]].1)
                     })
                     .collect();
-                let results = run_jobs(
-                    &pool,
-                    store,
-                    &jobs,
-                    cfg.seed,
-                    global_epoch as u64,
-                    &profile_path,
-                    &per_batch,
-                );
+                // A worker panic is re-raised here, as a panicking
+                // `per_batch` would unwind through a sequential loop.
+                let results = pool
+                    .map(&jobs, |_, &(ref wb, key)| {
+                        let _p = profile::phase_at(&profile_path);
+                        let _h = health::batch_scope(global_epoch as u64, wb.ids());
+                        // The worker pool keeps its threads alive across
+                        // batches, so in steady state every job replays onto
+                        // a tape whose node vector — and, via `Tape::reset`,
+                        // whose retired value buffers — carry over from the
+                        // previous job: the forward/backward hot path stops
+                        // touching the allocator.
+                        adaptraj_tensor::with_pooled(|tape| {
+                            let mut rngs: Vec<Rng> = wb
+                                .ids()
+                                .iter()
+                                .map(|&id| {
+                                    Rng::seed_from(window_seed(cfg.seed, global_epoch as u64, id))
+                                })
+                                .collect();
+                            let (loss, components) = per_batch(store, tape, wb, key, &mut rngs);
+                            let val = tape.value(loss).item();
+                            if !val.is_finite() {
+                                return JobResult {
+                                    val,
+                                    components,
+                                    pairs: Vec::new(),
+                                };
+                            }
+                            // `skip-window` policy: a tripped job drops its
+                            // gradient contribution via the existing
+                            // non-finite skip path.
+                            if health::should_skip_window() {
+                                return JobResult {
+                                    val: f32::NAN,
+                                    components,
+                                    pairs: Vec::new(),
+                                };
+                            }
+                            let grads = tape.backward(loss);
+                            let pairs = tape.take_param_grads(grads);
+                            JobResult {
+                                val,
+                                components,
+                                pairs,
+                            }
+                        })
+                    })
+                    .unwrap_or_else(|e| panic!("training worker panicked: {e}"));
                 // Reduce in job order — bit-identical to the sequential
                 // loop for every worker count. The whole serialized
                 // section (absorb → clip → step) is one `grad_reduce`
@@ -192,7 +273,7 @@ impl<'a> Trainer<'a> {
                 let tl_reduce = timeline::span("grad_reduce", "train");
                 let mut buf = GradBuffer::new();
                 let inv_total = 1.0 / batch.len() as f32;
-                for (wb, r) in jobs.iter().zip(&results) {
+                for ((wb, _), r) in jobs.iter().zip(&results) {
                     if !r.val.is_finite() {
                         rec.non_finite_batches += wb.len() as u64;
                         obs_warn!(
@@ -206,6 +287,7 @@ impl<'a> Trainer<'a> {
                     buf.absorb_pairs_scaled(&r.pairs, weight);
                     diag.absorb(wb.windows()[0].domain.name(), &r.pairs, weight);
                     epoch_loss += r.val as f64 * wb.len() as f64;
+                    means.add(&r.components, wb.len() as u64);
                     seen += wb.len();
                 }
                 // Batched jobs make `tensor.backward_calls` a job count,
@@ -244,6 +326,7 @@ impl<'a> Trainer<'a> {
             diag.finish();
             let mean_loss = (epoch_loss / seen.max(1) as f64) as f32;
             rec.loss = mean_loss as f64;
+            rec.components = means.components();
             rec.grad_norm = grad_norm_sum / batches.max(1) as f64;
             rec.duration_s = epoch_start.elapsed().as_secs_f64();
             span.record("loss", rec.loss);
@@ -269,9 +352,6 @@ impl<'a> Trainer<'a> {
                 }
             }
             report.epochs.push(rec);
-            if let Some(cb) = self.on_epoch.as_mut() {
-                cb(report.epochs.last().expect("just pushed"));
-            }
             if stop || halted {
                 break;
             }
@@ -284,72 +364,13 @@ impl<'a> Trainer<'a> {
     }
 }
 
-/// Dispatches one mini-batch's jobs to the pool and blocks for the
-/// ordered results. A worker panic is re-raised here, matching the
-/// sequential loop where a panicking `per_batch` unwinds through `fit`.
-fn run_jobs<F>(
-    pool: &WorkerPool,
-    store: &ParamStore,
-    jobs: &[WindowBatch<'_>],
-    seed: u64,
-    global_epoch: u64,
-    profile_path: &str,
-    per_batch: &F,
-) -> Vec<JobResult>
-where
-    F: Fn(&ParamStore, &mut Tape, &WindowBatch<'_>, &mut [Rng]) -> Var + Sync,
-{
-    match pool.map(jobs, |_, wb| {
-        let _p = profile::phase_at(profile_path);
-        let _h = health::batch_scope(global_epoch, wb.ids());
-        worker_tape(|tape| {
-            let mut rngs: Vec<Rng> = wb
-                .ids()
-                .iter()
-                .map(|&id| Rng::seed_from(window_seed(seed, global_epoch, id)))
-                .collect();
-            let loss = per_batch(store, tape, wb, &mut rngs);
-            let val = tape.value(loss).item();
-            if !val.is_finite() {
-                return JobResult {
-                    val,
-                    pairs: Vec::new(),
-                };
-            }
-            // `skip-window` policy: a tripped job drops its gradient
-            // contribution via the existing non-finite skip path.
-            if health::should_skip_window() {
-                return JobResult {
-                    val: f32::NAN,
-                    pairs: Vec::new(),
-                };
-            }
-            let grads = tape.backward(loss);
-            let pairs = tape.take_param_grads(grads);
-            JobResult { val, pairs }
-        })
-    }) {
-        Ok(results) => results,
-        Err(e) => panic!("training worker panicked: {e}"),
-    }
-}
-
-/// Runs `f` on the calling worker thread's reusable pooled tape (see
-/// `adaptraj_tensor::with_pooled`). The worker pool keeps its threads
-/// alive across batches, so in steady state every job replays onto a
-/// tape whose node vector — and, via `Tape::reset`, whose retired value
-/// buffers — carry over from the previous job: the forward/backward hot
-/// path stops touching the allocator.
-pub(crate) fn worker_tape<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
-    adaptraj_tensor::with_pooled(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adaptraj_data::domain::DomainId;
     use adaptraj_data::trajectory::{Point, T_TOTAL};
     use adaptraj_tensor::{GroupId, Tensor};
+    use std::sync::Mutex;
 
     fn window_for(domain: DomainId, v: f32) -> TrajWindow {
         let focal: Vec<Point> = (0..T_TOTAL).map(|t| [v * t as f32, 0.0]).collect();
@@ -405,7 +426,8 @@ mod tests {
             &mut opt,
             &windows,
             &mut rng,
-            |s, tape, _wb, rngs| stochastic_loss(s, tape, p, rngs),
+            |_| (),
+            |s, tape, _wb, (), rngs| (stochastic_loss(s, tape, p, rngs), LossComponents::default()),
         )
     }
 
@@ -425,8 +447,8 @@ mod tests {
         let p = store.register("p", Tensor::row(&[1.0]), GroupId::DEFAULT);
         let mut opt = Adam::new(0.05);
         let cfg = TrainerConfig {
-            epochs: 1,
-            batch_size: 8,
+            epochs: 2,
+            batch_size: 4,
             ..TrainerConfig::smoke()
         };
         let train: Vec<TrajWindow> = (0..8)
@@ -441,12 +463,18 @@ mod tests {
             .collect();
         let windows: Vec<&TrajWindow> = train.iter().collect();
         let mut rng = Rng::seed_from(3);
+        let mut draws = 0usize;
+        let jobs = Mutex::new(Vec::new());
         Trainer::new(&cfg).fit(
             &mut store,
             &mut opt,
             &windows,
             &mut rng,
-            |s, tape, wb, rngs| {
+            |rng| {
+                draws += 1;
+                rng.chance(0.5)
+            },
+            |s, tape, wb, key, rngs| {
                 let first = wb.windows()[0].domain;
                 assert!(
                     wb.windows().iter().all(|w| w.domain == first),
@@ -454,9 +482,34 @@ mod tests {
                 );
                 assert!(wb.len() <= MAX_WINDOWS_PER_JOB);
                 assert_eq!(wb.len(), rngs.len(), "one rng per batched window");
-                stochastic_loss(s, tape, p, rngs)
+                jobs.lock().unwrap().push((wb.ids().to_vec(), key));
+                (stochastic_loss(s, tape, p, rngs), LossComponents::default())
             },
         );
+        assert_eq!(draws, 2 * windows.len(), "one key per window per epoch");
+        // Replay the dispatcher: each epoch shuffles, then draws one key
+        // per window in batch order. Every job must carry the key of each
+        // of its windows (one worker: jobs arrive in dispatch order).
+        let mut replay = Rng::seed_from(3);
+        let mut jobs = jobs.into_inner().unwrap().into_iter();
+        for _ in 0..cfg.epochs {
+            let mut key_of = vec![None; windows.len()];
+            for batch in shuffled_batches(windows.len(), cfg.batch_size, &mut replay) {
+                for i in batch {
+                    key_of[i] = Some(replay.chance(0.5));
+                }
+            }
+            let mut covered = 0;
+            while covered < windows.len() {
+                let (ids, key) = jobs.next().expect("jobs cover every window");
+                for id in &ids {
+                    assert_eq!(key_of[*id as usize], Some(key), "job {ids:?} mixes keys");
+                }
+                covered += ids.len();
+            }
+            assert_eq!(covered, windows.len());
+        }
+        assert!(jobs.next().is_none());
     }
 
     #[test]
@@ -474,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn on_epoch_sees_every_record() {
+    fn phase_and_epoch_offset_label_every_record() {
         let mut store = ParamStore::new();
         let p = store.register("p", Tensor::row(&[2.0]), GroupId::DEFAULT);
         let mut opt = Adam::new(0.05);
@@ -486,26 +539,34 @@ mod tests {
         let train: Vec<TrajWindow> = (0..4).map(|_| window_for(DomainId::Sdd, 0.2)).collect();
         let windows: Vec<&TrajWindow> = train.iter().collect();
         let mut rng = Rng::seed_from(0);
-        let mut seen = Vec::new();
-        let report = Trainer::new(&cfg)
-            .phase("custom")
-            .epoch_offset(10)
-            .on_epoch(|rec| seen.push((rec.epoch, rec.phase.clone())))
-            .fit(
-                &mut store,
-                &mut opt,
-                &windows,
-                &mut rng,
-                |s, tape, _wb, _rngs| {
-                    let pv = tape.param(s, p);
-                    let sq = tape.mul(pv, pv);
-                    tape.sum_all(sq)
-                },
-            );
-        assert_eq!(report.epochs.len(), 4);
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen[0], (10, "custom".to_string()));
-        assert_eq!(seen[3], (13, "custom".to_string()));
+        let report = Trainer::new(&cfg).phase("custom").epoch_offset(10).fit(
+            &mut store,
+            &mut opt,
+            &windows,
+            &mut rng,
+            |_| (),
+            |s, tape, _wb, (), _rngs| {
+                let pv = tape.param(s, p);
+                let sq = tape.mul(pv, pv);
+                (tape.sum_all(sq), LossComponents::default())
+            },
+        );
+        let labels: Vec<(usize, &str)> = report
+            .epochs
+            .iter()
+            .map(|rec| (rec.epoch, rec.phase.as_str()))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                (10, "custom"),
+                (11, "custom"),
+                (12, "custom"),
+                (13, "custom")
+            ]
+        );
+        assert_eq!(report.phases.len(), 1);
+        assert_eq!(report.phases[0].phase, "custom");
     }
 
     #[test]
@@ -528,7 +589,8 @@ mod tests {
                 &mut opt,
                 &windows,
                 &mut rng,
-                |s, tape, _wb, _rngs| {
+                |_| (),
+                |s, tape, _wb, (), _rngs| -> (Var, LossComponents) {
                     let _ = (s, &tape);
                     panic!("boom in per_batch");
                 },

@@ -6,6 +6,7 @@ use crate::trainer::Trainer;
 use crate::traits::{sample_backbone, Backbone, ForwardCtx};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
+use adaptraj_obs::LossComponents;
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{ParamStore, Rng};
 
@@ -60,9 +61,11 @@ impl<B: Backbone> Predictor for Vanilla<B> {
             &mut opt,
             &windows,
             &mut rng,
-            |store, tape, wb, rngs| {
+            |_| (),
+            |store, tape, wb, (), rngs| {
                 let mut ctx = ForwardCtx::train(store, tape, rngs);
-                backbone.train_forward(&mut ctx, wb, None).1
+                let loss = backbone.train_forward(&mut ctx, wb, None).1;
+                (loss, LossComponents::default())
             },
         )
     }

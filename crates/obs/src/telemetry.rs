@@ -93,7 +93,9 @@ pub struct EpochRecord {
     pub grad_norm: f64,
     pub group_norms: Vec<GroupNorm>,
     pub duration_s: f64,
-    /// Batches whose loss came back NaN/inf and were skipped.
+    /// Windows skipped because their job's (or, for CausalMotion, their
+    /// batch's) loss came back NaN/inf. Serialized as
+    /// `non_finite_batches`, the historical key.
     pub non_finite_batches: u64,
     /// True on the epoch that triggered patience-based early stopping.
     pub early_stop: bool,
@@ -216,7 +218,7 @@ impl RunTelemetry {
         }
     }
 
-    /// Total batches skipped due to non-finite losses across all epochs.
+    /// Total windows skipped due to non-finite losses across all epochs.
     pub fn non_finite_total(&self) -> u64 {
         self.epochs.iter().map(|e| e.non_finite_batches).sum()
     }

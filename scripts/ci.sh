@@ -201,27 +201,32 @@ cargo run --release --offline --bin adaptraj -- \
 
 step "health observatory smoke (injected NaN -> tripwire -> doctor exits nonzero)"
 # Poisons every op of window 3 in epoch 0 (the worker-count-deterministic
-# E:W injection form) under halt-and-dump: training must halt, the run
-# must exit nonzero with a diagnostic bundle, and the doctor must report
-# the NaN incident (with op + phase attribution) and exit nonzero too.
-rm -rf target/health_ci_dump
-if ADAPTRAJ_HEALTH_INJECT_NAN=0:3 cargo run --release --offline --bin adaptraj -- \
-    run --backbone pecnet --method adaptraj --sources eth_ucy,l_cas,syi \
-    --target sdd --epochs 2 --workers 2 --seed 7 \
-    --manifest target/health_ci_bad.json \
-    --health-out target/health_ci_bad.jsonl \
-    --health-policy halt-and-dump --health-dump target/health_ci_dump; then
-    echo "expected the injected-NaN run to exit nonzero"; fail=1
-fi
-test -f target/health_ci_dump/bundle.json || { echo "missing bundle.json"; fail=1; }
-doctor_out=$(cargo run --release --offline --bin adaptraj -- \
-    doctor --manifest target/health_ci_bad.json \
-    --health target/health_ci_bad.jsonl 2>&1) && {
-    echo "expected doctor to exit nonzero on the injected-NaN run"; fail=1; }
-echo "$doctor_out" | grep -q "first unhealthy op: '" || {
-    echo "doctor did not attribute the first unhealthy op"; fail=1; }
-echo "$doctor_out" | grep -q "(nan)" || {
-    echo "doctor did not report the NaN fault"; fail=1; }
+# E:W injection form) under halt-and-dump, once for AdapTraj (the shared
+# Trainer loop) and once for CausalMotion (its own V-REx loop): training
+# must halt, the run must exit nonzero with a diagnostic bundle, and the
+# doctor must report the NaN incident (with op + phase attribution) and
+# exit nonzero too.
+for method in adaptraj causalmotion; do
+    rm -rf "target/health_ci_dump_$method"
+    if ADAPTRAJ_HEALTH_INJECT_NAN=0:3 cargo run --release --offline --bin adaptraj -- \
+        run --backbone pecnet --method "$method" --sources eth_ucy,l_cas,syi \
+        --target sdd --epochs 2 --workers 2 --seed 7 \
+        --manifest "target/health_ci_bad_$method.json" \
+        --health-out "target/health_ci_bad_$method.jsonl" \
+        --health-policy halt-and-dump --health-dump "target/health_ci_dump_$method"; then
+        echo "expected the injected-NaN $method run to exit nonzero"; fail=1
+    fi
+    test -f "target/health_ci_dump_$method/bundle.json" || {
+        echo "missing bundle.json ($method)"; fail=1; }
+    doctor_out=$(cargo run --release --offline --bin adaptraj -- \
+        doctor --manifest "target/health_ci_bad_$method.json" \
+        --health "target/health_ci_bad_$method.jsonl" 2>&1) && {
+        echo "expected doctor to exit nonzero on the injected-NaN $method run"; fail=1; }
+    echo "$doctor_out" | grep -q "first unhealthy op: '" || {
+        echo "doctor did not attribute the first unhealthy op ($method)"; fail=1; }
+    echo "$doctor_out" | grep -q "(nan)" || {
+        echo "doctor did not report the NaN fault ($method)"; fail=1; }
+done
 
 echo
 if [ "$fail" -ne 0 ]; then

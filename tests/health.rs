@@ -11,7 +11,7 @@ use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::doctor::{diagnose, parse_health_jsonl};
-use adaptraj::models::{BackboneConfig, PecNet, Predictor};
+use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport};
 use adaptraj::obs::health::{self, HealthRecord, Policy};
 use adaptraj::obs::json::Value;
 use adaptraj::obs::profile;
@@ -46,6 +46,32 @@ fn run_health_workload(workers: usize, sources: &[DomainId]) -> (Vec<f32>, Vec<H
     profile::set_enabled(false);
     health::set_enabled(false);
     (report.epoch_losses, health::records())
+}
+
+/// Arms the observatory (and the profiler, for incident phase paths)
+/// and trains the smoke CausalMotion workload on two sources; returns
+/// the report and whether every parameter stayed finite.
+fn run_causal_motion_workload(workers: usize) -> (TrainReport, bool) {
+    health::reset();
+    health::set_enabled(true);
+    profile::reset();
+    profile::set_enabled(true);
+    let synth = SynthesisConfig::smoke();
+    let mut train = Vec::new();
+    for &s in &TWO_SOURCES {
+        train.extend(synthesize_domain(s, &synth).train);
+    }
+    let mut cfg = AdapTrajConfig::smoke().trainer;
+    cfg.epochs = 3;
+    cfg.max_train_windows = 24;
+    cfg.workers = workers;
+    let mut model = CausalMotion::new(cfg, |s, r| PecNet::new(s, r, BackboneConfig::default()));
+    let report = model.fit(&train);
+    profile::set_enabled(false);
+    health::set_enabled(false);
+    let store = Predictor::store(&model);
+    let finite = store.ids().all(|id| store.value(id).all_finite());
+    (report, finite)
 }
 
 /// Restores the disabled defaults (paired with every armed test).
@@ -281,4 +307,45 @@ fn skip_window_policy_stays_deterministic_across_worker_counts() {
     assert_eq!(records_1, records_4);
     // Training ran to completion (skip-window does not halt).
     assert_eq!(losses_1.len(), 3);
+}
+
+#[test]
+fn causal_motion_skips_non_finite_batches_and_honours_halt() {
+    let _g = LOCK.lock().unwrap();
+
+    // Warn: the poisoned batch takes no optimizer step, so the risk-gap
+    // coefficient never spreads the NaN into the parameters.
+    // Op-index injection counts ops process-wide, so it runs on one
+    // worker to poison the same op every time: one whose NaN reaches the
+    // loss.
+    health::set_inject_nan(Some(200));
+    let (report, finite) = run_causal_motion_workload(1);
+    disarm();
+    assert!(report.non_finite_total() > 0, "injected NaN never surfaced");
+    assert!(finite, "a NaN loss reached the parameters");
+    assert_eq!(report.epochs.len(), 3);
+
+    // Halt-and-dump with the worker-count-deterministic `E:W` form: the
+    // incident carries its window and training stops at the tripped epoch.
+    health::set_policy(Policy::HaltAndDump);
+    health::set_inject_window(Some((0, 3)));
+    let (report, finite) = run_causal_motion_workload(2);
+    let records = health::records();
+    let halted = health::halt_requested();
+    disarm();
+    assert!(halted, "halt latch never set");
+    assert!(
+        report.epochs.len() < 3,
+        "training ran to completion despite halt"
+    );
+    assert!(finite);
+    let incident = records
+        .iter()
+        .find_map(|r| match r {
+            HealthRecord::Incident(i) => Some(i.clone()),
+            _ => None,
+        })
+        .expect("injected NaN did not trip a wire");
+    assert_eq!(incident.epoch, 0);
+    assert!(!incident.phase.is_empty(), "incident missing phase path");
 }
