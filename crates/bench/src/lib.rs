@@ -3,7 +3,8 @@
 //! Reproduction harness: one binary per table/figure of the paper's
 //! evaluation (run with `cargo run --release -p adaptraj-bench --bin
 //! <name> [-- --scale smoke|paper]`), plus the `matmul_kernels`
-//! micro-bench.
+//! micro-bench and the `trace_check` Chrome-trace validator. Performance
+//! is measured by `perfbench` at the repository root, not here.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -29,10 +30,6 @@ use adaptraj_data::dataset::{synthesize_all, DomainDataset, SynthesisConfig};
 use adaptraj_data::preprocess::ExtractionConfig;
 use adaptraj_eval::RunnerConfig;
 use adaptraj_models::TrainerConfig;
-
-pub mod compare;
-pub mod load;
-pub mod perf;
 
 /// Experiment scale selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -159,10 +159,22 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
                         total.scaled_add(&bufs[0], coeff);
                         total.scaled_add(&bufs[1], -coeff);
                     }
-                    if self.cfg.grad_clip > 0.0 {
-                        total.clip_global_norm(self.cfg.grad_clip);
+                    let norm = if self.cfg.grad_clip > 0.0 {
+                        total.clip_global_norm(self.cfg.grad_clip)
+                    } else {
+                        total.global_norm()
+                    };
+                    // A finite loss can still carry a non-finite gradient.
+                    if norm.is_finite() {
+                        opt.step(&mut self.store, &total);
+                    } else {
+                        rec.non_finite_batches += batch.len() as u64;
+                        obs_warn!(
+                            "models.fit",
+                            "non-finite gradient norm at epoch {epoch}, windows {batch:?}; \
+                             skipping batch"
+                        );
                     }
-                    opt.step(&mut self.store, &total);
                     // Retire per-half buffers, the combined buffer, and the
                     // shipped gradient pairs into this thread's pool.
                     total.recycle();

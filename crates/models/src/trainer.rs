@@ -142,7 +142,7 @@ impl<'a> Trainer<'a> {
     /// loss components over *finite* windows, the batch-averaged pre-clip
     /// global gradient norm, per-group gradient/parameter norms from the
     /// final batch, and a count of windows skipped because their job's
-    /// loss came back non-finite.
+    /// loss, or their batch's gradient norm, came back non-finite.
     pub fn fit<K, D, F>(
         self,
         store: &mut ParamStore,
@@ -273,6 +273,7 @@ impl<'a> Trainer<'a> {
                 let tl_reduce = timeline::span("grad_reduce", "train");
                 let mut buf = GradBuffer::new();
                 let inv_total = 1.0 / batch.len() as f32;
+                let seen_before = seen;
                 for ((wb, _), r) in jobs.iter().zip(&results) {
                     if !r.val.is_finite() {
                         rec.non_finite_batches += wb.len() as u64;
@@ -306,12 +307,22 @@ impl<'a> Trainer<'a> {
                 } else {
                     buf.global_norm()
                 };
-                grad_norm_sum += norm as f64;
-                batches += 1;
-                rec.group_norms = group_norms(store, &buf);
-                let before = diag.pre_step(store, batch_idx + 1 == n_batches);
-                opt.step(store, &buf);
-                diag.post_step(store, before);
+                // A finite loss can still carry a non-finite gradient; the
+                // step would spread it into every parameter it touches.
+                if norm.is_finite() {
+                    grad_norm_sum += norm as f64;
+                    batches += 1;
+                    rec.group_norms = group_norms(store, &buf);
+                    let before = diag.pre_step(store, batch_idx + 1 == n_batches);
+                    opt.step(store, &buf);
+                    diag.post_step(store, before);
+                } else {
+                    rec.non_finite_batches += (seen - seen_before) as u64;
+                    obs_warn!(
+                        "models.fit",
+                        "non-finite gradient norm at epoch {global_epoch}; skipping batch"
+                    );
+                }
                 buf.recycle();
                 drop(tl_reduce);
                 if health::halt_requested() {
@@ -567,6 +578,46 @@ mod tests {
         );
         assert_eq!(report.phases.len(), 1);
         assert_eq!(report.phases[0].phase, "custom");
+    }
+
+    #[test]
+    fn non_finite_gradient_behind_a_finite_loss_takes_no_step() {
+        let mut store = ParamStore::new();
+        let p = store.register("p", Tensor::row(&[2.0]), GroupId::DEFAULT);
+        let mut opt = Adam::new(0.05);
+        let cfg = TrainerConfig {
+            epochs: 2,
+            batch_size: 4,
+            ..TrainerConfig::smoke()
+        };
+        let train: Vec<TrajWindow> = [DomainId::EthUcy, DomainId::Sdd]
+            .iter()
+            .flat_map(|&d| [window_for(d, 0.2), window_for(d, 0.2)])
+            .collect();
+        let windows: Vec<&TrajWindow> = train.iter().collect();
+        let mut rng = Rng::seed_from(0);
+        let report = Trainer::new(&cfg).fit(
+            &mut store,
+            &mut opt,
+            &windows,
+            &mut rng,
+            |_| (),
+            |s, tape, wb, (), _rngs| {
+                let pv = tape.param(s, p);
+                let sq = tape.mul(pv, pv);
+                // The SDD job's loss is finite but its gradient is not.
+                let sq = if wb.windows()[0].domain == DomainId::Sdd {
+                    tape.grad_reverse(sq, f32::INFINITY)
+                } else {
+                    sq
+                };
+                (tape.sum_all(sq), LossComponents::default())
+            },
+        );
+        assert_eq!(store.value(p).data(), &[2.0], "a non-finite step was taken");
+        // Each batch holds both jobs, so every window of every epoch is skipped.
+        assert_eq!(report.non_finite_total(), 8);
+        assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
     }
 
     #[test]

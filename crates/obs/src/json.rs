@@ -170,9 +170,10 @@ impl Default for Arr {
     }
 }
 
-/// Parsed JSON value — the reader half of this module, used by the bench
-/// comparator to diff `BENCH_*.json` documents. Object members keep
-/// insertion order; duplicate keys keep the last value on lookup.
+/// Parsed JSON value — the reader half of this module, used by the serve
+/// codec, the golden comparator and `adaptraj doctor` (health streams,
+/// manifests, perfbench outputs). Object members keep insertion order;
+/// duplicate keys keep the last value on lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,

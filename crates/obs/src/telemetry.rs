@@ -94,7 +94,8 @@ pub struct EpochRecord {
     pub group_norms: Vec<GroupNorm>,
     pub duration_s: f64,
     /// Windows skipped because their job's (or, for CausalMotion, their
-    /// batch's) loss came back NaN/inf. Serialized as
+    /// batch's) loss came back NaN/inf, or because their batch's gradient
+    /// norm did and the batch took no step. Serialized as
     /// `non_finite_batches`, the historical key.
     pub non_finite_batches: u64,
     /// True on the epoch that triggered patience-based early stopping.
@@ -218,7 +219,8 @@ impl RunTelemetry {
         }
     }
 
-    /// Total windows skipped due to non-finite losses across all epochs.
+    /// Total windows skipped due to non-finite losses or gradients across
+    /// all epochs.
     pub fn non_finite_total(&self) -> u64 {
         self.epochs.iter().map(|e| e.non_finite_batches).sum()
     }

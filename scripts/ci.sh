@@ -83,17 +83,22 @@ cargo run --release --offline --bin adaptraj -- \
 cargo run --release --offline -p adaptraj-check --bin golden_gate -- \
     --baseline-dir results --candidate-dir target/golden-ci || fail=1
 
-step "bench smoke + gate (check mode)"
-# Tiny fixed-seed bench run on 2 workers, then schema-validate and diff
-# against the committed baseline in check mode (reports drift, only fails
-# on schema or structural errors — absolute timings are machine-dependent).
-mkdir -p target
+step "perfbench smoke (three workloads correct) + doctor self-compare"
+# One short run of each repository-benchmark workload: its result line
+# (the last line) must say "correct":true, which perfbench only reports
+# when no operation failed, the outputs repeated bit for bit and every
+# metric is finite. Then doctor compares one output with itself through
+# the --bench-* parse path: no timing noise can make that fail.
+for workload in train_adaptraj eval_best_of_20 serve_closed_k1; do
+    out="target/perfbench_ci_$workload.txt"
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$out" || fail=1
+    tail -n 1 "$out" | grep -q '"correct":true' || {
+        echo "perfbench $workload did not report \"correct\":true"; tail -n 5 "$out"; fail=1; }
+done
 cargo run --release --offline --bin adaptraj -- \
-    bench --out target/BENCH_ci.json --epochs 1 --scenes 3 --eval-windows 20 \
-    --workers 2 || fail=1
-cargo run --release --offline -p adaptraj-bench --bin bench_gate -- \
-    --baseline results/BENCH_baseline.json --candidate target/BENCH_ci.json \
-    --check || fail=1
+    doctor --bench-baseline target/perfbench_ci_train_adaptraj.txt \
+    --bench-candidate target/perfbench_ci_train_adaptraj.txt || fail=1
 
 step "serve smoke (golden bit-exactness, /metrics, 503 backpressure, clean shutdown)"
 # Trains a tiny fixed-seed checkpoint, serves it on an ephemeral port, and
@@ -148,27 +153,6 @@ else
         --addr "${flood_addr#http://}" --flood 12 --shutdown || fail=1
 fi
 wait "$flood_pid" || { echo "flood serve exited nonzero"; cat target/serve_flood_ci.log; fail=1; }
-
-step "bench --load smoke + gate (check mode)"
-# Tiny closed-loop serving sweep through the in-process server; the gate
-# must accept the document against the committed serving baseline (check
-# mode: absolute qps/latency are machine-dependent, only schema and
-# structural errors fail).
-cargo run --release --offline --bin adaptraj -- \
-    bench --out target/BENCH_load_ci.json --epochs 1 --scenes 3 \
-    --eval-samples 20 --workers 2 \
-    --load --load-clients 1,2 --load-requests 8 || fail=1
-cargo run --release --offline -p adaptraj-bench --bin bench_gate -- \
-    --baseline results/BENCH_4.json --candidate target/BENCH_load_ci.json \
-    --check || fail=1
-# Load-only gate: the tiny sweep's saturation qps must stay within a
-# generous factor of the committed full-sweep baseline. The threshold is
-# deliberately loose (the CI sweep stops at 2 clients, well short of
-# saturation, and shared runners are noisy) — it exists to catch a
-# serving collapse, not a few percent of drift.
-cargo run --release --offline -p adaptraj-bench --bin bench_gate -- \
-    --baseline results/BENCH_4.json --candidate target/BENCH_load_ci.json \
-    --load-only --max-regress-pct 90 || fail=1
 
 step "flight-recorder smoke (run --trace-out + Chrome trace validation)"
 # Tiny training run with the execution timeline enabled, then validate

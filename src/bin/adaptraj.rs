@@ -7,8 +7,6 @@
 //!     --sources eth_ucy,l_cas,syi --target sdd
 //! ```
 
-use adaptraj::bench::load::{run_load, LoadConfig};
-use adaptraj::bench::perf::{run_perf, PerfConfig};
 use adaptraj::check::{compare, load_baselines, run_all_goldens, write_doc};
 use adaptraj::cli::{parse, Command, USAGE};
 use adaptraj::data::dataset::{synthesize_all, synthesize_domain, SynthesisConfig};
@@ -335,74 +333,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                      diagnostic bundle written to {dir}"
                 )
                 .into());
-            }
-        }
-        Command::Bench {
-            out,
-            epochs,
-            scenes,
-            eval_samples,
-            workers,
-            batch_size,
-            seed,
-            load,
-            load_clients,
-            load_requests,
-            profile_out,
-            trace_out,
-            telemetry_addr,
-        } => {
-            let cfg = PerfConfig {
-                epochs,
-                scenes,
-                eval_samples,
-                workers,
-                batch_size: batch_size.unwrap_or(PerfConfig::default().batch_size),
-                seed: seed.unwrap_or(PerfConfig::default().seed),
-            };
-            println!(
-                "bench: {} epochs, {} scenes, {} inference samples, {} workers, \
-                 batch size {}, seed {} ...",
-                cfg.epochs, cfg.scenes, cfg.eval_samples, cfg.workers, cfg.batch_size, cfg.seed
-            );
-            let _telemetry_server = start_telemetry(&telemetry_addr)?;
-            // `run_perf` manages the profiler itself (reset + enable +
-            // restore); only the timeline needs arming here.
-            if trace_out.is_some() {
-                timeline::reset();
-                timeline::set_enabled(true);
-            }
-            let mut report = run_perf(&cfg);
-            if load {
-                let mut load_cfg = LoadConfig {
-                    workers: cfg.workers.max(2),
-                    seed: cfg.seed,
-                    ..LoadConfig::default()
-                };
-                if let Some(clients) = load_clients {
-                    load_cfg.clients = clients;
-                }
-                if let Some(requests) = load_requests {
-                    load_cfg.requests_per_client = requests;
-                }
-                println!(
-                    "load sweep: clients {:?}, {} requests/client, {} workers ...",
-                    load_cfg.clients, load_cfg.requests_per_client, load_cfg.workers
-                );
-                let load_report = run_load(&load_cfg);
-                print!("{}", load_report.render_text());
-                report.load = Some(load_report);
-            }
-            print!("{}", report.render_text());
-            std::fs::write(&out, report.to_json())?;
-            println!("bench document written to {out}");
-            if let Some(path) = trace_out {
-                timeline::set_enabled(false);
-                write_trace(&path)?;
-            }
-            if let Some(path) = profile_out {
-                std::fs::write(&path, report.profile.to_json())?;
-                println!("op-level profile written to {path}");
             }
         }
         Command::Serve {

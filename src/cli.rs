@@ -46,31 +46,6 @@ pub enum Command {
         health_policy: Option<Policy>,
         health_dump: Option<String>,
     },
-    /// `bench [--out FILE.json] [--epochs N] [--scenes N]
-    ///  [--eval-samples N] [--workers N] [--batch-size N] [--seed S]
-    ///  [--load] [--load-clients a,b,c] [--load-requests N]
-    ///  [--profile-out FILE.json] [--trace-out FILE.json]
-    ///  [--telemetry-addr HOST:PORT]` — run the fixed-seed perf workloads
-    /// under the op-level profiler and write an `adaptraj-bench/v1`
-    /// document (see EXPERIMENTS.md). `--load` adds the closed-loop
-    /// serving workload (in-process `adaptraj-serve`, concurrent-client
-    /// qps sweep).
-    Bench {
-        out: String,
-        epochs: usize,
-        scenes: usize,
-        eval_samples: usize,
-        workers: usize,
-        /// None defers to `PerfConfig::default()` (the trainer default).
-        batch_size: Option<usize>,
-        seed: Option<u64>,
-        load: bool,
-        load_clients: Option<Vec<usize>>,
-        load_requests: Option<usize>,
-        profile_out: Option<String>,
-        trace_out: Option<String>,
-        telemetry_addr: Option<String>,
-    },
     /// `serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
     ///  [--accept-threads N] [--batch-window-us N] [--queue-cap N]
     ///  [--deadline-ms N] [--backbone B] [--method M] [--sources a,b,c]`
@@ -110,10 +85,10 @@ pub enum Command {
     /// `doctor [--manifest FILE.json] [--health FILE.jsonl]
     ///  [--bench-baseline FILE --bench-candidate FILE]
     ///  [--golden-dir DIR --golden-candidate DIR] [--json]` — diagnose a
-    /// finished run from its observability artifacts: first unhealthy
-    /// op, domain-conflict ranking, loss plateau/divergence, and
-    /// optional golden/bench regression summaries. Exits nonzero on any
-    /// fatal finding.
+    /// finished run from its observability artifacts (first unhealthy
+    /// op, domain-conflict ranking, loss plateau/divergence), golden
+    /// drift, and a bench regression between two `perfbench` outputs.
+    /// Any input may be given alone. Exits nonzero on any fatal finding.
     Doctor {
         manifest: Option<String>,
         health: Option<String>,
@@ -372,90 +347,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 health_dump: flags.get("health-dump").map(|s| s.to_string()),
             })
         }
-        "bench" => {
-            let mut rest = rest.to_vec();
-            let load = take_switch(&mut rest, "load")?;
-            let flags = parse_flags(
-                &rest,
-                &[
-                    "out",
-                    "epochs",
-                    "scenes",
-                    "eval-samples",
-                    "eval-windows",
-                    "workers",
-                    "batch-size",
-                    "seed",
-                    "load-clients",
-                    "load-requests",
-                    "profile-out",
-                    "trace-out",
-                    "telemetry-addr",
-                ],
-            )?;
-            if flags.contains_key("eval-samples") && flags.contains_key("eval-windows") {
-                return Err(err(
-                    "--eval-samples and --eval-windows are the same knob; give only one",
-                ));
-            }
-            // `--eval-windows` is the legacy spelling; the latency loop
-            // samples windows with repetition, so "samples" is the honest
-            // name and gets the raised default (p99/p999 on 120 samples
-            // were single order statistics — see EXPERIMENTS.md).
-            let eval_samples = if flags.contains_key("eval-windows") {
-                parse_usize(&flags, "eval-windows", 480)?
-            } else {
-                parse_usize(&flags, "eval-samples", 480)?
-            };
-            let load_clients = flags
-                .get("load-clients")
-                .map(|v| {
-                    v.split(',')
-                        .map(|c| {
-                            c.parse::<usize>().map_err(|_| {
-                                err(format!("--load-clients expects integers, got '{c}'"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .transpose()?;
-            if let Some(clients) = &load_clients {
-                if clients.is_empty() || clients.contains(&0) {
-                    return Err(err("--load-clients needs positive client counts"));
-                }
-            }
-            if !load && (load_clients.is_some() || flags.contains_key("load-requests")) {
-                return Err(err("--load-clients/--load-requests require --load"));
-            }
-            Ok(Command::Bench {
-                out: flags.get("out").unwrap_or(&"BENCH_local.json").to_string(),
-                epochs: parse_usize(&flags, "epochs", 4)?,
-                scenes: parse_usize(&flags, "scenes", 6)?,
-                eval_samples,
-                workers: parse_usize(&flags, "workers", 1)?,
-                batch_size: flags
-                    .get("batch-size")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| err(format!("--batch-size expects an integer, got '{v}'")))
-                    })
-                    .transpose()?,
-                seed: parse_seed(&flags)?,
-                load,
-                load_clients,
-                load_requests: flags
-                    .get("load-requests")
-                    .map(|v| {
-                        v.parse().map_err(|_| {
-                            err(format!("--load-requests expects an integer, got '{v}'"))
-                        })
-                    })
-                    .transpose()?,
-                profile_out: flags.get("profile-out").map(|s| s.to_string()),
-                trace_out: flags.get("trace-out").map(|s| s.to_string()),
-                telemetry_addr: flags.get("telemetry-addr").map(|s| s.to_string()),
-            })
-        }
         "serve" => {
             let flags = parse_flags(
                 rest,
@@ -551,10 +442,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "golden-candidate",
                 ],
             )?;
-            if !flags.contains_key("manifest") && !flags.contains_key("health") {
-                return Err(err(
-                    "doctor needs at least one of --manifest FILE.json / --health FILE.jsonl",
-                ));
+            if flags.is_empty() {
+                return Err(err(crate::doctor::NO_INPUT));
             }
             for (a, b) in [
                 ("bench-baseline", "bench-candidate"),
@@ -597,11 +486,6 @@ USAGE:
                [--health-out FILE.jsonl]
                [--health-policy <warn|skip-window|halt-and-dump>]
                [--health-dump DIR]
-  adaptraj bench [--out FILE.json] [--epochs N] [--scenes N] [--eval-samples N]
-                 [--workers N] [--batch-size N] [--seed S]
-                 [--load] [--load-clients a,b,c] [--load-requests N]
-                 [--profile-out FILE.json] [--trace-out FILE.json]
-                 [--telemetry-addr HOST:PORT]
   adaptraj serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
                  [--accept-threads N] [--batch-window-us N] [--queue-cap N]
                  [--deadline-ms N] [--backbone B] [--method M]
@@ -638,7 +522,6 @@ OBSERVABILITY (run):
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);
                       A is HOST:PORT (port 0 = ephemeral)
-                      — both flags also apply to bench
   --health-out FILE   arm the training-health observatory and stream
                       adaptraj-health/v1 JSONL: per-op numerics tripwires
                       (NaN/Inf/exploding) plus per-epoch per-source-domain
@@ -651,22 +534,6 @@ OBSERVABILITY (run):
                       diagnostic bundle to --health-dump)
   --health-dump DIR   bundle directory for halt-and-dump
                       (default health_dump/)
-
-BENCH:
-  runs fixed-seed training + inference workloads (PECNet/LBEBM vanilla and
-  PECNet-AdapTraj) under the profiler and writes an adaptraj-bench/v1 JSON
-  with throughput, backward ns/node, latency percentiles, and op/phase
-  breakdowns; gate two runs with scripts/bench.sh (bench_gate).
-  --eval-samples N    timed single-sample inference passes per workload
-                      (default 480; p999 is reported only when the sample
-                      count supports it; --eval-windows is the legacy
-                      spelling of the same knob)
-  --load              also run the closed-loop serving workload: an
-                      in-process adaptraj-serve instance swept over
-                      --load-clients concurrent clients (default 1,2,4,8)
-                      sending --load-requests requests each (default 64),
-                      recording per-level qps + latency percentiles and
-                      the saturation qps into the bench document
 
 SERVE:
   serves POST /v1/predict (scene JSON in, best-of-k trajectories out),
@@ -695,9 +562,15 @@ DOCTOR:
   source-domain pairs by mean pairwise gradient cosine (negative values
   signal conflicting domains), loss plateau/divergence detection over
   the manifest's per-epoch losses, and optional golden-drift / bench
-  regression summaries. --json prints an adaptraj-doctor/v1 document
-  instead of text. Exits nonzero on any fatal finding (incidents, loss
-  divergence, golden drift, bench regression).
+  regression summaries. --bench-baseline/--bench-candidate take two
+  saved outputs of the repository benchmark (perfbench) for the same
+  --workload and --trace: an end-to-end metric worse than its bound in
+  BENCHMARK.json, or a run that says \"correct\":false, is fatal; on
+  --trace 1 outputs the per-layer metric that moved most in its worse
+  direction is named. Any input may be given alone. --json prints an
+  adaptraj-doctor/v1 document instead of text. Exits nonzero on any
+  fatal finding (incidents, loss divergence, golden drift, bench
+  regression, incorrect bench run).
 ";
 
 #[cfg(test)]
@@ -761,77 +634,6 @@ mod tests {
                 health_dump: Some("dump_dir".into()),
             }
         );
-    }
-
-    #[test]
-    fn bench_defaults_and_full_invocation() {
-        assert_eq!(
-            parse(&args("bench")).unwrap(),
-            Command::Bench {
-                out: "BENCH_local.json".into(),
-                epochs: 4,
-                scenes: 6,
-                eval_samples: 480,
-                workers: 1,
-                batch_size: None,
-                seed: None,
-                load: false,
-                load_clients: None,
-                load_requests: None,
-                profile_out: None,
-                trace_out: None,
-                telemetry_addr: None,
-            }
-        );
-        assert_eq!(
-            parse(&args(
-                "bench --out BENCH_1.json --epochs 2 --scenes 3 --eval-samples 50 \
-                 --workers 4 --batch-size 16 --seed 9 --load --load-clients 1,4 \
-                 --load-requests 32 --profile-out prof.json \
-                 --trace-out t.json --telemetry-addr 0.0.0.0:0"
-            ))
-            .unwrap(),
-            Command::Bench {
-                out: "BENCH_1.json".into(),
-                epochs: 2,
-                scenes: 3,
-                eval_samples: 50,
-                workers: 4,
-                batch_size: Some(16),
-                seed: Some(9),
-                load: true,
-                load_clients: Some(vec![1, 4]),
-                load_requests: Some(32),
-                profile_out: Some("prof.json".into()),
-                trace_out: Some("t.json".into()),
-                telemetry_addr: Some("0.0.0.0:0".into()),
-            }
-        );
-    }
-
-    #[test]
-    fn bench_eval_windows_is_a_legacy_alias() {
-        // Old invocations (e.g. pre-existing CI scripts) keep working.
-        let cmd = parse(&args("bench --eval-windows 20")).unwrap();
-        let Command::Bench { eval_samples, .. } = cmd else {
-            panic!("expected Bench, got {cmd:?}");
-        };
-        assert_eq!(eval_samples, 20);
-        // But both spellings at once is a contradiction.
-        let e = parse(&args("bench --eval-windows 20 --eval-samples 30")).unwrap_err();
-        assert!(e.0.contains("same knob"), "{e}");
-    }
-
-    #[test]
-    fn bench_rejects_unknown_flags_and_bad_values() {
-        let e = parse(&args("bench --target sdd")).unwrap_err();
-        assert!(e.0.contains("unknown flag"), "{e}");
-        let e = parse(&args("bench --eval-samples few")).unwrap_err();
-        assert!(e.0.contains("integer"), "{e}");
-        let e = parse(&args("bench --load-clients 1,2")).unwrap_err();
-        assert!(e.0.contains("require --load"), "{e}");
-        let e = parse(&args("bench --load --load-clients 1,0")).unwrap_err();
-        assert!(e.0.contains("positive"), "{e}");
     }
 
     #[test]
@@ -1004,8 +806,10 @@ mod tests {
 
     #[test]
     fn unknown_command_is_reported() {
-        let e = parse(&args("launch")).unwrap_err();
-        assert!(e.0.contains("unknown command"), "{e}");
+        for cmd in ["launch", "bench"] {
+            let e = parse(&args(cmd)).unwrap_err();
+            assert!(e.0.contains("unknown command"), "{e}");
+        }
     }
 
     #[test]
@@ -1080,6 +884,23 @@ mod tests {
         );
         let e = parse(&args("doctor --json")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
+        // A bench pair alone is enough.
+        let cmd = parse(&args(
+            "doctor --bench-baseline a.txt --bench-candidate b.txt",
+        ))
+        .unwrap();
+        let Command::Doctor {
+            bench_baseline,
+            bench_candidate,
+            manifest: None,
+            health: None,
+            ..
+        } = cmd
+        else {
+            panic!("expected a bench-only Doctor, got {cmd:?}");
+        };
+        assert_eq!(bench_baseline.as_deref(), Some("a.txt"));
+        assert_eq!(bench_candidate.as_deref(), Some("b.txt"));
         let e = parse(&args("doctor --health h.jsonl --bench-baseline b.json")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
         let e = parse(&args("doctor --health h.jsonl --golden-candidate cand")).unwrap_err();

@@ -2,9 +2,9 @@
 //! observability artifacts.
 //!
 //! Ingests a run manifest (`adaptraj-run-manifest/v1`), a health stream
-//! (`adaptraj-health/v1` JSONL from `--health-out`), and optionally a
-//! BENCH baseline/candidate pair and a GOLDEN baseline/candidate
-//! directory pair, and produces a structured [`Diagnosis`]:
+//! (`adaptraj-health/v1` JSONL from `--health-out`), a baseline/candidate
+//! pair of `perfbench` outputs and a GOLDEN baseline/candidate directory
+//! pair, any of them optional, and produces a structured [`Diagnosis`]:
 //!
 //! - **first unhealthy op** — the earliest numerics-tripwire incident,
 //!   with the op kind and profiler phase path that produced it,
@@ -13,8 +13,10 @@
 //!   negative-transfer signal),
 //! - **loss trajectory** — divergence (fatal) and plateau (warning)
 //!   detection over the manifest's per-epoch losses,
-//! - **regression summaries** — golden drift and bench regressions via
-//!   the same comparators the CI gates use.
+//! - **regression summaries** — golden drift via the comparator the CI
+//!   gate uses, and bench regressions judged against the bounds the
+//!   repository's `BENCHMARK.json` declares (on `--trace 1` outputs, the
+//!   per-layer metric that moved most).
 //!
 //! The diagnosis renders as text or JSON (`adaptraj-doctor/v1`); any
 //! fatal finding makes the CLI exit nonzero.
@@ -32,6 +34,13 @@ const PLATEAU_WINDOW: usize = 4;
 const PLATEAU_REL_TOL: f64 = 1e-3;
 /// A phase whose last loss exceeds its minimum by this factor diverged.
 const DIVERGENCE_FACTOR: f64 = 5.0;
+
+/// The repository benchmark's declaration: every metric's better
+/// direction and, for the end-to-end metrics, the bound a regression
+/// must stay within.
+const BENCHMARK_JSON: &str = include_str!("../BENCHMARK.json");
+/// Schema tag of the environment line `perfbench` prints.
+const PERFBENCH_SCHEMA: &str = "adaptraj-perfbench/v1";
 
 /// Severity of one diagnosis finding. Fatal findings make the doctor
 /// exit nonzero; warnings and infos do not.
@@ -92,6 +101,12 @@ pub struct Diagnosis {
     /// `Some(summary)` when a bench comparison ran.
     pub bench_summary: Option<String>,
     pub bench_ok: Option<bool>,
+    /// On a `--trace 1` pair, the per-layer metric that moved most in
+    /// its worse direction.
+    pub bench_layer_move: Option<MetricMove>,
+    /// False when only bench or golden inputs were given, so there is no
+    /// training run to report on.
+    pub has_run: bool,
 }
 
 impl Diagnosis {
@@ -110,6 +125,42 @@ impl Diagnosis {
 
     pub fn render_text(&self) -> String {
         let mut out = String::from("adaptraj doctor — diagnosis\n");
+        if self.has_run {
+            self.render_run(&mut out);
+        }
+        if let Some(s) = &self.golden_summary {
+            out.push_str(&format!("  golden: {s}\n"));
+        }
+        if let Some(s) = &self.bench_summary {
+            out.push_str(&format!("  bench: {s}\n"));
+        }
+        for f in &self.findings {
+            out.push_str(&format!(
+                "  [{}] {}: {}\n",
+                f.severity.as_str(),
+                f.code,
+                f.message
+            ));
+        }
+        let fatals = self
+            .findings
+            .iter()
+            .filter(|f| f.severity == Severity::Fatal)
+            .count();
+        out.push_str(&format!(
+            "verdict: {}\n",
+            if fatals > 0 {
+                format!("UNHEALTHY ({fatals} fatal finding(s))")
+            } else {
+                "HEALTHY".to_string()
+            }
+        ));
+        out
+    }
+
+    /// The training-run lines: health records, first unhealthy op,
+    /// domain conflicts and the loss trajectory.
+    fn render_run(&self, out: &mut String) {
         out.push_str(&format!(
             "  health records: {} epoch, {} incident(s)\n",
             self.epoch_records, self.incident_count
@@ -161,34 +212,6 @@ impl Diagnosis {
                 "healthy"
             }
         ));
-        if let Some(s) = &self.golden_summary {
-            out.push_str(&format!("  golden: {s}\n"));
-        }
-        if let Some(s) = &self.bench_summary {
-            out.push_str(&format!("  bench: {s}\n"));
-        }
-        for f in &self.findings {
-            out.push_str(&format!(
-                "  [{}] {}: {}\n",
-                f.severity.as_str(),
-                f.code,
-                f.message
-            ));
-        }
-        let fatals = self
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Fatal)
-            .count();
-        out.push_str(&format!(
-            "verdict: {}\n",
-            if fatals > 0 {
-                format!("UNHEALTHY ({fatals} fatal finding(s))")
-            } else {
-                "HEALTHY".to_string()
-            }
-        ));
-        out
     }
 
     pub fn to_json(&self) -> String {
@@ -230,6 +253,18 @@ impl Diagnosis {
         }
         if let Some(ok) = self.bench_ok {
             obj = obj.bool("bench_ok", ok);
+        }
+        if let Some(m) = &self.bench_layer_move {
+            obj = obj.raw(
+                "bench_largest_layer_move",
+                &Obj::new()
+                    .str("metric", &m.name)
+                    .str("unit", &m.unit)
+                    .f64("baseline", m.baseline)
+                    .f64("candidate", m.candidate)
+                    .f64("worse_by", m.worse_by)
+                    .finish(),
+            );
         }
         obj.finish()
     }
@@ -424,6 +459,7 @@ fn rank_conflicts(records: &[HealthRecord]) -> Vec<PairConflict> {
 /// and the gate comparators are layered on top in [`run_doctor`].
 pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis {
     let mut d = Diagnosis {
+        has_run: true,
         epoch_records: records
             .iter()
             .filter(|r| matches!(r, HealthRecord::Epoch(_)))
@@ -484,7 +520,7 @@ pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis
             d.push(
                 Severity::Warning,
                 "non-finite-batches",
-                format!("{skipped} batch(es) skipped for non-finite losses"),
+                format!("{skipped} window(s) skipped for non-finite losses or gradients"),
             );
         }
     }
@@ -492,11 +528,238 @@ pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis
 }
 
 // ---------------------------------------------------------------------------
+// Bench comparison (perfbench outputs)
+// ---------------------------------------------------------------------------
+
+/// One metric's move between two perfbench runs of the same workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricMove {
+    pub name: String,
+    pub unit: String,
+    pub baseline: f64,
+    pub candidate: f64,
+    /// How far the metric moved in its worse direction: relative to the
+    /// baseline, or in points over 100 for a `%` metric, which is relative
+    /// already. Negative means it got better.
+    pub worse_by: f64,
+    /// The end-to-end bound from `BENCHMARK.json`; `None` for a per-layer
+    /// metric, which has none.
+    pub bound: Option<f64>,
+}
+
+impl MetricMove {
+    /// Past its bound in the worse direction; a move that cannot be
+    /// measured (a non-finite value) counts as past it.
+    fn regressed(&self) -> bool {
+        self.bound
+            .is_some_and(|b| self.worse_by.is_nan() || self.worse_by > b)
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{} {} by {:.1}% ({:.6} -> {:.6} {})",
+            self.name,
+            if self.worse_by > 0.0 {
+                "worse"
+            } else {
+                "better"
+            },
+            self.worse_by.abs() * 100.0,
+            self.baseline,
+            self.candidate,
+            self.unit
+        )
+    }
+}
+
+/// What doctor reads from one perfbench output: the environment line
+/// (schema-tagged) and the result line, which comes last.
+struct PerfRun {
+    workload: String,
+    trace: bool,
+    correct: bool,
+    /// `(name, value, unit)` in the result line's order; a non-finite
+    /// value (JSON `null`) reads as NaN.
+    metrics: Vec<(String, f64, String)>,
+}
+
+fn parse_perfbench(text: &str) -> Result<PerfRun, String> {
+    let env_line = text
+        .lines()
+        .filter_map(|l| Value::parse(l).ok())
+        .find(|v| v.get("schema").and_then(Value::as_str) == Some(PERFBENCH_SCHEMA))
+        .ok_or(format!(
+            "no '{PERFBENCH_SCHEMA}' line; not perfbench output"
+        ))?;
+    let env = env_line.get("env").ok_or("perfbench line missing 'env'")?;
+    let workload = env
+        .get("workload")
+        .and_then(Value::as_str)
+        .ok_or("perfbench env missing 'workload'")?
+        .to_string();
+    let trace = env
+        .get("trace")
+        .and_then(Value::as_bool)
+        .ok_or("perfbench env missing 'trace'")?;
+    let last = text
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .unwrap_or_default();
+    let result = Value::parse(last).map_err(|e| format!("perfbench result line: {e}"))?;
+    let correct = result
+        .get("correct")
+        .and_then(Value::as_bool)
+        .ok_or("perfbench result line missing 'correct'")?;
+    let Some(Value::Obj(members)) = result.get("metrics") else {
+        return Err("perfbench result line missing 'metrics'".into());
+    };
+    let metrics = members
+        .iter()
+        .map(|(name, m)| {
+            (
+                name.clone(),
+                m.get("value").and_then(Value::as_f64).unwrap_or(f64::NAN),
+                m.get("unit")
+                    .and_then(Value::as_str)
+                    .unwrap_or_default()
+                    .to_string(),
+            )
+        })
+        .collect();
+    Ok(PerfRun {
+        workload,
+        trace,
+        correct,
+        metrics,
+    })
+}
+
+/// `(name, lower is better, bound)` for every metric `BENCHMARK.json`
+/// names; only the end-to-end metrics have a bound.
+fn benchmark_specs() -> Result<Vec<(String, bool, Option<f64>)>, String> {
+    let v = Value::parse(BENCHMARK_JSON).map_err(|e| format!("BENCHMARK.json: {e}"))?;
+    let mut specs = Vec::new();
+    for section in ["end_to_end", "per_layer"] {
+        for m in v.get(section).and_then(Value::as_array).unwrap_or_default() {
+            let name = m.get("name").and_then(Value::as_str);
+            let better = m.get("better").and_then(Value::as_str);
+            let (Some(name), Some(better @ ("lower" | "higher"))) = (name, better) else {
+                return Err(format!("BENCHMARK.json: malformed {section} metric"));
+            };
+            let bound = m.get("bound").and_then(Value::as_f64);
+            if section == "end_to_end" && bound.is_none() {
+                return Err(format!(
+                    "BENCHMARK.json: end-to-end metric {name} has no bound"
+                ));
+            }
+            specs.push((name.to_string(), better == "lower", bound));
+        }
+    }
+    Ok(specs)
+}
+
+/// Compares two perfbench outputs of the same workload and trace mode
+/// against `BENCHMARK.json`: a Fatal `bench-regression` for each
+/// end-to-end metric past its bound in its worse direction, a Fatal
+/// `bench-incorrect` for each run whose result line says
+/// `"correct":false`, and on a `--trace 1` pair the per-layer metric that
+/// moved most in its worse direction. Outputs of different workloads or
+/// trace modes, or with different metric sets, are refused.
+pub fn diagnose_bench(d: &mut Diagnosis, baseline: &str, candidate: &str) -> Result<(), String> {
+    let b = parse_perfbench(baseline).map_err(|e| format!("bench baseline: {e}"))?;
+    let c = parse_perfbench(candidate).map_err(|e| format!("bench candidate: {e}"))?;
+    if (&b.workload, b.trace) != (&c.workload, c.trace) {
+        return Err(format!(
+            "bench outputs are not comparable: baseline is {} --trace {}, \
+             candidate is {} --trace {}",
+            b.workload, b.trace as u8, c.workload, c.trace as u8
+        ));
+    }
+    if b.metrics.len() != c.metrics.len() {
+        return Err(format!(
+            "bench outputs report {} and {} metrics",
+            b.metrics.len(),
+            c.metrics.len()
+        ));
+    }
+    let specs = benchmark_specs()?;
+    let mut moves = Vec::new();
+    for (name, value, unit) in &c.metrics {
+        let (_, lower, bound) = specs
+            .iter()
+            .find(|(n, ..)| n == name)
+            .ok_or(format!("metric {name} is not in BENCHMARK.json"))?;
+        let (_, base, _) = b
+            .metrics
+            .iter()
+            .find(|(n, ..)| n == name)
+            .ok_or(format!("metric {name} is missing from the bench baseline"))?;
+        let change = if value == base {
+            0.0
+        } else if unit == "%" {
+            (value - base) / 100.0
+        } else {
+            (value - base) / base.abs()
+        };
+        moves.push(MetricMove {
+            name: name.clone(),
+            unit: unit.clone(),
+            baseline: *base,
+            candidate: *value,
+            worse_by: if *lower { change } else { -change },
+            bound: *bound,
+        });
+    }
+
+    for (role, run) in [("baseline", &b), ("candidate", &c)] {
+        if !run.correct {
+            d.push(
+                Severity::Fatal,
+                "bench-incorrect",
+                format!("the bench {role} run says \"correct\":false"),
+            );
+        }
+    }
+    let end_to_end = moves.iter().filter(|m| m.bound.is_some()).count();
+    let mut regressed = 0;
+    for m in moves.iter().filter(|m| m.regressed()) {
+        regressed += 1;
+        d.push(
+            Severity::Fatal,
+            "bench-regression",
+            format!(
+                "{}, past its {:.0}% bound",
+                m.describe(),
+                m.bound.unwrap_or_default() * 100.0
+            ),
+        );
+    }
+    d.bench_layer_move = moves
+        .into_iter()
+        .filter(|m| m.bound.is_none() && !m.worse_by.is_nan())
+        .max_by(|x, y| x.worse_by.total_cmp(&y.worse_by));
+    let ok = regressed == 0 && b.correct && c.correct;
+    let detail = match &d.bench_layer_move {
+        Some(m) => format!("largest per-layer move: {}", m.describe()),
+        None => format!("{regressed} of {end_to_end} end-to-end metric(s) past their bound"),
+    };
+    d.bench_summary = Some(format!(
+        "{} on {} --trace {}: {detail}",
+        if ok { "OK" } else { "REGRESSED" },
+        c.workload,
+        c.trace as u8
+    ));
+    d.bench_ok = Some(ok);
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // File-level driver
 // ---------------------------------------------------------------------------
 
 /// File paths for one doctor invocation; every input is optional but at
-/// least one of `manifest`/`health` must be given.
+/// least one must be given (the bench and golden inputs in pairs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoctorArgs {
     pub manifest: Option<String>,
@@ -507,24 +770,34 @@ pub struct DoctorArgs {
     pub golden_candidate: Option<String>,
 }
 
+/// The error for an invocation with nothing to diagnose.
+pub const NO_INPUT: &str = "doctor needs at least one of --manifest FILE.json, \
+     --health FILE.jsonl, --bench-baseline/--bench-candidate or \
+     --golden-dir/--golden-candidate";
+
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Ingests the artifact files and produces the diagnosis.
 pub fn run_doctor(args: &DoctorArgs) -> Result<Diagnosis, String> {
-    if args.manifest.is_none() && args.health.is_none() {
-        return Err("doctor needs at least one of --manifest / --health".into());
-    }
-    let manifest = match &args.manifest {
-        Some(p) => Some(parse_manifest(&read(p)?)?),
-        None => None,
+    let has_bench = args.bench_baseline.is_some() && args.bench_candidate.is_some();
+    let has_golden = args.golden_dir.is_some() && args.golden_candidate.is_some();
+    let mut d = if args.manifest.is_some() || args.health.is_some() {
+        let manifest = match &args.manifest {
+            Some(p) => Some(parse_manifest(&read(p)?)?),
+            None => None,
+        };
+        let records = match &args.health {
+            Some(p) => parse_health_jsonl(&read(p)?)?,
+            None => Vec::new(),
+        };
+        diagnose(manifest.as_ref(), &records)
+    } else if has_bench || has_golden {
+        Diagnosis::default()
+    } else {
+        return Err(NO_INPUT.into());
     };
-    let records = match &args.health {
-        Some(p) => parse_health_jsonl(&read(p)?)?,
-        None => Vec::new(),
-    };
-    let mut d = diagnose(manifest.as_ref(), &records);
 
     if let (Some(base), Some(cand)) = (&args.golden_dir, &args.golden_candidate) {
         use adaptraj_check::golden::{compare, load_baselines};
@@ -551,28 +824,7 @@ pub fn run_doctor(args: &DoctorArgs) -> Result<Diagnosis, String> {
         }
     }
     if let (Some(base), Some(cand)) = (&args.bench_baseline, &args.bench_candidate) {
-        use adaptraj_bench::compare::{compare, parse_doc};
-        let b = parse_doc(&read(base)?).map_err(|e| format!("{base}: {e}"))?;
-        let c = parse_doc(&read(cand)?).map_err(|e| format!("{cand}: {e}"))?;
-        let cmp = compare(&b, &c, 25.0);
-        d.bench_ok = Some(cmp.ok());
-        if cmp.ok() {
-            d.bench_summary = Some("OK (no regression past 25%)".into());
-        } else {
-            d.bench_summary = Some(format!(
-                "REGRESSED ({} metric(s) past 25%, {} missing workload(s))",
-                cmp.regressions().len(),
-                cmp.missing.len()
-            ));
-            d.push(
-                Severity::Fatal,
-                "bench-regression",
-                format!(
-                    "{} bench metric(s) regressed past 25% vs {base}",
-                    cmp.regressions().len() + cmp.missing.len()
-                ),
-            );
-        }
+        diagnose_bench(&mut d, &read(base)?, &read(cand)?)?;
     }
     Ok(d)
 }
@@ -717,5 +969,219 @@ mod tests {
         assert!(parse_manifest("{\"schema\":\"nope/v1\"}").is_err());
         let e = run_doctor(&DoctorArgs::default()).unwrap_err();
         assert!(e.contains("at least one"));
+    }
+
+    /// A perfbench output as the benchmark prints it: metric lines, the
+    /// schema-tagged environment line, and last the result line.
+    fn perfbench_out(
+        workload: &str,
+        trace: bool,
+        correct: bool,
+        metrics: &[(&str, f64)],
+    ) -> String {
+        let unit = |name: &str| match name {
+            "setup_s" => "s",
+            "peak_rss_mb" => "MB",
+            "throughput_per_s" => "1/s",
+            "obs.trace_overhead_pct" => "%",
+            _ => "ms",
+        };
+        let mut text = String::new();
+        let mut figures = Obj::new();
+        for &(name, value) in metrics {
+            text.push_str(&format!("{name:<32} {value:>16.6} {}\n", unit(name)));
+            figures = figures.raw(
+                name,
+                &Obj::new()
+                    .f64("value", value)
+                    .str("unit", unit(name))
+                    .finish(),
+            );
+        }
+        let figures = figures.finish();
+        let env = Obj::new()
+            .str("workload", workload)
+            .u64("seed", 1)
+            .bool("trace", trace)
+            .finish();
+        text.push_str(
+            &Obj::new()
+                .str("schema", PERFBENCH_SCHEMA)
+                .raw("env", &env)
+                .raw("figures", &figures)
+                .finish(),
+        );
+        text.push('\n');
+        text.push_str(
+            &Obj::new()
+                .bool("correct", correct)
+                .u64("attempted", 10)
+                .u64("failed", u64::from(!correct))
+                .raw("metrics", &figures)
+                .finish(),
+        );
+        text.push('\n');
+        text
+    }
+
+    fn end_to_end(throughput: f64, latency: f64) -> Vec<(&'static str, f64)> {
+        vec![
+            ("setup_s", 0.6),
+            ("peak_rss_mb", 40.0),
+            ("throughput_per_s", throughput),
+            ("latency_p50_ms", latency),
+        ]
+    }
+
+    fn bench_diagnosis(baseline: &str, candidate: &str) -> Result<Diagnosis, String> {
+        let mut d = Diagnosis::default();
+        diagnose_bench(&mut d, baseline, candidate)?;
+        Ok(d)
+    }
+
+    #[test]
+    fn benchmark_json_declares_every_metric_with_a_direction() {
+        let specs = benchmark_specs().unwrap();
+        let bounded: Vec<&str> = specs
+            .iter()
+            .filter(|(_, _, bound)| bound.is_some())
+            .map(|(name, ..)| name.as_str())
+            .collect();
+        assert_eq!(
+            bounded,
+            [
+                "setup_s",
+                "peak_rss_mb",
+                "throughput_per_s",
+                "latency_p50_ms"
+            ]
+        );
+        assert!(specs
+            .iter()
+            .any(|(n, lower, _)| n == "throughput_per_s" && !lower));
+        assert!(specs
+            .iter()
+            .any(|(n, lower, _)| n == "latency_p50_ms" && *lower));
+    }
+
+    #[test]
+    fn end_to_end_regression_past_its_bound_is_fatal() {
+        let base = perfbench_out("eval_best_of_20", false, true, &end_to_end(600.0, 400.0));
+        // Throughput 30% lower, past its 25% bound in the worse direction.
+        let cand = perfbench_out("eval_best_of_20", false, true, &end_to_end(420.0, 400.0));
+        let d = bench_diagnosis(&base, &cand).unwrap();
+        assert!(d.fatal());
+        assert_eq!(d.bench_ok, Some(false));
+        let f: Vec<&Finding> = d
+            .findings
+            .iter()
+            .filter(|f| f.code == "bench-regression")
+            .collect();
+        assert_eq!(f.len(), 1);
+        assert!(
+            f[0].message.starts_with("throughput_per_s worse by 30.0%"),
+            "{}",
+            f[0].message
+        );
+        assert!(d
+            .render_text()
+            .contains("bench: REGRESSED on eval_best_of_20 --trace 0"));
+        // Without --manifest/--health there is no run to report on.
+        assert!(!d.render_text().contains("loss trajectory"));
+
+        // The same on a lower-is-better metric.
+        let cand = perfbench_out("eval_best_of_20", false, true, &end_to_end(600.0, 520.0));
+        let d = bench_diagnosis(&base, &cand).unwrap();
+        assert!(d.fatal());
+        assert!(d.findings[0]
+            .message
+            .starts_with("latency_p50_ms worse by 30.0%"));
+    }
+
+    #[test]
+    fn better_moves_and_moves_within_the_bound_are_ok() {
+        let base = perfbench_out("train_adaptraj", false, true, &end_to_end(600.0, 400.0));
+        // Far past the bound, but in the better direction.
+        let better = perfbench_out("train_adaptraj", false, true, &end_to_end(1200.0, 200.0));
+        // Worse, but by 20% and 24%, inside the 25% bound.
+        let within = perfbench_out("train_adaptraj", false, true, &end_to_end(480.0, 496.0));
+        for cand in [&base, &better, &within] {
+            let d = bench_diagnosis(&base, cand).unwrap();
+            assert!(!d.fatal(), "{}", d.render_text());
+            assert_eq!(d.bench_ok, Some(true));
+            assert!(d.render_text().contains("verdict: HEALTHY"));
+        }
+    }
+
+    #[test]
+    fn traced_pair_names_the_largest_per_layer_move() {
+        let base = perfbench_out(
+            "train_adaptraj",
+            true,
+            true,
+            &[
+                ("tensor.lstm_cell.fwd_ms", 400.0),
+                ("exec.worker_utilization", 0.9),
+                ("eval.remainder_ms", 250.0),
+                ("obs.trace_overhead_pct", 3.0),
+            ],
+        );
+        let cand = perfbench_out(
+            "train_adaptraj",
+            true,
+            true,
+            &[
+                // 10% worse; utilization 0.9 -> 0.6 is 33% worse (higher
+                // is better); the remainder halved, which is better; the
+                // overhead moved 9 points, 9% of the whole.
+                ("tensor.lstm_cell.fwd_ms", 440.0),
+                ("exec.worker_utilization", 0.6),
+                ("eval.remainder_ms", 125.0),
+                ("obs.trace_overhead_pct", 12.0),
+            ],
+        );
+        let d = bench_diagnosis(&base, &cand).unwrap();
+        // Per-layer metrics carry no bound: naming one is not fatal.
+        assert!(!d.fatal());
+        let m = d.bench_layer_move.as_ref().unwrap();
+        assert_eq!(m.name, "exec.worker_utilization");
+        assert!((m.worse_by - 1.0 / 3.0).abs() < 1e-12);
+        assert!(d
+            .render_text()
+            .contains("largest per-layer move: exec.worker_utilization worse by 33.3%"));
+        let json = Value::parse(&d.to_json()).unwrap();
+        let moved = json.get("bench_largest_layer_move").unwrap();
+        assert_eq!(
+            moved.get("metric").and_then(Value::as_str),
+            Some("exec.worker_utilization")
+        );
+        assert_eq!(moved.get("baseline").and_then(Value::as_f64), Some(0.9));
+    }
+
+    #[test]
+    fn incorrect_candidate_is_fatal() {
+        let base = perfbench_out("serve_closed_k1", false, true, &end_to_end(450.0, 3.5));
+        let cand = perfbench_out("serve_closed_k1", false, false, &end_to_end(450.0, 3.5));
+        let d = bench_diagnosis(&base, &cand).unwrap();
+        assert!(d.fatal());
+        assert_eq!(d.bench_ok, Some(false));
+        assert!(d
+            .findings
+            .iter()
+            .any(|f| f.code == "bench-incorrect" && f.message.contains("candidate")));
+        assert!(d.to_json().contains("\"bench_ok\":false"));
+    }
+
+    #[test]
+    fn mismatched_outputs_are_refused() {
+        let train = perfbench_out("train_adaptraj", false, true, &end_to_end(600.0, 400.0));
+        let eval = perfbench_out("eval_best_of_20", false, true, &end_to_end(600.0, 400.0));
+        let e = bench_diagnosis(&train, &eval).unwrap_err();
+        assert!(e.contains("not comparable"), "{e}");
+        let traced = perfbench_out("train_adaptraj", true, true, &end_to_end(600.0, 400.0));
+        let e = bench_diagnosis(&train, &traced).unwrap_err();
+        assert!(e.contains("not comparable"), "{e}");
+        let e = bench_diagnosis(&train, "throughput_per_s 1.0 1/s\n").unwrap_err();
+        assert!(e.contains("not perfbench output"), "{e}");
     }
 }

@@ -11,7 +11,6 @@
 //! * [`models`] — backbones (PECNet, LBEBM) and baselines (Counter, CausalMotion)
 //! * [`core`] — the AdapTraj framework itself
 //! * [`eval`] — metrics and experiment orchestration
-//! * [`bench`] — perf workloads, bench-document comparison, table binaries
 //! * [`exec`] — the data-parallel worker-pool executor behind `--workers N`
 //! * [`check`] — gradient verification, property harness, golden regression
 //! * [`serve`] — HTTP/JSON inference service with micro-batched execution
@@ -19,7 +18,6 @@
 pub mod cli;
 pub mod doctor;
 
-pub use adaptraj_bench as bench;
 pub use adaptraj_check as check;
 pub use adaptraj_core as core;
 pub use adaptraj_data as data;

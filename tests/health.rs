@@ -349,3 +349,21 @@ fn causal_motion_skips_non_finite_batches_and_honours_halt() {
     assert_eq!(incident.epoch, 0);
     assert!(!incident.phase.is_empty(), "incident missing phase path");
 }
+
+#[test]
+fn causal_motion_skips_a_non_finite_gradient_behind_a_finite_loss() {
+    let _g = LOCK.lock().unwrap();
+
+    // Op 100 on one worker poisons a value whose NaN reaches the
+    // gradient but not the loss: the loss guard alone lets it through,
+    // so the step must also be guarded on the gradient norm.
+    health::set_inject_nan(Some(100));
+    let (report, finite) = run_causal_motion_workload(1);
+    disarm();
+    assert!(finite, "a NaN gradient reached the parameters");
+    assert!(
+        report.non_finite_total() > 0,
+        "the poisoned batch was not counted"
+    );
+    assert_eq!(report.epochs.len(), 3);
+}
