@@ -9,8 +9,8 @@
 //! event carries `ph`/`ts`/`pid`/`tid`/`name`, and every complete
 //! (`"ph":"X"`) event has non-negative `ts` and `dur`. Each `--require
 //! NAME` additionally asserts that at least one complete event with that
-//! span name exists — CI requires `queue_wait`, `job_run`, and
-//! `grad_reduce` in a `run --trace-out` capture.
+//! span name exists — CI requires `queue_wait`, `job_run`, `grad_reduce`,
+//! `epoch` and `encode` in a `run --trace-out` capture.
 
 use adaptraj_obs::json::Value;
 use std::collections::BTreeMap;

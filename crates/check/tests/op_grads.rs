@@ -714,7 +714,7 @@ fn fixtures() -> Vec<Fixture> {
 fn every_op_kind_passes_fd_and_coverage_is_machine_checked() {
     profile::set_enabled(true);
     let snapshot = {
-        let _p = profile::phase("op_grads_coverage");
+        let _p = adaptraj_obs::span("op_grads_coverage");
         for (_, f) in fixtures() {
             f();
         }

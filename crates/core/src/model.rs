@@ -13,7 +13,7 @@ use adaptraj_models::config::TrainerConfig;
 use adaptraj_models::predictor::{cap_per_domain, Predictor, TrainReport};
 use adaptraj_models::traits::{sample_backbone, Backbone, ForwardCtx, GenMode};
 use adaptraj_models::Trainer;
-use adaptraj_obs::{health, obs_info, profile, LossComponents};
+use adaptraj_obs::{health, obs_info, span, LossComponents};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
@@ -269,12 +269,12 @@ impl<B: Backbone> Framework<B> {
             .expert_of(domain)
             .expect("training window from a non-source domain");
         let enc = {
-            let _p = profile::phase("encode");
+            let _p = span("encode");
             self.backbone.encode(store, ctx.tape, batch)
         };
         let expert = if masked { None } else { Some(domain_idx) };
         let (feats, distill, extra) = {
-            let _p = profile::phase("features");
+            let _p = span("features");
             let tape = &mut *ctx.tape;
             let feats = self.features(store, tape, &enc, expert);
             let distill = if masked && self.cfg.ablation.use_specific {
@@ -295,7 +295,7 @@ impl<B: Backbone> Framework<B> {
             (feats, distill, extra)
         };
         let (mut loss, backbone_val) = {
-            let _p = profile::phase("generate");
+            let _p = span("generate");
             let gen = self.backbone.generate(ctx, batch, &enc, Some(extra));
             let tape = &mut *ctx.tape;
             let mut loss = base_loss(tape, gen.pred, batch);
@@ -307,7 +307,7 @@ impl<B: Backbone> Framework<B> {
         };
         let tape = &mut *ctx.tape;
         let parts = {
-            let _p = profile::phase("aux_loss");
+            let _p = span("aux_loss");
             ours_loss_parts(
                 store,
                 tape,
@@ -490,7 +490,7 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
             rngs,
             k,
             |tape, enc| {
-                let _p = profile::phase("features");
+                let _p = span("features");
                 let feats = self.features(tape, enc, None);
                 Some(self.extra_features(tape, &feats))
             },

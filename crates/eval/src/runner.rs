@@ -11,7 +11,7 @@ use adaptraj_models::predictor::TrainReport;
 use adaptraj_models::{
     BackboneConfig, CausalMotion, Counter, Lbebm, PecNet, Predictor, TrainerConfig, Vanilla,
 };
-use adaptraj_obs::{Level, Span};
+use adaptraj_obs::{trace, Level};
 use adaptraj_tensor::Rng;
 use std::time::Instant;
 
@@ -270,9 +270,9 @@ pub fn evaluate(
     workers: usize,
 ) -> (EvalResult, f64) {
     assert!(!test.is_empty(), "empty test set");
-    // Flight-recorder lane: each window additionally records its own
-    // queue_wait/job_run spans via the pool's instrumentation.
-    let _tl = adaptraj_obs::timeline::span("evaluate", "eval");
+    // Ops of every window land under `evaluate/...`: the pool carries the
+    // span into each job, which also records its own queue_wait/job_run.
+    let _span = adaptraj_obs::span("evaluate");
     let pool = WorkerPool::new(workers);
     let results = pool
         .map(test, |i, w| {
@@ -297,11 +297,9 @@ pub fn evaluate(
 
 /// Trains and evaluates one cell end to end.
 pub fn run_cell(spec: &CellSpec, datasets: &[DomainDataset], cfg: &RunnerConfig) -> CellResult {
-    let mut span = Span::enter_at("eval.cell", "cell", Level::Info).with("label", spec.label());
+    let cell_start = Instant::now();
     let train = pooled_train(spec, datasets);
     let test = target_test(spec, datasets, cfg.eval_cap);
-    span.record("train_windows", train.len());
-    span.record("test_windows", test.len());
     let mut predictor = build_predictor(spec, cfg);
     let t0 = Instant::now();
     let report = predictor.fit(&train);
@@ -313,9 +311,23 @@ pub fn run_cell(spec: &CellSpec, datasets: &[DomainDataset], cfg: &RunnerConfig)
         cfg.eval_seed,
         cfg.trainer.workers,
     );
-    span.record("ade", eval.ade);
-    span.record("fde", eval.fde);
-    span.record("train_s", train_time_s);
+    trace::emit(
+        Level::Info,
+        "eval.cell",
+        "cell",
+        vec![
+            ("label", spec.label().into()),
+            ("train_windows", train.len().into()),
+            ("test_windows", test.len().into()),
+            ("ade", eval.ade.into()),
+            ("fde", eval.fde.into()),
+            ("train_s", train_time_s.into()),
+            (
+                "elapsed_ms",
+                (cell_start.elapsed().as_secs_f64() * 1e3).into(),
+            ),
+        ],
+    );
     CellResult {
         spec: spec.clone(),
         eval,

@@ -23,19 +23,21 @@
 //!   reported as a clean [`ExecError`], and the pool stays usable — no
 //!   deadlock, no poisoned state, remaining jobs still drain.
 //!
-//! The pool is intentionally oblivious to tensors, tapes, and profilers:
-//! callers own per-item state (a fresh `Tape`, a seeded `Rng`, a profiler
-//! phase re-entered inside the closure) and the pool only moves closures.
-//! The one observability hook the pool itself owns is the flight-recorder
-//! instrumentation around each job: when `obs::timeline` capture is on,
-//! every item records a `queue_wait` span (enqueue → start) and a
-//! `job_run` span (start → finish) on its worker's lane, and the pool
-//! publishes `exec.queue_depth` / `exec.worker_utilization` gauges into
-//! the global metrics registry. All of it is off-path: one relaxed atomic
-//! load per job when the timeline is disabled, and never any effect on
+//! The pool is intentionally oblivious to tensors and tapes: callers own
+//! per-item state (a fresh `Tape`, a seeded `Rng`) and the pool only
+//! moves closures. The observability it owns is the span context around
+//! each job: while the profiler is on, `map` captures the dispatcher's
+//! [`SpanPath`] once and every job re-enters it, so ops run on a worker
+//! attribute to the dispatcher's `obs::span` path with no code in the
+//! closure; while `obs::timeline` capture is on, every item records a
+//! `queue_wait` event (enqueue → start) and a `job_run` event (start →
+//! finish) on its worker's lane; and the pool publishes
+//! `exec.queue_depth` / `exec.worker_utilization` gauges into the global
+//! metrics registry. All of it is off-path: one relaxed atomic load per
+//! `map` and per job when capture is off, and never any effect on
 //! dispatch order or result order.
 
-use adaptraj_obs::{health, metrics, timeline};
+use adaptraj_obs::{health, metrics, timeline, SpanPath};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc;
@@ -73,6 +75,31 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
+}
+
+/// Runs one job on the calling thread inside the dispatcher's span path
+/// (`path`), recording its `queue_wait` and `job_run` timeline events
+/// when the job was enqueued with capture on (`enqueue_us`). A panic is
+/// caught and returned.
+fn run_job<O>(
+    path: Option<SpanPath>,
+    enqueue_us: Option<u64>,
+    i: usize,
+    job: impl FnOnce() -> O,
+) -> std::thread::Result<O> {
+    let item = Some(("item", i as u64));
+    let start_us = enqueue_us.map(|t0| {
+        timeline::record_span_since("queue_wait", t0, item);
+        timeline::now_us()
+    });
+    let r = {
+        let _path = path.map(SpanPath::enter);
+        catch_unwind(AssertUnwindSafe(job))
+    };
+    if let Some(t0) = start_us {
+        timeline::record_span_since("job_run", t0, item);
+    }
+    r
 }
 
 /// Pool-load bookkeeping published as global gauges. The raw counts are
@@ -192,6 +219,7 @@ impl WorkerPool {
         O: Send,
         F: Fn(usize, &I) -> O + Sync,
     {
+        let path = SpanPath::current();
         // Inline path: no threads, no channels — structurally the
         // sequential loop (used for `--workers 1` determinism baselines).
         // It still records the same span *set* as the channel path (the
@@ -203,12 +231,7 @@ impl WorkerPool {
                 let enqueue_us = timeline::timeline_enabled().then(timeline::now_us);
                 self.gauges.enqueued();
                 self.gauges.started();
-                if let Some(t0) = enqueue_us {
-                    timeline::record_span_since("queue_wait", "exec", t0, Some(("item", i as u64)));
-                }
-                let span = timeline::span_with_arg("job_run", "exec", ("item", i as u64));
-                let r = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-                drop(span);
+                let r = run_job(path, enqueue_us, i, || f(i, item));
                 self.gauges.finished();
                 // Inline jobs run in item order, so their health records
                 // can be absorbed directly — same sequence the channel
@@ -237,12 +260,7 @@ impl WorkerPool {
             gauges.enqueued();
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                 gauges.started();
-                if let Some(t0) = enqueue_us {
-                    timeline::record_span_since("queue_wait", "exec", t0, Some(("item", i as u64)));
-                }
-                let span = timeline::span_with_arg("job_run", "exec", ("item", i as u64));
-                let r = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-                drop(span);
+                let r = run_job(path, enqueue_us, i, || f(i, item));
                 gauges.finished();
                 // Health incidents buffered on this worker thread during
                 // the job travel back with the result, so the dispatcher
@@ -464,13 +482,48 @@ mod tests {
         }
     }
 
-    /// The timeline enable flag is process-global, so the two tests that
-    /// flip it serialize against each other.
-    static TIMELINE_LOCK: Mutex<()> = Mutex::new(());
+    /// The capture switches are process-global, so the tests that flip
+    /// them serialize against each other.
+    static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn capture_lock() -> std::sync::MutexGuard<'static, ()> {
+        CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    #[test]
+    fn jobs_attribute_their_ops_to_the_dispatchers_span() {
+        use adaptraj_obs::profile::{self, Dir};
+        let _guard = capture_lock();
+        profile::set_enabled(true);
+        for workers in [1, 4] {
+            profile::reset();
+            let pool = WorkerPool::new(workers);
+            let items: Vec<usize> = (0..16).collect();
+            {
+                let _s = adaptraj_obs::span("exec_dispatch");
+                // No re-entry code here: the pool carries the path.
+                pool.map(&items, |_, _| {
+                    profile::record_op("add", Dir::Forward, profile::op_timer(), 8)
+                })
+                .unwrap();
+            }
+            let snap = profile::snapshot();
+            let calls =
+                |s: &profile::ProfileSnapshot| -> u64 { s.entries.iter().map(|e| e.calls).sum() };
+            assert_eq!(calls(&snap), 16, "workers={workers}: {snap:?}");
+            assert_eq!(
+                calls(&snap.under("exec_dispatch")),
+                16,
+                "workers={workers}: ops left the dispatcher's span: {snap:?}"
+            );
+        }
+        profile::set_enabled(false);
+        profile::reset();
+    }
 
     #[test]
     fn map_records_queue_wait_and_job_run_spans_when_enabled() {
-        let _guard = TIMELINE_LOCK.lock().unwrap();
+        let _guard = capture_lock();
         // Concurrent tests in this binary may add spans while capture is
         // on, but every job records exactly one queue_wait and one
         // job_run, so the counts stay paired.
@@ -492,7 +545,7 @@ mod tests {
 
     #[test]
     fn disabled_timeline_records_nothing_from_map() {
-        let _guard = TIMELINE_LOCK.lock().unwrap();
+        let _guard = capture_lock();
         timeline::set_enabled(false);
         timeline::reset();
         let pool = WorkerPool::new(2);

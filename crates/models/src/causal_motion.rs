@@ -17,7 +17,7 @@ use crate::traits::{sample_backbone, Backbone, ForwardCtx};
 use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_exec::{window_seed, WorkerPool};
-use adaptraj_obs::{health, obs_warn, profile, EpochRecord, PhaseTiming};
+use adaptraj_obs::{health, obs_warn, span, EpochRecord, PhaseTiming};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{GradBuffer, ParamId, ParamStore, Rng, Tensor};
 
@@ -71,10 +71,10 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
         let seed = self.cfg.seed;
         let windows_trained = adaptraj_obs::global().counter("exec.windows_trained");
         let fit_start = std::time::Instant::now();
+        let _phase = span("train");
         for epoch in 0..self.cfg.epochs {
+            let _epoch = span("epoch").arg("epoch", epoch as u64);
             let epoch_start = std::time::Instant::now();
-            let _profile_phase = profile::phase("train");
-            let profile_path = profile::current_path().unwrap_or_default();
             let mut rec = EpochRecord::new(epoch, "train");
             let mut epoch_loss = 0.0;
             let mut seen = 0usize;
@@ -94,17 +94,16 @@ impl<B: Backbone> Predictor for CausalMotion<B> {
                 let backbone = &self.backbone;
                 let halves = [&batch[..mid], &batch[mid..]];
                 let mut jobs: Vec<(usize, WindowBatch<'_>)> = Vec::new();
-                for (half, span) in halves.iter().enumerate() {
-                    let keys: Vec<_> = span.iter().map(|&i| windows[i].domain).collect();
+                for (half, part) in halves.iter().enumerate() {
+                    let keys: Vec<_> = part.iter().map(|&i| windows[i].domain).collect();
                     for pos in keyed_jobs(&keys, MAX_WINDOWS_PER_JOB) {
-                        let ws = pos.iter().map(|&p| windows[span[p]]).collect();
-                        let ids = pos.iter().map(|&p| span[p] as u64).collect();
+                        let ws = pos.iter().map(|&p| windows[part[p]]).collect();
+                        let ids = pos.iter().map(|&p| part[p] as u64).collect();
                         jobs.push((half, WindowBatch::new(ws, ids)));
                     }
                 }
                 let results = pool
                     .map(&jobs, |_, (_, wb)| {
-                        let _p = profile::phase_at(&profile_path);
                         let _h = health::batch_scope(epoch as u64, wb.ids());
                         adaptraj_tensor::with_pooled(|tape| {
                             let mut rngs: Vec<Rng> = wb

@@ -19,7 +19,7 @@ use crate::trainer::Trainer;
 use crate::traits::{sample_passes, Backbone, ForwardCtx};
 use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
-use adaptraj_obs::{profile, LossComponents};
+use adaptraj_obs::{span, LossComponents};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{ParamStore, Rng, Tape};
 
@@ -122,7 +122,7 @@ impl<B: Backbone> Predictor for Counter<B> {
             batch.len(),
             k,
             |tape| {
-                let _p = profile::phase("encode");
+                let _p = span("encode");
                 (
                     backbone.encode(store, tape, batch),
                     backbone.encode(store, tape, &cf_batch),

@@ -30,7 +30,7 @@ use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOW
 use adaptraj_data::trajectory::TrajWindow;
 use adaptraj_exec::{window_seed, WorkerPool};
 use adaptraj_obs::{
-    health, obs_info, obs_warn, profile, timeline, EpochRecord, LossComponents, PhaseTiming, Span,
+    health, obs_info, obs_warn, span, trace, EpochRecord, Level, LossComponents, PhaseTiming,
 };
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::param::ParamId;
@@ -98,7 +98,7 @@ impl ComponentMeans {
 /// ```
 pub struct Trainer<'a> {
     cfg: &'a TrainerConfig,
-    phase: &'a str,
+    phase: &'static str,
     epoch_offset: usize,
 }
 
@@ -115,7 +115,7 @@ impl<'a> Trainer<'a> {
 
     /// Telemetry label for this run of the loop ("train" for single-phase
     /// methods; "step1"/"step2"/"step3" under the AdapTraj schedule).
-    pub fn phase(mut self, phase: &'a str) -> Self {
+    pub fn phase(mut self, phase: &'static str) -> Self {
         self.phase = phase;
         self
     }
@@ -177,15 +177,12 @@ impl<'a> Trainer<'a> {
                 domain_names.push(n);
             }
         }
+        // Ops of this run land under `<phase>/epoch`; the pool carries the
+        // path into every job.
+        let _phase = span(self.phase);
         for epoch in 0..cfg.epochs {
             let global_epoch = epoch + self.epoch_offset;
-            let mut span = Span::enter("models.fit", "epoch").with("epoch", global_epoch);
-            let _tl_epoch =
-                timeline::span_with_arg("epoch", "train", ("epoch", global_epoch as u64));
-            // Profiler attribution: ops in this epoch land under the
-            // loop's phase label; workers re-enter the same path.
-            let _profile_phase = profile::phase(self.phase);
-            let profile_path = profile::current_path().unwrap_or_default();
+            let _epoch = span("epoch").arg("epoch", global_epoch as u64);
             let epoch_start = Instant::now();
             let mut rec = EpochRecord::new(global_epoch, self.phase);
             let mut means = ComponentMeans::default();
@@ -221,7 +218,6 @@ impl<'a> Trainer<'a> {
                 // `per_batch` would unwind through a sequential loop.
                 let results = pool
                     .map(&jobs, |_, &(ref wb, key)| {
-                        let _p = profile::phase_at(&profile_path);
                         let _h = health::batch_scope(global_epoch as u64, wb.ids());
                         // The worker pool keeps its threads alive across
                         // batches, so in steady state every job replays onto
@@ -270,7 +266,7 @@ impl<'a> Trainer<'a> {
                 // loop for every worker count. The whole serialized
                 // section (absorb → clip → step) is one `grad_reduce`
                 // span on the dispatcher's timeline lane.
-                let tl_reduce = timeline::span("grad_reduce", "train");
+                let reduce = span("grad_reduce");
                 let mut buf = GradBuffer::new();
                 let inv_total = 1.0 / batch.len() as f32;
                 let seen_before = seen;
@@ -324,7 +320,7 @@ impl<'a> Trainer<'a> {
                     );
                 }
                 buf.recycle();
-                drop(tl_reduce);
+                drop(reduce);
                 if health::halt_requested() {
                     obs_warn!(
                         "models.fit",
@@ -340,8 +336,17 @@ impl<'a> Trainer<'a> {
             rec.components = means.components();
             rec.grad_norm = grad_norm_sum / batches.max(1) as f64;
             rec.duration_s = epoch_start.elapsed().as_secs_f64();
-            span.record("loss", rec.loss);
-            span.record("grad_norm", rec.grad_norm);
+            trace::emit(
+                Level::Debug,
+                "models.fit",
+                "epoch",
+                vec![
+                    ("epoch", global_epoch.into()),
+                    ("loss", rec.loss.into()),
+                    ("grad_norm", rec.grad_norm.into()),
+                    ("elapsed_ms", (rec.duration_s * 1e3).into()),
+                ],
+            );
             report.epoch_losses.push(mean_loss);
             // Optional plateau-based early stopping.
             let mut stop = false;

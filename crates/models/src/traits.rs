@@ -11,7 +11,7 @@ use crate::backbone::{base_loss, batch_pred_points, EncodedScene};
 use crate::config::BackboneConfig;
 use adaptraj_data::trajectory::Point;
 use adaptraj_data::WindowBatch;
-use adaptraj_obs::profile;
+use adaptraj_obs::span;
 use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
 /// Whether a generation pass is a training pass (posterior latents,
@@ -145,10 +145,10 @@ pub trait Backbone: Send + Sync {
     ) -> (Var, Var) {
         ctx.mode = GenMode::Train;
         let enc = {
-            let _p = profile::phase("encode");
+            let _p = span("encode");
             self.encode(ctx.store, ctx.tape, batch)
         };
-        let _p = profile::phase("generate");
+        let _p = span("generate");
         let gen = self.generate(ctx, batch, &enc, extra);
         let mut loss = base_loss(ctx.tape, gen.pred, batch);
         if let Some(aux) = gen.aux_loss {
@@ -185,7 +185,7 @@ pub fn sample_passes<P>(
         let shared = prefix(tape);
         let mark = tape.len();
         for _ in 0..k {
-            let _p = profile::phase("generate");
+            let _p = span("generate");
             let pred = pass(tape, &shared);
             for (track, points) in out.iter_mut().zip(batch_pred_points(tape.value(pred), b)) {
                 track.push(points);
@@ -215,7 +215,7 @@ pub fn sample_backbone<B: Backbone + ?Sized>(
         k,
         |tape| {
             let enc = {
-                let _p = profile::phase("encode");
+                let _p = span("encode");
                 backbone.encode(store, tape, batch)
             };
             let extra = condition(tape, &enc);

@@ -769,6 +769,17 @@ pub fn write_bundle(dir: &Path, manifest_json: Option<&str>, last_k: usize) -> s
     f.write_all(bundle.finish().as_bytes())
 }
 
+/// Reads a float field written by [`push_f64`](crate::json::push_f64):
+/// `null` stands for a non-finite value and reads back as NaN; a missing
+/// field reads as 0.0.
+fn f64_field(v: &Value, key: &str) -> f64 {
+    match v.get(key) {
+        Some(Value::Null) => f64::NAN,
+        Some(x) => x.as_f64().unwrap_or(0.0),
+        None => 0.0,
+    }
+}
+
 /// Parses one health JSONL line back into a [`HealthRecord`]. Header
 /// lines (and unknown record types) return `None`.
 pub fn parse_record(v: &Value) -> Option<HealthRecord> {
@@ -795,8 +806,8 @@ pub fn parse_record(v: &Value) -> Option<HealthRecord> {
                 len: v.get("len").and_then(Value::as_u64).unwrap_or(0),
                 nan_count: v.get("nan_count").and_then(Value::as_u64).unwrap_or(0),
                 inf_count: v.get("inf_count").and_then(Value::as_u64).unwrap_or(0),
-                max_abs: v.get("max_abs").and_then(Value::as_f64).unwrap_or(0.0),
-                mean_abs: v.get("mean_abs").and_then(Value::as_f64).unwrap_or(0.0),
+                max_abs: f64_field(v, "max_abs"),
+                mean_abs: f64_field(v, "mean_abs"),
             },
         })),
         Some("epoch") => {
@@ -823,7 +834,7 @@ pub fn parse_record(v: &Value) -> Option<HealthRecord> {
                     .iter()
                     .map(|d| DomainNorm {
                         domain: s(d, "domain"),
-                        grad_norm: d.get("grad_norm").and_then(Value::as_f64).unwrap_or(0.0),
+                        grad_norm: f64_field(d, "grad_norm"),
                     })
                     .collect(),
                 cosines: list("cosines")
@@ -831,14 +842,14 @@ pub fn parse_record(v: &Value) -> Option<HealthRecord> {
                     .map(|c| DomainCosine {
                         a: s(c, "a"),
                         b: s(c, "b"),
-                        cosine: c.get("cosine").and_then(Value::as_f64).unwrap_or(0.0),
+                        cosine: f64_field(c, "cosine"),
                     })
                     .collect(),
                 update_ratios: list("update_ratios")
                     .iter()
                     .map(|r| GroupRatio {
                         group: s(r, "group"),
-                        ratio: r.get("ratio").and_then(Value::as_f64).unwrap_or(0.0),
+                        ratio: f64_field(r, "ratio"),
                     })
                     .collect(),
             }))
@@ -1042,6 +1053,38 @@ mod tests {
         assert_eq!(snap.gauge("health.update_ratio.backbone"), Some(1e-3));
         set_enabled(false);
         reset();
+    }
+
+    #[test]
+    fn non_finite_values_read_back_as_nan() {
+        let rec = HealthRecord::Epoch(EpochHealth {
+            epoch: 1,
+            phase: "step1".into(),
+            domains: vec![DomainNorm {
+                domain: "eth_ucy".into(),
+                grad_norm: f64::NAN,
+            }],
+            cosines: vec![DomainCosine {
+                a: "eth_ucy".into(),
+                b: "l_cas".into(),
+                cosine: f64::NAN,
+            }],
+            update_ratios: vec![GroupRatio {
+                group: "backbone".into(),
+                ratio: 0.5,
+            }],
+        });
+        let line = rec.to_json();
+        assert!(line.contains(r#""grad_norm":null"#), "{line}");
+        let Some(HealthRecord::Epoch(back)) = parse_record(&Value::parse(&line).unwrap()) else {
+            panic!("epoch record did not parse: {line}");
+        };
+        assert!(back.domains[0].grad_norm.is_nan(), "{back:?}");
+        assert!(back.cosines[0].cosine.is_nan(), "{back:?}");
+        // Finite values and the labels still round-trip exactly.
+        assert_eq!(back.update_ratios[0].ratio, 0.5);
+        assert_eq!(back.domains[0].domain, "eth_ucy");
+        assert_eq!((back.epoch, back.phase.as_str()), (1, "step1"));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! the single [`record_op`] choke point, tagged with the op kind (`matmul`,
 //! `tanh`, ...), the direction ([`Dir::Forward`] at record time,
 //! [`Dir::Backward`] while the chain rule runs), the elapsed wall-clock,
-//! and the bytes allocated for the result value. Higher layers scope costs
-//! with [`phase`] guards (`profile::phase("step2")`), which nest into
-//! `/`-separated paths, so a `matmul` executed inside
-//! `bench/pecnet_adaptraj/step2` attributes to that phase and — via the
-//! inclusive rollup in [`ProfileSnapshot::by_phase`] — to every ancestor.
+//! and the bytes allocated for the result value. The phase of an op is
+//! the thread's [`span`](crate::span()) path: spans nest into
+//! `/`-separated paths, so a `matmul` executed inside `step2/epoch/encode`
+//! attributes to that phase and — via the inclusive rollup in
+//! [`ProfileSnapshot::by_phase`] — to every ancestor.
 //!
 //! Cost model: profiling is **off by default** and the hot path stays
 //! clean. [`op_timer`] is a single relaxed atomic load returning `None`,
@@ -20,31 +20,23 @@
 //! Threading: the phase stack is thread-local, but the aggregation cells
 //! and the interned phase-path table are process-global behind one mutex,
 //! so records from `adaptraj-exec` worker threads merge into the same
-//! snapshot automatically. A worker re-enters its dispatcher's phase by
-//! capturing [`current_path`] before the job is sent and calling
-//! [`phase_at`] inside it.
+//! snapshot automatically. Worker threads re-enter their dispatcher's
+//! path through [`SpanPath`](crate::span::SpanPath).
 
 use crate::json::{Arr, Obj};
+use crate::span::{capture, set_capture, PROFILE};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Schema tag of the JSON document produced by [`ProfileSnapshot::to_json`].
 pub const PROFILE_SCHEMA: &str = "adaptraj-profile/v1";
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns op recording on or off. Phases entered while disabled are not
-/// tracked; enable the profiler before entering the phases you care about.
+/// Turns op recording on or off. Spans entered while disabled are not
+/// tracked; enable the profiler before entering the spans you care about.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether op recording is currently on.
-pub fn profiling_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    set_capture(PROFILE, on);
 }
 
 /// Which half of autodiff an op sample belongs to.
@@ -71,7 +63,7 @@ pub struct OpTimer(Option<Instant>);
 /// Starts an op timer — one relaxed atomic load when profiling is off.
 #[inline]
 pub fn op_timer() -> OpTimer {
-    if ENABLED.load(Ordering::Relaxed) {
+    if capture() & PROFILE != 0 {
         OpTimer(Some(Instant::now()))
     } else {
         OpTimer(None)
@@ -85,14 +77,17 @@ struct Agg {
     bytes: u64,
 }
 
+/// Interned id of a full phase path; 0 is the root (unattributed) phase.
+pub(crate) type PhaseId = u32;
+
 struct State {
     /// Phase id → full `/`-joined path. Id 0 is the root (unattributed)
     /// phase with the empty path. Interned paths are never evicted —
     /// [`reset`] clears only the aggregation cells, so phase ids held by
-    /// live [`PhaseGuard`]s stay valid.
+    /// live spans stay valid.
     phase_paths: Vec<String>,
-    phase_ids: HashMap<String, u32>,
-    cells: HashMap<(u32, &'static str, Dir), Agg>,
+    phase_ids: HashMap<String, PhaseId>,
+    cells: HashMap<(PhaseId, &'static str, Dir), Agg>,
 }
 
 fn state() -> &'static Mutex<State> {
@@ -107,60 +102,60 @@ fn state() -> &'static Mutex<State> {
 }
 
 thread_local! {
-    static PHASE_STACK: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static PHASE_STACK: RefCell<Vec<PhaseId>> = const { RefCell::new(Vec::new()) };
 }
 
-fn current_phase() -> u32 {
+fn top() -> PhaseId {
     PHASE_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// Full `/`-joined path of the phase this thread is currently inside, or
-/// `None` at the root. Capture this before handing a job to a worker
-/// thread and re-enter it there with [`phase_at`].
-pub fn current_path() -> Option<String> {
-    let id = current_phase();
-    if id == 0 {
-        return None;
-    }
+/// The phase this thread is inside, or `None` at the root.
+pub(crate) fn current_phase() -> Option<PhaseId> {
+    Some(top()).filter(|&id| id != 0)
+}
+
+/// Full `/`-joined path of the phase this thread is inside, or `None` at
+/// the root (health incidents carry it).
+pub(crate) fn current_path() -> Option<String> {
+    let id = current_phase()?;
     let st = state().lock().expect("profiler poisoned");
     Some(st.phase_paths[id as usize].clone())
 }
 
-/// Enters an **absolute** `/`-joined phase path, ignoring this thread's
-/// current phase stack. Used by worker threads to attribute their ops to
-/// the dispatching thread's phase. Free (and untracked) while profiling
-/// is disabled or when `path` is empty.
-pub fn phase_at(path: &str) -> PhaseGuard {
-    // The phase doubles as a timeline span (named by its last segment so
-    // worker lanes show the same label the dispatcher's `phase` used).
-    let timeline = if path.is_empty() {
-        None
-    } else {
-        crate::timeline::phase_span(path.rsplit('/').next().unwrap_or(path))
-    };
-    if !profiling_enabled() || path.is_empty() {
-        return PhaseGuard {
-            pushed: false,
-            _timeline: timeline,
-        };
-    }
+/// Pushes `parent/name` (interned on first use) onto this thread's phase
+/// stack.
+pub(crate) fn push_child(name: &str) {
+    let parent = top();
     let id = {
         let mut st = state().lock().expect("profiler poisoned");
-        match st.phase_ids.get(path) {
+        let path = if parent == 0 {
+            name.to_string()
+        } else {
+            format!("{}/{}", st.phase_paths[parent as usize], name)
+        };
+        match st.phase_ids.get(&path) {
             Some(&id) => id,
             None => {
-                let id = st.phase_paths.len() as u32;
-                st.phase_paths.push(path.to_string());
-                st.phase_ids.insert(path.to_string(), id);
+                let id = st.phase_paths.len() as PhaseId;
+                st.phase_paths.push(path.clone());
+                st.phase_ids.insert(path, id);
                 id
             }
         }
     };
+    push(id);
+}
+
+/// Pushes an already interned phase (a path re-entered on a worker).
+pub(crate) fn push(id: PhaseId) {
     PHASE_STACK.with(|s| s.borrow_mut().push(id));
-    PhaseGuard {
-        pushed: true,
-        _timeline: timeline,
-    }
+}
+
+/// Leaves the innermost phase of this thread.
+pub(crate) fn pop() {
+    PHASE_STACK.with(|s| {
+        s.borrow_mut().pop();
+    });
 }
 
 /// The choke point every instrumented op reports through. A no-op when the
@@ -169,67 +164,12 @@ pub fn phase_at(path: &str) -> PhaseGuard {
 pub fn record_op(kind: &'static str, dir: Dir, timer: OpTimer, bytes: u64) {
     let Some(t0) = timer.0 else { return };
     let ns = t0.elapsed().as_nanos() as u64;
-    let phase = current_phase();
+    let phase = top();
     let mut st = state().lock().expect("profiler poisoned");
     let cell = st.cells.entry((phase, kind, dir)).or_default();
     cell.calls += 1;
     cell.total_ns += ns;
     cell.bytes += bytes;
-}
-
-/// Scope guard labelling all ops recorded on this thread until drop.
-/// Nested guards produce `parent/child` paths. When timeline capture is
-/// on, the guard also records the phase as a span on this thread's lane.
-#[must_use = "the phase ends when the guard drops"]
-#[derive(Debug)]
-pub struct PhaseGuard {
-    pushed: bool,
-    _timeline: Option<crate::timeline::SpanHandle>,
-}
-
-/// Enters a profiling phase. Free (and untracked) while profiling is
-/// disabled.
-pub fn phase(label: &str) -> PhaseGuard {
-    let timeline = crate::timeline::phase_span(label);
-    if !profiling_enabled() {
-        return PhaseGuard {
-            pushed: false,
-            _timeline: timeline,
-        };
-    }
-    let parent = current_phase();
-    let id = {
-        let mut st = state().lock().expect("profiler poisoned");
-        let path = if st.phase_paths[parent as usize].is_empty() {
-            label.to_string()
-        } else {
-            format!("{}/{}", st.phase_paths[parent as usize], label)
-        };
-        match st.phase_ids.get(&path) {
-            Some(&id) => id,
-            None => {
-                let id = st.phase_paths.len() as u32;
-                st.phase_paths.push(path.clone());
-                st.phase_ids.insert(path, id);
-                id
-            }
-        }
-    };
-    PHASE_STACK.with(|s| s.borrow_mut().push(id));
-    PhaseGuard {
-        pushed: true,
-        _timeline: timeline,
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            PHASE_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
 }
 
 /// Clears every aggregation cell (interned phase paths are kept — see
@@ -506,17 +446,8 @@ impl ProfileSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{span, test_lock};
     use std::time::Duration;
-
-    /// The profiler is process-global; tests that flip the enable bit
-    /// serialize on this lock so they cannot clobber each other.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static L: OnceLock<Mutex<()>> = OnceLock::new();
-        match L.get_or_init(|| Mutex::new(())).lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
 
     fn burn(d: Duration) -> OpTimer {
         let t = op_timer();
@@ -540,10 +471,10 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _outer = phase("t_outer");
+            let _outer = span("t_outer");
             record_op("add", Dir::Forward, burn(Duration::from_millis(1)), 64);
             {
-                let _inner = phase("inner");
+                let _inner = span("inner");
                 record_op("matmul", Dir::Forward, burn(Duration::from_millis(1)), 256);
                 record_op("matmul", Dir::Backward, burn(Duration::from_millis(1)), 0);
             }
@@ -582,7 +513,7 @@ mod tests {
         let _g = test_lock();
         set_enabled(true);
         reset();
-        let _p = phase("t_reset");
+        let _p = span("t_reset");
         record_op("mul", Dir::Forward, op_timer(), 8);
         reset();
         assert!(snapshot().under("t_reset").entries.is_empty());
@@ -596,65 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_records_merge_under_dispatcher_phase() {
-        let _g = test_lock();
-        set_enabled(true);
-        reset();
-        {
-            let _outer = phase("t_merge");
-            let path = current_path().expect("inside a phase");
-            assert_eq!(path, "t_merge");
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let path = path.clone();
-                    std::thread::spawn(move || {
-                        let _p = phase_at(&path);
-                        record_op("add", Dir::Forward, op_timer(), 16);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            record_op("add", Dir::Forward, op_timer(), 16);
-        }
-        set_enabled(false);
-        let snap = snapshot().under("t_merge");
-        // All four records (3 worker threads + dispatcher) land in the
-        // same cell because the phase-path table is process-global.
-        assert_eq!(snap.entries.len(), 1);
-        assert_eq!(snap.entries[0].calls, 4);
-        assert_eq!(snap.entries[0].bytes, 64);
-        reset();
-    }
-
-    #[test]
-    fn phase_at_is_inert_at_root_or_disabled() {
-        let _g = test_lock();
-        set_enabled(false);
-        reset();
-        assert!(current_path().is_none());
-        {
-            let _p = phase_at("t_inert");
-            record_op("add", Dir::Forward, op_timer(), 1);
-        }
-        set_enabled(true);
-        {
-            let _p = phase_at("");
-            record_op("add", Dir::Forward, op_timer(), 1);
-        }
-        set_enabled(false);
-        assert!(snapshot().under("t_inert").entries.is_empty());
-        reset();
-    }
-
-    #[test]
     fn json_and_table_render() {
         let _g = test_lock();
         set_enabled(true);
         reset();
         {
-            let _p = phase("t_json");
+            let _p = span("t_json");
             record_op("tanh", Dir::Forward, op_timer(), 100);
         }
         set_enabled(false);

@@ -18,9 +18,10 @@
 //!
 //! The server is intentionally tiny (one thread, `Connection: close`, no
 //! keep-alive, no TLS): it exists so a human or a Prometheus scraper can
-//! watch a training/bench run live, and is the skeleton `adaptraj-serve`
-//! (ROADMAP item 3) will mount its predict routes on. Binding port 0
-//! picks a free port; [`TelemetryServer::local_addr`] reports it.
+//! watch a training/bench run live. The predict server in
+//! `adaptraj-serve` shares its request parsing and response writing
+//! ([`crate::http`]) but runs its own accept loop and route match. Binding
+//! port 0 picks a free port; [`TelemetryServer::local_addr`] reports it.
 //!
 //! [`ProfileSnapshot`]: crate::profile::ProfileSnapshot
 
@@ -243,7 +244,7 @@ mod tests {
     #[test]
     fn sanitize_maps_dots_and_leading_digits() {
         assert_eq!(sanitize("exec.queue_depth"), "exec_queue_depth");
-        assert_eq!(sanitize("span.fit_ms"), "span_fit_ms");
+        assert_eq!(sanitize("tensor.backward_ms"), "tensor_backward_ms");
         assert_eq!(sanitize("9lives"), "_9lives");
         assert_eq!(sanitize("a:b_c1"), "a:b_c1");
     }

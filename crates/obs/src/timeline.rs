@@ -1,4 +1,4 @@
-//! Execution-timeline flight recorder: typed spans on per-thread event
+//! Execution-timeline flight recorder: spans on per-thread event
 //! buffers, exported as Chrome trace-event JSON (loadable in Perfetto or
 //! `chrome://tracing`) and as folded stacks (flamegraph format) derived
 //! from the phase profiler.
@@ -6,17 +6,17 @@
 //! Where the [`profile`](crate::profile) module answers "how much total
 //! time did op/phase X cost", the timeline answers "*when* did each worker
 //! do what": every `adaptraj-exec` job records `queue_wait` and `job_run`
-//! spans on its worker's lane, the trainer records `grad_reduce` around
-//! the serialized gradient-reduction + optimizer-step section, and every
-//! profiler phase guard doubles as a timeline span — so the Perfetto view
-//! shows one lane per worker with the full nesting of phases inside jobs.
+//! spans on its worker's lane, and every [`span`](crate::span()) guard —
+//! `epoch`, `grad_reduce`, `evaluate`, `encode`, ... — records one event
+//! on the lane of the thread that entered it, so the Perfetto view shows
+//! one lane per worker with the nesting of spans inside jobs.
 //!
 //! Cost model (same contract as the profiler): capture is **off by
 //! default**, and a disabled recorder costs a single relaxed atomic load
 //! per span site — no clock read, no allocation. When enabled, each span
-//! pays two `Instant::now` reads and a push onto its thread's buffer; the
-//! buffer mutex is per-thread and only contended by [`snapshot`]/[`reset`],
-//! so recording never serializes worker threads against each other.
+//! pays two clock reads and a push onto its thread's buffer; the buffer
+//! mutex is per-thread and only contended by [`snapshot`]/[`reset`], so
+//! recording never serializes worker threads against each other.
 //! Recording observes wall-clock only — it never touches RNG streams or
 //! reduction order, so the bit-identity determinism contract is unaffected.
 //!
@@ -26,25 +26,23 @@
 
 use crate::json::{Arr, Obj};
 use crate::profile::{Dir, ProfileSnapshot};
-use std::borrow::Cow;
+use crate::span::{capture, set_capture, TIMELINE};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns timeline capture on or off. Spans started while disabled are not
 /// recorded; enable the recorder before the run you want to trace.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    set_capture(TIMELINE, on);
 }
 
 /// Whether timeline capture is currently on — one relaxed atomic load.
 #[inline]
 pub fn timeline_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    capture() & TIMELINE != 0
 }
 
 /// The process-wide monotonic epoch all timeline timestamps count from.
@@ -63,11 +61,9 @@ pub fn now_us() -> u64 {
 /// One completed span on a thread's lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Span name (`queue_wait`, `job_run`, `grad_reduce`, or a profiler
-    /// phase label).
-    pub name: Cow<'static, str>,
-    /// Chrome-trace category (`exec`, `train`, `eval`, `phase`).
-    pub cat: &'static str,
+    /// Span name (`queue_wait`, `job_run`, or a [`span`](crate::span())
+    /// name).
+    pub name: &'static str,
     /// Start, µs since the timeline epoch.
     pub start_us: u64,
     /// Duration in µs.
@@ -120,99 +116,24 @@ fn thread_buf() -> Arc<ThreadBuf> {
     })
 }
 
-/// Appends a completed event to the calling thread's lane. Guards created
-/// while capture was enabled record unconditionally, so spans alive when
-/// capture is switched off still complete.
-fn record(event: TimelineEvent) {
-    let buf = thread_buf();
-    buf.events
+/// Records, on the calling thread's lane, a span that started at
+/// `start_us` (captured with [`now_us`]) and ends now. Spans whose start
+/// and end happen on different threads, like a job's enqueue→start queue
+/// wait, use it directly; [`span`](crate::span()) guards close through
+/// it. It records unconditionally, so a span started while capture was on
+/// still completes after capture is switched off.
+pub fn record_span_since(name: &'static str, start_us: u64, arg: Option<(&'static str, u64)>) {
+    let dur_us = now_us().saturating_sub(start_us);
+    thread_buf()
+        .events
         .lock()
         .expect("timeline buffer poisoned")
-        .push(event);
-}
-
-/// Records a span that started at `start_us` (captured with [`now_us`])
-/// and ends now — for spans whose start and end happen on different
-/// threads, like a job's enqueue→start queue wait.
-pub fn record_span_since(
-    name: &'static str,
-    cat: &'static str,
-    start_us: u64,
-    arg: Option<(&'static str, u64)>,
-) {
-    let dur_us = now_us().saturating_sub(start_us);
-    record(TimelineEvent {
-        name: Cow::Borrowed(name),
-        cat,
-        start_us,
-        dur_us,
-        arg,
-    });
-}
-
-/// Scope guard recording one span on the current thread's lane when it
-/// drops. Obtained from [`span`]/[`span_with_arg`]/[`phase_span`], which
-/// return `None` while capture is disabled — bind the `Option` itself
-/// (`let _s = timeline::span(..)`).
-#[must_use = "the span is recorded when the guard drops"]
-#[derive(Debug)]
-pub struct SpanHandle {
-    name: Cow<'static, str>,
-    cat: &'static str,
-    start_us: u64,
-    arg: Option<(&'static str, u64)>,
-}
-
-impl Drop for SpanHandle {
-    fn drop(&mut self) {
-        let dur_us = now_us().saturating_sub(self.start_us);
-        record(TimelineEvent {
-            name: std::mem::replace(&mut self.name, Cow::Borrowed("")),
-            cat: self.cat,
-            start_us: self.start_us,
+        .push(TimelineEvent {
+            name,
+            start_us,
             dur_us,
-            arg: self.arg,
+            arg,
         });
-    }
-}
-
-/// Starts a span; `None` (one relaxed load) while capture is disabled.
-#[inline]
-pub fn span(name: &'static str, cat: &'static str) -> Option<SpanHandle> {
-    timeline_enabled().then(|| SpanHandle {
-        name: Cow::Borrowed(name),
-        cat,
-        start_us: now_us(),
-        arg: None,
-    })
-}
-
-/// Starts a span carrying one numeric argument (e.g. `("item", i)`).
-#[inline]
-pub fn span_with_arg(
-    name: &'static str,
-    cat: &'static str,
-    arg: (&'static str, u64),
-) -> Option<SpanHandle> {
-    timeline_enabled().then(|| SpanHandle {
-        name: Cow::Borrowed(name),
-        cat,
-        start_us: now_us(),
-        arg: Some(arg),
-    })
-}
-
-/// Starts a span for a profiler phase label (category `phase`). Called by
-/// `profile::phase`/`phase_at` so every profiled phase shows up as a lane
-/// span too.
-#[inline]
-pub fn phase_span(label: &str) -> Option<SpanHandle> {
-    timeline_enabled().then(|| SpanHandle {
-        name: Cow::Owned(label.to_string()),
-        cat: "phase",
-        start_us: now_us(),
-        arg: None,
-    })
 }
 
 /// Clears every thread's buffer (thread lanes and their ids survive, like
@@ -301,8 +222,7 @@ impl TimelineSnapshot {
             for e in &lane.events {
                 let mut obj = Obj::new()
                     .str("ph", "X")
-                    .str("name", &e.name)
-                    .str("cat", e.cat)
+                    .str("name", e.name)
                     .u64("ts", e.start_us)
                     .u64("dur", e.dur_us)
                     .u64("pid", 1)
@@ -351,27 +271,7 @@ mod tests {
     use super::*;
     use crate::json::Value;
     use crate::profile::ProfileEntry;
-
-    /// The recorder is process-global; tests that flip the enable bit or
-    /// reset buffers serialize on this lock.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static L: OnceLock<Mutex<()>> = OnceLock::new();
-        match L.get_or_init(|| Mutex::new(())).lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    #[test]
-    fn disabled_recorder_returns_no_guards_and_records_nothing() {
-        let _g = test_lock();
-        set_enabled(false);
-        reset();
-        assert!(span("job_run", "exec").is_none());
-        assert!(span_with_arg("job_run", "exec", ("item", 1)).is_none());
-        assert!(phase_span("train").is_none());
-        assert!(snapshot().is_empty());
-    }
+    use crate::span::{span, test_lock};
 
     #[test]
     fn spans_record_with_monotonic_nonnegative_durations() {
@@ -379,12 +279,12 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _outer = phase_span("tl_outer");
-            let _inner = span_with_arg("job_run", "exec", ("item", 3));
+            let _outer = span("tl_outer");
+            let _inner = span("job_run").arg("item", 3);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let t0 = now_us();
-        record_span_since("queue_wait", "exec", t0, Some(("item", 3)));
+        record_span_since("queue_wait", t0, Some(("item", 3)));
         set_enabled(false);
         let snap = snapshot();
         assert_eq!(snap.len(), 3);
@@ -414,13 +314,13 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _main = span("dispatch", "exec");
+            let _main = span("dispatch");
             let handles: Vec<_> = (0..2)
                 .map(|i| {
                     std::thread::Builder::new()
                         .name(format!("tl-worker-{i}"))
                         .spawn(|| {
-                            let _s = span("job_run", "exec");
+                            let _s = span("job_run");
                         })
                         .unwrap()
                 })
@@ -445,7 +345,7 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _s = span_with_arg("job_run", "exec", ("item", 7));
+            let _s = span("job_run").arg("item", 7);
         }
         set_enabled(false);
         let trace = snapshot().to_chrome_trace();
@@ -466,7 +366,6 @@ mod tests {
             .find(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .expect("one complete event");
         assert_eq!(x.get("name").and_then(Value::as_str), Some("job_run"));
-        assert_eq!(x.get("cat").and_then(Value::as_str), Some("exec"));
         assert!(x.get("dur").and_then(Value::as_u64).is_some());
         assert_eq!(
             x.get("args")

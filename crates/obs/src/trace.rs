@@ -1,4 +1,4 @@
-//! Level-filtered tracing with pluggable sinks and scoped span timers.
+//! Level-filtered tracing with pluggable sinks.
 //!
 //! Design constraints (see DESIGN.md "Observability"):
 //!
@@ -9,17 +9,16 @@
 //!   enabled [`Event`]. The workspace ships a stderr pretty-printer
 //!   ([`StderrSink`]) and a JSONL file writer ([`JsonlSink`]); tests
 //!   install capture sinks.
-//! * **Spans are measurements** — a [`Span`] emits a completion event with
-//!   its wall-clock duration *and* records the duration into a global
-//!   histogram metric named `span.<name>_ms`, so p50/p90/p99 of every hot
-//!   path fall out of the metrics dump for free.
+//!
+//! Timing scopes are [`span`](crate::span())s, which feed the profiler
+//! and the flight recorder; an event that reports a duration carries it
+//! as an ordinary field.
 
 use crate::json::Obj;
-use crate::metrics;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Verbosity levels, most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -125,8 +124,6 @@ pub struct Event {
     pub target: &'static str,
     pub message: String,
     pub fields: Vec<(&'static str, FieldValue)>,
-    /// Span duration, present on span-completion events.
-    pub elapsed_ms: Option<f64>,
     /// Milliseconds since the Unix epoch at emission.
     pub ts_ms: u64,
 }
@@ -145,17 +142,14 @@ impl Event {
                 FieldValue::Bool(x) => fields.bool(k, *x),
             };
         }
-        let mut obj = Obj::new()
+        Obj::new()
             .str("type", "event")
             .u64("ts_ms", self.ts_ms)
             .str("level", self.level.as_str())
             .str("target", self.target)
             .str("msg", &self.message)
-            .raw("fields", &fields.finish());
-        if let Some(e) = self.elapsed_ms {
-            obj = obj.f64("elapsed_ms", e);
-        }
-        obj.finish()
+            .raw("fields", &fields.finish())
+            .finish()
     }
 }
 
@@ -233,78 +227,12 @@ pub fn emit(
         target,
         message: message.into(),
         fields,
-        elapsed_ms: None,
         ts_ms: now_ms(),
     });
 }
 
-/// Scoped wall-clock timer. On drop it emits a completion event (at the
-/// span's level) and records the duration into the `span.<name>_ms`
-/// histogram of the global metrics registry.
-#[derive(Debug)]
-pub struct Span {
-    target: &'static str,
-    name: &'static str,
-    level: Level,
-    start: Instant,
-    fields: Vec<(&'static str, FieldValue)>,
-}
-
-impl Span {
-    /// Enters a span at `Level::Debug`.
-    pub fn enter(target: &'static str, name: &'static str) -> Span {
-        Span::enter_at(target, name, Level::Debug)
-    }
-
-    pub fn enter_at(target: &'static str, name: &'static str, level: Level) -> Span {
-        Span {
-            target,
-            name,
-            level,
-            start: Instant::now(),
-            fields: Vec::new(),
-        }
-    }
-
-    /// Attaches a field (builder style).
-    pub fn with(mut self, key: &'static str, value: impl Into<FieldValue>) -> Span {
-        self.fields.push((key, value.into()));
-        self
-    }
-
-    /// Attaches a field after entry (e.g. a result computed inside the
-    /// span).
-    pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        self.fields.push((key, value.into()));
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let elapsed = self.elapsed_ms();
-        metrics::global()
-            .histogram(&format!("span.{}_ms", self.name))
-            .record(elapsed);
-        if enabled(self.level) {
-            dispatch(Event {
-                level: self.level,
-                target: self.target,
-                message: self.name.to_string(),
-                fields: std::mem::take(&mut self.fields),
-                elapsed_ms: Some(elapsed),
-                ts_ms: now_ms(),
-            });
-        }
-    }
-}
-
 /// Pretty-printer sink for interactive runs:
-/// `12:03:04.512 INFO  eval.cell finished ade=0.41 (1234.5ms)`.
+/// `12:03:04.512 INFO  eval.cell cell ade=0.4100 elapsed_ms=1234.5000`.
 #[derive(Debug, Default)]
 pub struct StderrSink;
 
@@ -332,9 +260,6 @@ impl Sink for StderrSink {
                 FieldValue::Bool(x) => x.to_string(),
             };
             line.push_str(&format!(" {k}={rendered}"));
-        }
-        if let Some(el) = e.elapsed_ms {
-            line.push_str(&format!(" ({el:.1}ms)"));
         }
         eprintln!("{line}");
     }
@@ -492,31 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn span_emits_completion_with_elapsed() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let cap = CaptureSink::new();
-        clear_sinks();
-        add_sink(cap.clone());
-        set_max_level(Level::Debug);
-        {
-            let mut sp = Span::enter("test", "unit_span").with("k", 1u64);
-            sp.record("r", 2.0f64);
-        }
-        clear_sinks();
-        set_max_level(Level::Info);
-        let evs = cap.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].message, "unit_span");
-        assert!(evs[0].elapsed_ms.is_some());
-        assert_eq!(evs[0].fields.len(), 2);
-        // The span duration also landed in the metrics registry.
-        let snap = crate::metrics::global()
-            .histogram("span.unit_span_ms")
-            .snapshot();
-        assert!(snap.count >= 1);
-    }
-
-    #[test]
     fn event_json_has_stable_schema() {
         let e = Event {
             level: Level::Info,
@@ -526,12 +426,11 @@ mod tests {
                 ("epoch", FieldValue::U64(3)),
                 ("loss", FieldValue::F64(0.5)),
             ],
-            elapsed_ms: Some(12.5),
             ts_ms: 1700000000000,
         };
         assert_eq!(
             e.to_json(),
-            r#"{"type":"event","ts_ms":1700000000000,"level":"info","target":"train.epoch","msg":"epoch done","fields":{"epoch":3,"loss":0.5},"elapsed_ms":12.5}"#
+            r#"{"type":"event","ts_ms":1700000000000,"level":"info","target":"train.epoch","msg":"epoch done","fields":{"epoch":3,"loss":0.5}}"#
         );
     }
 }

@@ -3,7 +3,7 @@
 //! schema golden.
 
 use adaptraj_obs::{
-    add_sink, clear_sinks, emit, set_max_level, FieldValue, JsonlSink, Level, Registry, Sink, Span,
+    add_sink, clear_sinks, emit, set_max_level, FieldValue, JsonlSink, Level, Registry, Sink,
 };
 use std::sync::Arc;
 
@@ -109,9 +109,12 @@ fn jsonl_sink_writes_the_documented_schema() {
                 ("loss", FieldValue::F64(0.25)),
             ],
         );
-        {
-            let _span = Span::enter("test.golden", "work").with("n", 7u64);
-        }
+        emit(
+            Level::Debug,
+            "test.golden",
+            "work",
+            vec![("n", 7u64.into()), ("elapsed_ms", 12.5.into())],
+        );
         sink.write_raw_line(r#"{"type":"counter","name":"demo","value":1}"#);
         clear_sinks();
         set_max_level(Level::Info);
@@ -120,7 +123,7 @@ fn jsonl_sink_writes_the_documented_schema() {
     let text = std::fs::read_to_string(&path).expect("read jsonl back");
     std::fs::remove_file(&path).ok();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "event + span + raw metric line: {text}");
+    assert_eq!(lines.len(), 3, "two events + raw metric line: {text}");
 
     // Line 1: the emitted event, with the full stable field set.
     assert!(
@@ -136,9 +139,10 @@ fn jsonl_sink_writes_the_documented_schema() {
         lines[0]
     );
 
-    // Line 2: the span completion carries elapsed_ms.
+    // Line 2: a debug event passes the debug filter; a duration is an
+    // ordinary field.
     assert!(
-        lines[1].contains(r#""msg":"work","fields":{"n":7},"elapsed_ms":"#),
+        lines[1].contains(r#""msg":"work","fields":{"n":7,"elapsed_ms":12.5}}"#),
         "{}",
         lines[1]
     );

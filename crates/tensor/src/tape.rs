@@ -1948,7 +1948,7 @@ mod tests {
         use adaptraj_obs::profile;
         profile::set_enabled(true);
         let snapshot = {
-            let _phase = profile::phase("tape_test");
+            let _phase = adaptraj_obs::span("tape_test");
             let mut tape = Tape::new();
             let x = tape.input(Tensor::row(&[1.0, 2.0, 3.0]));
             let w = tape.constant(Tensor::col(&[1.0, 0.5, 2.0]));

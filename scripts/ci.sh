@@ -157,13 +157,22 @@ wait "$flood_pid" || { echo "flood serve exited nonzero"; cat target/serve_flood
 step "flight-recorder smoke (run --trace-out + Chrome trace validation)"
 # Tiny training run with the execution timeline enabled, then validate
 # the emitted Chrome trace document: required keys (ph/ts/pid/tid/name),
-# non-negative timestamps/durations, and the executor + trainer span set.
+# non-negative timestamps/durations, and the executor + trainer + model
+# span set. Every profiled op must sit under some span (train, evaluate,
+# ...): an `(unattributed)` folded stack means a job lost its
+# dispatcher's span path.
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method vanilla --sources eth_ucy --target l_cas \
     --epochs 1 --workers 2 --trace-out target/trace_ci.json || fail=1
 cargo run --release --offline -p adaptraj-bench --bin trace_check -- \
     target/trace_ci.json \
-    --require queue_wait --require job_run --require grad_reduce || fail=1
+    --require queue_wait --require job_run --require grad_reduce \
+    --require epoch --require encode || fail=1
+if grep -q '^(unattributed)' target/trace_ci.json.folded; then
+    echo "unattributed ops in target/trace_ci.json.folded:"
+    grep '^(unattributed)' target/trace_ci.json.folded
+    fail=1
+fi
 
 step "telemetry endpoint smoke (/metrics + /healthz scrape)"
 # Binds port 0, scrapes /metrics (Prometheus text incl. p999 quantiles),

@@ -513,11 +513,13 @@ OBSERVABILITY (run):
                       gradient norms, phase timings, eval summary)
   --profile-out FILE  enable the op-level profiler and write a per-op/per-phase
                       breakdown JSON (adaptraj-profile/v1)
-  --trace-out FILE    enable the flight-recorder timeline and write a Chrome
-                      trace-event JSON (open in Perfetto / chrome://tracing;
-                      one lane per worker with queue_wait / job_run /
-                      grad_reduce / phase spans) plus FILE.folded with
-                      flamegraph folded stacks from the phase profiler
+  --trace-out FILE    enable the flight-recorder timeline and the profiler and
+                      write a Chrome trace-event JSON (open in Perfetto /
+                      chrome://tracing; one lane per worker with queue_wait /
+                      job_run events and one event per span: step1..3 or
+                      train, epoch, grad_reduce, evaluate, encode, ...) plus
+                      FILE.folded with flamegraph folded stacks keyed by
+                      span path (e.g. step1;epoch;encode;lstm_cell.fwd)
   --telemetry-addr A  serve live telemetry over HTTP while the command runs:
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);

@@ -964,6 +964,23 @@ mod tests {
     }
 
     #[test]
+    fn conflict_ranking_from_a_file_matches_the_in_memory_ranking() {
+        // A non-finite cosine is written as `null`; read back, it must
+        // still be skipped, not averaged in as 0.0.
+        let recs = vec![
+            epoch_rec(0, -0.4),
+            epoch_rec(1, f64::NAN),
+            epoch_rec(2, -0.2),
+        ];
+        let in_memory = diagnose(None, &recs).conflicts;
+        let text = health::render_jsonl(&recs, 123);
+        let from_file = diagnose(None, &parse_health_jsonl(&text).unwrap()).conflicts;
+        assert_eq!(from_file, in_memory);
+        assert_eq!(in_memory[0].epochs, 2);
+        assert!((in_memory[0].mean_cosine - (-0.3)).abs() < 1e-12);
+    }
+
+    #[test]
     fn wrong_schemas_are_rejected() {
         assert!(parse_health_jsonl("{\"schema\":\"nope/v1\"}\n").is_err());
         assert!(parse_manifest("{\"schema\":\"nope/v1\"}").is_err());

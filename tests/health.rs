@@ -204,10 +204,14 @@ fn injected_nan_is_attributed_and_doctor_flags_it() {
     assert_eq!(first.op, incident.op);
     assert_eq!(first.phase, incident.phase);
 
-    // The JSONL stream round-trips the incident.
+    // The JSONL stream round-trips the incident. A non-finite value is
+    // written as `null` and reads back as NaN, so compare NaN-aware: the
+    // Debug form prints NaN as `NaN` and every other f64 in its exact
+    // shortest round-trip form, so equal renderings mean NaN matched NaN
+    // and every other field matched exactly.
     let text = health::render_jsonl(&records, 0);
     let back = parse_health_jsonl(&text).unwrap();
-    assert_eq!(back, records);
+    assert_eq!(format!("{back:?}"), format!("{records:?}"));
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! bit-identical to the offline eval path no matter how many other
 //! requests were coalesced into the same micro-batch; coalescing
 //! respects `MAX_WINDOWS_PER_JOB`; admission control answers a
-//! structured 503; and a checkpoint hot-reload never serves a torn
-//! model.
+//! structured 503; a checkpoint hot-reload never serves a torn
+//! model; and the failure paths — a wrong-architecture checkpoint on
+//! reload, a client that hangs up mid-batch — leave the server healthy.
 //!
 //! Every test starts its own server on an ephemeral port, so tests are
 //! independent (the metrics registry is process-global but only ever
@@ -64,6 +65,24 @@ fn http_post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
+    )
+    .expect("send request");
+    let mut out = String::new();
+    stream.read_to_string(&mut out).expect("read response");
+    let status: u16 = out
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("unparseable response: {out:.120}"));
+    let body = out.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
+    (status, body)
+}
+
+fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect serve endpoint");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
     )
     .expect("send request");
     let mut out = String::new();
@@ -391,4 +410,131 @@ fn hot_reload_never_serves_a_torn_model() {
             flips
         );
     }
+}
+
+/// A checkpoint from another architecture (PECNet-AdapTraj parameters
+/// offered to a PECNet-vanilla server) is refused with a structured 400,
+/// counted, and changes nothing: same model version, same bits.
+#[test]
+fn reload_of_a_wrong_architecture_checkpoint_keeps_the_old_model() {
+    let ckpt = std::env::temp_dir().join(format!(
+        "adaptraj_serve_wrong_arch_{}.atps",
+        std::process::id()
+    ));
+    let other = CellSpec {
+        method: MethodKind::AdapTraj,
+        ..spec()
+    };
+    save_params_to_file(
+        build_predictor(&other, &RunnerConfig::smoke()).store(),
+        &ckpt,
+    )
+    .expect("write wrong-architecture ckpt");
+    let loader: adaptraj::serve::Loader = Box::new(|path: &str| {
+        let mut p = predictor_with_seed(999);
+        load_params_from_file(p.store_mut(), path).map_err(|e| format!("{e}"))?;
+        Ok(p)
+    });
+    let server = PredictServer::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        predictor_with_seed(7),
+        None,
+        Some(loader),
+    )
+    .expect("server start");
+    let addr = server.local_addr();
+    let body = codec::encode_request(&mixed_scenes()[0], 555, 2);
+    let predict = || {
+        let (status, resp) = http_post(addr, "/v1/predict", &body);
+        assert_eq!(status, 200, "{resp:.200}");
+        bits(&codec::decode_response_modes(&resp).expect("response modes"))
+    };
+
+    let before = predict();
+    let failed = adaptraj::obs::global().counter("serve.reload_failed_total");
+    let failed_before = failed.get();
+    let (status, resp) = http_post(
+        addr,
+        "/reload",
+        &format!("{{\"checkpoint\":\"{}\"}}", ckpt.to_string_lossy()),
+    );
+    std::fs::remove_file(&ckpt).ok();
+    assert_eq!(status, 400, "{resp:.200}");
+    let code = Value::parse(&resp).ok().and_then(|v| {
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str)
+            .map(String::from)
+    });
+    assert_eq!(code.as_deref(), Some("reload_failed"), "{resp:.200}");
+    assert_eq!(failed.get(), failed_before + 1);
+    assert_eq!(
+        server.model_version(),
+        1,
+        "a failed reload bumped the version"
+    );
+    assert_eq!(predict(), before, "a failed reload changed the served bits");
+    server.stop();
+}
+
+/// A client that sends a predict request and hangs up while it waits in
+/// the batch window costs only its own reply: the next request is
+/// answered and `/healthz` still says ok.
+#[test]
+fn a_client_that_drops_mid_batch_leaves_the_server_healthy() {
+    let server = PredictServer::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            batch_window_us: 200_000,
+            ..ServeConfig::default()
+        },
+        predictor_with_seed(7),
+        None,
+        None,
+    )
+    .expect("server start");
+    let addr = server.local_addr();
+    let body = codec::encode_request(&mixed_scenes()[0], 555, 1);
+
+    let mut stream = TcpStream::connect(addr).expect("connect serve endpoint");
+    write!(
+        stream,
+        "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    // Hang up only once the request sits in the batch queue.
+    let queued = (0..200).any(|_| {
+        let (_, health) = http_get(addr, "/healthz");
+        let depth = Value::parse(&health)
+            .ok()
+            .and_then(|v| v.get("queue_depth").and_then(Value::as_u64));
+        depth == Some(1) || {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            false
+        }
+    });
+    assert!(queued, "the request never reached the batch queue");
+    stream.shutdown(std::net::Shutdown::Both).expect("hang up");
+    drop(stream);
+
+    let (status, resp) = http_post(addr, "/v1/predict", &body);
+    assert_eq!(status, 200, "{resp:.200}");
+    let (status, health) = http_get(addr, "/healthz");
+    assert_eq!(status, 200, "{health}");
+    assert_eq!(
+        Value::parse(&health)
+            .ok()
+            .and_then(|v| v.get("status").and_then(Value::as_str).map(String::from))
+            .as_deref(),
+        Some("ok"),
+        "{health}"
+    );
+    server.stop();
 }
