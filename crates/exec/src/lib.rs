@@ -67,7 +67,8 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// A caught panic payload as text (when it was a `&str`/`String`).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,9 +1,12 @@
-//! Minimal, robust HTTP/1.1 request handling shared by every listener in
-//! the workspace: the telemetry endpoint ([`crate::serve::TelemetryServer`])
-//! and the inference service (`adaptraj-serve`).
+//! The workspace's one HTTP/1.1 server: the telemetry endpoint and the
+//! inference service are [`Routes`] on a [`Server`], which reads each
+//! request under one [`HttpLimits`] and dispatches on `(method, path)`,
+//! with JSON `404 not_found` / `405 method_not_allowed` answers and a
+//! `GET /` index built from the table. A handler's [`Responder`] answers
+//! once, possibly later from another thread.
 //!
-//! The workspace is registry-free, so this is a hand-rolled reader — but a
-//! *bounded* one: every way an untrusted peer can misbehave maps to a
+//! The workspace is registry-free, so the request reader is hand-rolled,
+//! but *bounded*: every way an untrusted peer can misbehave maps to a
 //! typed [`HttpError`] instead of a panic or an unbounded read:
 //!
 //! * header section or declared body over the configured limits →
@@ -18,9 +21,18 @@
 //!
 //! Responses are always `Connection: close`; one request per connection.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use crate::json::Obj;
+
+/// `Content-Type`s of JSON and plain-text responses.
+pub const JSON: &str = "application/json; charset=utf-8";
+pub const TEXT: &str = "text/plain; charset=utf-8";
 
 /// Per-request resource limits for [`read_request`].
 #[derive(Debug, Clone)]
@@ -69,38 +81,6 @@ pub enum HttpError {
     Disconnected,
 }
 
-impl HttpError {
-    /// The HTTP status line this error maps to (`Disconnected` has none).
-    pub fn status(&self) -> &'static str {
-        match self {
-            HttpError::BadRequest(_) => "400 Bad Request",
-            HttpError::PayloadTooLarge => "413 Payload Too Large",
-            HttpError::Timeout => "408 Request Timeout",
-            HttpError::Disconnected => "000 Disconnected",
-        }
-    }
-
-    /// Short machine-readable error code for JSON error bodies.
-    pub fn code(&self) -> &'static str {
-        match self {
-            HttpError::BadRequest(_) => "bad_request",
-            HttpError::PayloadTooLarge => "payload_too_large",
-            HttpError::Timeout => "deadline_exceeded",
-            HttpError::Disconnected => "disconnected",
-        }
-    }
-
-    /// Human-readable detail line.
-    pub fn message(&self) -> String {
-        match self {
-            HttpError::BadRequest(msg) => msg.clone(),
-            HttpError::PayloadTooLarge => "request exceeds configured size limits".to_string(),
-            HttpError::Timeout => "request not received within the read deadline".to_string(),
-            HttpError::Disconnected => "peer disconnected".to_string(),
-        }
-    }
-}
-
 /// Reads from `stream` until `pred` says the buffer is complete, `cap`
 /// bytes arrive, the deadline lapses, or the peer closes. Returns whether
 /// the predicate was satisfied.
@@ -125,18 +105,12 @@ fn read_until(
         // A zero timeout would mean "block forever"; clamp up.
         let _ = stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))));
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Peer closed. A clean close before any bytes is the
-                // wake-up/probe pattern; mid-request it is still a
-                // disconnect — either way no response is owed.
-                return Err(HttpError::Disconnected);
-            }
+            // Peer closed: a wake-up or probe before any byte, or a
+            // disconnect mid-request. Either way no response is owed.
+            Ok(0) => return Err(HttpError::Disconnected),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::Timeout);
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(HttpError::Timeout)
             }
             Err(_) => return Err(HttpError::Disconnected),
         }
@@ -151,6 +125,7 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 
 /// Reads and parses one complete HTTP/1.1 request within `limits`.
 pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, HttpError> {
+    let bad = HttpError::BadRequest;
     let deadline = Instant::now() + limits.read_deadline;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     read_until(stream, &mut buf, limits.max_head_bytes, deadline, |b| {
@@ -158,26 +133,17 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
     })?;
     let head_len = head_end(&buf).expect("read_until returned without terminator");
     let head = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| HttpError::BadRequest("header section is not valid UTF-8".into()))?
+        .map_err(|_| bad("header section is not valid UTF-8".into()))?
         .to_string();
 
     let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty())
-        .ok_or_else(|| HttpError::BadRequest("empty request line".into()))?;
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpError::BadRequest("request line has no path".into()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::BadRequest("request line has no HTTP version".into()))?;
+    let mut parts = lines.next().unwrap_or("").split_whitespace();
+    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
+    else {
+        return Err(bad("malformed request line".into()));
+    };
     if !version.starts_with("HTTP/") {
-        return Err(HttpError::BadRequest(format!(
-            "bad HTTP version '{version}'"
-        )));
+        return Err(bad(format!("bad HTTP version '{version}'")));
     }
 
     let mut content_length = 0usize;
@@ -186,13 +152,13 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
             break;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::BadRequest(format!("malformed header '{line}'")));
+            return Err(bad(format!("malformed header '{line}'")));
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
             content_length = value
                 .trim()
                 .parse()
-                .map_err(|_| HttpError::BadRequest("bad Content-Length".into()))?;
+                .map_err(|_| bad("bad Content-Length".into()))?;
         }
     }
     if content_length > limits.max_body_bytes {
@@ -208,51 +174,233 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
     })
 }
 
-/// Writes one `Connection: close` response. Errors are deliberately
-/// swallowed: the peer may already be gone, and there is nothing useful
-/// to do about a failed error response.
-pub fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body: &[u8]) {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
-    let _ = stream.flush();
-}
+/// The one answer owed on an accepted connection; answering consumes
+/// it, and dropping it unanswered closes the connection. Write errors are
+/// swallowed: the peer may already be gone.
+#[derive(Debug)]
+pub struct Responder(TcpStream);
 
-/// Writes a structured JSON error body:
-/// `{"error":{"code":"...","message":"..."}}`.
-pub fn write_json_error(stream: &mut TcpStream, status: &str, code: &str, message: &str) {
-    let body = crate::json::Obj::new()
-        .raw(
-            "error",
-            &crate::json::Obj::new()
-                .str("code", code)
-                .str("message", message)
-                .finish(),
-        )
-        .finish();
-    write_response(
-        stream,
-        status,
-        "application/json; charset=utf-8",
-        body.as_bytes(),
-    );
-}
-
-/// Maps a read failure to its error response (no-op for `Disconnected`).
-pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
-    if *err == HttpError::Disconnected {
-        return;
+impl Responder {
+    pub fn new(stream: TcpStream) -> Responder {
+        Responder(stream)
     }
-    write_json_error(stream, err.status(), err.code(), &err.message());
+
+    /// Writes one `Connection: close` response.
+    pub fn send(mut self, status: &str, content_type: &str, body: &[u8]) {
+        let head = format!(
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        let _ = self.0.write_all(head.as_bytes());
+        let _ = self.0.write_all(body);
+        let _ = self.0.flush();
+    }
+
+    /// `200 OK` with a JSON body.
+    pub fn json(self, body: &str) {
+        self.send("200 OK", JSON, body.as_bytes());
+    }
+
+    /// A structured error: `{"error":{"code":"...","message":"..."}}`.
+    pub fn error(self, status: &str, code: &str, message: &str) {
+        let error = Obj::new().str("code", code).str("message", message);
+        let body = Obj::new().raw("error", &error.finish()).finish();
+        self.send(status, JSON, body.as_bytes());
+    }
+
+    /// Answers a failed read (no answer is owed to a disconnected peer).
+    fn read_error(self, err: HttpError) {
+        let (status, code, message) = match err {
+            HttpError::BadRequest(msg) => ("400 Bad Request", "bad_request", msg),
+            HttpError::PayloadTooLarge => (
+                "413 Payload Too Large",
+                "payload_too_large",
+                "request exceeds configured size limits".into(),
+            ),
+            HttpError::Timeout => (
+                "408 Request Timeout",
+                "deadline_exceeded",
+                "request not received within the read deadline".into(),
+            ),
+            HttpError::Disconnected => return,
+        };
+        self.error(status, code, &message);
+    }
+}
+
+type Handler = Box<dyn Fn(Request, Responder) + Send + Sync>;
+
+/// A route table: `(method, path)` → handler.
+#[derive(Default)]
+pub struct Routes(Vec<(&'static str, &'static str, Handler)>);
+
+impl Routes {
+    /// Adds one route; a duplicate `(method, path)` panics.
+    pub fn route(
+        mut self,
+        method: &'static str,
+        path: &'static str,
+        handler: impl Fn(Request, Responder) + Send + Sync + 'static,
+    ) -> Routes {
+        let duplicate = self.0.iter().any(|(m, p, _)| (*m, *p) == (method, path));
+        assert!(!duplicate, "duplicate route {method} {path}");
+        self.0.push((method, path, Box::new(handler)));
+        self
+    }
+
+    /// Adds every route of `other`.
+    pub fn mount(mut self, other: Routes) -> Routes {
+        for (method, path, handler) in other.0 {
+            self = self.route(method, path, handler);
+        }
+        self
+    }
+
+    /// Answers with the route's handler, else `405` when another method
+    /// owns the path, else `404`.
+    fn dispatch(&self, req: Request, responder: Responder) {
+        let on_path = || self.0.iter().filter(|(_, p, _)| *p == req.path);
+        if let Some((_, _, handler)) = on_path().find(|(m, _, _)| *m == req.method) {
+            return handler(req, responder);
+        }
+        let allowed: Vec<&str> = on_path().map(|(m, _, _)| *m).collect();
+        if allowed.is_empty() {
+            return responder.error("404 Not Found", "not_found", "unknown route");
+        }
+        let message = format!("use {} for {}", allowed.join(" or "), req.path);
+        responder.error("405 Method Not Allowed", "method_not_allowed", &message);
+    }
+}
+
+/// Stops a [`Server`]: sets the stop flag and wakes an accept thread
+/// blocked in `accept` with a throwaway connection; each accept thread
+/// wakes the next the same way as it exits. A handler may call it.
+#[derive(Debug, Clone)]
+pub struct StopHandle(Arc<(AtomicBool, SocketAddr)>);
+
+impl StopHandle {
+    pub fn stop(&self) {
+        if !self.0 .0.swap(true, Ordering::SeqCst) {
+            self.wake();
+        }
+    }
+
+    pub fn is_stopped(&self) -> bool {
+        self.0 .0.load(Ordering::SeqCst)
+    }
+
+    fn wake(&self) {
+        let _ = TcpStream::connect(self.0 .1);
+    }
+}
+
+/// The route-table server. [`bind`](Server::bind) claims the address, so
+/// the port and the [`StopHandle`] exist before the routes that use them;
+/// [`serve`](Server::serve) starts the accept threads. Dropping it stops
+/// and joins them.
+pub struct Server {
+    listener: Option<TcpListener>,
+    stop: StopHandle,
+    routes: String,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds `addr` (port 0 picks an ephemeral port).
+    pub fn bind(addr: &str) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let stop = StopHandle(Arc::new((AtomicBool::new(false), listener.local_addr()?)));
+        Ok(Server {
+            listener: Some(listener),
+            stop,
+            routes: String::new(),
+            threads: Vec::new(),
+        })
+    }
+
+    /// Starts `accept_threads` threads named `{name}-{i}` that read each
+    /// request under `limits` and dispatch it through `routes`, plus a
+    /// `GET /` index that lists them.
+    pub fn serve(
+        mut self,
+        name: &str,
+        accept_threads: usize,
+        limits: HttpLimits,
+        routes: Routes,
+    ) -> std::io::Result<Server> {
+        let listener = self.listener.take().expect("a server is served once");
+        let list: Vec<_> = routes
+            .0
+            .iter()
+            .map(|(m, p, _)| format!("{m} {p}"))
+            .collect();
+        self.routes = list.join(", ");
+        let index = format!("{name}\nroutes: {}\n", self.routes);
+        let routes = routes.route("GET", "/", move |_, r| {
+            r.send("200 OK", TEXT, index.as_bytes())
+        });
+        let shared = Arc::new((routes, limits));
+        for i in 0..accept_threads.max(1) {
+            let (listener, shared, stop) = (
+                listener.try_clone()?,
+                Arc::clone(&shared),
+                self.stop.clone(),
+            );
+            let thread = std::thread::Builder::new().name(format!("{name}-{i}"));
+            self.threads.push(thread.spawn(move || {
+                while !stop.is_stopped() {
+                    let Ok((mut stream, _)) = listener.accept() else {
+                        continue;
+                    };
+                    if stop.is_stopped() {
+                        break;
+                    }
+                    match read_request(&mut stream, &shared.1) {
+                        Ok(req) => shared.0.dispatch(req, Responder(stream)),
+                        Err(e) => Responder(stream).read_error(e),
+                    }
+                }
+                stop.wake();
+            })?);
+        }
+        Ok(self)
+    }
+
+    /// The actually-bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.stop.0 .1
+    }
+
+    /// The mounted routes, e.g. `GET /healthz, GET /metrics`.
+    pub fn routes(&self) -> &str {
+        &self.routes
+    }
+
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Stops the accept threads and joins them.
+    pub fn stop(self) {}
+
+    /// Blocks until the accept threads exit after a [`StopHandle::stop`].
+    pub fn wait(&mut self) {
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop.stop();
+        self.wait();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
     /// One-shot echo server: accepts a single connection, reads a request
     /// under `limits`, and reports the outcome through the returned
@@ -269,9 +417,10 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let res = read_request(&mut stream, &limits);
+            let responder = Responder::new(stream);
             match &res {
-                Ok(req) => write_response(&mut stream, "200 OK", "text/plain", &req.body),
-                Err(e) => write_error(&mut stream, e),
+                Ok(req) => responder.send("200 OK", "text/plain", &req.body),
+                Err(e) => responder.read_error(e.clone()),
             }
             let _ = tx.send(res);
         });
@@ -399,5 +548,87 @@ mod tests {
         let (addr, rx) = serve_once(HttpLimits::default());
         drop(TcpStream::connect(addr).unwrap());
         assert_eq!(rx.recv().unwrap(), Err(HttpError::Disconnected));
+    }
+
+    /// One `Connection: close` exchange against a running server;
+    /// returns (status, body).
+    fn exchange(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        let status = response[9..12].parse().unwrap();
+        let body = response.split_once("\r\n\r\n").unwrap().1.to_string();
+        (status, body)
+    }
+
+    fn error_code(body: &str) -> String {
+        let v = crate::json::Value::parse(body).expect("error body is JSON");
+        v.get("error")
+            .unwrap()
+            .get("code")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn server_dispatches_on_method_and_path_with_json_404_and_405() {
+        let routes = Routes::default()
+            .route("GET", "/a", |_, r| r.send("200 OK", TEXT, b"a"))
+            .route("POST", "/a", |req, r| r.send("200 OK", TEXT, &req.body))
+            .route("POST", "/b", |_, r| r.json("{}"));
+        let server = Server::bind("127.0.0.1:0")
+            .unwrap()
+            .serve("test", 2, HttpLimits::default(), routes)
+            .unwrap();
+        let addr = server.local_addr();
+        assert_eq!(exchange(addr, "GET", "/a"), (200, "a".to_string()));
+        assert_eq!(exchange(addr, "POST", "/b"), (200, "{}".to_string()));
+
+        let (status, body) = exchange(addr, "GET", "/b");
+        assert_eq!(status, 405);
+        assert_eq!(error_code(&body), "method_not_allowed");
+        let (status, body) = exchange(addr, "GET", "/nope");
+        assert_eq!(status, 404);
+        assert_eq!(error_code(&body), "not_found");
+
+        // The index is built from the table.
+        assert_eq!(server.routes(), "GET /a, POST /a, POST /b");
+        let (status, index) = exchange(addr, "GET", "/");
+        assert_eq!(status, 200);
+        assert_eq!(index, "test\nroutes: GET /a, POST /a, POST /b\n");
+        drop(server);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate route GET /x")]
+    fn duplicate_route_panics() {
+        let _ = Routes::default()
+            .route("GET", "/x", |_, r| r.json("{}"))
+            .mount(Routes::default().route("GET", "/x", |_, r| r.json("{}")));
+    }
+
+    #[test]
+    fn a_handler_can_stop_the_server() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let stop = server.stop_handle();
+        let routes = Routes::default().route("POST", "/shutdown", move |_, r| {
+            r.json("{}");
+            stop.stop();
+        });
+        let mut server = server
+            .serve("test", 3, HttpLimits::default(), routes)
+            .unwrap();
+        let addr = server.local_addr();
+        assert_eq!(exchange(addr, "POST", "/shutdown").0, 200);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.wait();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("accept threads did not exit after a handler stopped the server");
     }
 }

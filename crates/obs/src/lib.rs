@@ -35,11 +35,9 @@
 //!   halt-and-dump policies), per-source-domain gradient diagnostics
 //!   (norms, pairwise cosines, update-to-weight ratios), and the
 //!   `adaptraj-health/v1` record stream consumed by the `doctor` CLI.
-//! - [`serve`]: the live telemetry endpoint — a std-`TcpListener`
-//!   background thread serving `GET /metrics` (Prometheus text
-//!   exposition with p50/p90/p99/p999 quantiles), `GET /healthz`,
-//!   `GET /profile`, and `GET /timeline`, over the minimal HTTP/1.1
-//!   layer in [`http`].
+//! - [`http`] and [`serve`]: the one route-table HTTP server, and the
+//!   telemetry routes (`GET /metrics` with p50/p90/p99/p999 quantiles,
+//!   `/profile`, `/timeline`) that every listener mounts on it.
 //!
 //! The crate sits below every other workspace crate (even
 //! `adaptraj-tensor` instruments its tape with it) and therefore

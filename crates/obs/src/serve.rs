@@ -1,13 +1,11 @@
-//! Live telemetry endpoint: a `std::net::TcpListener` background thread
-//! serving the process's observability surfaces over minimal HTTP/1.1.
-//!
-//! Routes:
+//! Live telemetry: the shared observability routes, mounted on every
+//! [`Server`] in the workspace, and the standalone endpoint that serves
+//! them.
 //!
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4) of the
 //!   global [`metrics`] registry: counters, gauges, and histograms as
 //!   summaries with `quantile="0.5|0.9|0.99|0.999"` labels plus `_sum` /
 //!   `_count`.
-//! * `GET /healthz` — liveness probe, always `ok`.
 //! * `GET /profile` — the op/phase profiler's [`ProfileSnapshot`] as JSON
 //!   (same document `--profile-out` writes).
 //! * `GET /timeline` — the execution flight recorder's current
@@ -16,151 +14,78 @@
 //!   `trace_check` validates), so a live run can be inspected in
 //!   Perfetto without restarting it with `--trace-out`.
 //!
-//! The server is intentionally tiny (one thread, `Connection: close`, no
-//! keep-alive, no TLS): it exists so a human or a Prometheus scraper can
-//! watch a training/bench run live. The predict server in
-//! `adaptraj-serve` shares its request parsing and response writing
-//! ([`crate::http`]) but runs its own accept loop and route match. Binding
-//! port 0 picks a free port; [`TelemetryServer::local_addr`] reports it.
+//! [`TelemetryServer`] adds `GET /healthz` → `ok` and serves them on one
+//! accept thread, so a human or a Prometheus scraper can watch a
+//! training/bench run live.
 //!
 //! [`ProfileSnapshot`]: crate::profile::ProfileSnapshot
 
-use crate::http::{read_request, write_error, write_response, HttpLimits};
-use crate::metrics::{HistSnapshot, Registry, RegistrySnapshot};
-use crate::profile;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use crate::http::{HttpLimits, Routes, Server, TEXT};
+use crate::metrics::{self, HistSnapshot, Registry};
+use crate::{profile, timeline};
+use std::net::SocketAddr;
 
-/// Handle to the background telemetry listener. Dropping it (or calling
-/// [`stop`](TelemetryServer::stop)) shuts the thread down.
-#[derive(Debug)]
-pub struct TelemetryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// `GET /metrics`, `/profile` and `/timeline`, for mounting on a
+/// [`Server`].
+pub fn telemetry_routes() -> Routes {
+    Routes::default()
+        .route("GET", "/metrics", |_, r| {
+            let text = render_prometheus(metrics::global());
+            r.send(
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                text.as_bytes(),
+            )
+        })
+        .route("GET", "/profile", |_, r| {
+            r.json(&format!("{}\n", profile::snapshot().to_json()))
+        })
+        .route("GET", "/timeline", |_, r| {
+            r.json(&format!("{}\n", timeline::snapshot().to_chrome_trace()))
+        })
 }
+
+/// The telemetry routes plus `GET /healthz` → `ok`, on one accept thread.
+/// Dropping it (or calling [`stop`](TelemetryServer::stop)) shuts the
+/// thread down.
+pub struct TelemetryServer(Server);
 
 impl TelemetryServer {
     /// Binds `addr` (e.g. `127.0.0.1:9898`, or `:0` for an ephemeral
     /// port) and starts serving on a background thread.
     pub fn start(addr: &str) -> std::io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("adaptraj-telemetry".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        handle_conn(stream);
-                    }
-                }
-            })?;
-        Ok(TelemetryServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        let routes = Routes::default()
+            .route("GET", "/healthz", |_, r| r.send("200 OK", TEXT, b"ok\n"))
+            .mount(telemetry_routes());
+        // No telemetry route takes a body; anything substantial is junk.
+        let limits = HttpLimits {
+            max_body_bytes: 64 * 1024,
+            ..HttpLimits::default()
+        };
+        Server::bind(addr)?
+            .serve("adaptraj-telemetry", 1, limits, routes)
+            .map(TelemetryServer)
     }
 
     /// The actually-bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
+    }
+
+    /// The mounted routes, e.g. `GET /healthz, GET /metrics`.
+    pub fn routes(&self) -> &str {
+        self.0.routes()
     }
 
     /// Stops the listener thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Relaxed);
-            // Wake the blocking accept with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
-    }
+    pub fn stop(self) {}
 }
 
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Reads one request through the shared bounded reader
-/// ([`crate::http`]), routes it, writes one response, closes. Oversized
-/// or malformed requests get the shared `413`/`400`/`408` error
-/// responses instead of being silently misrouted.
-fn handle_conn(mut stream: TcpStream) {
-    let limits = HttpLimits {
-        // No telemetry route takes a body; anything substantial is junk.
-        max_body_bytes: 64 * 1024,
-        ..HttpLimits::default()
-    };
-    let req = match read_request(&mut stream, &limits) {
-        Ok(req) => req,
-        Err(e) => {
-            write_error(&mut stream, &e);
-            return;
-        }
-    };
-
-    let (status, content_type, body) = if req.method != "GET" {
-        (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        )
-    } else {
-        match req.path.as_str() {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus(crate::metrics::global()),
-            ),
-            "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-            "/profile" => (
-                "200 OK",
-                "application/json; charset=utf-8",
-                format!("{}\n", profile::snapshot().to_json()),
-            ),
-            "/timeline" => (
-                "200 OK",
-                "application/json; charset=utf-8",
-                format!("{}\n", crate::timeline::snapshot().to_chrome_trace()),
-            ),
-            "/" => (
-                "200 OK",
-                "text/plain; charset=utf-8",
-                "adaptraj telemetry\nroutes: /metrics /healthz /profile /timeline\n".to_string(),
-            ),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found\n".to_string(),
-            ),
-        }
-    };
-
-    write_response(&mut stream, status, content_type, body.as_bytes());
-}
-
-/// Renders the registry as Prometheus text exposition format 0.0.4.
+/// Renders the registry as Prometheus text exposition format 0.0.4:
+/// counters and gauges as single samples, histograms as summaries with
+/// p50/p90/p99/p999 quantile labels.
 pub fn render_prometheus(registry: &Registry) -> String {
-    render_snapshot(&registry.snapshot())
-}
-
-/// Renders a registry snapshot: counters and gauges as single samples,
-/// histograms as summaries with p50/p90/p99/p999 quantile labels.
-pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
+    let snap = registry.snapshot();
     let mut out = String::new();
     for (name, value) in snap.counters() {
         let name = sanitize(name);
@@ -226,8 +151,8 @@ fn fmt_val(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -322,9 +247,14 @@ mod tests {
 
         let index = get(addr, "/");
         assert!(index.contains("/metrics"));
+        assert_eq!(
+            server.routes(),
+            "GET /healthz, GET /metrics, GET /profile, GET /timeline"
+        );
 
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404 Not Found\r\n"));
+        assert!(missing.contains("\"not_found\""), "{missing}");
 
         // Non-GET is rejected.
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -332,6 +262,7 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 405 "), "{response}");
+        assert!(response.contains("\"method_not_allowed\""), "{response}");
 
         server.stop();
     }

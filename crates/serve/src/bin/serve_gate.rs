@@ -13,7 +13,8 @@
 //! compares the returned mode trajectories against the committed golden
 //! file **bit for bit** (f32 bit patterns, not tolerances): served
 //! predictions must be exactly reproducible for a given checkpoint +
-//! seed, per the serving contract.
+//! seed, per the serving contract. It also checks the routes mounted
+//! beside predict: `/metrics`, `/timeline`, `/profile` and a JSON 405.
 
 use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
@@ -149,11 +150,13 @@ fn check_golden(addr: &str, golden_path: &str, write: bool) {
         fail("served modes differ from golden (f32 bit mismatch) — model or kernels changed; regenerate with --write-golden if intentional");
     }
 
-    // The metrics surface must expose the serving counters.
-    let (status, metrics) = http(addr, "GET", "/metrics", "");
-    if status != 200 {
-        fail(&format!("/metrics returned {status}"));
-    }
+    // The serve counters and the shared telemetry routes are mounted on
+    // the predict port, and a wrong method is a structured 405.
+    let get = |path: &str| match http(addr, "GET", path, "") {
+        (200, body) => body,
+        (status, _) => fail(&format!("{path} returned {status}")),
+    };
+    let metrics = get("/metrics");
     for needle in [
         "serve_requests_total",
         "serve_responses_ok_total",
@@ -162,6 +165,23 @@ fn check_golden(addr: &str, golden_path: &str, write: bool) {
         if !metrics.contains(needle) {
             fail(&format!("/metrics missing {needle}"));
         }
+    }
+    let json = |path: &str| {
+        Value::parse(&get(path)).unwrap_or_else(|e| fail(&format!("{path} is not JSON: {e}")))
+    };
+    if json("/timeline")
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .is_none()
+    {
+        fail("/timeline has no traceEvents array");
+    }
+    json("/profile");
+    let (status, body) = http(addr, "GET", "/v1/predict", "");
+    if status != 405 || !body.contains("\"method_not_allowed\"") {
+        fail(&format!(
+            "GET /v1/predict: want 405 method_not_allowed, got {status} {body:.200}"
+        ));
     }
     println!("serve_gate: golden OK ({model}, seed {GOLDEN_SEED}, k {GOLDEN_K}, bit-exact)");
 }

@@ -25,13 +25,19 @@
 //! ## Architecture
 //!
 //! ```text
-//! accept threads ──decode──▶ bounded queue ──▶ batcher thread
-//!      │ 400/413/408/503             │               │ coalesce ≤ batch window
-//!      ▼                            ▼               ▼ chunk ≤ MAX_WINDOWS_PER_JOB
-//!   error response            503 when full    WorkerPool::map(sample)
-//!                                                   │
-//!                                                   ▼ batcher writes responses
+//! adaptraj_obs::http::Server (accept threads, route table, 400/413/408/404/405)
+//!      │ POST /v1/predict: decode ──▶ bounded queue ──▶ batcher thread
+//!      │ 400 / 503                         │               │ coalesce ≤ batch window
+//!      ▼                                   ▼               ▼ chunk ≤ MAX_WINDOWS_PER_JOB
+//!   error response                  503 when full    WorkerPool::map(sample)
+//!                                                          │
+//!                                                          ▼ batcher answers each Responder
 //! ```
+//!
+//! The server is `POST /v1/predict`, `GET /healthz`, `POST /reload` and
+//! `POST /shutdown` mounted with the shared telemetry routes
+//! ([`adaptraj_obs::serve::telemetry_routes`]) on the workspace's one
+//! HTTP server, [`adaptraj_obs::http::Server`].
 //!
 //! * **Admission**: the queue is bounded (`queue_cap`); a full queue
 //!   answers `503` with a structured JSON error immediately — shed load
@@ -42,6 +48,8 @@
 //!   and chunks it into jobs in arrival order.
 //! * **Deadlines**: a request older than `deadline_ms` at batch-formation
 //!   time gets `504` instead of occupying model capacity.
+//! * **Failures**: a panicking job answers `500` to its own requests only.
+//!   After `POST /shutdown` late arrivals get `503 shutting_down`.
 //! * **Hot reload**: the model lives behind `RwLock<Arc<ModelInner>>`;
 //!   each batch cycle clones the inner `Arc` once, so a concurrent
 //!   `POST /reload` swap can never expose a torn model — every response
@@ -53,20 +61,22 @@ use adaptraj_data::batch::{WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::Point;
 use adaptraj_exec::WorkerPool;
 use adaptraj_models::predictor::Predictor;
-use adaptraj_obs::http::{read_request, write_error, write_json_error, write_response, HttpLimits};
+use adaptraj_obs::http::{HttpLimits, Request, Responder, Routes, Server, StopHandle};
 use adaptraj_obs::json::{Obj, Value};
 use adaptraj_obs::metrics;
-use adaptraj_obs::serve::render_prometheus;
+use adaptraj_obs::serve::telemetry_routes;
 use adaptraj_tensor::rng::Rng;
 use codec::PredictRequest;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server configuration; every knob has a CLI flag on `adaptraj serve`.
+/// Server configuration. Every knob but `read_deadline_ms` has a CLI
+/// flag on `adaptraj serve`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port
@@ -83,8 +93,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-request deadline from admission; exceeded → `504`.
     pub deadline_ms: u64,
-    /// Request body size cap (`413` beyond it).
-    pub max_body_bytes: usize,
     /// Per-connection read deadline (`408` for stalled peers).
     pub read_deadline_ms: u64,
 }
@@ -98,7 +106,6 @@ impl Default for ServeConfig {
             batch_window_us: 2000,
             queue_cap: 256,
             deadline_ms: 2000,
-            max_body_bytes: 1024 * 1024,
             read_deadline_ms: 2000,
         }
     }
@@ -118,36 +125,31 @@ struct ModelInner {
     checkpoint: Option<String>,
 }
 
-/// One admitted request parked in the queue with its reply stream.
+/// One admitted request parked in the queue with its reply.
 struct Pending {
     request: PredictRequest,
-    stream: TcpStream,
+    responder: Responder,
     enqueued: Instant,
     deadline: Instant,
 }
 
 struct Shared {
     cfg: ServeConfig,
-    addr: SocketAddr,
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
-    stop: AtomicBool,
+    stop: StopHandle,
     model: RwLock<Arc<ModelInner>>,
     loader: Option<Loader>,
     next_id: AtomicU64,
 }
 
 impl Shared {
+    /// Stops the accept threads and wakes the batcher (under the queue
+    /// lock, so a batcher between its stop check and its wait cannot miss it).
     fn trigger_stop(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
+        self.stop.stop();
+        drop(self.queue.lock().unwrap());
         self.queue_cv.notify_all();
-        // Wake every accept thread blocked in accept() with throwaway
-        // connections (same pattern as TelemetryServer).
-        for _ in 0..self.cfg.accept_threads {
-            let _ = TcpStream::connect(self.addr);
-        }
     }
 }
 
@@ -155,7 +157,8 @@ impl Shared {
 /// [`stop`](PredictServer::stop)) shuts everything down.
 pub struct PredictServer {
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+    server: Server,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl PredictServer {
@@ -168,48 +171,56 @@ impl PredictServer {
         checkpoint: Option<String>,
         loader: Option<Loader>,
     ) -> std::io::Result<PredictServer> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let name = predictor.name();
+        let server = Server::bind(&cfg.addr)?;
+        let limits = HttpLimits {
+            read_deadline: Duration::from_millis(cfg.read_deadline_ms),
+            ..HttpLimits::default()
+        };
+        let model = ModelInner {
+            name: predictor.name(),
+            predictor,
+            version: 1,
+            checkpoint,
+        };
         let shared = Arc::new(Shared {
-            addr,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            model: RwLock::new(Arc::new(ModelInner {
-                predictor,
-                name,
-                version: 1,
-                checkpoint,
-            })),
+            stop: server.stop_handle(),
+            model: RwLock::new(Arc::new(model)),
             loader,
             next_id: AtomicU64::new(1),
             cfg,
         });
-
-        let mut handles = Vec::new();
-        for i in 0..shared.cfg.accept_threads.max(1) {
-            let listener = listener.try_clone()?;
+        let with = |handler: fn(&Shared, Request, Responder)| {
             let sh = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-accept-{i}"))
-                    .spawn(move || accept_loop(listener, &sh))?,
-            );
-        }
+            move |req, r| handler(&sh, req, r)
+        };
+        let routes = Routes::default()
+            .route("POST", "/v1/predict", with(handle_predict))
+            .route("GET", "/healthz", with(handle_healthz))
+            .route("POST", "/reload", with(handle_reload))
+            .route("POST", "/shutdown", with(handle_shutdown))
+            .mount(telemetry_routes());
+        let server = server.serve("serve-accept", shared.cfg.accept_threads, limits, routes)?;
         let sh = Arc::clone(&shared);
-        handles.push(
-            std::thread::Builder::new()
-                .name("serve-batcher".into())
-                .spawn(move || batcher_loop(&sh))?,
-        );
-
-        Ok(PredictServer { shared, handles })
+        let batcher = std::thread::Builder::new()
+            .name("serve-batcher".into())
+            .spawn(move || batcher_loop(&sh))?;
+        Ok(PredictServer {
+            shared,
+            server,
+            batcher: Some(batcher),
+        })
     }
 
     /// The actually-bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.server.local_addr()
+    }
+
+    /// The mounted routes, e.g. `POST /v1/predict, GET /healthz`.
+    pub fn routes(&self) -> &str {
+        self.server.routes()
     }
 
     /// Current model version (starts at 1, bumped by each reload).
@@ -218,164 +229,77 @@ impl PredictServer {
     }
 
     /// Stops the server and joins all threads.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
+    pub fn stop(self) {}
 
     /// Blocks until the server stops (e.g. via `POST /shutdown`).
     pub fn wait(mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.trigger_stop();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.server.wait();
     }
 }
 
 impl Drop for PredictServer {
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, sh: &Shared) {
-    for conn in listener.incoming() {
-        if sh.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Ok(stream) = conn {
-            handle_conn(stream, sh);
+        self.shared.trigger_stop();
+        self.server.wait();
+        if let Some(batcher) = self.batcher.take() {
+            let _ = batcher.join();
         }
     }
 }
 
-/// Reads, routes, and either answers inline (probes, errors, admin) or
-/// parks the request in the batch queue (`/v1/predict` — the batcher
-/// answers those).
-fn handle_conn(mut stream: TcpStream, sh: &Shared) {
-    let limits = HttpLimits {
-        max_body_bytes: sh.cfg.max_body_bytes,
-        read_deadline: Duration::from_millis(sh.cfg.read_deadline_ms),
-        ..HttpLimits::default()
-    };
-    let req = match read_request(&mut stream, &limits) {
-        Ok(req) => req,
-        Err(e) => {
-            write_error(&mut stream, &e);
-            return;
-        }
-    };
-
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/predict") => handle_predict(stream, sh, &req.body),
-        ("GET", "/healthz") => {
-            let model = sh.model.read().unwrap().clone();
-            let depth = sh.queue.lock().unwrap().len();
-            let body = Obj::new()
-                .str("status", "ok")
-                .str("model", &model.name)
-                .u64("version", model.version)
-                .u64("queue_depth", depth as u64)
-                .finish();
-            write_response(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                body.as_bytes(),
-            );
-        }
-        ("GET", "/metrics") => {
-            let body = render_prometheus(metrics::global());
-            write_response(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.as_bytes(),
-            );
-        }
-        ("POST", "/reload") => handle_reload(stream, sh, &req.body),
-        ("POST", "/shutdown") => {
-            write_response(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                b"{\"ok\":true}",
-            );
-            sh.trigger_stop();
-        }
-        ("GET", "/") => {
-            write_response(
-                &mut stream,
-                "200 OK",
-                "text/plain; charset=utf-8",
-                b"adaptraj serve\nroutes: POST /v1/predict | GET /healthz | GET /metrics | POST /reload | POST /shutdown\n",
-            );
-        }
-        (_, "/v1/predict" | "/reload" | "/shutdown") => {
-            write_json_error(
-                &mut stream,
-                "405 Method Not Allowed",
-                "method_not_allowed",
-                "use POST for this route",
-            );
-        }
-        _ => {
-            write_json_error(&mut stream, "404 Not Found", "not_found", "unknown route");
-        }
-    }
+fn handle_healthz(sh: &Shared, _: Request, responder: Responder) {
+    let model = sh.model.read().unwrap().clone();
+    let depth = sh.queue.lock().unwrap().len();
+    let body = Obj::new()
+        .str("status", "ok")
+        .str("model", &model.name)
+        .u64("version", model.version)
+        .u64("queue_depth", depth as u64);
+    responder.json(&body.finish());
 }
 
-/// Decodes and admits one predict request; on success the stream moves
-/// into the queue and the batcher owns the response.
-fn handle_predict(mut stream: TcpStream, sh: &Shared, body: &[u8]) {
+fn handle_shutdown(sh: &Shared, _: Request, responder: Responder) {
+    responder.json("{\"ok\":true}");
+    sh.trigger_stop();
+}
+
+const BAD_REQUEST: &str = "400 Bad Request";
+const UNAVAILABLE: &str = "503 Service Unavailable";
+
+/// Decodes and admits one predict request; on success the responder
+/// moves into the queue and the batcher owns the response.
+fn handle_predict(sh: &Shared, req: Request, responder: Responder) {
     metrics::global().counter("serve.requests_total").incr();
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => {
-            write_json_error(
-                &mut stream,
-                "400 Bad Request",
-                "invalid_json",
-                "body is not UTF-8",
-            );
-            return;
-        }
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return responder.error(BAD_REQUEST, "invalid_json", "body is not UTF-8");
     };
     let request = match codec::decode_request(text) {
         Ok(r) => r,
         Err(e) => {
             metrics::global().counter("serve.bad_request_total").incr();
-            write_json_error(&mut stream, "400 Bad Request", e.code, &e.message);
-            return;
+            return responder.error(BAD_REQUEST, e.code, &e.message);
         }
     };
-
-    let now = Instant::now();
-    let pending = Pending {
-        request,
-        stream,
-        enqueued: now,
-        deadline: now + Duration::from_millis(sh.cfg.deadline_ms),
-    };
     let mut q = sh.queue.lock().unwrap();
-    if q.len() >= sh.cfg.queue_cap || sh.stop.load(Ordering::SeqCst) {
+    // Checked under the queue lock: the batcher drains the queue under
+    // it once stopped, so nothing admitted here can be left unanswered.
+    if sh.stop.is_stopped() {
+        drop(q);
+        return responder.error(UNAVAILABLE, "shutting_down", "server is shutting down");
+    }
+    if q.len() >= sh.cfg.queue_cap {
         drop(q);
         metrics::global().counter("serve.rejected_total").incr();
-        let mut stream = pending.stream;
-        write_json_error(
-            &mut stream,
-            "503 Service Unavailable",
-            "overloaded",
-            "admission queue is full, retry with backoff",
-        );
-        return;
+        let message = "admission queue is full, retry with backoff";
+        return responder.error(UNAVAILABLE, "overloaded", message);
     }
-    q.push_back(pending);
+    let now = Instant::now();
+    q.push_back(Pending {
+        request,
+        responder,
+        enqueued: now,
+        deadline: now + Duration::from_millis(sh.cfg.deadline_ms),
+    });
     metrics::global()
         .gauge("serve.queue_depth")
         .set(q.len() as f64);
@@ -383,72 +307,48 @@ fn handle_predict(mut stream: TcpStream, sh: &Shared, body: &[u8]) {
     sh.queue_cv.notify_one();
 }
 
-fn handle_reload(mut stream: TcpStream, sh: &Shared, body: &[u8]) {
+/// Swaps in the checkpoint named by the optional body `{"checkpoint":
+/// "path"}` (default: the current one); a failed load changes nothing.
+fn handle_reload(sh: &Shared, req: Request, responder: Responder) {
     let Some(loader) = &sh.loader else {
-        write_json_error(
-            &mut stream,
-            "400 Bad Request",
-            "reload_unavailable",
-            "server was started without a checkpoint loader",
-        );
-        return;
+        let message = "server was started without a checkpoint loader";
+        return responder.error(BAD_REQUEST, "reload_unavailable", message);
     };
-    // Optional body: {"checkpoint": "path"}; default re-reads the
-    // current checkpoint path.
-    let requested = std::str::from_utf8(body)
+    let requested = std::str::from_utf8(&req.body)
         .ok()
-        .filter(|t| !t.trim().is_empty())
         .and_then(|t| Value::parse(t).ok())
-        .and_then(|v| {
-            v.get("checkpoint")
-                .and_then(|c| c.as_str().map(String::from))
-        });
-    let checkpoint = match requested.or_else(|| sh.model.read().unwrap().checkpoint.clone()) {
-        Some(c) => c,
-        None => {
-            write_json_error(
-                &mut stream,
-                "400 Bad Request",
-                "invalid_request",
-                "no checkpoint path: pass {\"checkpoint\": \"...\"} or start with --checkpoint",
-            );
-            return;
-        }
+        .and_then(|v| v.get("checkpoint")?.as_str().map(String::from));
+    let Some(checkpoint) = requested.or_else(|| sh.model.read().unwrap().checkpoint.clone()) else {
+        let message =
+            "no checkpoint path: pass {\"checkpoint\": \"...\"} or start with --checkpoint";
+        return responder.error(BAD_REQUEST, "invalid_request", message);
     };
-    match loader(&checkpoint) {
-        Ok(predictor) => {
-            let name = predictor.name();
-            let mut slot = sh.model.write().unwrap();
-            let version = slot.version + 1;
-            *slot = Arc::new(ModelInner {
-                predictor,
-                name: name.clone(),
-                version,
-                checkpoint: Some(checkpoint.clone()),
-            });
-            drop(slot);
-            metrics::global().counter("serve.reloads_total").incr();
-            let body = Obj::new()
-                .bool("ok", true)
-                .str("model", &name)
-                .u64("version", version)
-                .str("checkpoint", &checkpoint)
-                .finish();
-            write_response(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                body.as_bytes(),
-            );
-        }
+    let predictor = match loader(&checkpoint) {
+        Ok(predictor) => predictor,
         Err(msg) => {
-            // The old model keeps serving; a bad checkpoint is a no-op.
             metrics::global()
                 .counter("serve.reload_failed_total")
                 .incr();
-            write_json_error(&mut stream, "400 Bad Request", "reload_failed", &msg);
+            return responder.error(BAD_REQUEST, "reload_failed", &msg);
         }
-    }
+    };
+    let name = predictor.name();
+    let mut slot = sh.model.write().unwrap();
+    let version = slot.version + 1;
+    *slot = Arc::new(ModelInner {
+        predictor,
+        name: name.clone(),
+        version,
+        checkpoint: Some(checkpoint.clone()),
+    });
+    drop(slot);
+    metrics::global().counter("serve.reloads_total").incr();
+    let body = Obj::new()
+        .bool("ok", true)
+        .str("model", &name)
+        .u64("version", version)
+        .str("checkpoint", &checkpoint);
+    responder.json(&body.finish());
 }
 
 /// The coalescing loop: sleep until work arrives, give followers up to
@@ -458,17 +358,17 @@ fn batcher_loop(sh: &Shared) {
     let pool = WorkerPool::new(sh.cfg.workers.max(1));
     loop {
         let mut q = sh.queue.lock().unwrap();
-        while q.is_empty() && !sh.stop.load(Ordering::SeqCst) {
+        while q.is_empty() && !sh.stop.is_stopped() {
             q = sh.queue_cv.wait(q).unwrap();
         }
-        if sh.stop.load(Ordering::SeqCst) && q.is_empty() {
+        if sh.stop.is_stopped() && q.is_empty() {
             return;
         }
 
         // Coalescing window, anchored at the first request's arrival.
         let window_end = q.front().map(|p| p.enqueued).unwrap_or_else(Instant::now)
             + Duration::from_micros(sh.cfg.batch_window_us);
-        while q.len() < MAX_WINDOWS_PER_JOB && !sh.stop.load(Ordering::SeqCst) {
+        while q.len() < MAX_WINDOWS_PER_JOB && !sh.stop.is_stopped() {
             let Some(remaining) = window_end.checked_duration_since(Instant::now()) else {
                 break;
             };
@@ -482,18 +382,17 @@ fn batcher_loop(sh: &Shared) {
         let pending: Vec<Pending> = q.drain(..).collect();
         metrics::global().gauge("serve.queue_depth").set(0.0);
         drop(q);
-        execute_batch(sh, &pool, pending);
+        // One snapshot per cycle: a concurrent /reload swap cannot tear a
+        // batch — every window in it runs on this (version, params) pair.
+        let model = sh.model.read().unwrap().clone();
+        execute_batch(&model, &sh.next_id, &pool, pending);
 
-        if sh.stop.load(Ordering::SeqCst) {
+        if sh.stop.is_stopped() {
             // Drain any stragglers admitted during the last cycle.
             let rest: Vec<Pending> = sh.queue.lock().unwrap().drain(..).collect();
-            for mut p in rest {
-                write_json_error(
-                    &mut p.stream,
-                    "503 Service Unavailable",
-                    "shutting_down",
-                    "server is shutting down",
-                );
+            for p in rest {
+                p.responder
+                    .error(UNAVAILABLE, "shutting_down", "server is shutting down");
             }
             return;
         }
@@ -501,90 +400,30 @@ fn batcher_loop(sh: &Shared) {
 }
 
 /// Runs one drained batch: expire deadlines, chunk into jobs, execute on
-/// the pool against a single model snapshot, write every response.
-fn execute_batch(sh: &Shared, pool: &WorkerPool, pending: Vec<Pending>) {
+/// the pool against `model`, answer every request. A job that panics
+/// answers `500` to its own requests only.
+fn execute_batch(
+    model: &ModelInner,
+    next_id: &AtomicU64,
+    pool: &WorkerPool,
+    pending: Vec<Pending>,
+) {
     let now = Instant::now();
-    let mut live: Vec<Pending> = Vec::with_capacity(pending.len());
-    for mut p in pending {
-        if now > p.deadline {
-            metrics::global()
-                .counter("serve.deadline_expired_total")
-                .incr();
-            write_json_error(
-                &mut p.stream,
-                "504 Gateway Timeout",
-                "deadline_exceeded",
-                "request exceeded its deadline before execution",
-            );
-        } else {
-            live.push(p);
-        }
+    let (live, expired): (Vec<Pending>, Vec<Pending>) =
+        pending.into_iter().partition(|p| now <= p.deadline);
+    for p in expired {
+        metrics::global()
+            .counter("serve.deadline_expired_total")
+            .incr();
+        let message = "request exceeded its deadline before execution";
+        p.responder
+            .error("504 Gateway Timeout", "deadline_exceeded", message);
     }
     if live.is_empty() {
         return;
     }
 
-    // One snapshot per cycle: a concurrent /reload swap cannot tear a
-    // batch — every window in it runs on this (version, params) pair.
-    let model = sh.model.read().unwrap().clone();
-    let jobs: Vec<Vec<Pending>> = chunk_jobs(live);
-    let exec_start = Instant::now();
-    let results = pool.map(&jobs, |_, chunk| {
-        run_job(model.predictor.as_ref(), chunk, sh)
-    });
-    let exec_ms = exec_start.elapsed().as_secs_f64() * 1e3;
-    metrics::global().histogram("serve.exec_ms").record(exec_ms);
-
-    match results {
-        Ok(per_job) => {
-            for (mut chunk, modes_per_window) in jobs.into_iter().zip(per_job) {
-                let batch_windows = chunk.len();
-                metrics::global()
-                    .histogram("serve.batch_windows")
-                    .record(batch_windows as f64);
-                for (p, modes) in chunk.iter_mut().zip(modes_per_window) {
-                    let queue_ms = (exec_start - p.enqueued).as_secs_f64() * 1e3;
-                    metrics::global()
-                        .histogram("serve.queue_ms")
-                        .record(queue_ms);
-                    let body = codec::encode_response(
-                        &model.name,
-                        model.version,
-                        p.request.seed,
-                        &modes,
-                        batch_windows,
-                        queue_ms,
-                        exec_ms,
-                    );
-                    metrics::global().counter("serve.responses_ok_total").incr();
-                    write_response(
-                        &mut p.stream,
-                        "200 OK",
-                        "application/json; charset=utf-8",
-                        body.as_bytes(),
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            // A panicked job fails the whole cycle loudly (it should be
-            // impossible for validated input); every waiter gets a 500.
-            metrics::global()
-                .counter("serve.internal_error_total")
-                .incr();
-            let msg = format!("batched execution failed: {e}");
-            for mut chunk in jobs {
-                for p in chunk.iter_mut() {
-                    write_json_error(&mut p.stream, "500 Internal Server Error", "internal", &msg);
-                }
-            }
-        }
-    }
-}
-
-/// Splits admitted requests into jobs of at most [`MAX_WINDOWS_PER_JOB`]
-/// windows, preserving arrival order.
-fn chunk_jobs(live: Vec<Pending>) -> Vec<Vec<Pending>> {
+    // Jobs of at most MAX_WINDOWS_PER_JOB windows, in arrival order.
     let mut jobs: Vec<Vec<Pending>> = Vec::new();
     for p in live {
         match jobs.last_mut() {
@@ -592,30 +431,222 @@ fn chunk_jobs(live: Vec<Pending>) -> Vec<Vec<Pending>> {
             _ => jobs.push(vec![p]),
         }
     }
-    jobs
+    let exec_start = Instant::now();
+    // `run_job` catches its own panics, so `map` only fails if the pool
+    // itself does; then every job fails.
+    let results = pool
+        .map(&jobs, |_, chunk| {
+            run_job(model.predictor.as_ref(), chunk, next_id)
+        })
+        .unwrap_or_else(|e| jobs.iter().map(|_| Err(e.to_string())).collect());
+    let exec_ms = exec_start.elapsed().as_secs_f64() * 1e3;
+    metrics::global().histogram("serve.exec_ms").record(exec_ms);
+
+    for (chunk, result) in jobs.into_iter().zip(results) {
+        let modes_per_window = match result {
+            Ok(modes) => modes,
+            Err(msg) => {
+                metrics::global()
+                    .counter("serve.internal_error_total")
+                    .incr();
+                let msg = format!("batched execution failed: {msg}");
+                for p in chunk {
+                    p.responder
+                        .error("500 Internal Server Error", "internal", &msg);
+                }
+                continue;
+            }
+        };
+        let batch_windows = chunk.len();
+        metrics::global()
+            .histogram("serve.batch_windows")
+            .record(batch_windows as f64);
+        for (p, modes) in chunk.into_iter().zip(modes_per_window) {
+            let queue_ms = (exec_start - p.enqueued).as_secs_f64() * 1e3;
+            metrics::global()
+                .histogram("serve.queue_ms")
+                .record(queue_ms);
+            let body = codec::encode_response(
+                &model.name,
+                model.version,
+                p.request.seed,
+                &modes,
+                batch_windows,
+                queue_ms,
+                exec_ms,
+            );
+            metrics::global().counter("serve.responses_ok_total").incr();
+            p.responder.json(&body);
+        }
+    }
 }
 
 /// Executes one job: one [`Predictor::sample`] call that encodes the
 /// chunk's windows once and runs `kmax` batched sample passes over them,
 /// each request keeping its first `k` modes. Per-window rng streams
 /// seeded from each request's seed make the result bit-identical to
-/// `predict_k(window, k, Rng::seed_from(seed))` offline.
-fn run_job(predictor: &dyn Predictor, chunk: &[Pending], sh: &Shared) -> Vec<Vec<Vec<Point>>> {
-    let ids: Vec<u64> = chunk
-        .iter()
-        .map(|_| sh.next_id.fetch_add(1, Ordering::Relaxed))
-        .collect();
-    let windows: Vec<&adaptraj_data::trajectory::TrajWindow> =
-        chunk.iter().map(|p| &p.request.window).collect();
-    let batch = WindowBatch::new(windows, ids);
-    let mut rngs: Vec<Rng> = chunk
-        .iter()
-        .map(|p| Rng::seed_from(p.request.seed))
-        .collect();
-    let kmax = chunk.iter().map(|p| p.request.k).max().unwrap_or(1);
-    let mut modes = predictor.sample(&batch, &mut rngs, kmax);
-    for (m, p) in modes.iter_mut().zip(chunk) {
-        m.truncate(p.request.k);
+/// `predict_k(window, k, Rng::seed_from(seed))` offline. A panic becomes
+/// this job's `Err`.
+fn run_job(
+    predictor: &dyn Predictor,
+    chunk: &[Pending],
+    next_id: &AtomicU64,
+) -> Result<Vec<Vec<Vec<Point>>>, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let ids: Vec<u64> = chunk
+            .iter()
+            .map(|_| next_id.fetch_add(1, Ordering::Relaxed))
+            .collect();
+        let windows: Vec<&adaptraj_data::trajectory::TrajWindow> =
+            chunk.iter().map(|p| &p.request.window).collect();
+        let batch = WindowBatch::new(windows, ids);
+        let mut rngs: Vec<Rng> = chunk
+            .iter()
+            .map(|p| Rng::seed_from(p.request.seed))
+            .collect();
+        let kmax = chunk.iter().map(|p| p.request.k).max().unwrap_or(1);
+        let mut modes = predictor.sample(&batch, &mut rngs, kmax);
+        for (m, p) in modes.iter_mut().zip(chunk) {
+            m.truncate(p.request.k);
+        }
+        modes
+    }))
+    .map_err(adaptraj_exec::panic_message)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adaptraj_data::dataset::{synthesize_domain, SynthesisConfig};
+    use adaptraj_data::domain::DomainId;
+    use adaptraj_data::trajectory::TrajWindow;
+    use adaptraj_models::predictor::TrainReport;
+    use adaptraj_models::{BackboneConfig, PecNet, TrainerConfig, Vanilla};
+    use adaptraj_tensor::ParamStore;
+    use std::io::Read;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A real predictor that panics on any batch holding a window whose
+    /// origin is [`MARK`].
+    struct PanicsOnMark(Vanilla<PecNet>);
+
+    const MARK: Point = [-777.0, -777.0];
+
+    impl Predictor for PanicsOnMark {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn fit(&mut self, _: &[TrajWindow]) -> TrainReport {
+            unreachable!("serving never trains")
+        }
+        fn sample(
+            &self,
+            batch: &WindowBatch<'_>,
+            rngs: &mut [Rng],
+            k: usize,
+        ) -> Vec<Vec<Vec<Point>>> {
+            assert!(
+                batch.windows().iter().all(|w| w.origin != MARK),
+                "marked window"
+            );
+            self.0.sample(batch, rngs, k)
+        }
+        fn store(&self) -> &ParamStore {
+            self.0.store()
+        }
+        fn store_mut(&mut self) -> &mut ParamStore {
+            self.0.store_mut()
+        }
     }
-    modes
+
+    fn bits(modes: &[Vec<Point>]) -> Vec<u32> {
+        modes
+            .iter()
+            .flatten()
+            .flat_map(|p| [p[0].to_bits(), p[1].to_bits()])
+            .collect()
+    }
+
+    /// Nine requests form two jobs (8 + 1); the one window of job 2 makes
+    /// its job panic. Job 1 still answers 200 with the offline bits, job 2
+    /// answers 500 `internal`, and the failure counts once.
+    #[test]
+    fn a_panicking_job_fails_only_its_own_requests() {
+        let mut windows: Vec<TrajWindow> =
+            synthesize_domain(DomainId::EthUcy, &SynthesisConfig::smoke())
+                .test
+                .into_iter()
+                .take(MAX_WINDOWS_PER_JOB + 1)
+                .collect();
+        assert_eq!(windows.len(), MAX_WINDOWS_PER_JOB + 1);
+        windows[MAX_WINDOWS_PER_JOB].origin = MARK;
+        let build = || {
+            Vanilla::new(TrainerConfig::smoke(), |s, r| {
+                PecNet::new(s, r, BackboneConfig::default())
+            })
+        };
+        let model = ModelInner {
+            predictor: Box::new(PanicsOnMark(build())),
+            name: "test".into(),
+            version: 1,
+            checkpoint: None,
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let now = Instant::now();
+        let mut clients = Vec::new();
+        let mut pending = Vec::new();
+        for (i, window) in windows.iter().enumerate() {
+            clients.push(TcpStream::connect(addr).unwrap());
+            pending.push(Pending {
+                request: PredictRequest {
+                    window: window.clone(),
+                    seed: 100 + i as u64,
+                    k: 1 + i % 3,
+                },
+                responder: Responder::new(listener.accept().unwrap().0),
+                enqueued: now,
+                deadline: now + Duration::from_secs(60),
+            });
+        }
+
+        let failed = metrics::global().counter("serve.internal_error_total");
+        let failed_before = failed.get();
+        execute_batch(&model, &AtomicU64::new(1), &WorkerPool::new(2), pending);
+        assert_eq!(failed.get(), failed_before + 1, "one failed job");
+
+        let reference = build();
+        for (i, mut client) in clients.into_iter().enumerate() {
+            let mut response = String::new();
+            client.read_to_string(&mut response).unwrap();
+            let (head, body) = response.split_once("\r\n\r\n").unwrap();
+            if i < MAX_WINDOWS_PER_JOB {
+                assert!(
+                    head.starts_with("HTTP/1.1 200 "),
+                    "request {i}: {response:.200}"
+                );
+                let served = codec::decode_response_modes(body).expect("response modes");
+                let expected = reference.predict_k(
+                    &windows[i],
+                    1 + i % 3,
+                    &mut Rng::seed_from(100 + i as u64),
+                );
+                assert_eq!(
+                    bits(&served),
+                    bits(&expected),
+                    "request {i}: served bits != offline"
+                );
+            } else {
+                assert!(
+                    head.starts_with("HTTP/1.1 500 "),
+                    "request {i}: {response:.200}"
+                );
+                let code = Value::parse(body)
+                    .ok()
+                    .and_then(|v| v.get("error")?.get("code")?.as_str().map(String::from));
+                assert_eq!(code.as_deref(), Some("internal"));
+            }
+        }
+    }
 }

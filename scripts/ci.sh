@@ -100,13 +100,15 @@ cargo run --release --offline --bin adaptraj -- \
     doctor --bench-baseline target/perfbench_ci_train_adaptraj.txt \
     --bench-candidate target/perfbench_ci_train_adaptraj.txt || fail=1
 
-step "serve smoke (golden bit-exactness, /metrics, 503 backpressure, clean shutdown)"
+step "serve smoke (golden bit-exactness, /metrics /timeline /profile, 405, 503 backpressure, clean shutdown)"
 # Trains a tiny fixed-seed checkpoint, serves it on an ephemeral port, and
 # drives it from outside with serve_gate: the golden probe scene's served
 # predictions must match the committed results/SERVE_golden.json bit for
 # bit (regenerate with `serve_gate --write-golden` when the model
-# legitimately changes), /metrics must expose the serve counters, and
-# shutdown must be clean. A second instance with --queue-cap 1 proves the
+# legitimately changes), /metrics must expose the serve counters,
+# /timeline (Chrome trace) and /profile (JSON) must be mounted on the
+# predict port, GET /v1/predict must be a JSON 405, and shutdown must be
+# clean. A second instance with --queue-cap 1 proves the
 # bounded queue rejects a flood with structured 503s.
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method vanilla --sources eth_ucy --target l_cas \

@@ -79,8 +79,9 @@ fn start_telemetry(
     let server =
         TelemetryServer::start(addr).map_err(|e| format!("--telemetry-addr {addr}: {e}"))?;
     println!(
-        "telemetry endpoint on http://{} (GET /metrics /healthz /profile)",
-        server.local_addr()
+        "telemetry endpoint on http://{} ({})",
+        server.local_addr(),
+        server.routes()
     );
     Ok(Some(server))
 }
@@ -396,10 +397,10 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 Some(loader),
             )?;
             println!(
-                "serving {} on http://{} (POST /v1/predict, GET /healthz /metrics, \
-                 POST /reload /shutdown)",
+                "serving {} on http://{} ({})",
                 spec.label(),
-                server.local_addr()
+                server.local_addr(),
+                server.routes()
             );
             server.wait();
             println!("server stopped");

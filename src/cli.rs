@@ -539,8 +539,10 @@ OBSERVABILITY (run):
 
 SERVE:
   serves POST /v1/predict (scene JSON in, best-of-k trajectories out),
-  GET /healthz, GET /metrics (Prometheus), POST /reload (hot checkpoint
-  swap), POST /shutdown. Requests are micro-batched: the batcher waits up
+  GET /healthz, POST /reload (hot checkpoint swap), POST /shutdown, and
+  the telemetry routes GET /metrics (Prometheus), GET /profile (op
+  profiler JSON) and GET /timeline (Chrome trace JSON) on the same port;
+  GET / lists the routes. Requests are micro-batched: the batcher waits up
   to --batch-window-us for concurrent requests and coalesces them into
   one WindowBatch pass per <= 8 windows on --workers threads. Responses
   are bit-identical to offline predict_k for the same scene + checkpoint

@@ -4,8 +4,9 @@
 //! (`adaptraj_obs::http`), so both must answer hostile input the same
 //! way — 413 for oversized payloads, 400 for malformed framing (with a
 //! machine-parseable JSON error), 408 when a slow writer exceeds the
-//! read deadline, and 404 for unknown paths. Each check runs against
-//! both servers.
+//! read deadline, a JSON 404 `not_found` for unknown paths and a JSON
+//! 405 `method_not_allowed` for a known path with the wrong method. Each
+//! check runs against both servers.
 
 use adaptraj::data::domain::DomainId;
 use adaptraj::eval::{build_predictor, BackboneKind, CellSpec, MethodKind, RunnerConfig};
@@ -47,7 +48,7 @@ fn error_code(response: &str) -> String {
 
 /// Runs the listener-level checks common to both servers. `deadline` is
 /// the server's configured read deadline (they differ), and
-/// `known_path` must answer something other than 404.
+/// `known_path` must be a GET-only route.
 fn assert_protocol_robustness(addr: SocketAddr, deadline: Duration, known_path: &str) {
     // 413: a Content-Length beyond the body limit is rejected before the
     // body is read — no need to actually ship megabytes.
@@ -87,11 +88,20 @@ fn assert_protocol_robustness(addr: SocketAddr, deadline: Duration, known_path: 
         b"GET /definitely/not/a/route HTTP/1.1\r\nHost: t\r\n\r\n",
     );
     assert_eq!(status_of(&missing), 404, "{missing:.200}");
+    assert_eq!(error_code(&missing), "not_found");
     let known = raw_exchange(
         addr,
         format!("GET {known_path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
     );
     assert_ne!(status_of(&known), 404, "{known_path} should exist");
+
+    // A wrong method on a known route is 405, not 404.
+    let wrong_method = raw_exchange(
+        addr,
+        format!("POST {known_path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+    );
+    assert_eq!(status_of(&wrong_method), 405, "{wrong_method:.200}");
+    assert_eq!(error_code(&wrong_method), "method_not_allowed");
 }
 
 #[test]
@@ -142,9 +152,5 @@ fn predict_server_survives_hostile_input() {
         assert_eq!(status_of(&resp), 400, "{resp:.200}");
         assert!(!error_code(&resp).is_empty());
     }
-
-    // And a wrong method on a known route is 405, not 404.
-    let wrong_method = raw_exchange(addr, b"GET /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n");
-    assert_eq!(status_of(&wrong_method), 405, "{wrong_method:.200}");
     server.stop();
 }

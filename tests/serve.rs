@@ -5,7 +5,9 @@
 //! respects `MAX_WINDOWS_PER_JOB`; admission control answers a
 //! structured 503; a checkpoint hot-reload never serves a torn
 //! model; and the failure paths — a wrong-architecture checkpoint on
-//! reload, a client that hangs up mid-batch — leave the server healthy.
+//! reload, a client that hangs up mid-batch — leave the server healthy;
+//! shutdown under load answers every client cleanly; and the shared
+//! telemetry routes are mounted on the predict port.
 //!
 //! Every test starts its own server on an ephemeral port, so tests are
 //! independent (the metrics registry is process-global but only ever
@@ -24,7 +26,9 @@ use adaptraj::tensor::serialize::{load_params_from_file, save_params_to_file};
 use adaptraj::tensor::Rng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn spec() -> CellSpec {
     CellSpec {
@@ -537,4 +541,200 @@ fn a_client_that_drops_mid_batch_leaves_the_server_healthy() {
         "{health}"
     );
     server.stop();
+}
+
+/// The predict port also serves the shared telemetry routes: `/timeline`
+/// is the flight recorder's Chrome trace document, `/profile` the
+/// profiler's JSON, and `GET /` lists every route.
+#[test]
+fn predict_server_serves_timeline_and_profile() {
+    let server = PredictServer::start(ServeConfig::default(), predictor_with_seed(7), None, None)
+        .expect("server start");
+    let addr = server.local_addr();
+
+    let (status, timeline) = http_get(addr, "/timeline");
+    assert_eq!(status, 200, "{timeline:.200}");
+    let doc = Value::parse(&timeline).expect("/timeline is JSON");
+    assert!(
+        doc.get("traceEvents").and_then(Value::as_array).is_some(),
+        "/timeline has no traceEvents array: {timeline:.200}"
+    );
+
+    let (status, profile) = http_get(addr, "/profile");
+    assert_eq!(status, 200, "{profile:.200}");
+    Value::parse(&profile).expect("/profile is JSON");
+
+    let (status, index) = http_get(addr, "/");
+    assert_eq!(status, 200);
+    for route in [
+        "/v1/predict",
+        "/healthz",
+        "/metrics",
+        "/profile",
+        "/timeline",
+    ] {
+        assert!(index.contains(route), "index misses {route}: {index}");
+        assert!(server.routes().contains(route), "{}", server.routes());
+    }
+    server.stop();
+}
+
+/// How one request fared while the server shut down. Anything else (a
+/// truncated response, another status, a hang) is a contract violation.
+enum Outcome {
+    /// A complete 200 and its mode bits.
+    Served(Vec<u32>),
+    /// A complete 503 `shutting_down`.
+    ShuttingDown,
+    /// Connect, write or read failed before any response byte arrived.
+    NoResponse,
+}
+
+fn predict_during_shutdown(addr: SocketAddr, body: &str) -> Result<Outcome, String> {
+    let Ok(mut stream) = TcpStream::connect(addr) else {
+        return Ok(Outcome::NoResponse);
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = format!(
+        "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    if stream.write_all(request.as_bytes()).is_err() {
+        return Ok(Outcome::NoResponse);
+    }
+    let mut raw = Vec::new();
+    match stream.read_to_end(&mut raw) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            return Err(format!("no answer within 10 s ({} bytes)", raw.len()))
+        }
+        Err(e) if !raw.is_empty() => {
+            return Err(format!("truncated after {} bytes: {e}", raw.len()))
+        }
+        _ if raw.is_empty() => return Ok(Outcome::NoResponse),
+        _ => {}
+    }
+    let raw = String::from_utf8(raw).map_err(|e| e.to_string())?;
+    let (head, body) = raw
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| format!("truncated head: {raw:.200}"))?;
+    let declared: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("no Content-Length: {head}"))?;
+    if body.len() != declared {
+        return Err(format!("body of {} bytes, declared {declared}", body.len()));
+    }
+    let error_code = || {
+        Value::parse(body)
+            .ok()
+            .and_then(|v| v.get("error")?.get("code")?.as_str().map(String::from))
+    };
+    match head.split_whitespace().nth(1) {
+        Some("200") => codec::decode_response_modes(body)
+            .map(|m| Outcome::Served(bits(&m)))
+            .map_err(|e| e.message),
+        Some("503") if error_code().as_deref() == Some("shutting_down") => {
+            Ok(Outcome::ShuttingDown)
+        }
+        _ => Err(format!("unexpected response: {raw:.200}")),
+    }
+}
+
+/// `POST /shutdown` while 4 closed-loop clients run: every request ends
+/// in a complete 200 with the offline bits, a complete 503
+/// `shutting_down`, or a transport error before any response byte — no
+/// truncated response, no hang — and `wait` returns within 5 s.
+#[test]
+fn shutdown_under_load_answers_every_client_cleanly() {
+    let scenes = Arc::new(mixed_scenes());
+    let server = PredictServer::start(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        predictor_with_seed(44),
+        None,
+        None,
+    )
+    .expect("server start");
+    let addr = server.local_addr();
+
+    const CLIENTS: usize = 4;
+    let served = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (scenes, served) = (Arc::clone(&scenes), Arc::clone(&served));
+            std::thread::spawn(move || {
+                let mut outcomes = Vec::new();
+                for i in 0.. {
+                    let scene_idx = (t + i) % scenes.len();
+                    let seed = (t * 10_000 + i) as u64;
+                    let body = codec::encode_request(&scenes[scene_idx], seed, 1);
+                    let outcome = predict_during_shutdown(addr, &body);
+                    let done = !matches!(outcome, Ok(Outcome::Served(_)));
+                    if !done {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    outcomes.push((scene_idx, seed, outcome));
+                    if done {
+                        return outcomes;
+                    }
+                }
+                unreachable!()
+            })
+        })
+        .collect();
+
+    // Shut down once the clients are demonstrably in flight.
+    let t0 = std::time::Instant::now();
+    while served.load(Ordering::Relaxed) < 4 * CLIENTS {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "clients stalled before shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (status, resp) = http_post(addr, "/shutdown", "");
+    assert_eq!(status, 200, "{resp:.200}");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("PredictServer::wait did not return within 5 s of /shutdown");
+
+    let reference = predictor_with_seed(44);
+    let mut counts = [0usize; 3];
+    for client in clients {
+        for (scene_idx, seed, outcome) in client.join().expect("client thread") {
+            match outcome {
+                Ok(Outcome::Served(got)) => {
+                    counts[0] += 1;
+                    let expected =
+                        reference.predict_k(&scenes[scene_idx], 1, &mut Rng::seed_from(seed));
+                    assert_eq!(
+                        got,
+                        bits(&expected),
+                        "scene {scene_idx} seed {seed}: served bits != offline"
+                    );
+                }
+                Ok(Outcome::ShuttingDown) => counts[1] += 1,
+                Ok(Outcome::NoResponse) => counts[2] += 1,
+                Err(violation) => panic!("scene {scene_idx} seed {seed}: {violation}"),
+            }
+        }
+    }
+    assert!(
+        counts[0] >= 4 * CLIENTS,
+        "outcomes (served, 503, none): {counts:?}"
+    );
 }
