@@ -161,7 +161,8 @@ fn lbebm_training_loss_gradients_match_fd_on_detach_clean_params() {
 fn causal_motion_vrex_gradient_assembly_matches_fd() {
     // CausalMotion never builds the V-REx objective on one tape: the
     // trainer assembles  dL/dθ = (g₁+g₂)/2 + 2λ(r₁−r₂)(g₁−g₂)  from
-    // per-environment risks/gradients (crates/models/src/causal_motion.rs).
+    // per-environment risks/gradients (`Trainer::risk_variance` in
+    // crates/models/src/trainer.rs).
     // Verify that assembled gradient against FD of the explicit scalar
     //   L = (r₁+r₂)/2 + λ(r₁−r₂)²
     // with λ = INVARIANCE_WEIGHT = 2.0.

@@ -218,28 +218,6 @@ fn gather_rows_copies_the_indexed_rows() {
 }
 
 #[test]
-fn simse_is_bounded_by_mse_and_nonnegative() {
-    check("simse-vs-mse", 60, |g| {
-        let (rows, cols) = (g.dim(), g.dim());
-        let pred = g.tensor(rows, cols);
-        let target = g.tensor(rows, cols);
-        let mut tape = Tape::new();
-        let p = tape.input(pred);
-        let simse_var = tape.simse_to(p, &target);
-        let simse = tape.value(simse_var).item();
-        let mse_var = tape.mse_to(p, &target);
-        let mse = tape.value(mse_var).item();
-        if simse < -1e-6 {
-            return Err(format!("simse {simse} negative"));
-        }
-        if simse > mse + 1e-4 {
-            return Err(format!("simse {simse} exceeds mse {mse}"));
-        }
-        Ok(())
-    });
-}
-
-#[test]
 fn grad_reverse_is_identity_forward_and_negation_backward() {
     check("grad-reverse", 60, |g| {
         let (rows, cols) = (g.dim(), g.dim());

@@ -42,6 +42,29 @@ impl DomainId {
         }
     }
 
+    /// Lower-case tag naming the domain on the CLI, in CSV files and in
+    /// predict requests.
+    pub fn tag(self) -> &'static str {
+        match self {
+            DomainId::EthUcy => "eth_ucy",
+            DomainId::LCas => "l_cas",
+            DomainId::Syi => "syi",
+            DomainId::Sdd => "sdd",
+        }
+    }
+
+    /// Inverse of [`DomainId::tag`], case-insensitive, that also accepts
+    /// the paper's spellings (`ethucy`, `eth&ucy`, `lcas`, `l-cas`).
+    pub fn from_tag(tag: &str) -> Option<DomainId> {
+        match tag.to_ascii_lowercase().as_str() {
+            "eth_ucy" | "ethucy" | "eth&ucy" => Some(DomainId::EthUcy),
+            "l_cas" | "lcas" | "l-cas" => Some(DomainId::LCas),
+            "syi" => Some(DomainId::Syi),
+            "sdd" => Some(DomainId::Sdd),
+            _ => None,
+        }
+    }
+
     /// Stable small integer (used as the domain-classifier label and for
     /// seeding).
     pub fn index(self) -> usize {
@@ -176,6 +199,43 @@ mod tests {
     fn index_round_trips() {
         for d in DomainId::ALL {
             assert_eq!(DomainId::from_index(d.index()), d);
+        }
+    }
+
+    #[test]
+    fn tags_parse_aliases_any_case_and_round_trip_through_csv() {
+        let cases: [(&str, Option<DomainId>); 14] = [
+            ("eth_ucy", Some(DomainId::EthUcy)),
+            ("EthUcy", Some(DomainId::EthUcy)),
+            ("ETH&UCY", Some(DomainId::EthUcy)),
+            ("l_cas", Some(DomainId::LCas)),
+            ("LCAS", Some(DomainId::LCas)),
+            ("L-CAS", Some(DomainId::LCas)),
+            ("syi", Some(DomainId::Syi)),
+            ("Sdd", Some(DomainId::Sdd)),
+            ("mars", None),
+            ("", None),
+            ("eth ucy", None),
+            ("l_cas ", None),
+            ("sd", None),
+            ("syi,sdd", None),
+        ];
+        for (tag, want) in cases {
+            assert_eq!(DomainId::from_tag(tag), want, "tag {tag:?}");
+        }
+        for d in DomainId::ALL {
+            assert_eq!(DomainId::from_tag(d.tag()), Some(d));
+            assert_eq!(DomainId::from_tag(d.name()), Some(d), "{}", d.name());
+            let focal: Vec<[f32; 2]> = (0..crate::trajectory::T_TOTAL)
+                .map(|t| [t as f32, 0.0])
+                .collect();
+            let w = crate::trajectory::TrajWindow::from_world(&focal, &[], d);
+            let mut csv = Vec::new();
+            crate::io::write_csv(std::slice::from_ref(&w), &mut csv).unwrap();
+            let line = String::from_utf8(csv.clone()).unwrap();
+            assert!(line.contains(&format!(",{},", d.tag())), "{line}");
+            let read = crate::io::read_csv(&mut csv.as_slice()).unwrap();
+            assert_eq!(read[0].domain, d);
         }
     }
 

@@ -43,30 +43,11 @@ impl From<io::Error> for CsvError {
     }
 }
 
-fn domain_tag(d: DomainId) -> &'static str {
-    match d {
-        DomainId::EthUcy => "eth_ucy",
-        DomainId::LCas => "l_cas",
-        DomainId::Syi => "syi",
-        DomainId::Sdd => "sdd",
-    }
-}
-
-fn parse_domain(tag: &str) -> Option<DomainId> {
-    match tag {
-        "eth_ucy" => Some(DomainId::EthUcy),
-        "l_cas" => Some(DomainId::LCas),
-        "syi" => Some(DomainId::Syi),
-        "sdd" => Some(DomainId::Sdd),
-        _ => None,
-    }
-}
-
 /// Writes windows as CSV.
 pub fn write_csv(windows: &[TrajWindow], writer: &mut impl Write) -> Result<(), CsvError> {
     writeln!(writer, "window_id,domain,agent,step,x,y")?;
     for (wid, w) in windows.iter().enumerate() {
-        let tag = domain_tag(w.domain);
+        let tag = w.domain.tag();
         writeln!(writer, "{wid},{tag},-1,0,{},{}", w.origin[0], w.origin[1])?;
         for (t, p) in w.full_track().iter().enumerate() {
             writeln!(writer, "{wid},{tag},0,{t},{},{}", p[0], p[1])?;
@@ -145,7 +126,7 @@ pub fn read_csv(reader: &mut impl BufRead) -> Result<Vec<TrajWindow>, CsvError> 
         let wid: usize = fields[0]
             .parse()
             .map_err(|_| CsvError::Parse(lineno, "bad window_id".into()))?;
-        let domain = parse_domain(fields[1])
+        let domain = DomainId::from_tag(fields[1])
             .ok_or_else(|| CsvError::Parse(lineno, format!("unknown domain '{}'", fields[1])))?;
         let agent: i64 = fields[2]
             .parse()

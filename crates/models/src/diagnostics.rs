@@ -193,6 +193,11 @@ impl HealthAccum {
     }
 }
 
+/// Serializes this crate's unit tests that switch the process-global
+/// health observatory on or off.
+#[cfg(test)]
+pub(crate) static HEALTH_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +252,7 @@ mod tests {
 
     #[test]
     fn disabled_accumulator_is_inert() {
+        let _lock = HEALTH_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         health::set_enabled(false);
         let mut acc = HealthAccum::new(0, "step1", ["x".to_string()]);
         let (_, a, _) = store_with_two_groups();

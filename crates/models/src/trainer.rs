@@ -12,7 +12,9 @@
 //! are shipped back to the dispatching thread and reduced into one
 //! [`GradBuffer`] **in job order, weighted by job size**, so the
 //! accumulated sum — and therefore every optimizer step — is bit-identical
-//! for any worker count.
+//! for any worker count. Under [`Trainer::risk_variance`] (CausalMotion)
+//! the batch half is a third part of the job key, and jobs reduce into two
+//! per-half buffers that combine into the V-REx gradient.
 //!
 //! Determinism contract: the caller's `rng` is consumed only on the
 //! dispatching thread — for batch shuffling at the start of each epoch,
@@ -21,7 +23,9 @@
 //! [`window_seed`]`(cfg.seed, epoch, window)` — handed to `per_batch` as
 //! one rng per window in batch order — which depends on the run seed and
 //! the window's position in `windows`, never on job formation, which
-//! worker picks up the job, or how jobs interleave.
+//! worker picks up the job, or how jobs interleave. The environment split
+//! of [`Trainer::risk_variance`] is positional too: a window's half is
+//! whether its position in the shuffled batch reaches `⌈len/2⌉`.
 
 use crate::config::TrainerConfig;
 use crate::diagnostics::HealthAccum;
@@ -100,6 +104,7 @@ pub struct Trainer<'a> {
     cfg: &'a TrainerConfig,
     phase: &'static str,
     epoch_offset: usize,
+    risk_variance: Option<f32>,
 }
 
 impl<'a> Trainer<'a> {
@@ -110,6 +115,7 @@ impl<'a> Trainer<'a> {
             cfg,
             phase: "train",
             epoch_offset: 0,
+            risk_variance: None,
         }
     }
 
@@ -127,11 +133,24 @@ impl<'a> Trainer<'a> {
         self
     }
 
+    /// Replaces the batch-mean update with the V-REx risk-variance update
+    /// over two pseudo-environments, the batch halves (CausalMotion). The
+    /// exact gradient of `L = (r0 + r1)/2 + λ(r0 − r1)²`, with `r_k` the
+    /// mean risk and `g_k` the gradient of half `k`, is assembled from
+    /// per-half buffers without a cross-environment tape:
+    /// `dL/dθ = (g0 + g1)/2 + 2λ(r0 − r1)(g0 − g1)`. The risk gap couples
+    /// every job's gradient, so one non-finite job voids the whole batch.
+    pub fn risk_variance(mut self, weight: f32) -> Self {
+        self.risk_variance = Some(weight);
+        self
+    }
+
     /// Runs the loop: per epoch, shuffled mini-batches split into jobs
-    /// homogeneous in `(domain, key)`; per job, a fresh tape + one private
-    /// rng per window on a worker thread; gradients averaged over the
-    /// batch (job weight = job size / batch size), clipped, and applied
-    /// with `opt`.
+    /// homogeneous in `(half, domain, key)`; per job, a fresh tape + one
+    /// private rng per window on a worker thread; gradients averaged over
+    /// the batch (job weight = job size / batch size) or, under
+    /// [`Trainer::risk_variance`], combined from the two halves, then
+    /// clipped and applied with `opt`.
     ///
     /// `job_key` draws each window's key from `rng` on this thread, once
     /// per window per epoch in batch order; `per_batch` receives its job's
@@ -201,23 +220,31 @@ impl<'a> Trainer<'a> {
             for (batch_idx, batch) in batch_list.into_iter().enumerate() {
                 // Keys come off the caller's rng here, in batch order and
                 // before dispatch; the job split depends only on
-                // `(domain, key)`, so both are worker-count independent.
+                // `(half, domain, key)`, so both are worker-count
+                // independent. The half is 0 except under `risk_variance`,
+                // whose second environment starts at `mid`.
+                let mid = match self.risk_variance {
+                    Some(_) => batch.len().div_ceil(2),
+                    None => batch.len(),
+                };
                 let keys: Vec<_> = batch
                     .iter()
-                    .map(|&i| (windows[i].domain, job_key(rng)))
+                    .enumerate()
+                    .map(|(p, &i)| (usize::from(p >= mid), windows[i].domain, job_key(rng)))
                     .collect();
-                let jobs: Vec<(WindowBatch<'_>, K)> = keyed_jobs(&keys, MAX_WINDOWS_PER_JOB)
+                let jobs: Vec<(WindowBatch<'_>, K, usize)> = keyed_jobs(&keys, MAX_WINDOWS_PER_JOB)
                     .into_iter()
                     .map(|pos| {
                         let ws = pos.iter().map(|&p| windows[batch[p]]).collect();
                         let ids = pos.iter().map(|&p| batch[p] as u64).collect();
-                        (WindowBatch::new(ws, ids), keys[pos[0]].1)
+                        let (half, _, key) = keys[pos[0]];
+                        (WindowBatch::new(ws, ids), key, half)
                     })
                     .collect();
                 // A worker panic is re-raised here, as a panicking
                 // `per_batch` would unwind through a sequential loop.
                 let results = pool
-                    .map(&jobs, |_, &(ref wb, key)| {
+                    .map(&jobs, |_, &(ref wb, key, _)| {
                         let _h = health::batch_scope(global_epoch as u64, wb.ids());
                         // The worker pool keeps its threads alive across
                         // batches, so in steady state every job replays onto
@@ -270,7 +297,14 @@ impl<'a> Trainer<'a> {
                 let mut buf = GradBuffer::new();
                 let inv_total = 1.0 / batch.len() as f32;
                 let seen_before = seen;
-                for ((wb, _), r) in jobs.iter().zip(&results) {
+                // Under `risk_variance` the risk gap couples every job's
+                // gradient, so one non-finite job voids the whole batch.
+                let voided =
+                    self.risk_variance.is_some() && results.iter().any(|r| !r.val.is_finite());
+                let mut halves = [GradBuffer::new(), GradBuffer::new()];
+                let mut risks = [0.0f32; 2];
+                let half_len = [mid, batch.len() - mid];
+                for ((wb, _, half), r) in jobs.iter().zip(&results).filter(|_| !voided) {
                     if !r.val.is_finite() {
                         rec.non_finite_batches += wb.len() as u64;
                         obs_warn!(
@@ -281,11 +315,28 @@ impl<'a> Trainer<'a> {
                         continue;
                     }
                     let weight = wb.len() as f32 * inv_total;
-                    buf.absorb_pairs_scaled(&r.pairs, weight);
+                    if self.risk_variance.is_some() {
+                        let half_weight = wb.len() as f32 / half_len[*half] as f32;
+                        halves[*half].absorb_pairs_scaled(&r.pairs, half_weight);
+                        risks[*half] += r.val * half_weight;
+                    } else {
+                        buf.absorb_pairs_scaled(&r.pairs, weight);
+                    }
+                    // Per-domain diagnostics see each job's share of the
+                    // batch-mean gradient under either update.
                     diag.absorb(wb.windows()[0].domain.name(), &r.pairs, weight);
                     epoch_loss += r.val as f64 * wb.len() as f64;
                     means.add(&r.components, wb.len() as u64);
                     seen += wb.len();
+                }
+                if let (Some(lambda), false) = (self.risk_variance, voided) {
+                    buf.scaled_add(&halves[0], 0.5);
+                    buf.scaled_add(&halves[1], 0.5);
+                    if batch.len() > 1 {
+                        let coeff = 2.0 * lambda * (risks[0] - risks[1]);
+                        buf.scaled_add(&halves[0], coeff);
+                        buf.scaled_add(&halves[1], -coeff);
+                    }
                 }
                 // Batched jobs make `tensor.backward_calls` a job count,
                 // not a window count; this counter keeps the true
@@ -298,14 +349,24 @@ impl<'a> Trainer<'a> {
                         g.recycle();
                     }
                 }
+                let [h0, h1] = halves;
+                h0.recycle();
+                h1.recycle();
                 let norm = if cfg.grad_clip > 0.0 {
                     buf.clip_global_norm(cfg.grad_clip)
                 } else {
                     buf.global_norm()
                 };
-                // A finite loss can still carry a non-finite gradient; the
-                // step would spread it into every parameter it touches.
-                if norm.is_finite() {
+                if voided {
+                    rec.non_finite_batches += batch.len() as u64;
+                    obs_warn!(
+                        "models.fit",
+                        "non-finite loss at epoch {global_epoch}, windows {batch:?}; skipping batch"
+                    );
+                } else if norm.is_finite() {
+                    // A finite loss can still carry a non-finite gradient;
+                    // the step would spread it into every parameter it
+                    // touches.
                     grad_norm_sum += norm as f64;
                     batches += 1;
                     rec.group_norms = group_norms(store, &buf);
@@ -623,6 +684,69 @@ mod tests {
         // Each batch holds both jobs, so every window of every epoch is skipped.
         assert_eq!(report.non_finite_total(), 8);
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
+    }
+
+    #[test]
+    fn risk_variance_voids_the_whole_batch_of_a_non_finite_job() {
+        // A non-finite loss only reaches the guard while the health
+        // tripwire is armed; otherwise debug builds assert finiteness
+        // when the tape records the value.
+        let _lock = crate::diagnostics::HEALTH_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        health::set_enabled(true);
+        let run = |risk_variance: bool| {
+            let mut store = ParamStore::new();
+            let p = store.register("p", Tensor::row(&[2.0]), GroupId::DEFAULT);
+            let mut opt = Adam::new(0.05);
+            let cfg = TrainerConfig {
+                epochs: 2,
+                batch_size: 4,
+                ..TrainerConfig::smoke()
+            };
+            let train: Vec<TrajWindow> = [DomainId::EthUcy, DomainId::Sdd]
+                .iter()
+                .flat_map(|&d| [window_for(d, 0.2), window_for(d, 0.2)])
+                .collect();
+            let windows: Vec<&TrajWindow> = train.iter().collect();
+            let mut rng = Rng::seed_from(0);
+            let trainer = Trainer::new(&cfg);
+            let trainer = if risk_variance {
+                trainer.risk_variance(2.0)
+            } else {
+                trainer
+            };
+            let report = trainer.fit(
+                &mut store,
+                &mut opt,
+                &windows,
+                &mut rng,
+                |_| (),
+                |s, tape, wb, (), _rngs| {
+                    let pv = tape.param(s, p);
+                    let sq = tape.mul(pv, pv);
+                    // The SDD job's loss is NaN.
+                    let sq = if wb.windows()[0].domain == DomainId::Sdd {
+                        tape.scale(sq, f32::NAN)
+                    } else {
+                        sq
+                    };
+                    (tape.sum_all(sq), LossComponents::default())
+                },
+            );
+            (store.value(p).data()[0], report.non_finite_total())
+        };
+        let (mean_p, mean_skipped) = run(false);
+        let (rv_p, rv_skipped) = run(true);
+        health::set_enabled(false);
+        health::reset();
+        // The mean update drops only the SDD job and steps on the rest.
+        assert_ne!(mean_p, 2.0);
+        assert_eq!(mean_skipped, 4);
+        // The risk-variance update takes no step at all, and every window
+        // of every (single-batch) epoch counts as skipped.
+        assert_eq!(rv_p, 2.0, "a step was taken on a voided batch");
+        assert_eq!(rv_skipped, 8);
     }
 
     #[test]

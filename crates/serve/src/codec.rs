@@ -50,29 +50,6 @@ fn err(code: &'static str, message: impl Into<String>) -> CodecError {
     }
 }
 
-/// Wire tag of a domain (matches the CLI's domain tags).
-pub fn domain_tag(d: DomainId) -> &'static str {
-    match d {
-        DomainId::EthUcy => "eth_ucy",
-        DomainId::LCas => "l_cas",
-        DomainId::Syi => "syi",
-        DomainId::Sdd => "sdd",
-    }
-}
-
-fn parse_domain_tag(tag: &str) -> Result<DomainId, CodecError> {
-    match tag.to_ascii_lowercase().as_str() {
-        "eth_ucy" | "ethucy" | "eth&ucy" => Ok(DomainId::EthUcy),
-        "l_cas" | "lcas" | "l-cas" => Ok(DomainId::LCas),
-        "syi" => Ok(DomainId::Syi),
-        "sdd" => Ok(DomainId::Sdd),
-        other => Err(err(
-            "unknown_domain",
-            format!("unknown domain '{other}' (expected eth_ucy | l_cas | syi | sdd)"),
-        )),
-    }
-}
-
 fn point_json(p: Point) -> String {
     Arr::new()
         .push_f64(p[0] as f64)
@@ -95,7 +72,7 @@ pub fn encode_scene(w: &TrajWindow) -> String {
         neighbors = neighbors.push_raw(&track_json(n));
     }
     Obj::new()
-        .str("domain", domain_tag(w.domain))
+        .str("domain", w.domain.tag())
         .raw("obs", &track_json(&w.obs))
         .raw("fut", &track_json(&w.fut))
         .raw("neighbors", &neighbors.finish())
@@ -175,11 +152,19 @@ fn decode_track(v: &Value, what: &str, want_len: usize) -> Result<Vec<Point>, Co
 /// `origin` are optional (a live request has no ground-truth future);
 /// an absent or empty `fut` decodes as `T_PRED` zeros.
 pub fn decode_scene(v: &Value) -> Result<TrajWindow, CodecError> {
-    let domain = parse_domain_tag(
-        v.get("domain")
-            .and_then(|d| d.as_str())
-            .ok_or_else(|| err("invalid_scene", "scene.domain (string) is required"))?,
-    )?;
+    let tag = v
+        .get("domain")
+        .and_then(|d| d.as_str())
+        .ok_or_else(|| err("invalid_scene", "scene.domain (string) is required"))?;
+    let domain = DomainId::from_tag(tag).ok_or_else(|| {
+        err(
+            "unknown_domain",
+            format!(
+                "unknown domain '{}' (expected eth_ucy | l_cas | syi | sdd)",
+                tag.to_ascii_lowercase()
+            ),
+        )
+    })?;
     let obs = decode_track(
         v.get("obs")
             .ok_or_else(|| err("invalid_scene", "scene.obs is required"))?,

@@ -778,35 +778,6 @@ impl Tape {
         self.sum_all(sq)
     }
 
-    /// Scale-invariant MSE (Eq. 14): `1/m · ‖d‖² − 1/m² · (Σd)²` per row
-    /// block, computed over the whole tensor with `m = element count`.
-    pub fn simse_to(&mut self, a: Var, target: &Tensor) -> Var {
-        let m = target.len() as f32;
-        let t = self.constant(target.clone());
-        let d = self.sub(a, t);
-        let sq = self.mul(d, d);
-        let l2 = self.sum_all(sq);
-        let term1 = self.scale(l2, 1.0 / m);
-        let s = self.sum_all(d);
-        let s2 = self.mul(s, s);
-        let term2 = self.scale(s2, 1.0 / (m * m));
-        self.sub(term1, term2)
-    }
-
-    /// Soft subspace orthogonality (Eq. 20): `‖Aᵀ B‖_F²`. The gram matrix
-    /// is one [`Tape::matmul_tn`] node, so no transpose is ever
-    /// materialized — forward or backward.
-    pub fn frob_sq_of_gram(&mut self, a: Var, b: Var) -> Var {
-        let g = self.matmul_tn(a, b);
-        let sq = self.mul(g, g);
-        self.sum_all(sq)
-    }
-
-    /// Affine map `x·W + b` with broadcast bias — one fused node.
-    pub fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
-        self.fused_affine(x, w, b, FusedAct::Identity)
-    }
-
     /// `act(x·W + b)` as a single node: the matmul output is biased and
     /// activated in place, so the pre-activation tensor, the bias-broadcast
     /// copy, and the activation output never exist as separate buffers.
@@ -1428,25 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_simse_fd() {
-        let target = rand_t(2, 4, 13);
-        check_grad(rand_t(2, 4, 12), move |t, x| t.simse_to(x, &target), 2e-2);
-    }
-
-    #[test]
-    fn grad_frob_orthogonality_fd() {
-        let b = rand_t(3, 2, 15);
-        check_grad(
-            rand_t(3, 2, 14),
-            move |t, x| {
-                let bv = t.constant(b.clone());
-                t.frob_sq_of_gram(x, bv)
-            },
-            2e-2,
-        );
-    }
-
-    #[test]
     fn grad_matmul_nt_fd_both_slots() {
         let other = rand_t(4, 3, 21);
         check_grad(
@@ -1855,20 +1807,6 @@ mod tests {
         let x = tape.input(Tensor::zeros(2, 4));
         let loss = tape.softmax_cross_entropy(x, &[0, 2]);
         assert!((tape.value(loss).item() - (4.0f32).ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn simse_is_shift_insensitive_direction() {
-        // A constant-offset error has lower SIMSE than an equal-magnitude
-        // sign-alternating error (the "same direction" credit of Eq. 14).
-        let target = Tensor::row(&[0.0, 0.0, 0.0, 0.0]);
-        let mut t1 = Tape::new();
-        let same = t1.input(Tensor::row(&[0.5, 0.5, 0.5, 0.5]));
-        let l_same = t1.simse_to(same, &target);
-        let mut t2 = Tape::new();
-        let alt = t2.input(Tensor::row(&[0.5, -0.5, 0.5, -0.5]));
-        let l_alt = t2.simse_to(alt, &target);
-        assert!(t1.value(l_same).item() < t2.value(l_alt).item());
     }
 
     #[test]

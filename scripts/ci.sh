@@ -196,11 +196,11 @@ cargo run --release --offline --bin adaptraj -- \
 
 step "health observatory smoke (injected NaN -> tripwire -> doctor exits nonzero)"
 # Poisons every op of window 3 in epoch 0 (the worker-count-deterministic
-# E:W injection form) under halt-and-dump, once for AdapTraj (the shared
-# Trainer loop) and once for CausalMotion (its own V-REx loop): training
-# must halt, the run must exit nonzero with a diagnostic bundle, and the
-# doctor must report the NaN incident (with op + phase attribution) and
-# exit nonzero too.
+# E:W injection form) under halt-and-dump, once for AdapTraj and once for
+# CausalMotion (the shared Trainer loop's mean and risk-variance
+# reductions): training must halt, the run must exit nonzero with a
+# diagnostic bundle, and the doctor must report the NaN incident (with
+# op + phase attribution) and exit nonzero too.
 for method in adaptraj causalmotion; do
     rm -rf "target/health_ci_dump_$method"
     if ADAPTRAJ_HEALTH_INJECT_NAN=0:3 cargo run --release --offline --bin adaptraj -- \

@@ -120,15 +120,12 @@ fn err(msg: impl Into<String>) -> ParseError {
 
 /// Parses a domain tag (`eth_ucy | l_cas | syi | sdd`, case-insensitive).
 pub fn parse_domain(tag: &str) -> Result<DomainId, ParseError> {
-    match tag.to_ascii_lowercase().as_str() {
-        "eth_ucy" | "ethucy" | "eth&ucy" => Ok(DomainId::EthUcy),
-        "l_cas" | "lcas" | "l-cas" => Ok(DomainId::LCas),
-        "syi" => Ok(DomainId::Syi),
-        "sdd" => Ok(DomainId::Sdd),
-        other => Err(err(format!(
-            "unknown domain '{other}' (expected eth_ucy | l_cas | syi | sdd)"
-        ))),
-    }
+    DomainId::from_tag(tag).ok_or_else(|| {
+        err(format!(
+            "unknown domain '{}' (expected eth_ucy | l_cas | syi | sdd)",
+            tag.to_ascii_lowercase()
+        ))
+    })
 }
 
 fn parse_backbone(tag: &str) -> Result<BackboneKind, ParseError> {

@@ -14,7 +14,7 @@ use adaptraj::data::domain::DomainId;
 use adaptraj::data::trajectory::TrajWindow;
 use adaptraj::eval::{evaluate, EvalResult};
 use adaptraj::exec::{ExecError, WorkerPool};
-use adaptraj::models::{BackboneConfig, PecNet, Predictor};
+use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor};
 use adaptraj::obs::RegistryDelta;
 
 const SOURCES: [DomainId; 2] = [DomainId::EthUcy, DomainId::LCas];
@@ -31,10 +31,19 @@ fn lock_process_globals() -> std::sync::MutexGuard<'static, ()> {
     PROCESS_GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Trains the PECNet-AdapTraj smoke workload with the given worker count
-/// and returns the per-epoch losses, the tensor-op counter deltas of the
-/// fit, and the ADE/FDE of a small evaluation pass.
-fn run_smoke_workload(workers: usize) -> (Vec<f32>, RegistryDelta, EvalResult) {
+/// The methods whose training the bit-identity test pins: AdapTraj runs
+/// the shared loop's batch-mean update through its three-step schedule,
+/// CausalMotion its V-REx risk-variance update.
+#[derive(Debug, Clone, Copy)]
+enum Method {
+    AdapTraj,
+    CausalMotion,
+}
+
+/// Trains the PECNet smoke workload of `method` with the given worker
+/// count and returns the per-epoch losses, the tensor-op counter deltas
+/// of the fit, and the ADE/FDE of a small evaluation pass.
+fn run_smoke_workload(method: Method, workers: usize) -> (Vec<f32>, RegistryDelta, EvalResult) {
     let synth = SynthesisConfig::smoke();
     let mut train = Vec::new();
     for &s in &SOURCES {
@@ -46,59 +55,75 @@ fn run_smoke_workload(workers: usize) -> (Vec<f32>, RegistryDelta, EvalResult) {
     cfg.trainer.epochs = 3;
     cfg.trainer.max_train_windows = 24;
     cfg.trainer.workers = workers;
-    let mut model = AdapTraj::new(cfg, &SOURCES, |s, r, extra| {
-        PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
-    });
+    let mut model: Box<dyn Predictor> = match method {
+        Method::AdapTraj => Box::new(AdapTraj::new(cfg, &SOURCES, |s, r, extra| {
+            PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
+        })),
+        Method::CausalMotion => Box::new(CausalMotion::new(cfg.trainer, |s, r| {
+            PecNet::new(s, r, BackboneConfig::default())
+        })),
+    };
 
     let before = adaptraj::obs::global().snapshot();
     let report = model.fit(&train);
     let delta = adaptraj::obs::global().snapshot().since(&before);
 
     let test: Vec<&TrajWindow> = target.test.iter().take(10).collect();
-    let (eval, _latency) = evaluate(&model, &test, 2, 99, workers);
+    let (eval, _latency) = evaluate(model.as_ref(), &test, 2, 99, workers);
     (report.epoch_losses, delta, eval)
 }
 
 #[test]
 fn workers_1_and_4_are_bit_identical() {
     let _guard = lock_process_globals();
-    let (losses_1, delta_1, eval_1) = run_smoke_workload(1);
-    let (losses_4, delta_4, eval_4) = run_smoke_workload(4);
+    for method in [Method::AdapTraj, Method::CausalMotion] {
+        let (losses_1, delta_1, eval_1) = run_smoke_workload(method, 1);
+        let (losses_4, delta_4, eval_4) = run_smoke_workload(method, 4);
 
-    // Per-epoch training losses, down to the last bit.
-    assert_eq!(losses_1.len(), losses_4.len());
-    for (e, (a, b)) in losses_1.iter().zip(&losses_4).enumerate() {
+        // Per-epoch training losses, down to the last bit.
+        assert_eq!(losses_1.len(), losses_4.len(), "{method:?}");
+        for (e, (a, b)) in losses_1.iter().zip(&losses_4).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{method:?} epoch {e} loss differs: workers=1 -> {a}, workers=4 -> {b}"
+            );
+        }
+
+        // The same tape work happened: identical backward passes (one per
+        // batched job), identical node counts, and identical windows
+        // dispatched (the counter bench throughput derives from).
+        // Histogram *counts* must match too; sums are wall-clock and may
+        // not.
+        for counter in [
+            "tensor.backward_calls",
+            "tensor.tape_nodes_total",
+            "exec.windows_trained",
+        ] {
+            assert_eq!(
+                delta_1.counter(counter),
+                delta_4.counter(counter),
+                "{method:?}: counter {counter} differs across worker counts"
+            );
+        }
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "epoch {e} loss differs: workers=1 -> {a}, workers=4 -> {b}"
+            delta_1.hist_count("tensor.backward_ms"),
+            delta_4.hist_count("tensor.backward_ms"),
+            "{method:?}: backward histogram count differs across worker counts"
+        );
+
+        // Evaluation: parallel ADE/FDE reduce to the same bits.
+        assert_eq!(
+            eval_1.ade.to_bits(),
+            eval_4.ade.to_bits(),
+            "{method:?}: ADE differs"
+        );
+        assert_eq!(
+            eval_1.fde.to_bits(),
+            eval_4.fde.to_bits(),
+            "{method:?}: FDE differs"
         );
     }
-
-    // The same tape work happened: identical backward passes (one per
-    // batched job), identical node counts, and identical windows
-    // dispatched (the counter bench throughput derives from). Histogram
-    // *counts* must match too; sums are wall-clock and may not.
-    for counter in [
-        "tensor.backward_calls",
-        "tensor.tape_nodes_total",
-        "exec.windows_trained",
-    ] {
-        assert_eq!(
-            delta_1.counter(counter),
-            delta_4.counter(counter),
-            "counter {counter} differs across worker counts"
-        );
-    }
-    assert_eq!(
-        delta_1.hist_count("tensor.backward_ms"),
-        delta_4.hist_count("tensor.backward_ms"),
-        "backward histogram count differs across worker counts"
-    );
-
-    // Evaluation: parallel ADE/FDE reduce to the same bits.
-    assert_eq!(eval_1.ade.to_bits(), eval_4.ade.to_bits(), "ADE differs");
-    assert_eq!(eval_1.fde.to_bits(), eval_4.fde.to_bits(), "FDE differs");
 }
 
 #[test]

@@ -314,6 +314,44 @@ fn skip_window_policy_stays_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn causal_motion_emits_per_domain_health_every_epoch() {
+    let _g = LOCK.lock().unwrap();
+    let mut streams = Vec::new();
+    for workers in [1, 2] {
+        let (report, finite) = run_causal_motion_workload(workers);
+        let records = health::records();
+        disarm();
+        assert!(finite);
+        let epochs: Vec<_> = records
+            .iter()
+            .filter_map(|r| match r {
+                HealthRecord::Epoch(e) => Some(e),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(epochs.len(), 3, "one health record per epoch");
+        assert_eq!(report.epochs.len(), 3);
+        for e in &epochs {
+            assert_eq!(e.phase, "train");
+            let domains: Vec<&str> = e.domains.iter().map(|d| d.domain.as_str()).collect();
+            assert_eq!(domains, ["ETH&UCY", "L-CAS"], "workers={workers}");
+            for d in &e.domains {
+                assert!(d.grad_norm.is_finite() && d.grad_norm > 0.0, "{d:?}");
+            }
+            assert_eq!(e.cosines.len(), 1, "workers={workers}");
+            let c = &e.cosines[0];
+            assert_eq!((c.a.as_str(), c.b.as_str()), ("ETH&UCY", "L-CAS"));
+            assert!(c.cosine.is_finite() && c.cosine.abs() <= 1.0 + 1e-9);
+        }
+        streams.push(records);
+    }
+    assert_eq!(
+        streams[0], streams[1],
+        "health streams differ across workers"
+    );
+}
+
+#[test]
 fn causal_motion_skips_non_finite_batches_and_honours_halt() {
     let _g = LOCK.lock().unwrap();
 
