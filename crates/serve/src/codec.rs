@@ -281,11 +281,37 @@ fn mode_json(trajectory: &[Point]) -> String {
         .finish()
 }
 
+/// [`encode_response_with_id`] for a response with no request id
+/// (`request_id` 0; the server numbers requests from 1).
+pub fn encode_response(
+    model: &str,
+    version: u64,
+    seed: u64,
+    modes: &[Vec<Point>],
+    batch_windows: usize,
+    queue_ms: f64,
+    exec_ms: f64,
+) -> String {
+    encode_response_with_id(
+        0,
+        model,
+        version,
+        seed,
+        modes,
+        batch_windows,
+        queue_ms,
+        exec_ms,
+    )
+}
+
 /// Encodes a successful predict response: the k sampled modes (in sample
 /// order — mode `s` is the model's s-th draw from the request seed) plus
-/// serving metadata.
+/// serving metadata. `request_id` is the id the request's window carried
+/// in its job's `WindowBatch`; the job's `serve_exec` span names its first
+/// request, so a response can be found in `/timeline`.
 #[allow(clippy::too_many_arguments)]
-pub fn encode_response(
+pub fn encode_response_with_id(
+    request_id: u64,
     model: &str,
     version: u64,
     seed: u64,
@@ -296,6 +322,7 @@ pub fn encode_response(
 ) -> String {
     Obj::new()
         .str("schema", "adaptraj-serve/v1")
+        .u64("request_id", request_id)
         .str("model", model)
         .u64("version", version)
         .u64("seed", seed)
@@ -443,10 +470,14 @@ mod tests {
                     .collect()
             })
             .collect();
-        let body = encode_response("PECNet-vanilla", 2, 42, &modes, 4, 0.8, 1.6);
+        let body = encode_response_with_id(17, "PECNet-vanilla", 2, 42, &modes, 4, 0.8, 1.6);
         let back = decode_response_modes(&body).unwrap();
         assert_eq!(back, modes);
         let v = Value::parse(&body).unwrap();
+        assert_eq!(v.get("request_id").unwrap().as_u64(), Some(17));
+        let unnumbered = encode_response("PECNet-vanilla", 2, 42, &modes, 4, 0.8, 1.6);
+        let v = Value::parse(&unnumbered).unwrap();
+        assert_eq!(v.get("request_id").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("batch_windows").unwrap().as_u64(), Some(4));
         assert_eq!(v.get("model").unwrap().as_str(), Some("PECNet-vanilla"));
     }

@@ -1,9 +1,9 @@
 //! # adaptraj-serve
 //!
 //! Production inference service: a zero-dependency HTTP/JSON server that
-//! micro-batches in-flight predict requests onto the batched execution
-//! path (`Predictor::sample` over [`WindowBatch`]es run on an
-//! [`adaptraj_exec::WorkerPool`]).
+//! runs in-flight predict requests on the batched execution path
+//! (`Predictor::sample` over [`WindowBatch`]es) on a fixed set of exec
+//! worker threads.
 //!
 //! ## The serving contract
 //!
@@ -26,12 +26,10 @@
 //!
 //! ```text
 //! adaptraj_obs::http::Server (accept threads, route table, 400/413/408/404/405)
-//!      │ POST /v1/predict: decode ──▶ bounded queue ──▶ batcher thread
-//!      │ 400 / 503                         │               │ coalesce ≤ batch window
-//!      ▼                                   ▼               ▼ chunk ≤ MAX_WINDOWS_PER_JOB
-//!   error response                  503 when full    WorkerPool::map(sample)
-//!                                                          │
-//!                                                          ▼ batcher answers each Responder
+//!      │ POST /v1/predict: decode ──▶ bounded queue ──▶ exec workers (serve-exec-{i})
+//!      │ 400 / 503                         │               │ take ≤ MAX_WINDOWS_PER_JOB
+//!      ▼                                   ▼               ▼ from the front, run sample
+//!   error response                  503 when full    worker answers each Responder
 //! ```
 //!
 //! The server is `POST /v1/predict`, `GET /healthz`, `POST /reload` and
@@ -42,24 +40,26 @@
 //! * **Admission**: the queue is bounded (`queue_cap`); a full queue
 //!   answers `503` with a structured JSON error immediately — shed load
 //!   at the door, never inside the model.
-//! * **Micro-batching**: the batcher waits up to `batch_window_us` from
-//!   the first queued request (flushing early once a full job of
-//!   [`MAX_WINDOWS_PER_JOB`] windows is waiting), then drains everything
-//!   and chunks it into jobs in arrival order.
-//! * **Deadlines**: a request older than `deadline_ms` at batch-formation
-//!   time gets `504` instead of occupying model capacity.
+//! * **Work-conserving batching**: an idle worker takes what is queued at
+//!   once, up to [`MAX_WINDOWS_PER_JOB`] requests in arrival order, with
+//!   no timed wait. Requests coalesce only while every worker is busy,
+//!   and the next job forms while the current one executes.
+//! * **Deadlines**: a request older than `deadline_ms` when a worker
+//!   takes it gets `504` instead of occupying model capacity.
 //! * **Failures**: a panicking job answers `500` to its own requests only.
-//!   After `POST /shutdown` late arrivals get `503 shutting_down`.
+//!   After `POST /shutdown` late arrivals get `503 shutting_down`; the
+//!   workers still answer everything already queued.
 //! * **Hot reload**: the model lives behind `RwLock<Arc<ModelInner>>`;
-//!   each batch cycle clones the inner `Arc` once, so a concurrent
+//!   each job clones the inner `Arc` once, so a concurrent
 //!   `POST /reload` swap can never expose a torn model — every response
 //!   is computed entirely by one (checkpoint, version) pair.
+//! * **Request ids**: each response carries its `request_id`; a job runs
+//!   inside a `serve_exec` span whose `request` argument is its first id.
 
 pub mod codec;
 
 use adaptraj_data::batch::{WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::Point;
-use adaptraj_exec::WorkerPool;
 use adaptraj_models::predictor::Predictor;
 use adaptraj_obs::http::{HttpLimits, Request, Responder, Routes, Server, StopHandle};
 use adaptraj_obs::json::{Obj, Value};
@@ -84,11 +84,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Concurrent accept/parse threads.
     pub accept_threads: usize,
-    /// Worker threads for batched model execution.
+    /// Exec worker threads; each runs one job of up to
+    /// [`MAX_WINDOWS_PER_JOB`] queued requests at a time.
     pub workers: usize,
-    /// Coalescing window: how long the batcher waits after the first
-    /// queued request for more requests to share the batch.
-    pub batch_window_us: u64,
     /// Bounded admission queue; a full queue answers `503`.
     pub queue_cap: usize,
     /// Per-request deadline from admission; exceeded → `504`.
@@ -103,7 +101,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             accept_threads: 2,
             workers: 2,
-            batch_window_us: 2000,
             queue_cap: 256,
             deadline_ms: 2000,
             read_deadline_ms: 2000,
@@ -116,8 +113,8 @@ impl Default for ServeConfig {
 /// backbone/method spec); absent in tests that don't exercise reload.
 pub type Loader = Box<dyn Fn(&str) -> Result<Box<dyn Predictor>, String> + Send + Sync>;
 
-/// The immutable unit of hot swap: one predictor at one version. Batch
-/// cycles and probes clone the `Arc` once and use only that snapshot.
+/// The immutable unit of hot swap: one predictor at one version. Jobs
+/// and probes clone the `Arc` once and use only that snapshot.
 struct ModelInner {
     predictor: Box<dyn Predictor>,
     name: String,
@@ -144,8 +141,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Stops the accept threads and wakes the batcher (under the queue
-    /// lock, so a batcher between its stop check and its wait cannot miss it).
+    /// Stops the accept threads and wakes the exec workers (under the
+    /// queue lock, so a worker between its stop check and its wait cannot
+    /// miss it).
     fn trigger_stop(&self) {
         self.stop.stop();
         drop(self.queue.lock().unwrap());
@@ -158,12 +156,12 @@ impl Shared {
 pub struct PredictServer {
     shared: Arc<Shared>,
     server: Server,
-    batcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl PredictServer {
-    /// Binds `cfg.addr` and starts the accept threads, the batcher, and
-    /// the execution pool. `predictor` is the initial model (version 1);
+    /// Binds `cfg.addr` and starts the accept threads and the exec
+    /// workers. `predictor` is the initial model (version 1);
     /// `loader` enables `POST /reload`.
     pub fn start(
         cfg: ServeConfig,
@@ -202,14 +200,20 @@ impl PredictServer {
             .route("POST", "/shutdown", with(handle_shutdown))
             .mount(telemetry_routes());
         let server = server.serve("serve-accept", shared.cfg.accept_threads, limits, routes)?;
-        let sh = Arc::clone(&shared);
-        let batcher = std::thread::Builder::new()
-            .name("serve-batcher".into())
-            .spawn(move || batcher_loop(&sh))?;
+        let workers = (0..shared.cfg.workers.max(1))
+            .map(|i| {
+                let sh = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("serve-exec-{i}"))
+                    .spawn(move || exec_loop(&sh))
+            })
+            .collect::<std::io::Result<_>>()
+            // Workers already started exit once they see the stop.
+            .inspect_err(|_| shared.trigger_stop())?;
         Ok(PredictServer {
             shared,
             server,
-            batcher: Some(batcher),
+            workers,
         })
     }
 
@@ -241,8 +245,8 @@ impl Drop for PredictServer {
     fn drop(&mut self) {
         self.shared.trigger_stop();
         self.server.wait();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -267,7 +271,7 @@ const BAD_REQUEST: &str = "400 Bad Request";
 const UNAVAILABLE: &str = "503 Service Unavailable";
 
 /// Decodes and admits one predict request; on success the responder
-/// moves into the queue and the batcher owns the response.
+/// moves into the queue and the exec worker that takes it answers.
 fn handle_predict(sh: &Shared, req: Request, responder: Responder) {
     metrics::global().counter("serve.requests_total").incr();
     let Ok(text) = std::str::from_utf8(&req.body) else {
@@ -281,8 +285,8 @@ fn handle_predict(sh: &Shared, req: Request, responder: Responder) {
         }
     };
     let mut q = sh.queue.lock().unwrap();
-    // Checked under the queue lock: the batcher drains the queue under
-    // it once stopped, so nothing admitted here can be left unanswered.
+    // Checked under the queue lock: the workers drain the queue once
+    // stopped, so nothing admitted here can be left unanswered.
     if sh.stop.is_stopped() {
         drop(q);
         return responder.error(UNAVAILABLE, "shutting_down", "server is shutting down");
@@ -351,66 +355,49 @@ fn handle_reload(sh: &Shared, req: Request, responder: Responder) {
     responder.json(&body.finish());
 }
 
-/// The coalescing loop: sleep until work arrives, give followers up to
-/// `batch_window_us` to join (early-flush at a full job), then drain and
-/// execute everything queued.
-fn batcher_loop(sh: &Shared) {
-    let pool = WorkerPool::new(sh.cfg.workers.max(1));
+/// One exec worker: sleep until requests are queued, take a job from the
+/// front, run it, repeat. Once stopped it keeps taking jobs until the
+/// queue is empty, so every admitted request is answered.
+fn exec_loop(sh: &Shared) {
     loop {
         let mut q = sh.queue.lock().unwrap();
         while q.is_empty() && !sh.stop.is_stopped() {
             q = sh.queue_cv.wait(q).unwrap();
         }
-        if sh.stop.is_stopped() && q.is_empty() {
+        if q.is_empty() {
             return;
         }
-
-        // Coalescing window, anchored at the first request's arrival.
-        let window_end = q.front().map(|p| p.enqueued).unwrap_or_else(Instant::now)
-            + Duration::from_micros(sh.cfg.batch_window_us);
-        while q.len() < MAX_WINDOWS_PER_JOB && !sh.stop.is_stopped() {
-            let Some(remaining) = window_end.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let (guard, timeout) = sh.queue_cv.wait_timeout(q, remaining).unwrap();
-            q = guard;
-            if timeout.timed_out() {
-                break;
-            }
+        let job = take_job(&mut q);
+        metrics::global()
+            .gauge("serve.queue_depth")
+            .set(q.len() as f64);
+        if !q.is_empty() {
+            // Hand the rest to an idle worker, if there is one.
+            sh.queue_cv.notify_one();
         }
-
-        let pending: Vec<Pending> = q.drain(..).collect();
-        metrics::global().gauge("serve.queue_depth").set(0.0);
         drop(q);
-        // One snapshot per cycle: a concurrent /reload swap cannot tear a
-        // batch — every window in it runs on this (version, params) pair.
+        // One snapshot per job: a concurrent /reload swap cannot tear a
+        // job — every window in it runs on this (version, params) pair.
         let model = sh.model.read().unwrap().clone();
-        execute_batch(&model, &sh.next_id, &pool, pending);
-
-        if sh.stop.is_stopped() {
-            // Drain any stragglers admitted during the last cycle.
-            let rest: Vec<Pending> = sh.queue.lock().unwrap().drain(..).collect();
-            for p in rest {
-                p.responder
-                    .error(UNAVAILABLE, "shutting_down", "server is shutting down");
-            }
-            return;
-        }
+        execute_job(&model, &sh.next_id, job);
     }
 }
 
-/// Runs one drained batch: expire deadlines, chunk into jobs, execute on
-/// the pool against `model`, answer every request. A job that panics
-/// answers `500` to its own requests only.
-fn execute_batch(
-    model: &ModelInner,
-    next_id: &AtomicU64,
-    pool: &WorkerPool,
-    pending: Vec<Pending>,
-) {
+/// Takes up to [`MAX_WINDOWS_PER_JOB`] requests from the front of the
+/// queue, in arrival order. Requests coalesce only while they wait,
+/// that is while every worker is busy.
+fn take_job(q: &mut VecDeque<Pending>) -> Vec<Pending> {
+    let n = q.len().min(MAX_WINDOWS_PER_JOB);
+    q.drain(..n).collect()
+}
+
+/// Runs one job against `model` and answers every request in it: expired
+/// requests get `504`, a job that panics answers `500` to all of its
+/// requests, the rest get their modes.
+fn execute_job(model: &ModelInner, next_id: &AtomicU64, job: Vec<Pending>) {
     let now = Instant::now();
     let (live, expired): (Vec<Pending>, Vec<Pending>) =
-        pending.into_iter().partition(|p| now <= p.deadline);
+        job.into_iter().partition(|p| now <= p.deadline);
     for p in expired {
         metrics::global()
             .counter("serve.deadline_expired_total")
@@ -423,90 +410,74 @@ fn execute_batch(
         return;
     }
 
-    // Jobs of at most MAX_WINDOWS_PER_JOB windows, in arrival order.
-    let mut jobs: Vec<Vec<Pending>> = Vec::new();
-    for p in live {
-        match jobs.last_mut() {
-            Some(job) if job.len() < MAX_WINDOWS_PER_JOB => job.push(p),
-            _ => jobs.push(vec![p]),
-        }
-    }
+    let first_id = next_id.fetch_add(live.len() as u64, Ordering::Relaxed);
     let exec_start = Instant::now();
-    // `run_job` catches its own panics, so `map` only fails if the pool
-    // itself does; then every job fails.
-    let results = pool
-        .map(&jobs, |_, chunk| {
-            run_job(model.predictor.as_ref(), chunk, next_id)
-        })
-        .unwrap_or_else(|e| jobs.iter().map(|_| Err(e.to_string())).collect());
+    let result = {
+        let _span = adaptraj_obs::span("serve_exec").arg("request", first_id);
+        run_job(model.predictor.as_ref(), &live, first_id)
+    };
     let exec_ms = exec_start.elapsed().as_secs_f64() * 1e3;
     metrics::global().histogram("serve.exec_ms").record(exec_ms);
 
-    for (chunk, result) in jobs.into_iter().zip(results) {
-        let modes_per_window = match result {
-            Ok(modes) => modes,
-            Err(msg) => {
-                metrics::global()
-                    .counter("serve.internal_error_total")
-                    .incr();
-                let msg = format!("batched execution failed: {msg}");
-                for p in chunk {
-                    p.responder
-                        .error("500 Internal Server Error", "internal", &msg);
-                }
-                continue;
-            }
-        };
-        let batch_windows = chunk.len();
-        metrics::global()
-            .histogram("serve.batch_windows")
-            .record(batch_windows as f64);
-        for (p, modes) in chunk.into_iter().zip(modes_per_window) {
-            let queue_ms = (exec_start - p.enqueued).as_secs_f64() * 1e3;
+    let modes_per_window = match result {
+        Ok(modes) => modes,
+        Err(msg) => {
             metrics::global()
-                .histogram("serve.queue_ms")
-                .record(queue_ms);
-            let body = codec::encode_response(
-                &model.name,
-                model.version,
-                p.request.seed,
-                &modes,
-                batch_windows,
-                queue_ms,
-                exec_ms,
-            );
-            metrics::global().counter("serve.responses_ok_total").incr();
-            p.responder.json(&body);
+                .counter("serve.internal_error_total")
+                .incr();
+            let msg = format!("batched execution failed: {msg}");
+            for p in live {
+                p.responder
+                    .error("500 Internal Server Error", "internal", &msg);
+            }
+            return;
         }
+    };
+    let batch_windows = live.len();
+    metrics::global()
+        .histogram("serve.batch_windows")
+        .record(batch_windows as f64);
+    for ((p, modes), id) in live.into_iter().zip(modes_per_window).zip(first_id..) {
+        let queue_ms = (exec_start - p.enqueued).as_secs_f64() * 1e3;
+        metrics::global()
+            .histogram("serve.queue_ms")
+            .record(queue_ms);
+        let body = codec::encode_response_with_id(
+            id,
+            &model.name,
+            model.version,
+            p.request.seed,
+            &modes,
+            batch_windows,
+            queue_ms,
+            exec_ms,
+        );
+        metrics::global().counter("serve.responses_ok_total").incr();
+        p.responder.json(&body);
     }
 }
 
 /// Executes one job: one [`Predictor::sample`] call that encodes the
-/// chunk's windows once and runs `kmax` batched sample passes over them,
-/// each request keeping its first `k` modes. Per-window rng streams
-/// seeded from each request's seed make the result bit-identical to
+/// job's windows once and runs `kmax` batched sample passes over them,
+/// each request keeping its first `k` modes. Window `i` carries request
+/// id `first_id + i`. Per-window rng streams seeded from each request's
+/// seed make the result bit-identical to
 /// `predict_k(window, k, Rng::seed_from(seed))` offline. A panic becomes
 /// this job's `Err`.
 fn run_job(
     predictor: &dyn Predictor,
-    chunk: &[Pending],
-    next_id: &AtomicU64,
+    job: &[Pending],
+    first_id: u64,
 ) -> Result<Vec<Vec<Vec<Point>>>, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let ids: Vec<u64> = chunk
-            .iter()
-            .map(|_| next_id.fetch_add(1, Ordering::Relaxed))
-            .collect();
+        let ids: Vec<u64> = (first_id..).take(job.len()).collect();
         let windows: Vec<&adaptraj_data::trajectory::TrajWindow> =
-            chunk.iter().map(|p| &p.request.window).collect();
+            job.iter().map(|p| &p.request.window).collect();
         let batch = WindowBatch::new(windows, ids);
-        let mut rngs: Vec<Rng> = chunk
-            .iter()
-            .map(|p| Rng::seed_from(p.request.seed))
-            .collect();
-        let kmax = chunk.iter().map(|p| p.request.k).max().unwrap_or(1);
+        let mut rngs: Vec<Rng> = job.iter().map(|p| Rng::seed_from(p.request.seed)).collect();
+        let kmax = job.iter().map(|p| p.request.k).max().unwrap_or(1);
         let mut modes = predictor.sample(&batch, &mut rngs, kmax);
-        for (m, p) in modes.iter_mut().zip(chunk) {
+        for (m, p) in modes.iter_mut().zip(job) {
             m.truncate(p.request.k);
         }
         modes
@@ -567,9 +538,10 @@ mod tests {
             .collect()
     }
 
-    /// Nine requests form two jobs (8 + 1); the one window of job 2 makes
-    /// its job panic. Job 1 still answers 200 with the offline bits, job 2
-    /// answers 500 `internal`, and the failure counts once.
+    /// Nine queued requests form two jobs (8 + 1) through the workers'
+    /// `take_job`; the one window of job 2 makes its job panic. Job 1
+    /// still answers 200 with the offline bits, job 2 answers 500
+    /// `internal`, and the failure counts once.
     #[test]
     fn a_panicking_job_fails_only_its_own_requests() {
         let mut windows: Vec<TrajWindow> =
@@ -596,10 +568,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let now = Instant::now();
         let mut clients = Vec::new();
-        let mut pending = Vec::new();
+        let mut queue = VecDeque::new();
         for (i, window) in windows.iter().enumerate() {
             clients.push(TcpStream::connect(addr).unwrap());
-            pending.push(Pending {
+            queue.push_back(Pending {
                 request: PredictRequest {
                     window: window.clone(),
                     seed: 100 + i as u64,
@@ -613,7 +585,10 @@ mod tests {
 
         let failed = metrics::global().counter("serve.internal_error_total");
         let failed_before = failed.get();
-        execute_batch(&model, &AtomicU64::new(1), &WorkerPool::new(2), pending);
+        let next_id = AtomicU64::new(1);
+        while !queue.is_empty() {
+            execute_job(&model, &next_id, take_job(&mut queue));
+        }
         assert_eq!(failed.get(), failed_before + 1, "one failed job");
 
         let reference = build();
@@ -626,6 +601,10 @@ mod tests {
                     head.starts_with("HTTP/1.1 200 "),
                     "request {i}: {response:.200}"
                 );
+                let v = Value::parse(body).unwrap();
+                let field = |k: &str| v.get(k).and_then(Value::as_u64);
+                assert_eq!(field("batch_windows"), Some(MAX_WINDOWS_PER_JOB as u64));
+                assert_eq!(field("request_id"), Some(1 + i as u64));
                 let served = codec::decode_response_modes(body).expect("response modes");
                 let expected = reference.predict_k(
                     &windows[i],

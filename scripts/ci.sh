@@ -138,7 +138,7 @@ rm -f target/serve_flood_ci.log
 cargo run --release --offline --bin adaptraj -- \
     serve --addr 127.0.0.1:0 --checkpoint target/serve_ci.atps \
     --backbone pecnet --method vanilla --sources eth_ucy \
-    --workers 1 --queue-cap 1 --batch-window-us 200000 \
+    --workers 1 --queue-cap 1 \
     > target/serve_flood_ci.log 2>&1 &
 flood_pid=$!
 flood_addr=""

@@ -340,7 +340,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             addr,
             workers,
             accept_threads,
-            batch_window_us,
             queue_cap,
             deadline_ms,
             checkpoint,
@@ -387,7 +386,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     addr,
                     workers,
                     accept_threads,
-                    batch_window_us,
                     queue_cap,
                     deadline_ms,
                     ..adaptraj::serve::ServeConfig::default()

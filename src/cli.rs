@@ -47,15 +47,13 @@ pub enum Command {
         health_dump: Option<String>,
     },
     /// `serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
-    ///  [--accept-threads N] [--batch-window-us N] [--queue-cap N]
-    ///  [--deadline-ms N] [--backbone B] [--method M] [--sources a,b,c]`
+    ///  [--accept-threads N] [--queue-cap N] [--deadline-ms N] [--backbone B] [--method M] [--sources a,b,c]`
     /// — run the HTTP/JSON inference service (adaptraj-serve) for the
     /// given model spec, loading parameters from the checkpoint.
     Serve {
         addr: String,
         workers: usize,
         accept_threads: usize,
-        batch_window_us: u64,
         queue_cap: usize,
         deadline_ms: u64,
         checkpoint: Option<String>,
@@ -351,7 +349,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "addr",
                     "workers",
                     "accept-threads",
-                    "batch-window-us",
                     "queue-cap",
                     "deadline-ms",
                     "checkpoint",
@@ -371,15 +368,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if sources.is_empty() {
                 return Err(err("--sources must name at least one domain"));
             }
-            let batch_window_us: u64 = flags
-                .get("batch-window-us")
-                .map(|v| {
-                    v.parse().map_err(|_| {
-                        err(format!("--batch-window-us expects an integer, got '{v}'"))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(2000);
             let deadline_ms: u64 = flags
                 .get("deadline-ms")
                 .map(|v| {
@@ -392,7 +380,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 addr: flags.get("addr").unwrap_or(&"127.0.0.1:8080").to_string(),
                 workers: parse_usize(&flags, "workers", 2)?,
                 accept_threads: parse_usize(&flags, "accept-threads", 2)?,
-                batch_window_us,
                 queue_cap: parse_usize(&flags, "queue-cap", 256)?,
                 deadline_ms,
                 checkpoint: flags.get("checkpoint").map(|s| s.to_string()),
@@ -484,9 +471,8 @@ USAGE:
                [--health-policy <warn|skip-window|halt-and-dump>]
                [--health-dump DIR]
   adaptraj serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
-                 [--accept-threads N] [--batch-window-us N] [--queue-cap N]
-                 [--deadline-ms N] [--backbone B] [--method M]
-                 [--sources d1,d2,...]
+                 [--accept-threads N] [--queue-cap N] [--deadline-ms N]
+                 [--backbone B] [--method M] [--sources d1,d2,...]
   adaptraj visualize --target <d> [--out DIR] [--count N]
   adaptraj check [--golden-dir DIR] [--out-dir DIR] [--metric-tol-pct N]
                  [--update-golden]
@@ -539,9 +525,9 @@ SERVE:
   GET /healthz, POST /reload (hot checkpoint swap), POST /shutdown, and
   the telemetry routes GET /metrics (Prometheus), GET /profile (op
   profiler JSON) and GET /timeline (Chrome trace JSON) on the same port;
-  GET / lists the routes. Requests are micro-batched: the batcher waits up
-  to --batch-window-us for concurrent requests and coalesces them into
-  one WindowBatch pass per <= 8 windows on --workers threads. Responses
+  GET / lists the routes. --workers exec threads take queued requests at
+  once, up to 8 per WindowBatch pass in arrival order; requests share a
+  pass only while every worker is busy, never by waiting. Responses
   are bit-identical to offline predict_k for the same scene + checkpoint
   + seed. A full admission queue (--queue-cap) answers 503; requests
   older than --deadline-ms answer 504. --backbone/--method/--sources
@@ -645,7 +631,6 @@ mod tests {
                 addr: "127.0.0.1:8080".into(),
                 workers: 2,
                 accept_threads: 2,
-                batch_window_us: 2000,
                 queue_cap: 256,
                 deadline_ms: 2000,
                 checkpoint: None,
@@ -657,7 +642,7 @@ mod tests {
         assert_eq!(
             parse(&args(
                 "serve --addr 0.0.0.0:9000 --workers 8 --accept-threads 4 \
-                 --batch-window-us 500 --queue-cap 32 --deadline-ms 250 \
+                 --queue-cap 32 --deadline-ms 250 \
                  --checkpoint m.atps --backbone lbebm --method adaptraj \
                  --sources eth_ucy,l_cas,syi"
             ))
@@ -666,7 +651,6 @@ mod tests {
                 addr: "0.0.0.0:9000".into(),
                 workers: 8,
                 accept_threads: 4,
-                batch_window_us: 500,
                 queue_cap: 32,
                 deadline_ms: 250,
                 checkpoint: Some("m.atps".into()),
@@ -679,8 +663,10 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_values() {
-        let e = parse(&args("serve --batch-window-us soon")).unwrap_err();
+        let e = parse(&args("serve --deadline-ms soon")).unwrap_err();
         assert!(e.0.contains("integer"), "{e}");
+        let e = parse(&args("serve --batch-window-us 500")).unwrap_err();
+        assert!(e.0.contains("unknown flag"), "{e}");
         let e = parse(&args("serve --backbone resnet")).unwrap_err();
         assert!(e.0.contains("unknown backbone"), "{e}");
         let e = parse(&args("serve --epochs 3")).unwrap_err();

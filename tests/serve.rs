@@ -2,8 +2,8 @@
 //! served prediction for a given scene + checkpoint + seed is
 //! bit-identical to the offline eval path no matter how many other
 //! requests were coalesced into the same micro-batch; coalescing
-//! respects `MAX_WINDOWS_PER_JOB`; admission control answers a
-//! structured 503; a checkpoint hot-reload never serves a torn
+//! respects `MAX_WINDOWS_PER_JOB`; an idle exec worker is never held
+//! back by a busy one; admission control answers a structured 503; a checkpoint hot-reload never serves a torn
 //! model; and the failure paths — a wrong-architecture checkpoint on
 //! reload, a client that hangs up mid-batch — leave the server healthy;
 //! shutdown under load answers every client cleanly; and the shared
@@ -11,24 +11,27 @@
 //!
 //! Every test starts its own server on an ephemeral port, so tests are
 //! independent (the metrics registry is process-global but only ever
-//! incremented, which no assertion here depends on).
+//! incremented, which no assertion here depends on). Tests that need
+//! requests to wait in the queue park the exec workers inside `sample`
+//! with a [`Gate`] instead of relying on timing.
 
-use adaptraj::data::batch::MAX_WINDOWS_PER_JOB;
+use adaptraj::data::batch::{WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::data::trajectory::{Point, TrajWindow};
 use adaptraj::eval::{build_predictor, BackboneKind, CellSpec, MethodKind, RunnerConfig};
-use adaptraj::models::Predictor;
+use adaptraj::models::{Predictor, TrainReport};
 use adaptraj::obs::json::Value;
 use adaptraj::serve::codec;
 use adaptraj::serve::{PredictServer, ServeConfig};
 use adaptraj::tensor::serialize::{load_params_from_file, save_params_to_file};
-use adaptraj::tensor::Rng;
+use adaptraj::tensor::{ParamStore, Rng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn spec() -> CellSpec {
     CellSpec {
@@ -48,6 +51,120 @@ fn predictor_with_seed(seed: u64) -> Box<dyn Predictor> {
     build_predictor(&spec(), &cfg)
 }
 
+/// The origin that marks a window for [`Gated`] to hold.
+const MARK: Point = [-777.0, -777.0];
+
+/// A gate the test opens: jobs holding a marked window wait at it inside
+/// `sample`, which parks their exec worker for as long as the test
+/// needs.
+#[derive(Default)]
+struct Gate {
+    /// (jobs waiting at the gate, whether it is open)
+    state: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Held jobs give up after this long, so a failing test cannot hang
+    /// the server it drops.
+    const HOLD_LIMIT: Duration = Duration::from_secs(20);
+
+    fn hold(&self) {
+        let mut s = self.state.lock().unwrap();
+        s.0 += 1;
+        self.cv.notify_all();
+        let _ = self
+            .cv
+            .wait_timeout_while(s, Self::HOLD_LIMIT, |s| !s.1)
+            .unwrap();
+    }
+
+    /// Waits until `n` jobs are held at the gate.
+    fn await_held(&self, n: usize) {
+        let s = self.state.lock().unwrap();
+        let (s, timeout) = self
+            .cv
+            .wait_timeout_while(s, Duration::from_secs(10), |s| s.0 < n)
+            .unwrap();
+        assert!(!timeout.timed_out(), "{} of {n} jobs reached the gate", s.0);
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+/// A real predictor whose `sample` waits at the gate when its batch holds
+/// a window with origin [`MARK`].
+struct Gated {
+    inner: Box<dyn Predictor>,
+    gate: Arc<Gate>,
+}
+
+impl Predictor for Gated {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn fit(&mut self, _: &[TrajWindow]) -> TrainReport {
+        unreachable!("serving never trains")
+    }
+    fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
+        if batch.windows().iter().any(|w| w.origin == MARK) {
+            self.gate.hold();
+        }
+        self.inner.sample(batch, rngs, k)
+    }
+    fn store(&self) -> &ParamStore {
+        self.inner.store()
+    }
+    fn store_mut(&mut self) -> &mut ParamStore {
+        self.inner.store_mut()
+    }
+}
+
+/// `predictor_with_seed(seed)` behind a closed gate.
+fn gated_predictor(seed: u64) -> (Box<dyn Predictor>, Arc<Gate>) {
+    let gate = Arc::new(Gate::default());
+    let predictor = Gated {
+        inner: predictor_with_seed(seed),
+        gate: Arc::clone(&gate),
+    };
+    (Box::new(predictor), gate)
+}
+
+/// Parks `n` exec workers at the gate, one marked request each, and
+/// returns the clients waiting for those requests' responses.
+fn park_workers(addr: SocketAddr, gate: &Gate, n: usize) -> Vec<JoinHandle<(u16, String)>> {
+    let mut scene = mixed_scenes().remove(0);
+    scene.origin = MARK;
+    let body = codec::encode_request(&scene, 1, 1);
+    (1..=n)
+        .map(|held| {
+            let body = body.clone();
+            let client = std::thread::spawn(move || http_post(addr, "/v1/predict", &body));
+            gate.await_held(held);
+            client
+        })
+        .collect()
+}
+
+/// Polls `/healthz` until the admission queue holds `depth` requests.
+fn await_queue_depth(addr: SocketAddr, depth: u64) -> bool {
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_secs(10) {
+        let (_, health) = http_get(addr, "/healthz");
+        let got = Value::parse(&health)
+            .ok()
+            .and_then(|v| v.get("queue_depth").and_then(Value::as_u64));
+        if got == Some(depth) {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    false
+}
+
 /// Mixed-domain probe scenes pulled from two synthesized test splits.
 fn mixed_scenes() -> Vec<TrajWindow> {
     let synth = SynthesisConfig {
@@ -63,7 +180,18 @@ fn mixed_scenes() -> Vec<TrajWindow> {
 }
 
 fn http_post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    http_post_within(addr, path, body, None)
+}
+
+/// [`http_post`] whose read fails the test once `timeout` passes.
+fn http_post_within(
+    addr: SocketAddr,
+    path: &str,
+    body: &str,
+    timeout: Option<Duration>,
+) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect serve endpoint");
+    stream.set_read_timeout(timeout).unwrap();
     write!(
         stream,
         "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
@@ -119,7 +247,6 @@ fn served_predictions_are_bit_identical_under_concurrent_load() {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_window_us: 2000,
             queue_cap: 128,
             ..ServeConfig::default()
         },
@@ -184,22 +311,20 @@ fn batch_windows_of(resp: &str) -> u64 {
 }
 
 /// Coalescing behavior: an isolated request executes alone (B = 1); a
-/// synchronized burst coalesces, and no job ever exceeds
-/// `MAX_WINDOWS_PER_JOB`.
+/// synchronized burst that queues behind a busy worker coalesces, and no
+/// job ever exceeds `MAX_WINDOWS_PER_JOB`.
 #[test]
 fn lone_requests_run_alone_and_bursts_coalesce_within_the_job_cap() {
     let scenes = Arc::new(mixed_scenes());
+    let (predictor, gate) = gated_predictor(42);
     let server = PredictServer::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            // Generous window so a whole burst lands inside it even on a
-            // loaded CI box.
-            batch_window_us: 50_000,
             queue_cap: 64,
             ..ServeConfig::default()
         },
-        predictor_with_seed(42),
+        predictor,
         None,
         None,
     )
@@ -211,6 +336,8 @@ fn lone_requests_run_alone_and_bursts_coalesce_within_the_job_cap() {
     assert_eq!(status, 200, "{resp:.200}");
     assert_eq!(batch_windows_of(&resp), 1, "lone request was batched");
 
+    // The burst queues while the only worker is parked at the gate.
+    let parked = park_workers(addr, &gate, 1);
     const BURST: usize = 8;
     let barrier = Arc::new(Barrier::new(BURST));
     let handles: Vec<_> = (0..BURST)
@@ -226,8 +353,14 @@ fn lone_requests_run_alone_and_bursts_coalesce_within_the_job_cap() {
             })
         })
         .collect();
+    let queued = await_queue_depth(addr, BURST as u64);
+    gate.open();
     let sizes: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for client in parked {
+        assert_eq!(client.join().unwrap().0, 200);
+    }
     server.stop();
+    assert!(queued, "the burst never queued behind the busy worker");
 
     assert!(
         sizes
@@ -241,43 +374,103 @@ fn lone_requests_run_alone_and_bursts_coalesce_within_the_job_cap() {
     );
 }
 
+/// Work conservation: while request A holds one of two workers inside
+/// `sample`, request B runs on the other at once and gets the offline
+/// bits; A is answered after it is released, under a different id.
+#[test]
+fn an_idle_worker_is_never_held_back_by_a_busy_one() {
+    let (predictor, gate) = gated_predictor(45);
+    let server = PredictServer::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        predictor,
+        None,
+        None,
+    )
+    .expect("server start");
+    let addr = server.local_addr();
+    let mut parked = park_workers(addr, &gate, 1);
+
+    let scene = mixed_scenes().remove(1);
+    let body = codec::encode_request(&scene, 99, 2);
+    let (status, resp) = http_post_within(addr, "/v1/predict", &body, Some(Duration::from_secs(5)));
+    let a_still_held = !parked[0].is_finished();
+    gate.open();
+    let (a_status, a_resp) = parked.remove(0).join().unwrap();
+    server.stop();
+
+    assert_eq!(status, 200, "{resp:.200}");
+    assert!(a_still_held, "B was answered only after A was released");
+    let expected = predictor_with_seed(45).predict_k(&scene, 2, &mut Rng::seed_from(99));
+    assert_eq!(
+        bits(&codec::decode_response_modes(&resp).expect("response modes")),
+        bits(&expected),
+        "served bits != offline"
+    );
+    assert_eq!(a_status, 200, "{a_resp:.200}");
+    let id = |r: &str| Value::parse(r).ok()?.get("request_id")?.as_u64();
+    let (b_id, a_id) = (
+        id(&resp).expect("B's request_id"),
+        id(&a_resp).expect("A's request_id"),
+    );
+    assert_ne!(b_id, a_id, "two responses share a request id");
+}
+
 /// Admission control: once the bounded queue is full, further requests
 /// get an immediate structured 503 while the admitted ones complete.
 #[test]
 fn queue_saturation_returns_a_structured_503() {
     let scenes = Arc::new(mixed_scenes());
+    let (predictor, gate) = gated_predictor(43);
     let server = PredictServer::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            // Long coalescing window: admitted requests sit in the queue
-            // for 200 ms, guaranteeing later arrivals see it full.
-            batch_window_us: 200_000,
             queue_cap: 2,
             deadline_ms: 5000,
             ..ServeConfig::default()
         },
-        predictor_with_seed(43),
+        predictor,
         None,
         None,
     )
     .expect("server start");
     let addr = server.local_addr();
 
+    // With the only worker parked, admitted requests stay queued, so
+    // every arrival past the second sees the queue full.
+    let parked = park_workers(addr, &gate, 1);
     const CLIENTS: usize = 10;
+    let answered = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|t| {
             let scenes = Arc::clone(&scenes);
             let barrier = Arc::clone(&barrier);
+            let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 let body = codec::encode_request(&scenes[t % scenes.len()], t as u64, 1);
                 barrier.wait();
-                http_post(addr, "/v1/predict", &body)
+                let response = http_post(addr, "/v1/predict", &body);
+                answered.fetch_add(1, Ordering::Relaxed);
+                response
             })
         })
         .collect();
+    // Release the worker once every request but the two admitted ones
+    // has its answer (or after 10 s; the assertions below say why).
+    let t0 = Instant::now();
+    while answered.load(Ordering::Relaxed) < CLIENTS - 2 && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gate.open();
     let responses: Vec<(u16, String)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for client in parked {
+        assert_eq!(client.join().unwrap().0, 200);
+    }
     server.stop();
 
     let ok = responses.iter().filter(|(s, _)| *s == 200).count();
@@ -339,7 +532,6 @@ fn hot_reload_never_serves_a_torn_model() {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_window_us: 1000,
             queue_cap: 64,
             ..ServeConfig::default()
         },
@@ -486,24 +678,26 @@ fn reload_of_a_wrong_architecture_checkpoint_keeps_the_old_model() {
 }
 
 /// A client that sends a predict request and hangs up while it waits in
-/// the batch window costs only its own reply: the next request is
-/// answered and `/healthz` still says ok.
+/// the queue costs only its own reply: the next request is answered and
+/// `/healthz` still says ok.
 #[test]
 fn a_client_that_drops_mid_batch_leaves_the_server_healthy() {
+    let (predictor, gate) = gated_predictor(7);
     let server = PredictServer::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_window_us: 200_000,
             ..ServeConfig::default()
         },
-        predictor_with_seed(7),
+        predictor,
         None,
         None,
     )
     .expect("server start");
     let addr = server.local_addr();
     let body = codec::encode_request(&mixed_scenes()[0], 555, 1);
+    // Both workers parked: the request below waits in the queue.
+    let parked = park_workers(addr, &gate, 2);
 
     let mut stream = TcpStream::connect(addr).expect("connect serve endpoint");
     write!(
@@ -514,19 +708,14 @@ fn a_client_that_drops_mid_batch_leaves_the_server_healthy() {
     )
     .expect("send request");
     // Hang up only once the request sits in the batch queue.
-    let queued = (0..200).any(|_| {
-        let (_, health) = http_get(addr, "/healthz");
-        let depth = Value::parse(&health)
-            .ok()
-            .and_then(|v| v.get("queue_depth").and_then(Value::as_u64));
-        depth == Some(1) || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            false
-        }
-    });
+    let queued = await_queue_depth(addr, 1);
     assert!(queued, "the request never reached the batch queue");
     stream.shutdown(std::net::Shutdown::Both).expect("hang up");
     drop(stream);
+    gate.open();
+    for client in parked {
+        assert_eq!(client.join().unwrap().0, 200);
+    }
 
     let (status, resp) = http_post(addr, "/v1/predict", &body);
     assert_eq!(status, 200, "{resp:.200}");
@@ -545,12 +734,24 @@ fn a_client_that_drops_mid_batch_leaves_the_server_healthy() {
 
 /// The predict port also serves the shared telemetry routes: `/timeline`
 /// is the flight recorder's Chrome trace document, `/profile` the
-/// profiler's JSON, and `GET /` lists every route.
+/// profiler's JSON, and `GET /` lists every route. A predict request run
+/// while the recorder is on shows up in `/timeline` as a `serve_exec`
+/// span carrying the response's `request_id`.
 #[test]
 fn predict_server_serves_timeline_and_profile() {
     let server = PredictServer::start(ServeConfig::default(), predictor_with_seed(7), None, None)
         .expect("server start");
     let addr = server.local_addr();
+
+    adaptraj::obs::timeline::set_enabled(true);
+    let body = codec::encode_request(&mixed_scenes()[0], 5, 1);
+    let (status, resp) = http_post(addr, "/v1/predict", &body);
+    adaptraj::obs::timeline::set_enabled(false);
+    assert_eq!(status, 200, "{resp:.200}");
+    let id = Value::parse(&resp)
+        .ok()
+        .and_then(|v| v.get("request_id")?.as_u64())
+        .expect("request_id");
 
     let (status, timeline) = http_get(addr, "/timeline");
     assert_eq!(status, 200, "{timeline:.200}");
@@ -559,6 +760,12 @@ fn predict_server_serves_timeline_and_profile() {
         doc.get("traceEvents").and_then(Value::as_array).is_some(),
         "/timeline has no traceEvents array: {timeline:.200}"
     );
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    let traced = events.iter().any(|e| {
+        e.get("name").and_then(Value::as_str) == Some("serve_exec")
+            && e.get("args").and_then(|a| a.get("request")?.as_u64()) == Some(id)
+    });
+    assert!(traced, "no serve_exec span for request {id}");
 
     let (status, profile) = http_get(addr, "/profile");
     assert_eq!(status, 200, "{profile:.200}");
