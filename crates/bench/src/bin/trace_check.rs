@@ -10,7 +10,7 @@
 //! (`"ph":"X"`) event has non-negative `ts` and `dur`. Each `--require
 //! NAME` additionally asserts that at least one complete event with that
 //! span name exists — CI requires `queue_wait`, `job_run`, `grad_reduce`,
-//! `epoch` and `encode` in a `run --trace-out` capture.
+//! `epoch` and `encode` in the `trace.json` of a `run --out DIR` record.
 
 use adaptraj_obs::json::Value;
 use std::collections::BTreeMap;

@@ -14,8 +14,9 @@
 //!   runs the algebraic and structural tape invariants
 //!   (`tests/tape_props.rs`) and the workspace's cross-crate properties.
 //! * [`golden`] — fixed-seed micro-runs of every backbone pinned
-//!   bit-for-bit in committed `results/GOLDEN_*.json` files, gated by the
-//!   `golden_gate` binary and the `adaptraj check` subcommand.
+//!   bit-for-bit in committed `results/GOLDEN_*.json` files, gated by
+//!   `adaptraj check` (which re-runs them) and `adaptraj doctor
+//!   --golden-dir/--golden-candidate` (which compares saved documents).
 //!
 //! Together these are the gate every later performance PR must clear: a
 //! kernel rewrite that changes any gradient fails `op_grads`, one that

@@ -20,7 +20,7 @@ pub mod viz;
 pub use metrics::{ade, best_of_k, fde, EvalAccumulator, EvalResult};
 pub use runner::{
     build_predictor, evaluate, leave_one_out, pooled_train, run_cell, run_cell_avg, target_test,
-    BackboneKind, CellResult, CellSpec, MethodKind, RunnerConfig,
+    train_cell, BackboneKind, CellResult, CellSpec, MethodKind, RunnerConfig,
 };
 pub use social::{collides, misses, SocialAccumulator, SocialReport};
 pub use stats::{paired_bootstrap, PairedBootstrap};

@@ -297,6 +297,16 @@ pub fn evaluate(
 
 /// Trains and evaluates one cell end to end.
 pub fn run_cell(spec: &CellSpec, datasets: &[DomainDataset], cfg: &RunnerConfig) -> CellResult {
+    train_cell(spec, datasets, cfg).0
+}
+
+/// [`run_cell`], also handing back the trained predictor (for saving a
+/// checkpoint).
+pub fn train_cell(
+    spec: &CellSpec,
+    datasets: &[DomainDataset],
+    cfg: &RunnerConfig,
+) -> (CellResult, Box<dyn Predictor>) {
     let cell_start = Instant::now();
     let train = pooled_train(spec, datasets);
     let test = target_test(spec, datasets, cfg.eval_cap);
@@ -328,14 +338,15 @@ pub fn run_cell(spec: &CellSpec, datasets: &[DomainDataset], cfg: &RunnerConfig)
             ),
         ],
     );
-    CellResult {
+    let result = CellResult {
         spec: spec.clone(),
         eval,
         infer_time_s,
         train_time_s,
         final_train_loss: report.final_loss(),
         report,
-    }
+    };
+    (result, predictor)
 }
 
 /// Runs a cell once per seed and averages errors and timings — the

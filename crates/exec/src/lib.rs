@@ -234,10 +234,10 @@ impl WorkerPool {
                 self.gauges.started();
                 let r = run_job(path, enqueue_us, i, || f(i, item));
                 self.gauges.finished();
-                // Inline jobs run in item order, so their health records
+                // Inline jobs run in item order, so their health incidents
                 // can be absorbed directly — same sequence the channel
                 // path reconstructs from its per-item buffers.
-                health::absorb_records(health::take_thread_records());
+                health::absorb_incidents(health::take_thread_incidents());
                 match r {
                     Ok(v) => out.push(v),
                     Err(p) => {
@@ -252,7 +252,7 @@ impl WorkerPool {
         };
 
         let (res_tx, res_rx) =
-            mpsc::channel::<(usize, std::thread::Result<O>, Vec<health::HealthRecord>)>();
+            mpsc::channel::<(usize, std::thread::Result<O>, Vec<health::Incident>)>();
         for (i, item) in items.iter().enumerate() {
             let res_tx = res_tx.clone();
             let f = &f;
@@ -267,10 +267,10 @@ impl WorkerPool {
                 // the job travel back with the result, so the dispatcher
                 // can absorb them in item order (deterministic for any
                 // worker count). Empty (no allocation) while disabled.
-                let health_records = health::take_thread_records();
+                let incidents = health::take_thread_incidents();
                 // The receiver outlives the dispatch loop; a send failure
                 // is impossible while `map` is still draining.
-                let _ = res_tx.send((i, r, health_records));
+                let _ = res_tx.send((i, r, incidents));
             });
             // SAFETY: the job borrows `items`, `f`, `gauges` (a field of
             // `self`), and `res_tx`, all of which outlive this call — `map`
@@ -286,14 +286,14 @@ impl WorkerPool {
         drop(res_tx);
 
         let mut slots: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
-        let mut record_slots: Vec<Vec<health::HealthRecord>> =
+        let mut incident_slots: Vec<Vec<health::Incident>> =
             (0..items.len()).map(|_| Vec::new()).collect();
         let mut first_panic: Option<(usize, String)> = None;
         for _ in 0..items.len() {
-            let (i, r, health_records) = res_rx
+            let (i, r, incidents) = res_rx
                 .recv()
                 .expect("worker exited without reporting a result");
-            record_slots[i] = health_records;
+            incident_slots[i] = incidents;
             match r {
                 Ok(v) => slots[i] = Some(v),
                 Err(p) => {
@@ -304,10 +304,10 @@ impl WorkerPool {
                 }
             }
         }
-        // Flush worker health buffers in item order — the global record
-        // sequence is then independent of dispatch interleaving.
-        for records in record_slots {
-            health::absorb_records(records);
+        // Flush worker health buffers in item order — the global
+        // incident sequence is then independent of dispatch interleaving.
+        for incidents in incident_slots {
+            health::absorb_incidents(incidents);
         }
         if let Some((index, message)) = first_panic {
             return Err(ExecError::JobPanicked { index, message });

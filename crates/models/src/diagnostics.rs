@@ -6,17 +6,17 @@
 //! in batch-position order. [`HealthAccum`] rides that reduction: while the
 //! observatory is enabled it additionally accumulates each window's
 //! gradient pairs into a per-source-domain [`GradBuffer`], and at epoch
-//! end emits the per-domain L2 norms, all pairwise cosine similarities
+//! end fills the per-domain L2 norms, all pairwise cosine similarities
 //! (the negative-transfer signal), and per-parameter-group
-//! update-to-weight ratios as one [`EpochHealth`] record. Every
+//! update-to-weight ratios into the epoch's [`EpochRecord`]. Every
 //! accumulation happens on the dispatcher thread in batch-position
-//! order, so the emitted series are bit-identical for any worker count.
+//! order, so the recorded series are bit-identical for any worker count.
 //!
 //! While the observatory is disabled, construction is one relaxed atomic
 //! load and every method is a no-op — training pays nothing.
 
 use crate::predictor::group_label;
-use adaptraj_obs::health::{self, DomainCosine, DomainNorm, EpochHealth, GroupRatio};
+use adaptraj_obs::{global, health, DomainCosine, DomainNorm, EpochRecord, GroupRatio};
 use adaptraj_tensor::{GradBuffer, ParamId, ParamStore, Tensor};
 
 /// L2 norm of a gradient buffer, accumulated in `f64` (deterministic:
@@ -90,16 +90,14 @@ pub fn update_ratios(store: &ParamStore, before: &[Tensor]) -> Vec<GroupRatio> {
 #[derive(Debug)]
 pub struct HealthAccum {
     enabled: bool,
-    epoch: u64,
-    phase: String,
     domains: Vec<(String, GradBuffer)>,
     ratios: Vec<GroupRatio>,
 }
 
 impl HealthAccum {
     /// Starts an epoch accumulator over `domains` (source-domain names in
-    /// a fixed order — the emitted series follow it).
-    pub fn new<I, S>(epoch: u64, phase: &str, domains: I) -> Self
+    /// a fixed order — the recorded series follow it).
+    pub fn new<I, S>(domains: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -107,12 +105,6 @@ impl HealthAccum {
         let enabled = health::health_enabled();
         HealthAccum {
             enabled,
-            epoch,
-            phase: if enabled {
-                phase.to_string()
-            } else {
-                String::new()
-            },
             domains: if enabled {
                 domains
                     .into_iter()
@@ -155,10 +147,12 @@ impl HealthAccum {
         }
     }
 
-    /// Emits the epoch's [`EpochHealth`] record (norms, pairwise
-    /// cosines, update ratios) into the health record stream and the
-    /// metrics registry, then retires the domain buffers into the pool.
-    pub fn finish(self) {
+    /// Fills the epoch's norms, pairwise cosines and update ratios into
+    /// `rec`, mirrors each into the metrics registry as a gauge
+    /// (`health.grad_norm.<domain>`, `health.grad_cosine.<a>__<b>`,
+    /// `health.update_ratio.<group>`, the `GET /metrics` surface), then
+    /// retires the domain buffers into the pool.
+    pub fn finish(self, rec: &mut EpochRecord) {
         if !self.enabled {
             return;
         }
@@ -180,13 +174,22 @@ impl HealthAccum {
                 });
             }
         }
-        health::record_epoch(EpochHealth {
-            epoch: self.epoch,
-            phase: self.phase,
-            domains: norms,
-            cosines,
-            update_ratios: self.ratios,
-        });
+        let reg = global();
+        for d in &norms {
+            reg.gauge(&format!("health.grad_norm.{}", d.domain))
+                .set(d.grad_norm);
+        }
+        for c in &cosines {
+            reg.gauge(&format!("health.grad_cosine.{}__{}", c.a, c.b))
+                .set(c.cosine);
+        }
+        for r in &self.ratios {
+            reg.gauge(&format!("health.update_ratio.{}", r.group))
+                .set(r.ratio);
+        }
+        rec.domains = norms;
+        rec.cosines = cosines;
+        rec.update_ratios = self.ratios;
         for (_, buf) in self.domains {
             buf.recycle();
         }
@@ -254,10 +257,12 @@ mod tests {
     fn disabled_accumulator_is_inert() {
         let _lock = HEALTH_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         health::set_enabled(false);
-        let mut acc = HealthAccum::new(0, "step1", ["x".to_string()]);
+        let mut acc = HealthAccum::new(["x".to_string()]);
         let (_, a, _) = store_with_two_groups();
         acc.absorb("x", &[(a, Tensor::row(&[1.0, 1.0]))], 1.0);
         assert!(acc.domains.is_empty());
-        acc.finish();
+        let mut rec = EpochRecord::new(0, "step1");
+        acc.finish(&mut rec);
+        assert!(rec.domains.is_empty() && rec.cosines.is_empty());
     }
 }

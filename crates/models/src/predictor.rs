@@ -10,7 +10,7 @@ use adaptraj_tensor::{GradBuffer, GroupId, ParamStore, Rng};
 
 /// Per-epoch training telemetry: the legacy mean-loss curve plus the full
 /// per-epoch records and per-phase wall-clock consumed by the run
-/// manifest (`--manifest`).
+/// manifest (`manifest.json` under `run --out DIR`).
 #[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     pub epoch_losses: Vec<f32>,

@@ -209,11 +209,7 @@ impl<'a> Trainer<'a> {
             let mut seen = 0usize;
             let mut grad_norm_sum = 0.0f64;
             let mut batches = 0usize;
-            let mut diag = HealthAccum::new(
-                global_epoch as u64,
-                self.phase,
-                domain_names.iter().copied(),
-            );
+            let mut diag = HealthAccum::new(domain_names.iter().copied());
             let mut halted = false;
             let batch_list = shuffled_batches(windows.len(), cfg.batch_size, rng);
             let n_batches = batch_list.len();
@@ -391,7 +387,7 @@ impl<'a> Trainer<'a> {
                     break;
                 }
             }
-            diag.finish();
+            diag.finish(&mut rec);
             let mean_loss = (epoch_loss / seen.max(1) as f64) as f32;
             rec.loss = mean_loss as f64;
             rec.components = means.components();

@@ -28,13 +28,13 @@
 //!   folded stacks for flamegraphs.
 //! - [`telemetry`]: the [`RunTelemetry`] recorder capturing per-epoch
 //!   decomposed losses, per-group gradient/parameter norms, non-finite
-//!   guards, and per-phase wall-clock, serialized as a run-manifest
-//!   JSON document.
+//!   guards, per-source-domain gradient diagnostics (norms, pairwise
+//!   cosines, update-to-weight ratios), per-phase wall-clock and the
+//!   tripwire incidents, serialized as the run-manifest JSON document
+//!   the `doctor` CLI reads.
 //! - [`health`]: the training-health observatory — tape-level numerics
 //!   tripwires (NaN/Inf/exploding, with warn / skip-window /
-//!   halt-and-dump policies), per-source-domain gradient diagnostics
-//!   (norms, pairwise cosines, update-to-weight ratios), and the
-//!   `adaptraj-health/v1` record stream consumed by the `doctor` CLI.
+//!   halt-and-dump policies) and their deterministic incident stream.
 //! - [`http`] and [`serve`]: the one route-table HTTP server, and the
 //!   telemetry routes (`GET /metrics` with p50/p90/p99/p999 quantiles,
 //!   `/profile`, `/timeline`) that every listener mounts on it.
@@ -54,10 +54,7 @@ pub mod telemetry;
 pub mod timeline;
 pub mod trace;
 
-pub use health::{
-    DomainCosine, DomainNorm, EpochHealth, GroupRatio, HealthRecord, Incident, Policy,
-    BUNDLE_SCHEMA, HEALTH_SCHEMA,
-};
+pub use health::{Incident, Policy};
 pub use metrics::{
     global, CounterHandle, GaugeHandle, HistSnapshot, HistogramHandle, Registry, RegistryDelta,
     RegistrySnapshot,
@@ -66,7 +63,8 @@ pub use profile::{ProfileSnapshot, PROFILE_SCHEMA};
 pub use serve::TelemetryServer;
 pub use span::{span, Span, SpanPath};
 pub use telemetry::{
-    EpochRecord, EvalSummary, GroupNorm, LossComponents, PhaseTiming, RunTelemetry, MANIFEST_SCHEMA,
+    DomainCosine, DomainNorm, EpochRecord, EvalSummary, GroupNorm, GroupRatio, LossComponents,
+    PhaseTiming, RunTelemetry, MANIFEST_SCHEMA,
 };
 pub use timeline::{TimelineEvent, TimelineLane, TimelineSnapshot};
 pub use trace::{

@@ -7,12 +7,12 @@
 //!   summaries with `quantile="0.5|0.9|0.99|0.999"` labels plus `_sum` /
 //!   `_count`.
 //! * `GET /profile` — the op/phase profiler's [`ProfileSnapshot`] as JSON
-//!   (same document `--profile-out` writes).
+//!   (same document as `profile.json` in the `run --out DIR` record).
 //! * `GET /timeline` — the execution flight recorder's current
 //!   [`TimelineSnapshot`](crate::timeline::TimelineSnapshot) as Chrome
-//!   trace-event JSON (same document `--trace-out` writes and
+//!   trace-event JSON (same document as the record's `trace.json`, which
 //!   `trace_check` validates), so a live run can be inspected in
-//!   Perfetto without restarting it with `--trace-out`.
+//!   Perfetto before it finishes.
 //!
 //! [`TelemetryServer`] adds `GET /healthz` → `ok` and serves them on one
 //! accept thread, so a human or a Prometheus scraper can watch a

@@ -5,15 +5,20 @@
 //! The recorder is deliberately passive — training loops push plain
 //! structs into it and `RunTelemetry::to_json` serializes the whole run
 //! at the end. Nothing here touches the global metrics registry; the
-//! manifest is a self-contained artifact (`--manifest run.json`).
+//! manifest is a self-contained artifact (`manifest.json` in the
+//! directory `run --out DIR` writes). While the health observatory is
+//! armed, each epoch record also carries the per-source-domain gradient
+//! diagnostics, and the run carries the tripwire incidents and whether
+//! a `halt-and-dump` policy stopped training.
 
+use crate::health::Incident;
 use crate::json::{Arr, Obj};
 use std::io::Write;
 use std::path::Path;
 
 /// Version tag embedded in every manifest so downstream tooling can
 /// detect schema drift.
-pub const MANIFEST_SCHEMA: &str = "adaptraj-run-manifest/v1";
+pub const MANIFEST_SCHEMA: &str = "adaptraj-run-manifest/v2";
 
 /// The decomposed training objective for one epoch (means over batches).
 ///
@@ -78,6 +83,30 @@ impl GroupNorm {
     }
 }
 
+/// Per-source-domain gradient L2 norm for one epoch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DomainNorm {
+    pub domain: String,
+    pub grad_norm: f64,
+}
+
+/// Cosine similarity between two source domains' accumulated gradients.
+/// Negative values are the negative-transfer signal AdapTraj targets.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DomainCosine {
+    pub a: String,
+    pub b: String,
+    pub cosine: f64,
+}
+
+/// Update-to-weight ratio `‖Δw‖ / ‖w‖` for one parameter group over the
+/// epoch's final optimizer step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupRatio {
+    pub group: String,
+    pub ratio: f64,
+}
+
 /// Everything recorded about one training epoch.
 #[derive(Debug, Clone)]
 pub struct EpochRecord {
@@ -100,6 +129,12 @@ pub struct EpochRecord {
     pub non_finite_batches: u64,
     /// True on the epoch that triggered patience-based early stopping.
     pub early_stop: bool,
+    /// Health-observatory diagnostics, empty while it is off: the
+    /// per-source-domain gradient norms, every pairwise cosine, and the
+    /// per-group update-to-weight ratios of the epoch's final step.
+    pub domains: Vec<DomainNorm>,
+    pub cosines: Vec<DomainCosine>,
+    pub update_ratios: Vec<GroupRatio>,
 }
 
 impl EpochRecord {
@@ -114,6 +149,9 @@ impl EpochRecord {
             duration_s: 0.0,
             non_finite_batches: 0,
             early_stop: false,
+            domains: Vec::new(),
+            cosines: Vec::new(),
+            update_ratios: Vec::new(),
         }
     }
 
@@ -121,6 +159,34 @@ impl EpochRecord {
         let mut groups = Arr::new();
         for g in &self.group_norms {
             groups = groups.push_raw(&g.to_json());
+        }
+        let mut domains = Arr::new();
+        for d in &self.domains {
+            domains = domains.push_raw(
+                &Obj::new()
+                    .str("domain", &d.domain)
+                    .f64("grad_norm", d.grad_norm)
+                    .finish(),
+            );
+        }
+        let mut cosines = Arr::new();
+        for c in &self.cosines {
+            cosines = cosines.push_raw(
+                &Obj::new()
+                    .str("a", &c.a)
+                    .str("b", &c.b)
+                    .f64("cosine", c.cosine)
+                    .finish(),
+            );
+        }
+        let mut ratios = Arr::new();
+        for r in &self.update_ratios {
+            ratios = ratios.push_raw(
+                &Obj::new()
+                    .str("group", &r.group)
+                    .f64("ratio", r.ratio)
+                    .finish(),
+            );
         }
         Obj::new()
             .u64("epoch", self.epoch as u64)
@@ -132,6 +198,9 @@ impl EpochRecord {
             .f64("duration_s", self.duration_s)
             .u64("non_finite_batches", self.non_finite_batches)
             .bool("early_stop", self.early_stop)
+            .raw("domains", &domains.finish())
+            .raw("cosines", &cosines.finish())
+            .raw("update_ratios", &ratios.finish())
             .finish()
     }
 }
@@ -180,7 +249,7 @@ impl EvalSummary {
 }
 
 /// Recorder for a whole training/evaluation run; serializes to the run
-/// manifest consumed by `--manifest FILE.json`.
+/// manifest that `doctor --run DIR` reads.
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
     /// Free-form `(key, value)` pairs echoing the run configuration
@@ -189,6 +258,11 @@ pub struct RunTelemetry {
     pub epochs: Vec<EpochRecord>,
     pub phases: Vec<PhaseTiming>,
     pub eval: Option<EvalSummary>,
+    /// Numerics-tripwire incidents in record order (first = the first
+    /// unhealthy op).
+    pub incidents: Vec<Incident>,
+    /// True when a `halt-and-dump` tripwire stopped training.
+    pub halted: bool,
 }
 
 impl RunTelemetry {
@@ -207,16 +281,6 @@ impl RunTelemetry {
 
     pub fn push_phase(&mut self, phase: &str, duration_s: f64) {
         self.phases.push(PhaseTiming::new(phase, duration_s));
-    }
-
-    /// Appends another run's epochs/phases (used when training is split
-    /// across schedule steps that each produce a partial report).
-    pub fn absorb(&mut self, other: RunTelemetry) {
-        self.epochs.extend(other.epochs);
-        self.phases.extend(other.phases);
-        if self.eval.is_none() {
-            self.eval = other.eval;
-        }
     }
 
     /// Total windows skipped due to non-finite losses or gradients across
@@ -243,12 +307,18 @@ impl RunTelemetry {
         for p in &self.phases {
             phases = phases.push_raw(&p.to_json());
         }
+        let mut incidents = Arr::new();
+        for i in &self.incidents {
+            incidents = incidents.push_raw(&i.to_json());
+        }
         let mut obj = Obj::new()
             .str("schema", MANIFEST_SCHEMA)
             .raw("config", &cfg.finish())
             .u64("num_epochs", self.epochs.len() as u64)
             .u64("non_finite_batches_total", self.non_finite_total())
             .bool("early_stopped", self.early_stopped())
+            .bool("halted", self.halted)
+            .raw("incidents", &incidents.finish())
             .raw("epochs", &epochs.finish())
             .raw("phases", &phases.finish());
         if let Some(ev) = &self.eval {
@@ -300,37 +370,27 @@ mod tests {
         t.push_epoch(e0);
         let mut e1 = sample_epoch(1);
         e1.early_stop = true;
+        e1.cosines.push(DomainCosine {
+            a: "ETH&UCY".into(),
+            b: "L-CAS".into(),
+            cosine: f64::NAN,
+        });
         t.push_epoch(e1);
         t.push_phase("train.step2", 0.5);
+        t.halted = true;
         let j = t.to_json();
         assert!(j.starts_with(&format!(r#"{{"schema":"{MANIFEST_SCHEMA}""#)));
         assert!(j.contains(r#""num_epochs":2"#));
         assert!(j.contains(r#""non_finite_batches_total":2"#));
         assert!(j.contains(r#""early_stopped":true"#));
         assert!(j.contains(r#""backbone":"pecnet""#));
+        assert!(j.contains(r#""halted":true,"incidents":[]"#));
+        // Observatory fields are present, and empty while it is off.
+        assert!(j.contains(r#""domains":[],"cosines":[],"update_ratios":[]"#));
+        assert!(j.contains(r#""cosines":[{"a":"ETH&UCY","b":"L-CAS","cosine":null}]"#));
         // NaN distill serializes as null, not NaN.
         assert!(j.contains(r#""distill":null"#));
         assert!(!j.contains("NaN"));
-    }
-
-    #[test]
-    fn absorb_merges_partial_runs() {
-        let mut a = RunTelemetry::new();
-        a.push_epoch(sample_epoch(0));
-        a.push_phase("train.step1", 0.1);
-        let mut b = RunTelemetry::new();
-        b.push_epoch(sample_epoch(1));
-        b.eval = Some(EvalSummary {
-            ade: 0.5,
-            fde: 1.0,
-            infer_time_s: 0.01,
-            num_windows: 8,
-        });
-        a.absorb(b);
-        assert_eq!(a.epochs.len(), 2);
-        assert_eq!(a.phases.len(), 1);
-        assert!(a.eval.is_some());
-        assert!(a.to_json().contains(r#""eval":{"ade":0.5"#));
     }
 
     #[test]

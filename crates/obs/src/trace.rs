@@ -284,7 +284,7 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    pub fn create(path: &str) -> std::io::Result<JsonlSink> {
+    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<JsonlSink> {
         let file = std::fs::File::create(path)?;
         Ok(JsonlSink {
             writer: Mutex::new(std::io::BufWriter::new(file)),

@@ -78,10 +78,10 @@ step "golden regression gate (fixed-seed micro-runs)"
 mkdir -p target/golden-ci
 cargo run --release --offline --bin adaptraj -- \
     check --golden-dir results --out-dir target/golden-ci || fail=1
-# The standalone comparator must reach the same verdict from the files
-# the CLI just wrote (exercises the parse path end to end).
-cargo run --release --offline -p adaptraj-check --bin golden_gate -- \
-    --baseline-dir results --candidate-dir target/golden-ci || fail=1
+# doctor must reach the same verdict from the files check just wrote
+# (exercises the golden parse path end to end).
+cargo run --release --offline --bin adaptraj -- \
+    doctor --golden-dir results --golden-candidate target/golden-ci || fail=1
 
 step "perfbench smoke (three workloads correct) + doctor self-compare"
 # One short run of each repository-benchmark workload: its result line
@@ -101,7 +101,8 @@ cargo run --release --offline --bin adaptraj -- \
     --bench-candidate target/perfbench_ci_train_adaptraj.txt || fail=1
 
 step "serve smoke (golden bit-exactness, /metrics /timeline /profile, 405, 503 backpressure, clean shutdown)"
-# Trains a tiny fixed-seed checkpoint, serves it on an ephemeral port, and
+# Trains a tiny fixed-seed checkpoint (the checkpoint.atps of its run
+# record), serves it on an ephemeral port, and
 # drives it from outside with serve_gate: the golden probe scene's served
 # predictions must match the committed results/SERVE_golden.json bit for
 # bit (regenerate with `serve_gate --write-golden` when the model
@@ -110,12 +111,13 @@ step "serve smoke (golden bit-exactness, /metrics /timeline /profile, 405, 503 b
 # predict port, GET /v1/predict must be a JSON 405, and shutdown must be
 # clean. A second instance with --queue-cap 1 proves the
 # bounded queue rejects a flood with structured 503s.
+rm -rf target/serve_ci_run
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method vanilla --sources eth_ucy --target l_cas \
-    --epochs 1 --workers 2 --seed 7 --ckpt target/serve_ci.atps || fail=1
+    --epochs 1 --workers 2 --seed 7 --out target/serve_ci_run || fail=1
 rm -f target/serve_ci.log
 cargo run --release --offline --bin adaptraj -- \
-    serve --addr 127.0.0.1:0 --checkpoint target/serve_ci.atps \
+    serve --addr 127.0.0.1:0 --checkpoint target/serve_ci_run/checkpoint.atps \
     --backbone pecnet --method vanilla --sources eth_ucy \
     --workers 2 > target/serve_ci.log 2>&1 &
 serve_pid=$!
@@ -136,7 +138,7 @@ fi
 wait "$serve_pid" || { echo "serve exited nonzero"; cat target/serve_ci.log; fail=1; }
 rm -f target/serve_flood_ci.log
 cargo run --release --offline --bin adaptraj -- \
-    serve --addr 127.0.0.1:0 --checkpoint target/serve_ci.atps \
+    serve --addr 127.0.0.1:0 --checkpoint target/serve_ci_run/checkpoint.atps \
     --backbone pecnet --method vanilla --sources eth_ucy \
     --workers 1 --queue-cap 1 \
     > target/serve_flood_ci.log 2>&1 &
@@ -156,23 +158,24 @@ else
 fi
 wait "$flood_pid" || { echo "flood serve exited nonzero"; cat target/serve_flood_ci.log; fail=1; }
 
-step "flight-recorder smoke (run --trace-out + Chrome trace validation)"
+step "flight-recorder smoke (run --out trace.json + Chrome trace validation)"
 # Tiny training run with the execution timeline enabled, then validate
-# the emitted Chrome trace document: required keys (ph/ts/pid/tid/name),
+# the run record's Chrome trace document: required keys (ph/ts/pid/tid/name),
 # non-negative timestamps/durations, and the executor + trainer + model
 # span set. Every profiled op must sit under some span (train, evaluate,
 # ...): an `(unattributed)` folded stack means a job lost its
 # dispatcher's span path.
+rm -rf target/trace_ci_run
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method vanilla --sources eth_ucy --target l_cas \
-    --epochs 1 --workers 2 --trace-out target/trace_ci.json || fail=1
+    --epochs 1 --workers 2 --out target/trace_ci_run || fail=1
 cargo run --release --offline -p adaptraj-bench --bin trace_check -- \
-    target/trace_ci.json \
+    target/trace_ci_run/trace.json \
     --require queue_wait --require job_run --require grad_reduce \
     --require epoch --require encode || fail=1
-if grep -q '^(unattributed)' target/trace_ci.json.folded; then
-    echo "unattributed ops in target/trace_ci.json.folded:"
-    grep '^(unattributed)' target/trace_ci.json.folded
+if grep -q '^(unattributed)' target/trace_ci_run/trace.folded; then
+    echo "unattributed ops in target/trace_ci_run/trace.folded:"
+    grep '^(unattributed)' target/trace_ci_run/trace.folded
     fail=1
 fi
 
@@ -183,39 +186,38 @@ cargo test -q --offline --test telemetry serve_ || fail=1
 
 step "health observatory smoke (clean run -> doctor exits zero)"
 # Fixed-seed run with the observatory armed: per-domain gradient norms,
-# pairwise cosines, and update ratios stream to health JSONL; the doctor
-# must find nothing fatal and exit zero.
+# pairwise cosines, and update ratios land in each epoch record of the
+# run manifest; the doctor must find nothing fatal and exit zero.
+rm -rf target/health_ci_run
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method adaptraj --sources eth_ucy,l_cas,syi \
     --target sdd --epochs 2 --workers 2 --seed 7 \
-    --manifest target/health_ci_run.json \
-    --health-out target/health_ci.jsonl || fail=1
+    --out target/health_ci_run || fail=1
 cargo run --release --offline --bin adaptraj -- \
-    doctor --manifest target/health_ci_run.json \
-    --health target/health_ci.jsonl || fail=1
+    doctor --run target/health_ci_run || fail=1
 
 step "health observatory smoke (injected NaN -> tripwire -> doctor exits nonzero)"
 # Poisons every op of window 3 in epoch 0 (the worker-count-deterministic
 # E:W injection form) under halt-and-dump, once for AdapTraj and once for
 # CausalMotion (the shared Trainer loop's mean and risk-variance
-# reductions): training must halt, the run must exit nonzero with a
-# diagnostic bundle, and the doctor must report the NaN incident (with
-# op + phase attribution) and exit nonzero too.
+# reductions): training must halt, the run must exit nonzero with the
+# incident and "halted":true in its manifest, and the doctor must report
+# the NaN incident (with op + phase attribution) and exit nonzero too.
 for method in adaptraj causalmotion; do
-    rm -rf "target/health_ci_dump_$method"
+    run_dir="target/health_ci_bad_$method"
+    rm -rf "$run_dir"
     if ADAPTRAJ_HEALTH_INJECT_NAN=0:3 cargo run --release --offline --bin adaptraj -- \
         run --backbone pecnet --method "$method" --sources eth_ucy,l_cas,syi \
         --target sdd --epochs 2 --workers 2 --seed 7 \
-        --manifest "target/health_ci_bad_$method.json" \
-        --health-out "target/health_ci_bad_$method.jsonl" \
-        --health-policy halt-and-dump --health-dump "target/health_ci_dump_$method"; then
+        --health-policy halt-and-dump --out "$run_dir"; then
         echo "expected the injected-NaN $method run to exit nonzero"; fail=1
     fi
-    test -f "target/health_ci_dump_$method/bundle.json" || {
-        echo "missing bundle.json ($method)"; fail=1; }
+    grep -q '"halted":true' "$run_dir/manifest.json" || {
+        echo "manifest does not record the halt ($method)"; fail=1; }
+    grep -q '"incidents":\[{' "$run_dir/manifest.json" || {
+        echo "manifest records no incident ($method)"; fail=1; }
     doctor_out=$(cargo run --release --offline --bin adaptraj -- \
-        doctor --manifest "target/health_ci_bad_$method.json" \
-        --health "target/health_ci_bad_$method.jsonl" 2>&1) && {
+        doctor --run "$run_dir" 2>&1) && {
         echo "expected doctor to exit nonzero on the injected-NaN $method run"; fail=1; }
     echo "$doctor_out" | grep -q "first unhealthy op: '" || {
         echo "doctor did not attribute the first unhealthy op ($method)"; fail=1; }

@@ -15,14 +15,15 @@ use adaptraj::data::io::write_csv;
 use adaptraj::data::stats::table_one;
 use adaptraj::doctor::{run_doctor, DoctorArgs};
 use adaptraj::eval::viz::{render_window, VizOptions};
-use adaptraj::eval::{run_cell, CellSpec, RunnerConfig, TextTable};
-use adaptraj::models::predictor::TrainReport;
+use adaptraj::eval::{target_test, train_cell, CellSpec, RunnerConfig, TextTable};
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig, Vanilla};
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{health, profile, timeline};
 use adaptraj::obs::{EvalSummary, JsonlSink, RunTelemetry, StderrSink};
+use adaptraj::run_dir;
 use adaptraj::tensor::serialize::{load_params_from_file, save_params_to_file};
 use adaptraj::tensor::Rng;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -86,22 +87,6 @@ fn start_telemetry(
     Ok(Some(server))
 }
 
-/// Writes the flight-recorder capture: Chrome trace JSON at `path` plus
-/// profiler-derived folded stacks at `path.folded`.
-fn write_trace(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let snap = timeline::snapshot();
-    std::fs::write(path, snap.to_chrome_trace())?;
-    let folded_path = format!("{path}.folded");
-    std::fs::write(&folded_path, timeline::folded_stacks(&profile::snapshot()))?;
-    println!(
-        "flight-recorder trace written to {path} ({} spans across {} lanes; \
-         folded stacks in {folded_path})",
-        snap.len(),
-        snap.lanes.len()
-    );
-    Ok(())
-}
-
 fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
     match cmd {
         Command::Help => {
@@ -160,17 +145,11 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             target,
             epochs,
             workers,
-            ckpt,
             seed,
             log_level,
-            metrics_out,
-            manifest,
-            profile_out,
-            trace_out,
             telemetry_addr,
-            health_out,
             health_policy,
-            health_dump,
+            out,
         } => {
             if let Some(level) = log_level {
                 adaptraj::obs::set_max_level(level);
@@ -179,30 +158,24 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             // Held for the duration of the arm; dropping it stops the
             // listener thread.
             let _telemetry_server = start_telemetry(&telemetry_addr)?;
-            let health_armed =
-                health_out.is_some() || health_policy.is_some() || health_dump.is_some();
-            // The timeline's folded-stacks export derives from the phase
-            // profiler, so --trace-out implies profiling too; incident
-            // phase attribution needs it as well, so arming the health
-            // observatory arms the profiler.
-            if profile_out.is_some() || trace_out.is_some() || health_armed {
+            // Incident phase attribution and the folded stacks both come
+            // from the phase profiler, so the observatory arms it too.
+            if out.is_some() || health_policy.is_some() {
                 profile::reset();
                 profile::set_enabled(true);
-            }
-            if health_armed {
                 health::reset();
                 health::set_enabled(true);
                 health::set_policy(health_policy.unwrap_or_default());
             }
-            if trace_out.is_some() {
-                timeline::reset();
-                timeline::set_enabled(true);
-            }
-            let metrics_sink = match &metrics_out {
-                Some(path) => {
-                    let sink = Arc::new(JsonlSink::create(path)?);
+            // The run record's directory and its event sink.
+            let record = match out.map(PathBuf::from) {
+                Some(dir) => {
+                    std::fs::create_dir_all(&dir)?;
+                    timeline::reset();
+                    timeline::set_enabled(true);
+                    let sink = Arc::new(JsonlSink::create(dir.join(run_dir::EVENTS))?);
                     adaptraj::obs::add_sink(sink.clone());
-                    Some(sink)
+                    Some((dir, sink))
                 }
                 None => None,
             };
@@ -227,6 +200,20 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 cfg.trainer.seed = s;
             }
 
+            println!("training {} ...", spec.label());
+            let (res, predictor) = train_cell(&spec, &datasets, &cfg);
+            println!(
+                "ADE/FDE {}   train {:.1}s   inference {:.2} ms/trajectory",
+                res.eval,
+                res.train_time_s,
+                res.infer_time_s * 1e3
+            );
+            let Some((dir, events)) = record else {
+                return Ok(());
+            };
+            profile::set_enabled(false);
+            timeline::set_enabled(false);
+
             let mut telemetry = RunTelemetry::new();
             telemetry.config("backbone", format!("{backbone:?}"));
             telemetry.config("method", format!("{method:?}"));
@@ -243,95 +230,43 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             telemetry.config("workers", workers);
             telemetry.config("batch_size", cfg.trainer.batch_size);
             telemetry.config("seed", cfg.trainer.seed);
-
-            println!("training {} ...", spec.label());
-            let report: TrainReport;
-            let summary: EvalSummary;
-            if let Some(path) = ckpt {
-                // Train once here so the fitted parameters can be saved.
-                let train = adaptraj::eval::runner::pooled_train(&spec, &datasets);
-                let test = adaptraj::eval::runner::target_test(&spec, &datasets, 0);
-                let mut predictor = adaptraj::eval::build_predictor(&spec, &cfg);
-                let t0 = std::time::Instant::now();
-                report = predictor.fit(&train);
-                let train_time = t0.elapsed().as_secs_f64();
-                let (eval, infer) =
-                    adaptraj::eval::evaluate(predictor.as_ref(), &test, 3, cfg.eval_seed, workers);
-                println!(
-                    "ADE/FDE {eval}   train {train_time:.1}s   inference {:.2} ms/trajectory",
-                    infer * 1e3
-                );
-                save_params_to_file(predictor.store(), &path)?;
-                println!("checkpoint saved to {path}");
-                summary = EvalSummary {
-                    ade: eval.ade as f64,
-                    fde: eval.fde as f64,
-                    infer_time_s: infer,
-                    num_windows: test.len() as u64,
-                };
-            } else {
-                let num_windows =
-                    adaptraj::eval::runner::target_test(&spec, &datasets, cfg.eval_cap).len();
-                let res = run_cell(&spec, &datasets, &cfg);
-                println!(
-                    "ADE/FDE {}   train {:.1}s   inference {:.2} ms/trajectory",
-                    res.eval,
-                    res.train_time_s,
-                    res.infer_time_s * 1e3
-                );
-                summary = EvalSummary {
-                    ade: res.eval.ade as f64,
-                    fde: res.eval.fde as f64,
-                    infer_time_s: res.infer_time_s,
-                    num_windows: num_windows as u64,
-                };
-                report = res.report;
-            }
-
-            for rec in report.epochs {
-                telemetry.push_epoch(rec);
-            }
-            for p in report.phases {
+            telemetry.epochs = res.report.epochs;
+            for p in res.report.phases {
                 telemetry.push_phase(&p.phase, p.duration_s);
             }
-            telemetry.eval = Some(summary);
-
-            if let Some(path) = manifest {
-                telemetry.write_to_file(std::path::Path::new(&path))?;
-                println!("run manifest written to {path}");
-            }
-            if let Some(path) = trace_out {
-                timeline::set_enabled(false);
-                write_trace(&path)?;
-            }
-            if let Some(path) = profile_out {
-                profile::set_enabled(false);
-                let snap = profile::snapshot();
-                std::fs::write(&path, snap.to_json())?;
-                println!("op-level profile written to {path}");
-                print!("{}", snap.render_table());
-            }
-            if let Some(sink) = metrics_sink {
-                // Append the final metric snapshots after the trace events.
-                for line in adaptraj::obs::global().dump_jsonl() {
-                    sink.write_raw_line(&line);
-                }
-            }
-            if let Some(path) = &health_out {
-                health::write_jsonl(std::path::Path::new(path))?;
-                println!(
-                    "health stream written to {path} ({} record(s), {} incident(s))",
-                    health::records().len(),
-                    health::incident_count()
-                );
+            telemetry.eval = Some(EvalSummary {
+                ade: res.eval.ade as f64,
+                fde: res.eval.fde as f64,
+                infer_time_s: res.infer_time_s,
+                num_windows: target_test(&spec, &datasets, cfg.eval_cap).len() as u64,
+            });
+            telemetry.incidents = health::incidents();
+            telemetry.halted = health::halt_requested();
+            telemetry.write_to_file(&dir.join(run_dir::MANIFEST))?;
+            // The events end with the final metric snapshots.
+            for line in adaptraj::obs::global().dump_jsonl() {
+                events.write_raw_line(&line);
             }
             adaptraj::obs::flush_sinks();
-            if health_armed && health::halt_requested() {
-                let dir = health_dump.unwrap_or_else(|| "health_dump".into());
-                health::write_bundle(std::path::Path::new(&dir), Some(&telemetry.to_json()), 200)?;
+            let prof = profile::snapshot();
+            std::fs::write(dir.join(run_dir::PROFILE), prof.to_json())?;
+            std::fs::write(
+                dir.join(run_dir::TRACE),
+                timeline::snapshot().to_chrome_trace(),
+            )?;
+            std::fs::write(dir.join(run_dir::FOLDED), timeline::folded_stacks(&prof))?;
+            save_params_to_file(predictor.store(), dir.join(run_dir::CHECKPOINT))?;
+            println!(
+                "run record written to {} ({}; {} incident(s))",
+                dir.display(),
+                run_dir::FILES.join(", "),
+                telemetry.incidents.len()
+            );
+            if telemetry.halted {
                 return Err(format!(
                     "training halted by health tripwire (policy halt-and-dump); \
-                     diagnostic bundle written to {dir}"
+                     run record written to {}",
+                    dir.display()
                 )
                 .into());
             }
@@ -450,8 +385,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         Command::Doctor {
-            manifest,
-            health,
+            run,
             bench_baseline,
             bench_candidate,
             golden_dir,
@@ -459,8 +393,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             json,
         } => {
             let diag = run_doctor(&DoctorArgs {
-                manifest,
-                health,
+                run,
                 bench_baseline,
                 bench_candidate,
                 golden_dir,

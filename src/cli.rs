@@ -23,10 +23,10 @@ pub enum Command {
     /// domains.
     Stats { scenes: usize },
     /// `run --backbone <b> --method <m> --sources a,b,c --target <d>
-    ///  [--epochs N] [--workers N] [--ckpt FILE] [--seed S] [--log-level L]
-    ///  [--metrics-out FILE.jsonl] [--manifest FILE.json]` — train one
-    /// experiment cell and report ADE/FDE (optionally saving a checkpoint,
-    /// emitting trace/metrics JSONL, and writing a run manifest).
+    ///  [--epochs N] [--workers N] [--seed S] [--log-level L]
+    ///  [--telemetry-addr HOST:PORT] [--health-policy P] [--out DIR]` —
+    /// train one experiment cell and report ADE/FDE; with `--out`, write
+    /// the run record (see [`crate::run_dir`]) to `DIR`.
     Run {
         backbone: BackboneKind,
         method: MethodKind,
@@ -34,17 +34,11 @@ pub enum Command {
         target: DomainId,
         epochs: usize,
         workers: usize,
-        ckpt: Option<String>,
         seed: Option<u64>,
         log_level: Option<Level>,
-        metrics_out: Option<String>,
-        manifest: Option<String>,
-        profile_out: Option<String>,
-        trace_out: Option<String>,
         telemetry_addr: Option<String>,
-        health_out: Option<String>,
         health_policy: Option<Policy>,
-        health_dump: Option<String>,
+        out: Option<String>,
     },
     /// `serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
     ///  [--accept-threads N] [--queue-cap N] [--deadline-ms N] [--backbone B] [--method M] [--sources a,b,c]`
@@ -80,16 +74,14 @@ pub enum Command {
         metric_tol_pct: f64,
         update_golden: bool,
     },
-    /// `doctor [--manifest FILE.json] [--health FILE.jsonl]
-    ///  [--bench-baseline FILE --bench-candidate FILE]
+    /// `doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
     ///  [--golden-dir DIR --golden-candidate DIR] [--json]` — diagnose a
-    /// finished run from its observability artifacts (first unhealthy
-    /// op, domain-conflict ranking, loss plateau/divergence), golden
-    /// drift, and a bench regression between two `perfbench` outputs.
-    /// Any input may be given alone. Exits nonzero on any fatal finding.
+    /// finished run from its run record (first unhealthy op,
+    /// domain-conflict ranking, loss plateau/divergence), golden drift,
+    /// and a bench regression between two `perfbench` outputs. Any input
+    /// may be given alone. Exits nonzero on any fatal finding.
     Doctor {
-        manifest: Option<String>,
-        health: Option<String>,
+        run: Option<String>,
         bench_baseline: Option<String>,
         bench_candidate: Option<String>,
         golden_dir: Option<String>,
@@ -273,17 +265,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "target",
                     "epochs",
                     "workers",
-                    "ckpt",
                     "seed",
                     "log-level",
-                    "metrics-out",
-                    "manifest",
-                    "profile-out",
-                    "trace-out",
                     "telemetry-addr",
-                    "health-out",
                     "health-policy",
-                    "health-dump",
+                    "out",
                 ],
             )?;
             let backbone = parse_backbone(
@@ -319,6 +305,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     .get("target")
                     .ok_or_else(|| err("--target required"))?,
             )?;
+            let health_policy = flags
+                .get("health-policy")
+                .map(|v| Policy::parse(v).map_err(err))
+                .transpose()?;
+            let out = flags.get("out").map(|s| s.to_string());
+            if health_policy == Some(Policy::HaltAndDump) && out.is_none() {
+                return Err(err(
+                    "--health-policy halt-and-dump needs --out DIR, where the halted \
+                     run's record goes",
+                ));
+            }
             Ok(Command::Run {
                 backbone,
                 method,
@@ -326,20 +323,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 target,
                 epochs: parse_usize(&flags, "epochs", 20)?,
                 workers: parse_usize(&flags, "workers", 1)?,
-                ckpt: flags.get("ckpt").map(|s| s.to_string()),
                 seed: parse_seed(&flags)?,
                 log_level: parse_log_level(&flags)?,
-                metrics_out: flags.get("metrics-out").map(|s| s.to_string()),
-                manifest: flags.get("manifest").map(|s| s.to_string()),
-                profile_out: flags.get("profile-out").map(|s| s.to_string()),
-                trace_out: flags.get("trace-out").map(|s| s.to_string()),
                 telemetry_addr: flags.get("telemetry-addr").map(|s| s.to_string()),
-                health_out: flags.get("health-out").map(|s| s.to_string()),
-                health_policy: flags
-                    .get("health-policy")
-                    .map(|v| Policy::parse(v).map_err(err))
-                    .transpose()?,
-                health_dump: flags.get("health-dump").map(|s| s.to_string()),
+                health_policy,
+                out,
             })
         }
         "serve" => {
@@ -418,8 +406,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let flags = parse_flags(
                 &rest,
                 &[
-                    "manifest",
-                    "health",
+                    "run",
                     "bench-baseline",
                     "bench-candidate",
                     "golden-dir",
@@ -438,8 +425,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
             }
             Ok(Command::Doctor {
-                manifest: flags.get("manifest").map(|s| s.to_string()),
-                health: flags.get("health").map(|s| s.to_string()),
+                run: flags.get("run").map(|s| s.to_string()),
                 bench_baseline: flags.get("bench-baseline").map(|s| s.to_string()),
                 bench_candidate: flags.get("bench-candidate").map(|s| s.to_string()),
                 golden_dir: flags.get("golden-dir").map(|s| s.to_string()),
@@ -462,22 +448,16 @@ USAGE:
   adaptraj stats [--scenes N]
   adaptraj run --backbone <pecnet|lbebm> --method <vanilla|counter|causalmotion|adaptraj>
                --sources d1,d2,... --target <d> [--epochs N] [--workers N]
-               [--ckpt FILE.atps]
                [--seed S] [--log-level <error|warn|info|debug|trace>]
-               [--metrics-out FILE.jsonl] [--manifest FILE.json]
-               [--profile-out FILE.json] [--trace-out FILE.json]
                [--telemetry-addr HOST:PORT]
-               [--health-out FILE.jsonl]
-               [--health-policy <warn|skip-window|halt-and-dump>]
-               [--health-dump DIR]
+               [--health-policy <warn|skip-window|halt-and-dump>] [--out DIR]
   adaptraj serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
                  [--accept-threads N] [--queue-cap N] [--deadline-ms N]
                  [--backbone B] [--method M] [--sources d1,d2,...]
   adaptraj visualize --target <d> [--out DIR] [--count N]
   adaptraj check [--golden-dir DIR] [--out-dir DIR] [--metric-tol-pct N]
                  [--update-golden]
-  adaptraj doctor [--manifest FILE.json] [--health FILE.jsonl]
-                  [--bench-baseline FILE --bench-candidate FILE]
+  adaptraj doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
                   [--golden-dir DIR --golden-candidate DIR] [--json]
   adaptraj help
 
@@ -491,34 +471,32 @@ EXECUTION:
 OBSERVABILITY (run):
   --seed S            seed training RNG (recorded in the manifest)
   --log-level L       enable stderr tracing at the given level
-  --metrics-out FILE  stream trace events + final metric snapshots as JSONL
-  --manifest FILE     write a run-manifest JSON (per-epoch decomposed losses,
-                      gradient norms, phase timings, eval summary)
-  --profile-out FILE  enable the op-level profiler and write a per-op/per-phase
-                      breakdown JSON (adaptraj-profile/v1)
-  --trace-out FILE    enable the flight-recorder timeline and the profiler and
-                      write a Chrome trace-event JSON (open in Perfetto /
-                      chrome://tracing; one lane per worker with queue_wait /
-                      job_run events and one event per span: step1..3 or
-                      train, epoch, grad_reduce, evaluate, encode, ...) plus
-                      FILE.folded with flamegraph folded stacks keyed by
-                      span path (e.g. step1;epoch;encode;lstm_cell.fwd)
   --telemetry-addr A  serve live telemetry over HTTP while the command runs:
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);
                       A is HOST:PORT (port 0 = ephemeral)
-  --health-out FILE   arm the training-health observatory and stream
-                      adaptraj-health/v1 JSONL: per-op numerics tripwires
-                      (NaN/Inf/exploding) plus per-epoch per-source-domain
-                      gradient norms, pairwise gradient cosines, and
-                      update-to-weight ratios (observation-only: results
-                      stay bit-identical for every worker count)
   --health-policy P   what a tripwire does: warn (log and continue,
                       default), skip-window (drop the offending window's
-                      gradient), halt-and-dump (stop training and write a
-                      diagnostic bundle to --health-dump)
-  --health-dump DIR   bundle directory for halt-and-dump
-                      (default health_dump/)
+                      gradient), halt-and-dump (stop training; needs --out,
+                      and the run exits nonzero with its record written)
+  --out DIR           arm the op profiler, the flight-recorder timeline and
+                      the training-health observatory (observation-only:
+                      results stay bit-identical for every worker count)
+                      and write the run record to DIR:
+                        manifest.json   adaptraj-run-manifest/v2: config,
+                                        per-epoch losses, gradient norms,
+                                        per-source-domain gradient norms,
+                                        pairwise cosines, update ratios,
+                                        phase timings, eval, incidents,
+                                        halted
+                        events.jsonl    trace events + final metric snapshots
+                        profile.json    per-op/per-phase breakdown
+                                        (adaptraj-profile/v1)
+                        trace.json      Chrome trace-event JSON (Perfetto)
+                        trace.folded    flamegraph folded stacks keyed by
+                                        span path (step1;epoch;encode;...)
+                        checkpoint.atps the trained parameters (serve
+                                        --checkpoint)
 
 SERVE:
   serves POST /v1/predict (scene JSON in, best-of-k trajectories out),
@@ -544,13 +522,16 @@ CHECK:
   override, e.g. when bootstrapping the very first baselines).
 
 DOCTOR:
-  diagnoses a finished run from its artifacts: the first unhealthy op
-  (earliest tripwire incident with op kind + phase path), a ranking of
-  source-domain pairs by mean pairwise gradient cosine (negative values
-  signal conflicting domains), loss plateau/divergence detection over
-  the manifest's per-epoch losses, and optional golden-drift / bench
-  regression summaries. --bench-baseline/--bench-candidate take two
-  saved outputs of the repository benchmark (perfbench) for the same
+  diagnoses a finished run from the record `run --out DIR` wrote
+  (--run DIR): the first unhealthy op (earliest tripwire incident with
+  op kind + phase path), a ranking of source-domain pairs by mean
+  pairwise gradient cosine (negative values signal conflicting domains)
+  and loss plateau/divergence detection over the per-epoch records. It
+  also gives golden-drift and bench regression summaries.
+  --golden-dir/--golden-candidate compare two directories of
+  adaptraj-golden/v1 documents (e.g. results/ and a `check --out-dir`).
+  --bench-baseline/--bench-candidate take two saved outputs of the
+  repository benchmark (perfbench) for the same
   --workload and --trace: an end-to-end metric worse than its bound in
   BENCHMARK.json, or a run that says \"correct\":false, is fatal; on
   --trace 1 outputs the per-layer metric that moved most in its worse
@@ -592,11 +573,9 @@ mod tests {
     fn run_parses_full_invocation() {
         let cmd = parse(&args(
             "run --backbone lbebm --method adaptraj --sources eth_ucy,l_cas,syi \
-             --target sdd --epochs 30 --workers 4 --ckpt model.atps --seed 42 \
-             --log-level debug --metrics-out m.jsonl --manifest run.json \
-             --profile-out prof.json --trace-out t.json \
-             --telemetry-addr 127.0.0.1:9898 --health-out h.jsonl \
-             --health-policy halt-and-dump --health-dump dump_dir",
+             --target sdd --epochs 30 --workers 4 --seed 42 \
+             --log-level debug --telemetry-addr 127.0.0.1:9898 \
+             --health-policy halt-and-dump --out run_dir",
         ))
         .unwrap();
         assert_eq!(
@@ -608,17 +587,11 @@ mod tests {
                 target: DomainId::Sdd,
                 epochs: 30,
                 workers: 4,
-                ckpt: Some("model.atps".into()),
                 seed: Some(42),
                 log_level: Some(Level::Debug),
-                metrics_out: Some("m.jsonl".into()),
-                manifest: Some("run.json".into()),
-                profile_out: Some("prof.json".into()),
-                trace_out: Some("t.json".into()),
                 telemetry_addr: Some("127.0.0.1:9898".into()),
-                health_out: Some("h.jsonl".into()),
                 health_policy: Some(Policy::HaltAndDump),
-                health_dump: Some("dump_dir".into()),
+                out: Some("run_dir".into()),
             }
         );
     }
@@ -683,14 +656,9 @@ mod tests {
             workers,
             seed,
             log_level,
-            metrics_out,
-            manifest,
-            profile_out,
-            trace_out,
             telemetry_addr,
-            health_out,
             health_policy,
-            health_dump,
+            out,
             ..
         } = cmd
         else {
@@ -699,33 +667,58 @@ mod tests {
         assert_eq!(workers, 1);
         assert_eq!(seed, None);
         assert_eq!(log_level, None);
-        assert_eq!(metrics_out, None);
-        assert_eq!(manifest, None);
-        assert_eq!(profile_out, None);
-        assert_eq!(trace_out, None);
         assert_eq!(telemetry_addr, None);
-        assert_eq!(health_out, None);
         assert_eq!(health_policy, None);
-        assert_eq!(health_dump, None);
+        assert_eq!(out, None);
     }
 
     #[test]
     fn run_flight_recorder_flags_parse() {
         let cmd = parse(&args(
             "run --backbone pecnet --method vanilla --sources sdd --target syi \
-             --trace-out trace.json --telemetry-addr 127.0.0.1:0",
+             --out rec --telemetry-addr 127.0.0.1:0",
         ))
         .unwrap();
         let Command::Run {
-            trace_out,
+            out,
             telemetry_addr,
             ..
         } = cmd
         else {
             panic!("expected Run, got {cmd:?}");
         };
-        assert_eq!(trace_out, Some("trace.json".into()));
+        assert_eq!(out, Some("rec".into()));
         assert_eq!(telemetry_addr, Some("127.0.0.1:0".into()));
+    }
+
+    #[test]
+    fn removed_artifact_flags_are_unknown() {
+        let run = "run --backbone pecnet --method vanilla --sources sdd --target syi";
+        for flag in [
+            "manifest",
+            "metrics-out",
+            "profile-out",
+            "trace-out",
+            "health-out",
+            "health-dump",
+            "ckpt",
+        ] {
+            let e = parse(&args(&format!("{run} --{flag} x"))).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag --{flag}")), "{e}");
+        }
+        for flag in ["manifest", "health"] {
+            let e = parse(&args(&format!("doctor --{flag} x"))).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag --{flag}")), "{e}");
+        }
+    }
+
+    #[test]
+    fn halt_and_dump_needs_an_out_dir() {
+        let run = "run --backbone pecnet --method vanilla --sources sdd --target syi";
+        let e = parse(&args(&format!("{run} --health-policy halt-and-dump"))).unwrap_err();
+        assert!(e.0.contains("needs --out DIR"), "{e}");
+        // The other policies have nothing to dump.
+        assert!(parse(&args(&format!("{run} --health-policy warn"))).is_ok());
     }
 
     #[test]
@@ -858,10 +851,9 @@ mod tests {
     #[test]
     fn doctor_parses_and_validates() {
         assert_eq!(
-            parse(&args("doctor --manifest run.json --health h.jsonl --json")).unwrap(),
+            parse(&args("doctor --run rec --json")).unwrap(),
             Command::Doctor {
-                manifest: Some("run.json".into()),
-                health: Some("h.jsonl".into()),
+                run: Some("rec".into()),
                 bench_baseline: None,
                 bench_candidate: None,
                 golden_dir: None,
@@ -871,6 +863,7 @@ mod tests {
         );
         let e = parse(&args("doctor --json")).unwrap_err();
         assert!(e.0.contains("at least one"), "{e}");
+        assert!(e.0.contains("--run DIR"), "{e}");
         // A bench pair alone is enough.
         let cmd = parse(&args(
             "doctor --bench-baseline a.txt --bench-candidate b.txt",
@@ -879,8 +872,7 @@ mod tests {
         let Command::Doctor {
             bench_baseline,
             bench_candidate,
-            manifest: None,
-            health: None,
+            run: None,
             ..
         } = cmd
         else {
@@ -888,9 +880,9 @@ mod tests {
         };
         assert_eq!(bench_baseline.as_deref(), Some("a.txt"));
         assert_eq!(bench_candidate.as_deref(), Some("b.txt"));
-        let e = parse(&args("doctor --health h.jsonl --bench-baseline b.json")).unwrap_err();
+        let e = parse(&args("doctor --run rec --bench-baseline b.json")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
-        let e = parse(&args("doctor --health h.jsonl --golden-candidate cand")).unwrap_err();
+        let e = parse(&args("doctor --run rec --golden-candidate cand")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
     }
 

@@ -1,10 +1,11 @@
 //! `adaptraj doctor` — offline diagnosis of a training run from its
 //! observability artifacts.
 //!
-//! Ingests a run manifest (`adaptraj-run-manifest/v1`), a health stream
-//! (`adaptraj-health/v1` JSONL from `--health-out`), a baseline/candidate
-//! pair of `perfbench` outputs and a GOLDEN baseline/candidate directory
-//! pair, any of them optional, and produces a structured [`Diagnosis`]:
+//! Ingests the run record `run --out DIR` writes (its
+//! `adaptraj-run-manifest/v2` manifest, see [`crate::run_dir`]), a
+//! baseline/candidate pair of `perfbench` outputs and a GOLDEN
+//! baseline/candidate directory pair, any of them optional, and produces
+//! a structured [`Diagnosis`]:
 //!
 //! - **first unhealthy op** — the earliest numerics-tripwire incident,
 //!   with the op kind and profiler phase path that produced it,
@@ -13,15 +14,15 @@
 //!   negative-transfer signal),
 //! - **loss trajectory** — divergence (fatal) and plateau (warning)
 //!   detection over the manifest's per-epoch losses,
-//! - **regression summaries** — golden drift via the comparator the CI
-//!   gate uses, and bench regressions judged against the bounds the
-//!   repository's `BENCHMARK.json` declares (on `--trace 1` outputs, the
-//!   per-layer metric that moved most).
+//! - **regression summaries** — golden drift via the comparator
+//!   `adaptraj check` uses, and bench regressions judged against the
+//!   bounds the repository's `BENCHMARK.json` declares (on `--trace 1`
+//!   outputs, the per-layer metric that moved most).
 //!
 //! The diagnosis renders as text or JSON (`adaptraj-doctor/v1`); any
 //! fatal finding makes the CLI exit nonzero.
 
-use adaptraj_obs::health::{self, HealthRecord, Incident};
+use adaptraj_obs::health::Incident;
 use adaptraj_obs::json::{Arr, Obj, Value};
 use adaptraj_obs::telemetry::MANIFEST_SCHEMA;
 
@@ -87,7 +88,7 @@ pub struct PairConflict {
 #[derive(Debug, Clone, Default)]
 pub struct Diagnosis {
     pub findings: Vec<Finding>,
-    /// Earliest tripwire incident in the health stream.
+    /// Earliest tripwire incident in the run record.
     pub first_unhealthy_op: Option<Incident>,
     pub incident_count: usize,
     pub epoch_records: usize,
@@ -274,33 +275,7 @@ impl Diagnosis {
 // Input parsing
 // ---------------------------------------------------------------------------
 
-/// Parses an `adaptraj-health/v1` JSONL document: schema-checked header
-/// line, then one record per line (unknown record types are skipped).
-pub fn parse_health_jsonl(text: &str) -> Result<Vec<HealthRecord>, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty health stream")?;
-    let v = Value::parse(header).map_err(|e| format!("health header: {e}"))?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some(s) if s == health::HEALTH_SCHEMA => {}
-        Some(s) => {
-            return Err(format!(
-                "health schema '{s}', expected '{}'",
-                health::HEALTH_SCHEMA
-            ))
-        }
-        None => return Err("health header missing 'schema'".into()),
-    }
-    let mut records = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let v = Value::parse(line).map_err(|e| format!("health line {}: {e}", i + 2))?;
-        if let Some(r) = health::parse_record(&v) {
-            records.push(r);
-        }
-    }
-    Ok(records)
-}
-
-/// Parses and schema-checks an `adaptraj-run-manifest/v1` document.
+/// Parses and schema-checks a run manifest (`adaptraj-run-manifest/v2`).
 pub fn parse_manifest(text: &str) -> Result<Value, String> {
     let v = Value::parse(text).map_err(|e| format!("manifest: {e}"))?;
     match v.get("schema").and_then(Value::as_str) {
@@ -323,24 +298,32 @@ struct LossPoint {
     loss: f64,
 }
 
-fn manifest_losses(manifest: &Value) -> Vec<LossPoint> {
-    manifest
-        .get("epochs")
-        .and_then(Value::as_array)
-        .map(|epochs| {
-            epochs
-                .iter()
-                .map(|e| LossPoint {
-                    phase: e
-                        .get("phase")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    loss: e.get("loss").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                })
-                .collect()
-        })
+/// The manifest's members of array `key` (empty when absent).
+fn array<'v>(v: &'v Value, key: &str) -> &'v [Value] {
+    v.get(key).and_then(Value::as_array).unwrap_or_default()
+}
+
+/// A float as the manifest writes it: `null` (a non-finite value) and a
+/// missing member both read as NaN.
+fn float(v: &Value, key: &str) -> f64 {
+    v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)
+}
+
+fn string(v: &Value, key: &str) -> String {
+    v.get(key)
+        .and_then(Value::as_str)
         .unwrap_or_default()
+        .to_string()
+}
+
+fn manifest_losses(manifest: &Value) -> Vec<LossPoint> {
+    array(manifest, "epochs")
+        .iter()
+        .map(|e| LossPoint {
+            phase: string(e, "phase"),
+            loss: float(e, "loss"),
+        })
+        .collect()
 }
 
 /// Diagnoses the loss trajectory: divergence when any epoch loss is
@@ -419,21 +402,22 @@ fn diagnose_losses(d: &mut Diagnosis, points: &[LossPoint]) {
 }
 
 /// Ranks source-domain pairs by mean pairwise gradient cosine across
-/// all epoch records, most conflicting (lowest) first.
-fn rank_conflicts(records: &[HealthRecord]) -> Vec<PairConflict> {
+/// all epoch records, most conflicting (lowest) first. A non-finite
+/// cosine (written as `null`) is skipped, not averaged in.
+fn rank_conflicts(manifest: &Value) -> Vec<PairConflict> {
     let mut pairs: Vec<(String, String, f64, u64)> = Vec::new();
-    for r in records {
-        let HealthRecord::Epoch(e) = r else { continue };
-        for c in &e.cosines {
-            if !c.cosine.is_finite() {
+    for e in array(manifest, "epochs") {
+        for c in array(e, "cosines") {
+            let (a, b, cosine) = (string(c, "a"), string(c, "b"), float(c, "cosine"));
+            if !cosine.is_finite() {
                 continue;
             }
-            match pairs.iter_mut().find(|(a, b, ..)| *a == c.a && *b == c.b) {
+            match pairs.iter_mut().find(|(pa, pb, ..)| *pa == a && *pb == b) {
                 Some((_, _, sum, n)) => {
-                    *sum += c.cosine;
+                    *sum += cosine;
                     *n += 1;
                 }
-                None => pairs.push((c.a.clone(), c.b.clone(), c.cosine, 1)),
+                None => pairs.push((a, b, cosine, 1)),
             }
         }
     }
@@ -455,26 +439,23 @@ fn rank_conflicts(records: &[HealthRecord]) -> Vec<PairConflict> {
     out
 }
 
-/// Builds the diagnosis from pre-parsed inputs. Pure — file ingestion
-/// and the gate comparators are layered on top in [`run_doctor`].
-pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis {
+/// Builds the diagnosis of one run from its parsed manifest. Pure — file
+/// ingestion and the gate comparators are layered on top in
+/// [`run_doctor`].
+pub fn diagnose(manifest: &Value) -> Diagnosis {
+    let epochs = array(manifest, "epochs");
+    let incidents = array(manifest, "incidents");
     let mut d = Diagnosis {
         has_run: true,
-        epoch_records: records
+        // Epochs that carry the observatory's diagnostics.
+        epoch_records: epochs
             .iter()
-            .filter(|r| matches!(r, HealthRecord::Epoch(_)))
+            .filter(|e| !array(e, "domains").is_empty())
             .count(),
+        incident_count: incidents.len(),
+        first_unhealthy_op: incidents.first().map(Incident::from_json),
         ..Diagnosis::default()
     };
-    let incidents: Vec<&Incident> = records
-        .iter()
-        .filter_map(|r| match r {
-            HealthRecord::Incident(i) => Some(i),
-            HealthRecord::Epoch(_) => None,
-        })
-        .collect();
-    d.incident_count = incidents.len();
-    d.first_unhealthy_op = incidents.first().cloned().cloned();
     if let Some(i) = d.first_unhealthy_op.clone() {
         d.push(
             Severity::Fatal,
@@ -494,7 +475,7 @@ pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis
             ),
         );
     }
-    d.conflicts = rank_conflicts(records);
+    d.conflicts = rank_conflicts(manifest);
     let conflict_findings: Vec<String> = d
         .conflicts
         .iter()
@@ -510,19 +491,17 @@ pub fn diagnose(manifest: Option<&Value>, records: &[HealthRecord]) -> Diagnosis
     for msg in conflict_findings {
         d.push(Severity::Warning, "domain-conflict", msg);
     }
-    if let Some(m) = manifest {
-        diagnose_losses(&mut d, &manifest_losses(m));
-        let skipped = m
-            .get("non_finite_batches_total")
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        if skipped > 0 {
-            d.push(
-                Severity::Warning,
-                "non-finite-batches",
-                format!("{skipped} window(s) skipped for non-finite losses or gradients"),
-            );
-        }
+    diagnose_losses(&mut d, &manifest_losses(manifest));
+    let skipped = manifest
+        .get("non_finite_batches_total")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
+    if skipped > 0 {
+        d.push(
+            Severity::Warning,
+            "non-finite-batches",
+            format!("{skipped} window(s) skipped for non-finite losses or gradients"),
+        );
     }
     d
 }
@@ -762,8 +741,8 @@ pub fn diagnose_bench(d: &mut Diagnosis, baseline: &str, candidate: &str) -> Res
 /// least one must be given (the bench and golden inputs in pairs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoctorArgs {
-    pub manifest: Option<String>,
-    pub health: Option<String>,
+    /// A run record directory (`run --out DIR`).
+    pub run: Option<String>,
     pub bench_baseline: Option<String>,
     pub bench_candidate: Option<String>,
     pub golden_dir: Option<String>,
@@ -771,28 +750,21 @@ pub struct DoctorArgs {
 }
 
 /// The error for an invocation with nothing to diagnose.
-pub const NO_INPUT: &str = "doctor needs at least one of --manifest FILE.json, \
-     --health FILE.jsonl, --bench-baseline/--bench-candidate or \
-     --golden-dir/--golden-candidate";
+pub const NO_INPUT: &str = "doctor needs at least one of --run DIR, \
+     --bench-baseline/--bench-candidate or --golden-dir/--golden-candidate";
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+fn read(path: impl AsRef<std::path::Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Ingests the artifact files and produces the diagnosis.
 pub fn run_doctor(args: &DoctorArgs) -> Result<Diagnosis, String> {
     let has_bench = args.bench_baseline.is_some() && args.bench_candidate.is_some();
     let has_golden = args.golden_dir.is_some() && args.golden_candidate.is_some();
-    let mut d = if args.manifest.is_some() || args.health.is_some() {
-        let manifest = match &args.manifest {
-            Some(p) => Some(parse_manifest(&read(p)?)?),
-            None => None,
-        };
-        let records = match &args.health {
-            Some(p) => parse_health_jsonl(&read(p)?)?,
-            None => Vec::new(),
-        };
-        diagnose(manifest.as_ref(), &records)
+    let mut d = if let Some(dir) = &args.run {
+        let path = std::path::Path::new(dir).join(crate::run_dir::MANIFEST);
+        diagnose(&parse_manifest(&read(path)?)?)
     } else if has_bench || has_golden {
         Diagnosis::default()
     } else {
@@ -832,33 +804,32 @@ pub fn run_doctor(args: &DoctorArgs) -> Result<Diagnosis, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptraj_obs::health::{DomainCosine, DomainNorm, EpochHealth, FaultKind, TensorStats};
+    use adaptraj_obs::health::{FaultKind, TensorStats};
+    use adaptraj_obs::{DomainCosine, DomainNorm, EpochRecord, RunTelemetry};
 
-    fn epoch_rec(epoch: u64, cosine: f64) -> HealthRecord {
-        HealthRecord::Epoch(EpochHealth {
-            epoch,
-            phase: "step1".into(),
-            domains: vec![
-                DomainNorm {
-                    domain: "ETH&UCY".into(),
-                    grad_norm: 1.0,
-                },
-                DomainNorm {
-                    domain: "L-CAS".into(),
-                    grad_norm: 2.0,
-                },
-            ],
-            cosines: vec![DomainCosine {
-                a: "ETH&UCY".into(),
-                b: "L-CAS".into(),
-                cosine,
-            }],
-            update_ratios: Vec::new(),
-        })
+    fn epoch_rec(epoch: usize, cosine: f64) -> EpochRecord {
+        let mut e = EpochRecord::new(epoch, "step1");
+        e.loss = 1.0 - 0.1 * epoch as f64;
+        e.domains = vec![
+            DomainNorm {
+                domain: "ETH&UCY".into(),
+                grad_norm: 1.0,
+            },
+            DomainNorm {
+                domain: "L-CAS".into(),
+                grad_norm: 2.0,
+            },
+        ];
+        e.cosines = vec![DomainCosine {
+            a: "ETH&UCY".into(),
+            b: "L-CAS".into(),
+            cosine,
+        }];
+        e
     }
 
-    fn incident_rec() -> HealthRecord {
-        HealthRecord::Incident(Incident {
+    fn incident() -> Incident {
+        Incident {
             epoch: 2,
             window: 17,
             op: "mul".into(),
@@ -871,12 +842,22 @@ mod tests {
                 max_abs: 1.5,
                 mean_abs: 0.2,
             },
-        })
+        }
+    }
+
+    /// A run's manifest as `doctor --run` reads it back.
+    fn manifest(epochs: Vec<EpochRecord>, incidents: Vec<Incident>) -> Value {
+        let run = RunTelemetry {
+            epochs,
+            incidents,
+            ..RunTelemetry::default()
+        };
+        parse_manifest(&run.to_json()).unwrap()
     }
 
     #[test]
     fn incident_is_fatal_and_surfaces_first_unhealthy_op() {
-        let d = diagnose(None, &[incident_rec(), epoch_rec(0, 0.5)]);
+        let d = diagnose(&manifest(vec![epoch_rec(0, 0.5)], vec![incident()]));
         assert!(d.fatal());
         let i = d.first_unhealthy_op.as_ref().unwrap();
         assert_eq!(i.op, "mul");
@@ -887,8 +868,8 @@ mod tests {
 
     #[test]
     fn negative_mean_cosine_ranks_first_and_warns() {
-        let recs = vec![epoch_rec(0, -0.4), epoch_rec(1, -0.2), epoch_rec(2, 0.1)];
-        let d = diagnose(None, &recs);
+        let epochs = vec![epoch_rec(0, -0.4), epoch_rec(1, -0.2), epoch_rec(2, 0.1)];
+        let d = diagnose(&manifest(epochs, Vec::new()));
         assert!(!d.fatal());
         assert_eq!(d.conflicts.len(), 1);
         let c = &d.conflicts[0];
@@ -901,33 +882,27 @@ mod tests {
     }
 
     fn manifest_with_losses(losses: &[(&str, f64)]) -> Value {
-        let mut epochs = Arr::new();
-        for (i, (phase, loss)) in losses.iter().enumerate() {
-            epochs = epochs.push_raw(
-                &Obj::new()
-                    .u64("epoch", i as u64)
-                    .str("phase", phase)
-                    .f64("loss", *loss)
-                    .finish(),
-            );
-        }
-        let text = Obj::new()
-            .str("schema", MANIFEST_SCHEMA)
-            .u64("non_finite_batches_total", 0)
-            .raw("epochs", &epochs.finish())
-            .finish();
-        parse_manifest(&text).unwrap()
+        let epochs = losses
+            .iter()
+            .enumerate()
+            .map(|(i, &(phase, loss))| {
+                let mut e = EpochRecord::new(i, phase);
+                e.loss = loss;
+                e
+            })
+            .collect();
+        manifest(epochs, Vec::new())
     }
 
     #[test]
     fn divergence_is_fatal() {
         let m = manifest_with_losses(&[("train", 1.0), ("train", 0.5), ("train", 40.0)]);
-        let d = diagnose(Some(&m), &[]);
+        let d = diagnose(&m);
         assert!(d.divergence);
         assert!(d.fatal());
 
         let m = manifest_with_losses(&[("train", 1.0), ("train", f64::NAN)]);
-        let d = diagnose(Some(&m), &[]);
+        let d = diagnose(&m);
         assert!(d.divergence && d.fatal());
     }
 
@@ -940,7 +915,7 @@ mod tests {
             ("train", 0.5),
             ("train", 0.5),
         ]);
-        let d = diagnose(Some(&m), &[]);
+        let d = diagnose(&m);
         assert!(d.plateau);
         assert!(!d.fatal());
         assert!(d.render_text().contains("plateaued"));
@@ -948,33 +923,54 @@ mod tests {
 
     #[test]
     fn healthy_run_is_healthy() {
-        let m = manifest_with_losses(&[("train", 1.0), ("train", 0.8), ("train", 0.6)]);
-        let d = diagnose(Some(&m), &[epoch_rec(0, 0.3)]);
+        let d = diagnose(&manifest(vec![epoch_rec(0, 0.3)], Vec::new()));
         assert!(!d.fatal());
+        assert!(d
+            .render_text()
+            .contains("health records: 1 epoch, 0 incident(s)"));
         assert!(d.render_text().contains("verdict: HEALTHY"));
         assert!(d.to_json().contains("\"healthy\":true"));
     }
 
     #[test]
-    fn health_jsonl_round_trips_through_the_parser() {
-        let recs = vec![incident_rec(), epoch_rec(0, -0.25)];
-        let text = health::render_jsonl(&recs, 123);
-        let back = parse_health_jsonl(&text).unwrap();
-        assert_eq!(back, recs);
+    fn incidents_round_trip_through_the_manifest() {
+        let mut second = incident();
+        second.window = 18;
+        second.fault = FaultKind::Inf;
+        let d = diagnose(&manifest(
+            vec![epoch_rec(0, -0.25)],
+            vec![incident(), second],
+        ));
+        assert_eq!(d.incident_count, 2);
+        assert_eq!(d.first_unhealthy_op, Some(incident()));
+        assert_eq!(d.epoch_records, 1);
     }
 
     #[test]
     fn conflict_ranking_from_a_file_matches_the_in_memory_ranking() {
         // A non-finite cosine is written as `null`; read back, it must
         // still be skipped, not averaged in as 0.0.
-        let recs = vec![
+        let epochs = vec![
             epoch_rec(0, -0.4),
             epoch_rec(1, f64::NAN),
             epoch_rec(2, -0.2),
         ];
-        let in_memory = diagnose(None, &recs).conflicts;
-        let text = health::render_jsonl(&recs, 123);
-        let from_file = diagnose(None, &parse_health_jsonl(&text).unwrap()).conflicts;
+        let run = RunTelemetry {
+            epochs,
+            ..RunTelemetry::default()
+        };
+        let in_memory = diagnose(&parse_manifest(&run.to_json()).unwrap()).conflicts;
+        let dir = std::env::temp_dir().join(format!("adaptraj_doctor_run_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        run.write_to_file(&dir.join(crate::run_dir::MANIFEST))
+            .unwrap();
+        let from_file = run_doctor(&DoctorArgs {
+            run: Some(dir.to_string_lossy().into_owned()),
+            ..DoctorArgs::default()
+        })
+        .unwrap()
+        .conflicts;
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(from_file, in_memory);
         assert_eq!(in_memory[0].epochs, 2);
         assert!((in_memory[0].mean_cosine - (-0.3)).abs() < 1e-12);
@@ -982,8 +978,9 @@ mod tests {
 
     #[test]
     fn wrong_schemas_are_rejected() {
-        assert!(parse_health_jsonl("{\"schema\":\"nope/v1\"}\n").is_err());
         assert!(parse_manifest("{\"schema\":\"nope/v1\"}").is_err());
+        // The previous manifest version is refused, not half-read.
+        assert!(parse_manifest("{\"schema\":\"adaptraj-run-manifest/v1\"}").is_err());
         let e = run_doctor(&DoctorArgs::default()).unwrap_err();
         assert!(e.contains("at least one"));
     }
@@ -1103,7 +1100,7 @@ mod tests {
         assert!(d
             .render_text()
             .contains("bench: REGRESSED on eval_best_of_20 --trace 0"));
-        // Without --manifest/--health there is no run to report on.
+        // Without --run there is no run to report on.
         assert!(!d.render_text().contains("loss trajectory"));
 
         // The same on a lower-is-better metric.

@@ -17,6 +17,7 @@
 
 pub mod cli;
 pub mod doctor;
+pub mod run_dir;
 
 pub use adaptraj_check as check;
 pub use adaptraj_core as core;
