@@ -3,8 +3,8 @@
 //! The paper motivates the distribution-shift problem by contrasting, per
 //! dataset, the number of sequences, the per-scene agent count, and the
 //! per-axis velocity and acceleration magnitudes (mean/std). This module
-//! computes the same summary from synthesized windows so the `table1_stats`
-//! binary can print the reproduction's version of Table I.
+//! computes the same summary from synthesized windows so `tables table1`
+//! can print the reproduction's version of Table I.
 
 use crate::trajectory::TrajWindow;
 

@@ -8,7 +8,7 @@
 //!   (backbone × learning method × source set × target domain), including
 //!   the per-trajectory inference timing used by Table VIII.
 //! * [`tables`] — aligned text tables matching the paper's layout,
-//!   rendered by the `adaptraj-bench` table binaries.
+//!   rendered by the `adaptraj-bench` `tables` binary.
 
 pub mod metrics;
 pub mod runner;

@@ -36,6 +36,15 @@ cargo test -q --offline || fail=1
 step "cargo test --workspace"
 cargo test -q --workspace --offline || fail=1
 
+step "tables smoke (Table I through the tables binary)"
+# table1 synthesizes the four domains and prints their statistics beside
+# the paper's values; it trains nothing, so it takes well under a second.
+cargo run --release --offline -p adaptraj-bench --bin tables -- table1 --scale smoke \
+    > target/tables_ci_table1.txt || fail=1
+grep -qx '=== Table I: dataset statistics ===' target/tables_ci_table1.txt &&
+    grep -q '^| Dataset | # sequences |' target/tables_ci_table1.txt || {
+    echo "tables table1 did not print its header"; cat target/tables_ci_table1.txt; fail=1; }
+
 step "perfbench build + tests (the repository benchmark)"
 # perfbench is its own workspace with path dependencies on the crates,
 # so the workspace steps above never build it; a change to an API it

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Appends the latest results/*.txt runs to EXPERIMENTS.md under the
-# "Measured results" marker (replacing anything after it).
+# Appends the latest table runs (results/<name>_<scale>*.txt, as written by
+# scripts/run_all_tables.sh) to EXPERIMENTS.md under the "Measured results"
+# marker (replacing anything after it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 marker="## Measured results (committed runs)"
@@ -9,7 +10,7 @@ awk -v m="$marker" '{print} $0 == m {exit}' EXPERIMENTS.md > "$tmp"
 {
     echo
     echo "Generated by \`scripts/update_experiments.sh\` from \`results/\`."
-    for f in results/*.txt; do
+    for f in results/*_{smoke,paper}*.txt; do
         [ -e "$f" ] || continue
         echo
         echo "### \`$(basename "$f")\`"

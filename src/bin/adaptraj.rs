@@ -1,5 +1,5 @@
-//! The `adaptraj` command-line tool: synthesize datasets, inspect domain
-//! statistics, train/evaluate experiment cells, and render predictions.
+//! The `adaptraj` command-line tool: synthesize datasets, train/evaluate
+//! experiment cells, and render predictions.
 //!
 //! ```sh
 //! cargo run --release --bin adaptraj -- help
@@ -12,10 +12,9 @@ use adaptraj::cli::{parse, Command, USAGE};
 use adaptraj::data::dataset::{synthesize_all, synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::data::io::write_csv;
-use adaptraj::data::stats::table_one;
 use adaptraj::doctor::{run_doctor, DoctorArgs};
 use adaptraj::eval::viz::{render_window, VizOptions};
-use adaptraj::eval::{target_test, train_cell, CellSpec, RunnerConfig, TextTable};
+use adaptraj::eval::{target_test, train_cell, CellSpec, RunnerConfig};
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig, Vanilla};
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{health, profile, timeline};
@@ -114,29 +113,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 write_csv(&ds.train, &mut f)?;
                 println!("training split exported to {path}");
             }
-        }
-        Command::Stats { scenes } => {
-            let cfg = SynthesisConfig {
-                scenes,
-                ..SynthesisConfig::default()
-            };
-            let mut table =
-                TextTable::new(&["Dataset", "#seq", "num", "v(x)", "v(y)", "a(x)", "a(y)"]);
-            for d in DomainId::ALL {
-                let ds = synthesize_domain(d, &cfg);
-                let windows: Vec<_> = ds.all_windows().cloned().collect();
-                let s = table_one(&windows);
-                table.push_row(vec![
-                    d.name().into(),
-                    s.sequences.to_string(),
-                    s.num.to_string(),
-                    s.vx.to_string(),
-                    s.vy.to_string(),
-                    s.ax.to_string(),
-                    s.ay.to_string(),
-                ]);
-            }
-            println!("{table}");
         }
         Command::Run {
             backbone,

@@ -19,9 +19,6 @@ pub enum Command {
         scenes: usize,
         out: Option<String>,
     },
-    /// `stats [--scenes N]` — print Table I-style statistics for all
-    /// domains.
-    Stats { scenes: usize },
     /// `run --backbone <b> --method <m> --sources a,b,c --target <d>
     ///  [--epochs N] [--workers N] [--seed S] [--log-level L]
     ///  [--telemetry-addr HOST:PORT] [--health-policy P] [--out DIR]` —
@@ -249,12 +246,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 out: flags.get("out").map(|s| s.to_string()),
             })
         }
-        "stats" => {
-            let flags = parse_flags(rest, &["scenes"])?;
-            Ok(Command::Stats {
-                scenes: parse_usize(&flags, "scenes", 12)?,
-            })
-        }
         "run" => {
             let flags = parse_flags(
                 rest,
@@ -445,7 +436,6 @@ adaptraj — multi-source domain generalization for trajectory prediction
 
 USAGE:
   adaptraj synthesize --domain <d> [--scenes N] [--out FILE.csv]
-  adaptraj stats [--scenes N]
   adaptraj run --backbone <pecnet|lbebm> --method <vanilla|counter|causalmotion|adaptraj>
                --sources d1,d2,... --target <d> [--epochs N] [--workers N]
                [--seed S] [--log-level <error|warn|info|debug|trace>]
@@ -768,25 +758,25 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_rejected() {
-        let e = parse(&args("stats --bogus 3")).unwrap_err();
+        let e = parse(&args("synthesize --domain sdd --bogus 3")).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
     }
 
     #[test]
     fn duplicate_flag_is_rejected() {
-        let e = parse(&args("stats --scenes 3 --scenes 4")).unwrap_err();
+        let e = parse(&args("synthesize --domain sdd --scenes 3 --scenes 4")).unwrap_err();
         assert!(e.0.contains("twice"), "{e}");
     }
 
     #[test]
     fn bad_integer_is_reported() {
-        let e = parse(&args("stats --scenes many")).unwrap_err();
+        let e = parse(&args("synthesize --domain sdd --scenes many")).unwrap_err();
         assert!(e.0.contains("integer"), "{e}");
     }
 
     #[test]
     fn unknown_command_is_reported() {
-        for cmd in ["launch", "bench"] {
+        for cmd in ["launch", "bench", "stats"] {
             let e = parse(&args(cmd)).unwrap_err();
             assert!(e.0.contains("unknown command"), "{e}");
         }
