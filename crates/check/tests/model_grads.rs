@@ -26,7 +26,7 @@ use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_TOTAL};
 use adaptraj_data::WindowBatch;
 use adaptraj_models::{
-    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, SocialLstm, BACKBONE_GROUP,
+    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, Predictor, SocialLstm, BACKBONE_GROUP,
 };
 use adaptraj_tensor::nn::{Activation, Mlp};
 use adaptraj_tensor::optim::Adam;

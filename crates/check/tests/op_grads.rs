@@ -1,4 +1,4 @@
-//! Per-op finite-difference fixtures: every one of the 34 tape `Op`
+//! Per-op finite-difference fixtures: every one of the 27 tape `Op`
 //! kinds, plus the LSTM and MLP layers, must match central differences at
 //! rel-err ≤ 1e-2. Coverage is machine-checked through the op profiler —
 //! a new tape op that lands without a fixture here fails the coverage
@@ -7,14 +7,14 @@
 use adaptraj_check::gradcheck::{grad_check, grad_check_input, GradCheckConfig, OP_KINDS};
 use adaptraj_obs::profile;
 use adaptraj_tensor::nn::{Activation, LstmCell, Mlp};
-use adaptraj_tensor::{FusedAct, GroupId, ParamStore, Rng, Tape, Tensor};
+use adaptraj_tensor::{GroupId, ParamStore, Rng, Tape, Tensor};
 
 fn cfg() -> GradCheckConfig {
     GradCheckConfig::default() // eps 1e-2, tol 1e-2, exhaustive
 }
 
 /// Random values pushed at least 0.15 away from zero, so a ±eps FD
-/// perturbation cannot cross the relu/leaky-relu kink.
+/// perturbation cannot cross the relu kink.
 fn kink_free(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = Rng::seed_from(seed);
     Tensor::randn(rows, cols, 0.0, 1.0, &mut rng)
@@ -86,23 +86,6 @@ fn fixtures() -> Vec<Fixture> {
         }),
     );
     fixture(
-        "neg",
-        Box::new(|| {
-            let c = randn(2, 3, 102);
-            grad_check_input(
-                &randn(2, 3, 4),
-                move |t, x| {
-                    let n = t.neg(x);
-                    let cv = t.constant(c.clone());
-                    let y = t.mul(n, cv);
-                    t.sum_all(y)
-                },
-                &cfg(),
-            )
-            .assert_ok("neg");
-        }),
-    );
-    fixture(
         "scale",
         Box::new(|| {
             grad_check_input(
@@ -151,65 +134,6 @@ fn fixtures() -> Vec<Fixture> {
                 &cfg(),
             )
             .assert_ok("matmul");
-        }),
-    );
-    fixture(
-        "matmul_nt",
-        Box::new(|| {
-            let right = randn(4, 3, 140);
-            let left = randn(5, 4, 141);
-            grad_check_input(
-                &randn(2, 3, 47),
-                move |t, x| {
-                    // Both operand slots: x·Rᵀ (dA path) and L·yᵀ (dB path).
-                    let rv = t.constant(right.clone());
-                    let lv = t.constant(left.clone());
-                    let a = t.matmul_nt(x, rv); // [2,3]·[4,3]ᵀ = [2,4]
-                    let b = t.matmul_nt(lv, a); // [5,4]·[2,4]ᵀ = [5,2]
-                    let sq = t.mul(b, b);
-                    t.sum_all(sq)
-                },
-                &cfg(),
-            )
-            .assert_ok("matmul_nt");
-        }),
-    );
-    fixture(
-        "matmul_tn",
-        Box::new(|| {
-            let right = randn(2, 4, 142);
-            let left = randn(3, 5, 143);
-            grad_check_input(
-                &randn(2, 3, 48),
-                move |t, x| {
-                    // Both operand slots: xᵀ·R (dA path) and yᵀ·L... via two nodes.
-                    let rv = t.constant(right.clone());
-                    let lv = t.constant(left.clone());
-                    let a = t.matmul_tn(x, rv); // [2,3]ᵀ·[2,4] = [3,4]
-                    let b = t.matmul_tn(lv, a); // [3,5]ᵀ·[3,4] = [5,4]
-                    let sq = t.mul(b, b);
-                    t.sum_all(sq)
-                },
-                &cfg(),
-            )
-            .assert_ok("matmul_tn");
-        }),
-    );
-    fixture(
-        "transpose",
-        Box::new(|| {
-            let c = randn(3, 2, 105);
-            grad_check_input(
-                &randn(2, 3, 8),
-                move |t, x| {
-                    let xt = t.transpose(x);
-                    let cv = t.constant(c.clone());
-                    let y = t.mul(xt, cv);
-                    t.sum_all(y)
-                },
-                &cfg(),
-            )
-            .assert_ok("transpose");
         }),
     );
     fixture(
@@ -262,23 +186,6 @@ fn fixtures() -> Vec<Fixture> {
                 &cfg(),
             )
             .assert_ok("relu");
-        }),
-    );
-    fixture(
-        "leaky_relu",
-        Box::new(|| {
-            let c = randn(2, 4, 109);
-            grad_check_input(
-                &kink_free(2, 4, 12),
-                move |t, x| {
-                    let y = t.leaky_relu(x, 0.1);
-                    let cv = t.constant(c.clone());
-                    let w = t.mul(y, cv);
-                    t.sum_all(w)
-                },
-                &cfg(),
-            )
-            .assert_ok("leaky_relu");
         }),
     );
     fixture(
@@ -419,23 +326,6 @@ fn fixtures() -> Vec<Fixture> {
         }),
     );
     fixture(
-        "broadcast_rows",
-        Box::new(|| {
-            let w = randn(4, 3, 117);
-            grad_check_input(
-                &randn(1, 3, 21),
-                move |t, x| {
-                    let y = t.broadcast_rows(x, 4);
-                    let wv = t.constant(w.clone());
-                    let z = t.mul(y, wv);
-                    t.sum_all(z)
-                },
-                &cfg(),
-            )
-            .assert_ok("broadcast_rows");
-        }),
-    );
-    fixture(
         "mean_rows",
         Box::new(|| {
             let w = randn(1, 3, 118);
@@ -450,24 +340,6 @@ fn fixtures() -> Vec<Fixture> {
                 &cfg(),
             )
             .assert_ok("mean_rows");
-        }),
-    );
-    fixture(
-        "sum_rows",
-        Box::new(|| {
-            let w = randn(1, 3, 119);
-            grad_check_input(
-                &randn(4, 3, 23),
-                move |t, x| {
-                    let y = t.sum_rows(x);
-                    let wv = t.constant(w.clone());
-                    let z = t.mul(y, wv);
-                    let sq = t.mul(z, z);
-                    t.sum_all(sq)
-                },
-                &cfg(),
-            )
-            .assert_ok("sum_rows");
         }),
     );
     fixture(
@@ -594,11 +466,11 @@ fn fixtures() -> Vec<Fixture> {
                 &randn(2, 3, 49),
                 move |t, x| {
                     // Smooth activation so FD is exact everywhere; the
-                    // relu/leaky variants are pinned bit-for-bit against
-                    // the unfused composition in the tape's unit tests.
+                    // relu variant is pinned bit-for-bit against the
+                    // unfused composition in the tape's unit tests.
                     let wv = t.constant(w.clone());
                     let bv = t.constant(b.clone());
-                    let y = t.fused_affine(x, wv, bv, FusedAct::Tanh);
+                    let y = t.fused_affine(x, wv, bv, Activation::Tanh);
                     let sq = t.mul(y, y);
                     t.sum_all(sq)
                 },
@@ -617,7 +489,7 @@ fn fixtures() -> Vec<Fixture> {
                 move |t, x| {
                     let dv = t.constant(d.clone());
                     let bv = t.constant(b.clone());
-                    let y = t.fused_affine(dv, x, bv, FusedAct::Sigmoid);
+                    let y = t.fused_affine(dv, x, bv, Activation::Tanh);
                     let sq = t.mul(y, y);
                     t.sum_all(sq)
                 },
@@ -637,7 +509,7 @@ fn fixtures() -> Vec<Fixture> {
                     // Gradient sums over the broadcast rows.
                     let dv = t.constant(d.clone());
                     let wv = t.constant(w.clone());
-                    let y = t.fused_affine(dv, wv, x, FusedAct::Tanh);
+                    let y = t.fused_affine(dv, wv, x, Activation::Tanh);
                     let sq = t.mul(y, y);
                     t.sum_all(sq)
                 },
@@ -738,7 +610,7 @@ fn every_op_kind_passes_fd_and_coverage_is_machine_checked() {
         uncovered.is_empty(),
         "op kinds without both-direction fixture coverage: {uncovered:?}"
     );
-    // The reverse: the kind list itself must stay exhaustive. A 33rd op
+    // The reverse: the kind list itself must stay exhaustive. A 28th op
     // would show up here before anyone remembers to extend OP_KINDS.
     for r in &ops {
         assert!(

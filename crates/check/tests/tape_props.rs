@@ -22,7 +22,7 @@ fn random_dag(g: &mut Gen, tape: &mut Tape) -> (Var, Vec<Var>) {
             1 => tape.mul(a, b),
             2 => tape.sub(a, b),
             3 => tape.tanh(a),
-            4 => tape.neg(a),
+            4 => tape.scale(a, -1.0),
             5 => tape.scale(a, 0.5),
             _ => {
                 let c = tape.constant(g.tensor(rows, cols));

@@ -20,7 +20,7 @@
 //!   domain-specific expert at inference on unseen domains.
 //!
 //! Training follows Alg. 1's three steps, implemented in
-//! [`model::AdapTraj::fit`] using per-group learning-rate multipliers
+//! [`model::AdapTraj`]'s `fit`, using per-group learning-rate multipliers
 //! (`f_low`/`f_high`) and freezing.
 //!
 //! ```no_run

@@ -100,15 +100,6 @@ impl<B: Backbone> AdapTraj<B> {
         &self.sources
     }
 
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Mutable parameter access (checkpoint loading).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
     pub fn backbone(&self) -> &B {
         &self.net.backbone
     }

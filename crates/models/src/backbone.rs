@@ -27,7 +27,7 @@ use crate::config::BackboneConfig;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
 use adaptraj_data::WindowBatch;
 use adaptraj_tensor::nn::{Activation, Linear, Lstm, LstmCell, LstmState, Mlp};
-use adaptraj_tensor::{FusedAct, GroupId, ParamStore, Rng, Tape, Tensor, Var};
+use adaptraj_tensor::{GroupId, ParamStore, Rng, Tape, Tensor, Var};
 
 /// Parameter group for all backbone weights (the AdapTraj schedule
 /// addresses modules by group).
@@ -171,7 +171,7 @@ impl SceneEncoder {
         let mut steps = Vec::with_capacity(T_OBS);
         for t in 0..T_OBS {
             let pos = tape.constant(batch_step_positions(batch, t));
-            steps.push(self.embed.forward_act(store, tape, pos, FusedAct::Relu));
+            steps.push(self.embed.forward_act(store, tape, pos, Activation::Relu));
         }
         let (_, final_state) = self.encoder.forward(store, tape, &steps);
         let h_all = final_state.h; // [N_total, hidden]
@@ -231,7 +231,7 @@ impl SceneEncoder {
                 tape.sum_row_groups(weighted, a_max) // [B, d]
             }
             InteractionKind::MeanPool => {
-                let act = self.w_v.forward_act(store, tape, h_all, FusedAct::Relu); // [N, d]
+                let act = self.w_v.forward_act(store, tape, h_all, Activation::Relu); // [N, d]
                 let masked = if fully_packed {
                     act // identity slot map, no padding to mask
                 } else {
@@ -335,7 +335,7 @@ impl RolloutDecoder {
         let mut pos = tape.constant(Tensor::zeros(b, 2));
         let mut outputs = Vec::with_capacity(T_PRED);
         for _ in 0..T_PRED {
-            let e = self.embed.forward_act(store, tape, pos, FusedAct::Relu);
+            let e = self.embed.forward_act(store, tape, pos, Activation::Relu);
             let x = tape.concat_cols(&[e, ctx]);
             state = self.cell.step(store, tape, x, state);
             let delta = self.head.forward(store, tape, state.h);

@@ -46,15 +46,6 @@ impl<B: Backbone> CausalMotion<B> {
             cfg,
         }
     }
-
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Mutable parameter access (checkpoint loading).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
 }
 
 impl<B: Backbone> Predictor for CausalMotion<B> {

@@ -35,15 +35,6 @@ impl<B: Backbone> Vanilla<B> {
     pub fn backbone(&self) -> &B {
         &self.backbone
     }
-
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Mutable parameter access (checkpoint loading).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
 }
 
 impl<B: Backbone> Predictor for Vanilla<B> {

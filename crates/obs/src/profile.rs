@@ -173,7 +173,7 @@ pub fn record_op(kind: &'static str, dir: Dir, timer: OpTimer, bytes: u64) {
 }
 
 /// Clears every aggregation cell (interned phase paths are kept — see
-/// [`State::phase_paths`]).
+/// `State::phase_paths`).
 pub fn reset() {
     state().lock().expect("profiler poisoned").cells.clear();
 }

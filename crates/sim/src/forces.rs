@@ -32,7 +32,7 @@ pub struct ForceParams {
     pub group_slack: f32,
     /// Standard deviation of isotropic acceleration noise (m/s²).
     pub noise_std: f32,
-    /// Anisotropy λ ∈ [0,1]: pedestrians react more to what is in front of
+    /// Anisotropy λ ∈ `[0, 1]`: pedestrians react more to what is in front of
     /// them. 1 = isotropic.
     pub anisotropy: f32,
 }

@@ -106,19 +106,6 @@ pub fn active_kernel() -> Kernel {
     }
 }
 
-/// Overrides the process-wide kernel (micro-bench / test hook). Returns
-/// the previously active kernel. Requesting `Simd` without AVX2 falls back
-/// to `Scalar`.
-pub fn set_active_kernel(k: Kernel) -> Kernel {
-    let prev = active_kernel();
-    let k = match k {
-        Kernel::Simd if !simd_available() => Kernel::Scalar,
-        other => other,
-    };
-    ACTIVE_KERNEL.store(kernel_to_u8(k), Ordering::Relaxed);
-    prev
-}
-
 // ---- kernel entry points -------------------------------------------------
 
 /// `out[n,m] += a[n,k] · b[k,m]` with `out` zero-initialized by the

@@ -11,12 +11,14 @@
 //! * [`tensor::Tensor`] — row-major rank-2 tensors with the kernels used by
 //!   every model (matmul, broadcasts, reductions, softmax, gathers).
 //! * [`tape::Tape`] — an eager autodiff tape with input gradients (needed by
-//!   LBEBM's Langevin sampler) and fused losses (scale-invariant MSE for
-//!   `L_recon`, cross-entropy for the domain classifier, Frobenius
-//!   orthogonality for `L_diff`).
+//!   LBEBM's Langevin sampler), a gradient-reversal node, fused
+//!   softmax cross-entropy for the domain classifier, and fused
+//!   affine+[`Activation`] and LSTM-step nodes. The paper's losses
+//!   (`L_recon`, `L_diff`, …) are compositions of these ops in
+//!   `adaptraj-core`.
 //! * [`nn`] — `Linear`, `Mlp`, and `Lstm` layers over a shared
 //!   [`param::ParamStore`].
-//! * [`optim`] — SGD and Adam with per-group learning-rate multipliers and
+//! * [`optim`] — Adam with per-group learning-rate multipliers and
 //!   freezing, which the three-step AdapTraj schedule (Alg. 1) requires.
 //! * [`rng::Rng`] — deterministic seeded randomness for replayable
 //!   experiments.
@@ -25,12 +27,13 @@
 //!
 //! ```
 //! use adaptraj_tensor::{
-//!     nn::{Activation, Mlp},
+//!     nn::Mlp,
 //!     optim::Adam,
 //!     param::{GradBuffer, GroupId, ParamStore},
 //!     rng::Rng,
 //!     tape::Tape,
 //!     tensor::Tensor,
+//!     Activation,
 //! };
 //!
 //! let mut store = ParamStore::new();
@@ -66,5 +69,5 @@ pub use kernels::Kernel;
 pub use param::{GradBuffer, GroupId, ParamId, ParamStore};
 pub use pool::{BufferPool, PoolStats};
 pub use rng::Rng;
-pub use tape::{with_pooled, FusedAct, Grads, Tape, Var};
+pub use tape::{with_pooled, Activation, Grads, Tape, Var};
 pub use tensor::Tensor;

@@ -3,7 +3,7 @@
 use super::init::xavier_std;
 use crate::param::{GroupId, ParamId, ParamStore};
 use crate::rng::Rng;
-use crate::tape::{FusedAct, Tape, Var};
+use crate::tape::{Activation, Tape, Var};
 use crate::tensor::Tensor;
 
 /// `y = x·W + b` with `W: [in, out]`, `b: [1, out]`.
@@ -55,11 +55,11 @@ impl Linear {
 
     /// Applies the affine map to `x: [n, in] -> [n, out]`.
     pub fn forward(&self, store: &ParamStore, tape: &mut Tape, x: Var) -> Var {
-        self.forward_act(store, tape, x, FusedAct::Identity)
+        self.forward_act(store, tape, x, Activation::Identity)
     }
 
     /// Applies `act(x·W + b)` as one fused tape node.
-    pub fn forward_act(&self, store: &ParamStore, tape: &mut Tape, x: Var, act: FusedAct) -> Var {
+    pub fn forward_act(&self, store: &ParamStore, tape: &mut Tape, x: Var, act: Activation) -> Var {
         debug_assert_eq!(
             tape.value(x).cols(),
             self.in_dim,

@@ -3,59 +3,7 @@
 use super::linear::Linear;
 use crate::param::{GroupId, ParamStore};
 use crate::rng::Rng;
-use crate::tape::{FusedAct, Tape, Var};
-
-/// Hidden-layer nonlinearity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Activation {
-    #[default]
-    Relu,
-    LeakyRelu,
-    Tanh,
-    Sigmoid,
-    /// Gaussian error linear unit (tanh approximation).
-    Gelu,
-    /// No nonlinearity (linear stack — used for pure projections).
-    Identity,
-}
-
-impl Activation {
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu => tape.leaky_relu(x, 0.01),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Gelu => {
-                // 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))
-                let x2 = tape.mul(x, x);
-                let x3 = tape.mul(x2, x);
-                let inner = tape.scale(x3, 0.044715);
-                let inner = tape.add(x, inner);
-                let scaled = tape.scale(inner, 0.797_884_6); // √(2/π)
-                let t = tape.tanh(scaled);
-                let one_plus = tape.add_scalar(t, 1.0);
-                let half_x = tape.scale(x, 0.5);
-                tape.mul(half_x, one_plus)
-            }
-            Activation::Identity => x,
-        }
-    }
-
-    /// The fused-affine form of this activation, when one exists. GELU's
-    /// derivative is not recoverable from its output, so it stays a
-    /// composite of elementwise ops.
-    fn fused(self) -> Option<FusedAct> {
-        match self {
-            Activation::Relu => Some(FusedAct::Relu),
-            Activation::LeakyRelu => Some(FusedAct::LeakyRelu(0.01)),
-            Activation::Tanh => Some(FusedAct::Tanh),
-            Activation::Sigmoid => Some(FusedAct::Sigmoid),
-            Activation::Identity => Some(FusedAct::Identity),
-            Activation::Gelu => None,
-        }
-    }
-}
+use crate::tape::{Activation, Tape, Var};
 
 /// A stack of [`Linear`] layers with a shared hidden activation. The final
 /// layer is linear unless `activate_output` is set.
@@ -108,24 +56,18 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Forward pass `[n, in] -> [n, out]`. Activated layers record a
-    /// single fused affine+activation node when the activation supports it.
+    /// Forward pass `[n, in] -> [n, out]`: one fused affine+activation
+    /// node per layer, the last one linear unless `activate_output`.
     pub fn forward(&self, store: &ParamStore, tape: &mut Tape, x: Var) -> Var {
         let last = self.layers.len() - 1;
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            let activated = i < last || self.activate_output;
-            h = match self.activation.fused() {
-                Some(act) if activated => layer.forward_act(store, tape, h, act),
-                _ => {
-                    let y = layer.forward(store, tape, h);
-                    if activated {
-                        self.activation.apply(tape, y)
-                    } else {
-                        y
-                    }
-                }
+            let act = if i < last || self.activate_output {
+                self.activation
+            } else {
+                Activation::Identity
             };
+            h = layer.forward_act(store, tape, h, act);
         }
         h
     }
@@ -190,23 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn gelu_matches_reference_values() {
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::row(&[-2.0, -1.0, 0.0, 1.0, 2.0]));
-        let y = Activation::Gelu.apply(&mut tape, x);
-        let v = tape.value(y).data().to_vec();
-        // Reference GELU(tanh approx) values.
-        let expected = [-0.0454, -0.1588, 0.0, 0.8412, 1.9546];
-        for (got, want) in v.iter().zip(expected) {
-            assert!((got - want).abs() < 1e-3, "{got} vs {want}");
-        }
-        // Gradient flows (finite, nonzero away from deep negatives).
-        let s = tape.sum_all(y);
-        let g = tape.backward(s);
-        assert!(g.expect(x).all_finite());
-    }
-
-    #[test]
     fn output_activation_bounds_range() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(5);
@@ -215,7 +140,7 @@ mod tests {
             &mut rng,
             "m",
             &[3, 4],
-            Activation::Sigmoid,
+            Activation::Tanh,
             GroupId::DEFAULT,
         )
         .with_output_activation();
@@ -226,6 +151,6 @@ mod tests {
             .value(y)
             .data()
             .iter()
-            .all(|&v| (0.0..=1.0).contains(&v)));
+            .all(|&v| (-1.0..=1.0).contains(&v)));
     }
 }

@@ -12,7 +12,8 @@ mod linear;
 mod lstm;
 mod mlp;
 
+pub use crate::tape::Activation;
 pub use init::{kaiming_std, xavier_std};
 pub use linear::Linear;
 pub use lstm::{Lstm, LstmCell, LstmState};
-pub use mlp::{Activation, Mlp};
+pub use mlp::Mlp;

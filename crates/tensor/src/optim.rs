@@ -1,11 +1,11 @@
-//! Gradient-descent optimizers with per-group learning-rate control.
+//! Adam with per-group learning-rate control.
 //!
 //! The AdapTraj training procedure (Alg. 1) requires three scheduling
 //! capabilities beyond a plain optimizer: a per-module learning-rate
 //! multiplier (`f_low` / `f_high`), outright freezing of module groups
 //! (the domain-specific extractor during aggregator training), and
-//! changing the multipliers between training steps. Both optimizers here
-//! expose those via [`GroupId`]-keyed schedules.
+//! changing the multipliers between training steps. [`Adam`] exposes
+//! those via a [`GroupId`]-keyed [`Schedule`].
 
 use crate::param::{GradBuffer, GroupId, ParamStore};
 use crate::tensor::Tensor;
@@ -29,14 +29,6 @@ impl Schedule {
         }
     }
 
-    pub fn base_lr(&self) -> f32 {
-        self.base_lr
-    }
-
-    pub fn set_base_lr(&mut self, lr: f32) {
-        self.base_lr = lr;
-    }
-
     /// Sets the learning-rate multiplier for a group (default 1.0).
     pub fn set_group_multiplier(&mut self, group: GroupId, mult: f32) {
         self.multipliers.insert(group.0, mult);
@@ -49,10 +41,6 @@ impl Schedule {
 
     pub fn freeze(&mut self, group: GroupId) {
         self.frozen.insert(group.0);
-    }
-
-    pub fn unfreeze(&mut self, group: GroupId) {
-        self.frozen.remove(&group.0);
     }
 
     pub fn unfreeze_all(&mut self) {
@@ -73,81 +61,29 @@ impl Schedule {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    pub schedule: Schedule,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            schedule: Schedule::new(lr),
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update from the accumulated gradients.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &GradBuffer) {
-        if self.velocity.len() < store.len() {
-            self.velocity.resize(store.len(), None);
-        }
-        for (id, g) in grads.iter() {
-            let Some(lr) = self.schedule.effective_lr(store.group(id)) else {
-                continue;
-            };
-            if self.momentum > 0.0 {
-                let v = self.velocity[id.index()]
-                    .get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
-                let decayed = v.scale(self.momentum);
-                std::mem::replace(v, decayed).recycle();
-                v.axpy(1.0, g);
-                store.value_mut(id).axpy(-lr, v);
-            } else {
-                store.value_mut(id).axpy(-lr, g);
-            }
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction, per-group learning rates, and
-/// optional decoupled weight decay.
+/// Adam (Kingma & Ba) with bias correction and per-group learning rates.
+/// The moments use the usual defaults, β₁ = 0.9, β₂ = 0.999, ε = 1e-8,
+/// with no weight decay.
 #[derive(Debug)]
 pub struct Adam {
     pub schedule: Schedule,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: i32,
     m: Vec<Option<Tensor>>,
     v: Vec<Option<Tensor>>,
 }
 
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
 impl Adam {
     pub fn new(lr: f32) -> Self {
-        Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
-    }
-
-    pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
         Self {
             schedule: Schedule::new(lr),
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Number of steps applied so far.
-    pub fn steps(&self) -> i32 {
-        self.t
     }
 
     /// Applies one Adam update from the accumulated gradients.
@@ -157,8 +93,8 @@ impl Adam {
             self.v.resize(store.len(), None);
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
+        let bc1 = 1.0 - BETA1.powi(self.t);
+        let bc2 = 1.0 - BETA2.powi(self.t);
 
         for (id, g) in grads.iter() {
             let Some(lr) = self.schedule.effective_lr(store.group(id)) else {
@@ -168,43 +104,21 @@ impl Adam {
             let m = self.m[idx].get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
             let v = self.v[idx].get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
 
-            let decayed = m.scale(self.beta1);
+            let decayed = m.scale(BETA1);
             std::mem::replace(m, decayed).recycle();
-            m.axpy(1.0 - self.beta1, g);
-            let next_v = v.zip_map(g, |vv, gg| self.beta2 * vv + (1.0 - self.beta2) * gg * gg);
+            m.axpy(1.0 - BETA1, g);
+            let next_v = v.zip_map(g, |vv, gg| BETA2 * vv + (1.0 - BETA2) * gg * gg);
             std::mem::replace(v, next_v).recycle();
 
-            let eps = self.eps;
             let update = m.zip_map(v, |mm, vv| {
                 let m_hat = mm / bc1;
                 let v_hat = vv / bc2;
-                m_hat / (v_hat.sqrt() + eps)
+                m_hat / (v_hat.sqrt() + EPS)
             });
-            let param = store.value_mut(id);
-            if self.weight_decay > 0.0 {
-                let decay = param.scale(self.weight_decay);
-                param.axpy(-lr, &decay);
-                decay.recycle();
-            }
-            param.axpy(-lr, &update);
+            store.value_mut(id).axpy(-lr, &update);
             update.recycle();
         }
     }
-}
-
-/// Convenience: run one backward/step cycle for a scalar loss var. Returns
-/// the loss value. Useful in tests and small examples.
-pub fn step_once(
-    tape: &crate::tape::Tape,
-    loss: crate::tape::Var,
-    store: &mut ParamStore,
-    opt: &mut Adam,
-) -> f32 {
-    let grads = tape.backward(loss);
-    let mut buf = GradBuffer::new();
-    buf.absorb(tape, &grads);
-    opt.step(store, &buf);
-    tape.value(loss).item()
 }
 
 #[cfg(test)]
@@ -219,41 +133,13 @@ mod tests {
         (store, id)
     }
 
-    /// Loss = sum(x^2); both optimizers should drive x toward 0.
+    /// Loss = sum(x^2); Adam should drive x toward 0.
     fn loss_grad(store: &ParamStore, id: ParamId) -> (Tape, crate::tape::Var) {
         let mut tape = Tape::new();
         let x = tape.param(store, id);
         let sq = tape.mul(x, x);
         let l = tape.sum_all(sq);
         (tape, l)
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let (mut store, id) = quadratic_store();
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..100 {
-            let (tape, loss) = loss_grad(&store, id);
-            let grads = tape.backward(loss);
-            let mut buf = GradBuffer::new();
-            buf.absorb(&tape, &grads);
-            opt.step(&mut store, &buf);
-        }
-        assert!(store.value(id).max_abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_still_converges() {
-        let (mut store, id) = quadratic_store();
-        let mut opt = Sgd::new(0.05, 0.9);
-        for _ in 0..200 {
-            let (tape, loss) = loss_grad(&store, id);
-            let grads = tape.backward(loss);
-            let mut buf = GradBuffer::new();
-            buf.absorb(&tape, &grads);
-            opt.step(&mut store, &buf);
-        }
-        assert!(store.value(id).max_abs() < 1e-2);
     }
 
     #[test]
@@ -316,7 +202,9 @@ mod tests {
         let mut store = ParamStore::new();
         let slow = store.register("slow", Tensor::row(&[1.0]), GroupId(0));
         let fast = store.register("fast", Tensor::row(&[1.0]), GroupId(1));
-        let mut opt = Sgd::new(0.1, 0.0);
+        // Adam's first step moves each parameter by lr·mult·g/(|g| + ε):
+        // exactly lr·mult for a unit gradient, as in f_low/f_high.
+        let mut opt = Adam::new(0.1);
         opt.schedule.set_group_multiplier(GroupId(0), 0.1);
         opt.schedule.set_group_multiplier(GroupId(1), 10.0);
 
@@ -344,28 +232,9 @@ mod tests {
         assert!((s.effective_lr(GroupId(3)).unwrap() - 0.1).abs() < 1e-7);
         s.freeze(GroupId(3));
         assert_eq!(s.effective_lr(GroupId(3)), None);
-        s.unfreeze(GroupId(3));
+        s.unfreeze_all();
         assert!(s.effective_lr(GroupId(3)).is_some());
         s.clear_multipliers();
         assert_eq!(s.effective_lr(GroupId(3)), Some(0.5));
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::row(&[10.0]), GroupId::DEFAULT);
-        let mut opt = Adam::with_config(0.1, 0.9, 0.999, 1e-8, 0.1);
-        // Zero gradient from a loss that ignores w entirely is not absorbed;
-        // instead use a tiny gradient so the param is visited.
-        let mut tape = Tape::new();
-        let x = tape.param(&store, id);
-        let l = tape.scale(x, 1e-9);
-        let l = tape.sum_all(l);
-        let grads = tape.backward(l);
-        let mut buf = GradBuffer::new();
-        buf.absorb(&tape, &grads);
-        let before = store.value(id).data()[0];
-        opt.step(&mut store, &buf);
-        assert!(store.value(id).data()[0] < before);
     }
 }

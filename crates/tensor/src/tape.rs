@@ -91,61 +91,43 @@ pub fn with_pooled<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
     })
 }
 
-/// Activation fused into an [`Op::FusedAffine`] node. Only activations
-/// whose derivative is recoverable from the *output* qualify (the fused
-/// node stores no pre-activation tensor); GELU stays a composite.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FusedAct {
-    #[default]
+/// Layer nonlinearity, applied inside the fused affine node
+/// ([`Tape::fused_affine`]). Each one's derivative is recoverable from its
+/// *output*, so the fused node stores no pre-activation tensor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activation {
+    /// No nonlinearity (a plain affine map).
     Identity,
     Relu,
-    LeakyRelu(f32),
     Tanh,
-    Sigmoid,
 }
 
-impl FusedAct {
+impl Activation {
     /// Scalar forward — bit-identical to the standalone activation ops.
     #[inline]
     fn apply(self, x: f32) -> f32 {
         match self {
-            FusedAct::Identity => x,
-            FusedAct::Relu => x.max(0.0),
-            FusedAct::LeakyRelu(slope) => {
-                if x > 0.0 {
-                    x
-                } else {
-                    slope * x
-                }
-            }
-            FusedAct::Tanh => x.tanh(),
-            FusedAct::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Identity => x,
+            Activation::Relu => x.max(0.0),
+            Activation::Tanh => x.tanh(),
         }
     }
 
     /// Derivative mask reconstructed from the activation *output* `y`.
-    /// For ReLU/LeakyReLU this is exact because `y > 0 ⇔ x > 0`; for
-    /// tanh/sigmoid it is the usual output-form derivative.
+    /// For ReLU this is exact because `y > 0 ⇔ x > 0`; for tanh it is the
+    /// usual output-form derivative.
     #[inline]
     fn dmask_from_output(self, y: f32) -> f32 {
         match self {
-            FusedAct::Identity => 1.0,
-            FusedAct::Relu => {
+            Activation::Identity => 1.0,
+            Activation::Relu => {
                 if y > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            FusedAct::LeakyRelu(slope) => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    slope
-                }
-            }
-            FusedAct::Tanh => 1.0 - y * y,
-            FusedAct::Sigmoid => y * (1.0 - y),
+            Activation::Tanh => 1.0 - y * y,
         }
     }
 }
@@ -169,18 +151,11 @@ enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    Neg(Var),
     Scale(Var, f32),
     AddScalar(Var),
     MatMul(Var, Var),
-    /// `A · Bᵀ` without materializing the transpose.
-    MatMulNt(Var, Var),
-    /// `Aᵀ · B` without materializing the transpose.
-    MatMulTn(Var, Var),
-    Transpose(Var),
     AddRowBroadcast(Var, Var),
     Relu(Var),
-    LeakyRelu(Var, f32),
     Tanh(Var),
     Sigmoid(Var),
     Exp(Var),
@@ -189,9 +164,7 @@ enum Op {
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
     GatherRows(Var, Vec<usize>),
-    BroadcastRows(Var),
     MeanRows(Var),
-    SumRows(Var),
     MeanAll(Var),
     SumAll(Var),
     HadamardConst(Var, Tensor),
@@ -206,7 +179,7 @@ enum Op {
     GradReverse(Var, f32),
     /// `act(x·W + b)` as one node: matmul, broadcast bias, and activation
     /// fused, with no pre-activation or mask tensor materialized.
-    FusedAffine(Var, Var, Var, FusedAct),
+    FusedAffine(Var, Var, Var, Activation),
     /// One full LSTM recurrence step. The node's value is `[h' | c']`
     /// (`[n, 2·hidden]`); post-activation gate values `[i|f|g|o]` and
     /// `tanh(c')` are cached for the backward pass.
@@ -237,16 +210,11 @@ impl Op {
             Op::Add(..) => "add",
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
-            Op::Neg(..) => "neg",
             Op::Scale(..) => "scale",
             Op::AddScalar(..) => "add_scalar",
             Op::MatMul(..) => "matmul",
-            Op::MatMulNt(..) => "matmul_nt",
-            Op::MatMulTn(..) => "matmul_tn",
-            Op::Transpose(..) => "transpose",
             Op::AddRowBroadcast(..) => "add_row_broadcast",
             Op::Relu(..) => "relu",
-            Op::LeakyRelu(..) => "leaky_relu",
             Op::Tanh(..) => "tanh",
             Op::Sigmoid(..) => "sigmoid",
             Op::Exp(..) => "exp",
@@ -255,9 +223,7 @@ impl Op {
             Op::ConcatRows(..) => "concat_rows",
             Op::SliceCols(..) => "slice_cols",
             Op::GatherRows(..) => "gather_rows",
-            Op::BroadcastRows(..) => "broadcast_rows",
             Op::MeanRows(..) => "mean_rows",
-            Op::SumRows(..) => "sum_rows",
             Op::MeanAll(..) => "mean_all",
             Op::SumAll(..) => "sum_all",
             Op::HadamardConst(..) => "hadamard_const",
@@ -390,24 +356,17 @@ impl Tape {
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::MatMul(a, b)
-            | Op::MatMulNt(a, b)
-            | Op::MatMulTn(a, b)
             | Op::AddRowBroadcast(a, b) => vec![*a, *b],
-            Op::Neg(a)
-            | Op::Scale(a, _)
+            Op::Scale(a, _)
             | Op::AddScalar(a)
-            | Op::Transpose(a)
             | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
             | Op::Tanh(a)
             | Op::Sigmoid(a)
             | Op::Exp(a)
             | Op::SoftmaxRows(a)
             | Op::SliceCols(a, _, _)
             | Op::GatherRows(a, _)
-            | Op::BroadcastRows(a)
             | Op::MeanRows(a)
-            | Op::SumRows(a)
             | Op::MeanAll(a)
             | Op::SumAll(a)
             | Op::HadamardConst(a, _)
@@ -513,13 +472,6 @@ impl Tape {
         self.push(t, v, Op::Mul(a, b), ng)
     }
 
-    pub fn neg(&mut self, a: Var) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).scale(-1.0);
-        let ng = self.needs(a);
-        self.push(t, v, Op::Neg(a), ng)
-    }
-
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
         let t = profile::op_timer();
         let v = self.value(a).scale(alpha);
@@ -541,32 +493,9 @@ impl Tape {
         self.push(t, v, Op::MatMul(a, b), ng)
     }
 
-    /// `a · bᵀ` as one node — the transpose is never materialized, in the
-    /// value or in either gradient.
-    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).matmul_nt(self.value(b));
-        let ng = self.any_needs(&[a, b]);
-        self.push(t, v, Op::MatMulNt(a, b), ng)
-    }
-
-    /// `aᵀ · b` as one node — the transpose is never materialized, in the
-    /// value or in either gradient.
-    pub fn matmul_tn(&mut self, a: Var, b: Var) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).matmul_tn(self.value(b));
-        let ng = self.any_needs(&[a, b]);
-        self.push(t, v, Op::MatMulTn(a, b), ng)
-    }
-
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).transpose();
-        let ng = self.needs(a);
-        self.push(t, v, Op::Transpose(a), ng)
-    }
-
-    /// `[n,m] + [1,m]` broadcast (bias addition).
+    /// `[n,m] + [1,m]` broadcast (bias addition). No model records it:
+    /// with [`Tape::relu`] and [`Tape::sigmoid`] it is the unfused
+    /// reference the fused-node tests compare against bit for bit.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
         let t = profile::op_timer();
         let v = self.value(a).add_row_broadcast(self.value(bias));
@@ -579,13 +508,6 @@ impl Tape {
         let v = self.value(a).map(|x| x.max(0.0));
         let ng = self.needs(a);
         self.push(t, v, Op::Relu(a), ng)
-    }
-
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
-        let ng = self.needs(a);
-        self.push(t, v, Op::LeakyRelu(a, slope), ng)
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
@@ -661,26 +583,11 @@ impl Tape {
         self.push(t, v, op, ng)
     }
 
-    /// Repeats a `1 x m` row `n` times.
-    pub fn broadcast_rows(&mut self, a: Var, n: usize) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).broadcast_rows(n);
-        let ng = self.needs(a);
-        self.push(t, v, Op::BroadcastRows(a), ng)
-    }
-
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let t = profile::op_timer();
         let v = self.value(a).mean_rows();
         let ng = self.needs(a);
         self.push(t, v, Op::MeanRows(a), ng)
-    }
-
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let t = profile::op_timer();
-        let v = self.value(a).sum_rows();
-        let ng = self.needs(a);
-        self.push(t, v, Op::SumRows(a), ng)
     }
 
     /// Mean over all elements, as a `1 x 1` scalar.
@@ -783,7 +690,7 @@ impl Tape {
     /// copy, and the activation output never exist as separate buffers.
     /// Values and gradients are bit-identical to the unfused
     /// matmul → add_row_broadcast → activation composition.
-    pub fn fused_affine(&mut self, x: Var, w: Var, b: Var, act: FusedAct) -> Var {
+    pub fn fused_affine(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
         let t = profile::op_timer();
         let mut v = self.value(x).matmul(self.value(w));
         let bv = self.value(b);
@@ -938,7 +845,6 @@ impl Tape {
                 self.add_grad(grads, *a, g.mul(self.value(*b)));
                 self.add_grad(grads, *b, g.mul(self.value(*a)));
             }
-            Op::Neg(a) => self.add_grad(grads, *a, g.scale(-1.0)),
             Op::Scale(a, alpha) => self.add_grad(grads, *a, g.scale(*alpha)),
             Op::AddScalar(a) => self.add_grad(grads, *a, g.clone()),
             Op::MatMul(a, b) => {
@@ -951,34 +857,12 @@ impl Tape {
                 self.add_grad(grads, *a, da);
                 self.add_grad(grads, *b, db);
             }
-            Op::MatMulNt(a, b) => {
-                // y = A·Bᵀ: dA = g·B, dB = gᵀ·A.
-                let da = g.matmul(self.value(*b));
-                let db = g.matmul_tn(self.value(*a));
-                self.add_grad(grads, *a, da);
-                self.add_grad(grads, *b, db);
-            }
-            Op::MatMulTn(a, b) => {
-                // y = Aᵀ·B: dA = B·gᵀ, dB = A·g.
-                let da = self.value(*b).matmul_nt(g);
-                let db = self.value(*a).matmul(g);
-                self.add_grad(grads, *a, da);
-                self.add_grad(grads, *b, db);
-            }
-            Op::Transpose(a) => self.add_grad(grads, *a, g.transpose()),
             Op::AddRowBroadcast(a, bias) => {
                 self.add_grad(grads, *a, g.clone());
                 self.add_grad(grads, *bias, g.sum_rows());
             }
             Op::Relu(a) => {
                 let mask = self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                let dx = g.mul(&mask);
-                mask.recycle();
-                self.add_grad(grads, *a, dx);
-            }
-            Op::LeakyRelu(a, slope) => {
-                let s = *slope;
-                let mask = self.value(*a).map(|x| if x > 0.0 { 1.0 } else { s });
                 let dx = g.mul(&mask);
                 mask.recycle();
                 self.add_grad(grads, *a, dx);
@@ -1051,17 +935,12 @@ impl Tape {
                 }
                 self.add_grad(grads, *a, dx);
             }
-            Op::BroadcastRows(a) => self.add_grad(grads, *a, g.sum_rows()),
             Op::MeanRows(a) => {
                 let n = self.value(*a).rows();
                 let scaled = g.scale(1.0 / n as f32);
                 let dx = scaled.broadcast_rows(n);
                 scaled.recycle();
                 self.add_grad(grads, *a, dx);
-            }
-            Op::SumRows(a) => {
-                let n = self.value(*a).rows();
-                self.add_grad(grads, *a, g.broadcast_rows(n));
             }
             Op::MeanAll(a) => {
                 let av = self.value(*a);
@@ -1102,7 +981,7 @@ impl Tape {
                 // them: dx = d_pre·Wᵀ, dW = xᵀ·d_pre, db = Σ_rows d_pre.
                 let y = &self.nodes[idx].value;
                 let dpre = match act {
-                    FusedAct::Identity => g.clone(),
+                    Activation::Identity => g.clone(),
                     a => g.zip_map(y, |gv, yv| gv * a.dmask_from_output(yv)),
                 };
                 self.add_grad(grads, *x, dpre.matmul_nt(self.value(*w)));
@@ -1297,8 +1176,7 @@ mod tests {
                 let a = t.tanh(x);
                 let b = t.sigmoid(a);
                 let c = t.relu(b);
-                let d = t.leaky_relu(c, 0.1);
-                t.sum_all(d)
+                t.sum_all(c)
             },
             2e-2,
         );
@@ -1360,21 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_broadcast_and_reduce_fd() {
-        check_grad(
-            rand_t(1, 3, 8),
-            |t, x| {
-                let wide = t.broadcast_rows(x, 4);
-                let m = t.mean_rows(wide);
-                let s = t.sum_rows(m);
-                let sq = t.mul(s, s);
-                t.sum_all(sq)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
     fn grad_bias_broadcast_fd() {
         let x = rand_t(3, 2, 9);
         check_grad(
@@ -1399,96 +1262,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_matmul_nt_fd_both_slots() {
-        let other = rand_t(4, 3, 21);
-        check_grad(
-            rand_t(2, 3, 20),
-            {
-                let other = other.clone();
-                move |t, x| {
-                    let o = t.constant(other.clone());
-                    let y = t.matmul_nt(x, o);
-                    let sq = t.mul(y, y);
-                    t.mean_all(sq)
-                }
-            },
-            1e-2,
-        );
-        let left = rand_t(2, 3, 22);
-        check_grad(
-            other,
-            move |t, x| {
-                let l = t.constant(left.clone());
-                let y = t.matmul_nt(l, x);
-                let sq = t.mul(y, y);
-                t.mean_all(sq)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn grad_matmul_tn_fd_both_slots() {
-        let other = rand_t(3, 4, 24);
-        check_grad(
-            rand_t(3, 2, 23),
-            {
-                let other = other.clone();
-                move |t, x| {
-                    let o = t.constant(other.clone());
-                    let y = t.matmul_tn(x, o);
-                    let sq = t.mul(y, y);
-                    t.mean_all(sq)
-                }
-            },
-            1e-2,
-        );
-        let left = rand_t(3, 2, 25);
-        check_grad(
-            other,
-            move |t, x| {
-                let l = t.constant(left.clone());
-                let y = t.matmul_tn(l, x);
-                let sq = t.mul(y, y);
-                t.mean_all(sq)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn matmul_nt_tn_ops_match_transpose_compositions_bitwise() {
-        let a = rand_t(3, 5, 26);
-        let b = rand_t(4, 5, 27);
-        let mut tape = Tape::new();
-        let (av, bv) = (tape.input(a.clone()), tape.input(b.clone()));
-        let fused = tape.matmul_nt(av, bv);
-        let bt = tape.transpose(bv);
-        let naive = tape.matmul(av, bt);
-        assert_eq!(tape.value(fused), tape.value(naive));
-
-        let c = rand_t(5, 3, 28);
-        let d = rand_t(5, 4, 29);
-        let cv = tape.input(c);
-        let dv = tape.constant(d);
-        let fused_tn = tape.matmul_tn(cv, dv);
-        let ct = tape.transpose(cv);
-        let naive_tn = tape.matmul(ct, dv);
-        assert_eq!(tape.value(fused_tn), tape.value(naive_tn));
-    }
-
-    #[test]
     fn fused_affine_matches_unfused_composition_bitwise() {
-        // Every fusable activation: value and all three gradients must be
+        // Every activation: value and all three gradients must be
         // bit-for-bit what the matmul → add_row_broadcast → activation
         // composition produces — the contract that keeps goldens stable.
-        for act in [
-            FusedAct::Identity,
-            FusedAct::Relu,
-            FusedAct::LeakyRelu(0.01),
-            FusedAct::Tanh,
-            FusedAct::Sigmoid,
-        ] {
+        for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
             let x = rand_t(4, 3, 60);
             let w = rand_t(3, 5, 61);
             let b = rand_t(1, 5, 62);
@@ -1509,11 +1287,9 @@ mod tests {
             let mm = t2.matmul(xu, wu);
             let pre = t2.add_row_broadcast(mm, bu);
             let y2 = match act {
-                FusedAct::Identity => pre,
-                FusedAct::Relu => t2.relu(pre),
-                FusedAct::LeakyRelu(s) => t2.leaky_relu(pre, s),
-                FusedAct::Tanh => t2.tanh(pre),
-                FusedAct::Sigmoid => t2.sigmoid(pre),
+                Activation::Identity => pre,
+                Activation::Relu => t2.relu(pre),
+                Activation::Tanh => t2.tanh(pre),
             };
             let s2 = t2.mul(y2, y2);
             let l2 = t2.sum_all(s2);
@@ -1705,19 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_transpose_fd() {
-        check_grad(
-            rand_t(2, 3, 16),
-            |t, x| {
-                let xt = t.transpose(x);
-                let prod = t.matmul(x, xt);
-                t.sum_all(prod)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
     fn grad_reshape_fd() {
         let c = rand_t(3, 2, 40);
         check_grad(
@@ -1758,11 +1521,10 @@ mod tests {
         let xv = tape.input(x.clone());
         let grouped = tape.sum_row_groups(xv, 2);
         for g in 0..3 {
-            let rows = tape.gather_rows(xv, &[2 * g, 2 * g + 1]);
-            let summed = tape.sum_rows(rows);
+            let summed = x.gather_rows(&[2 * g, 2 * g + 1]).sum_rows();
             assert_eq!(
                 tape.value(grouped).row_slice(g),
-                tape.value(summed).data(),
+                summed.data(),
                 "group {g} drifted"
             );
         }

@@ -27,6 +27,11 @@ else
     echo "skipped: clippy not installed"
 fi
 
+step "cargo doc -D warnings"
+# Doc links to deleted or private items fail here, not in a reader's
+# browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline || fail=1
+
 step "cargo build --release"
 cargo build --release --offline || fail=1
 
@@ -59,9 +64,11 @@ step "determinism suite (workers 1 vs 4 bit-identity, batched jobs)"
 cargo test -q --offline --test determinism || fail=1
 
 step "gradient verification + property harness (adaptraj-check)"
-# Central-difference gradient checks for all 32 tape ops, the LSTM/MLP
-# layers, and every backbone's full training loss; tape invariants and
-# algebraic identities through the offline shrinking generator.
+# Central-difference gradient checks for all 27 tape ops, the LSTM/MLP
+# layers, and every backbone's full training loss; the op inventory
+# (the golden micro-runs record every op kind but the reference-only
+# ones); tape invariants and algebraic identities through the offline
+# shrinking generator.
 cargo test -q --offline -p adaptraj-check || fail=1
 
 step "kernel equivalence suite (scalar vs SIMD bit-identity)"

@@ -115,6 +115,25 @@ pub fn parse_domain(tag: &str) -> Result<DomainId, ParseError> {
     })
 }
 
+/// Parses a comma-separated source-domain list. Each domain may appear
+/// once: aliases of one domain (`l_cas`, `lcas`) count as the same.
+fn parse_sources(list: &str) -> Result<Vec<DomainId>, ParseError> {
+    let sources = list
+        .split(',')
+        .map(parse_domain)
+        .collect::<Result<Vec<_>, _>>()?;
+    for (i, d) in sources.iter().enumerate() {
+        if sources[..i].contains(d) {
+            return Err(err(format!(
+                "--sources lists '{}' more than once; each source domain may \
+                 appear only once",
+                d.name()
+            )));
+        }
+    }
+    Ok(sources)
+}
+
 fn parse_backbone(tag: &str) -> Result<BackboneKind, ParseError> {
     match tag.to_ascii_lowercase().as_str() {
         "pecnet" => Ok(BackboneKind::PecNet),
@@ -273,24 +292,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     .get("method")
                     .ok_or_else(|| err("--method required"))?,
             )?;
-            let sources = flags
-                .get("sources")
-                .ok_or_else(|| err("--sources required (comma-separated)"))?
-                .split(',')
-                .map(parse_domain)
-                .collect::<Result<Vec<_>, _>>()?;
-            if sources.is_empty() {
-                return Err(err("--sources must name at least one domain"));
-            }
-            for (i, d) in sources.iter().enumerate() {
-                if sources[..i].contains(d) {
-                    return Err(err(format!(
-                        "--sources lists '{}' more than once; each source domain may \
-                         appear only once",
-                        d.name()
-                    )));
-                }
-            }
+            let sources = parse_sources(
+                flags
+                    .get("sources")
+                    .ok_or_else(|| err("--sources required (comma-separated)"))?,
+            )?;
             let target = parse_domain(
                 flags
                     .get("target")
@@ -338,15 +344,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             )?;
             let backbone = parse_backbone(flags.get("backbone").unwrap_or(&"pecnet"))?;
             let method = parse_method(flags.get("method").unwrap_or(&"vanilla"))?;
-            let sources = flags
-                .get("sources")
-                .unwrap_or(&"eth_ucy,l_cas")
-                .split(',')
-                .map(parse_domain)
-                .collect::<Result<Vec<_>, _>>()?;
-            if sources.is_empty() {
-                return Err(err("--sources must name at least one domain"));
-            }
+            let sources = parse_sources(flags.get("sources").unwrap_or(&"eth_ucy,l_cas"))?;
             let deadline_ms: u64 = flags
                 .get("deadline-ms")
                 .map(|v| {
@@ -634,6 +632,11 @@ mod tests {
         assert!(e.0.contains("unknown backbone"), "{e}");
         let e = parse(&args("serve --epochs 3")).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
+        let e = parse(&args("serve --method adaptraj --sources eth_ucy,eth_ucy")).unwrap_err();
+        assert!(
+            e.0.contains("--sources lists 'ETH&UCY' more than once"),
+            "{e}"
+        );
     }
 
     #[test]
