@@ -370,7 +370,7 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
                     average: false,
                 },
                 sections: single(
-                    &["Backbone", "Method", "Avg inference time (s)"],
+                    &["Backbone", "Method", "Median inference time (s)"],
                     backbone_rows(&MethodKind::COMPARED, MethodKind::name, |b, m| {
                         vec![cell(b, m, &sdd_sources, Sdd, &cfg)]
                     }),

@@ -311,7 +311,7 @@ fn table8_cells_use_the_short_training_budget() {
     let out = check(
         "table8",
         &grid(&METHODS, &tails),
-        "| Backbone | Method       | Avg inference time (s) |",
+        "| Backbone | Method       | Median inference time (s) |",
         8,
         (2, 60, 1, 60),
     );

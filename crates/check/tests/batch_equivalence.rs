@@ -562,20 +562,34 @@ fn adaptraj_pecnet() -> AdapTraj<PecNet> {
     )
 }
 
+fn adaptraj_lbebm() -> AdapTraj<Lbebm> {
+    AdapTraj::new(
+        AdapTrajConfig::smoke(),
+        &[DomainId::EthUcy, DomainId::LCas],
+        |s, r, extra| Lbebm::new(s, r, BackboneConfig::default().with_extra(extra)),
+    )
+}
+
+fn counter_lbebm() -> Counter<Lbebm> {
+    Counter::new(TrainerConfig::smoke(), |s, r| {
+        Lbebm::new(s, r, BackboneConfig::default())
+    })
+}
+
 // ---------------------------------------------------------------------------
-// Encode once, sample k: `sample(batch, rngs, k)` is k successive
-// `predict` calls per window.
+// Encode once, sample k: `sample(batch, rngs, k)`, one stacked pass of
+// k·B rows, is k successive `predict` calls per window.
 // ---------------------------------------------------------------------------
 
 /// For a lone window and for the five ragged mixed-domain windows, and
-/// for k ∈ {0, 1, 3}: window `b`'s `k` samples equal `k` successive
+/// for k ∈ {0, 1, 3, 20}: window `b`'s `k` samples equal `k` successive
 /// `predict` calls on its rng bit for bit, and every rng ends in the same
 /// state (its next draw agrees).
 fn assert_sample_k_matches_repeated_predict(label: &str, model: &dyn Predictor) {
     let ws = serving_windows();
     for b in [1, ws.len()] {
         let batch = WindowBatch::new(ws[..b].iter().collect(), (0..b as u64).collect());
-        for k in [0, 1, 3] {
+        for k in [0, 1, 3, 20] {
             let mut rngs: Vec<Rng> = (0..b).map(|i| Rng::seed_from(wseed(i))).collect();
             let got = model.sample(&batch, &mut rngs, k);
             assert_eq!(got.len(), b, "{label}: B={b} k={k}: one entry per window");
@@ -619,4 +633,6 @@ fn sample_k_matches_repeated_predict_all_configurations() {
     assert_sample_k_matches_repeated_predict("pecnet-counter", &counter_pecnet());
     assert_sample_k_matches_repeated_predict("pecnet-causalmotion", &causalmotion_pecnet());
     assert_sample_k_matches_repeated_predict("pecnet-adaptraj", &adaptraj_pecnet());
+    assert_sample_k_matches_repeated_predict("lbebm-adaptraj", &adaptraj_lbebm());
+    assert_sample_k_matches_repeated_predict("lbebm-counter", &counter_lbebm());
 }

@@ -128,8 +128,9 @@ impl<B: Backbone> AdapTraj<B> {
     /// store (modulo the intentional gradient-reversal and teacher-detach
     /// asymmetries documented there). The batch must be domain-homogeneous
     /// (as `Trainer` forms its jobs); every parameter is read from
-    /// `ctx.store`, which must be this model's own store, and `ctx.rngs`
-    /// must hold one rng per batched window.
+    /// `ctx.store`, which must be this model's own store, and `ctx` must
+    /// be a training context ([`ForwardCtx::train`]) with one rng per
+    /// batched window.
     pub fn batch_training_loss(
         &self,
         ctx: &mut ForwardCtx<'_>,
@@ -248,7 +249,10 @@ impl<B: Backbone> Framework<B> {
         masked: bool,
         delta: f32,
     ) -> (Var, LossComponents) {
-        ctx.mode = GenMode::Train;
+        assert!(
+            matches!(ctx.mode, GenMode::Train(_)),
+            "batch_loss needs a training context"
+        );
         let store = ctx.store;
         let domain = batch.windows()[0].domain;
         debug_assert!(

@@ -94,8 +94,9 @@ impl CellSpec {
 pub struct CellResult {
     pub spec: CellSpec,
     pub eval: EvalResult,
-    /// Mean wall-clock inference time per trajectory (seconds), single
-    /// sample, excluding metric computation — the Table VIII quantity.
+    /// Median wall-clock time of one single-window, single-sample
+    /// `predict` call (seconds, [`infer_latency`]) — the Table VIII
+    /// quantity.
     pub infer_time_s: f64,
     pub train_time_s: f64,
     pub final_train_loss: Option<f32>,
@@ -252,47 +253,72 @@ pub fn target_test<'a>(
         .collect()
 }
 
-/// Evaluates a trained predictor on test windows (best-of-k) and measures
-/// single-sample inference latency.
+/// Single-window `predict` calls [`infer_latency`] times per cell.
+const LATENCY_PROBE_CALLS: usize = 32;
+
+/// Evaluates a trained predictor on test windows (best-of-k).
 ///
-/// Windows are dispatched to the `adaptraj-exec` worker pool; each window
-/// draws its `k` samples from an RNG seeded by [`window_seed`], so ADE/FDE
-/// are bit-identical for every worker count. Each window makes two
-/// [`Predictor::sample`] calls on that RNG (through `predict_k`): one for
-/// the first sample, whose wall-clock is the per-window latency (the
-/// Table VIII single-sample inference time), and one for the other
-/// `k − 1`, so the scene is encoded twice per window, not `k` times.
+/// Windows are dispatched to the `adaptraj-exec` worker pool. Window `i`
+/// makes one [`Predictor::sample`] call for its `k` samples (at least
+/// one) on an RNG seeded by `window_seed(seed, 0, i)`, so its scene is
+/// encoded once and its samples run as one stacked pass. Its samples are
+/// bit-identical to `k` successive `predict` calls on that RNG, and
+/// ADE/FDE are bit-identical for every worker count.
+///
+/// Returns the mean errors and each window's best-of-k `(ade, fde)`, in
+/// window order; the means are reduced from those values in that order.
 pub fn evaluate(
     predictor: &dyn Predictor,
     test: &[&TrajWindow],
     k: usize,
     seed: u64,
     workers: usize,
-) -> (EvalResult, f64) {
+) -> (EvalResult, Vec<(f32, f32)>) {
     assert!(!test.is_empty(), "empty test set");
     // Ops of every window land under `evaluate/...`: the pool carries the
     // span into each job, which also records its own queue_wait/job_run.
     let _span = adaptraj_obs::span("evaluate");
     let pool = WorkerPool::new(workers);
-    let results = pool
+    let per_window = pool
         .map(test, |i, w| {
             let mut rng = Rng::seed_from(window_seed(seed, 0, i as u64));
-            let t0 = Instant::now();
-            let mut samples = predictor.predict_k(w, 1, &mut rng);
-            let latency = t0.elapsed().as_secs_f64();
-            samples.extend(predictor.predict_k(w, k.max(1) - 1, &mut rng));
-            let (a, f) = best_of_k(&samples, &w.fut);
-            (a, f, latency)
+            let samples = predictor.predict_k(w, k.max(1), &mut rng);
+            best_of_k(&samples, &w.fut)
         })
         .unwrap_or_else(|e| panic!("evaluation worker panicked: {e}"));
     // Reduce in window order: identical accumulation for any worker count.
     let mut acc = EvalAccumulator::new();
-    let mut latency = 0.0f64;
-    for (a, f, l) in results {
+    for &(a, f) in &per_window {
         acc.push(a, f);
-        latency += l;
     }
-    (acc.result(), latency / test.len() as f64)
+    (acc.result(), per_window)
+}
+
+/// Per-trajectory inference time, the Table VIII quantity: the median
+/// wall-clock seconds of `LATENCY_PROBE_CALLS` (32) single-window,
+/// single-sample [`Predictor::predict`] calls on the calling thread. Call
+/// `c` predicts window `i = c·len/calls` of `test` (a fixed stride
+/// subset) with an RNG seeded by `window_seed(seed, 0, i)`.
+pub fn infer_latency(predictor: &dyn Predictor, test: &[&TrajWindow], seed: u64) -> f64 {
+    assert!(!test.is_empty(), "nothing to time");
+    let calls = LATENCY_PROBE_CALLS;
+    let _span = adaptraj_obs::span("infer_latency");
+    let mut times: Vec<f64> = (0..calls)
+        .map(|c| {
+            let i = c * test.len() / calls;
+            let mut rng = Rng::seed_from(window_seed(seed, 0, i as u64));
+            let t0 = Instant::now();
+            predictor.predict(test[i], &mut rng);
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let mid = calls / 2;
+    if calls % 2 == 1 {
+        times[mid]
+    } else {
+        0.5 * (times[mid - 1] + times[mid])
+    }
 }
 
 /// Trains and evaluates one cell end to end.
@@ -314,13 +340,14 @@ pub fn train_cell(
     let t0 = Instant::now();
     let report = predictor.fit(&train);
     let train_time_s = t0.elapsed().as_secs_f64();
-    let (eval, infer_time_s) = evaluate(
+    let (eval, _) = evaluate(
         predictor.as_ref(),
         &test,
         cfg.samples_k,
         cfg.eval_seed,
         cfg.trainer.workers,
     );
+    let infer_time_s = infer_latency(predictor.as_ref(), &test, cfg.eval_seed);
     trace::emit(
         Level::Info,
         "eval.cell",
@@ -407,6 +434,10 @@ pub fn leave_one_out(target: DomainId) -> Vec<DomainId> {
 mod tests {
     use super::*;
     use adaptraj_data::dataset::{synthesize_domain, SynthesisConfig};
+    use adaptraj_data::trajectory::Point;
+    use adaptraj_data::WindowBatch;
+    use adaptraj_tensor::ParamStore;
+    use std::sync::Mutex;
 
     fn tiny_datasets() -> Vec<DomainDataset> {
         let cfg = SynthesisConfig::smoke();
@@ -506,6 +537,8 @@ mod tests {
         for (backbone, method) in [
             (BackboneKind::PecNet, MethodKind::AdapTraj),
             (BackboneKind::Lbebm, MethodKind::Vanilla),
+            (BackboneKind::Lbebm, MethodKind::AdapTraj),
+            (BackboneKind::PecNet, MethodKind::Counter),
         ] {
             let spec = CellSpec {
                 backbone,
@@ -517,20 +550,89 @@ mod tests {
             let mut predictor = build_predictor(&spec, &tiny_runner());
             predictor.fit(&pooled_train(&spec, &datasets));
             let mut acc = EvalAccumulator::new();
+            let mut want_windows = Vec::new();
             for (i, w) in test.iter().enumerate() {
                 let mut rng = Rng::seed_from(window_seed(seed, 0, i as u64));
                 let samples: Vec<_> = (0..k).map(|_| predictor.predict(w, &mut rng)).collect();
                 let (a, f) = best_of_k(&samples, &w.fut);
                 acc.push(a, f);
+                want_windows.push((a.to_bits(), f.to_bits()));
             }
             let want = acc.result();
             for workers in [1, 2] {
-                let (got, _) = evaluate(predictor.as_ref(), &test, k, seed, workers);
+                let (got, windows) = evaluate(predictor.as_ref(), &test, k, seed, workers);
                 let label = format!("{} workers={workers}", spec.label());
                 assert_eq!(got.ade.to_bits(), want.ade.to_bits(), "ADE: {label}");
                 assert_eq!(got.fde.to_bits(), want.fde.to_bits(), "FDE: {label}");
+                let got_windows: Vec<_> = windows
+                    .iter()
+                    .map(|(a, f)| (a.to_bits(), f.to_bits()))
+                    .collect();
+                assert_eq!(got_windows, want_windows, "per-window errors: {label}");
             }
         }
+    }
+
+    /// Records every `sample` call as (window address, batch size, k).
+    struct CountingPredictor {
+        inner: Box<dyn Predictor>,
+        calls: Mutex<Vec<(usize, usize, usize)>>,
+    }
+
+    impl Predictor for CountingPredictor {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn fit(&mut self, train: &[TrajWindow]) -> TrainReport {
+            self.inner.fit(train)
+        }
+
+        fn sample(
+            &self,
+            batch: &WindowBatch<'_>,
+            rngs: &mut [Rng],
+            k: usize,
+        ) -> Vec<Vec<Vec<Point>>> {
+            let window = batch.windows()[0] as *const TrajWindow as usize;
+            self.calls.lock().unwrap().push((window, batch.len(), k));
+            self.inner.sample(batch, rngs, k)
+        }
+
+        fn store(&self) -> &ParamStore {
+            self.inner.store()
+        }
+
+        fn store_mut(&mut self) -> &mut ParamStore {
+            self.inner.store_mut()
+        }
+    }
+
+    #[test]
+    fn infer_latency_times_n_single_window_predicts_on_a_stride_subset() {
+        let datasets = tiny_datasets();
+        let spec = CellSpec {
+            backbone: BackboneKind::PecNet,
+            method: MethodKind::Vanilla,
+            sources: vec![DomainId::EthUcy],
+            target: DomainId::LCas,
+        };
+        let test = target_test(&spec, &datasets, 10);
+        let probe = CountingPredictor {
+            inner: build_predictor(&spec, &tiny_runner()),
+            calls: Mutex::new(Vec::new()),
+        };
+        let n = LATENCY_PROBE_CALLS;
+        let median = infer_latency(&probe, &test, 99);
+        assert!(median.is_finite() && median > 0.0, "median {median}");
+        let calls = probe.calls.into_inner().unwrap();
+        let want: Vec<(usize, usize, usize)> = (0..n)
+            .map(|c| (test[c * test.len() / n] as *const TrajWindow as usize, 1, 1))
+            .collect();
+        assert_eq!(
+            calls, want,
+            "one single-window, single-sample call per timed window"
+        );
     }
 
     #[test]

@@ -53,6 +53,27 @@ pub struct EncodedScene {
     pub p_i: Var,
 }
 
+impl EncodedScene {
+    /// Both tensors repeated for `k` stacked samples ([`repeat_rows`]).
+    pub fn repeat(&self, tape: &mut Tape, k: usize) -> EncodedScene {
+        EncodedScene {
+            h_focal: repeat_rows(tape, self.h_focal, k),
+            p_i: repeat_rows(tape, self.p_i, k),
+        }
+    }
+}
+
+/// `v`'s `B` rows repeated sample-major for `k` stacked samples: row
+/// `j·B + b` is row `b`. With `k = 1` this is `v` itself and records no op.
+pub fn repeat_rows(tape: &mut Tape, v: Var, k: usize) -> Var {
+    if k == 1 {
+        return v;
+    }
+    let b = tape.value(v).rows();
+    let idx: Vec<usize> = (0..k).flat_map(|_| 0..b).collect();
+    tape.gather_rows(v, &idx)
+}
+
 /// Which `φ` aggregates the neighbors (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InteractionKind {

@@ -21,7 +21,7 @@ use adaptraj_data::trajectory::{Point, TrajWindow};
 use adaptraj_data::WindowBatch;
 use adaptraj_obs::{span, LossComponents};
 use adaptraj_tensor::optim::Adam;
-use adaptraj_tensor::{ParamStore, Rng, Tape};
+use adaptraj_tensor::{ParamStore, Rng};
 
 /// Strength of the counterfactual subtraction (1.0 = fully remove the
 /// neighbor-caused component, as described in the paper).
@@ -97,8 +97,9 @@ impl<B: Backbone> Predictor for Counter<B> {
         &mut self.store
     }
 
-    /// Both scenes — factual and counterfactual — are encoded once; each
-    /// sample then runs both generate passes on one shared latent draw.
+    /// Both scenes — factual and counterfactual — are encoded once; the
+    /// `k` stacked samples then run both generate passes on shared latent
+    /// draws.
     fn sample(&self, batch: &WindowBatch<'_>, rngs: &mut [Rng], k: usize) -> Vec<Vec<Vec<Point>>> {
         assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
         let cf: Vec<TrajWindow> = batch
@@ -110,30 +111,31 @@ impl<B: Backbone> Predictor for Counter<B> {
         let store = &self.store;
         let backbone = &self.backbone;
         sample_passes(
-            batch.len(),
+            rngs,
             k,
-            |tape| {
-                let _p = span("encode");
-                (
-                    backbone.encode(store, tape, batch),
-                    backbone.encode(store, tape, &cf_batch),
-                )
-            },
-            |tape, (enc, enc_cf)| {
+            |rng| {
                 // The factual and counterfactual passes share each
-                // window's latent draw, so the subtraction isolates the
+                // sample's latent draw, so the subtraction isolates the
                 // neighbor effect rather than sampling noise.
-                let seeds: Vec<u64> = rngs
-                    .iter_mut()
-                    .map(|rng| ((rng.unit().to_bits() as u64) << 32) | rng.unit().to_bits() as u64)
-                    .collect();
-                let generate = |tape: &mut Tape, b: &WindowBatch<'_>, enc: &EncodedScene| {
-                    let mut r: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
-                    let mut ctx = ForwardCtx::sample(store, tape, &mut r);
-                    backbone.generate(&mut ctx, b, enc, None).pred
+                let seed = ((rng.unit().to_bits() as u64) << 32) | rng.unit().to_bits() as u64;
+                backbone.sample_draws(&mut Rng::seed_from(seed))
+            },
+            |tape, draws| {
+                let (enc, enc_cf) = {
+                    let _p = span("encode");
+                    (
+                        backbone.encode(store, tape, batch),
+                        backbone.encode(store, tape, &cf_batch),
+                    )
                 };
-                let y_fact = generate(tape, batch, enc);
-                let y_cf = generate(tape, &cf_batch, enc_cf);
+                let _p = span("generate");
+                let mut generate = |b: &WindowBatch<'_>, enc: EncodedScene| {
+                    let enc = enc.repeat(tape, k);
+                    let mut ctx = ForwardCtx::sample(store, tape, draws);
+                    backbone.generate(&mut ctx, b, &enc, None).pred
+                };
+                let y_fact = generate(batch, enc);
+                let y_cf = generate(&cf_batch, enc_cf);
                 // Y_final = Y(X,E) − β·(Y(X,E) − Y(X,∅)): subtract the
                 // neighbor-caused component.
                 let effect = tape.sub(y_fact, y_cf);

@@ -107,23 +107,19 @@ impl Lbebm {
         })
     }
 
-    /// Short-run Langevin MCMC from a standard-normal initialization:
-    /// `z ← z − s/2 · ∂E/∂z + √s · ε`, all chains stepped jointly with
-    /// noise row `b` drawn from window `b`'s rng stream.
-    fn langevin_sample(
-        &self,
-        store: &ParamStore,
-        h: &Tensor,
-        p: &Tensor,
-        rngs: &mut [Rng],
-    ) -> Tensor {
-        let mut z = randn_per_window(rngs, self.cfg.z_dim, 0.0, 1.0);
+    /// Short-run Langevin MCMC on pre-drawn [`Backbone::sample_draws`]
+    /// rows, one chain per row: start from the init block, then
+    /// `z ← z − s/2 · ∂E/∂z + √s · ε` per step with step `i`'s `√s · ε`
+    /// from noise block `i`, all chains stepped jointly.
+    fn langevin(&self, store: &ParamStore, h: &Tensor, p: &Tensor, draws: &Tensor) -> Tensor {
+        let zd = self.cfg.z_dim;
+        let block = |i: usize| draws.slice_cols(i * zd, (i + 1) * zd);
         let s = LANGEVIN_STEP_SIZE;
-        for _ in 0..LANGEVIN_STEPS {
+        let mut z = block(0);
+        for i in 0..LANGEVIN_STEPS {
             let (grad, _) = self.energy_grad(store, &z, h, p);
             z.axpy(-s / 2.0, &grad);
-            let noise = randn_per_window(rngs, self.cfg.z_dim, 0.0, s.sqrt());
-            z.axpy(1.0, &noise);
+            z.axpy(1.0, &block(i + 1));
             // Keep the chains in a sane region early in training.
             for v in z.data_mut() {
                 *v = v.clamp(-4.0, 4.0);
@@ -160,8 +156,8 @@ impl Backbone for Lbebm {
         );
         let zd = self.cfg.z_dim;
         let store = ctx.store;
-        let (z, aux_loss) = match ctx.mode {
-            GenMode::Train => {
+        let (z, aux_loss) = match &mut ctx.mode {
+            GenMode::Train(rngs) => {
                 // Posterior samples, one per window row.
                 let tape = &mut *ctx.tape;
                 let fut = tape.constant(batch_fut_flat_tensor(batch));
@@ -173,7 +169,7 @@ impl Backbone for Lbebm {
                 let logvar = tape.scale(logvar_t, 3.0);
                 let half = tape.scale(logvar, 0.5);
                 let std = tape.exp(half);
-                let eps = tape.constant(randn_per_window(ctx.rngs, zd, 0.0, 1.0));
+                let eps = tape.constant(randn_per_window(rngs, zd, 0.0, 1.0));
                 let noise = tape.mul(std, eps);
                 let z_pos = tape.add(mu, noise);
 
@@ -184,7 +180,9 @@ impl Backbone for Lbebm {
                 // mean so per-window squares regularize correctly.
                 let h_val = tape.value(enc.h_focal).clone();
                 let p_val = tape.value(enc.p_i).clone();
-                let z_neg = self.langevin_sample(store, &h_val, &p_val, ctx.rngs);
+                let draws: Vec<Tensor> = rngs.iter_mut().map(|r| self.sample_draws(r)).collect();
+                let draws = Tensor::concat_rows(&draws.iter().collect::<Vec<_>>());
+                let z_neg = self.langevin(store, &h_val, &p_val, &draws);
                 let joint_pos = tape.concat_cols(&[z_pos, enc.h_focal, enc.p_i]);
                 let e_pos = self.energy.forward(store, tape, joint_pos); // [B, 1]
                 let z_neg_var = tape.constant(z_neg);
@@ -215,12 +213,12 @@ impl Backbone for Lbebm {
                 let aux = tape.mean_rows(aux_rows); // batch mean, [1, 1]
                 (z_pos, Some(aux))
             }
-            GenMode::Sample => {
+            GenMode::Sample(draws) => {
                 let (h_val, p_val) = {
                     let tape = &*ctx.tape;
                     (tape.value(enc.h_focal).clone(), tape.value(enc.p_i).clone())
                 };
-                let z = self.langevin_sample(store, &h_val, &p_val, ctx.rngs);
+                let z = self.langevin(store, &h_val, &p_val, draws);
                 (ctx.tape.constant(z), None)
             }
         };
@@ -233,6 +231,17 @@ impl Backbone for Lbebm {
         let cond = tape.concat_cols(&parts);
         let pred = self.rollout.rollout(store, tape, cond);
         Generation { pred, aux_loss }
+    }
+
+    /// The Langevin chain's initialization row, then one noise row per
+    /// step, side by side.
+    fn sample_draws(&self, rng: &mut Rng) -> Tensor {
+        let zd = self.cfg.z_dim;
+        let mut parts = vec![Tensor::randn(1, zd, 0.0, 1.0, rng)];
+        for _ in 0..LANGEVIN_STEPS {
+            parts.push(Tensor::randn(1, zd, 0.0, LANGEVIN_STEP_SIZE.sqrt(), rng));
+        }
+        Tensor::concat_cols(&parts.iter().collect::<Vec<_>>())
     }
 }
 
@@ -264,7 +273,8 @@ mod tests {
         assert!(tape.value(loss).item().is_finite());
         let mut t2 = Tape::new();
         let enc = model.encode(&store, &mut t2, &batch);
-        let mut c2 = ForwardCtx::sample(&store, &mut t2, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut c2 = ForwardCtx::sample(&store, &mut t2, &draws);
         let s = model.generate(&mut c2, &batch, &enc, None).pred;
         assert_eq!(t2.value(s).shape(), (T_PRED, 2));
     }
@@ -331,7 +341,8 @@ mod tests {
         for _ in 0..16 {
             let z0 = Tensor::randn(1, model.cfg.z_dim, 0.0, 1.0, &mut rng);
             let (_, e0) = model.energy_grad(&store, &z0, &h, &p);
-            let z1 = model.langevin_sample(&store, &h, &p, std::slice::from_mut(&mut rng));
+            let draws = model.sample_draws(&mut rng);
+            let z1 = model.langevin(&store, &h, &p, &draws);
             let (_, e1) = model.energy_grad(&store, &z1, &h, &p);
             e0_sum += e0;
             e1_sum += e1;
@@ -351,9 +362,24 @@ mod tests {
         let batch = WindowBatch::single(&w, 0);
         let mut tape = Tape::new();
         let enc = model.encode(&store, &mut tape, &batch);
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
-        let s1 = model.generate(&mut ctx, &batch, &enc, None).pred;
-        let s2 = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let d1 = model.sample_draws(&mut rng);
+        let d2 = model.sample_draws(&mut rng);
+        let s1 = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d1),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
+        let s2 = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d2),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
         assert_ne!(tape.value(s1).data(), tape.value(s2).data());
     }
 
@@ -369,7 +395,8 @@ mod tests {
         let enc = model.encode(&store, &mut tape, &batch);
         let e1 = tape.constant(Tensor::zeros(1, 5));
         let e2 = tape.constant(Tensor::full(1, 5, 3.0));
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, &draws);
         let g1 = model.generate(&mut ctx, &batch, &enc, Some(e1));
         let g2 = model.generate(&mut ctx, &batch, &enc, Some(e2));
         assert_ne!(tape.value(g1.pred).data(), tape.value(g2.pred).data());

@@ -17,8 +17,9 @@
 //!   feeds its fused features back as `extra` conditioning. Forward passes
 //!   run over a whole `WindowBatch` at once — one tape pass with batched
 //!   `GEMM`/`FusedAffine`/`LstmCell` nodes, ragged neighbor counts handled
-//!   by masking — and thread a [`traits::ForwardCtx`] (store + tape + one
-//!   rng per window + mode) so they cross worker-thread boundaries cleanly.
+//!   by masking — and thread a [`traits::ForwardCtx`] (store + tape +
+//!   mode: one rng per window in training, pre-drawn rows in sampling) so
+//!   they cross worker-thread boundaries cleanly.
 //! * [`trainer::Trainer`] — the shared mini-batch loop behind the
 //!   `adaptraj-exec` worker pool: batches split into domain-homogeneous
 //!   jobs, `--workers N` data-parallelism with bit-identical results for

@@ -18,7 +18,7 @@ use crate::config::BackboneConfig;
 use crate::traits::{randn_per_window, Backbone, ForwardCtx, GenMode, Generation};
 use adaptraj_data::WindowBatch;
 use adaptraj_tensor::nn::{Activation, Mlp};
-use adaptraj_tensor::{ParamStore, Rng, Tape, Var};
+use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
 /// Weight of the endpoint reconstruction loss.
 const ENDPOINT_WEIGHT: f32 = 1.0;
@@ -85,7 +85,7 @@ impl PecNet {
 
     /// Infers the endpoints `[B, 2]`. In train mode returns the CVAE
     /// auxiliary loss (endpoint MSE + KL, both batch means) alongside; in
-    /// sample mode draws truncated prior latents, one per window.
+    /// sample mode truncates the pre-drawn prior latents, one per row.
     fn infer_endpoint(
         &self,
         ctx: &mut ForwardCtx<'_>,
@@ -95,8 +95,8 @@ impl PecNet {
         let zd = self.cfg.z_dim;
         let b = batch.len();
         let store = ctx.store;
-        match ctx.mode {
-            GenMode::Train => {
+        match &mut ctx.mode {
+            GenMode::Train(rngs) => {
                 let tape = &mut *ctx.tape;
                 let gt_ep = batch_endpoint_tensor(batch);
                 let gt_var = tape.constant(gt_ep.clone());
@@ -111,7 +111,7 @@ impl PecNet {
                 // Reparameterized sample, row b from window b's rng.
                 let half_logvar = tape.scale(logvar, 0.5);
                 let std = tape.exp(half_logvar);
-                let eps = tape.constant(randn_per_window(ctx.rngs, zd, 0.0, 1.0));
+                let eps = tape.constant(randn_per_window(rngs, zd, 0.0, 1.0));
                 let noise = tape.mul(std, eps);
                 let z = tape.add(mu, noise);
                 // Endpoint reconstruction (mse_to's mean over B·2 elements
@@ -133,8 +133,8 @@ impl PecNet {
                 let aux = tape.add(weighted_mse, weighted_kl);
                 (ep_hat, Some(aux))
             }
-            GenMode::Sample => {
-                let mut z = randn_per_window(ctx.rngs, zd, 0.0, 1.0);
+            GenMode::Sample(draws) => {
+                let mut z = (*draws).clone();
                 for v in z.data_mut() {
                     *v = v.clamp(-TRUNCATION, TRUNCATION);
                 }
@@ -182,6 +182,11 @@ impl Backbone for PecNet {
         let pred = self.rollout.rollout(ctx.store, ctx.tape, cond);
         Generation { pred, aux_loss }
     }
+
+    /// One prior latent row.
+    fn sample_draws(&self, rng: &mut Rng) -> Tensor {
+        Tensor::randn(1, self.cfg.z_dim, 0.0, 1.0, rng)
+    }
 }
 
 #[cfg(test)]
@@ -214,7 +219,8 @@ mod tests {
 
         let mut tape2 = Tape::new();
         let enc = model.encode(&store, &mut tape2, &batch);
-        let mut ctx2 = ForwardCtx::sample(&store, &mut tape2, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut ctx2 = ForwardCtx::sample(&store, &mut tape2, &draws);
         let sample = model.generate(&mut ctx2, &batch, &enc, None).pred;
         assert_eq!(tape2.value(sample).shape(), (T_PRED, 2));
     }
@@ -278,9 +284,24 @@ mod tests {
         let batch = WindowBatch::single(&w, 0);
         let mut tape = Tape::new();
         let enc = model.encode(&store, &mut tape, &batch);
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
-        let s1 = model.generate(&mut ctx, &batch, &enc, None).pred;
-        let s2 = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let d1 = model.sample_draws(&mut rng);
+        let d2 = model.sample_draws(&mut rng);
+        let s1 = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d1),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
+        let s2 = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d2),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
         assert_ne!(
             tape.value(s1).data(),
             tape.value(s2).data(),
@@ -300,7 +321,8 @@ mod tests {
         let enc = model.encode(&store, &mut tape, &batch);
         let e1 = tape.constant(Tensor::zeros(1, 6));
         let e2 = tape.constant(Tensor::full(1, 6, 2.0));
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, &draws);
         let g1 = model.generate(&mut ctx, &batch, &enc, Some(e1));
         let g2 = model.generate(&mut ctx, &batch, &enc, Some(e2));
         assert_ne!(
@@ -321,7 +343,8 @@ mod tests {
         let batch = WindowBatch::single(&w, 0);
         let mut tape = Tape::new();
         let enc = model.encode(&store, &mut tape, &batch);
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, &draws);
         model.generate(&mut ctx, &batch, &enc, None);
     }
 }

@@ -98,10 +98,11 @@ pub trait Predictor: Send + Sync {
     /// point: best-of-k evaluation, serving and the single-window
     /// wrappers below all come through it.
     ///
-    /// Impls encode the batch (and derive any conditioning from it) once,
-    /// then run `k` sample passes one after another on the same tape
-    /// ([`crate::traits::sample_passes`]). Encoding draws no randomness,
-    /// so window `b`'s sample `j` is bit-identical to the `j`-th of `k`
+    /// Impls encode the batch (and derive any conditioning from it) once
+    /// and run the `k` samples as one stacked pass of `k·B` rows
+    /// ([`crate::traits::sample_passes`]), with every random draw taken
+    /// first, in the order `k` single-sample calls would take it. So
+    /// window `b`'s sample `j` is bit-identical to the `j`-th of `k`
     /// successive `predict(windows()[b], &mut rngs[b])` calls, and each
     /// `rngs[b]` ends where those calls would leave it. The same holds
     /// whatever other windows share the batch (the serving bit-identity

@@ -9,9 +9,9 @@
 
 use crate::backbone::{EncodedScene, InteractionKind, RolloutDecoder, SceneEncoder};
 use crate::config::BackboneConfig;
-use crate::traits::{randn_per_window, Backbone, ForwardCtx, Generation};
+use crate::traits::{randn_per_window, Backbone, ForwardCtx, GenMode, Generation};
 use adaptraj_data::WindowBatch;
-use adaptraj_tensor::{ParamStore, Rng, Tape, Var};
+use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
 /// The Social-LSTM-style backbone.
 #[derive(Debug, Clone)]
@@ -63,7 +63,10 @@ impl Backbone for SocialLstm {
         // A plain Gaussian latent in both modes: Social-LSTM has no
         // learned latent space; diversity comes from input noise (Eq. 5).
         // Row b is drawn from window b's rng stream.
-        let z_rows = randn_per_window(ctx.rngs, self.cfg.z_dim, 0.0, 1.0);
+        let z_rows = match &mut ctx.mode {
+            GenMode::Train(rngs) => randn_per_window(rngs, self.cfg.z_dim, 0.0, 1.0),
+            GenMode::Sample(draws) => (*draws).clone(),
+        };
         let tape = &mut *ctx.tape;
         let z = tape.constant(z_rows);
         let mut parts = vec![enc.h_focal, enc.p_i, z];
@@ -76,6 +79,11 @@ impl Backbone for SocialLstm {
             pred,
             aux_loss: None,
         }
+    }
+
+    /// One Gaussian latent row.
+    fn sample_draws(&self, rng: &mut Rng) -> Tensor {
+        Tensor::randn(1, self.cfg.z_dim, 0.0, 1.0, rng)
     }
 }
 
@@ -160,9 +168,24 @@ mod tests {
         let batch = WindowBatch::single(&w, 0);
         let mut tape = Tape::new();
         let enc = model.encode(&store, &mut tape, &batch);
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
-        let a = model.generate(&mut ctx, &batch, &enc, None).pred;
-        let b = model.generate(&mut ctx, &batch, &enc, None).pred;
+        let d1 = model.sample_draws(&mut rng);
+        let d2 = model.sample_draws(&mut rng);
+        let a = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d1),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
+        let b = model
+            .generate(
+                &mut ForwardCtx::sample(&store, &mut tape, &d2),
+                &batch,
+                &enc,
+                None,
+            )
+            .pred;
         assert_ne!(tape.value(a).data(), tape.value(b).data());
     }
 
@@ -180,7 +203,8 @@ mod tests {
         let enc = model.encode(&store, &mut tape, &batch);
         let e1 = tape.constant(Tensor::zeros(1, 6));
         let e2 = tape.constant(Tensor::full(1, 6, 2.0));
-        let mut ctx = ForwardCtx::sample(&store, &mut tape, std::slice::from_mut(&mut rng));
+        let draws = model.sample_draws(&mut rng);
+        let mut ctx = ForwardCtx::sample(&store, &mut tape, &draws);
         let g1 = model.generate(&mut ctx, &batch, &enc, Some(e1));
         let g2 = model.generate(&mut ctx, &batch, &enc, Some(e2));
         assert_ne!(tape.value(g1.pred).data(), tape.value(g2.pred).data());

@@ -7,26 +7,34 @@
 //! The per-window path is the batch-of-one special case
 //! ([`WindowBatch::single`]).
 
-use crate::backbone::{base_loss, batch_pred_points, EncodedScene};
+use crate::backbone::{base_loss, batch_pred_points, repeat_rows, EncodedScene};
 use crate::config::BackboneConfig;
 use adaptraj_data::trajectory::Point;
 use adaptraj_data::WindowBatch;
 use adaptraj_obs::span;
 use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
-/// Whether a generation pass is a training pass (posterior latents,
-/// teacher signals available) or an inference sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenMode {
-    Train,
-    Sample,
+/// Whether a generation pass is a training pass or an inference sample,
+/// and where its random draws come from.
+#[derive(Debug)]
+pub enum GenMode<'a> {
+    /// Training pass (posterior latents, teacher signals). Latents are
+    /// drawn as the pass runs, one rng per batched window in batch order.
+    /// Under the executor rng `b` is seeded from
+    /// `window_seed(run_seed, epoch, ids[b])`, so each window's draws are
+    /// identical whether it runs in a batch of one or of eight, and do not
+    /// depend on the worker count.
+    Train(&'a mut [Rng]),
+    /// Inference sample. Every draw was taken before the pass: row `r`
+    /// holds one [`Backbone::sample_draws`] row for generated row `r`.
+    Sample(&'a Tensor),
 }
 
 /// Everything a forward pass threads through the model stack: the shared
-/// (read-only) parameter store, this job's tape, the per-window streams of
-/// latent draws, and the train/sample mode. Bundling these lets the
-/// worker-pool executor hand one value across a thread boundary and keeps
-/// backbone signatures to `(ctx, batch, enc, extra)`.
+/// (read-only) parameter store, this job's tape, and the mode with its
+/// source of randomness. Bundling these lets the worker-pool executor
+/// hand one value across a thread boundary and keeps backbone signatures
+/// to `(ctx, batch, enc, extra)`.
 #[derive(Debug)]
 pub struct ForwardCtx<'a> {
     /// Parameters, shared read-only across worker threads; writes happen
@@ -34,35 +42,29 @@ pub struct ForwardCtx<'a> {
     pub store: &'a ParamStore,
     /// The autodiff tape owned by this job's forward pass.
     pub tape: &'a mut Tape,
-    /// Latent-draw streams, one rng per batched window in batch order.
-    /// Under the executor rng `b` is seeded from
-    /// `window_seed(run_seed, epoch, ids[b])`, so each window's draws are
-    /// identical whether it runs in a batch of one or of eight, and do not
-    /// depend on the worker count.
-    pub rngs: &'a mut [Rng],
-    /// Training pass (posterior latents, teacher signals) or inference
-    /// sample.
-    pub mode: GenMode,
+    /// Training pass with its rng streams, or inference sample with its
+    /// pre-drawn rows.
+    pub mode: GenMode<'a>,
 }
 
 impl<'a> ForwardCtx<'a> {
-    /// Context for a training pass ([`GenMode::Train`]).
+    /// Context for a training pass ([`GenMode::Train`]), one rng per
+    /// batched window.
     pub fn train(store: &'a ParamStore, tape: &'a mut Tape, rngs: &'a mut [Rng]) -> Self {
         Self {
             store,
             tape,
-            rngs,
-            mode: GenMode::Train,
+            mode: GenMode::Train(rngs),
         }
     }
 
-    /// Context for an inference sample ([`GenMode::Sample`]).
-    pub fn sample(store: &'a ParamStore, tape: &'a mut Tape, rngs: &'a mut [Rng]) -> Self {
+    /// Context for an inference sample ([`GenMode::Sample`]), one
+    /// [`Backbone::sample_draws`] row per generated row.
+    pub fn sample(store: &'a ParamStore, tape: &'a mut Tape, draws: &'a Tensor) -> Self {
         Self {
             store,
             tape,
-            rngs,
-            mode: GenMode::Sample,
+            mode: GenMode::Sample(draws),
         }
     }
 }
@@ -122,8 +124,11 @@ pub trait Backbone: Send + Sync {
 
     /// Stage 3: future-trajectory generation conditioned on the encoded
     /// scene and an optional `extra` matrix of width
-    /// [`BackboneConfig::extra_dim`] (must be `Some` iff `extra_dim > 0`),
-    /// one row per window.
+    /// [`BackboneConfig::extra_dim`] (must be `Some` iff `extra_dim > 0`).
+    /// In train mode `enc` and `extra` have one row per window of `batch`.
+    /// In sample mode they have one row per row of the context's draws,
+    /// which may stack several samples of each window
+    /// ([`sample_passes`]); every op a sample pass records is row-wise.
     fn generate(
         &self,
         ctx: &mut ForwardCtx<'_>,
@@ -132,18 +137,27 @@ pub trait Backbone: Send + Sync {
         extra: Option<Var>,
     ) -> Generation;
 
+    /// Every random draw one sample-mode [`Backbone::generate`] pass takes
+    /// for one window, as one `[1, n]` row, taken from `rng` in the order
+    /// the pass uses it. No draw depends on a computed value, so the
+    /// draws of a pass can be taken before it runs.
+    fn sample_draws(&self, rng: &mut Rng) -> Tensor;
+
     /// One full training forward pass: encode, generate in train mode, and
     /// combine `L_base` (Eq. 8, averaged over the batch) with the
     /// backbone's auxiliary loss. Returns `(prediction, loss)` where the
-    /// loss is the batch-mean training objective. Forces [`GenMode::Train`]
-    /// regardless of the mode the context was built with.
+    /// loss is the batch-mean training objective. The context must be a
+    /// training one ([`ForwardCtx::train`]).
     fn train_forward(
         &self,
         ctx: &mut ForwardCtx<'_>,
         batch: &WindowBatch<'_>,
         extra: Option<Var>,
     ) -> (Var, Var) {
-        ctx.mode = GenMode::Train;
+        assert!(
+            matches!(ctx.mode, GenMode::Train(_)),
+            "train_forward needs a training context"
+        );
         let enc = {
             let _p = span("encode");
             self.encode(ctx.store, ctx.tape, batch)
@@ -158,39 +172,44 @@ pub trait Backbone: Send + Sync {
     }
 }
 
-/// Encode once, sample `k`: the tape skeleton behind every
-/// [`crate::Predictor::sample`]. `prefix` records the deterministic part
-/// of the forward pass once (the scene encoding and any conditioning
-/// derived from it); `pass` then records one sampled prediction
-/// (`[T_PRED·B, 2]`, time-major) on top of it, `k` times in a row. After
-/// each pass the points are copied out and the tape is truncated back to
-/// the prefix, so it never holds more than one pass. Returns `[B][k]`
-/// tracks; `k = 0` records nothing.
+/// Encode once, sample `k` in one stacked pass: the tape skeleton behind
+/// every [`crate::Predictor::sample`]. Returns `[B][k]` tracks, one rng
+/// per window; `k = 0` draws and records nothing.
 ///
-/// The passes run one after another on the callers' per-window rngs, and
-/// the prefix draws no randomness, so pass `j` draws exactly what the
-/// `j`-th of `k` separate encode-and-sample calls would draw and returns
-/// the same bits.
-pub fn sample_passes<P>(
-    b: usize,
+/// `draw` takes one pass's randomness for one window
+/// ([`Backbone::sample_draws`]). All of it is taken first, pass by pass,
+/// so `rngs[b]` gives out exactly the draws, in the same order, that `k`
+/// successive single-sample calls would take from it, and ends in the
+/// same state. Row `j·B + b` of the `[k·B, n]` draws is sample `j` of
+/// window `b` (sample-major). `forward` then records the scene encoding
+/// once at `B` rows, repeats it to `k·B` rows ([`EncodedScene::repeat`]) and
+/// records one generate pass over all of them, returning the
+/// `[T_PRED·k·B, 2]` time-major prediction. Every op of that pass is
+/// row-wise, so row `j·B + b` holds the same bits as the `j`-th
+/// single-sample call on window `b`.
+pub fn sample_passes(
+    rngs: &mut [Rng],
     k: usize,
-    prefix: impl FnOnce(&mut Tape) -> P,
-    mut pass: impl FnMut(&mut Tape, &P) -> Var,
+    mut draw: impl FnMut(&mut Rng) -> Tensor,
+    forward: impl FnOnce(&mut Tape, &Tensor) -> Var,
 ) -> Vec<Vec<Vec<Point>>> {
+    let b = rngs.len();
     let mut out: Vec<Vec<Vec<Point>>> = (0..b).map(|_| Vec::with_capacity(k)).collect();
     if k == 0 {
         return out;
     }
+    let mut rows = Vec::with_capacity(k * b);
+    for _ in 0..k {
+        rows.extend(rngs.iter_mut().map(&mut draw));
+    }
+    let draws = Tensor::concat_rows(&rows.iter().collect::<Vec<_>>());
     adaptraj_tensor::with_pooled(|tape| {
-        let shared = prefix(tape);
-        let mark = tape.len();
-        for _ in 0..k {
-            let _p = span("generate");
-            let pred = pass(tape, &shared);
-            for (track, points) in out.iter_mut().zip(batch_pred_points(tape.value(pred), b)) {
-                track.push(points);
-            }
-            tape.truncate(mark);
+        let pred = forward(tape, &draws);
+        for (r, points) in batch_pred_points(tape.value(pred), k * b)
+            .into_iter()
+            .enumerate()
+        {
+            out[r % b].push(points);
         }
     });
     out
@@ -199,8 +218,8 @@ pub fn sample_passes<P>(
 /// [`sample_passes`] for methods whose inference is one backbone pass:
 /// encode the batch, derive the optional `extra` conditioning from the
 /// encoding with `condition` (AdapTraj's features; `None` for vanilla and
-/// CausalMotion), then `k` sample-mode generates, window `b` drawing from
-/// `rngs[b]`.
+/// CausalMotion), then one sample-mode generate over `k` stacked samples
+/// per window.
 pub fn sample_backbone<B: Backbone + ?Sized>(
     backbone: &B,
     store: &ParamStore,
@@ -211,19 +230,20 @@ pub fn sample_backbone<B: Backbone + ?Sized>(
 ) -> Vec<Vec<Vec<Point>>> {
     assert_eq!(batch.len(), rngs.len(), "one rng per batched window");
     sample_passes(
-        batch.len(),
+        rngs,
         k,
-        |tape| {
+        |rng| backbone.sample_draws(rng),
+        |tape, draws| {
             let enc = {
                 let _p = span("encode");
                 backbone.encode(store, tape, batch)
             };
             let extra = condition(tape, &enc);
-            (enc, extra)
-        },
-        |tape, (enc, extra)| {
-            let mut ctx = ForwardCtx::sample(store, tape, rngs);
-            backbone.generate(&mut ctx, batch, enc, *extra).pred
+            let _p = span("generate");
+            let enc = enc.repeat(tape, k);
+            let extra = extra.map(|e| repeat_rows(tape, e, k));
+            let mut ctx = ForwardCtx::sample(store, tape, draws);
+            backbone.generate(&mut ctx, batch, &enc, extra).pred
         },
     )
 }

@@ -18,8 +18,8 @@
 //! identity; `tests/serve.rs` pins it end-to-end through this server).
 //!
 //! Mixed `k` inside one batch is handled by one `sample` call that
-//! encodes the batch once and runs `max(k)` batched sample passes, each
-//! request keeping its first `k` modes — per-window rng streams make the
+//! encodes the batch once and runs `max(k)` samples per window as one
+//! stacked pass, each request keeping its first `k` modes — per-window rng streams make the
 //! extra draws invisible to neighbors.
 //!
 //! ## Architecture
@@ -458,8 +458,8 @@ fn execute_job(model: &ModelInner, next_id: &AtomicU64, job: Vec<Pending>) {
 }
 
 /// Executes one job: one [`Predictor::sample`] call that encodes the
-/// job's windows once and runs `kmax` batched sample passes over them,
-/// each request keeping its first `k` modes. Window `i` carries request
+/// job's windows once and runs `kmax` samples of each as one stacked
+/// pass, each request keeping its first `k` modes. Window `i` carries request
 /// id `first_id + i`. Per-window rng streams seeded from each request's
 /// seed make the result bit-identical to
 /// `predict_k(window, k, Rng::seed_from(seed))` offline. A panic becomes

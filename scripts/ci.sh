@@ -35,11 +35,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline || fail=1
 step "cargo build --release"
 cargo build --release --offline || fail=1
 
-step "cargo test (tier-1)"
+# Each test binary runs once per configuration: the root package here,
+# every other workspace member in the next step.
+step "cargo test (tier-1: the root package, incl. the determinism suite)"
+# tests/determinism.rs exercises the batched execution path end to end
+# (workers 1 vs 4 bit-identity): keyed multi-window jobs,
+# batch-position-order gradient reduction, and the exec.windows_trained
+# counter must all be worker-count independent.
 cargo test -q --offline || fail=1
 
-step "cargo test --workspace"
-cargo test -q --workspace --offline || fail=1
+step "cargo test --workspace (every other member, incl. adaptraj-check)"
+# adaptraj-check: central-difference gradient checks for all 27 tape
+# ops, the LSTM/MLP layers, and every backbone's full training loss; the
+# op inventory (the golden micro-runs record every op kind but the
+# reference-only ones); tape invariants and algebraic identities through
+# the offline shrinking generator. Its kernel_equivalence suite
+# property-tests that the default AVX2 microkernels produce bitwise
+# identical results to the scalar fallback on random shapes (including
+# k=0, m=0, single-row, and zero-dense operands).
+cargo test -q --workspace --offline --exclude adaptraj || fail=1
 
 step "tables smoke (Table I through the tables binary)"
 # table1 synthesizes the four domains and prints their statistics beside
@@ -56,26 +70,6 @@ step "perfbench build + tests (the repository benchmark)"
 # calls (e.g. the Predictor trait) must fail CI here, not in the
 # benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml || fail=1
-
-step "determinism suite (workers 1 vs 4 bit-identity, batched jobs)"
-# Exercises the batched execution path end to end: keyed multi-window
-# jobs, batch-position-order gradient reduction, and the
-# exec.windows_trained counter must all be worker-count independent.
-cargo test -q --offline --test determinism || fail=1
-
-step "gradient verification + property harness (adaptraj-check)"
-# Central-difference gradient checks for all 27 tape ops, the LSTM/MLP
-# layers, and every backbone's full training loss; the op inventory
-# (the golden micro-runs record every op kind but the reference-only
-# ones); tape invariants and algebraic identities through the offline
-# shrinking generator.
-cargo test -q --offline -p adaptraj-check || fail=1
-
-step "kernel equivalence suite (scalar vs SIMD bit-identity)"
-# Property-tests that the default AVX2 microkernels produce bitwise
-# identical results to the scalar fallback on random shapes (including
-# k=0, m=0, single-row, and zero-dense operands).
-cargo test -q --offline -p adaptraj-check --test kernel_equivalence || fail=1
 
 step "forced-scalar pass (ADAPTRAJ_FORCE_SCALAR=1 tier-1 + golden gate)"
 # The scalar fallback is a first-class dispatch path, not dead code: the
