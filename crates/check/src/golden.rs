@@ -18,10 +18,10 @@
 
 use adaptraj_data::dataset::{synthesize_domain, DomainDataset, SynthesisConfig};
 use adaptraj_data::domain::DomainId;
-use adaptraj_eval::runner::{evaluate, pooled_train, run_cell, target_test};
+use adaptraj_eval::runner::run_cell;
 use adaptraj_eval::{BackboneKind, CellSpec, MethodKind, RunnerConfig};
 use adaptraj_models::predictor::TrainReport;
-use adaptraj_models::{BackboneConfig, Predictor, SocialLstm, TrainerConfig, Vanilla};
+use adaptraj_models::TrainerConfig;
 use adaptraj_obs::json::{Arr, Obj, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -32,14 +32,18 @@ pub const GOLDEN_SCHEMA: &str = "adaptraj-golden/v1";
 /// Decomposed-loss field order inside `component_bits`.
 pub const COMPONENT_NAMES: [&str; 5] = ["backbone", "recon", "diff", "similar", "distill"];
 
-/// The five pinned micro-runs: one per backbone training path (the three
-/// vanilla backbones, the V-REx method, and the full AdapTraj schedule).
-pub const GOLDEN_NAMES: [&str; 5] = [
+/// The six pinned micro-runs, `<backbone>-<method>`: every compared
+/// method on PECNet (vanilla, Counter's counterfactual pass, the V-REx
+/// risk of CausalMotion, the full AdapTraj schedule) and LBEBM under
+/// vanilla training and under AdapTraj, so each backbone and each method
+/// of the paper's tables is pinned at least once.
+pub const GOLDEN_NAMES: [&str; 6] = [
     "pecnet-vanilla",
     "lbebm-vanilla",
-    "sociallstm-vanilla",
+    "pecnet-counter",
     "pecnet-causalmotion",
     "pecnet-adaptraj",
+    "lbebm-adaptraj",
 ];
 
 /// One epoch of a pinned run. `loss_bits`/`component_bits` are the `f64`
@@ -341,46 +345,25 @@ fn doc_from_report(name: &str, report: &TrainReport, ade: f32, fde: f32) -> Gold
 /// Re-runs the named micro-run and returns its golden document.
 /// Panics on an unknown name — the name list is a compile-time constant.
 pub fn run_golden(name: &str, datasets: &[DomainDataset]) -> GoldenDoc {
-    let cell = |backbone, method, epochs| {
-        let r = run_cell(
-            &micro_spec(backbone, method),
-            datasets,
-            &micro_runner(epochs),
-        );
-        (r.eval, r.report)
-    };
-    let (eval, report) = match name {
-        "pecnet-vanilla" => cell(BackboneKind::PecNet, MethodKind::Vanilla, 2),
-        "lbebm-vanilla" => cell(BackboneKind::Lbebm, MethodKind::Vanilla, 2),
-        "pecnet-causalmotion" => cell(BackboneKind::PecNet, MethodKind::CausalMotion, 2),
-        "pecnet-adaptraj" => cell(BackboneKind::PecNet, MethodKind::AdapTraj, 3),
-        "sociallstm-vanilla" => {
-            // `BackboneKind` has no Social-LSTM variant (it is not part of
-            // the paper's comparison tables), so this run builds the
-            // predictor directly instead of going through `run_cell`.
-            let cfg = micro_runner(2);
-            let spec = micro_spec(BackboneKind::PecNet, MethodKind::Vanilla);
-            let train = pooled_train(&spec, datasets);
-            let test = target_test(&spec, datasets, cfg.eval_cap);
-            let mut model = Vanilla::new(cfg.trainer.clone(), |s, r| {
-                SocialLstm::new(s, r, BackboneConfig::default())
-            });
-            let report = model.fit(&train);
-            let (eval, _) = evaluate(
-                &model,
-                &test,
-                cfg.samples_k,
-                cfg.eval_seed,
-                cfg.trainer.workers,
-            );
-            (eval, report)
-        }
+    // AdapTraj runs 3 epochs, one per schedule step; the rest run 2.
+    let (backbone, method, epochs) = match name {
+        "pecnet-vanilla" => (BackboneKind::PecNet, MethodKind::Vanilla, 2),
+        "lbebm-vanilla" => (BackboneKind::Lbebm, MethodKind::Vanilla, 2),
+        "pecnet-counter" => (BackboneKind::PecNet, MethodKind::Counter, 2),
+        "pecnet-causalmotion" => (BackboneKind::PecNet, MethodKind::CausalMotion, 2),
+        "pecnet-adaptraj" => (BackboneKind::PecNet, MethodKind::AdapTraj, 3),
+        "lbebm-adaptraj" => (BackboneKind::Lbebm, MethodKind::AdapTraj, 3),
         other => panic!("unknown golden micro-run '{other}'"),
     };
-    doc_from_report(name, &report, eval.ade, eval.fde)
+    let r = run_cell(
+        &micro_spec(backbone, method),
+        datasets,
+        &micro_runner(epochs),
+    );
+    doc_from_report(name, &r.report, r.eval.ade, r.eval.fde)
 }
 
-/// Runs all five micro-runs.
+/// Runs every micro-run of [`GOLDEN_NAMES`].
 pub fn run_all_goldens() -> Vec<GoldenDoc> {
     let datasets = micro_datasets();
     GOLDEN_NAMES

@@ -10,10 +10,10 @@
 //!   gradient at every pad slot, not merely small values. This is the
 //!   "padding provably contributes zero gradient" claim of the layout
 //!   contract (`crates/data/src/batch.rs`).
-//! * **Configuration equivalence**: for each of the five golden
-//!   configurations (pecnet/lbebm/sociallstm under vanilla, pecnet under
-//!   CausalMotion's per-environment risk, pecnet under AdapTraj's
-//!   three-step objective), the batched loss over a ragged multi-window
+//! * **Configuration equivalence**: for each backbone under vanilla
+//!   training (pecnet/lbebm), pecnet under CausalMotion's per-environment
+//!   risk and pecnet under AdapTraj's three-step objective, the batched
+//!   loss over a ragged multi-window
 //!   batch equals the mean of the batch-of-one losses up to float
 //!   re-association — the equivalence demonstrated before the goldens
 //!   were regenerated.
@@ -31,8 +31,7 @@ use adaptraj_data::WindowBatch;
 use adaptraj_models::backbone::{InteractionKind, SceneEncoder, PAD_BIAS};
 use adaptraj_models::config::TrainerConfig;
 use adaptraj_models::{
-    Backbone, BackboneConfig, CausalMotion, Counter, ForwardCtx, Lbebm, PecNet, Predictor,
-    SocialLstm, Vanilla,
+    Backbone, BackboneConfig, CausalMotion, Counter, ForwardCtx, Lbebm, PecNet, Predictor, Vanilla,
 };
 use adaptraj_tensor::{ParamId, ParamStore, Rng, Tape, Tensor};
 
@@ -336,14 +335,6 @@ fn lbebm_vanilla_batched_loss_matches_per_window_mean() {
 }
 
 #[test]
-fn sociallstm_vanilla_batched_loss_matches_per_window_mean() {
-    let mut store = ParamStore::new();
-    let mut rng = Rng::seed_from(13);
-    let model = SocialLstm::new(&mut store, &mut rng, BackboneConfig::default());
-    vanilla_equivalence("sociallstm-vanilla", &model, &store);
-}
-
-#[test]
 fn pecnet_causalmotion_risk_reduction_matches_per_window_mean() {
     // CausalMotion's per-environment risk: windows split into
     // domain-homogeneous jobs via `keyed_jobs`, each job's batched loss
@@ -505,11 +496,6 @@ fn sample_bit_identical_vanilla_lbebm() {
 }
 
 #[test]
-fn sample_bit_identical_vanilla_sociallstm() {
-    assert_sample_bit_identical("sociallstm-vanilla", &vanilla_sociallstm());
-}
-
-#[test]
 fn sample_bit_identical_counter() {
     assert_sample_bit_identical("pecnet-counter", &counter_pecnet());
 }
@@ -533,12 +519,6 @@ fn vanilla_pecnet() -> Vanilla<PecNet> {
 fn vanilla_lbebm() -> Vanilla<Lbebm> {
     Vanilla::new(TrainerConfig::smoke(), |s, r| {
         Lbebm::new(s, r, BackboneConfig::default())
-    })
-}
-
-fn vanilla_sociallstm() -> Vanilla<SocialLstm> {
-    Vanilla::new(TrainerConfig::smoke(), |s, r| {
-        SocialLstm::new(s, r, BackboneConfig::default())
     })
 }
 
@@ -629,7 +609,6 @@ fn assert_sample_k_matches_repeated_predict(label: &str, model: &dyn Predictor) 
 fn sample_k_matches_repeated_predict_all_configurations() {
     assert_sample_k_matches_repeated_predict("pecnet-vanilla", &vanilla_pecnet());
     assert_sample_k_matches_repeated_predict("lbebm-vanilla", &vanilla_lbebm());
-    assert_sample_k_matches_repeated_predict("sociallstm-vanilla", &vanilla_sociallstm());
     assert_sample_k_matches_repeated_predict("pecnet-counter", &counter_pecnet());
     assert_sample_k_matches_repeated_predict("pecnet-causalmotion", &causalmotion_pecnet());
     assert_sample_k_matches_repeated_predict("pecnet-adaptraj", &adaptraj_pecnet());

@@ -4,9 +4,10 @@
 //! and the gate's reaction to injected drift.
 //!
 //! Only the cheapest micro-run (`pecnet-vanilla`) executes here — the
-//! full five-run sweep is exercised by `adaptraj check` in scripts/ci.sh.
+//! full six-run sweep is exercised by `adaptraj check` in scripts/ci.sh.
 
 use adaptraj_check::{compare, load_baselines, parse_doc, run_golden, write_doc, GOLDEN_NAMES};
+use adaptraj_eval::{BackboneKind, MethodKind};
 
 #[test]
 fn micro_run_is_deterministic_and_round_trips_through_disk() {
@@ -68,4 +69,31 @@ fn committed_baselines_load_and_cover_every_golden_name() {
     assert_eq!(phases.len(), 3, "adaptraj golden must span three epochs");
     assert_ne!(phases[0], phases[1], "steps 1 and 2 share a phase label");
     assert_ne!(phases[1], phases[2], "steps 2 and 3 share a phase label");
+}
+
+#[test]
+fn goldens_pin_every_backbone_and_every_compared_method() {
+    // Golden names are `<backbone>-<method>`, lowercase, no separators.
+    let slug = |name: &str| name.to_lowercase().replace(['-', ' '], "");
+    let pinned: Vec<(&str, &str)> = GOLDEN_NAMES
+        .iter()
+        .map(|n| {
+            n.split_once('-')
+                .expect("golden names are <backbone>-<method>")
+        })
+        .collect();
+    for b in BackboneKind::ALL {
+        assert!(
+            pinned.iter().any(|(pb, _)| *pb == slug(b.name())),
+            "no golden pins backbone {}",
+            b.name()
+        );
+    }
+    for m in MethodKind::COMPARED {
+        assert!(
+            pinned.iter().any(|(_, pm)| *pm == slug(m.name())),
+            "no golden pins method {}",
+            m.name()
+        );
+    }
 }

@@ -26,7 +26,7 @@ use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_TOTAL};
 use adaptraj_data::WindowBatch;
 use adaptraj_models::{
-    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, Predictor, SocialLstm, BACKBONE_GROUP,
+    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, Predictor, BACKBONE_GROUP,
 };
 use adaptraj_tensor::nn::{Activation, Mlp};
 use adaptraj_tensor::optim::Adam;
@@ -117,18 +117,6 @@ fn pecnet_training_loss_gradients_match_fd() {
     let w = toy_window(0.3, DomainId::EthUcy);
     grad_check(&mut store, backbone_eval(&model, &w, 501), &model_cfg())
         .assert_ok("pecnet training loss");
-}
-
-#[test]
-fn social_lstm_training_loss_gradients_match_fd() {
-    // SocialLSTM's latent z is a plain Gaussian constant: detach-clean.
-    let mut store = ParamStore::new();
-    let mut rng = Rng::seed_from(12);
-    let model = SocialLstm::new(&mut store, &mut rng, tiny());
-    jitter(&mut store, 92);
-    let w = toy_window(0.25, DomainId::EthUcy);
-    grad_check(&mut store, backbone_eval(&model, &w, 502), &model_cfg())
-        .assert_ok("social-lstm training loss");
 }
 
 #[test]

@@ -13,7 +13,7 @@ use adaptraj_models::config::TrainerConfig;
 use adaptraj_models::predictor::{cap_per_domain, Predictor, TrainReport};
 use adaptraj_models::traits::{sample_backbone, Backbone, ForwardCtx, GenMode};
 use adaptraj_models::Trainer;
-use adaptraj_obs::{health, obs_info, span, LossComponents};
+use adaptraj_obs::{health, span, LossComponents};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 
@@ -408,14 +408,6 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
         let mut rng = Rng::seed_from(cfg.trainer.seed ^ 0xADA9);
         let mut opt = Adam::new(cfg.trainer.lr);
         let mut report = TrainReport::default();
-        obs_info!(
-            "core.fit",
-            "AdapTraj training: {} windows, {} epochs (steps at e_start={}, e_end={})",
-            windows.len(),
-            cfg.e_total(),
-            cfg.e_start,
-            cfg.e_end
-        );
         for step in 1..=3 {
             let epochs = cfg.step_epochs(step);
             if epochs.is_empty() {

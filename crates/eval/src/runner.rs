@@ -11,7 +11,6 @@ use adaptraj_models::predictor::TrainReport;
 use adaptraj_models::{
     BackboneConfig, CausalMotion, Counter, Lbebm, PecNet, Predictor, TrainerConfig, Vanilla,
 };
-use adaptraj_obs::{trace, Level};
 use adaptraj_tensor::Rng;
 use std::time::Instant;
 
@@ -333,7 +332,6 @@ pub fn train_cell(
     datasets: &[DomainDataset],
     cfg: &RunnerConfig,
 ) -> (CellResult, Box<dyn Predictor>) {
-    let cell_start = Instant::now();
     let train = pooled_train(spec, datasets);
     let test = target_test(spec, datasets, cfg.eval_cap);
     let mut predictor = build_predictor(spec, cfg);
@@ -348,23 +346,6 @@ pub fn train_cell(
         cfg.trainer.workers,
     );
     let infer_time_s = infer_latency(predictor.as_ref(), &test, cfg.eval_seed);
-    trace::emit(
-        Level::Info,
-        "eval.cell",
-        "cell",
-        vec![
-            ("label", spec.label().into()),
-            ("train_windows", train.len().into()),
-            ("test_windows", test.len().into()),
-            ("ade", eval.ade.into()),
-            ("fde", eval.fde.into()),
-            ("train_s", train_time_s.into()),
-            (
-                "elapsed_ms",
-                (cell_start.elapsed().as_secs_f64() * 1e3).into(),
-            ),
-        ],
-    );
     let result = CellResult {
         spec: spec.clone(),
         eval,

@@ -33,7 +33,6 @@ pub mod diagnostics;
 pub mod lbebm;
 pub mod pecnet;
 pub mod predictor;
-pub mod social_lstm;
 pub mod trainer;
 pub mod traits;
 pub mod vanilla;
@@ -45,7 +44,6 @@ pub use counter::Counter;
 pub use lbebm::Lbebm;
 pub use pecnet::PecNet;
 pub use predictor::{Predictor, TrainReport};
-pub use social_lstm::SocialLstm;
 pub use trainer::Trainer;
 pub use traits::{randn_per_window, Backbone, ForwardCtx, GenMode, Generation};
 pub use vanilla::Vanilla;

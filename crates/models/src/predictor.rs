@@ -27,6 +27,26 @@ impl TrainReport {
     pub fn non_finite_total(&self) -> u64 {
         self.epochs.iter().map(|e| e.non_finite_batches).sum()
     }
+
+    /// The one-line warning for a run that did not train clean: windows
+    /// skipped for a non-finite loss or gradient, and whether a health
+    /// tripwire halted training. `None` for a clean run.
+    pub fn warning(&self, halted: bool) -> Option<String> {
+        let skipped = self.non_finite_total();
+        if skipped == 0 && !halted {
+            return None;
+        }
+        let mut line = format!(
+            "warning: training skipped {skipped} window(s) with a non-finite loss or gradient"
+        );
+        if halted {
+            line.push_str(&format!(
+                "; a health tripwire halted it after {} epoch(s)",
+                self.epochs.len()
+            ));
+        }
+        Some(line)
+    }
 }
 
 /// Workspace-wide optimizer-group labels. Group numbering is a cross-crate
@@ -224,6 +244,21 @@ mod tests {
         let want: Vec<(DomainId, Point)> =
             train[..4].iter().map(|w| (w.domain, w.obs[1])).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn warning_names_skipped_windows_and_a_halt_only() {
+        let mut report = TrainReport::default();
+        report.epochs.push(EpochRecord::new(0, "train"));
+        assert_eq!(report.warning(false), None);
+        report.epochs[0].non_finite_batches = 3;
+        assert_eq!(
+            report.warning(false).as_deref(),
+            Some("warning: training skipped 3 window(s) with a non-finite loss or gradient")
+        );
+        report.epochs[0].non_finite_batches = 0;
+        let halted = report.warning(true).expect("a halt always warns");
+        assert!(halted.ends_with("a health tripwire halted it after 1 epoch(s)"));
     }
 
     #[test]

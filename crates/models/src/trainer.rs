@@ -33,9 +33,7 @@ use crate::predictor::{group_norms, TrainReport};
 use adaptraj_data::batch::{keyed_jobs, shuffled_batches, WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj_data::trajectory::TrajWindow;
 use adaptraj_exec::{window_seed, WorkerPool};
-use adaptraj_obs::{
-    health, obs_info, obs_warn, span, trace, EpochRecord, Level, LossComponents, PhaseTiming,
-};
+use adaptraj_obs::{health, span, EpochRecord, LossComponents, PhaseTiming};
 use adaptraj_tensor::optim::Adam;
 use adaptraj_tensor::param::ParamId;
 use adaptraj_tensor::{GradBuffer, ParamStore, Rng, Tape, Tensor, Var};
@@ -303,11 +301,6 @@ impl<'a> Trainer<'a> {
                 for ((wb, _, half), r) in jobs.iter().zip(&results).filter(|_| !voided) {
                     if !r.val.is_finite() {
                         rec.non_finite_batches += wb.len() as u64;
-                        obs_warn!(
-                            "models.fit",
-                            "non-finite loss at epoch {global_epoch}, windows {:?}; skipping job",
-                            wb.ids()
-                        );
                         continue;
                     }
                     let weight = wb.len() as f32 * inv_total;
@@ -355,10 +348,6 @@ impl<'a> Trainer<'a> {
                 };
                 if voided {
                     rec.non_finite_batches += batch.len() as u64;
-                    obs_warn!(
-                        "models.fit",
-                        "non-finite loss at epoch {global_epoch}, windows {batch:?}; skipping batch"
-                    );
                 } else if norm.is_finite() {
                     // A finite loss can still carry a non-finite gradient;
                     // the step would spread it into every parameter it
@@ -371,18 +360,10 @@ impl<'a> Trainer<'a> {
                     diag.post_step(store, before);
                 } else {
                     rec.non_finite_batches += (seen - seen_before) as u64;
-                    obs_warn!(
-                        "models.fit",
-                        "non-finite gradient norm at epoch {global_epoch}; skipping batch"
-                    );
                 }
                 buf.recycle();
                 drop(reduce);
                 if health::halt_requested() {
-                    obs_warn!(
-                        "models.fit",
-                        "health tripwire requested halt at epoch {global_epoch}; stopping training"
-                    );
                     halted = true;
                     break;
                 }
@@ -393,17 +374,6 @@ impl<'a> Trainer<'a> {
             rec.components = means.components();
             rec.grad_norm = grad_norm_sum / batches.max(1) as f64;
             rec.duration_s = epoch_start.elapsed().as_secs_f64();
-            trace::emit(
-                Level::Debug,
-                "models.fit",
-                "epoch",
-                vec![
-                    ("epoch", global_epoch.into()),
-                    ("loss", rec.loss.into()),
-                    ("grad_norm", rec.grad_norm.into()),
-                    ("elapsed_ms", (rec.duration_s * 1e3).into()),
-                ],
-            );
             report.epoch_losses.push(mean_loss);
             // Optional plateau-based early stopping.
             let mut stop = false;
@@ -416,11 +386,6 @@ impl<'a> Trainer<'a> {
                     if stale_epochs >= cfg.patience {
                         rec.early_stop = true;
                         stop = true;
-                        obs_info!(
-                            "models.fit",
-                            "early stop at epoch {global_epoch}: no improvement for {} epochs",
-                            cfg.patience
-                        );
                     }
                 }
             }

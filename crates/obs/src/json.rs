@@ -85,12 +85,6 @@ impl Obj {
         self
     }
 
-    pub fn i64(mut self, k: &str, v: i64) -> Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
     pub fn bool(mut self, k: &str, v: bool) -> Self {
         self.key(k);
         self.buf.push_str(if v { "true" } else { "false" });

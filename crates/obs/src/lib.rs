@@ -1,6 +1,6 @@
-//! Observability for the AdapTraj workspace: spans, tracing events,
-//! metrics, profiling, training-run telemetry and live endpoints — all
-//! dependency-free (std only).
+//! Observability for the AdapTraj workspace: spans, metrics, profiling,
+//! training-run telemetry and live endpoints — all dependency-free (std
+//! only).
 //!
 //! One span model: [`span(name)`](span()) is the single scope guard. It
 //! feeds the op profiler's phase path and the flight recorder's timeline
@@ -9,10 +9,6 @@
 //! [`SpanPath`] carries a thread's place in the span tree into the jobs
 //! it dispatches. Around it, from hot path outward:
 //!
-//! - [`trace`]: leveled events dispatched to pluggable [`Sink`]s (a
-//!   stderr pretty-printer and a JSONL file writer ship in-crate).
-//!   Filtering is a single atomic load, so disabled levels cost nothing
-//!   on the hot path.
 //! - [`metrics`]: a process-global registry of counters, gauges, and
 //!   log-bucketed streaming histograms (p50/p90/p99) behind cheap
 //!   cloneable handles, with snapshot/delta support for
@@ -30,8 +26,9 @@
 //!   decomposed losses, per-group gradient/parameter norms, non-finite
 //!   guards, per-source-domain gradient diagnostics (norms, pairwise
 //!   cosines, update-to-weight ratios), per-phase wall-clock and the
-//!   tripwire incidents, serialized as the run-manifest JSON document
-//!   the `doctor` CLI reads.
+//!   tripwire incidents, plus the final metrics-registry snapshot,
+//!   serialized as the run-manifest JSON document the `doctor` CLI
+//!   reads — the one record of a run.
 //! - [`health`]: the training-health observatory — tape-level numerics
 //!   tripwires (NaN/Inf/exploding, with warn / skip-window /
 //!   halt-and-dump policies) and their deterministic incident stream.
@@ -52,7 +49,6 @@ pub mod serve;
 pub mod span;
 pub mod telemetry;
 pub mod timeline;
-pub mod trace;
 
 pub use health::{Incident, Policy};
 pub use metrics::{
@@ -67,7 +63,3 @@ pub use telemetry::{
     PhaseTiming, RunTelemetry, MANIFEST_SCHEMA,
 };
 pub use timeline::{TimelineEvent, TimelineLane, TimelineSnapshot};
-pub use trace::{
-    add_sink, clear_sinks, emit, enabled, flush_sinks, max_level, set_max_level, CaptureSink,
-    Event, FieldValue, JsonlSink, Level, Sink, StderrSink,
-};

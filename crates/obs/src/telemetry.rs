@@ -4,12 +4,16 @@
 //!
 //! The recorder is deliberately passive — training loops push plain
 //! structs into it and `RunTelemetry::to_json` serializes the whole run
-//! at the end. Nothing here touches the global metrics registry; the
-//! manifest is a self-contained artifact (`manifest.json` in the
-//! directory `run --out DIR` writes). While the health observatory is
-//! armed, each epoch record also carries the per-source-domain gradient
+//! at the end. Nothing here reads the global metrics registry; the
+//! caller hands over its final snapshot ([`Registry::dump_jsonl`]'s
+//! per-metric objects) as [`RunTelemetry::metrics`], so the manifest is
+//! a self-contained artifact (`manifest.json` in the directory
+//! `run --out DIR` writes). While the health observatory is armed, each
+//! epoch record also carries the per-source-domain gradient
 //! diagnostics, and the run carries the tripwire incidents and whether
 //! a `halt-and-dump` policy stopped training.
+//!
+//! [`Registry::dump_jsonl`]: crate::metrics::Registry::dump_jsonl
 
 use crate::health::Incident;
 use crate::json::{Arr, Obj};
@@ -263,6 +267,10 @@ pub struct RunTelemetry {
     pub incidents: Vec<Incident>,
     /// True when a `halt-and-dump` tripwire stopped training.
     pub halted: bool,
+    /// The final metrics-registry snapshot, one JSON object per metric
+    /// (`{"type":"counter","name":...,"value":...}` and the gauge and
+    /// histogram shapes), serialized as the manifest's `metrics` array.
+    pub metrics: Vec<String>,
 }
 
 impl RunTelemetry {
@@ -311,6 +319,10 @@ impl RunTelemetry {
         for i in &self.incidents {
             incidents = incidents.push_raw(&i.to_json());
         }
+        let mut metrics = Arr::new();
+        for m in &self.metrics {
+            metrics = metrics.push_raw(m);
+        }
         let mut obj = Obj::new()
             .str("schema", MANIFEST_SCHEMA)
             .raw("config", &cfg.finish())
@@ -324,7 +336,7 @@ impl RunTelemetry {
         if let Some(ev) = &self.eval {
             obj = obj.raw("eval", &ev.to_json());
         }
-        obj.finish()
+        obj.raw("metrics", &metrics.finish()).finish()
     }
 
     /// Writes the manifest (plus trailing newline) to `path`.
@@ -378,6 +390,8 @@ mod tests {
         t.push_epoch(e1);
         t.push_phase("train.step2", 0.5);
         t.halted = true;
+        t.metrics
+            .push(r#"{"type":"counter","name":"c","value":4}"#.into());
         let j = t.to_json();
         assert!(j.starts_with(&format!(r#"{{"schema":"{MANIFEST_SCHEMA}""#)));
         assert!(j.contains(r#""num_epochs":2"#));
@@ -385,6 +399,7 @@ mod tests {
         assert!(j.contains(r#""early_stopped":true"#));
         assert!(j.contains(r#""backbone":"pecnet""#));
         assert!(j.contains(r#""halted":true,"incidents":[]"#));
+        assert!(j.ends_with(r#""metrics":[{"type":"counter","name":"c","value":4}]}"#));
         // Observatory fields are present, and empty while it is off.
         assert!(j.contains(r#""domains":[],"cosines":[],"update_ratios":[]"#));
         assert!(j.contains(r#""cosines":[{"a":"ETH&UCY","b":"L-CAS","cosine":null}]"#));

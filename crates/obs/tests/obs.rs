@@ -1,11 +1,7 @@
 //! Integration tests for the observability crate: histogram accuracy
-//! against a brute-force oracle, registry round-trips, and the JSONL sink
-//! schema golden.
+//! against a brute-force oracle and registry round-trips.
 
-use adaptraj_obs::{
-    add_sink, clear_sinks, emit, set_max_level, FieldValue, JsonlSink, Level, Registry, Sink,
-};
-use std::sync::Arc;
+use adaptraj_obs::Registry;
 
 /// Minimal deterministic generator (64-bit LCG, Knuth constants) so the
 /// oracle test needs no external randomness.
@@ -88,117 +84,4 @@ fn counter_and_gauge_round_trip_through_the_registry() {
     assert!(reg.dump_jsonl().is_empty());
     // A fresh handle after reset starts from zero.
     assert_eq!(reg.counter("windows").get(), 0);
-}
-
-#[test]
-fn jsonl_sink_writes_the_documented_schema() {
-    let path =
-        std::env::temp_dir().join(format!("adaptraj_obs_golden_{}.jsonl", std::process::id()));
-    let path_str = path.to_str().expect("temp path is utf-8");
-    {
-        let sink = Arc::new(JsonlSink::create(path_str).expect("create jsonl"));
-        clear_sinks();
-        add_sink(sink.clone());
-        set_max_level(Level::Debug);
-        emit(
-            Level::Info,
-            "test.golden",
-            "hello",
-            vec![
-                ("epoch", FieldValue::U64(3)),
-                ("loss", FieldValue::F64(0.25)),
-            ],
-        );
-        emit(
-            Level::Debug,
-            "test.golden",
-            "work",
-            vec![("n", 7u64.into()), ("elapsed_ms", 12.5.into())],
-        );
-        sink.write_raw_line(r#"{"type":"counter","name":"demo","value":1}"#);
-        clear_sinks();
-        set_max_level(Level::Info);
-        sink.flush();
-    }
-    let text = std::fs::read_to_string(&path).expect("read jsonl back");
-    std::fs::remove_file(&path).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "two events + raw metric line: {text}");
-
-    // Line 1: the emitted event, with the full stable field set.
-    assert!(
-        lines[0].starts_with(r#"{"type":"event","ts_ms":"#),
-        "{}",
-        lines[0]
-    );
-    assert!(
-        lines[0].contains(
-            r#""level":"info","target":"test.golden","msg":"hello","fields":{"epoch":3,"loss":0.25}"#
-        ),
-        "{}",
-        lines[0]
-    );
-
-    // Line 2: a debug event passes the debug filter; a duration is an
-    // ordinary field.
-    assert!(
-        lines[1].contains(r#""msg":"work","fields":{"n":7,"elapsed_ms":12.5}}"#),
-        "{}",
-        lines[1]
-    );
-
-    // Line 3: raw metric lines pass through verbatim.
-    assert_eq!(lines[2], r#"{"type":"counter","name":"demo","value":1}"#);
-}
-
-/// Concurrent writers must never tear lines: each line plus its newline
-/// goes through one locked `write_all`, so every line in the file is a
-/// complete record from exactly one writer.
-#[test]
-fn jsonl_sink_lines_are_atomic_under_concurrent_writers() {
-    const THREADS: usize = 8;
-    const LINES_PER_THREAD: usize = 250;
-
-    let path =
-        std::env::temp_dir().join(format!("adaptraj_obs_stress_{}.jsonl", std::process::id()));
-    let path_str = path.to_str().expect("temp path is utf-8");
-    let sink = Arc::new(JsonlSink::create(path_str).expect("create jsonl"));
-
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let sink = Arc::clone(&sink);
-            s.spawn(move || {
-                for i in 0..LINES_PER_THREAD {
-                    // Long enough payload that a torn write would split it
-                    // across a flush boundary.
-                    sink.write_raw_line(&format!(
-                        r#"{{"type":"stress","thread":{t},"index":{i},"pad":"{}"}}"#,
-                        "x".repeat(200)
-                    ));
-                }
-            });
-        }
-    });
-    sink.flush();
-
-    let text = std::fs::read_to_string(&path).expect("read stress file back");
-    std::fs::remove_file(&path).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), THREADS * LINES_PER_THREAD);
-
-    // Every (thread, index) pair appears exactly once and every line is
-    // intact, well-formed JSON.
-    let mut seen = std::collections::BTreeSet::new();
-    for line in lines {
-        let v = adaptraj_obs::json::Value::parse(line)
-            .unwrap_or_else(|e| panic!("torn or invalid line {line:?}: {e}"));
-        let t = v.get("thread").and_then(|x| x.as_u64()).expect("thread id");
-        let i = v.get("index").and_then(|x| x.as_u64()).expect("index");
-        assert_eq!(
-            v.get("pad").and_then(|x| x.as_str()).map(str::len),
-            Some(200)
-        );
-        assert!(seen.insert((t, i)), "duplicate line for ({t},{i})");
-    }
-    assert_eq!(seen.len(), THREADS * LINES_PER_THREAD);
 }

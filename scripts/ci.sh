@@ -81,7 +81,7 @@ ADAPTRAJ_FORCE_SCALAR=1 cargo run --release --offline --bin adaptraj -- \
     check --golden-dir results --out-dir target/golden-scalar-ci || fail=1
 
 step "golden regression gate (fixed-seed micro-runs)"
-# Re-runs the five pinned micro-runs and compares against the committed
+# Re-runs the six pinned micro-runs and compares against the committed
 # results/GOLDEN_*.json: losses bit-for-bit, ADE/FDE within 0.1%. Any
 # drift fails CI; intentional changes regenerate with
 #   cargo run --release -- check --update-golden
@@ -197,12 +197,18 @@ cargo test -q --offline --test telemetry serve_ || fail=1
 step "health observatory smoke (clean run -> doctor exits zero)"
 # Fixed-seed run with the observatory armed: per-domain gradient norms,
 # pairwise cosines, and update ratios land in each epoch record of the
-# run manifest; the doctor must find nothing fatal and exit zero.
+# run manifest; the doctor must find nothing fatal and exit zero. The
+# manifest is the run's one event stream: it carries the final metrics
+# registry, and no separate events file is written.
 rm -rf target/health_ci_run
 cargo run --release --offline --bin adaptraj -- \
     run --backbone pecnet --method adaptraj --sources eth_ucy,l_cas,syi \
     --target sdd --epochs 2 --workers 2 --seed 7 \
     --out target/health_ci_run || fail=1
+grep -q '"metrics":\[' target/health_ci_run/manifest.json || {
+    echo "manifest carries no metrics array"; fail=1; }
+[ ! -e target/health_ci_run/events.jsonl ] || {
+    echo "run record still holds events.jsonl"; fail=1; }
 cargo run --release --offline --bin adaptraj -- \
     doctor --run target/health_ci_run || fail=1
 

@@ -18,13 +18,12 @@ use adaptraj::eval::{target_test, train_cell, CellSpec, RunnerConfig};
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig, Vanilla};
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{health, profile, timeline};
-use adaptraj::obs::{EvalSummary, JsonlSink, RunTelemetry, StderrSink};
+use adaptraj::obs::{EvalSummary, RunTelemetry};
 use adaptraj::run_dir;
 use adaptraj::tensor::serialize::{load_params_from_file, save_params_to_file};
 use adaptraj::tensor::Rng;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,15 +121,10 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             epochs,
             workers,
             seed,
-            log_level,
             telemetry_addr,
             health_policy,
             out,
         } => {
-            if let Some(level) = log_level {
-                adaptraj::obs::set_max_level(level);
-                adaptraj::obs::add_sink(Arc::new(StderrSink));
-            }
             // Held for the duration of the arm; dropping it stops the
             // listener thread.
             let _telemetry_server = start_telemetry(&telemetry_addr)?;
@@ -143,18 +137,12 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 health::set_enabled(true);
                 health::set_policy(health_policy.unwrap_or_default());
             }
-            // The run record's directory and its event sink.
-            let record = match out.map(PathBuf::from) {
-                Some(dir) => {
-                    std::fs::create_dir_all(&dir)?;
-                    timeline::reset();
-                    timeline::set_enabled(true);
-                    let sink = Arc::new(JsonlSink::create(dir.join(run_dir::EVENTS))?);
-                    adaptraj::obs::add_sink(sink.clone());
-                    Some((dir, sink))
-                }
-                None => None,
-            };
+            let record = out.map(PathBuf::from);
+            if let Some(dir) = &record {
+                std::fs::create_dir_all(dir)?;
+                timeline::reset();
+                timeline::set_enabled(true);
+            }
 
             let datasets = synthesize_all(&SynthesisConfig::default());
             let spec = CellSpec {
@@ -184,7 +172,10 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 res.train_time_s,
                 res.infer_time_s * 1e3
             );
-            let Some((dir, events)) = record else {
+            if let Some(line) = res.report.warning(health::halt_requested()) {
+                eprintln!("{line}");
+            }
+            let Some(dir) = record else {
                 return Ok(());
             };
             profile::set_enabled(false);
@@ -218,12 +209,8 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             });
             telemetry.incidents = health::incidents();
             telemetry.halted = health::halt_requested();
+            telemetry.metrics = adaptraj::obs::global().dump_jsonl();
             telemetry.write_to_file(&dir.join(run_dir::MANIFEST))?;
-            // The events end with the final metric snapshots.
-            for line in adaptraj::obs::global().dump_jsonl() {
-                events.write_raw_line(&line);
-            }
-            adaptraj::obs::flush_sinks();
             let prof = profile::snapshot();
             std::fs::write(dir.join(run_dir::PROFILE), prof.to_json())?;
             std::fs::write(

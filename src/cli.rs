@@ -6,7 +6,6 @@
 use adaptraj_data::domain::DomainId;
 use adaptraj_eval::{BackboneKind, MethodKind};
 use adaptraj_obs::health::Policy;
-use adaptraj_obs::Level;
 use std::collections::HashMap;
 
 /// Parsed CLI invocation.
@@ -20,8 +19,8 @@ pub enum Command {
         out: Option<String>,
     },
     /// `run --backbone <b> --method <m> --sources a,b,c --target <d>
-    ///  [--epochs N] [--workers N] [--seed S] [--log-level L]
-    ///  [--telemetry-addr HOST:PORT] [--health-policy P] [--out DIR]` —
+    ///  [--epochs N] [--workers N] [--seed S] [--telemetry-addr HOST:PORT]
+    ///  [--health-policy P] [--out DIR]` —
     /// train one experiment cell and report ADE/FDE; with `--out`, write
     /// the run record (see [`crate::run_dir`]) to `DIR`.
     Run {
@@ -32,7 +31,6 @@ pub enum Command {
         epochs: usize,
         workers: usize,
         seed: Option<u64>,
-        log_level: Option<Level>,
         telemetry_addr: Option<String>,
         health_policy: Option<Policy>,
         out: Option<String>,
@@ -234,17 +232,6 @@ fn take_switch(args: &mut Vec<String>, name: &str) -> Result<bool, ParseError> {
     }
 }
 
-fn parse_log_level(flags: &HashMap<&str, &str>) -> Result<Option<Level>, ParseError> {
-    match flags.get("log-level") {
-        None => Ok(None),
-        Some(v) => Level::parse(v).map(Some).ok_or_else(|| {
-            err(format!(
-                "unknown log level '{v}' (expected error | warn | info | debug | trace)"
-            ))
-        }),
-    }
-}
-
 /// Parses the full argument list (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some((sub, rest)) = args.split_first() else {
@@ -276,7 +263,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "epochs",
                     "workers",
                     "seed",
-                    "log-level",
                     "telemetry-addr",
                     "health-policy",
                     "out",
@@ -321,7 +307,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 epochs: parse_usize(&flags, "epochs", 20)?,
                 workers: parse_usize(&flags, "workers", 1)?,
                 seed: parse_seed(&flags)?,
-                log_level: parse_log_level(&flags)?,
                 telemetry_addr: flags.get("telemetry-addr").map(|s| s.to_string()),
                 health_policy,
                 out,
@@ -436,8 +421,7 @@ USAGE:
   adaptraj synthesize --domain <d> [--scenes N] [--out FILE.csv]
   adaptraj run --backbone <pecnet|lbebm> --method <vanilla|counter|causalmotion|adaptraj>
                --sources d1,d2,... --target <d> [--epochs N] [--workers N]
-               [--seed S] [--log-level <error|warn|info|debug|trace>]
-               [--telemetry-addr HOST:PORT]
+               [--seed S] [--telemetry-addr HOST:PORT]
                [--health-policy <warn|skip-window|halt-and-dump>] [--out DIR]
   adaptraj serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
                  [--accept-threads N] [--queue-cap N] [--deadline-ms N]
@@ -458,7 +442,6 @@ EXECUTION:
 
 OBSERVABILITY (run):
   --seed S            seed training RNG (recorded in the manifest)
-  --log-level L       enable stderr tracing at the given level
   --telemetry-addr A  serve live telemetry over HTTP while the command runs:
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);
@@ -466,7 +449,9 @@ OBSERVABILITY (run):
   --health-policy P   what a tripwire does: warn (log and continue,
                       default), skip-window (drop the offending window's
                       gradient), halt-and-dump (stop training; needs --out,
-                      and the run exits nonzero with its record written)
+                      and the run exits nonzero with its record written);
+                      a run that skipped non-finite windows or halted
+                      says so in one stderr warning line
   --out DIR           arm the op profiler, the flight-recorder timeline and
                       the training-health observatory (observation-only:
                       results stay bit-identical for every worker count)
@@ -476,8 +461,9 @@ OBSERVABILITY (run):
                                         per-source-domain gradient norms,
                                         pairwise cosines, update ratios,
                                         phase timings, eval, incidents,
-                                        halted
-                        events.jsonl    trace events + final metric snapshots
+                                        halted, and the final metrics
+                                        registry (counters, gauges,
+                                        histograms)
                         profile.json    per-op/per-phase breakdown
                                         (adaptraj-profile/v1)
                         trace.json      Chrome trace-event JSON (Perfetto)
@@ -500,7 +486,7 @@ SERVE:
   must match the spec the checkpoint was trained with.
 
 CHECK:
-  re-runs the five fixed-seed golden micro-runs (adaptraj-golden/v1) and
+  re-runs the six fixed-seed golden micro-runs (adaptraj-golden/v1) and
   compares them against the committed baselines in --golden-dir (default
   results/): per-epoch losses and decomposed components must match
   bit-for-bit; ADE/FDE within --metric-tol-pct percent (default 0.1).
@@ -562,7 +548,7 @@ mod tests {
         let cmd = parse(&args(
             "run --backbone lbebm --method adaptraj --sources eth_ucy,l_cas,syi \
              --target sdd --epochs 30 --workers 4 --seed 42 \
-             --log-level debug --telemetry-addr 127.0.0.1:9898 \
+             --telemetry-addr 127.0.0.1:9898 \
              --health-policy halt-and-dump --out run_dir",
         ))
         .unwrap();
@@ -576,7 +562,6 @@ mod tests {
                 epochs: 30,
                 workers: 4,
                 seed: Some(42),
-                log_level: Some(Level::Debug),
                 telemetry_addr: Some("127.0.0.1:9898".into()),
                 health_policy: Some(Policy::HaltAndDump),
                 out: Some("run_dir".into()),
@@ -648,7 +633,6 @@ mod tests {
         let Command::Run {
             workers,
             seed,
-            log_level,
             telemetry_addr,
             health_policy,
             out,
@@ -659,7 +643,6 @@ mod tests {
         };
         assert_eq!(workers, 1);
         assert_eq!(seed, None);
-        assert_eq!(log_level, None);
         assert_eq!(telemetry_addr, None);
         assert_eq!(health_policy, None);
         assert_eq!(out, None);
@@ -695,6 +678,7 @@ mod tests {
             "health-out",
             "health-dump",
             "ckpt",
+            "log-level",
         ] {
             let e = parse(&args(&format!("{run} --{flag} x"))).unwrap_err();
             assert!(e.0.contains(&format!("unknown flag --{flag}")), "{e}");
@@ -743,7 +727,7 @@ mod tests {
             "run --backbone pecnet --method vanilla --sources sdd --target syi --log-level loud",
         ))
         .unwrap_err();
-        assert!(e.0.contains("unknown log level"), "{e}");
+        assert!(e.0.contains("unknown flag --log-level"), "{e}");
     }
 
     #[test]

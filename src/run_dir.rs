@@ -3,10 +3,9 @@
 
 /// The run manifest (`adaptraj-run-manifest/v2`): config, one record per
 /// epoch with its losses, gradient norms and health diagnostics, phase
-/// timings, the evaluation summary, tripwire incidents and the halt flag.
+/// timings, the evaluation summary, tripwire incidents, the halt flag and
+/// the final metrics-registry snapshot.
 pub const MANIFEST: &str = "manifest.json";
-/// Trace events as JSONL, ending with the final metrics-registry dump.
-pub const EVENTS: &str = "events.jsonl";
 /// The op-level profile (`adaptraj-profile/v1`).
 pub const PROFILE: &str = "profile.json";
 /// The flight-recorder timeline as Chrome trace-event JSON (Perfetto).
@@ -17,4 +16,4 @@ pub const FOLDED: &str = "trace.folded";
 pub const CHECKPOINT: &str = "checkpoint.atps";
 
 /// Every file of the record, in the order `run` writes them.
-pub const FILES: [&str; 6] = [MANIFEST, EVENTS, PROFILE, TRACE, FOLDED, CHECKPOINT];
+pub const FILES: [&str; 5] = [MANIFEST, PROFILE, TRACE, FOLDED, CHECKPOINT];

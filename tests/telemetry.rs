@@ -1,6 +1,7 @@
 //! Cross-crate observability tests: training produces a manifest with one
 //! record per epoch, finite decomposed losses, and phase timings, the
-//! whole thing serializes as the documented JSON schema, the flight
+//! whole thing serializes as the documented JSON schema with the final
+//! metrics-registry snapshot as its `metrics` array, the flight
 //! recorder captures the same span set regardless of worker count, and
 //! the telemetry endpoint serves scrapeable text.
 //!
@@ -11,6 +12,7 @@ use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig};
+use adaptraj::obs::json::Value;
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{profile, timeline};
 use adaptraj::obs::{EvalSummary, RunTelemetry, MANIFEST_SCHEMA};
@@ -116,12 +118,30 @@ fn manifest_round_trips_through_a_file() {
     for rec in report.epochs {
         telemetry.push_epoch(rec);
     }
+    telemetry.metrics = adaptraj::obs::global().dump_jsonl();
     let path = std::env::temp_dir().join(format!("adaptraj_manifest_{}.json", std::process::id()));
     telemetry.write_to_file(&path).expect("write manifest");
     let text = std::fs::read_to_string(&path).expect("read manifest back");
     std::fs::remove_file(&path).ok();
     assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
     assert_eq!(text, format!("{}\n", telemetry.to_json()));
+
+    // The written manifest carries the registry snapshot; training just
+    // ran backward passes, so their counter is in it.
+    let manifest = Value::parse(&text).expect("manifest parses");
+    let metrics = manifest
+        .get("metrics")
+        .and_then(Value::as_array)
+        .expect("manifest has a metrics array");
+    let backward = metrics
+        .iter()
+        .find(|m| m.get("name").and_then(Value::as_str) == Some("tensor.backward_calls"))
+        .expect("metrics carry tensor.backward_calls");
+    assert_eq!(
+        backward.get("type").and_then(Value::as_str),
+        Some("counter")
+    );
+    assert!(backward.get("value").and_then(Value::as_u64).unwrap_or(0) > 0);
 }
 
 /// Trains once under the profiler + flight recorder and returns the
