@@ -31,7 +31,7 @@ fn main() -> ExitCode {
     let datasets = build_datasets(args.scale);
     print!(
         "{}",
-        render(&args.table, &datasets, &seeds, |cell, cfg| {
+        render(&args.table, &datasets, |cell, cfg| {
             run_cell_avg(cell, &datasets, cfg, &seeds)
         })
     );

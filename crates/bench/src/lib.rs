@@ -3,7 +3,9 @@
 //! Reproduction harness. The paper's evaluation is one experiment —
 //! (backbone, method, sources, target) cells, each trained, scored and laid
 //! out in a grid — so every table and figure is a spec in [`tables`], run by
-//! the one `tables` binary:
+//! the one `tables` binary. Cells are trained and scored only by the runner
+//! it passes in (`adaptraj_eval::run_cell_avg`); [`tables::render`] trains
+//! nothing itself and lays out the results:
 //!
 //! ```sh
 //! cargo run --release -p adaptraj-bench --bin tables -- table4 [--scale smoke|paper] [--seeds N]

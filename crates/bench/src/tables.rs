@@ -3,9 +3,10 @@
 //! Each table is a [`TableSpec`]: a title, the paper's expected shape, and
 //! one or more [`Section`]s of rows, where a row is some label cells plus
 //! the `(CellSpec, RunnerConfig)` cells to train and score. [`render`]
-//! runs the cells in order through a caller-supplied runner and lays the
-//! results out, so the `tables` binary passes `run_cell_avg` and a test passes a
-//! fake that trains nothing.
+//! trains and scores nothing itself: it runs the cells in order through a
+//! caller-supplied runner and lays out the [`CellResult`]s, means and
+//! per-window scores alike, so the `tables` binary passes `run_cell_avg`
+//! and a test passes a fake that trains nothing.
 
 use crate::Scale;
 use adaptraj_data::dataset::DomainDataset;
@@ -13,12 +14,10 @@ use adaptraj_data::domain::DomainId::{self, EthUcy, LCas, Sdd, Syi};
 use adaptraj_data::stats::table_one;
 use adaptraj_data::trajectory::TrajWindow;
 use adaptraj_eval::{
-    ade, build_predictor, fde, leave_one_out, paired_bootstrap, pooled_train, target_test,
-    BackboneKind, CellResult, CellSpec, EvalAccumulator, MethodKind, RunnerConfig,
-    SocialAccumulator, TextTable,
+    leave_one_out, paired_bootstrap, BackboneKind, CellResult, CellSpec, EvalAccumulator,
+    MethodKind, RunnerConfig, TextTable,
 };
 use adaptraj_models::TrainerConfig;
-use adaptraj_tensor::Rng;
 
 /// How a table's body is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,11 +27,8 @@ pub enum Body {
     /// One column per cell from the runner's [`CellResult`], plus an
     /// `Average` column of the row's ADE and FDE if `average`.
     Grid { format: CellFormat, average: bool },
-    /// Each row's single cell scored window by window for ADE/FDE,
-    /// collision rate and miss rate.
-    Social,
     /// Each row's second cell against its first by a paired bootstrap over
-    /// per-window best-of-k ADE.
+    /// the two cells' per-window best-of-k ADE, paired by (seed, window).
     Paired,
 }
 
@@ -43,8 +39,11 @@ pub enum CellFormat {
     AdeFde,
     /// Two columns, `ADE | FDE`.
     Split,
-    /// Mean inference seconds per trajectory (Table VIII).
+    /// Median inference seconds per trajectory (Table VIII).
     InferSeconds,
+    /// Three columns from the cell's per-window scores: first-sample
+    /// `ADE/FDE`, collision rate and miss rate.
+    Social,
 }
 
 /// One experiment cell and the settings it runs with.
@@ -436,7 +435,10 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
             shape: "Reading: lower collision rates indicate more socially compliant\n\
                     futures; Counter (which ignores neighbors at inference) is expected\n\
                     to collide most.",
-            body: Body::Social,
+            body: Body::Grid {
+                format: CellFormat::Social,
+                average: false,
+            },
             sections: single(
                 &[
                     "Backbone",
@@ -486,14 +488,13 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
     Some(spec)
 }
 
-/// Runs every cell of `spec` and lays the table out: the sections, then
-/// the expected-shape text. Grid cells go through `run` (the binary passes
-/// [`adaptraj_eval::run_cell_avg`] over `seeds`); Social and Paired cells
-/// are trained once per seed and scored window by window here.
+/// Runs every cell of `spec` through `run` (the binary passes
+/// [`adaptraj_eval::run_cell_avg`]) and lays the table out: the sections,
+/// then the expected-shape text. Every number printed comes from the
+/// returned [`CellResult`]s.
 pub fn render(
     spec: &TableSpec,
     datasets: &[DomainDataset],
-    seeds: &[u64],
     mut run: impl FnMut(&CellSpec, &RunnerConfig) -> CellResult,
 ) -> String {
     let mut out = match spec.body {
@@ -504,15 +505,18 @@ pub fn render(
         let mut table = TextTable::new(&section.header);
         for row in &section.rows {
             let mut line = row.labels.clone();
+            let results: Vec<CellResult> = row
+                .cells
+                .iter()
+                .map(|c| {
+                    eprintln!("[run] {}", c.spec.label());
+                    run(&c.spec, &c.cfg)
+                })
+                .collect();
             match spec.body {
                 Body::Stats => {}
                 Body::Grid { format, average } => {
-                    let (mut ade_sum, mut fde_sum) = (0.0f32, 0.0f32);
-                    for c in &row.cells {
-                        eprintln!("[run] {}", c.spec.label());
-                        let res = run(&c.spec, &c.cfg);
-                        ade_sum += res.eval.ade;
-                        fde_sum += res.eval.fde;
+                    for res in &results {
                         match format {
                             CellFormat::AdeFde => line.push(res.eval.to_string()),
                             CellFormat::Split => {
@@ -522,15 +526,17 @@ pub fn render(
                             CellFormat::InferSeconds => {
                                 line.push(format!("{:.4}", res.infer_time_s))
                             }
+                            CellFormat::Social => line.extend(social(res)),
                         }
                     }
                     if average {
-                        let n = row.cells.len() as f32;
-                        line.push(format!("{:.3}/{:.3}", ade_sum / n, fde_sum / n));
+                        let n = results.len() as f32;
+                        let ade = results.iter().map(|r| r.eval.ade).sum::<f32>() / n;
+                        let fde = results.iter().map(|r| r.eval.fde).sum::<f32>() / n;
+                        line.push(format!("{ade:.3}/{fde:.3}"));
                     }
                 }
-                Body::Social => line.extend(social(&row.cells[0], datasets, seeds)),
-                Body::Paired => line.extend(paired(&row.cells, datasets, seeds)),
+                Body::Paired => line.extend(paired(&results[0], &results[1])),
             }
             table.push_row(line);
         }
@@ -588,62 +594,28 @@ fn stats(datasets: &[DomainDataset]) -> String {
     format!("{ours}\nPaper values (recorded datasets, for shape comparison):\n{paper}\n")
 }
 
-/// Trains `c` once per seed (the eval RNG offset by the seed's index, as
-/// in `run_cell_avg`) and scores its target test windows, pooled over
-/// seeds: `[ADE/FDE, collision rate, miss rate]`.
-fn social(c: &Cell, datasets: &[DomainDataset], seeds: &[u64]) -> [String; 3] {
-    eprintln!("[run] {}", c.spec.label());
-    let train = pooled_train(&c.spec, datasets);
-    let test = target_test(&c.spec, datasets, c.cfg.eval_cap);
-    let mut social = SocialAccumulator::new();
+/// `[first-sample ADE/FDE, collision rate, miss rate]` over every
+/// window of `res`, pooled across its seeds.
+fn social(res: &CellResult) -> [String; 3] {
     let mut err = EvalAccumulator::new();
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut cfg = c.cfg.clone();
-        cfg.trainer.seed = seed;
-        let mut predictor = build_predictor(&c.spec, &cfg);
-        predictor.fit(&train);
-        let mut rng = Rng::seed_from(cfg.eval_seed.wrapping_add(i as u64));
-        for w in &test {
-            let pred = predictor.predict(w, &mut rng);
-            social.push(&pred, w);
-            err.push(ade(&pred, &w.fut), fde(&pred, &w.fut));
-        }
+    for w in &res.windows {
+        err.push(w.ade, w.fde);
     }
-    let s = social.report();
+    let n = res.windows.len().max(1) as f32;
+    let rate = |hits: usize| format!("{:.3}", hits as f32 / n);
     [
         err.result().to_string(),
-        format!("{:.3}", s.collision_rate),
-        format!("{:.3}", s.miss_rate),
+        rate(res.windows.iter().filter(|w| w.collides).count()),
+        rate(res.windows.iter().filter(|w| w.misses).count()),
     ]
 }
 
-/// Paired bootstrap of `cells[1]` against `cells[0]` on identical test
-/// windows: per-window best-of-k ADE pooled across training seeds, both
-/// cells seeing the same evaluation seed (`eval_seed + seed`) per seed.
-/// `[mean diff, 95% CI, resolved?]`.
-fn paired(cells: &[Cell], datasets: &[DomainDataset], seeds: &[u64]) -> [String; 3] {
-    let mut errs = [Vec::new(), Vec::new()];
-    for &seed in seeds {
-        for (c, out) in cells.iter().zip(&mut errs) {
-            eprintln!("[run] seed {seed} {}", c.spec.label());
-            let mut cfg = c.cfg.clone();
-            cfg.trainer.seed = seed;
-            let train = pooled_train(&c.spec, datasets);
-            let test = target_test(&c.spec, datasets, cfg.eval_cap);
-            let mut predictor = build_predictor(&c.spec, &cfg);
-            predictor.fit(&train);
-            let mut rng = Rng::seed_from(cfg.eval_seed + seed);
-            for w in &test {
-                let samples = predictor.predict_k(w, cfg.samples_k, &mut rng);
-                let best = samples
-                    .iter()
-                    .map(|p| ade(p, &w.fut))
-                    .fold(f32::INFINITY, f32::min);
-                out.push(best);
-            }
-        }
-    }
-    let r = paired_bootstrap(&errs[1], &errs[0], 2000, 0.95, 99);
+/// Paired bootstrap of `b` against `a` over their per-window best-of-k
+/// ADE. Both cells run the same seeds on the same test windows, so their
+/// vectors pair by (seed, window). `[mean diff, 95% CI, resolved?]`.
+fn paired(a: &CellResult, b: &CellResult) -> [String; 3] {
+    let best_ade = |r: &CellResult| -> Vec<f32> { r.windows.iter().map(|w| w.best_ade).collect() };
+    let r = paired_bootstrap(&best_ade(b), &best_ade(a), 2000, 0.95, 99);
     [
         format!("{:+.4}", r.mean_diff),
         format!("[{:+.4}, {:+.4}]", r.ci_low, r.ci_high),

@@ -1,16 +1,36 @@
 //! Every table spec renders without training: a fake runner stands in for
 //! `run_cell_avg`, and the tests pin each table's ordered cell list (label
 //! plus the `RunnerConfig` fields that vary between tables), its header,
-//! its row count and its `Average` column.
+//! its row count, its `Average` column, and the social and paired columns
+//! computed from the fake's per-window scores.
 
-use adaptraj_bench::tables::{render, spec, Body, Cell, TableSpec};
+use adaptraj_bench::tables::{render, spec, Body, Cell, CellFormat, TableSpec};
 use adaptraj_bench::Scale;
-use adaptraj_eval::{CellResult, CellSpec, EvalResult, RunnerConfig};
+use adaptraj_eval::{
+    paired_bootstrap, CellResult, CellSpec, EvalAccumulator, EvalResult, RunnerConfig, WindowScore,
+};
 use adaptraj_models::predictor::TrainReport;
+
+/// Per-window scores in each fake result.
+const FAKE_WINDOWS: usize = 40;
 
 /// A deterministic result derived from the cell's label and settings.
 fn fake(spec: &CellSpec, cfg: &RunnerConfig) -> CellResult {
-    let k = spec.label().len() as f32 + cfg.adaptraj.delta + cfg.adaptraj.sigma + cfg.e_end_frac;
+    let n = spec.label().len();
+    let k = n as f32 + cfg.adaptraj.delta + cfg.adaptraj.sigma + cfg.e_end_frac;
+    let windows = (0..FAKE_WINDOWS)
+        .map(|i| {
+            let x = ((n * 7 + i * 13) % 17) as f32 / 10.0;
+            WindowScore {
+                best_ade: x,
+                best_fde: 2.0 * x,
+                ade: x + 0.25,
+                fde: 2.0 * x + 0.5,
+                collides: (n + i).is_multiple_of(3),
+                misses: (n + 2 * i).is_multiple_of(5),
+            }
+        })
+        .collect();
     CellResult {
         spec: spec.clone(),
         eval: EvalResult {
@@ -21,14 +41,15 @@ fn fake(spec: &CellSpec, cfg: &RunnerConfig) -> CellResult {
         train_time_s: 0.0,
         final_train_loss: None,
         report: TrainReport::default(),
+        windows,
     }
 }
 
-/// Renders a grid table through the fake runner; returns the output and
-/// the cells in the order they were run.
+/// Renders a table through the fake runner; returns the output and the
+/// cells in the order they were run.
 fn render_fake(t: &TableSpec) -> (String, Vec<(CellSpec, RunnerConfig)>) {
     let mut calls = Vec::new();
-    let out = render(t, &[], &[1], |s, c| {
+    let out = render(t, &[], |s, c| {
         calls.push((s.clone(), c.clone()));
         fake(s, c)
     });
@@ -423,26 +444,49 @@ fn fig4_sweeps_one_knob_per_section() {
 #[test]
 fn social_cells() {
     let t = smoke("social");
-    assert_eq!(t.body, Body::Social);
-    let cells: Vec<(CellSpec, RunnerConfig)> =
-        cells(&t).map(|c| (c.spec.clone(), c.cfg.clone())).collect();
-    let tails = s(&["[ETH&UCY+L-CAS+SYI -> SDD]"]);
-    assert_eq!(labels(&cells), grid(&METHODS, &tails));
-    for (_, c) in &cells {
-        assert_eq!(budget(c), SMOKE_BUDGET);
-        assert_eq!(knobs(c), DEFAULT_KNOBS);
-    }
     assert_eq!(
-        t.sections[0].header,
-        [
-            "Backbone",
-            "Method",
-            "ADE/FDE",
-            "Collision rate",
-            "Miss rate @2m"
-        ]
+        t.body,
+        Body::Grid {
+            format: CellFormat::Social,
+            average: false
+        }
     );
-    assert_eq!(t.sections[0].rows.len(), 8);
+    let tails = s(&["[ETH&UCY+L-CAS+SYI -> SDD]"]);
+    let out = check(
+        "social",
+        &grid(&METHODS, &tails),
+        "| Backbone | Method       | ADE/FDE     | Collision rate | Miss rate @2m |",
+        8,
+        SMOKE_BUDGET,
+    );
+    let lines = &table_lines(&out)[0][1..];
+    let mut colliding = vec![];
+    for (line, row) in lines.iter().zip(&t.sections[0].rows) {
+        let c = &row.cells[0];
+        let windows = fake(&c.spec, &c.cfg).windows;
+        let mut first = EvalAccumulator::new();
+        for w in &windows {
+            first.push(w.ade, w.fde);
+        }
+        let n = windows.len() as f32;
+        let collisions = windows.iter().filter(|w| w.collides).count();
+        let misses = windows.iter().filter(|w| w.misses).count();
+        colliding.push(collisions);
+        assert_eq!(
+            cells_of(line)[2..],
+            [
+                first.result().to_string(),
+                format!("{:.3}", collisions as f32 / n),
+                format!("{:.3}", misses as f32 / n),
+            ],
+            "{line}"
+        );
+    }
+    // The fake's rates vary by cell, so a column mix-up would show.
+    assert!(
+        colliding.iter().any(|&c| c != colliding[0]),
+        "{colliding:?}"
+    );
 }
 
 #[test]
@@ -471,20 +515,43 @@ fn compare_pairs_vanilla_with_adaptraj_on_sdd_and_syi() {
         }
     }
     assert_eq!(got, want);
-    for c in cells(&t) {
-        assert_eq!(budget(&c.cfg), SMOKE_BUDGET);
-        assert_eq!(knobs(&c.cfg), DEFAULT_KNOBS);
-    }
-    assert_eq!(
-        t.sections[0].header,
-        [
-            "Backbone",
-            "Target",
-            "mean ADE diff (AdapTraj − vanilla)",
-            "95% CI",
-            "resolved?"
-        ]
+    let run_order: Vec<String> = want.into_iter().flat_map(|(_, cells)| cells).collect();
+    let out = check(
+        "compare",
+        &run_order,
+        "| Backbone | Target | mean ADE diff (AdapTraj − vanilla)   | 95% CI             | resolved?         |",
+        4,
+        SMOKE_BUDGET,
     );
+    // Each row is a paired bootstrap of AdapTraj's per-window best-of-k
+    // ADE against vanilla's.
+    let best_ade = |c: &Cell| -> Vec<f32> {
+        let windows = fake(&c.spec, &c.cfg).windows;
+        windows.iter().map(|w| w.best_ade).collect()
+    };
+    for (line, row) in table_lines(&out)[0][1..].iter().zip(rows) {
+        let r = paired_bootstrap(
+            &best_ade(&row.cells[1]),
+            &best_ade(&row.cells[0]),
+            2000,
+            0.95,
+            99,
+        );
+        let resolved = if r.significant() {
+            "yes"
+        } else {
+            "no (within noise)"
+        };
+        assert_eq!(
+            cells_of(line)[2..],
+            [
+                format!("{:+.4}", r.mean_diff),
+                format!("[{:+.4}, {:+.4}]", r.ci_low, r.ci_high),
+                resolved.to_string(),
+            ],
+            "{line}"
+        );
+    }
 }
 
 #[test]

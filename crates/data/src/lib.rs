@@ -25,7 +25,6 @@
 //! assert_eq!(ds.train[0].obs.len(), adaptraj_data::trajectory::T_OBS);
 //! ```
 
-pub mod augment;
 pub mod batch;
 pub mod dataset;
 pub mod domain;

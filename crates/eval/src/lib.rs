@@ -7,6 +7,8 @@
 //! * [`runner`] — builds, trains, and evaluates one experiment cell
 //!   (backbone × learning method × source set × target domain), including
 //!   the per-trajectory inference timing used by Table VIII.
+//!   [`evaluate`] is the one scoring loop: every window's best-of-k
+//!   errors and its first sample's errors and [`social`] metrics.
 //! * [`tables`] — aligned text tables matching the paper's layout,
 //!   rendered by the `adaptraj-bench` `tables` binary.
 
@@ -20,9 +22,9 @@ pub mod viz;
 pub use metrics::{ade, best_of_k, fde, EvalAccumulator, EvalResult};
 pub use runner::{
     build_predictor, evaluate, leave_one_out, pooled_train, run_cell, run_cell_avg, target_test,
-    train_cell, BackboneKind, CellResult, CellSpec, MethodKind, RunnerConfig,
+    train_cell, BackboneKind, CellResult, CellSpec, MethodKind, RunnerConfig, WindowScore,
 };
-pub use social::{collides, misses, SocialAccumulator, SocialReport};
+pub use social::{collides, misses};
 pub use stats::{paired_bootstrap, PairedBootstrap};
 pub use tables::TextTable;
 pub use viz::{render_window, VizOptions};

@@ -1,7 +1,8 @@
 //! Experiment orchestration: build, train, and evaluate one table cell
 //! (backbone × learning method × source set × target domain).
 
-use crate::metrics::{best_of_k, EvalAccumulator, EvalResult};
+use crate::metrics::{ade, best_of_k, fde, EvalAccumulator, EvalResult};
+use crate::social::{collides, misses};
 use adaptraj_core::{AdapTraj, AdapTrajConfig};
 use adaptraj_data::dataset::DomainDataset;
 use adaptraj_data::domain::DomainId;
@@ -102,6 +103,26 @@ pub struct CellResult {
     /// Full per-epoch training telemetry (feeds the run manifest). For
     /// [`run_cell_avg`] this is the report of the last seed's run.
     pub report: TrainReport,
+    /// Every evaluated window's scores from [`evaluate`], in window order;
+    /// [`run_cell_avg`] concatenates its seeds' vectors in seed order.
+    pub windows: Vec<WindowScore>,
+}
+
+/// One test window's scores from [`evaluate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowScore {
+    /// Best-of-k ADE over the window's samples.
+    pub best_ade: f32,
+    /// Best-of-k FDE over the window's samples.
+    pub best_fde: f32,
+    /// ADE of the first sample.
+    pub ade: f32,
+    /// FDE of the first sample.
+    pub fde: f32,
+    /// The first sample [`collides`] with a neighbor.
+    pub collides: bool,
+    /// The first sample [`misses`] the goal.
+    pub misses: bool,
 }
 
 /// Scale knobs for a whole experiment run.
@@ -264,15 +285,16 @@ const LATENCY_PROBE_CALLS: usize = 32;
 /// bit-identical to `k` successive `predict` calls on that RNG, and
 /// ADE/FDE are bit-identical for every worker count.
 ///
-/// Returns the mean errors and each window's best-of-k `(ade, fde)`, in
-/// window order; the means are reduced from those values in that order.
+/// Returns the mean best-of-k errors and each window's [`WindowScore`],
+/// in window order; the means are reduced from the best-of-k values in
+/// that order. This is the one place a trained predictor is scored.
 pub fn evaluate(
     predictor: &dyn Predictor,
     test: &[&TrajWindow],
     k: usize,
     seed: u64,
     workers: usize,
-) -> (EvalResult, Vec<(f32, f32)>) {
+) -> (EvalResult, Vec<WindowScore>) {
     assert!(!test.is_empty(), "empty test set");
     // Ops of every window land under `evaluate/...`: the pool carries the
     // span into each job, which also records its own queue_wait/job_run.
@@ -282,13 +304,22 @@ pub fn evaluate(
         .map(test, |i, w| {
             let mut rng = Rng::seed_from(window_seed(seed, 0, i as u64));
             let samples = predictor.predict_k(w, k.max(1), &mut rng);
-            best_of_k(&samples, &w.fut)
+            let (best_ade, best_fde) = best_of_k(&samples, &w.fut);
+            let first = &samples[0];
+            WindowScore {
+                best_ade,
+                best_fde,
+                ade: ade(first, &w.fut),
+                fde: fde(first, &w.fut),
+                collides: collides(first, w),
+                misses: misses(first, &w.fut),
+            }
         })
         .unwrap_or_else(|e| panic!("evaluation worker panicked: {e}"));
     // Reduce in window order: identical accumulation for any worker count.
     let mut acc = EvalAccumulator::new();
-    for &(a, f) in &per_window {
-        acc.push(a, f);
+    for s in &per_window {
+        acc.push(s.best_ade, s.best_fde);
     }
     (acc.result(), per_window)
 }
@@ -338,7 +369,7 @@ pub fn train_cell(
     let t0 = Instant::now();
     let report = predictor.fit(&train);
     let train_time_s = t0.elapsed().as_secs_f64();
-    let (eval, _) = evaluate(
+    let (eval, windows) = evaluate(
         predictor.as_ref(),
         &test,
         cfg.samples_k,
@@ -353,15 +384,17 @@ pub fn train_cell(
         train_time_s,
         final_train_loss: report.final_loss(),
         report,
+        windows,
     };
     (result, predictor)
 }
 
 /// Runs a cell once per seed and averages errors and timings — the
 /// recommended protocol when single-run noise matters (see
-/// EXPERIMENTS.md's methodology notes). Seeds override
-/// `cfg.trainer.seed`; the evaluation seed is offset per run so sampled
-/// futures differ too.
+/// EXPERIMENTS.md's methodology notes). Seed `i` (0-based) overrides
+/// `cfg.trainer.seed` and evaluates with `cfg.eval_seed + i`, so sampled
+/// futures differ per seed and two cells on the same target pair by
+/// (seed, window) in [`CellResult::windows`].
 pub fn run_cell_avg(
     spec: &CellSpec,
     datasets: &[DomainDataset],
@@ -375,6 +408,7 @@ pub fn run_cell_avg(
     let mut train = 0.0f64;
     let mut last_loss = None;
     let mut last_report = TrainReport::default();
+    let mut windows = Vec::new();
     for (i, &seed) in seeds.iter().enumerate() {
         let mut run_cfg = cfg.clone();
         run_cfg.trainer.seed = seed;
@@ -386,6 +420,7 @@ pub fn run_cell_avg(
         train += r.train_time_s;
         last_loss = r.final_train_loss.or(last_loss);
         last_report = r.report;
+        windows.extend(r.windows);
     }
     let n = seeds.len() as f32;
     CellResult {
@@ -398,6 +433,7 @@ pub fn run_cell_avg(
         train_time_s: train / seeds.len() as f64,
         final_train_loss: last_loss,
         report: last_report,
+        windows,
     }
 }
 
@@ -508,11 +544,18 @@ mod tests {
         assert_eq!(e1.fde.to_bits(), e4.fde.to_bits(), "FDE depends on workers");
     }
 
+    /// A window's scores as bits, for exact comparison.
+    fn score_bits(s: &WindowScore) -> ([u32; 4], bool, bool) {
+        let errors = [s.best_ade, s.best_fde, s.ade, s.fde].map(f32::to_bits);
+        (errors, s.collides, s.misses)
+    }
+
     #[test]
     fn evaluate_matches_a_per_window_predict_loop() {
         // The evaluate contract: window i's k samples are k successive
         // `predict` calls on an rng seeded with `window_seed(seed, 0, i)`,
-        // scored best-of-k and averaged in window order.
+        // scored best-of-k and averaged in window order; the first of them
+        // also gets its own ADE/FDE, collision and miss.
         let datasets = tiny_datasets();
         let (k, seed) = (4, 99);
         for (backbone, method) in [
@@ -537,7 +580,12 @@ mod tests {
                 let samples: Vec<_> = (0..k).map(|_| predictor.predict(w, &mut rng)).collect();
                 let (a, f) = best_of_k(&samples, &w.fut);
                 acc.push(a, f);
-                want_windows.push((a.to_bits(), f.to_bits()));
+                let first = &samples[0];
+                want_windows.push((
+                    [a, f, ade(first, &w.fut), fde(first, &w.fut)].map(f32::to_bits),
+                    collides(first, w),
+                    misses(first, &w.fut),
+                ));
             }
             let want = acc.result();
             for workers in [1, 2] {
@@ -545,11 +593,8 @@ mod tests {
                 let label = format!("{} workers={workers}", spec.label());
                 assert_eq!(got.ade.to_bits(), want.ade.to_bits(), "ADE: {label}");
                 assert_eq!(got.fde.to_bits(), want.fde.to_bits(), "FDE: {label}");
-                let got_windows: Vec<_> = windows
-                    .iter()
-                    .map(|(a, f)| (a.to_bits(), f.to_bits()))
-                    .collect();
-                assert_eq!(got_windows, want_windows, "per-window errors: {label}");
+                let got_windows: Vec<_> = windows.iter().map(score_bits).collect();
+                assert_eq!(got_windows, want_windows, "per-window scores: {label}");
             }
         }
     }
@@ -640,6 +685,11 @@ mod tests {
             avg.eval.ade,
             expected
         );
+        // The per-window scores are seed 1's followed by seed 2's.
+        assert!(!a.windows.is_empty());
+        let want: Vec<_> = a.windows.iter().chain(&b.windows).map(score_bits).collect();
+        let got: Vec<_> = avg.windows.iter().map(score_bits).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

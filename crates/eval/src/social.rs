@@ -7,7 +7,8 @@
 //! the prediction horizon, the standard approximation when neighbor
 //! futures are not predicted jointly) and miss rate at a distance
 //! threshold — both common in the trajectory-forecasting literature
-//! (e.g. TrajNet++).
+//! (e.g. TrajNet++). [`crate::evaluate`] applies both to each window's
+//! first sample and records the outcome in its [`crate::WindowScore`].
 
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
 
@@ -55,49 +56,6 @@ pub fn misses(pred: &[Point], gt: &[Point]) -> bool {
     ) > MISS_THRESHOLD
 }
 
-/// Aggregate social metrics over a test set.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SocialReport {
-    /// Fraction of windows whose prediction collides with a neighbor.
-    pub collision_rate: f32,
-    /// Fraction of windows missing the goal by more than the threshold.
-    pub miss_rate: f32,
-    pub windows: usize,
-}
-
-/// Accumulates per-window social metrics.
-#[derive(Debug, Default, Clone)]
-pub struct SocialAccumulator {
-    collisions: usize,
-    misses: usize,
-    n: usize,
-}
-
-impl SocialAccumulator {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, pred: &[Point], w: &TrajWindow) {
-        if collides(pred, w) {
-            self.collisions += 1;
-        }
-        if misses(pred, &w.fut) {
-            self.misses += 1;
-        }
-        self.n += 1;
-    }
-
-    pub fn report(&self) -> SocialReport {
-        let n = self.n.max(1) as f32;
-        SocialReport {
-            collision_rate: self.collisions as f32 / n,
-            miss_rate: self.misses as f32 / n,
-            windows: self.n,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,25 +98,5 @@ mod tests {
         assert_eq!(fut.len(), T_PRED);
         assert!((fut[0][0] - 0.5 * T_OBS as f32).abs() < 1e-5);
         assert!((fut[T_PRED - 1][1] - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn accumulator_rates() {
-        let w = window_with_parallel_neighbor(1.0);
-        let mut acc = SocialAccumulator::new();
-        acc.push(&w.fut, &w); // clean
-        let colliding: Vec<Point> = (1..=T_PRED).map(|t| [0.4 * t as f32, 1.0]).collect();
-        acc.push(&colliding, &w); // collides and (far from gt? final y=1, gt y=0 -> miss only if >2m: no)
-        let r = acc.report();
-        assert_eq!(r.windows, 2);
-        assert!((r.collision_rate - 0.5).abs() < 1e-6);
-        assert!(r.miss_rate <= 0.5);
-    }
-
-    #[test]
-    fn windowless_report_is_zero() {
-        let r = SocialAccumulator::new().report();
-        assert_eq!(r.collision_rate, 0.0);
-        assert_eq!(r.windows, 0);
     }
 }

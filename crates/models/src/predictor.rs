@@ -23,9 +23,9 @@ impl TrainReport {
         self.epoch_losses.last().copied()
     }
 
-    /// Total windows skipped due to non-finite losses.
+    /// Total windows skipped due to non-finite losses or gradients.
     pub fn non_finite_total(&self) -> u64 {
-        self.epochs.iter().map(|e| e.non_finite_batches).sum()
+        adaptraj_obs::telemetry::non_finite_total(&self.epochs)
     }
 
     /// The one-line warning for a run that did not train clean: windows

@@ -24,6 +24,12 @@ use std::path::Path;
 /// detect schema drift.
 pub const MANIFEST_SCHEMA: &str = "adaptraj-run-manifest/v2";
 
+/// Total windows skipped due to non-finite losses or gradients across
+/// `epochs`.
+pub fn non_finite_total(epochs: &[EpochRecord]) -> u64 {
+    epochs.iter().map(|e| e.non_finite_batches).sum()
+}
+
 /// The decomposed training objective for one epoch (means over batches).
 ///
 /// Mirrors the AdapTraj loss: `total = backbone + δ·(α·recon + β·diff +
@@ -291,12 +297,6 @@ impl RunTelemetry {
         self.phases.push(PhaseTiming::new(phase, duration_s));
     }
 
-    /// Total windows skipped due to non-finite losses or gradients across
-    /// all epochs.
-    pub fn non_finite_total(&self) -> u64 {
-        self.epochs.iter().map(|e| e.non_finite_batches).sum()
-    }
-
     /// True when early stopping fired at any epoch.
     pub fn early_stopped(&self) -> bool {
         self.epochs.iter().any(|e| e.early_stop)
@@ -327,7 +327,7 @@ impl RunTelemetry {
             .str("schema", MANIFEST_SCHEMA)
             .raw("config", &cfg.finish())
             .u64("num_epochs", self.epochs.len() as u64)
-            .u64("non_finite_batches_total", self.non_finite_total())
+            .u64("non_finite_batches_total", non_finite_total(&self.epochs))
             .bool("early_stopped", self.early_stopped())
             .bool("halted", self.halted)
             .raw("incidents", &incidents.finish())

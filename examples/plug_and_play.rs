@@ -9,25 +9,15 @@
 use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
-use adaptraj::eval::metrics::{best_of_k, EvalAccumulator};
+use adaptraj::data::TrajWindow;
+use adaptraj::eval::evaluate;
 use adaptraj::models::{BackboneConfig, Lbebm, PecNet, Predictor, TrainerConfig};
-use adaptraj::tensor::Rng;
-
-fn evaluate(model: &dyn Predictor, test: &[adaptraj::data::TrajWindow]) -> String {
-    let mut rng = Rng::seed_from(7);
-    let mut acc = EvalAccumulator::new();
-    for w in test.iter().take(150) {
-        let samples = model.predict_k(w, 3, &mut rng);
-        let (a, f) = best_of_k(&samples, &w.fut);
-        acc.push(a, f);
-    }
-    acc.result().to_string()
-}
 
 fn main() {
     let synth = SynthesisConfig::default();
     let sources = [DomainId::EthUcy, DomainId::Syi];
     let target = synthesize_domain(DomainId::Sdd, &synth);
+    let test: Vec<&TrajWindow> = target.test.iter().take(150).collect();
     let mut train = Vec::new();
     for &s in &sources {
         train.extend(synthesize_domain(s, &synth).train);
@@ -60,7 +50,7 @@ fn main() {
             "{:16} trained in {:5.1}s -> unseen SDD ADE/FDE {}",
             model.name(),
             t0.elapsed().as_secs_f64(),
-            evaluate(model, &target.test)
+            evaluate(model, &test, 3, 7, 1).0
         );
     }
     println!("\nSame framework object model, two generative families — the");

@@ -8,7 +8,8 @@
 use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
-use adaptraj::eval::metrics::{best_of_k, EvalAccumulator};
+use adaptraj::data::TrajWindow;
+use adaptraj::eval::evaluate;
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig};
 use adaptraj::tensor::Rng;
 
@@ -53,23 +54,18 @@ fn main() {
     );
 
     // 3. Evaluate best-of-3 ADE/FDE on the unseen domain's test split.
-    let mut rng = Rng::seed_from(42);
-    let mut acc = EvalAccumulator::new();
-    for w in target_ds.test.iter().take(200) {
-        let samples = model.predict_k(w, 3, &mut rng);
-        let (a, f) = best_of_k(&samples, &w.fut);
-        acc.push(a, f);
-    }
+    let test: Vec<&TrajWindow> = target_ds.test.iter().take(200).collect();
+    let (result, windows) = evaluate(&model, &test, 3, 42, 1);
     println!(
         "unseen {}: ADE/FDE = {} over {} windows",
         target,
-        acc.result(),
-        acc.count()
+        result,
+        windows.len()
     );
 
     // 4. Inspect one prediction.
     let w = &target_ds.test[0];
-    let pred = model.predict(w, &mut rng);
+    let pred = model.predict(w, &mut Rng::seed_from(42));
     println!("\nsample prediction (normalized frame, last obs at origin):");
     println!("  t   predicted          ground truth");
     for (t, (p, g)) in pred.iter().zip(&w.fut).enumerate() {

@@ -12,7 +12,8 @@ run() { # name seeds output
     target/release/tables "$1" --scale "$scale" --seeds "$2" | tee "$3"
 }
 for name in table1 table2 table3 table4 table5 table6 table7 table8 fig3 fig4 social compare; do
-    # compare pools per-window errors over two training seeds.
+    # compare pools the runner's per-(seed, window) scores over two
+    # training seeds.
     seeds=1
     [ "$name" = compare ] && seeds=2
     run "$name" "$seeds" "results/${name}_${scale}.txt"

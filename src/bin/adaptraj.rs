@@ -14,7 +14,7 @@ use adaptraj::data::domain::DomainId;
 use adaptraj::data::io::write_csv;
 use adaptraj::doctor::{run_doctor, DoctorArgs};
 use adaptraj::eval::viz::{render_window, VizOptions};
-use adaptraj::eval::{target_test, train_cell, CellSpec, RunnerConfig};
+use adaptraj::eval::{train_cell, CellSpec, RunnerConfig};
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig, Vanilla};
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{health, profile, timeline};
@@ -205,7 +205,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 ade: res.eval.ade as f64,
                 fde: res.eval.fde as f64,
                 infer_time_s: res.infer_time_s,
-                num_windows: target_test(&spec, &datasets, cfg.eval_cap).len() as u64,
+                num_windows: res.windows.len() as u64,
             });
             telemetry.incidents = health::incidents();
             telemetry.halted = health::halt_requested();

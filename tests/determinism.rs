@@ -12,7 +12,7 @@ use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::data::trajectory::TrajWindow;
-use adaptraj::eval::{evaluate, EvalResult};
+use adaptraj::eval::{evaluate, EvalResult, WindowScore};
 use adaptraj::exec::{ExecError, WorkerPool};
 use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor};
 use adaptraj::obs::RegistryDelta;
@@ -40,10 +40,14 @@ enum Method {
     CausalMotion,
 }
 
+/// Everything one smoke workload run produces: per-epoch losses, the
+/// tensor-op counter deltas of the fit, and the mean and per-window
+/// scores of a small evaluation pass.
+type Workload = (Vec<f32>, RegistryDelta, EvalResult, Vec<WindowScore>);
+
 /// Trains the PECNet smoke workload of `method` with the given worker
-/// count and returns the per-epoch losses, the tensor-op counter deltas
-/// of the fit, and the ADE/FDE of a small evaluation pass.
-fn run_smoke_workload(method: Method, workers: usize) -> (Vec<f32>, RegistryDelta, EvalResult) {
+/// count and evaluates it with the same worker count.
+fn run_smoke_workload(method: Method, workers: usize) -> Workload {
     let synth = SynthesisConfig::smoke();
     let mut train = Vec::new();
     for &s in &SOURCES {
@@ -69,16 +73,16 @@ fn run_smoke_workload(method: Method, workers: usize) -> (Vec<f32>, RegistryDelt
     let delta = adaptraj::obs::global().snapshot().since(&before);
 
     let test: Vec<&TrajWindow> = target.test.iter().take(10).collect();
-    let (eval, _latency) = evaluate(model.as_ref(), &test, 2, 99, workers);
-    (report.epoch_losses, delta, eval)
+    let (eval, windows) = evaluate(model.as_ref(), &test, 2, 99, workers);
+    (report.epoch_losses, delta, eval, windows)
 }
 
 #[test]
 fn workers_1_and_4_are_bit_identical() {
     let _guard = lock_process_globals();
     for method in [Method::AdapTraj, Method::CausalMotion] {
-        let (losses_1, delta_1, eval_1) = run_smoke_workload(method, 1);
-        let (losses_4, delta_4, eval_4) = run_smoke_workload(method, 4);
+        let (losses_1, delta_1, eval_1, windows_1) = run_smoke_workload(method, 1);
+        let (losses_4, delta_4, eval_4, windows_4) = run_smoke_workload(method, 4);
 
         // Per-epoch training losses, down to the last bit.
         assert_eq!(losses_1.len(), losses_4.len(), "{method:?}");
@@ -122,6 +126,20 @@ fn workers_1_and_4_are_bit_identical() {
             eval_1.fde.to_bits(),
             eval_4.fde.to_bits(),
             "{method:?}: FDE differs"
+        );
+        // And so does every window's score, first sample included.
+        let bits = |w: &[WindowScore]| -> Vec<([u32; 4], bool, bool)> {
+            w.iter()
+                .map(|s| {
+                    let errors = [s.best_ade, s.best_fde, s.ade, s.fde].map(f32::to_bits);
+                    (errors, s.collides, s.misses)
+                })
+                .collect()
+        };
+        assert_eq!(
+            bits(&windows_1),
+            bits(&windows_4),
+            "{method:?}: per-window scores differ"
         );
     }
 }

@@ -149,22 +149,3 @@ fn checkpoint_round_trip_preserves_predictions() {
         "loaded checkpoint must reproduce the trained model's predictions"
     );
 }
-
-#[test]
-fn augmentation_preserves_displacement_errors() {
-    use adaptraj::data::augment::rotate_window;
-    // Rotating prediction and ground truth together leaves ADE unchanged:
-    // train on one window, compare errors in rotated frames.
-    let ds = synthesize_domain(DomainId::Sdd, &tiny_synth());
-    let w = &ds.test[0];
-    let rot = rotate_window(w, 0.9);
-    // Identical-magnitude displacement structure.
-    let speed = |t: &adaptraj::data::TrajWindow| -> f32 {
-        t.obs_velocities()
-            .iter()
-            .map(|v| (v[0] * v[0] + v[1] * v[1]).sqrt())
-            .sum()
-    };
-    assert!((speed(w) - speed(&rot)).abs() < 1e-3);
-    assert_eq!(w.fut.len(), rot.fut.len());
-}
