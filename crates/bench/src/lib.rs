@@ -26,9 +26,10 @@
 //! | `social` | supplementary: collision/miss social metrics |
 //! | `compare` | supplementary: paired-bootstrap vanilla-vs-AdapTraj |
 //!
-//! The crate also holds the `matmul_kernels` micro-bench and the
-//! `trace_check` Chrome-trace validator. Performance is measured by
-//! `perfbench` at the repository root, not here.
+//! The crate also holds the `trace_check` Chrome-trace validator.
+//! Performance is measured by `perfbench` at the repository root, not
+//! here; kernel equivalence is pinned by `adaptraj-check`'s
+//! `kernel_equivalence` tests.
 //!
 //! The default `smoke` scale finishes each table in minutes on one CPU
 //! core; `paper` runs the full protocol (hours). Absolute errors differ

@@ -432,9 +432,10 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
         },
         "social" => TableSpec {
             title: "Social metrics (supplementary; target SDD)",
-            shape: "Reading: lower collision rates indicate more socially compliant\n\
-                    futures; Counter (which ignores neighbors at inference) is expected\n\
-                    to collide most.",
+            shape: "Reading: collision rate is the share of test windows whose first\n\
+                    sample comes within 0.6 m of a neighbor extrapolated at constant\n\
+                    velocity; miss rate @2m is the share whose first sample ends more\n\
+                    than 2 m from the ground truth. Lower is better for both.",
             body: Body::Grid {
                 format: CellFormat::Social,
                 average: false,

@@ -391,7 +391,6 @@ pub struct GoldenComparison {
     pub diffs: Vec<GoldenDiff>,
     /// Baseline runs with no candidate — always a failure.
     pub missing: Vec<String>,
-    pub metric_tol_pct: f64,
     /// Number of documents compared.
     pub compared: usize,
 }
@@ -404,8 +403,8 @@ impl GoldenComparison {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "golden gate: {} run(s) compared, metric tolerance {}%\n",
-            self.compared, self.metric_tol_pct
+            "golden gate: {} run(s) compared, metric tolerance {METRIC_TOL_PCT}%\n",
+            self.compared
         ));
         for m in &self.missing {
             out.push_str(&format!("  MISSING  {m}: no candidate run\n"));
@@ -423,24 +422,20 @@ impl GoldenComparison {
     }
 }
 
-/// Whether `actual` is within `pct` percent of `baseline` (exact match
-/// when `pct` is zero — so a zero-baseline metric only accepts zero).
-fn pct_close(baseline: f64, actual: f64, pct: f64) -> bool {
-    if pct <= 0.0 {
-        baseline == actual
-    } else {
-        (baseline - actual).abs() <= pct / 100.0 * baseline.abs()
-    }
+/// How far (percent of the baseline) a candidate's ADE/FDE may drift
+/// before the golden gate fails.
+pub const METRIC_TOL_PCT: f64 = 0.1;
+
+/// Whether `actual` is within [`METRIC_TOL_PCT`] percent of `baseline`
+/// (so a zero-baseline metric only accepts zero).
+fn pct_close(baseline: f64, actual: f64) -> bool {
+    (baseline - actual).abs() <= METRIC_TOL_PCT / 100.0 * baseline.abs()
 }
 
 /// Gates `candidates` against `baselines`: epoch losses and decomposed
 /// components must match *bit-for-bit*; ADE/FDE must agree within
-/// `metric_tol_pct` percent of the baseline (exact when `0`).
-pub fn compare(
-    baselines: &[GoldenDoc],
-    candidates: &[GoldenDoc],
-    metric_tol_pct: f64,
-) -> GoldenComparison {
+/// [`METRIC_TOL_PCT`] percent of the baseline.
+pub fn compare(baselines: &[GoldenDoc], candidates: &[GoldenDoc]) -> GoldenComparison {
     let mut diffs = Vec::new();
     let mut missing = Vec::new();
     let mut compared = 0usize;
@@ -492,11 +487,11 @@ pub fn compare(
             }
         }
         for (field, b, c) in [("ade", base.ade, cand.ade), ("fde", base.fde, cand.fde)] {
-            if !pct_close(b, c, metric_tol_pct) {
+            if !pct_close(b, c) {
                 push(
                     field.to_string(),
                     format!("{b:.6}"),
-                    format!("{c:.6} (tol {metric_tol_pct}%)"),
+                    format!("{c:.6} (tol {METRIC_TOL_PCT}%)"),
                 );
             }
         }
@@ -504,7 +499,6 @@ pub fn compare(
     GoldenComparison {
         diffs,
         missing,
-        metric_tol_pct,
         compared,
     }
 }
@@ -563,7 +557,7 @@ mod tests {
 
     #[test]
     fn identical_docs_pass_the_gate() {
-        let cmp = compare(&[doc("a")], &[doc("a")], 0.0);
+        let cmp = compare(&[doc("a")], &[doc("a")]);
         assert!(cmp.ok(), "{}", cmp.render_text());
         assert_eq!(cmp.compared, 1);
     }
@@ -573,7 +567,7 @@ mod tests {
         let base = doc("a");
         let mut cand = doc("a");
         cand.epochs[1].loss_bits ^= 1; // one ulp
-        let cmp = compare(&[base], &[cand], 5.0);
+        let cmp = compare(&[base], &[cand]);
         assert!(!cmp.ok());
         assert!(cmp.diffs[0].field.contains("loss_bits"));
     }
@@ -583,7 +577,7 @@ mod tests {
         let base = doc("a");
         let mut cand = doc("a");
         cand.epochs[0].component_bits[3] ^= 1;
-        let cmp = compare(&[base], &[cand], 5.0);
+        let cmp = compare(&[base], &[cand]);
         assert!(!cmp.ok());
         assert!(cmp.diffs[0].field.ends_with("similar"));
     }
@@ -592,16 +586,17 @@ mod tests {
     fn metric_tolerance_is_respected() {
         let base = doc("a");
         let mut cand = doc("a");
-        cand.ade = base.ade * 1.004; // +0.4%
-        let within = compare(std::slice::from_ref(&base), &[cand.clone()], 1.0);
+        cand.ade = base.ade * 1.0004; // +0.04%
+        let within = compare(std::slice::from_ref(&base), std::slice::from_ref(&cand));
         assert!(within.ok(), "{}", within.render_text());
-        let strict = compare(&[base], &[cand], 0.1);
-        assert!(!strict.ok(), "0.4% drift must fail a 0.1% gate");
+        cand.ade = base.ade * 1.004; // +0.4%
+        let drifted = compare(&[base], &[cand]);
+        assert!(!drifted.ok(), "0.4% drift must fail a 0.1% gate");
     }
 
     #[test]
     fn missing_candidate_always_fails() {
-        let cmp = compare(&[doc("a"), doc("b")], &[doc("a")], 100.0);
+        let cmp = compare(&[doc("a"), doc("b")], &[doc("a")]);
         assert!(!cmp.ok());
         assert_eq!(cmp.missing, vec!["b".to_string()]);
         assert!(cmp.render_text().contains("MISSING"));

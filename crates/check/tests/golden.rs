@@ -28,13 +28,13 @@ fn micro_run_is_deterministic_and_round_trips_through_disk() {
     let parsed = parse_doc(&std::fs::read_to_string(&path).unwrap()).expect("parse golden doc");
     assert_eq!(parsed, a, "disk round trip changed the document");
 
-    // An identical candidate passes the gate at zero tolerance; flipping
+    // An identical candidate passes the gate; flipping
     // one ulp of one epoch loss fails it with a field-level diagnosis.
-    let cmp = compare(std::slice::from_ref(&a), std::slice::from_ref(&b), 0.0);
+    let cmp = compare(std::slice::from_ref(&a), std::slice::from_ref(&b));
     assert!(cmp.ok(), "{}", cmp.render_text());
     let mut drifted = a.clone();
     drifted.epochs[0].loss_bits ^= 1;
-    let cmp = compare(&[a], &[drifted], 0.0);
+    let cmp = compare(&[a], &[drifted]);
     assert!(!cmp.ok(), "one-ulp loss drift must fail the gate");
     assert!(cmp.diffs[0].field.contains("loss_bits"), "{:?}", cmp.diffs);
 

@@ -263,16 +263,6 @@ impl<'a> Trainer<'a> {
                                     pairs: Vec::new(),
                                 };
                             }
-                            // `skip-window` policy: a tripped job drops its
-                            // gradient contribution via the existing
-                            // non-finite skip path.
-                            if health::should_skip_window() {
-                                return JobResult {
-                                    val: f32::NAN,
-                                    components,
-                                    pairs: Vec::new(),
-                                };
-                            }
                             let grads = tape.backward(loss);
                             let pairs = tape.take_param_grads(grads);
                             JobResult {

@@ -8,10 +8,11 @@
 //!   enabled, the probe checks the result buffer for NaN/Inf/exploding
 //!   magnitudes and records an [`Incident`] carrying the op kind, the
 //!   profiler phase path, and the training window/epoch context set via
-//!   [`window_scope`]. The configured [`Policy`] decides what happens
-//!   next: `warn` logs, `skip-window` drops the window's gradient
-//!   contribution, `halt-and-dump` stops training so the run record is
-//!   written with the incident and `"halted":true`.
+//!   [`batch_scope`]. Training keeps going (a job whose loss or
+//!   gradient went non-finite is dropped by the trainer's own guard)
+//!   unless [`set_halt_on_fault`] is on: then the first fault latches
+//!   [`halt_requested`] and training stops so the run record is written
+//!   with the incident and `"halted":true`.
 //! - **Incident stream.** Incidents accumulate in a process-global,
 //!   deterministically ordered list. Worker threads buffer them
 //!   thread-locally ([`take_thread_incidents`]); the executor ships them
@@ -23,24 +24,26 @@
 //! update ratios) are fields of [`crate::telemetry::EpochRecord`], filled
 //! by the training loop while the observatory is on.
 //!
-//! Capture is observation-only at the default `warn` policy: nothing in
-//! the numeric path changes, goldens stay bit-identical, and the
-//! determinism suite is unaffected.
+//! Capture is observation-only: nothing in the numeric path changes,
+//! goldens stay bit-identical, and the determinism suite is unaffected.
 
 use crate::json::{Obj, Value};
 use crate::metrics::global;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+/// |x| above which a finite value counts as exploding.
+const EXPLODE_THRESHOLD: f32 = 1.0e6;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static POLICY: AtomicU8 = AtomicU8::new(0);
-/// Explosion threshold as `f32` bits; 0 means "use the default" (1e6).
-static EXPLODE_BITS: AtomicU32 = AtomicU32::new(0);
+static HALT_ON_FAULT: AtomicBool = AtomicBool::new(false);
 static HALT: AtomicBool = AtomicBool::new(false);
 
 /// Turns the health observatory on or off. While off, every probe and
-/// scope helper early-returns after a single relaxed atomic load.
+/// scope helper early-returns after a single relaxed atomic load. While
+/// on, the tape's debug finiteness assertion stands down so non-finite
+/// values are recorded as incidents rather than aborting the process.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -51,79 +54,14 @@ pub fn health_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Alias used by the tape's debug assertion: when the tripwire is armed
-/// it supersedes the hard `all_finite` debug assert so non-finite values
-/// are *observed* (and policed by the configured policy) rather than
-/// aborting the process.
-#[inline]
-pub fn tripwire_enabled() -> bool {
-    health_enabled()
+/// Whether a tripwire also stops training (default off: record and
+/// keep going).
+pub fn set_halt_on_fault(on: bool) {
+    HALT_ON_FAULT.store(on, Ordering::Relaxed);
 }
 
-/// What to do when a tripwire fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// Log the incident and keep training (observation-only; default).
-    #[default]
-    Warn,
-    /// Drop the offending window's gradient contribution.
-    SkipWindow,
-    /// Stop training; the run record keeps the incident and the halt.
-    HaltAndDump,
-}
-
-impl Policy {
-    pub fn parse(s: &str) -> Result<Policy, String> {
-        match s {
-            "warn" => Ok(Policy::Warn),
-            "skip-window" => Ok(Policy::SkipWindow),
-            "halt-and-dump" => Ok(Policy::HaltAndDump),
-            other => Err(format!(
-                "unknown health policy '{other}' (expected warn | skip-window | halt-and-dump)"
-            )),
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Policy::Warn => "warn",
-            Policy::SkipWindow => "skip-window",
-            Policy::HaltAndDump => "halt-and-dump",
-        }
-    }
-}
-
-/// Sets the tripwire policy (default [`Policy::Warn`]).
-pub fn set_policy(p: Policy) {
-    POLICY.store(p as u8, Ordering::Relaxed);
-}
-
-/// The currently configured tripwire policy.
-pub fn policy() -> Policy {
-    match POLICY.load(Ordering::Relaxed) {
-        1 => Policy::SkipWindow,
-        2 => Policy::HaltAndDump,
-        _ => Policy::Warn,
-    }
-}
-
-/// Sets the |x| threshold above which a finite value counts as
-/// exploding. Non-positive values restore the default (1e6).
-pub fn set_explode_threshold(t: f32) {
-    let bits = if t > 0.0 { t.to_bits() } else { 0 };
-    EXPLODE_BITS.store(bits, Ordering::Relaxed);
-}
-
-/// The current explosion threshold.
-pub fn explode_threshold() -> f32 {
-    match EXPLODE_BITS.load(Ordering::Relaxed) {
-        0 => 1.0e6,
-        bits => f32::from_bits(bits),
-    }
-}
-
-/// True once a `halt-and-dump` tripwire has fired; training loops poll
-/// this between batches and stop early.
+/// True once a tripwire fired with halt-on-fault set; training loops
+/// poll this between batches and stop early.
 pub fn halt_requested() -> bool {
     HALT.load(Ordering::Relaxed)
 }
@@ -194,7 +132,7 @@ pub fn set_inject_window(target: Option<(u32, u32)>) {
 }
 
 /// True when the tape should poison the current op's output with a NaN
-/// so the tripwire→policy→doctor path can be exercised end to end on a
+/// so the tripwire→run record→doctor path can be exercised end to end on a
 /// healthy model. Two trigger modes (see `ADAPTRAJ_HEALTH_INJECT_NAN`):
 /// the N-th probed op (fires exactly once), or every op of one
 /// `(epoch, window)` context.
@@ -258,21 +196,12 @@ pub struct WindowScope {
     prev_ids: Vec<u64>,
 }
 
-/// Enters a window context: subsequent tripwire incidents on this thread
-/// attribute to `(epoch, window)`, and the per-window tripped flag is
-/// cleared so [`should_skip_window`] reflects only this window. The
-/// batch-of-one form of [`batch_scope`].
-pub fn window_scope(epoch: u64, window: u64) -> WindowScope {
-    batch_scope(epoch, std::slice::from_ref(&window))
-}
-
 /// Enters a batch context covering all windows of one job: tripwire
 /// incidents on this thread attribute to `(epoch, ids[0])` — the job's
 /// first window in batch order — and window-targeted NaN injection
 /// (`E:W`) fires when window `W` is *any* window of the job, keeping the
 /// injection deterministic under batched execution. The tripped flag is
-/// per job: under the `skip-window` policy a tripped job drops the
-/// gradient contribution of all its windows.
+/// per job, so each job records at most one incident.
 pub fn batch_scope(epoch: u64, ids: &[u64]) -> WindowScope {
     if !health_enabled() {
         return WindowScope {
@@ -302,14 +231,6 @@ impl Drop for WindowScope {
             BATCH_IDS.with(|b| *b.borrow_mut() = std::mem::take(&mut self.prev_ids));
         }
     }
-}
-
-/// Whether the current window (or any window of the current job's batch)
-/// tripped a wire under the `skip-window` policy; training loops drop the
-/// job's gradient contribution when true. Read before the
-/// [`WindowScope`] guard drops.
-pub fn should_skip_window() -> bool {
-    health_enabled() && policy() == Policy::SkipWindow && TRIPPED.with(|t| t.get())
 }
 
 /// Kind of numerics fault a tripwire detected.
@@ -417,7 +338,7 @@ pub fn check_tensor(kind: &'static str, data: &[f32]) {
 }
 
 fn scan_tensor(kind: &'static str, data: &[f32]) {
-    if let Some((fault, stats)) = classify(data, explode_threshold()) {
+    if let Some((fault, stats)) = classify(data, EXPLODE_THRESHOLD) {
         trip(kind, fault, stats);
     }
 }
@@ -480,7 +401,7 @@ fn trip(kind: &'static str, fault: FaultKind, stats: TensorStats) {
     // propagates through every downstream op, and the diagnosis wants
     // the *first* unhealthy op, not the flood.
     let first = TRIPPED.with(|t| !t.replace(true));
-    if policy() == Policy::HaltAndDump {
+    if HALT_ON_FAULT.load(Ordering::Relaxed) {
         HALT.store(true, Ordering::Relaxed);
     }
     if !first {
@@ -523,29 +444,14 @@ pub fn take_thread_incidents() -> Vec<Incident> {
 }
 
 /// Appends worker-buffered incidents to the global store (dispatcher
-/// side, in item order). Incidents are logged here — not on the worker
-/// thread — so warning output is deterministic too.
+/// side, in item order) and counts them in `health.incidents`.
 pub fn absorb_incidents(incidents: Vec<Incident>) {
     if incidents.is_empty() {
         return;
     }
-    for i in &incidents {
-        global().counter("health.incidents").incr();
-        eprintln!(
-            "[health] {} in op '{}' (phase '{}', epoch {}, window {}): \
-             {} NaN, {} Inf, max |x| {:.3e} over {} values (policy: {})",
-            i.fault.as_str(),
-            i.op,
-            i.phase,
-            i.epoch,
-            i.window,
-            i.stats.nan_count,
-            i.stats.inf_count,
-            i.stats.max_abs,
-            i.stats.len,
-            policy().as_str(),
-        );
-    }
+    global()
+        .counter("health.incidents")
+        .add(incidents.len() as u64);
     store_lock().extend(incidents);
 }
 
@@ -555,7 +461,7 @@ pub fn incidents() -> Vec<Incident> {
 }
 
 /// Clears the incident store, the halt latch, the injection op counter,
-/// and this thread's pending buffer. Policy and threshold are kept.
+/// and this thread's pending buffer. The halt-on-fault switch is kept.
 pub fn reset() {
     store_lock().clear();
     HALT.store(false, Ordering::Relaxed);
@@ -581,8 +487,7 @@ mod tests {
 
     fn fresh() {
         set_enabled(true);
-        set_policy(Policy::Warn);
-        set_explode_threshold(0.0);
+        set_halt_on_fault(false);
         set_inject_nan(None);
         reset();
     }
@@ -595,7 +500,6 @@ mod tests {
         check_tensor("matmul", &[f32::NAN, 1.0]);
         absorb_incidents(take_thread_incidents());
         assert!(incidents().is_empty());
-        assert!(!should_skip_window());
     }
 
     #[test]
@@ -603,7 +507,7 @@ mod tests {
         let _g = test_lock();
         fresh();
         {
-            let _w = window_scope(2, 7);
+            let _w = batch_scope(2, &[7]);
             check_tensor("tanh", &[0.5, f32::NAN, f32::INFINITY, -3.0]);
         }
         absorb_incidents(take_thread_incidents());
@@ -618,21 +522,19 @@ mod tests {
 
         reset();
         {
-            let _w = window_scope(0, 0);
+            let _w = batch_scope(0, &[0]);
             check_tensor("exp", &[1.0, f32::INFINITY]);
         }
         absorb_incidents(take_thread_incidents());
         assert_eq!(incidents()[0].fault, FaultKind::Inf);
 
         reset();
-        set_explode_threshold(10.0);
         {
-            let _w = window_scope(0, 0);
-            check_tensor("matmul", &[11.0, 1.0]);
+            let _w = batch_scope(0, &[0]);
+            check_tensor("matmul", &[2.0e6, 1.0]);
         }
         absorb_incidents(take_thread_incidents());
         assert_eq!(incidents()[0].fault, FaultKind::Exploding);
-        set_explode_threshold(0.0);
         set_enabled(false);
         reset();
     }
@@ -642,50 +544,30 @@ mod tests {
         let _g = test_lock();
         fresh();
         {
-            let _w = window_scope(1, 1);
+            let _w = batch_scope(1, &[1]);
             check_tensor("a", &[f32::NAN]);
             check_tensor("b", &[f32::NAN]);
         }
         {
-            let _w = window_scope(1, 2);
+            let _w = batch_scope(1, &[2]);
             check_tensor("c", &[f32::NAN]);
         }
         absorb_incidents(take_thread_incidents());
         assert_eq!(incidents().len(), 2);
         assert_eq!(incidents()[0].op, "a");
+        assert!(!halt_requested(), "a fault halts only when asked to");
         set_enabled(false);
         reset();
     }
 
     #[test]
-    fn skip_window_policy_flags_only_tripped_windows() {
+    fn halt_on_fault_latches_and_the_incident_round_trips() {
         let _g = test_lock();
         fresh();
-        set_policy(Policy::SkipWindow);
-        {
-            let _w = window_scope(0, 0);
-            check_tensor("mul", &[1.0, 2.0]);
-            assert!(!should_skip_window());
-            check_tensor("mul", &[f32::NAN]);
-            assert!(should_skip_window());
-        }
-        {
-            let _w = window_scope(0, 1);
-            assert!(!should_skip_window(), "tripped flag cleared per window");
-        }
-        set_policy(Policy::Warn);
-        set_enabled(false);
-        reset();
-    }
-
-    #[test]
-    fn halt_and_dump_latches_and_the_incident_round_trips() {
-        let _g = test_lock();
-        fresh();
-        set_policy(Policy::HaltAndDump);
+        set_halt_on_fault(true);
         assert!(!halt_requested());
         {
-            let _w = window_scope(3, 9);
+            let _w = batch_scope(3, &[9]);
             check_tensor("sub", &[f32::NAN, f32::INFINITY, -2.5]);
         }
         absorb_incidents(take_thread_incidents());
@@ -695,7 +577,7 @@ mod tests {
             Incident::from_json(&Value::parse(&inc.to_json()).unwrap()),
             inc
         );
-        set_policy(Policy::Warn);
+        set_halt_on_fault(false);
         set_enabled(false);
         reset();
     }
@@ -707,7 +589,7 @@ mod tests {
         let bufs: Vec<Vec<Incident>> = (0..3)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let _w = window_scope(0, i);
+                    let _w = batch_scope(0, &[i]);
                     check_tensor("matmul", &[f32::NAN]);
                     take_thread_incidents()
                 })
@@ -756,10 +638,9 @@ mod tests {
             let _b = batch_scope(2, &[7]);
             assert!(!should_inject(), "epoch must match too");
         }
-        // The batch-of-one form behaves like the historical window scope.
         {
-            let _w = window_scope(3, 7);
-            assert!(should_inject());
+            let _b = batch_scope(3, &[7]);
+            assert!(should_inject(), "a batch of one is its window");
         }
         set_inject_window(None);
         set_enabled(false);
@@ -783,14 +664,6 @@ mod tests {
         );
         set_enabled(false);
         reset();
-    }
-
-    #[test]
-    fn policy_parses_all_variants() {
-        assert_eq!(Policy::parse("warn"), Ok(Policy::Warn));
-        assert_eq!(Policy::parse("skip-window"), Ok(Policy::SkipWindow));
-        assert_eq!(Policy::parse("halt-and-dump"), Ok(Policy::HaltAndDump));
-        assert!(Policy::parse("explode").is_err());
     }
 
     /// The full counting scan the tripwire ran on every op before the

@@ -30,8 +30,8 @@
 //!   serialized as the run-manifest JSON document the `doctor` CLI
 //!   reads — the one record of a run.
 //! - [`health`]: the training-health observatory — tape-level numerics
-//!   tripwires (NaN/Inf/exploding, with warn / skip-window /
-//!   halt-and-dump policies) and their deterministic incident stream.
+//!   tripwires (NaN/Inf/exploding; recorded, or halting training when
+//!   `set_halt_on_fault` is on) and their deterministic incident stream.
 //! - [`http`] and [`serve`]: the one route-table HTTP server, and the
 //!   telemetry routes (`GET /metrics` with p50/p90/p99/p999 quantiles,
 //!   `/profile`, `/timeline`) that every listener mounts on it.
@@ -50,7 +50,7 @@ pub mod span;
 pub mod telemetry;
 pub mod timeline;
 
-pub use health::{Incident, Policy};
+pub use health::Incident;
 pub use metrics::{
     global, CounterHandle, GaugeHandle, HistSnapshot, HistogramHandle, Registry, RegistryDelta,
     RegistrySnapshot,

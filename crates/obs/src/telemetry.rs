@@ -11,7 +11,7 @@
 //! `run --out DIR` writes). While the health observatory is armed, each
 //! epoch record also carries the per-source-domain gradient
 //! diagnostics, and the run carries the tripwire incidents and whether
-//! a `halt-and-dump` policy stopped training.
+//! a tripwire halted training (`run --halt-on-fault`).
 //!
 //! [`Registry::dump_jsonl`]: crate::metrics::Registry::dump_jsonl
 
@@ -271,7 +271,7 @@ pub struct RunTelemetry {
     /// Numerics-tripwire incidents in record order (first = the first
     /// unhealthy op).
     pub incidents: Vec<Incident>,
-    /// True when a `halt-and-dump` tripwire stopped training.
+    /// True when a tripwire stopped training (`run --halt-on-fault`).
     pub halted: bool,
     /// The final metrics-registry snapshot, one JSON object per metric
     /// (`{"type":"counter","name":...,"value":...}` and the gauge and

@@ -383,12 +383,12 @@ impl Tape {
     ///
     /// The health tripwire probes every value here too ([`health::check_tensor`]),
     /// one relaxed atomic load when disabled. An armed tripwire supersedes the
-    /// `all_finite` debug assert: non-finite values are then observed and
-    /// policed by the configured policy instead of aborting debug builds.
+    /// `all_finite` debug assert: non-finite values are then recorded as
+    /// incidents instead of aborting debug builds.
     fn push(&mut self, timer: OpTimer, mut value: Tensor, op: Op, needs_grad: bool) -> Var {
         if health::should_inject() {
             // Fault-injection hook (ADAPTRAJ_HEALTH_INJECT_NAN=<op-index>):
-            // poison this op's output so the tripwire→policy→doctor path can
+            // poison this op's output so the tripwire→run record→doctor path can
             // be exercised end to end on an otherwise healthy model.
             if let Some(x) = value.data_mut().first_mut() {
                 *x = f32::NAN;
@@ -396,7 +396,7 @@ impl Tape {
         }
         health::check_tensor(op.kind(), value.data());
         debug_assert!(
-            health::tripwire_enabled() || value.all_finite(),
+            health::health_enabled() || value.all_finite(),
             "non-finite value from {op:?}"
         );
         profile::record_op(

@@ -347,11 +347,9 @@ impl Tensor {
     /// runs the same NN microkernel as [`Tensor::matmul`]. The dot-product
     /// formulation (row of `self` · row of `other`) avoids the pack but
     /// serializes the f32 reduction — the accumulation-order contract
-    /// forbids reassociating it, so it cannot vectorize; re-measured on
-    /// the PR-8 batched shapes it runs ~4-6x slower than the pack+NN
-    /// path on the gate-projection shapes at batch 8, ~7-10x at batch
-    /// 64, and ~1.2x on the skinny rollout shape where packing buys
-    /// little (`results/KERNELS_1.txt`, `nt_dot` rows). Packing costs O(k·m)
+    /// forbids reassociating it, so it cannot vectorize, and it measured
+    /// several times slower than pack+NN on the batched gate-projection
+    /// shapes (DESIGN.md, "Kernel & memory model"). Packing costs O(k·m)
     /// against the O(n·k·m) product and the scratch comes from (and
     /// returns to) the thread pool, so the hot path stays allocation-free.
     /// Per output element the k-terms accumulate ascending with the same

@@ -88,10 +88,6 @@ step "golden regression gate (fixed-seed micro-runs)"
 mkdir -p target/golden-ci
 cargo run --release --offline --bin adaptraj -- \
     check --golden-dir results --out-dir target/golden-ci || fail=1
-# doctor must reach the same verdict from the files check just wrote
-# (exercises the golden parse path end to end).
-cargo run --release --offline --bin adaptraj -- \
-    doctor --golden-dir results --golden-candidate target/golden-ci || fail=1
 
 step "perfbench smoke (three workloads correct) + doctor self-compare"
 # One short run of each repository-benchmark workload: its result line
@@ -199,12 +195,15 @@ step "health observatory smoke (clean run -> doctor exits zero)"
 # pairwise cosines, and update ratios land in each epoch record of the
 # run manifest; the doctor must find nothing fatal and exit zero. The
 # manifest is the run's one event stream: it carries the final metrics
-# registry, and no separate events file is written.
+# registry, and no separate events file is written. A clean run writes
+# nothing to stderr.
 rm -rf target/health_ci_run
-cargo run --release --offline --bin adaptraj -- \
+cargo run --quiet --release --offline --bin adaptraj -- \
     run --backbone pecnet --method adaptraj --sources eth_ucy,l_cas,syi \
     --target sdd --epochs 2 --workers 2 --seed 7 \
-    --out target/health_ci_run || fail=1
+    --out target/health_ci_run 2> target/health_ci_run.stderr || fail=1
+[ ! -s target/health_ci_run.stderr ] || {
+    echo "clean run wrote to stderr:"; cat target/health_ci_run.stderr; fail=1; }
 grep -q '"metrics":\[' target/health_ci_run/manifest.json || {
     echo "manifest carries no metrics array"; fail=1; }
 [ ! -e target/health_ci_run/events.jsonl ] || {
@@ -214,7 +213,7 @@ cargo run --release --offline --bin adaptraj -- \
 
 step "health observatory smoke (injected NaN -> tripwire -> doctor exits nonzero)"
 # Poisons every op of window 3 in epoch 0 (the worker-count-deterministic
-# E:W injection form) under halt-and-dump, once for AdapTraj and once for
+# E:W injection form) with --halt-on-fault, once for AdapTraj and once for
 # CausalMotion (the shared Trainer loop's mean and risk-variance
 # reductions): training must halt, the run must exit nonzero with the
 # incident and "halted":true in its manifest, and the doctor must report
@@ -225,7 +224,7 @@ for method in adaptraj causalmotion; do
     if ADAPTRAJ_HEALTH_INJECT_NAN=0:3 cargo run --release --offline --bin adaptraj -- \
         run --backbone pecnet --method "$method" --sources eth_ucy,l_cas,syi \
         --target sdd --epochs 2 --workers 2 --seed 7 \
-        --health-policy halt-and-dump --out "$run_dir"; then
+        --halt-on-fault --out "$run_dir"; then
         echo "expected the injected-NaN $method run to exit nonzero"; fail=1
     fi
     grep -q '"halted":true' "$run_dir/manifest.json" || {

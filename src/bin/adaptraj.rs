@@ -122,24 +122,23 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             workers,
             seed,
             telemetry_addr,
-            health_policy,
             out,
+            halt_on_fault,
         } => {
             // Held for the duration of the arm; dropping it stops the
             // listener thread.
             let _telemetry_server = start_telemetry(&telemetry_addr)?;
-            // Incident phase attribution and the folded stacks both come
-            // from the phase profiler, so the observatory arms it too.
-            if out.is_some() || health_policy.is_some() {
+            // `--out` arms the health observatory, the phase profiler
+            // (incident phase attribution and the folded stacks both come
+            // from it) and the flight-recorder timeline.
+            let record = out.map(PathBuf::from);
+            if let Some(dir) = &record {
+                std::fs::create_dir_all(dir)?;
                 profile::reset();
                 profile::set_enabled(true);
                 health::reset();
                 health::set_enabled(true);
-                health::set_policy(health_policy.unwrap_or_default());
-            }
-            let record = out.map(PathBuf::from);
-            if let Some(dir) = &record {
-                std::fs::create_dir_all(dir)?;
+                health::set_halt_on_fault(halt_on_fault);
                 timeline::reset();
                 timeline::set_enabled(true);
             }
@@ -227,7 +226,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             );
             if telemetry.halted {
                 return Err(format!(
-                    "training halted by health tripwire (policy halt-and-dump); \
+                    "training halted by health tripwire (--halt-on-fault); \
                      run record written to {}",
                     dir.display()
                 )
@@ -304,7 +303,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         Command::Check {
             golden_dir,
             out_dir,
-            metric_tol_pct,
             update_golden,
         } => {
             let golden_dir = std::path::PathBuf::from(golden_dir);
@@ -325,7 +323,8 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 );
                 return Ok(());
             }
-            let baselines = load_baselines(&golden_dir)?;
+            let baselines = load_baselines(&golden_dir)
+                .map_err(|e| format!("{}: {e}", golden_dir.display()))?;
             println!("re-running {} golden micro-runs ...", baselines.len());
             let candidates = run_all_goldens();
             if let Some(dir) = out_dir {
@@ -335,7 +334,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     println!("candidate written to {}", path.display());
                 }
             }
-            let cmp = compare(&baselines, &candidates, metric_tol_pct);
+            let cmp = compare(&baselines, &candidates);
             print!("{}", cmp.render_text());
             if !cmp.ok() {
                 return Err(format!(
@@ -351,16 +350,12 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             run,
             bench_baseline,
             bench_candidate,
-            golden_dir,
-            golden_candidate,
             json,
         } => {
             let diag = run_doctor(&DoctorArgs {
                 run,
                 bench_baseline,
                 bench_candidate,
-                golden_dir,
-                golden_candidate,
             })?;
             if json {
                 println!("{}", diag.to_json());

@@ -5,7 +5,6 @@
 
 use adaptraj_data::domain::DomainId;
 use adaptraj_eval::{BackboneKind, MethodKind};
-use adaptraj_obs::health::Policy;
 use std::collections::HashMap;
 
 /// Parsed CLI invocation.
@@ -20,9 +19,10 @@ pub enum Command {
     },
     /// `run --backbone <b> --method <m> --sources a,b,c --target <d>
     ///  [--epochs N] [--workers N] [--seed S] [--telemetry-addr HOST:PORT]
-    ///  [--health-policy P] [--out DIR]` —
+    ///  [--out DIR [--halt-on-fault]]` —
     /// train one experiment cell and report ADE/FDE; with `--out`, write
-    /// the run record (see [`crate::run_dir`]) to `DIR`.
+    /// the run record (see [`crate::run_dir`]) to `DIR`, and with
+    /// `--halt-on-fault` stop training at the first health tripwire.
     Run {
         backbone: BackboneKind,
         method: MethodKind,
@@ -32,8 +32,8 @@ pub enum Command {
         workers: usize,
         seed: Option<u64>,
         telemetry_addr: Option<String>,
-        health_policy: Option<Policy>,
         out: Option<String>,
+        halt_on_fault: bool,
     },
     /// `serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
     ///  [--accept-threads N] [--queue-cap N] [--deadline-ms N] [--backbone B] [--method M] [--sources a,b,c]`
@@ -57,30 +57,26 @@ pub enum Command {
         out: String,
         count: usize,
     },
-    /// `check [--golden-dir DIR] [--out-dir DIR] [--metric-tol-pct N]
-    ///  [--update-golden]` — re-run the fixed-seed golden micro-runs and
-    /// gate them against the committed `results/GOLDEN_*.json` baselines
-    /// (bit-exact losses, percentage-tolerance ADE/FDE). With
+    /// `check [--golden-dir DIR] [--out-dir DIR] [--update-golden]` —
+    /// re-run the fixed-seed golden micro-runs and gate them against the
+    /// committed `results/GOLDEN_*.json` baselines (bit-exact losses,
+    /// ADE/FDE within `check::golden::METRIC_TOL_PCT`). With
     /// `--update-golden`, rewrite the baselines instead (requires a clean
     /// working tree).
     Check {
         golden_dir: String,
         out_dir: Option<String>,
-        metric_tol_pct: f64,
         update_golden: bool,
     },
     /// `doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
-    ///  [--golden-dir DIR --golden-candidate DIR] [--json]` — diagnose a
-    /// finished run from its run record (first unhealthy op,
-    /// domain-conflict ranking, loss plateau/divergence), golden drift,
-    /// and a bench regression between two `perfbench` outputs. Any input
-    /// may be given alone. Exits nonzero on any fatal finding.
+    ///  [--json]` — diagnose a finished run from its run record (first
+    /// unhealthy op, domain-conflict ranking, loss plateau/divergence)
+    /// and a bench regression between two `perfbench` outputs. Either
+    /// input may be given alone. Exits nonzero on any fatal finding.
     Doctor {
         run: Option<String>,
         bench_baseline: Option<String>,
         bench_candidate: Option<String>,
-        golden_dir: Option<String>,
-        golden_candidate: Option<String>,
         json: bool,
     },
     /// `help`
@@ -209,15 +205,6 @@ fn parse_seed(flags: &HashMap<&str, &str>) -> Result<Option<u64>, ParseError> {
     }
 }
 
-fn parse_f64(flags: &HashMap<&str, &str>, key: &str, default: f64) -> Result<f64, ParseError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("--{key} expects a number, got '{v}'"))),
-    }
-}
-
 /// Removes every occurrence of a valueless `--flag` from `args`, returning
 /// whether it was present. `parse_flags` only understands `--key value`
 /// pairs, so boolean switches are peeled off before it runs.
@@ -253,8 +240,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "run" => {
+            let mut rest = rest.to_vec();
+            let halt_on_fault = take_switch(&mut rest, "halt-on-fault")?;
             let flags = parse_flags(
-                rest,
+                &rest,
                 &[
                     "backbone",
                     "method",
@@ -264,7 +253,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "workers",
                     "seed",
                     "telemetry-addr",
-                    "health-policy",
                     "out",
                 ],
             )?;
@@ -288,15 +276,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     .get("target")
                     .ok_or_else(|| err("--target required"))?,
             )?;
-            let health_policy = flags
-                .get("health-policy")
-                .map(|v| Policy::parse(v).map_err(err))
-                .transpose()?;
             let out = flags.get("out").map(|s| s.to_string());
-            if health_policy == Some(Policy::HaltAndDump) && out.is_none() {
+            if halt_on_fault && out.is_none() {
                 return Err(err(
-                    "--health-policy halt-and-dump needs --out DIR, where the halted \
-                     run's record goes",
+                    "--halt-on-fault needs --out DIR, where the halted run's record goes",
                 ));
             }
             Ok(Command::Run {
@@ -308,8 +291,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 workers: parse_usize(&flags, "workers", 1)?,
                 seed: parse_seed(&flags)?,
                 telemetry_addr: flags.get("telemetry-addr").map(|s| s.to_string()),
-                health_policy,
                 out,
+                halt_on_fault,
             })
         }
         "serve" => {
@@ -366,44 +349,29 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "check" => {
             let mut rest = rest.to_vec();
             let update_golden = take_switch(&mut rest, "update-golden")?;
-            let flags = parse_flags(&rest, &["golden-dir", "out-dir", "metric-tol-pct"])?;
+            let flags = parse_flags(&rest, &["golden-dir", "out-dir"])?;
             Ok(Command::Check {
                 golden_dir: flags.get("golden-dir").unwrap_or(&"results").to_string(),
                 out_dir: flags.get("out-dir").map(|s| s.to_string()),
-                metric_tol_pct: parse_f64(&flags, "metric-tol-pct", 0.1)?,
                 update_golden,
             })
         }
         "doctor" => {
             let mut rest = rest.to_vec();
             let json = take_switch(&mut rest, "json")?;
-            let flags = parse_flags(
-                &rest,
-                &[
-                    "run",
-                    "bench-baseline",
-                    "bench-candidate",
-                    "golden-dir",
-                    "golden-candidate",
-                ],
-            )?;
+            let flags = parse_flags(&rest, &["run", "bench-baseline", "bench-candidate"])?;
             if flags.is_empty() {
                 return Err(err(crate::doctor::NO_INPUT));
             }
-            for (a, b) in [
-                ("bench-baseline", "bench-candidate"),
-                ("golden-dir", "golden-candidate"),
-            ] {
-                if flags.contains_key(a) != flags.contains_key(b) {
-                    return Err(err(format!("--{a} and --{b} must be given together")));
-                }
+            if flags.contains_key("bench-baseline") != flags.contains_key("bench-candidate") {
+                return Err(err(
+                    "--bench-baseline and --bench-candidate must be given together",
+                ));
             }
             Ok(Command::Doctor {
                 run: flags.get("run").map(|s| s.to_string()),
                 bench_baseline: flags.get("bench-baseline").map(|s| s.to_string()),
                 bench_candidate: flags.get("bench-candidate").map(|s| s.to_string()),
-                golden_dir: flags.get("golden-dir").map(|s| s.to_string()),
-                golden_candidate: flags.get("golden-candidate").map(|s| s.to_string()),
                 json,
             })
         }
@@ -422,15 +390,14 @@ USAGE:
   adaptraj run --backbone <pecnet|lbebm> --method <vanilla|counter|causalmotion|adaptraj>
                --sources d1,d2,... --target <d> [--epochs N] [--workers N]
                [--seed S] [--telemetry-addr HOST:PORT]
-               [--health-policy <warn|skip-window|halt-and-dump>] [--out DIR]
+               [--out DIR [--halt-on-fault]]
   adaptraj serve --checkpoint FILE.atps [--addr HOST:PORT] [--workers N]
                  [--accept-threads N] [--queue-cap N] [--deadline-ms N]
                  [--backbone B] [--method M] [--sources d1,d2,...]
   adaptraj visualize --target <d> [--out DIR] [--count N]
-  adaptraj check [--golden-dir DIR] [--out-dir DIR] [--metric-tol-pct N]
-                 [--update-golden]
+  adaptraj check [--golden-dir DIR] [--out-dir DIR] [--update-golden]
   adaptraj doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
-                  [--golden-dir DIR --golden-candidate DIR] [--json]
+                  [--json]
   adaptraj help
 
 DOMAINS: eth_ucy | l_cas | syi | sdd
@@ -446,12 +413,6 @@ OBSERVABILITY (run):
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);
                       A is HOST:PORT (port 0 = ephemeral)
-  --health-policy P   what a tripwire does: warn (log and continue,
-                      default), skip-window (drop the offending window's
-                      gradient), halt-and-dump (stop training; needs --out,
-                      and the run exits nonzero with its record written);
-                      a run that skipped non-finite windows or halted
-                      says so in one stderr warning line
   --out DIR           arm the op profiler, the flight-recorder timeline and
                       the training-health observatory (observation-only:
                       results stay bit-identical for every worker count)
@@ -471,6 +432,11 @@ OBSERVABILITY (run):
                                         span path (step1;epoch;encode;...)
                         checkpoint.atps the trained parameters (serve
                                         --checkpoint)
+  --halt-on-fault     stop training at the first health tripwire (needs
+                      --out); the run writes its record and exits nonzero.
+                      Without it a tripwire is recorded and training goes
+                      on. A run that skipped non-finite windows or halted
+                      says so in one stderr warning line
 
 SERVE:
   serves POST /v1/predict (scene JSON in, best-of-k trajectories out),
@@ -489,7 +455,7 @@ CHECK:
   re-runs the six fixed-seed golden micro-runs (adaptraj-golden/v1) and
   compares them against the committed baselines in --golden-dir (default
   results/): per-epoch losses and decomposed components must match
-  bit-for-bit; ADE/FDE within --metric-tol-pct percent (default 0.1).
+  bit-for-bit; ADE/FDE within 0.1 percent.
   --out-dir saves the candidate documents for inspection. --update-golden
   rewrites the baselines instead of comparing; it refuses to run with a
   dirty working tree (set ADAPTRAJ_UPDATE_GOLDEN_ALLOW_DIRTY=1 to
@@ -500,19 +466,16 @@ DOCTOR:
   (--run DIR): the first unhealthy op (earliest tripwire incident with
   op kind + phase path), a ranking of source-domain pairs by mean
   pairwise gradient cosine (negative values signal conflicting domains)
-  and loss plateau/divergence detection over the per-epoch records. It
-  also gives golden-drift and bench regression summaries.
-  --golden-dir/--golden-candidate compare two directories of
-  adaptraj-golden/v1 documents (e.g. results/ and a `check --out-dir`).
+  and loss plateau/divergence detection over the per-epoch records.
   --bench-baseline/--bench-candidate take two saved outputs of the
   repository benchmark (perfbench) for the same
   --workload and --trace: an end-to-end metric worse than its bound in
   BENCHMARK.json, or a run that says \"correct\":false, is fatal; on
   --trace 1 outputs the per-layer metric that moved most in its worse
-  direction is named. Any input may be given alone. --json prints an
+  direction is named. Either input may be given alone. --json prints an
   adaptraj-doctor/v1 document instead of text. Exits nonzero on any
-  fatal finding (incidents, loss divergence, golden drift, bench
-  regression, incorrect bench run).
+  fatal finding (incidents, loss divergence, bench regression,
+  incorrect bench run).
 ";
 
 #[cfg(test)]
@@ -549,7 +512,7 @@ mod tests {
             "run --backbone lbebm --method adaptraj --sources eth_ucy,l_cas,syi \
              --target sdd --epochs 30 --workers 4 --seed 42 \
              --telemetry-addr 127.0.0.1:9898 \
-             --health-policy halt-and-dump --out run_dir",
+             --halt-on-fault --out run_dir",
         ))
         .unwrap();
         assert_eq!(
@@ -563,8 +526,8 @@ mod tests {
                 workers: 4,
                 seed: Some(42),
                 telemetry_addr: Some("127.0.0.1:9898".into()),
-                health_policy: Some(Policy::HaltAndDump),
                 out: Some("run_dir".into()),
+                halt_on_fault: true,
             }
         );
     }
@@ -634,8 +597,8 @@ mod tests {
             workers,
             seed,
             telemetry_addr,
-            health_policy,
             out,
+            halt_on_fault,
             ..
         } = cmd
         else {
@@ -644,8 +607,8 @@ mod tests {
         assert_eq!(workers, 1);
         assert_eq!(seed, None);
         assert_eq!(telemetry_addr, None);
-        assert_eq!(health_policy, None);
         assert_eq!(out, None);
+        assert!(!halt_on_fault);
     }
 
     #[test]
@@ -683,19 +646,40 @@ mod tests {
             let e = parse(&args(&format!("{run} --{flag} x"))).unwrap_err();
             assert!(e.0.contains(&format!("unknown flag --{flag}")), "{e}");
         }
-        for flag in ["manifest", "health"] {
+        for flag in ["manifest", "health", "golden-dir"] {
             let e = parse(&args(&format!("doctor --{flag} x"))).unwrap_err();
             assert!(e.0.contains(&format!("unknown flag --{flag}")), "{e}");
         }
     }
 
     #[test]
+    fn health_policy_parses_and_rejects_unknown() {
+        // The response is the `--halt-on-fault` switch; the old
+        // `--health-policy` flag is unknown whatever value it carries.
+        let run = "run --backbone pecnet --method vanilla --sources sdd --target syi";
+        let cmd = parse(&args(&format!("{run} --halt-on-fault --out d"))).unwrap();
+        let Command::Run { halt_on_fault, .. } = cmd else {
+            panic!("expected Run, got {cmd:?}");
+        };
+        assert!(halt_on_fault);
+
+        for value in ["warn", "skip-window", "halt-and-dump", "explode"] {
+            let e = parse(&args(&format!("{run} --health-policy {value}"))).unwrap_err();
+            assert!(e.0.contains("unknown flag --health-policy"), "{e}");
+        }
+    }
+
+    #[test]
     fn halt_and_dump_needs_an_out_dir() {
         let run = "run --backbone pecnet --method vanilla --sources sdd --target syi";
-        let e = parse(&args(&format!("{run} --health-policy halt-and-dump"))).unwrap_err();
-        assert!(e.0.contains("needs --out DIR"), "{e}");
-        // The other policies have nothing to dump.
-        assert!(parse(&args(&format!("{run} --health-policy warn"))).is_ok());
+        let e = parse(&args(&format!("{run} --halt-on-fault"))).unwrap_err();
+        assert!(e.0.contains("--halt-on-fault needs --out DIR"), "{e}");
+        assert!(parse(&args(&format!("{run} --halt-on-fault --out d"))).is_ok());
+        let e = parse(&args(&format!(
+            "{run} --halt-on-fault --out d --halt-on-fault"
+        )))
+        .unwrap_err();
+        assert!(e.0.contains("twice"), "{e}");
     }
 
     #[test]
@@ -776,20 +760,18 @@ mod tests {
             Command::Check {
                 golden_dir: "results".into(),
                 out_dir: None,
-                metric_tol_pct: 0.1,
                 update_golden: false,
             }
         );
         // The boolean switch parses in any position among key-value flags.
         assert_eq!(
             parse(&args(
-                "check --golden-dir base --update-golden --out-dir cand --metric-tol-pct 2.5"
+                "check --golden-dir base --update-golden --out-dir cand"
             ))
             .unwrap(),
             Command::Check {
                 golden_dir: "base".into(),
                 out_dir: Some("cand".into()),
-                metric_tol_pct: 2.5,
                 update_golden: true,
             }
         );
@@ -797,32 +779,12 @@ mod tests {
 
     #[test]
     fn check_rejects_bad_flags() {
-        let e = parse(&args("check --metric-tol-pct lots")).unwrap_err();
-        assert!(e.0.contains("expects a number"), "{e}");
+        let e = parse(&args("check --out-dir")).unwrap_err();
+        assert!(e.0.contains("needs a value"), "{e}");
         let e = parse(&args("check --update-golden --update-golden")).unwrap_err();
         assert!(e.0.contains("twice"), "{e}");
         let e = parse(&args("check --epochs 3")).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
-    }
-
-    #[test]
-    fn health_policy_parses_and_rejects_unknown() {
-        let cmd = parse(&args(
-            "run --backbone pecnet --method vanilla --sources sdd --target syi \
-             --health-policy skip-window",
-        ))
-        .unwrap();
-        let Command::Run { health_policy, .. } = cmd else {
-            panic!("expected Run, got {cmd:?}");
-        };
-        assert_eq!(health_policy, Some(Policy::SkipWindow));
-
-        let e = parse(&args(
-            "run --backbone pecnet --method vanilla --sources sdd --target syi \
-             --health-policy explode",
-        ))
-        .unwrap_err();
-        assert!(e.0.contains("unknown health policy"), "{e}");
     }
 
     #[test]
@@ -833,8 +795,6 @@ mod tests {
                 run: Some("rec".into()),
                 bench_baseline: None,
                 bench_candidate: None,
-                golden_dir: None,
-                golden_candidate: None,
                 json: true,
             }
         );
@@ -859,7 +819,7 @@ mod tests {
         assert_eq!(bench_candidate.as_deref(), Some("b.txt"));
         let e = parse(&args("doctor --run rec --bench-baseline b.json")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
-        let e = parse(&args("doctor --run rec --golden-candidate cand")).unwrap_err();
+        let e = parse(&args("doctor --bench-candidate b.json")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
     }
 

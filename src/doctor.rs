@@ -2,10 +2,9 @@
 //! observability artifacts.
 //!
 //! Ingests the run record `run --out DIR` writes (its
-//! `adaptraj-run-manifest/v2` manifest, see [`crate::run_dir`]), a
-//! baseline/candidate pair of `perfbench` outputs and a GOLDEN
-//! baseline/candidate directory pair, any of them optional, and produces
-//! a structured [`Diagnosis`]:
+//! `adaptraj-run-manifest/v2` manifest, see [`crate::run_dir`]) and a
+//! baseline/candidate pair of `perfbench` outputs, either of them
+//! optional, and produces a structured [`Diagnosis`]:
 //!
 //! - **first unhealthy op** — the earliest numerics-tripwire incident,
 //!   with the op kind and profiler phase path that produced it,
@@ -14,10 +13,11 @@
 //!   negative-transfer signal),
 //! - **loss trajectory** — divergence (fatal) and plateau (warning)
 //!   detection over the manifest's per-epoch losses,
-//! - **regression summaries** — golden drift via the comparator
-//!   `adaptraj check` uses, and bench regressions judged against the
-//!   bounds the repository's `BENCHMARK.json` declares (on `--trace 1`
-//!   outputs, the per-layer metric that moved most).
+//! - **bench regressions** — judged against the bounds the repository's
+//!   `BENCHMARK.json` declares (on `--trace 1` outputs, the per-layer
+//!   metric that moved most).
+//!
+//! Golden drift has one verdict, `adaptraj check`.
 //!
 //! The diagnosis renders as text or JSON (`adaptraj-doctor/v1`); any
 //! fatal finding makes the CLI exit nonzero.
@@ -68,8 +68,7 @@ impl Severity {
 pub struct Finding {
     pub severity: Severity,
     /// Stable code (`numerics-incident`, `loss-divergence`,
-    /// `loss-plateau`, `domain-conflict`, `golden-drift`,
-    /// `bench-regression`, ...).
+    /// `loss-plateau`, `domain-conflict`, `bench-regression`, ...).
     pub code: &'static str,
     pub message: String,
 }
@@ -96,16 +95,13 @@ pub struct Diagnosis {
     pub conflicts: Vec<PairConflict>,
     pub divergence: bool,
     pub plateau: bool,
-    /// `Some(summary)` when a golden comparison ran.
-    pub golden_summary: Option<String>,
-    pub golden_ok: Option<bool>,
     /// `Some(summary)` when a bench comparison ran.
     pub bench_summary: Option<String>,
     pub bench_ok: Option<bool>,
     /// On a `--trace 1` pair, the per-layer metric that moved most in
     /// its worse direction.
     pub bench_layer_move: Option<MetricMove>,
-    /// False when only bench or golden inputs were given, so there is no
+    /// False when only bench inputs were given, so there is no
     /// training run to report on.
     pub has_run: bool,
 }
@@ -128,9 +124,6 @@ impl Diagnosis {
         let mut out = String::from("adaptraj doctor — diagnosis\n");
         if self.has_run {
             self.render_run(&mut out);
-        }
-        if let Some(s) = &self.golden_summary {
-            out.push_str(&format!("  golden: {s}\n"));
         }
         if let Some(s) = &self.bench_summary {
             out.push_str(&format!("  bench: {s}\n"));
@@ -248,9 +241,6 @@ impl Diagnosis {
             .raw("findings", &findings.finish());
         if let Some(i) = &self.first_unhealthy_op {
             obj = obj.raw("first_unhealthy_op", &i.to_json());
-        }
-        if let Some(ok) = self.golden_ok {
-            obj = obj.bool("golden_ok", ok);
         }
         if let Some(ok) = self.bench_ok {
             obj = obj.bool("bench_ok", ok);
@@ -738,20 +728,18 @@ pub fn diagnose_bench(d: &mut Diagnosis, baseline: &str, candidate: &str) -> Res
 // ---------------------------------------------------------------------------
 
 /// File paths for one doctor invocation; every input is optional but at
-/// least one must be given (the bench and golden inputs in pairs).
+/// least one must be given (the bench inputs as a pair).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoctorArgs {
     /// A run record directory (`run --out DIR`).
     pub run: Option<String>,
     pub bench_baseline: Option<String>,
     pub bench_candidate: Option<String>,
-    pub golden_dir: Option<String>,
-    pub golden_candidate: Option<String>,
 }
 
 /// The error for an invocation with nothing to diagnose.
-pub const NO_INPUT: &str = "doctor needs at least one of --run DIR, \
-     --bench-baseline/--bench-candidate or --golden-dir/--golden-candidate";
+pub const NO_INPUT: &str =
+    "doctor needs at least one of --run DIR or --bench-baseline/--bench-candidate";
 
 fn read(path: impl AsRef<std::path::Path>) -> Result<String, String> {
     let path = path.as_ref();
@@ -761,40 +749,15 @@ fn read(path: impl AsRef<std::path::Path>) -> Result<String, String> {
 /// Ingests the artifact files and produces the diagnosis.
 pub fn run_doctor(args: &DoctorArgs) -> Result<Diagnosis, String> {
     let has_bench = args.bench_baseline.is_some() && args.bench_candidate.is_some();
-    let has_golden = args.golden_dir.is_some() && args.golden_candidate.is_some();
     let mut d = if let Some(dir) = &args.run {
         let path = std::path::Path::new(dir).join(crate::run_dir::MANIFEST);
         diagnose(&parse_manifest(&read(path)?)?)
-    } else if has_bench || has_golden {
+    } else if has_bench {
         Diagnosis::default()
     } else {
         return Err(NO_INPUT.into());
     };
 
-    if let (Some(base), Some(cand)) = (&args.golden_dir, &args.golden_candidate) {
-        use adaptraj_check::golden::{compare, load_baselines};
-        let b = load_baselines(std::path::Path::new(base)).map_err(|e| format!("{base}: {e}"))?;
-        let c = load_baselines(std::path::Path::new(cand)).map_err(|e| format!("{cand}: {e}"))?;
-        let cmp = compare(&b, &c, 0.1);
-        d.golden_ok = Some(cmp.ok());
-        if cmp.ok() {
-            d.golden_summary = Some(format!("OK ({} run(s) bit-identical)", cmp.compared));
-        } else {
-            d.golden_summary = Some(format!(
-                "DRIFT ({} divergence(s), {} missing run(s))",
-                cmp.diffs.len(),
-                cmp.missing.len()
-            ));
-            d.push(
-                Severity::Fatal,
-                "golden-drift",
-                format!(
-                    "{} divergence(s) from the golden baselines in {base}",
-                    cmp.diffs.len() + cmp.missing.len()
-                ),
-            );
-        }
-    }
     if let (Some(base), Some(cand)) = (&args.bench_baseline, &args.bench_candidate) {
         diagnose_bench(&mut d, &read(base)?, &read(cand)?)?;
     }

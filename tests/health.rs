@@ -1,10 +1,10 @@
 //! Training-health observatory suite: the observation-only contract
 //! (bit-identical results for every worker count, with the health
 //! capture ON), the pinned-seed per-domain gradient diagnostics in each
-//! epoch record, and the injected-NaN tripwire → policy → run record →
-//! doctor path.
+//! epoch record, and the injected-NaN tripwire → run record → doctor
+//! path, with and without halt-on-fault.
 //!
-//! The observatory's state (enable flag, policy, incident store) is
+//! The observatory's state (enable flag, halt switch, incident store) is
 //! process-global, so every test here serializes on [`LOCK`] and
 //! restores the disabled default before releasing it.
 
@@ -13,7 +13,7 @@ use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::doctor::{diagnose, parse_manifest, run_doctor, DoctorArgs};
 use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport};
-use adaptraj::obs::health::{self, Incident, Policy};
+use adaptraj::obs::health::{self, Incident};
 use adaptraj::obs::json::Value;
 use adaptraj::obs::{profile, RunTelemetry};
 use std::sync::Mutex;
@@ -103,7 +103,7 @@ fn run_causal_motion_workload(workers: usize) -> (TrainReport, bool) {
 /// Restores the disabled defaults (paired with every armed test).
 fn disarm() {
     health::set_enabled(false);
-    health::set_policy(Policy::Warn);
+    health::set_halt_on_fault(false);
     health::set_inject_nan(None);
     health::set_inject_window(None);
     health::reset();
@@ -281,7 +281,7 @@ fn injected_nan_is_attributed_and_doctor_flags_it() {
 #[test]
 fn halt_and_dump_stops_training_and_the_run_record_keeps_the_incident() {
     let _g = LOCK.lock().unwrap();
-    health::set_policy(Policy::HaltAndDump);
+    health::set_halt_on_fault(true);
     health::set_inject_nan(Some(500));
     let (report, incidents) = run_health_workload(2, &TWO_SOURCES);
     let halted = health::halt_requested();
@@ -350,7 +350,7 @@ fn health_capture_is_observation_only() {
 }
 
 #[test]
-fn skip_window_policy_stays_deterministic_across_worker_counts() {
+fn injected_window_is_skipped_identically_across_worker_counts() {
     let _g = LOCK.lock().unwrap();
 
     // Window-targeted injection: poison window 5 of epoch 0. Unlike the
@@ -358,7 +358,6 @@ fn skip_window_policy_stays_deterministic_across_worker_counts() {
     // this trigger is attached to the thread-local window context, so
     // the same window faults for every worker count.
     let run = |workers: usize| {
-        health::set_policy(Policy::SkipWindow);
         health::set_inject_window(Some((0, 5)));
         run_health_workload(workers, &TWO_SOURCES)
     };
@@ -366,8 +365,9 @@ fn skip_window_policy_stays_deterministic_across_worker_counts() {
     let (report_4, incidents_4) = run(4);
     disarm();
 
-    // The skipped window drops out of the reduction identically for any
-    // worker count: same losses, same epoch records, same incidents.
+    // The trainer's non-finite guard drops the poisoned job from the
+    // reduction identically for any worker count: same losses, same
+    // epoch records, same incidents.
     let (losses_1, losses_4) = (&report_1.epoch_losses, &report_4.epoch_losses);
     assert_eq!(losses_1.len(), losses_4.len());
     for (a, b) in losses_1.iter().zip(losses_4) {
@@ -376,7 +376,12 @@ fn skip_window_policy_stays_deterministic_across_worker_counts() {
     assert_eq!(epochs_json(&report_1), epochs_json(&report_4));
     assert!(!incidents_1.is_empty());
     assert_eq!(incidents_1, incidents_4);
-    // Training ran to completion (skip-window does not halt).
+    assert!(
+        report_1.non_finite_total() > 0,
+        "the poisoned job was not dropped"
+    );
+    // Training ran to completion: without halt-on-fault a tripwire only
+    // records.
     assert_eq!(losses_1.len(), 3);
 }
 
@@ -415,8 +420,8 @@ fn causal_motion_emits_per_domain_health_every_epoch() {
 fn causal_motion_skips_non_finite_batches_and_honours_halt() {
     let _g = LOCK.lock().unwrap();
 
-    // Warn: the poisoned batch takes no optimizer step, so the risk-gap
-    // coefficient never spreads the NaN into the parameters.
+    // Recording only: the poisoned batch takes no optimizer step, so the
+    // risk-gap coefficient never spreads the NaN into the parameters.
     // Op-index injection counts ops process-wide, so it runs on one
     // worker to poison the same op every time: one whose NaN reaches the
     // loss.
@@ -427,9 +432,9 @@ fn causal_motion_skips_non_finite_batches_and_honours_halt() {
     assert!(finite, "a NaN loss reached the parameters");
     assert_eq!(report.epochs.len(), 3);
 
-    // Halt-and-dump with the worker-count-deterministic `E:W` form: the
+    // Halt-on-fault with the worker-count-deterministic `E:W` form: the
     // incident carries its window and training stops at the tripped epoch.
-    health::set_policy(Policy::HaltAndDump);
+    health::set_halt_on_fault(true);
     health::set_inject_window(Some((0, 3)));
     let (report, finite) = run_causal_motion_workload(2);
     let incidents = health::incidents();
