@@ -26,7 +26,6 @@
 //! | `social` | supplementary: collision/miss social metrics |
 //! | `compare` | supplementary: paired-bootstrap vanilla-vs-AdapTraj |
 //!
-//! The crate also holds the `trace_check` Chrome-trace validator.
 //! Performance is measured by `perfbench` at the repository root, not
 //! here; kernel equivalence is pinned by `adaptraj-check`'s
 //! `kernel_equivalence` tests.

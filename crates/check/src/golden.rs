@@ -1,6 +1,6 @@
 //! Golden-regression layer: fixed-seed micro-runs of every backbone whose
-//! per-epoch decomposed losses and ADE/FDE are pinned bit-for-bit in
-//! committed `results/GOLDEN_*.json` files.
+//! per-epoch decomposed losses, ADE/FDE and sampled futures on a fixed
+//! probe scene are pinned in committed `results/GOLDEN_*.json` files.
 //!
 //! The training stack is deterministic by construction (fixed seeds,
 //! `window_seed`-derived per-window streams, order-preserving parallel
@@ -9,20 +9,26 @@
 //! the backward pass, the optimizer, or the data pipeline, which is
 //! precisely what a perf-motivated tape change must not cause silently.
 //! Losses therefore compare on raw `f64` bit patterns (exact), while
-//! ADE/FDE compare under a percentage tolerance flag — they pass through
-//! best-of-k sampling, where a *deliberate* change to sampling counts as
-//! drift but callers may loosen the gate during intentional retuning.
+//! ADE/FDE compare within [`METRIC_TOL_PCT`] percent. Sampling is pinned
+//! exactly by the probe: the trained predictor's
+//! `predict_k(probe_window(), PROBE_K, Rng::seed_from(PROBE_SEED))`,
+//! stored as `f32` bit patterns. The serving contract
+//! (`tests/serve.rs`) pins served modes to that same offline `predict_k`
+//! bit for bit, so the probe also pins what a server returns for every
+//! backbone × method.
 //!
 //! These micro-runs are 2–3 epochs over ≤30 windows: they validate
 //! *reproducibility*, not model quality — see EXPERIMENTS.md.
 
 use adaptraj_data::dataset::{synthesize_domain, DomainDataset, SynthesisConfig};
 use adaptraj_data::domain::DomainId;
-use adaptraj_eval::runner::run_cell;
+use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
+use adaptraj_eval::runner::train_cell;
 use adaptraj_eval::{BackboneKind, CellSpec, MethodKind, RunnerConfig};
 use adaptraj_models::predictor::TrainReport;
-use adaptraj_models::TrainerConfig;
+use adaptraj_models::{Predictor, TrainerConfig};
 use adaptraj_obs::json::{Arr, Obj, Value};
+use adaptraj_tensor::Rng;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -93,6 +99,9 @@ pub struct GoldenDoc {
     pub epochs: Vec<EpochGold>,
     pub ade: f64,
     pub fde: f64,
+    /// `f32` bit patterns of the trained predictor's [`probe_modes`]:
+    /// mode after mode, `x` and `y` of each future step in turn.
+    pub probe_bits: Vec<u32>,
 }
 
 impl GoldenDoc {
@@ -127,8 +136,17 @@ impl GoldenDoc {
             .raw("epochs", &epochs.finish())
             .f64("ade", self.ade)
             .f64("fde", self.fde)
+            .raw("probe_bits", &probe_json(&self.probe_bits))
             .finish()
     }
+}
+
+/// A JSON number array: a `u32` is exact as a JSON number, unlike the
+/// `u64` loss bits.
+fn probe_json(bits: &[u32]) -> String {
+    bits.iter()
+        .fold(Arr::new(), |arr, b| arr.push_raw(&b.to_string()))
+        .finish()
 }
 
 /// Structured failures when loading a golden document.
@@ -239,12 +257,27 @@ pub fn parse_doc(text: &str) -> Result<GoldenDoc, GoldenError> {
     if epochs.is_empty() {
         return Err(schema_err("no epochs"));
     }
+    let probe_bits = v
+        .get("probe_bits")
+        .and_then(Value::as_array)
+        .ok_or_else(|| schema_err("missing 'probe_bits'"))?
+        .iter()
+        .map(|b| b.as_u64().and_then(|b| u32::try_from(b).ok()))
+        .collect::<Option<Vec<u32>>>()
+        .ok_or_else(|| schema_err("'probe_bits' holds a value that is not a u32"))?;
+    if probe_bits.len() != PROBE_BITS {
+        return Err(schema_err(format!(
+            "{} probe bits, expected {PROBE_BITS}",
+            probe_bits.len()
+        )));
+    }
     Ok(GoldenDoc {
         name,
         seed,
         epochs,
         ade,
         fde,
+        probe_bits,
     })
 }
 
@@ -319,7 +352,46 @@ fn micro_spec(backbone: BackboneKind, method: MethodKind) -> CellSpec {
     }
 }
 
-fn doc_from_report(name: &str, report: &TrainReport, ade: f32, fde: f32) -> GoldenDoc {
+/// Seed of the probe's sample stream.
+pub const PROBE_SEED: u64 = 20240108;
+
+/// Sampled futures drawn for the probe.
+pub const PROBE_K: usize = 3;
+
+/// Length of `probe_bits`: `x` and `y` of every step of every mode.
+const PROBE_BITS: usize = PROBE_K * T_PRED * 2;
+
+/// The fixed probe scene: a focal agent walking +x with two neighbors,
+/// deterministic coordinates, in the `eth_ucy` source domain of every
+/// micro-run. Changing it moves every committed `probe_bits`.
+pub fn probe_window() -> TrajWindow {
+    let obs: Vec<Point> = (0..T_OBS)
+        .map(|t| [0.4 * t as f32 - 2.8, 0.05 * t as f32])
+        .collect();
+    let n1: Vec<Point> = (0..T_OBS).map(|t| [1.5 - 0.1 * t as f32, 0.8]).collect();
+    let n2: Vec<Point> = (0..T_OBS).map(|t| [-1.0, -0.6 + 0.2 * t as f32]).collect();
+    TrajWindow {
+        obs,
+        fut: vec![[0.0, 0.0]; T_PRED],
+        neighbors: vec![n1, n2],
+        domain: DomainId::EthUcy,
+        origin: [4.0, 1.0],
+    }
+}
+
+/// `predictor`'s [`PROBE_K`] sampled futures for [`probe_window`] from a
+/// [`PROBE_SEED`] stream.
+pub fn probe_modes(predictor: &dyn Predictor) -> Vec<Vec<Point>> {
+    predictor.predict_k(&probe_window(), PROBE_K, &mut Rng::seed_from(PROBE_SEED))
+}
+
+fn doc_from_report(
+    name: &str,
+    report: &TrainReport,
+    ade: f32,
+    fde: f32,
+    probe_bits: Vec<u32>,
+) -> GoldenDoc {
     let epochs = report
         .epochs
         .iter()
@@ -339,6 +411,7 @@ fn doc_from_report(name: &str, report: &TrainReport, ade: f32, fde: f32) -> Gold
         epochs,
         ade: ade as f64,
         fde: fde as f64,
+        probe_bits,
     }
 }
 
@@ -355,12 +428,17 @@ pub fn run_golden(name: &str, datasets: &[DomainDataset]) -> GoldenDoc {
         "lbebm-adaptraj" => (BackboneKind::Lbebm, MethodKind::AdapTraj, 3),
         other => panic!("unknown golden micro-run '{other}'"),
     };
-    let r = run_cell(
+    let (r, predictor) = train_cell(
         &micro_spec(backbone, method),
         datasets,
         &micro_runner(epochs),
     );
-    doc_from_report(name, &r.report, r.eval.ade, r.eval.fde)
+    let probe = probe_modes(predictor.as_ref())
+        .iter()
+        .flatten()
+        .flat_map(|p| [p[0].to_bits(), p[1].to_bits()])
+        .collect();
+    doc_from_report(name, &r.report, r.eval.ade, r.eval.fde, probe)
 }
 
 /// Runs every micro-run of [`GOLDEN_NAMES`].
@@ -432,9 +510,9 @@ fn pct_close(baseline: f64, actual: f64) -> bool {
     (baseline - actual).abs() <= METRIC_TOL_PCT / 100.0 * baseline.abs()
 }
 
-/// Gates `candidates` against `baselines`: epoch losses and decomposed
-/// components must match *bit-for-bit*; ADE/FDE must agree within
-/// [`METRIC_TOL_PCT`] percent of the baseline.
+/// Gates `candidates` against `baselines`: epoch losses, decomposed
+/// components and probe futures must match *bit-for-bit*; ADE/FDE must
+/// agree within [`METRIC_TOL_PCT`] percent of the baseline.
 pub fn compare(baselines: &[GoldenDoc], candidates: &[GoldenDoc]) -> GoldenComparison {
     let mut diffs = Vec::new();
     let mut missing = Vec::new();
@@ -486,6 +564,27 @@ pub fn compare(baselines: &[GoldenDoc], candidates: &[GoldenDoc]) -> GoldenCompa
                 }
             }
         }
+        let (b, c) = (&base.probe_bits, &cand.probe_bits);
+        let differing: Vec<usize> = (0..b.len().max(c.len()))
+            .filter(|&i| b.get(i) != c.get(i))
+            .collect();
+        if let Some(&i) = differing.first() {
+            let show = |bits: Option<&u32>| {
+                bits.map_or("nothing".to_string(), |&x| {
+                    format!("{x} ({:?})", f32::from_bits(x))
+                })
+            };
+            push(
+                format!("probe_bits[{i}]"),
+                show(b.get(i)),
+                format!(
+                    "{} ({} of {} differ)",
+                    show(c.get(i)),
+                    differing.len(),
+                    b.len()
+                ),
+            );
+        }
         for (field, b, c) in [("ade", base.ade, cand.ade), ("fde", base.fde, cand.fde)] {
             if !pct_close(b, c) {
                 push(
@@ -526,6 +625,7 @@ mod tests {
             ],
             ade: 0.42,
             fde: 0.84,
+            probe_bits: (0..PROBE_BITS as u32).map(|i| u32::MAX - i).collect(),
         }
     }
 
@@ -553,6 +653,12 @@ mod tests {
             .raw("epochs", "[]")
             .finish();
         assert!(matches!(parse_doc(&no_epochs), Err(GoldenError::Schema(_))));
+        // A document without its probe fails to load: an absent pin must
+        // fail the gate, never silently shrink it.
+        let full = doc("p").to_json();
+        let (head, _) = full.split_once(",\"probe_bits\"").unwrap();
+        let no_probe = format!("{head}}}");
+        assert!(matches!(parse_doc(&no_probe), Err(GoldenError::Schema(_))));
     }
 
     #[test]

@@ -26,17 +26,27 @@ fn micro_run_is_deterministic_and_round_trips_through_disk() {
     let dir = std::env::temp_dir().join(format!("adaptraj-golden-test-{}", std::process::id()));
     let path = write_doc(&dir, &a).expect("write golden doc");
     let parsed = parse_doc(&std::fs::read_to_string(&path).unwrap()).expect("parse golden doc");
-    assert_eq!(parsed, a, "disk round trip changed the document");
+    assert_eq!(
+        parsed, a,
+        "disk round trip changed the document (losses, metrics or probe bits)"
+    );
 
-    // An identical candidate passes the gate; flipping
-    // one ulp of one epoch loss fails it with a field-level diagnosis.
+    // An identical candidate passes the gate; flipping one ulp of one
+    // epoch loss, or one bit of one probe future, fails it with a
+    // field-level diagnosis.
     let cmp = compare(std::slice::from_ref(&a), std::slice::from_ref(&b));
     assert!(cmp.ok(), "{}", cmp.render_text());
     let mut drifted = a.clone();
     drifted.epochs[0].loss_bits ^= 1;
-    let cmp = compare(&[a], &[drifted]);
+    let cmp = compare(std::slice::from_ref(&a), &[drifted]);
     assert!(!cmp.ok(), "one-ulp loss drift must fail the gate");
     assert!(cmp.diffs[0].field.contains("loss_bits"), "{:?}", cmp.diffs);
+    let mut drifted = a.clone();
+    drifted.probe_bits[55] ^= 1;
+    let cmp = compare(&[a], &[drifted]);
+    assert!(!cmp.ok(), "one-bit probe drift must fail the gate");
+    assert_eq!(cmp.diffs.len(), 1, "{}", cmp.render_text());
+    assert_eq!(cmp.diffs[0].field, "probe_bits[55]", "{:?}", cmp.diffs);
 
     std::fs::remove_dir_all(&dir).ok();
 }

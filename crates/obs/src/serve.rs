@@ -10,9 +10,8 @@
 //!   (same document as `profile.json` in the `run --out DIR` record).
 //! * `GET /timeline` — the execution flight recorder's current
 //!   [`TimelineSnapshot`](crate::timeline::TimelineSnapshot) as Chrome
-//!   trace-event JSON (same document as the record's `trace.json`, which
-//!   `trace_check` validates), so a live run can be inspected in
-//!   Perfetto before it finishes.
+//!   trace-event JSON (same document as the record's `trace.json`), so a
+//!   live run can be inspected in Perfetto before it finishes.
 //!
 //! [`TelemetryServer`] adds `GET /healthz` → `ok` and serves them on one
 //! accept thread, so a human or a Prometheus scraper can watch a
@@ -239,7 +238,7 @@ mod tests {
         assert!(profile_resp.contains('{'), "{profile_resp}");
 
         // /timeline serves the flight recorder as a Chrome trace document
-        // (same shape trace_check validates: top-level traceEvents array).
+        // (a top-level traceEvents array).
         let timeline_resp = get(addr, "/timeline");
         assert!(timeline_resp.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(timeline_resp.contains("application/json"));

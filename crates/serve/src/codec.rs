@@ -260,9 +260,8 @@ pub fn decode_request(body: &str) -> Result<PredictRequest, CodecError> {
     Ok(PredictRequest { window, seed, k })
 }
 
-/// Encodes mode trajectories as the `modes` array of the response (also
-/// the golden-file format `serve_gate` pins CI against).
-pub fn encode_modes(modes: &[Vec<Point>]) -> String {
+/// Encodes mode trajectories as the `modes` array of the response.
+fn encode_modes(modes: &[Vec<Point>]) -> String {
     let mut arr = Arr::new();
     for m in modes {
         arr = arr.push_raw(&mode_json(m));
@@ -335,7 +334,7 @@ pub fn encode_response_with_id(
 }
 
 /// Extracts the mode trajectories from a response document (the inverse
-/// of [`encode_response`], used by tests and `serve_gate`).
+/// of [`encode_response`], used by clients and tests).
 pub fn decode_response_modes(body: &str) -> Result<Vec<Vec<Point>>, CodecError> {
     let v = Value::parse(body).map_err(|e| err("invalid_json", format!("bad response: {e}")))?;
     let modes = v

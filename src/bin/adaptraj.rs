@@ -302,7 +302,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         }
         Command::Check {
             golden_dir,
-            out_dir,
             update_golden,
         } => {
             let golden_dir = std::path::PathBuf::from(golden_dir);
@@ -327,13 +326,6 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 .map_err(|e| format!("{}: {e}", golden_dir.display()))?;
             println!("re-running {} golden micro-runs ...", baselines.len());
             let candidates = run_all_goldens();
-            if let Some(dir) = out_dir {
-                let dir = std::path::PathBuf::from(dir);
-                for doc in &candidates {
-                    let path = write_doc(&dir, doc)?;
-                    println!("candidate written to {}", path.display());
-                }
-            }
             let cmp = compare(&baselines, &candidates);
             print!("{}", cmp.render_text());
             if !cmp.ok() {

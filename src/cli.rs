@@ -57,15 +57,14 @@ pub enum Command {
         out: String,
         count: usize,
     },
-    /// `check [--golden-dir DIR] [--out-dir DIR] [--update-golden]` —
-    /// re-run the fixed-seed golden micro-runs and gate them against the
-    /// committed `results/GOLDEN_*.json` baselines (bit-exact losses,
-    /// ADE/FDE within `check::golden::METRIC_TOL_PCT`). With
+    /// `check [--golden-dir DIR] [--update-golden]` — re-run the
+    /// fixed-seed golden micro-runs and gate them against the committed
+    /// `results/GOLDEN_*.json` baselines (bit-exact losses and probe
+    /// futures, ADE/FDE within `check::golden::METRIC_TOL_PCT`). With
     /// `--update-golden`, rewrite the baselines instead (requires a clean
     /// working tree).
     Check {
         golden_dir: String,
-        out_dir: Option<String>,
         update_golden: bool,
     },
     /// `doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
@@ -151,9 +150,13 @@ fn parse_method(tag: &str) -> Result<MethodKind, ParseError> {
 }
 
 /// Splits `--key value` pairs; rejects unknown or duplicated keys.
+/// `switches` are the command's valueless flags, which [`take_switch`]
+/// has already removed from `args`; an unknown flag's message lists them
+/// with the `allowed` keys.
 fn parse_flags<'a>(
     args: &'a [String],
     allowed: &[&str],
+    switches: &[&str],
 ) -> Result<HashMap<&'a str, &'a str>, ParseError> {
     let mut flags = HashMap::new();
     let mut i = 0;
@@ -166,6 +169,7 @@ fn parse_flags<'a>(
                 "unknown flag --{key} (allowed: {})",
                 allowed
                     .iter()
+                    .chain(switches)
                     .map(|a| format!("--{a}"))
                     .collect::<Vec<_>>()
                     .join(", ")
@@ -227,7 +231,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "synthesize" => {
-            let flags = parse_flags(rest, &["domain", "scenes", "out"])?;
+            let flags = parse_flags(rest, &["domain", "scenes", "out"], &[])?;
             let domain = parse_domain(
                 flags
                     .get("domain")
@@ -255,6 +259,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "telemetry-addr",
                     "out",
                 ],
+                &["halt-on-fault"],
             )?;
             let backbone = parse_backbone(
                 flags
@@ -309,6 +314,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "method",
                     "sources",
                 ],
+                &[],
             )?;
             let backbone = parse_backbone(flags.get("backbone").unwrap_or(&"pecnet"))?;
             let method = parse_method(flags.get("method").unwrap_or(&"vanilla"))?;
@@ -334,7 +340,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "visualize" => {
-            let flags = parse_flags(rest, &["target", "out", "count"])?;
+            let flags = parse_flags(rest, &["target", "out", "count"], &[])?;
             let target = parse_domain(
                 flags
                     .get("target")
@@ -349,17 +355,20 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "check" => {
             let mut rest = rest.to_vec();
             let update_golden = take_switch(&mut rest, "update-golden")?;
-            let flags = parse_flags(&rest, &["golden-dir", "out-dir"])?;
+            let flags = parse_flags(&rest, &["golden-dir"], &["update-golden"])?;
             Ok(Command::Check {
                 golden_dir: flags.get("golden-dir").unwrap_or(&"results").to_string(),
-                out_dir: flags.get("out-dir").map(|s| s.to_string()),
                 update_golden,
             })
         }
         "doctor" => {
             let mut rest = rest.to_vec();
             let json = take_switch(&mut rest, "json")?;
-            let flags = parse_flags(&rest, &["run", "bench-baseline", "bench-candidate"])?;
+            let flags = parse_flags(
+                &rest,
+                &["run", "bench-baseline", "bench-candidate"],
+                &["json"],
+            )?;
             if flags.is_empty() {
                 return Err(err(crate::doctor::NO_INPUT));
             }
@@ -395,7 +404,7 @@ USAGE:
                  [--accept-threads N] [--queue-cap N] [--deadline-ms N]
                  [--backbone B] [--method M] [--sources d1,d2,...]
   adaptraj visualize --target <d> [--out DIR] [--count N]
-  adaptraj check [--golden-dir DIR] [--out-dir DIR] [--update-golden]
+  adaptraj check [--golden-dir DIR] [--update-golden]
   adaptraj doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
                   [--json]
   adaptraj help
@@ -412,7 +421,9 @@ OBSERVABILITY (run):
   --telemetry-addr A  serve live telemetry over HTTP while the command runs:
                       GET /metrics (Prometheus text, p50/p90/p99/p999),
                       /healthz, /profile, /timeline (Chrome trace JSON);
-                      A is HOST:PORT (port 0 = ephemeral)
+                      A is HOST:PORT (port 0 = ephemeral). Only --out
+                      arms the profiler and the timeline: without it
+                      /profile and /timeline serve empty documents
   --out DIR           arm the op profiler, the flight-recorder timeline and
                       the training-health observatory (observation-only:
                       results stay bit-identical for every worker count)
@@ -454,9 +465,10 @@ SERVE:
 CHECK:
   re-runs the six fixed-seed golden micro-runs (adaptraj-golden/v1) and
   compares them against the committed baselines in --golden-dir (default
-  results/): per-epoch losses and decomposed components must match
-  bit-for-bit; ADE/FDE within 0.1 percent.
-  --out-dir saves the candidate documents for inspection. --update-golden
+  results/): per-epoch losses, decomposed components and the trained
+  model's sampled futures for a fixed probe scene must match
+  bit-for-bit; ADE/FDE within 0.1 percent. Each DRIFT line names the
+  field, the expected value and the actual one. --update-golden
   rewrites the baselines instead of comparing; it refuses to run with a
   dirty working tree (set ADAPTRAJ_UPDATE_GOLDEN_ALLOW_DIRTY=1 to
   override, e.g. when bootstrapping the very first baselines).
@@ -731,6 +743,19 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let e = parse(&args("synthesize --domain sdd --bogus 3")).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
+        // The allowed list names the valueless switches too.
+        let e = parse(&args(
+            "run --backbone pecnet --method vanilla --sources sdd --target syi \
+             --health-policy warn",
+        ))
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag --health-policy"), "{e}");
+        assert!(e.0.contains("--halt-on-fault"), "{e}");
+        assert!(e.0.contains("--out"), "{e}");
+        let e = parse(&args("check --epochs 3")).unwrap_err();
+        assert!(e.0.contains("--update-golden"), "{e}");
+        let e = parse(&args("doctor --golden-dir x")).unwrap_err();
+        assert!(e.0.contains("--json"), "{e}");
     }
 
     #[test]
@@ -759,28 +784,31 @@ mod tests {
             parse(&args("check")).unwrap(),
             Command::Check {
                 golden_dir: "results".into(),
-                out_dir: None,
                 update_golden: false,
             }
         );
         // The boolean switch parses in any position among key-value flags.
-        assert_eq!(
-            parse(&args(
-                "check --golden-dir base --update-golden --out-dir cand"
-            ))
-            .unwrap(),
-            Command::Check {
-                golden_dir: "base".into(),
-                out_dir: Some("cand".into()),
-                update_golden: true,
-            }
-        );
+        for invocation in [
+            "check --golden-dir base --update-golden",
+            "check --update-golden --golden-dir base",
+        ] {
+            assert_eq!(
+                parse(&args(invocation)).unwrap(),
+                Command::Check {
+                    golden_dir: "base".into(),
+                    update_golden: true,
+                }
+            );
+        }
     }
 
     #[test]
     fn check_rejects_bad_flags() {
-        let e = parse(&args("check --out-dir")).unwrap_err();
+        let e = parse(&args("check --golden-dir")).unwrap_err();
         assert!(e.0.contains("needs a value"), "{e}");
+        // Candidates are never written: the DRIFT lines carry the values.
+        let e = parse(&args("check --out-dir cand")).unwrap_err();
+        assert!(e.0.contains("unknown flag --out-dir"), "{e}");
         let e = parse(&args("check --update-golden --update-golden")).unwrap_err();
         assert!(e.0.contains("twice"), "{e}");
         let e = parse(&args("check --epochs 3")).unwrap_err();

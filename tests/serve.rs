@@ -6,8 +6,9 @@
 //! back by a busy one; admission control answers a structured 503; a checkpoint hot-reload never serves a torn
 //! model; and the failure paths — a wrong-architecture checkpoint on
 //! reload, a client that hangs up mid-batch — leave the server healthy;
-//! shutdown under load answers every client cleanly; and the shared
-//! telemetry routes are mounted on the predict port.
+//! shutdown under load answers every client cleanly; the shared
+//! telemetry routes are mounted on the predict port; and the `adaptraj
+//! serve` binary serves a saved checkpoint as offline `predict_k` does.
 //!
 //! Every test starts its own server on an ephemeral port, so tests are
 //! independent (the metrics registry is process-global but only ever
@@ -15,6 +16,7 @@
 //! requests to wait in the queue park the exec workers inside `sample`
 //! with a [`Gate`] instead of relying on timing.
 
+use adaptraj::check::golden::{probe_modes, probe_window, PROBE_K, PROBE_SEED};
 use adaptraj::data::batch::{WindowBatch, MAX_WINDOWS_PER_JOB};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
@@ -26,8 +28,9 @@ use adaptraj::serve::codec;
 use adaptraj::serve::{PredictServer, ServeConfig};
 use adaptraj::tensor::serialize::{load_params_from_file, save_params_to_file};
 use adaptraj::tensor::{ParamStore, Rng};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -944,4 +947,120 @@ fn shutdown_under_load_answers_every_client_cleanly() {
         counts[0] >= 4 * CLIENTS,
         "outcomes (served, 503, none): {counts:?}"
     );
+}
+
+/// The `adaptraj serve` process: killed on drop unless it already exited.
+struct ServeProcess(Child);
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+/// The real `adaptraj serve` binary, end to end: it loads a checkpoint
+/// saved as `run --out` saves one, serves the golden probe bit for bit as
+/// offline `predict_k` from the same file, hot-reloads that file through
+/// the CLI's `Loader`, mounts the serve counters on `/metrics`, and exits
+/// 0 after `/shutdown`.
+#[test]
+fn cli_serve_matches_offline_predict_k_reloads_and_exits_cleanly() {
+    let ckpt = std::env::temp_dir().join(format!("adaptraj_cli_serve_{}.atps", std::process::id()));
+    // Not the trainer's default seed (1), whose init a server that
+    // skipped the load would serve instead.
+    save_params_to_file(predictor_with_seed(41).store(), &ckpt).expect("write checkpoint");
+    let path = ckpt.to_string_lossy().into_owned();
+    let mut offline = predictor_with_seed(999); // overwritten by the load
+    load_params_from_file(offline.store_mut(), &ckpt).expect("load checkpoint");
+    let expected = bits(&probe_modes(offline.as_ref()));
+
+    let mut server = ServeProcess(
+        Command::new(env!("CARGO_BIN_EXE_adaptraj"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--checkpoint", &path])
+            .args(["--backbone", "pecnet", "--method", "vanilla"])
+            .args([
+                "--sources",
+                "eth_ucy,l_cas",
+                "--workers",
+                "1",
+                "--queue-cap",
+                "1",
+            ])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn adaptraj serve"),
+    );
+    // Forward stdout line by line, so the pipe never fills and the bound
+    // address can be awaited with a deadline.
+    let (tx, lines) = std::sync::mpsc::channel();
+    let stdout = server.0.stdout.take().unwrap();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    let addr: SocketAddr = loop {
+        let line = lines
+            .recv_timeout(Duration::from_secs(30))
+            .expect("adaptraj serve never reported its address");
+        if let Some(rest) = line.strip_prefix("serving ") {
+            let url = rest
+                .split_once("http://")
+                .expect("serving line has a URL")
+                .1;
+            break url.split_whitespace().next().unwrap().parse().unwrap();
+        }
+    };
+
+    let body = codec::encode_request(&probe_window(), PROBE_SEED, PROBE_K);
+    let predict = || {
+        let (status, resp) = http_post(addr, "/v1/predict", &body);
+        assert_eq!(status, 200, "{resp:.200}");
+        let version = Value::parse(&resp)
+            .ok()
+            .and_then(|v| v.get("version")?.as_u64())
+            .expect("response version");
+        (
+            codec::decode_response_modes(&resp).expect("response modes"),
+            version,
+        )
+    };
+    let (modes, version) = predict();
+    assert_eq!(bits(&modes), expected, "served bits != offline predict_k");
+    assert_eq!(version, 1);
+
+    let (status, resp) = http_post(addr, "/reload", &format!("{{\"checkpoint\":\"{path}\"}}"));
+    assert_eq!(status, 200, "reload failed: {resp:.200}");
+    let (modes, version) = predict();
+    assert_eq!(bits(&modes), expected, "reloaded bits != offline predict_k");
+    assert_eq!(version, 2, "the reload did not swap the model");
+
+    let (status, metrics) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    for counter in [
+        "serve_requests_total",
+        "serve_responses_ok_total",
+        "serve_reloads_total",
+    ] {
+        assert!(metrics.contains(counter), "/metrics misses {counter}");
+    }
+
+    let (status, resp) = http_post(addr, "/shutdown", "");
+    assert_eq!(status, 200, "{resp:.200}");
+    let t0 = Instant::now();
+    let exit = loop {
+        if let Some(exit) = server.0.try_wait().expect("poll adaptraj serve") {
+            break exit;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "adaptraj serve still running 10 s after /shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    std::fs::remove_file(&ckpt).ok();
+    assert!(exit.success(), "adaptraj serve exited with {exit}");
 }

@@ -2,7 +2,8 @@
 //! record per epoch, finite decomposed losses, and phase timings, the
 //! whole thing serializes as the documented JSON schema with the final
 //! metrics-registry snapshot as its `metrics` array, the flight
-//! recorder captures the same span set regardless of worker count, and
+//! recorder captures the same span set regardless of worker count and
+//! attributes every profiled op of training and evaluation to a span, and
 //! the telemetry endpoint serves scrapeable text.
 //!
 //! The profiler, timeline, and metrics registry are process-global, so
@@ -11,6 +12,8 @@
 use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
+use adaptraj::data::trajectory::TrajWindow;
+use adaptraj::eval::evaluate;
 use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig};
 use adaptraj::obs::json::Value;
 use adaptraj::obs::serve::TelemetryServer;
@@ -33,7 +36,11 @@ fn tiny_synth() -> SynthesisConfig {
     }
 }
 
-fn train_report_with_workers(workers: usize) -> adaptraj::models::predictor::TrainReport {
+/// A three-epoch PECNet-AdapTraj fit on `workers` workers: the model and
+/// its report.
+fn fit_with_workers(
+    workers: usize,
+) -> (Box<dyn Predictor>, adaptraj::models::predictor::TrainReport) {
     let sources = [DomainId::EthUcy, DomainId::LCas];
     let synth = tiny_synth();
     let mut train = Vec::new();
@@ -55,11 +62,12 @@ fn train_report_with_workers(workers: usize) -> adaptraj::models::predictor::Tra
     let mut model = AdapTraj::new(cfg, &sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
-    model.fit(&train)
+    let report = model.fit(&train);
+    (Box::new(model), report)
 }
 
 fn train_report() -> adaptraj::models::predictor::TrainReport {
-    train_report_with_workers(1)
+    fit_with_workers(1).1
 }
 
 #[test]
@@ -144,39 +152,66 @@ fn manifest_round_trips_through_a_file() {
     assert!(backward.get("value").and_then(Value::as_u64).unwrap_or(0) > 0);
 }
 
-/// Trains once under the profiler + flight recorder and returns the
-/// per-phase call rollup and per-name span counts. Durations are
-/// wall-clock and vary run to run; call counts must not.
-fn capture_rollups(workers: usize) -> (BTreeMap<String, u64>, BTreeMap<String, usize>) {
+/// Trains and evaluates once under the profiler + flight recorder and
+/// returns the per-phase call rollup, the per-name span counts and the
+/// folded stacks. Durations are wall-clock and vary run to run; call
+/// counts must not.
+fn capture_rollups(workers: usize) -> (BTreeMap<String, u64>, BTreeMap<String, usize>, String) {
+    let synth = tiny_synth();
+    let target = synthesize_domain(DomainId::Sdd, &synth).test;
+    let test: Vec<&TrajWindow> = target.iter().take(4).collect();
     profile::reset();
     profile::set_enabled(true);
     timeline::reset();
     timeline::set_enabled(true);
-    let report = train_report_with_workers(workers);
+    let (model, report) = fit_with_workers(workers);
+    evaluate(model.as_ref(), &test, 2, 0, workers);
     timeline::set_enabled(false);
     profile::set_enabled(false);
     assert_eq!(report.epochs.len(), 3);
-    let phases = profile::snapshot()
+    let snapshot = profile::snapshot();
+    let folded = timeline::folded_stacks(&snapshot);
+    let phases = snapshot
         .by_phase()
         .into_iter()
         .map(|row| (row.phase, row.calls))
         .collect();
-    (phases, timeline::snapshot().span_counts())
+    (phases, timeline::snapshot().span_counts(), folded)
 }
 
-/// The same training run must produce the same profiler phase rollup and
-/// the same timeline span *set* whether jobs run inline (1 worker) or
-/// across the thread pool (4 workers) — only timings and lane assignment
-/// may differ.
+/// The same training run and evaluation must produce the same profiler
+/// phase rollup and the same timeline span *set* whether jobs run inline
+/// (1 worker) or across the thread pool (4 workers) — only timings and
+/// lane assignment may differ. Every profiled op sits under some span:
+/// an `(unattributed)` folded stack means a job lost its dispatcher's
+/// span path.
 #[test]
 fn timeline_span_set_invariant_across_worker_counts() {
     let _g = test_lock();
-    let (phases_1, spans_1) = capture_rollups(1);
-    let (phases_4, spans_4) = capture_rollups(4);
+    let (phases_1, spans_1, folded_1) = capture_rollups(1);
+    let (phases_4, spans_4, folded_4) = capture_rollups(4);
 
     assert!(!spans_1.is_empty(), "flight recorder captured nothing");
-    for required in ["queue_wait", "job_run", "grad_reduce", "epoch"] {
+    for required in [
+        "queue_wait",
+        "job_run",
+        "grad_reduce",
+        "epoch",
+        "encode",
+        "evaluate",
+    ] {
         assert!(spans_1.contains_key(required), "missing span '{required}'");
+    }
+    for (workers, folded) in [(1, &folded_1), (4, &folded_4)] {
+        assert!(!folded.is_empty(), "no profiled ops at {workers} worker(s)");
+        let unattributed: Vec<&str> = folded
+            .lines()
+            .filter(|l| l.starts_with("(unattributed)"))
+            .collect();
+        assert!(
+            unattributed.is_empty(),
+            "unattributed ops at {workers} worker(s): {unattributed:?}"
+        );
     }
     assert_eq!(spans_1, spans_4, "span set depends on worker count");
     assert_eq!(phases_1, phases_4, "phase rollup depends on worker count");
@@ -195,9 +230,8 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     out
 }
 
-/// Endpoint smoke (`serve_` prefix is what CI filters on): /metrics
-/// exposes histogram quantiles including p999, /healthz answers, and
-/// /profile returns the profiler JSON document.
+/// Endpoint smoke: /metrics exposes histogram quantiles including p999,
+/// /healthz answers, and /profile returns the profiler JSON document.
 #[test]
 fn serve_endpoint_scrapes_metrics_healthz_and_profile() {
     let _g = test_lock();
