@@ -76,11 +76,6 @@ impl DomainId {
         }
     }
 
-    /// Inverse of [`DomainId::index`].
-    pub fn from_index(i: usize) -> DomainId {
-        Self::ALL[i]
-    }
-
     /// The calibrated scene distribution for this domain.
     pub fn scenario(self) -> ScenarioConfig {
         match self {
@@ -196,14 +191,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn index_round_trips() {
-        for d in DomainId::ALL {
-            assert_eq!(DomainId::from_index(d.index()), d);
-        }
-    }
-
-    #[test]
-    fn tags_parse_aliases_any_case_and_round_trip_through_csv() {
+    fn tags_parse_aliases_any_case_and_are_written_to_csv() {
         let cases: [(&str, Option<DomainId>); 14] = [
             ("eth_ucy", Some(DomainId::EthUcy)),
             ("EthUcy", Some(DomainId::EthUcy)),
@@ -232,10 +220,8 @@ mod tests {
             let w = crate::trajectory::TrajWindow::from_world(&focal, &[], d);
             let mut csv = Vec::new();
             crate::io::write_csv(std::slice::from_ref(&w), &mut csv).unwrap();
-            let line = String::from_utf8(csv.clone()).unwrap();
+            let line = String::from_utf8(csv).unwrap();
             assert!(line.contains(&format!(",{},", d.tag())), "{line}");
-            let read = crate::io::read_csv(&mut csv.as_slice()).unwrap();
-            assert_eq!(read[0].domain, d);
         }
     }
 

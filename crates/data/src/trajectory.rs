@@ -77,15 +77,6 @@ impl TrajWindow {
             .collect()
     }
 
-    /// Per-step velocity changes of the observed focal track
-    /// (length `T_OBS - 2`).
-    pub fn obs_accelerations(&self) -> Vec<Point> {
-        let v = self.obs_velocities();
-        v.windows(2)
-            .map(|w| [w[1][0] - w[0][0], w[1][1] - w[0][1]])
-            .collect()
-    }
-
     /// The full focal track (obs ++ fut) in the normalized frame.
     pub fn full_track(&self) -> Vec<Point> {
         let mut t = self.obs.clone();
@@ -126,15 +117,12 @@ mod tests {
     }
 
     #[test]
-    fn velocities_and_accelerations() {
+    fn velocities_are_per_step_displacements() {
         let focal = straight_track(0.5);
         let w = TrajWindow::from_world(&focal, &[], DomainId::Syi);
         let v = w.obs_velocities();
         assert_eq!(v.len(), T_OBS - 1);
         assert!(v.iter().all(|p| (p[0] - 0.5).abs() < 1e-6 && p[1] == 0.0));
-        let a = w.obs_accelerations();
-        assert_eq!(a.len(), T_OBS - 2);
-        assert!(a.iter().all(|p| p[0].abs() < 1e-6));
     }
 
     #[test]

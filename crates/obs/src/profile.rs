@@ -344,45 +344,6 @@ impl ProfileSnapshot {
         rows
     }
 
-    /// Human-readable report: per-op table then per-phase table, both
-    /// sorted by total time descending.
-    pub fn render_table(&self) -> String {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<22} {:>10} {:>12} {:>10} {:>12} {:>10}\n",
-            "op", "fwd calls", "fwd ms", "bwd calls", "bwd ms", "alloc MiB"
-        ));
-        for r in self.by_op() {
-            out.push_str(&format!(
-                "{:<22} {:>10} {:>12.3} {:>10} {:>12.3} {:>10.2}\n",
-                r.kind,
-                r.fwd_calls,
-                ms(r.fwd_ns),
-                r.bwd_calls,
-                ms(r.bwd_ns),
-                mib(r.bytes)
-            ));
-        }
-        out.push('\n');
-        out.push_str(&format!(
-            "{:<40} {:>10} {:>12} {:>12} {:>10}\n",
-            "phase (inclusive)", "ops", "fwd ms", "bwd ms", "alloc MiB"
-        ));
-        for r in self.by_phase() {
-            out.push_str(&format!(
-                "{:<40} {:>10} {:>12.3} {:>12.3} {:>10.2}\n",
-                r.phase,
-                r.calls,
-                ms(r.fwd_ns),
-                ms(r.bwd_ns),
-                mib(r.bytes)
-            ));
-        }
-        out
-    }
-
     /// JSON array of per-op rollups (for embedding in larger documents).
     pub fn ops_json(&self) -> String {
         let mut arr = Arr::new();
@@ -527,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_render() {
+    fn json_render() {
         let _g = test_lock();
         set_enabled(true);
         reset();
@@ -544,9 +505,6 @@ mod tests {
         );
         assert!(json.contains(r#""kind":"tanh""#));
         assert!(json.contains(r#""phase":"t_json""#));
-        let table = snap.render_table();
-        assert!(table.contains("tanh"));
-        assert!(table.contains("t_json"));
         reset();
     }
 }

@@ -312,16 +312,17 @@ fn handle_predict(sh: &Shared, req: Request, responder: Responder) {
 }
 
 /// Swaps in the checkpoint named by the optional body `{"checkpoint":
-/// "path"}` (default: the current one); a failed load changes nothing.
+/// "path"}` (default, for an empty body or an object without the key: the
+/// current one). Any other body is a 400; a failed load changes nothing.
 fn handle_reload(sh: &Shared, req: Request, responder: Responder) {
     let Some(loader) = &sh.loader else {
         let message = "server was started without a checkpoint loader";
         return responder.error(BAD_REQUEST, "reload_unavailable", message);
     };
-    let requested = std::str::from_utf8(&req.body)
-        .ok()
-        .and_then(|t| Value::parse(t).ok())
-        .and_then(|v| v.get("checkpoint")?.as_str().map(String::from));
+    let requested = match reload_target(&req.body) {
+        Ok(requested) => requested,
+        Err(message) => return responder.error(BAD_REQUEST, "invalid_request", message),
+    };
     let Some(checkpoint) = requested.or_else(|| sh.model.read().unwrap().checkpoint.clone()) else {
         let message =
             "no checkpoint path: pass {\"checkpoint\": \"...\"} or start with --checkpoint";
@@ -353,6 +354,24 @@ fn handle_reload(sh: &Shared, req: Request, responder: Responder) {
         .u64("version", version)
         .str("checkpoint", &checkpoint);
     responder.json(&body.finish());
+}
+
+/// The checkpoint a `/reload` body names: `None` for an empty body or an
+/// object without `checkpoint`, an error for anything else that is not an
+/// object with a string `checkpoint`.
+fn reload_target(body: &[u8]) -> Result<Option<String>, &'static str> {
+    const EXPECTED: &str = "reload body must be empty or {\"checkpoint\": \"path\"}";
+    let text = std::str::from_utf8(body).map_err(|_| EXPECTED)?;
+    if text.trim().is_empty() {
+        return Ok(None);
+    }
+    match Value::parse(text) {
+        Ok(v @ Value::Obj(_)) => match v.get("checkpoint") {
+            None => Ok(None),
+            Some(path) => path.as_str().map(|p| Some(p.to_string())).ok_or(EXPECTED),
+        },
+        _ => Err(EXPECTED),
+    }
 }
 
 /// One exec worker: sleep until requests are queued, take a job from the

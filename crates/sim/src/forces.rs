@@ -120,25 +120,6 @@ pub fn wall_force(agent: &Agent, wall: &Wall, params: &ForceParams) -> Vec2 {
     n * (params.wall_strength * ((agent.radius - d) / params.wall_range).exp())
 }
 
-/// A circular static obstacle (pillar, kiosk, tree planter).
-#[derive(Debug, Clone, Copy)]
-pub struct Obstacle {
-    pub center: Vec2,
-    pub radius: f32,
-}
-
-/// Exponential repulsion from a circular obstacle's surface.
-pub fn obstacle_force(agent: &Agent, obstacle: &Obstacle, params: &ForceParams) -> Vec2 {
-    let diff = agent.pos - obstacle.center;
-    let d = diff.norm();
-    if d < 1e-6 || d > params.interaction_radius + obstacle.radius {
-        return Vec2::ZERO;
-    }
-    let n = diff / d;
-    let surface_gap = d - obstacle.radius;
-    n * (params.wall_strength * ((agent.radius - surface_gap) / params.wall_range).exp())
-}
-
 /// Spring-like pull toward the group centroid once beyond the slack
 /// distance.
 pub fn group_force(agent: &Agent, centroid: Vec2, params: &ForceParams) -> Vec2 {
@@ -232,33 +213,6 @@ mod tests {
         let f = wall_force(&a, &w, &ForceParams::default());
         assert!(f.y > 0.0, "pushed up away from wall below");
         assert!(f.x.abs() < 1e-6);
-    }
-
-    #[test]
-    fn obstacle_force_pushes_radially_outward() {
-        let p = ForceParams::default();
-        let ob = Obstacle {
-            center: Vec2::new(0.0, 0.0),
-            radius: 1.0,
-        };
-        let a = walker_at(1.3, 0.0); // 0.3 m from the surface
-        let f = obstacle_force(&a, &ob, &p);
-        assert!(f.x > 0.0, "pushed away from the pillar");
-        assert!(f.y.abs() < 1e-6);
-        // Decays with distance from the surface.
-        let far = walker_at(3.0, 0.0);
-        assert!(obstacle_force(&far, &ob, &p).norm() < f.norm());
-    }
-
-    #[test]
-    fn obstacle_force_zero_beyond_cutoff() {
-        let p = ForceParams::default();
-        let ob = Obstacle {
-            center: Vec2::new(0.0, 0.0),
-            radius: 0.5,
-        };
-        let a = walker_at(p.interaction_radius + 1.0, 0.0);
-        assert_eq!(obstacle_force(&a, &ob, &p), Vec2::ZERO);
     }
 
     #[test]

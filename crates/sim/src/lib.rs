@@ -34,7 +34,7 @@ pub mod vec2;
 pub mod world;
 
 pub use agent::{Agent, AgentId, Role};
-pub use forces::{ForceParams, Obstacle, Wall};
+pub use forces::{ForceParams, Wall};
 pub use recording::Recording;
 pub use scenario::{build_world, FlowAxis, ScenarioConfig};
 pub use vec2::Vec2;

@@ -77,19 +77,6 @@ impl Recording {
         }
         Some((first, pts))
     }
-
-    /// Mean number of active agents per frame.
-    pub fn mean_density(&self) -> f32 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self
-            .frames
-            .iter()
-            .map(|f| f.iter().filter(|p| p.is_some()).count())
-            .sum();
-        total as f32 / self.frames.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -145,13 +132,6 @@ mod tests {
         assert_eq!(rec.active_at(0), vec![0, 1]);
         assert_eq!(rec.active_at(80), vec![1]);
         assert!(rec.active_at(10_000).is_empty());
-    }
-
-    #[test]
-    fn mean_density_between_one_and_two() {
-        let rec = recorded_world();
-        let d = rec.mean_density();
-        assert!(d > 1.0 && d < 2.0, "density {d}");
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Vec2 {
         }
     }
 
-    /// Perpendicular vector (rotated 90° counter-clockwise).
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
@@ -135,12 +130,6 @@ mod tests {
         assert!((v.clamp_norm(5.0).norm() - 5.0).abs() < 1e-5);
         let short = Vec2::new(0.3, 0.4);
         assert_eq!(short.clamp_norm(5.0), short);
-    }
-
-    #[test]
-    fn perp_is_orthogonal() {
-        let v = Vec2::new(2.0, 7.0);
-        assert_eq!(v.dot(v.perp()), 0.0);
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Simulation world and time stepping.
 
 use crate::agent::{Agent, AgentId, Role};
-use crate::forces::{
-    agent_repulsion, goal_force, group_force, obstacle_force, wall_force, ForceParams, Obstacle,
-    Wall,
-};
+use crate::forces::{agent_repulsion, goal_force, group_force, wall_force, ForceParams, Wall};
 use crate::recording::Recording;
 use crate::vec2::Vec2;
 use adaptraj_tensor::rng::Rng;
@@ -43,7 +40,6 @@ const FOLLOW_DISTANCE: f32 = 1.0;
 pub struct World {
     pub agents: Vec<Agent>,
     pub walls: Vec<Wall>,
-    pub obstacles: Vec<Obstacle>,
     pub params: ForceParams,
     /// Integration step (s). The paper's preprocessing standardizes
     /// trajectories to 0.4 s; the simulator typically runs at a finer step
@@ -59,7 +55,6 @@ impl World {
         Self {
             agents: Vec::new(),
             walls: Vec::new(),
-            obstacles: Vec::new(),
             params,
             dt,
             step_count: 0,
@@ -81,10 +76,6 @@ impl World {
 
     pub fn add_wall(&mut self, wall: Wall) {
         self.walls.push(wall);
-    }
-
-    pub fn add_obstacle(&mut self, obstacle: Obstacle) {
-        self.obstacles.push(obstacle);
     }
 
     pub fn step_count(&self) -> usize {
@@ -161,9 +152,6 @@ impl World {
             for wall in &self.walls {
                 f += wall_force(&self.agents[i], wall, &self.params);
             }
-            for obstacle in &self.obstacles {
-                f += obstacle_force(&self.agents[i], obstacle, &self.params);
-            }
             if let Some(g) = self.agents[i].group {
                 if let Some(centroid) = self.group_centroid(g) {
                     f += group_force(&self.agents[i], centroid, &self.params);
@@ -211,12 +199,6 @@ impl World {
         }
         m.active_agents.record(self.active_count() as f64);
         rec
-    }
-
-    /// Mutable access to the world RNG (for scenario spawners that want to
-    /// share the stream).
-    pub fn rng_mut(&mut self) -> &mut Rng {
-        &mut self.rng
     }
 }
 
@@ -346,26 +328,6 @@ mod tests {
                 w.agents[id].pos.y
             );
         }
-    }
-
-    #[test]
-    fn agents_route_around_obstacles() {
-        let mut w = free_world(12);
-        w.add_obstacle(Obstacle {
-            center: Vec2::new(5.0, 0.0),
-            radius: 1.0,
-        });
-        let id = w.spawn(Agent::walker(Vec2::ZERO, Vec2::new(10.0, 0.05), 1.2));
-        let mut min_center_dist = f32::MAX;
-        for _ in 0..300 {
-            w.step();
-            min_center_dist = min_center_dist.min(w.agents[id].pos.distance(Vec2::new(5.0, 0.0)));
-        }
-        assert!(
-            min_center_dist > 0.9,
-            "agent should skirt the pillar: came within {min_center_dist}"
-        );
-        assert!(!w.agents[id].active, "agent should still reach the goal");
     }
 
     #[test]

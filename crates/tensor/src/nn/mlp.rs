@@ -52,10 +52,6 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Forward pass `[n, in] -> [n, out]`: one fused affine+activation
     /// node per layer, the last one linear unless `activate_output`.
     pub fn forward(&self, store: &ParamStore, tape: &mut Tape, x: Var) -> Var {
@@ -92,7 +88,6 @@ mod tests {
             Activation::Relu,
             GroupId::DEFAULT,
         );
-        assert_eq!(mlp.num_layers(), 3);
         assert_eq!((mlp.in_dim(), mlp.out_dim()), (4, 2));
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(5, 4));

@@ -71,11 +71,6 @@ impl ParamStore {
         self.entries.is_empty()
     }
 
-    /// Total scalar count across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.entries.iter().map(|e| e.value.len()).sum()
-    }
-
     pub fn value(&self, id: ParamId) -> &Tensor {
         &self.entries[id.0].value
     }
@@ -267,7 +262,6 @@ mod tests {
     fn register_and_lookup() {
         let (store, ids) = store_with(3);
         assert_eq!(store.len(), 3);
-        assert_eq!(store.num_scalars(), 6);
         assert_eq!(store.name(ids[1]), "p1");
         assert_eq!(store.group(ids[1]), GroupId(1));
         assert_eq!(store.value(ids[2]).data(), &[2.0, 2.0]);

@@ -1094,6 +1094,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::GroupId;
     use crate::rng::Rng;
 
     /// Central finite-difference check of `d loss / d input` for a scalar
@@ -1590,9 +1591,12 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that switch the process-global profiler.
+    static PROFILER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn profiler_attributes_tape_ops_by_kind_and_phase() {
-        use adaptraj_obs::profile;
+        let _profiler = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
         profile::set_enabled(true);
         let snapshot = {
             let _phase = adaptraj_obs::span("tape_test");
@@ -1623,5 +1627,36 @@ mod tests {
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].phase, "tape_test");
         assert!(phases[0].fwd_ns > 0 && phases[0].bwd_ns > 0);
+    }
+
+    /// `Tape::param` borrows the store's `Arc`-shared buffer: the bound
+    /// value has the store's data pointer and the bind allocates nothing.
+    #[test]
+    fn param_bind_shares_the_store_buffer_and_allocates_nothing() {
+        let _profiler = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::full(16, 16, 0.5), GroupId::DEFAULT);
+        // Building the store allocated on this thread; the tape charges
+        // pending fresh bytes to the next node it records, so clear them.
+        pool::drain_pending_fresh_bytes();
+        profile::set_enabled(true);
+        let (shares_buffer, snapshot) = {
+            let _phase = adaptraj_obs::span("tape_param_bind");
+            let mut tape = Tape::new();
+            let w = tape.param(&store, id);
+            let shares_buffer = tape.value(w).data().as_ptr() == store.value(id).data().as_ptr();
+            (shares_buffer, profile::snapshot().under("tape_param_bind"))
+        };
+        profile::set_enabled(false);
+        assert!(
+            shares_buffer,
+            "the bound parameter copied the store's buffer"
+        );
+        let leaf = snapshot
+            .by_op()
+            .into_iter()
+            .find(|r| r.kind == "leaf")
+            .expect("the bind was profiled");
+        assert_eq!((leaf.fwd_calls, leaf.bytes), (1, 0));
     }
 }

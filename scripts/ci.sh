@@ -64,6 +64,17 @@ grep -qx '=== Table I: dataset statistics ===' target/tables_ci_table1.txt &&
     grep -q '^| Dataset | # sequences |' target/tables_ci_table1.txt || {
     echo "tables table1 did not print its header"; cat target/tables_ci_table1.txt; fail=1; }
 
+step "plug_and_play example (AdapTraj over two backbones)"
+# The one runnable example; the test steps only compile it. It wraps
+# PECNet and LBEBM in one AdapTraj configuration and must print one
+# ADE/FDE line per backbone (about 6 s).
+cargo run --release --offline --example plug_and_play > target/plug_and_play_ci.txt || fail=1
+[ "$(grep -c 'ADE/FDE' target/plug_and_play_ci.txt)" -eq 2 ] &&
+    grep -q '^PECNet-AdapTraj .*ADE/FDE' target/plug_and_play_ci.txt &&
+    grep -q '^LBEBM-AdapTraj .*ADE/FDE' target/plug_and_play_ci.txt || {
+    echo "plug_and_play did not print one ADE/FDE line per backbone"
+    cat target/plug_and_play_ci.txt; fail=1; }
+
 step "perfbench build + tests (the repository benchmark)"
 # perfbench is its own workspace with path dependencies on the crates,
 # so the workspace steps above never build it; a change to an API it

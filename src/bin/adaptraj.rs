@@ -257,19 +257,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 sources,
                 target,
             };
-            let runner = RunnerConfig::default();
-            let mut predictor = adaptraj::eval::build_predictor(&spec, &runner);
-            if let Some(path) = &checkpoint {
-                load_params_from_file(predictor.store_mut(), path)
-                    .map_err(|e| format!("checkpoint '{path}': {e:?}"))?;
-                println!("loaded checkpoint {path} into {}", spec.label());
-            } else {
-                println!(
-                    "warning: no --checkpoint; serving {} with untrained init weights",
-                    spec.label()
-                );
-            }
-            // /reload rebuilds the same cell and loads the requested
+            // Startup and /reload both rebuild the cell and load a
             // checkpoint into it; the spec must match the file's shapes.
             let loader_spec = spec.clone();
             let loader: adaptraj::serve::Loader = Box::new(move |path: &str| {
@@ -278,6 +266,17 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     .map_err(|e| format!("checkpoint '{path}': {e:?}"))?;
                 Ok(p)
             });
+            let predictor = if let Some(path) = &checkpoint {
+                let predictor = loader(path)?;
+                println!("loaded checkpoint {path} into {}", spec.label());
+                predictor
+            } else {
+                println!(
+                    "warning: no --checkpoint; serving {} with untrained init weights",
+                    spec.label()
+                );
+                adaptraj::eval::build_predictor(&spec, &RunnerConfig::default())
+            };
             let server = adaptraj::serve::PredictServer::start(
                 adaptraj::serve::ServeConfig {
                     addr,

@@ -313,6 +313,12 @@ fn batch_windows_of(resp: &str) -> u64 {
         .expect("batch_windows field")
 }
 
+/// The `error.code` of a structured error response.
+fn error_code(resp: &str) -> Option<String> {
+    let v = Value::parse(resp).ok()?;
+    Some(v.get("error")?.get("code")?.as_str()?.to_string())
+}
+
 /// Coalescing behavior: an isolated request executes alone (B = 1); a
 /// synchronized burst that queues behind a busy worker coalesces, and no
 /// job ever exceeds `MAX_WINDOWS_PER_JOB`.
@@ -489,21 +495,20 @@ fn queue_saturation_returns_a_structured_503() {
     );
     assert_eq!(ok + rejected.len(), CLIENTS, "unexpected status mix");
     for body in rejected {
-        let v = Value::parse(body).expect("503 body is JSON");
-        let code = v
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(|c| c.as_str())
-            .map(str::to_string);
-        assert_eq!(code.as_deref(), Some("overloaded"), "{body}");
+        assert_eq!(error_code(body).as_deref(), Some("overloaded"), "{body}");
     }
 }
+
+/// Serializes the in-process tests that move or read the process-global
+/// `serve.reloads_total` counter.
+static RELOADS: Mutex<()> = Mutex::new(());
 
 /// Hot reload: while clients hammer the same scene + seed and the main
 /// thread flips between two checkpoints, every single response matches
 /// one checkpoint's predictions exactly — never a blend of both.
 #[test]
 fn hot_reload_never_serves_a_torn_model() {
+    let _reloads = RELOADS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir();
     let ckpt_a = dir.join(format!("adaptraj_serve_a_{}.atps", std::process::id()));
     let ckpt_b = dir.join(format!("adaptraj_serve_b_{}.atps", std::process::id()));
@@ -663,13 +668,11 @@ fn reload_of_a_wrong_architecture_checkpoint_keeps_the_old_model() {
     );
     std::fs::remove_file(&ckpt).ok();
     assert_eq!(status, 400, "{resp:.200}");
-    let code = Value::parse(&resp).ok().and_then(|v| {
-        v.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Value::as_str)
-            .map(String::from)
-    });
-    assert_eq!(code.as_deref(), Some("reload_failed"), "{resp:.200}");
+    assert_eq!(
+        error_code(&resp).as_deref(),
+        Some("reload_failed"),
+        "{resp:.200}"
+    );
     assert_eq!(failed.get(), failed_before + 1);
     assert_eq!(
         server.model_version(),
@@ -678,6 +681,60 @@ fn reload_of_a_wrong_architecture_checkpoint_keeps_the_old_model() {
     );
     assert_eq!(predict(), before, "a failed reload changed the served bits");
     server.stop();
+}
+
+/// A `/reload` body that is neither empty nor an object with a string
+/// `checkpoint` is refused with `400 invalid_request`: it does not fall
+/// back to the current checkpoint, bump the version or count a reload.
+/// An empty body, or an object without the key, still reloads the
+/// current checkpoint.
+#[test]
+fn reload_with_a_malformed_body_is_refused_and_keeps_the_model() {
+    let _reloads = RELOADS.lock().unwrap_or_else(|e| e.into_inner());
+    let ckpt = std::env::temp_dir().join(format!(
+        "adaptraj_serve_bad_body_{}.atps",
+        std::process::id()
+    ));
+    save_params_to_file(predictor_with_seed(7).store(), &ckpt).expect("write ckpt");
+    let loader: adaptraj::serve::Loader = Box::new(|path: &str| {
+        let mut p = predictor_with_seed(999);
+        load_params_from_file(p.store_mut(), path).map_err(|e| format!("{e}"))?;
+        Ok(p)
+    });
+    let server = PredictServer::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        predictor_with_seed(7),
+        Some(ckpt.to_string_lossy().into_owned()),
+        Some(loader),
+    )
+    .expect("server start");
+    let addr = server.local_addr();
+    let reloads = adaptraj::obs::global().counter("serve.reloads_total");
+    let reloads_before = reloads.get();
+
+    for body in [r#"{"checkpoint": 5}"#, r#"{"checkpoint": "x"#] {
+        let (status, resp) = http_post(addr, "/reload", body);
+        assert_eq!(status, 400, "{body}: {resp:.200}");
+        assert_eq!(
+            error_code(&resp).as_deref(),
+            Some("invalid_request"),
+            "{body}: {resp:.200}"
+        );
+        assert_eq!(server.model_version(), 1, "{body} bumped the version");
+        assert_eq!(reloads.get(), reloads_before, "{body} counted a reload");
+    }
+    for (i, body) in ["", "{}"].into_iter().enumerate() {
+        let (status, resp) = http_post(addr, "/reload", body);
+        assert_eq!(status, 200, "{body:?}: {resp:.200}");
+        assert_eq!(server.model_version(), 2 + i as u64);
+    }
+    assert_eq!(reloads.get(), reloads_before + 2);
+    server.stop();
+    std::fs::remove_file(&ckpt).ok();
 }
 
 /// A client that sends a predict request and hangs up while it waits in
