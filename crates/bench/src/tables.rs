@@ -127,13 +127,13 @@ fn backbone_rows(
     rows
 }
 
-/// One Fig. 4 panel: caption, swept parameter, whether its values are
-/// fractions of the epoch budget (labelled in epochs), the values, and how
-/// a value is applied to the base config.
+/// One Fig. 4 panel: caption, swept parameter, for a schedule fraction the
+/// Alg. 1 step whose first trained epoch labels the row, the values, and
+/// how a value is applied to the base config.
 type Sweep = (
     &'static str,
     &'static str,
-    bool,
+    Option<usize>,
     &'static [f32],
     fn(&mut RunnerConfig, f32),
 );
@@ -144,48 +144,48 @@ const FIG4: [Sweep; 6] = [
     (
         "(a) domain weight delta",
         "delta",
-        false,
+        None,
         &[0.05, 0.5, 1.0, 2.0],
         |c, v| c.adaptraj.delta = v,
     ),
     (
         "(b) aggregator start epoch",
         "e_start",
-        true,
+        Some(2),
         &[0.0, 0.2, 0.4, 0.6],
         |c, v| {
-            c.e_start_frac = v;
-            c.e_end_frac = c.e_end_frac.max(v);
+            c.adaptraj.e_start_frac = v;
+            c.adaptraj.e_end_frac = c.adaptraj.e_end_frac.max(v);
         },
     ),
     (
         "(c) aggregator end epoch",
         "e_end",
-        true,
+        Some(3),
         &[0.5, 0.7, 0.9, 1.0],
         |c, v| {
-            c.e_end_frac = v;
-            c.e_start_frac = c.e_start_frac.min(v);
+            c.adaptraj.e_end_frac = v;
+            c.adaptraj.e_start_frac = c.adaptraj.e_start_frac.min(v);
         },
     ),
     (
         "(d) aggregator ratio sigma",
         "sigma",
-        false,
+        None,
         &[0.0, 0.25, 0.5, 0.75, 1.0],
         |c, v| c.adaptraj.sigma = v,
     ),
     (
         "(e) low lr fraction",
         "f_low",
-        false,
+        None,
         &[0.01, 0.1, 0.5, 1.0],
         |c, v| c.adaptraj.f_low = v,
     ),
     (
         "(f) high lr fraction",
         "f_high",
-        false,
+        None,
         &[0.5, 1.0, 2.0, 4.0],
         |c, v| c.adaptraj.f_high = v,
     ),
@@ -402,7 +402,7 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
             body: ade_fde,
             sections: FIG4
                 .iter()
-                .map(|&(caption, param, in_epochs, values, set)| Section {
+                .map(|&(caption, param, step, values, set)| Section {
                     caption: Some(caption),
                     header: vec![param, "ADE/FDE"],
                     rows: values
@@ -410,10 +410,13 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
                         .map(|&v| {
                             let mut swept = cfg.clone();
                             set(&mut swept, v);
-                            let label = if in_epochs {
-                                (((cfg.trainer.epochs as f32) * v) as usize).to_string()
-                            } else {
-                                v.to_string()
+                            let label = match step {
+                                Some(step) => swept
+                                    .adaptraj
+                                    .step_epochs(step, swept.trainer.epochs)
+                                    .start
+                                    .to_string(),
+                                None => v.to_string(),
                             };
                             Row {
                                 labels: vec![label],

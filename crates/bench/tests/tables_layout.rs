@@ -17,7 +17,7 @@ const FAKE_WINDOWS: usize = 40;
 /// A deterministic result derived from the cell's label and settings.
 fn fake(spec: &CellSpec, cfg: &RunnerConfig) -> CellResult {
     let n = spec.label().len();
-    let k = n as f32 + cfg.adaptraj.delta + cfg.adaptraj.sigma + cfg.e_end_frac;
+    let k = n as f32 + cfg.adaptraj.delta + cfg.adaptraj.sigma + cfg.adaptraj.e_end_frac;
     let windows = (0..FAKE_WINDOWS)
         .map(|i| {
             let x = ((n * 7 + i * 13) % 17) as f32 / 10.0;
@@ -134,8 +134,8 @@ fn knobs(c: &RunnerConfig) -> [f32; 6] {
         c.adaptraj.sigma,
         c.adaptraj.f_low,
         c.adaptraj.f_high,
-        c.e_start_frac,
-        c.e_end_frac,
+        c.adaptraj.e_start_frac,
+        c.adaptraj.e_end_frac,
     ]
 }
 
@@ -385,7 +385,7 @@ fn fig4_sweeps_one_knob_per_section() {
             ("0", [0.5, 0.7, 0.5, 2.0, 0.0, 0.8]),
             ("7", [0.5, 0.7, 0.5, 2.0, 0.2, 0.8]),
             ("14", [0.5, 0.7, 0.5, 2.0, 0.4, 0.8]),
-            ("21", [0.5, 0.7, 0.5, 2.0, 0.6, 0.8]),
+            ("22", [0.5, 0.7, 0.5, 2.0, 0.6, 0.8]),
         ],
         &[
             ("18", [0.5, 0.7, 0.5, 2.0, 0.5, 0.5]),
@@ -438,6 +438,35 @@ fn fig4_sweeps_one_knob_per_section() {
         "(f) high lr fraction\n| f_high ",
     ] {
         assert!(out.contains(caption), "{caption}: {out}");
+    }
+}
+
+/// Fig. 4's epoch panels label each row with the epoch the cell trains
+/// at: where step 2 starts for `e_start` and where step 3 starts for
+/// `e_end`. A label computed apart from the schedule (36 × 0.6 truncated
+/// to 21, trained at 22) would misplace the point on the figure.
+#[test]
+fn fig4_epoch_labels_are_the_trained_step_boundaries() {
+    for scale in [Scale::Smoke, Scale::Paper] {
+        let t = spec("fig4", scale).unwrap();
+        let (out, _) = render_fake(&t);
+        let sections = table_lines(&out);
+        for (section, step) in [(1, 2), (2, 3)] {
+            let printed: Vec<&str> = sections[section][1..]
+                .iter()
+                .map(|l| cells_of(l)[0])
+                .collect();
+            let trained: Vec<String> = t.sections[section]
+                .rows
+                .iter()
+                .map(|r| {
+                    let c = &r.cells[0].cfg;
+                    let start = c.adaptraj.step_epochs(step, c.trainer.epochs).start;
+                    start.to_string()
+                })
+                .collect();
+            assert_eq!(printed, trained, "{} step {step}", scale.name());
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 //! These micro-runs are 2–3 epochs over ≤30 windows: they validate
 //! *reproducibility*, not model quality — see EXPERIMENTS.md.
 
+use adaptraj_core::AdapTrajConfig;
 use adaptraj_data::dataset::{synthesize_domain, DomainDataset, SynthesisConfig};
 use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
@@ -332,13 +333,12 @@ fn micro_runner(epochs: usize) -> RunnerConfig {
             seed: GOLDEN_SEED,
             ..TrainerConfig::default()
         },
+        // With 3 epochs the smoke fractions put exactly one epoch in each
+        // of the AdapTraj schedule's three steps, so the golden pins a
+        // step1/step2/step3 loss apiece.
+        adaptraj: AdapTrajConfig::smoke(),
         samples_k: 2,
         eval_cap: 10,
-        // With 3 epochs these fractions put exactly one epoch in each of
-        // the AdapTraj schedule's three steps, so the golden pins a
-        // step1/step2/step3 loss apiece.
-        e_start_frac: 0.34,
-        e_end_frac: 0.67,
         ..RunnerConfig::default()
     }
 }

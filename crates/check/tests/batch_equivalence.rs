@@ -379,7 +379,8 @@ fn pecnet_adaptraj_batched_training_loss_matches_per_window_mean() {
     cfg.fused_dim = 4;
     let delta = cfg.delta;
     let delta_prime = cfg.delta_prime;
-    let model = AdapTraj::new(cfg, &[DomainId::EthUcy, DomainId::LCas], |s, r, extra| {
+    let sources = [DomainId::EthUcy, DomainId::LCas];
+    let model = AdapTraj::new(TrainerConfig::smoke(), cfg, &sources, |s, r, extra| {
         PecNet::new(
             s,
             r,
@@ -536,6 +537,7 @@ fn causalmotion_pecnet() -> CausalMotion<PecNet> {
 
 fn adaptraj_pecnet() -> AdapTraj<PecNet> {
     AdapTraj::new(
+        TrainerConfig::smoke(),
         AdapTrajConfig::smoke(),
         &[DomainId::EthUcy, DomainId::LCas],
         |s, r, extra| PecNet::new(s, r, BackboneConfig::default().with_extra(extra)),
@@ -544,6 +546,7 @@ fn adaptraj_pecnet() -> AdapTraj<PecNet> {
 
 fn adaptraj_lbebm() -> AdapTraj<Lbebm> {
     AdapTraj::new(
+        TrainerConfig::smoke(),
         AdapTrajConfig::smoke(),
         &[DomainId::EthUcy, DomainId::LCas],
         |s, r, extra| Lbebm::new(s, r, BackboneConfig::default().with_extra(extra)),

@@ -24,8 +24,10 @@ fn micro_run_is_deterministic_and_round_trips_through_disk() {
     // The document must survive a real write + parse, not just an
     // in-memory to_json/parse_doc pair.
     let dir = std::env::temp_dir().join(format!("adaptraj-golden-test-{}", std::process::id()));
-    let path = write_doc(&dir, &a).expect("write golden doc");
-    let parsed = parse_doc(&std::fs::read_to_string(&path).unwrap()).expect("parse golden doc");
+    let written = write_doc(&dir, &a).map(std::fs::read_to_string);
+    std::fs::remove_dir_all(&dir).ok();
+    let text = written.expect("write golden doc").unwrap();
+    let parsed = parse_doc(&text).expect("parse golden doc");
     assert_eq!(
         parsed, a,
         "disk round trip changed the document (losses, metrics or probe bits)"
@@ -47,8 +49,6 @@ fn micro_run_is_deterministic_and_round_trips_through_disk() {
     assert!(!cmp.ok(), "one-bit probe drift must fail the gate");
     assert_eq!(cmp.diffs.len(), 1, "{}", cmp.render_text());
     assert_eq!(cmp.diffs[0].field, "probe_bits[55]", "{:?}", cmp.diffs);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -26,7 +26,7 @@ use adaptraj_data::domain::DomainId;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_TOTAL};
 use adaptraj_data::WindowBatch;
 use adaptraj_models::{
-    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, Predictor, BACKBONE_GROUP,
+    Backbone, BackboneConfig, ForwardCtx, Lbebm, PecNet, Predictor, TrainerConfig, BACKBONE_GROUP,
 };
 use adaptraj_tensor::nn::{Activation, Mlp};
 use adaptraj_tensor::optim::Adam;
@@ -207,14 +207,20 @@ fn tiny_adaptraj_cfg() -> AdapTrajConfig {
     let mut cfg = AdapTrajConfig::smoke();
     cfg.feat_dim = 4;
     cfg.fused_dim = 4;
-    cfg.trainer.seed = 21;
     cfg
 }
 
 fn tiny_adaptraj(cfg: AdapTrajConfig) -> AdapTraj<PecNet> {
-    AdapTraj::new(cfg, &[DomainId::EthUcy, DomainId::LCas], |s, r, extra| {
-        PecNet::new(s, r, tiny().with_extra(extra))
-    })
+    let trainer = TrainerConfig {
+        seed: 21,
+        ..TrainerConfig::smoke()
+    };
+    AdapTraj::new(
+        trainer,
+        cfg,
+        &[DomainId::EthUcy, DomainId::LCas],
+        |s, r, extra| PecNet::new(s, r, tiny().with_extra(extra)),
+    )
 }
 
 #[test]
@@ -372,7 +378,7 @@ fn grl_reverses_gradients_upstream_of_the_similarity_loss() {
 #[test]
 fn three_step_schedule_freezes_and_scales_the_documented_groups() {
     let cfg = tiny_adaptraj_cfg();
-    let lr = cfg.trainer.lr;
+    let lr = TrainerConfig::smoke().lr;
     let mut opt = Adam::new(lr);
 
     AdapTraj::<PecNet>::configure_schedule(&mut opt, &cfg, 1);

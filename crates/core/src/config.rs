@@ -1,6 +1,5 @@
 //! AdapTraj hyperparameters (Sec. III-E and Alg. 1).
 
-use adaptraj_models::TrainerConfig;
 use adaptraj_tensor::GroupId;
 use std::ops::Range;
 
@@ -35,7 +34,9 @@ impl Default for Ablation {
 
 /// All AdapTraj hyperparameters. Loss weights α, β, γ default to the
 /// paper's values (Sec. IV-A.4); the schedule fractions follow the shapes
-/// reported in the sensitivity analysis (Fig. 4).
+/// reported in the sensitivity analysis (Fig. 4). The training budget,
+/// whose `epochs` is `e_total`, is the `TrainerConfig` handed to
+/// [`AdapTraj::new`](crate::AdapTraj::new).
 #[derive(Debug, Clone)]
 pub struct AdapTrajConfig {
     /// Width of each extracted feature (H_i^i, H_ℰ^i, H_i^s, H_ℰ^s).
@@ -53,10 +54,12 @@ pub struct AdapTrajConfig {
     pub delta: f32,
     /// Reduced domain weight δ' in steps 2–3 (Eq. 25).
     pub delta_prime: f32,
-    /// Epoch at which aggregator training begins (end of step 1).
-    pub e_start: usize,
-    /// Epoch at which joint fine-tuning begins (end of step 2).
-    pub e_end: usize,
+    /// Fraction of `e_total` at which aggregator training begins (end of
+    /// step 1, `e_start`).
+    pub e_start_frac: f32,
+    /// Fraction of `e_total` at which joint fine-tuning begins (end of
+    /// step 2, `e_end`).
+    pub e_end_frac: f32,
     /// Aggregator ratio σ: probability of masking the domain label in
     /// steps 2–3 (teacher–student).
     pub sigma: f32,
@@ -70,14 +73,10 @@ pub struct AdapTrajConfig {
     pub distill_weight: f32,
     /// Ablation switches.
     pub ablation: Ablation,
-    /// Base optimization settings (`epochs` here is `e_total`).
-    pub trainer: TrainerConfig,
 }
 
 impl Default for AdapTrajConfig {
     fn default() -> Self {
-        let trainer = TrainerConfig::default();
-        let e_total = trainer.epochs;
         Self {
             feat_dim: 16,
             fused_dim: 16,
@@ -86,37 +85,26 @@ impl Default for AdapTrajConfig {
             gamma: 0.25,
             delta: 0.5,
             delta_prime: 0.05,
-            e_start: e_total * 2 / 5,
-            e_end: e_total * 7 / 10,
+            e_start_frac: 0.6,
+            e_end_frac: 0.8,
             sigma: 0.7,
             f_low: 0.5,
             f_high: 2.0,
             distill_weight: 1.0,
             ablation: Ablation::default(),
-            trainer,
         }
     }
 }
 
 impl AdapTrajConfig {
-    /// Quick settings for unit tests.
+    /// Quick settings for unit tests: one epoch per step at the 3 epochs
+    /// of `TrainerConfig::smoke()`.
     pub fn smoke() -> Self {
-        let trainer = TrainerConfig::smoke();
-        let e_total = trainer.epochs.max(3);
         Self {
-            trainer: TrainerConfig {
-                epochs: e_total,
-                ..trainer
-            },
-            e_start: e_total / 3,
-            e_end: e_total * 2 / 3,
+            e_start_frac: 0.34,
+            e_end_frac: 0.67,
             ..Default::default()
         }
-    }
-
-    /// Total epochs `e_total`.
-    pub fn e_total(&self) -> usize {
-        self.trainer.epochs
     }
 
     /// The `extra_dim` the wrapped backbone must be constructed with.
@@ -124,13 +112,18 @@ impl AdapTrajConfig {
         2 * self.fused_dim
     }
 
-    /// The epochs of training step `step` (1, 2, or 3 per Alg. 1):
-    /// `[0, e_start)`, `[e_start, e_end)` and `[e_end, e_total)`.
-    pub fn step_epochs(&self, step: usize) -> Range<usize> {
+    /// The epochs of training step `step` (1, 2, or 3 per Alg. 1) out of
+    /// `e_total`: `[0, e_start)`, `[e_start, e_end)` and `[e_end, e_total)`,
+    /// with `e_start` and `e_end` the schedule fractions of `e_total`
+    /// rounded to the nearest epoch. The one fraction-to-epoch conversion.
+    pub fn step_epochs(&self, step: usize, e_total: usize) -> Range<usize> {
+        let epoch = |frac: f32| ((e_total as f32) * frac).round() as usize;
+        let e_end = epoch(self.e_end_frac).clamp(epoch(self.e_start_frac), e_total);
+        let e_start = epoch(self.e_start_frac).min(e_end);
         match step {
-            1 => 0..self.e_start,
-            2 => self.e_start..self.e_end,
-            3 => self.e_end..self.e_total(),
+            1 => 0..e_start,
+            2 => e_start..e_end,
+            3 => e_end..e_total,
             _ => unreachable!("steps are 1..=3"),
         }
     }
@@ -138,11 +131,12 @@ impl AdapTrajConfig {
     /// Validates schedule consistency.
     pub fn validate(&self) {
         assert!(
-            self.e_start <= self.e_end && self.e_end <= self.e_total(),
-            "schedule must satisfy e_start <= e_end <= e_total ({} <= {} <= {})",
-            self.e_start,
-            self.e_end,
-            self.e_total()
+            (0.0..=1.0).contains(&self.e_start_frac)
+                && (0.0..=1.0).contains(&self.e_end_frac)
+                && self.e_start_frac <= self.e_end_frac,
+            "schedule must satisfy 0 <= e_start_frac <= e_end_frac <= 1 ({} <= {})",
+            self.e_start_frac,
+            self.e_end_frac
         );
         assert!((0.0..=1.0).contains(&self.sigma), "sigma in [0,1]");
         assert!(self.feat_dim > 0 && self.fused_dim > 0);
@@ -162,28 +156,52 @@ mod tests {
         c.validate();
     }
 
+    /// The `(e_total, e_start_frac, e_end_frac)` schedules in use: the
+    /// smoke config and the golden micro-runs (also at 6 epochs in the
+    /// model tests), perfbench (two step-1 epochs, then one each), the
+    /// default and `tables --scale smoke` budgets, and the plug-and-play
+    /// example.
     #[test]
-    fn step_boundaries() {
-        let c = AdapTrajConfig {
-            e_start: 2,
-            e_end: 4,
-            trainer: TrainerConfig {
-                epochs: 6,
-                ..TrainerConfig::smoke()
-            },
-            ..Default::default()
-        };
-        assert_eq!(c.step_epochs(1), 0..2);
-        assert_eq!(c.step_epochs(2), 2..4);
-        assert_eq!(c.step_epochs(3), 4..6);
+    fn schedules_in_use_round_to_these_epochs() {
+        for (e_total, e_start_frac, e_end_frac, steps) in [
+            (3, 0.34, 0.67, [0..1, 1..2, 2..3]),
+            (6, 0.34, 0.67, [0..2, 2..4, 4..6]),
+            (4, 0.6, 0.8, [0..2, 2..3, 3..4]),
+            (12, 0.6, 0.8, [0..7, 7..10, 10..12]),
+            (36, 0.6, 0.8, [0..22, 22..29, 29..36]),
+            (8, 0.75, 0.875, [0..6, 6..7, 7..8]),
+        ] {
+            let c = AdapTrajConfig {
+                e_start_frac,
+                e_end_frac,
+                ..Default::default()
+            };
+            c.validate();
+            let got = [1, 2, 3].map(|step| c.step_epochs(step, e_total));
+            assert_eq!(
+                got, steps,
+                "{e_total} epochs at {e_start_frac}/{e_end_frac}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "schedule must satisfy")]
     fn validate_rejects_inverted_schedule() {
         let c = AdapTrajConfig {
-            e_start: 10,
-            e_end: 2,
+            e_start_frac: 0.9,
+            e_end_frac: 0.2,
+            ..AdapTrajConfig::smoke()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "(1.5 <= 1.5)")]
+    fn validate_rejects_a_fraction_past_the_budget() {
+        let c = AdapTrajConfig {
+            e_start_frac: 1.5,
+            e_end_frac: 1.5,
             ..AdapTrajConfig::smoke()
         };
         c.validate();

@@ -26,10 +26,11 @@
 //! ```no_run
 //! use adaptraj_core::{AdapTraj, AdapTrajConfig};
 //! use adaptraj_data::domain::DomainId;
-//! use adaptraj_models::{BackboneConfig, PecNet, Predictor};
+//! use adaptraj_models::{BackboneConfig, PecNet, Predictor, TrainerConfig};
 //!
 //! let sources = [DomainId::EthUcy, DomainId::LCas, DomainId::Syi];
-//! let mut model = AdapTraj::new(AdapTrajConfig::default(), &sources, |s, r, extra| {
+//! let budget = TrainerConfig::default(); // e_total = budget.epochs
+//! let mut model = AdapTraj::new(budget, AdapTrajConfig::default(), &sources, |s, r, extra| {
 //!     PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
 //! });
 //! // model.fit(&training_windows); model.predict(&window, &mut rng);

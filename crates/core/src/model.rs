@@ -23,6 +23,7 @@ use adaptraj_tensor::{ParamStore, Rng, Tape, Tensor, Var};
 pub struct AdapTraj<B: Backbone> {
     store: ParamStore,
     sources: Vec<DomainId>,
+    trainer: TrainerConfig,
     net: Framework<B>,
 }
 
@@ -41,13 +42,16 @@ struct Framework<B: Backbone> {
 }
 
 impl<B: Backbone> AdapTraj<B> {
-    /// Builds the framework around a backbone. `build` receives the
-    /// parameter store, RNG, and the `extra_dim` the backbone must be
-    /// constructed with (`2 × fused_dim`, for `[H^i | H^s]`).
+    /// Builds the framework around a backbone. `trainer` is the training
+    /// budget (its `epochs` is `e_total`, its `seed` also seeds the
+    /// parameters). `build` receives the parameter store, RNG, and the
+    /// `extra_dim` the backbone must be constructed with (`2 × fused_dim`,
+    /// for `[H^i | H^s]`).
     ///
     /// `sources` fixes the expert set: one domain-specific extractor pair
     /// per source domain.
     pub fn new(
+        trainer: TrainerConfig,
         cfg: AdapTrajConfig,
         sources: &[DomainId],
         build: impl FnOnce(&mut ParamStore, &mut Rng, usize) -> B,
@@ -55,7 +59,7 @@ impl<B: Backbone> AdapTraj<B> {
         cfg.validate();
         assert!(!sources.is_empty(), "need at least one source domain");
         let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(cfg.trainer.seed);
+        let mut rng = Rng::seed_from(trainer.seed);
         let backbone = build(&mut store, &mut rng, cfg.extra_dim());
         assert_eq!(
             backbone.config().extra_dim,
@@ -80,6 +84,7 @@ impl<B: Backbone> AdapTraj<B> {
         Self {
             store,
             sources: sources.to_vec(),
+            trainer,
             net: Framework {
                 backbone,
                 cfg,
@@ -90,10 +95,6 @@ impl<B: Backbone> AdapTraj<B> {
                 classifier,
             },
         }
-    }
-
-    pub fn config(&self) -> &AdapTrajConfig {
-        &self.net.cfg
     }
 
     pub fn sources(&self) -> &[DomainId] {
@@ -396,6 +397,7 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
     fn fit(&mut self, train: &[TrajWindow]) -> TrainReport {
         let net = &self.net;
         let cfg = &net.cfg;
+        let trainer = &self.trainer;
         for w in train {
             assert!(
                 net.specific.expert_of(w.domain).is_some(),
@@ -404,12 +406,12 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
                 self.sources
             );
         }
-        let windows = cap_per_domain(train, &cfg.trainer);
-        let mut rng = Rng::seed_from(cfg.trainer.seed ^ 0xADA9);
-        let mut opt = Adam::new(cfg.trainer.lr);
+        let windows = cap_per_domain(train, trainer);
+        let mut rng = Rng::seed_from(trainer.seed ^ 0xADA9);
+        let mut opt = Adam::new(trainer.lr);
         let mut report = TrainReport::default();
         for step in 1..=3 {
-            let epochs = cfg.step_epochs(step);
+            let epochs = cfg.step_epochs(step, trainer.epochs);
             if epochs.is_empty() {
                 continue;
             }
@@ -424,7 +426,7 @@ impl<B: Backbone> Predictor for AdapTraj<B> {
             let step_cfg = TrainerConfig {
                 epochs: epochs.len(),
                 patience: 0,
-                ..cfg.trainer.clone()
+                ..trainer.clone()
             };
             let phase = ["step1", "step2", "step3"][step - 1];
             let ran = Trainer::new(&step_cfg)
@@ -502,8 +504,8 @@ mod tests {
         TrajWindow::from_world(&focal, &nb, domain)
     }
 
-    fn make_model(cfg: AdapTrajConfig) -> AdapTraj<PecNet> {
-        AdapTraj::new(cfg, &SOURCES, |s, r, extra| {
+    fn make_model(trainer: TrainerConfig, cfg: AdapTrajConfig) -> AdapTraj<PecNet> {
+        AdapTraj::new(trainer, cfg, &SOURCES, |s, r, extra| {
             PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
         })
     }
@@ -519,7 +521,7 @@ mod tests {
 
     #[test]
     fn construction_and_naming() {
-        let model = make_model(AdapTrajConfig::smoke());
+        let model = make_model(TrainerConfig::smoke(), AdapTrajConfig::smoke());
         assert_eq!(model.name(), "PECNet-AdapTraj");
         assert_eq!(model.sources(), &SOURCES);
     }
@@ -527,24 +529,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "but sources are")]
     fn training_on_unknown_domain_panics() {
-        let mut model = make_model(AdapTrajConfig::smoke());
+        let mut model = make_model(TrainerConfig::smoke(), AdapTrajConfig::smoke());
         let bad = vec![window(DomainId::Sdd, 0.3, 0.0)];
         model.fit(&bad);
     }
 
     #[test]
     fn fit_runs_all_three_steps_and_descends() {
-        let cfg = AdapTrajConfig {
-            e_start: 2,
-            e_end: 4,
-            trainer: TrainerConfig {
-                epochs: 6,
-                batch_size: 8,
-                ..TrainerConfig::smoke()
-            },
-            ..AdapTrajConfig::smoke()
+        let trainer = TrainerConfig {
+            epochs: 6,
+            batch_size: 8,
+            ..TrainerConfig::smoke()
         };
-        let mut model = make_model(cfg);
+        let mut model = make_model(trainer, AdapTrajConfig::smoke());
         let report = model.fit(&train_set());
         assert_eq!(report.epoch_losses.len(), 6);
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
@@ -557,27 +554,27 @@ mod tests {
 
     #[test]
     fn fit_telemetry_labels_steps_and_decomposes_losses() {
-        for (e_start, e_end, epochs, steps) in [
+        for (e_start_frac, e_end_frac, epochs, steps) in [
             (
-                2,
-                4,
+                0.34,
+                0.67,
                 6,
                 &["step1", "step1", "step2", "step2", "step3", "step3"][..],
             ),
             // Empty step 1: only the steps that ran are labelled and timed.
-            (0, 2, 4, &["step2", "step2", "step3", "step3"][..]),
+            (0.0, 0.5, 4, &["step2", "step2", "step3", "step3"][..]),
         ] {
             let cfg = AdapTrajConfig {
-                e_start,
-                e_end,
-                trainer: TrainerConfig {
-                    epochs,
-                    batch_size: 8,
-                    ..TrainerConfig::smoke()
-                },
+                e_start_frac,
+                e_end_frac,
                 ..AdapTrajConfig::smoke()
             };
-            let mut model = make_model(cfg);
+            let trainer = TrainerConfig {
+                epochs,
+                batch_size: 8,
+                ..TrainerConfig::smoke()
+            };
+            let mut model = make_model(trainer, cfg);
             let report = model.fit(&train_set());
             let phases: Vec<&str> = report.epochs.iter().map(|e| e.phase.as_str()).collect();
             assert_eq!(phases, steps);
@@ -632,24 +629,24 @@ mod tests {
         // Train a model up to the end of step 1, snapshot the specific
         // extractor params, run step 2 epochs, verify bit-identity.
         let cfg = AdapTrajConfig {
-            e_start: 1,
-            e_end: 3,
-            trainer: TrainerConfig {
-                epochs: 3,
-                batch_size: 8,
-                ..TrainerConfig::smoke()
-            },
+            e_start_frac: 0.34,
+            e_end_frac: 1.0,
             ..AdapTrajConfig::smoke()
         };
+        let trainer = TrainerConfig {
+            epochs: 3,
+            batch_size: 8,
+            ..TrainerConfig::smoke()
+        };
         // Manual staged training to snapshot between steps.
-        let mut model = make_model(cfg.clone());
+        let mut model = make_model(trainer, cfg.clone());
         let data = train_set();
 
         // Step 1 only.
         let mut step1_cfg = cfg.clone();
-        step1_cfg.e_start = 1;
-        step1_cfg.e_end = 1;
-        step1_cfg.trainer.epochs = 1;
+        step1_cfg.e_start_frac = 1.0;
+        step1_cfg.e_end_frac = 1.0;
+        model.trainer.epochs = 1;
         model.net.cfg = step1_cfg;
         model.fit(&data);
         let spec_ids = model.store.ids_in_group(SPECIFIC_GROUP);
@@ -660,9 +657,9 @@ mod tests {
 
         // Step 2 only (e_start=0 so every epoch is step 2).
         let mut step2_cfg = cfg.clone();
-        step2_cfg.e_start = 0;
-        step2_cfg.e_end = 2;
-        step2_cfg.trainer.epochs = 2;
+        step2_cfg.e_start_frac = 0.0;
+        step2_cfg.e_end_frac = 1.0;
+        model.trainer.epochs = 2;
         model.net.cfg = step2_cfg;
         model.fit(&data);
         for (id, b) in spec_ids.iter().zip(&before) {
@@ -676,7 +673,7 @@ mod tests {
 
     #[test]
     fn predict_on_unseen_domain_uses_aggregator() {
-        let mut model = make_model(AdapTrajConfig::smoke());
+        let mut model = make_model(TrainerConfig::smoke(), AdapTrajConfig::smoke());
         model.fit(&train_set());
         // SDD was never a source; prediction must still work (masked path).
         let unseen = window(DomainId::Sdd, 0.5, 0.2);
@@ -690,7 +687,7 @@ mod tests {
     fn masked_features_do_not_depend_on_domain_label() {
         // The aggregated path must produce identical features for two
         // windows that differ only in their (claimed) domain tag.
-        let model = make_model(AdapTrajConfig::smoke());
+        let model = make_model(TrainerConfig::smoke(), AdapTrajConfig::smoke());
         let mut w1 = window(DomainId::EthUcy, 0.3, 0.1);
         w1.domain = DomainId::EthUcy;
         let mut w2 = w1.clone();
@@ -712,7 +709,7 @@ mod tests {
 
     #[test]
     fn diagnostics_report_finite_bounded_cosines() {
-        let mut model = make_model(AdapTrajConfig::smoke());
+        let mut model = make_model(TrainerConfig::smoke(), AdapTrajConfig::smoke());
         model.fit(&train_set());
         let d = model.diagnostics(&window(DomainId::Sdd, 0.4, 0.1));
         assert!((-1.0..=1.0).contains(&d.individual_cosine), "{d:?}");
@@ -733,7 +730,7 @@ mod tests {
             cfg.beta = beta;
             cfg.delta = 2.0;
             cfg.delta_prime = 1.0;
-            let mut model = make_model(cfg);
+            let mut model = make_model(TrainerConfig::smoke(), cfg);
             model.fit(&data);
             data.iter()
                 .map(|w| model.diagnostics(w).individual_cosine.abs())
@@ -755,7 +752,7 @@ mod tests {
             let mut cfg = AdapTrajConfig::smoke();
             cfg.ablation.use_invariant = use_inv;
             cfg.ablation.use_specific = use_spec;
-            let model = make_model(cfg);
+            let model = make_model(TrainerConfig::smoke(), cfg);
             let w = window(DomainId::EthUcy, 0.3, 0.0);
             let mut tape = Tape::new();
             let batch = WindowBatch::single(&w, 0);

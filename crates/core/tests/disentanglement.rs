@@ -55,22 +55,22 @@ fn separation(features: &[(DomainId, Tensor)]) -> f32 {
 /// returns the domain separation of its *invariant* individual features
 /// on held-out windows.
 fn invariant_separation_with_gamma(gamma: f32) -> f32 {
+    let trainer = TrainerConfig {
+        epochs: 8,
+        batch_size: 16,
+        max_train_windows: 40,
+        ..TrainerConfig::default()
+    };
     let cfg = AdapTrajConfig {
-        trainer: TrainerConfig {
-            epochs: 8,
-            batch_size: 16,
-            max_train_windows: 40,
-            ..TrainerConfig::default()
-        },
-        e_start: 5,
-        e_end: 7,
+        e_start_frac: 0.6,
+        e_end_frac: 0.875,
         // Strong feature-shaping losses for this focused test.
         delta: 2.0,
         delta_prime: 0.5,
         gamma,
         ..AdapTrajConfig::default()
     };
-    let mut model = AdapTraj::new(cfg, &SOURCES, |s, r, extra| {
+    let mut model = AdapTraj::new(trainer, cfg, &SOURCES, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     let train: Vec<TrajWindow> = (0..40).map(|i| window(SOURCES[i % 2], i)).collect();

@@ -16,8 +16,11 @@
 use crate::trajectory::TrajWindow;
 use std::io::{self, Write};
 
-/// Writes windows as CSV.
+/// Writes windows as CSV, buffered: one row is several small writes, so
+/// an unbuffered `File` would cost a system call each. The buffer is
+/// flushed before returning, so a failed flush is this call's error.
 pub fn write_csv(windows: &[TrajWindow], writer: &mut impl Write) -> io::Result<()> {
+    let mut writer = io::BufWriter::new(writer);
     writeln!(writer, "window_id,domain,agent,step,x,y")?;
     for (wid, w) in windows.iter().enumerate() {
         let tag = w.domain.tag();
@@ -31,7 +34,7 @@ pub fn write_csv(windows: &[TrajWindow], writer: &mut impl Write) -> io::Result<
             }
         }
     }
-    Ok(())
+    writer.flush()
 }
 
 #[cfg(test)]

@@ -128,10 +128,12 @@ pub struct WindowScore {
 /// Scale knobs for a whole experiment run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
+    /// Backbone widths; AdapTraj cells add its `extra_dim`.
     pub backbone: BackboneConfig,
+    /// The optimization budget every method trains with. For AdapTraj its
+    /// `epochs` is `e_total`, which `adaptraj`'s schedule fractions split.
     pub trainer: TrainerConfig,
-    /// AdapTraj-specific settings; its inner `trainer` is overridden by
-    /// `trainer` above so all methods share the optimization budget.
+    /// AdapTraj-specific settings, the Alg. 1 schedule fractions included.
     pub adaptraj: AdapTrajConfig,
     /// Best-of-k samples per window at evaluation.
     pub samples_k: usize,
@@ -139,11 +141,6 @@ pub struct RunnerConfig {
     pub eval_cap: usize,
     /// Evaluation RNG seed.
     pub eval_seed: u64,
-    /// Fraction of the epoch budget spent in Alg. 1 step 1 (sets
-    /// `e_start = frac * epochs`).
-    pub e_start_frac: f32,
-    /// Fraction at which step 3 begins (`e_end = frac * epochs`).
-    pub e_end_frac: f32,
 }
 
 impl Default for RunnerConfig {
@@ -155,8 +152,6 @@ impl Default for RunnerConfig {
             samples_k: 3,
             eval_cap: 80,
             eval_seed: 99,
-            e_start_frac: 0.6,
-            e_end_frac: 0.8,
         }
     }
 }
@@ -173,20 +168,6 @@ impl RunnerConfig {
             samples_k: 2,
             eval_cap: 40,
             ..Default::default()
-        }
-    }
-
-    /// The AdapTraj config with the shared trainer budget and the schedule
-    /// fractions applied to it.
-    pub fn adaptraj_for_run(&self) -> AdapTrajConfig {
-        let e_total = self.trainer.epochs;
-        let e_start = ((e_total as f32) * self.e_start_frac).round() as usize;
-        let e_end = (((e_total as f32) * self.e_end_frac).round() as usize).clamp(e_start, e_total);
-        AdapTrajConfig {
-            trainer: self.trainer.clone(),
-            e_start: e_start.min(e_end),
-            e_end,
-            ..self.adaptraj.clone()
         }
     }
 }
@@ -216,7 +197,7 @@ pub fn build_predictor(spec: &CellSpec, cfg: &RunnerConfig) -> Box<dyn Predictor
         }
         (backbone, method) => {
             // The AdapTraj family.
-            let mut acfg = cfg.adaptraj_for_run();
+            let mut acfg = cfg.adaptraj.clone();
             match method {
                 MethodKind::AdapTraj => {}
                 MethodKind::AdapTrajNoSpecific => acfg.ablation.use_specific = false,
@@ -224,16 +205,18 @@ pub fn build_predictor(spec: &CellSpec, cfg: &RunnerConfig) -> Box<dyn Predictor
                 _ => unreachable!("non-AdapTraj methods handled above"),
             }
             match backbone {
-                BackboneKind::PecNet => {
-                    Box::new(AdapTraj::new(acfg, &spec.sources, move |s, r, extra| {
-                        PecNet::new(s, r, bcfg.with_extra(extra))
-                    }))
-                }
-                BackboneKind::Lbebm => {
-                    Box::new(AdapTraj::new(acfg, &spec.sources, move |s, r, extra| {
-                        Lbebm::new(s, r, bcfg.with_extra(extra))
-                    }))
-                }
+                BackboneKind::PecNet => Box::new(AdapTraj::new(
+                    tcfg,
+                    acfg,
+                    &spec.sources,
+                    move |s, r, extra| PecNet::new(s, r, bcfg.with_extra(extra)),
+                )),
+                BackboneKind::Lbebm => Box::new(AdapTraj::new(
+                    tcfg,
+                    acfg,
+                    &spec.sources,
+                    move |s, r, extra| Lbebm::new(s, r, bcfg.with_extra(extra)),
+                )),
             }
         }
     }

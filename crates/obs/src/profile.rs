@@ -5,7 +5,8 @@
 //! the single [`record_op`] choke point, tagged with the op kind (`matmul`,
 //! `tanh`, ...), the direction ([`Dir::Forward`] at record time,
 //! [`Dir::Backward`] while the chain rule runs), the elapsed wall-clock,
-//! and the bytes allocated for the result value. The phase of an op is
+//! and the bytes the op freshly allocated in that direction (its result
+//! value forward, its parents' gradients backward). The phase of an op is
 //! the thread's [`span`](crate::span()) path: spans nest into
 //! `/`-separated paths, so a `matmul` executed inside `step2/epoch/encode`
 //! attributes to that phase and — via the inclusive rollup in
@@ -192,6 +193,7 @@ pub struct ProfileEntry {
 }
 
 /// Per-op-kind rollup (forward and backward side by side), across phases.
+/// `bytes` sums both directions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpRow {
     pub kind: &'static str,
@@ -209,6 +211,7 @@ impl OpRow {
 }
 
 /// Per-phase rollup. Inclusive: a sample in `a/b` also counts toward `a`.
+/// `bytes` sums both directions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRow {
     pub phase: String,
@@ -280,11 +283,11 @@ impl ProfileSnapshot {
                 bwd_ns: 0,
                 bytes: 0,
             });
+            row.bytes += e.bytes;
             match e.dir {
                 Dir::Forward => {
                     row.fwd_calls += e.calls;
                     row.fwd_ns += e.total_ns;
-                    row.bytes += e.bytes;
                 }
                 Dir::Backward => {
                     row.bwd_calls += e.calls;
@@ -330,11 +333,9 @@ impl ProfileSnapshot {
                     bytes: 0,
                 });
                 row.calls += e.calls;
+                row.bytes += e.bytes;
                 match e.dir {
-                    Dir::Forward => {
-                        row.fwd_ns += e.total_ns;
-                        row.bytes += e.bytes;
-                    }
+                    Dir::Forward => row.fwd_ns += e.total_ns,
                     Dir::Backward => row.bwd_ns += e.total_ns,
                 }
             }

@@ -417,7 +417,7 @@ mod tests {
         let path = dir.join("manifest.json");
         t.write_to_file(&path).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(body.trim_end(), t.to_json());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -28,8 +28,9 @@
 //!   `Tape::reset` calls once per window so per-allocation cost stays a
 //!   couple of thread-local adds.
 //!
-//! The tape's forward profiler reads `drain_pending_fresh_bytes` at each
-//! node push, so profile byte lines count only *fresh* allocations — a
+//! The tape's profiler reads `drain_pending_fresh_bytes` at each node push
+//! and after each node's backward step, so profile byte lines count only
+//! *fresh* allocations, charged to the op (and direction) that made them — a
 //! buffer served from the pool (or a leaf borrowed from the `ParamStore`)
 //! is no longer double-counted as newly allocated memory.
 

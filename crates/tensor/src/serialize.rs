@@ -279,9 +279,10 @@ mod tests {
         let src = sample_store(3);
         save_params_to_file(&src, &path).unwrap();
         let mut dst = sample_store(4);
-        load_params_from_file(&mut dst, &path).unwrap();
+        let loaded = load_params_from_file(&mut dst, &path);
+        std::fs::remove_dir_all(&dir).ok();
+        loaded.unwrap();
         assert_eq!(dst.snapshot(), src.snapshot());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

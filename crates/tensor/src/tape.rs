@@ -794,11 +794,17 @@ impl Tape {
             }
             let Some(g) = grads[idx].take() else { continue };
             // Backward-side profiler choke point, mirroring `push`: the
-            // whole chain-rule step for this node attributes to its op
-            // kind. Inert (one atomic load) when profiling is disabled.
+            // whole chain-rule step for this node, and the bytes it freshly
+            // allocated, attribute to its op kind. Inert (one atomic load)
+            // when profiling is disabled.
             let t = profile::op_timer();
             self.accumulate_parents(idx, &g, &mut grads);
-            profile::record_op(self.nodes[idx].op.kind(), profile::Dir::Backward, t, 0);
+            profile::record_op(
+                self.nodes[idx].op.kind(),
+                profile::Dir::Backward,
+                t,
+                pool::drain_pending_fresh_bytes(),
+            );
             grads[idx] = Some(g);
         }
         tape_metrics().observe_backward(self.nodes.len(), start.elapsed());
@@ -1594,6 +1600,16 @@ mod tests {
     /// Serializes the tests that switch the process-global profiler.
     static PROFILER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    /// Profiled bytes of op `kind` in direction `dir`, across phases.
+    fn bytes(snapshot: &profile::ProfileSnapshot, kind: &str, dir: profile::Dir) -> u64 {
+        snapshot
+            .entries
+            .iter()
+            .filter(|e| e.kind == kind && e.dir == dir)
+            .map(|e| e.bytes)
+            .sum()
+    }
+
     #[test]
     fn profiler_attributes_tape_ops_by_kind_and_phase() {
         let _profiler = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
@@ -1617,7 +1633,7 @@ mod tests {
         assert_eq!(mm.fwd_calls, 1);
         assert_eq!(mm.bwd_calls, 1);
         // matmul result is 1x1 -> 4 bytes allocated forward.
-        assert_eq!(mm.bytes, 4);
+        assert_eq!(bytes(&snapshot, "matmul", profile::Dir::Forward), 4);
         let leaf = get("leaf").expect("leaves profiled");
         assert_eq!(leaf.fwd_calls, 2);
         // Leaves have no parents: the backward visit for `x` still counts.
@@ -1658,5 +1674,41 @@ mod tests {
             .find(|r| r.kind == "leaf")
             .expect("the bind was profiled");
         assert_eq!((leaf.fwd_calls, leaf.bytes), (1, 0));
+    }
+
+    /// Gradient buffers that backward allocates are charged to the
+    /// backward op that made them, not left pending for the first node the
+    /// next forward pass records.
+    #[test]
+    fn backward_allocations_are_charged_to_backward() {
+        let _profiler = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::full(4, 4, 0.5), GroupId::DEFAULT);
+        profile::set_enabled(true);
+        let snapshot = {
+            let _phase = adaptraj_obs::span("tape_backward_bytes");
+            let mut tape = Tape::new();
+            let x = tape.input(Tensor::row(&[1.0, 2.0, 3.0]));
+            let w = tape.input(Tensor::col(&[1.0, 0.5, 2.0]));
+            let y = tape.matmul(x, w);
+            let loss = tape.sum_all(y);
+            tape.backward(loss);
+            {
+                // The next forward pass starts with an `Arc`-shared bind,
+                // which allocates nothing of its own.
+                let _next = adaptraj_obs::span("next_forward");
+                Tape::new().param(&store, id);
+            }
+            profile::snapshot().under("tape_backward_bytes")
+        };
+        profile::set_enabled(false);
+        // dx = g·wᵀ and dw = xᵀ·g are fresh 1x3 and 3x1 buffers.
+        assert!(
+            bytes(&snapshot, "matmul", profile::Dir::Backward) >= 24,
+            "{snapshot:?}"
+        );
+        let next = snapshot.under("tape_backward_bytes/next_forward");
+        let leaf = next.by_op().into_iter().find(|r| r.kind == "leaf");
+        assert_eq!(leaf.map(|r| (r.fwd_calls, r.bytes)), Some((1, 0)));
     }
 }

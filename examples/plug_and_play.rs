@@ -23,23 +23,24 @@ fn main() {
         train.extend(synthesize_domain(s, &synth).train);
     }
 
+    // 8 epochs: steps 1, 2 and 3 train epochs 0..6, 6..7 and 7..8.
+    let trainer = TrainerConfig {
+        epochs: 8,
+        max_train_windows: 150,
+        ..TrainerConfig::default()
+    };
     let cfg = AdapTrajConfig {
-        trainer: TrainerConfig {
-            epochs: 8,
-            max_train_windows: 150,
-            ..TrainerConfig::default()
-        },
-        e_start: 6,
-        e_end: 7,
+        e_start_frac: 0.75,
+        e_end_frac: 0.875,
         ..AdapTrajConfig::default()
     };
 
     // Identical framework config, two different backbones — the only
     // difference is the constructor closure.
-    let mut pecnet = AdapTraj::new(cfg.clone(), &sources, |s, r, extra| {
+    let mut pecnet = AdapTraj::new(trainer.clone(), cfg.clone(), &sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
-    let mut lbebm = AdapTraj::new(cfg, &sources, |s, r, extra| {
+    let mut lbebm = AdapTraj::new(trainer, cfg, &sources, |s, r, extra| {
         Lbebm::new(s, r, BackboneConfig::default().with_extra(extra))
     });
 

@@ -13,6 +13,19 @@ step() {
     echo "=== $* ==="
 }
 
+# The test steps run with TMPDIR set to an emptied directory: every test
+# that writes under the system temp dir must remove what it wrote, so the
+# directory has to be empty again when the step ends.
+ci_tmp="$PWD/target/ci_tmp"
+empty_tmp() {
+    rm -rf "$ci_tmp"
+    mkdir -p "$ci_tmp"
+}
+tmp_left_empty() {
+    [ -z "$(ls -A "$ci_tmp")" ] || {
+        echo "tests left files in TMPDIR:"; ls -A "$ci_tmp"; fail=1; }
+}
+
 step "cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --all -- --check || fail=1
@@ -42,7 +55,9 @@ step "cargo test (tier-1: the root package, incl. the determinism suite)"
 # (workers 1 vs 4 bit-identity): keyed multi-window jobs,
 # batch-position-order gradient reduction, and the exec.windows_trained
 # counter must all be worker-count independent.
-cargo test -q --offline || fail=1
+empty_tmp
+TMPDIR="$ci_tmp" cargo test -q --offline || fail=1
+tmp_left_empty
 
 step "cargo test --workspace (every other member, incl. adaptraj-check)"
 # adaptraj-check: central-difference gradient checks for all 27 tape
@@ -53,7 +68,9 @@ step "cargo test --workspace (every other member, incl. adaptraj-check)"
 # property-tests that the default AVX2 microkernels produce bitwise
 # identical results to the scalar fallback on random shapes (including
 # k=0, m=0, single-row, and zero-dense operands).
-cargo test -q --workspace --offline --exclude adaptraj || fail=1
+empty_tmp
+TMPDIR="$ci_tmp" cargo test -q --workspace --offline --exclude adaptraj || fail=1
+tmp_left_empty
 
 step "tables smoke (Table I through the tables binary)"
 # table1 synthesizes the four domains and prints their statistics beside
@@ -137,6 +154,13 @@ grep -q '"metrics":\[' target/health_ci_run/manifest.json || {
     echo "run record still holds events.jsonl"; fail=1; }
 cargo run --release --offline --bin adaptraj -- \
     doctor --run target/health_ci_run || fail=1
+# Each op's profile bytes are the fresh allocations of its forward and
+# backward steps; `leaf` allocates only the inputs it wraps, so a large
+# share there means an op's allocations are charged to the wrong node.
+sed 's/,"phases".*//' target/health_ci_run/profile.json |
+    grep -o '"kind":"[a-z_]*"[^}]*"bytes":[0-9]*' |
+    awk -F'"' '{ b = substr($NF, 2); total += b; if ($4 == "leaf") leaf = b }
+        END { printf "profile bytes: %.1f MB, leaf share %.3f\n", total / 1e6, leaf / total }'
 
 step "health observatory smoke (injected NaN -> tripwire -> doctor exits nonzero)"
 # Poisons every op of window 3 in epoch 0 (the worker-count-deterministic

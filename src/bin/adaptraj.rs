@@ -14,8 +14,10 @@ use adaptraj::data::domain::DomainId;
 use adaptraj::data::io::write_csv;
 use adaptraj::doctor::{run_doctor, DoctorArgs};
 use adaptraj::eval::viz::{render_window, VizOptions};
-use adaptraj::eval::{train_cell, CellSpec, RunnerConfig};
-use adaptraj::models::{BackboneConfig, PecNet, Predictor, TrainerConfig, Vanilla};
+use adaptraj::eval::{
+    build_predictor, train_cell, BackboneKind, CellSpec, MethodKind, RunnerConfig,
+};
+use adaptraj::models::TrainerConfig;
 use adaptraj::obs::serve::TelemetryServer;
 use adaptraj::obs::{health, profile, timeline};
 use adaptraj::obs::{EvalSummary, RunTelemetry};
@@ -261,7 +263,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             // checkpoint into it; the spec must match the file's shapes.
             let loader_spec = spec.clone();
             let loader: adaptraj::serve::Loader = Box::new(move |path: &str| {
-                let mut p = adaptraj::eval::build_predictor(&loader_spec, &RunnerConfig::default());
+                let mut p = build_predictor(&loader_spec, &RunnerConfig::default());
                 load_params_from_file(p.store_mut(), path)
                     .map_err(|e| format!("checkpoint '{path}': {e:?}"))?;
                 Ok(p)
@@ -275,7 +277,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     "warning: no --checkpoint; serving {} with untrained init weights",
                     spec.label()
                 );
-                adaptraj::eval::build_predictor(&spec, &RunnerConfig::default())
+                build_predictor(&spec, &RunnerConfig::default())
             };
             let server = adaptraj::serve::PredictServer::start(
                 adaptraj::serve::ServeConfig {
@@ -359,14 +361,21 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         }
         Command::Visualize { target, out, count } => {
             let ds = synthesize_domain(target, &SynthesisConfig::default());
-            let mut model = Vanilla::new(
-                TrainerConfig {
+            let spec = CellSpec {
+                backbone: BackboneKind::PecNet,
+                method: MethodKind::Vanilla,
+                sources: vec![target],
+                target,
+            };
+            let cfg = RunnerConfig {
+                trainer: TrainerConfig {
                     epochs: 10,
                     max_train_windows: 200,
                     ..TrainerConfig::default()
                 },
-                |s, r| PecNet::new(s, r, BackboneConfig::default()),
-            );
+                ..RunnerConfig::default()
+            };
+            let mut model = build_predictor(&spec, &cfg);
             println!("training a quick {} on {} ...", model.name(), target.name());
             model.fit(&ds.train);
             std::fs::create_dir_all(&out)?;

@@ -930,10 +930,9 @@ mod tests {
         let from_file = run_doctor(&DoctorArgs {
             run: Some(dir.to_string_lossy().into_owned()),
             ..DoctorArgs::default()
-        })
-        .unwrap()
-        .conflicts;
+        });
         std::fs::remove_dir_all(&dir).ok();
+        let from_file = from_file.unwrap().conflicts;
         assert_eq!(from_file, in_memory);
         assert_eq!(in_memory[0].epochs, 2);
         assert!((in_memory[0].mean_cosine - (-0.3)).abs() < 1e-12);

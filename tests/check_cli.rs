@@ -12,14 +12,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `check` against `dir` and asserts the failure names the
-/// baseline directory on one `error:` line.
-fn assert_one_line_error(dir: &Path) {
-    let dir = dir.to_str().unwrap();
+/// Runs `check` against `path`, removes it, and asserts the failure
+/// names the baseline directory on one `error:` line.
+fn assert_one_line_error(path: &Path) {
+    let dir = path.to_str().unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_adaptraj"))
         .args(["check", "--golden-dir", dir])
         .output()
         .unwrap();
+    std::fs::remove_dir_all(path).ok();
     assert!(!out.status.success(), "expected a nonzero exit");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -14,7 +14,7 @@ use adaptraj::data::domain::DomainId;
 use adaptraj::data::trajectory::TrajWindow;
 use adaptraj::eval::{evaluate, EvalResult, WindowScore};
 use adaptraj::exec::{ExecError, WorkerPool};
-use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor};
+use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor, TrainerConfig};
 use adaptraj::obs::RegistryDelta;
 
 const SOURCES: [DomainId; 2] = [DomainId::EthUcy, DomainId::LCas];
@@ -55,15 +55,18 @@ fn run_smoke_workload(method: Method, workers: usize) -> Workload {
     }
     let target = synthesize_domain(DomainId::Sdd, &synth);
 
-    let mut cfg = AdapTrajConfig::smoke();
-    cfg.trainer.epochs = 3;
-    cfg.trainer.max_train_windows = 24;
-    cfg.trainer.workers = workers;
+    let mut cfg = TrainerConfig::smoke();
+    cfg.epochs = 3;
+    cfg.max_train_windows = 24;
+    cfg.workers = workers;
     let mut model: Box<dyn Predictor> = match method {
-        Method::AdapTraj => Box::new(AdapTraj::new(cfg, &SOURCES, |s, r, extra| {
-            PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
-        })),
-        Method::CausalMotion => Box::new(CausalMotion::new(cfg.trainer, |s, r| {
+        Method::AdapTraj => Box::new(AdapTraj::new(
+            cfg,
+            AdapTrajConfig::smoke(),
+            &SOURCES,
+            |s, r, extra| PecNet::new(s, r, BackboneConfig::default().with_extra(extra)),
+        )),
+        Method::CausalMotion => Box::new(CausalMotion::new(cfg, |s, r| {
             PecNet::new(s, r, BackboneConfig::default())
         })),
     };

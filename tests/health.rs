@@ -12,7 +12,9 @@ use adaptraj::core::{AdapTraj, AdapTrajConfig};
 use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::doctor::{diagnose, parse_manifest, run_doctor, DoctorArgs};
-use adaptraj::models::{BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport};
+use adaptraj::models::{
+    BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport, TrainerConfig,
+};
 use adaptraj::obs::health::{self, Incident};
 use adaptraj::obs::json::Value;
 use adaptraj::obs::{profile, RunTelemetry};
@@ -35,11 +37,11 @@ fn run_health_workload(workers: usize, sources: &[DomainId]) -> (TrainReport, Ve
     for &s in sources {
         train.extend(synthesize_domain(s, &synth).train);
     }
-    let mut cfg = AdapTrajConfig::smoke();
-    cfg.trainer.epochs = 3;
-    cfg.trainer.max_train_windows = 24;
-    cfg.trainer.workers = workers;
-    let mut model = AdapTraj::new(cfg, sources, |s, r, extra| {
+    let mut cfg = TrainerConfig::smoke();
+    cfg.epochs = 3;
+    cfg.max_train_windows = 24;
+    cfg.workers = workers;
+    let mut model = AdapTraj::new(cfg, AdapTrajConfig::smoke(), sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     let report = model.fit(&train);
@@ -87,7 +89,7 @@ fn run_causal_motion_workload(workers: usize) -> (TrainReport, bool) {
     for &s in &TWO_SOURCES {
         train.extend(synthesize_domain(s, &synth).train);
     }
-    let mut cfg = AdapTrajConfig::smoke().trainer;
+    let mut cfg = TrainerConfig::smoke();
     cfg.epochs = 3;
     cfg.max_train_windows = 24;
     cfg.workers = workers;
@@ -303,13 +305,13 @@ fn halt_and_dump_stops_training_and_the_run_record_keeps_the_incident() {
         .write_to_file(&path)
         .unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(r#""halted":true"#), "{text}");
     let d = run_doctor(&DoctorArgs {
         run: Some(dir.to_string_lossy().into_owned()),
         ..DoctorArgs::default()
-    })
-    .unwrap();
+    });
     std::fs::remove_dir_all(&dir).ok();
+    assert!(text.contains(r#""halted":true"#), "{text}");
+    let d = d.unwrap();
     assert!(d.fatal());
     assert!(d.incident_count >= 1);
     assert_eq!(d.first_unhealthy_op.as_ref(), incidents.first());
@@ -330,11 +332,11 @@ fn health_capture_is_observation_only() {
     for &s in &TWO_SOURCES {
         train.extend(synthesize_domain(s, &synth).train);
     }
-    let mut cfg = AdapTrajConfig::smoke();
-    cfg.trainer.epochs = 3;
-    cfg.trainer.max_train_windows = 24;
-    cfg.trainer.workers = 2;
-    let mut model = AdapTraj::new(cfg, &TWO_SOURCES, |s, r, extra| {
+    let mut cfg = TrainerConfig::smoke();
+    cfg.epochs = 3;
+    cfg.max_train_windows = 24;
+    cfg.workers = 2;
+    let mut model = AdapTraj::new(cfg, AdapTrajConfig::smoke(), &TWO_SOURCES, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     let losses_off = model.fit(&train).epoch_losses;

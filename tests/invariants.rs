@@ -56,18 +56,13 @@ fn every_window_respects_protocol_horizons() {
 }
 
 fn tiny_adaptraj(sources: &[DomainId]) -> AdapTraj<PecNet> {
-    let cfg = AdapTrajConfig {
-        trainer: TrainerConfig {
-            epochs: 3,
-            batch_size: 8,
-            max_train_windows: 16,
-            ..TrainerConfig::default()
-        },
-        e_start: 1,
-        e_end: 2,
-        ..AdapTrajConfig::default()
+    let trainer = TrainerConfig {
+        epochs: 3,
+        batch_size: 8,
+        max_train_windows: 16,
+        ..TrainerConfig::default()
     };
-    AdapTraj::new(cfg, sources, |s, r, extra| {
+    AdapTraj::new(trainer, AdapTrajConfig::smoke(), sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     })
 }
@@ -112,18 +107,18 @@ fn specific_experts_stay_frozen_through_step_two() {
     // must equal their values at the end of step 1. We check the weaker
     // but still structural invariant: a step-2-only training run leaves
     // the group untouched.
+    let trainer = TrainerConfig {
+        epochs: 1,
+        batch_size: 8,
+        max_train_windows: 8,
+        ..TrainerConfig::default()
+    };
     let cfg = AdapTrajConfig {
-        trainer: TrainerConfig {
-            epochs: 1,
-            batch_size: 8,
-            max_train_windows: 8,
-            ..TrainerConfig::default()
-        },
-        e_start: 0, // epoch 0 is already step 2
-        e_end: 1,
+        e_start_frac: 0.0, // epoch 0 is already step 2
+        e_end_frac: 1.0,
         ..AdapTrajConfig::default()
     };
-    let mut model = AdapTraj::new(cfg, &sources, |s, r, extra| {
+    let mut model = AdapTraj::new(trainer, cfg, &sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     let before: Vec<_> = model

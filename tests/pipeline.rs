@@ -58,12 +58,11 @@ fn adaptraj_pipeline_on_unseen_domain() {
     let target = synthesize_domain(DomainId::Sdd, &synth);
 
     let cfg = AdapTrajConfig {
-        trainer: tiny_trainer(),
-        e_start: 1,
-        e_end: 2,
+        e_start_frac: 0.5,
+        e_end_frac: 1.0,
         ..AdapTrajConfig::default()
     };
-    let mut model = AdapTraj::new(cfg, &sources, |s, r, extra| {
+    let mut model = AdapTraj::new(tiny_trainer(), cfg, &sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     model.fit(&train);

@@ -47,19 +47,14 @@ fn fit_with_workers(
     for &s in &sources {
         train.extend(synthesize_domain(s, &synth).train);
     }
-    let cfg = AdapTrajConfig {
-        trainer: TrainerConfig {
-            epochs: 3,
-            batch_size: 8,
-            max_train_windows: 16,
-            workers,
-            ..TrainerConfig::default()
-        },
-        e_start: 1,
-        e_end: 2,
-        ..AdapTrajConfig::default()
+    let trainer = TrainerConfig {
+        epochs: 3,
+        batch_size: 8,
+        max_train_windows: 16,
+        workers,
+        ..TrainerConfig::default()
     };
-    let mut model = AdapTraj::new(cfg, &sources, |s, r, extra| {
+    let mut model = AdapTraj::new(trainer, AdapTrajConfig::smoke(), &sources, |s, r, extra| {
         PecNet::new(s, r, BackboneConfig::default().with_extra(extra))
     });
     let report = model.fit(&train);
