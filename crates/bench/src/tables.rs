@@ -3,10 +3,11 @@
 //! Each table is a [`TableSpec`]: a title, the paper's expected shape, and
 //! one or more [`Section`]s of rows, where a row is some label cells plus
 //! the `(CellSpec, RunnerConfig)` cells to train and score. [`render`]
-//! trains and scores nothing itself: it runs the cells in order through a
-//! caller-supplied runner and lays out the [`CellResult`]s, means and
-//! per-window scores alike, so the `tables` binary passes `run_cell_avg`
-//! and a test passes a fake that trains nothing.
+//! trains and scores nothing itself: it runs each distinct cell once, in
+//! order, through a caller-supplied runner and lays out the
+//! [`CellResult`]s, means and per-window scores alike, so the `tables`
+//! binary passes `run_cell_avg` and a test passes a fake that trains
+//! nothing.
 
 use crate::Scale;
 use adaptraj_data::dataset::DomainDataset;
@@ -47,7 +48,7 @@ pub enum CellFormat {
 }
 
 /// One experiment cell and the settings it runs with.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     pub spec: CellSpec,
     pub cfg: RunnerConfig,
@@ -492,10 +493,11 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
     Some(spec)
 }
 
-/// Runs every cell of `spec` through `run` (the binary passes
-/// [`adaptraj_eval::run_cell_avg`]) and lays the table out: the sections,
-/// then the expected-shape text. Every number printed comes from the
-/// returned [`CellResult`]s.
+/// Runs every distinct cell of `spec` once through `run` (the binary
+/// passes [`adaptraj_eval::run_cell_avg`]) and lays the table out: the
+/// sections, then the expected-shape text. A cell equal to an earlier one
+/// (Fig. 4's panels each sweep through the base configuration) reuses its
+/// [`CellResult`]; every number printed comes from those results.
 pub fn render(
     spec: &TableSpec,
     datasets: &[DomainDataset],
@@ -505,22 +507,27 @@ pub fn render(
         Body::Stats => stats(datasets),
         _ => String::new(),
     };
+    let mut done: Vec<(&Cell, CellResult)> = Vec::new();
     for section in &spec.sections {
         let mut table = TextTable::new(&section.header);
         for row in &section.rows {
             let mut line = row.labels.clone();
-            let results: Vec<CellResult> = row
+            let at: Vec<usize> = row
                 .cells
                 .iter()
                 .map(|c| {
-                    eprintln!("[run] {}", c.spec.label());
-                    run(&c.spec, &c.cfg)
+                    done.iter().position(|(d, _)| *d == c).unwrap_or_else(|| {
+                        eprintln!("[run] {}", c.spec.label());
+                        done.push((c, run(&c.spec, &c.cfg)));
+                        done.len() - 1
+                    })
                 })
                 .collect();
+            let results: Vec<&CellResult> = at.iter().map(|&i| &done[i].1).collect();
             match spec.body {
                 Body::Stats => {}
                 Body::Grid { format, average } => {
-                    for res in &results {
+                    for &res in &results {
                         match format {
                             CellFormat::AdeFde => line.push(res.eval.to_string()),
                             CellFormat::Split => {
@@ -540,7 +547,7 @@ pub fn render(
                         line.push(format!("{ade:.3}/{fde:.3}"));
                     }
                 }
-                Body::Paired => line.extend(paired(&results[0], &results[1])),
+                Body::Paired => line.extend(paired(results[0], results[1])),
             }
             table.push_row(line);
         }

@@ -417,7 +417,7 @@ fn fig4_sweeps_one_knob_per_section() {
         .iter()
         .flat_map(|s| s.iter().map(|p| p.1))
         .collect();
-    let got_knobs: Vec<[f32; 6]> = calls.iter().map(|(_, c)| knobs(c)).collect();
+    let got_knobs: Vec<[f32; 6]> = cells(&t).map(|c| knobs(&c.cfg)).collect();
     assert_eq!(got_knobs, want_knobs);
 
     let sections = table_lines(&out);
@@ -467,6 +467,43 @@ fn fig4_epoch_labels_are_the_trained_step_boundaries() {
                 .collect();
             assert_eq!(printed, trained, "{} step {step}", scale.name());
         }
+    }
+}
+
+/// `render` runs each distinct cell once. Panels (a) δ 0.5, (b) e_start
+/// 0.6, (e) f_low 0.5 and (f) f_high 2 of Fig. 4 are each the untouched
+/// base configuration, so its 25 cells hold 22 distinct trainings; every
+/// other table's cells are all distinct. Reusing a result changes no
+/// byte: rendered one section at a time, where no cell repeats, Fig. 4
+/// prints the same text.
+#[test]
+fn render_runs_each_distinct_cell_once() {
+    for name in NAMES {
+        let t = smoke(name);
+        let (out, calls) = render_fake(&t);
+        let want = if name == "fig4" {
+            22
+        } else {
+            cells(&t).count()
+        };
+        assert_eq!(calls.len(), want, "{name}");
+        if name != "fig4" {
+            continue;
+        }
+        let mut one_by_one = String::new();
+        let mut runs = 0;
+        for section in &t.sections {
+            let alone = TableSpec {
+                sections: vec![section.clone()],
+                ..t.clone()
+            };
+            let (text, calls) = render_fake(&alone);
+            runs += calls.len();
+            one_by_one.push_str(text.strip_suffix(&format!("{}\n", t.shape)).unwrap());
+        }
+        one_by_one.push_str(&format!("{}\n", t.shape));
+        assert_eq!(runs, 25);
+        assert_eq!(out, one_by_one);
     }
 }
 

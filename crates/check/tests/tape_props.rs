@@ -6,7 +6,7 @@
 //! algebraic properties of the tape ops.
 
 use adaptraj_check::prop::{assert_close, check, Gen};
-use adaptraj_tensor::{pool, with_pooled, BufferPool, Tape, Tensor, Var};
+use adaptraj_tensor::{Tape, Tensor, Var};
 
 /// Grows a random same-shape expression DAG over one input leaf and a few
 /// constants, reusing earlier nodes so the graph has real fan-out.
@@ -238,130 +238,4 @@ fn grad_reverse_is_identity_forward_and_negation_backward() {
         let expected = tape.value(c).scale(-lambda);
         assert_close(gx, &expected, 1e-5, "reversed gradient")
     });
-}
-
-#[test]
-fn buffer_pool_retains_capacity_and_zeroes_reused_buffers() {
-    // The pool must never leak one window's data into the next: a
-    // `take_zeroed` that is served from the free list has to come back
-    // fully zeroed regardless of what the retired buffer held, and the
-    // retired capacity has to actually be retained (that is the whole
-    // point of pooling).
-    check("pool-reuse", 60, |g| {
-        let mut pool = BufferPool::new();
-        let len = g.int_in(1, 2048);
-        let garbage: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
-        let cap = garbage.capacity();
-        pool.give(garbage);
-        if pool.free_buffers() != 1 {
-            return Err("retired buffer was not retained".into());
-        }
-        let take = g.int_in(1, len);
-        let buf = pool.take_zeroed(take);
-        if buf.len() != take {
-            return Err(format!("take_zeroed({take}) returned len {}", buf.len()));
-        }
-        if buf.capacity() < cap.min(take) {
-            return Err("reused buffer lost its retired capacity".into());
-        }
-        if buf.iter().any(|&v| v != 0.0) {
-            return Err("reused buffer carries stale data".into());
-        }
-        let stats = pool.stats();
-        if stats.reuse_hits != 1 {
-            return Err(format!("expected 1 reuse hit, got {}", stats.reuse_hits));
-        }
-        if stats.bytes_reused != 4 * take as u64 {
-            return Err(format!(
-                "expected {} bytes reused, got {}",
-                4 * take,
-                stats.bytes_reused
-            ));
-        }
-        // Retire it again: the free list grows back and the capacity
-        // survives a second round trip.
-        pool.give(buf);
-        let again = pool.take_empty(take);
-        if again.capacity() < take {
-            return Err("second reuse lost capacity".into());
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn tape_reset_reuses_buffers_without_stale_gradients() {
-    // `Tape::reset` retires every node buffer into the thread pool; the
-    // next window is then served from those recycled buffers. Rebuilding
-    // the identical graph after a reset must give bit-identical values
-    // and gradients — any deviation means a pooled buffer leaked state.
-    check("reset-no-stale-grads", 40, |g| {
-        let (rows, cols) = (g.dim(), g.dim());
-        let x = g.tensor(rows, cols);
-        let c = g.tensor(rows, cols);
-        let build = |tape: &mut Tape| {
-            let xv = tape.input(x.clone());
-            let cv = tape.constant(c.clone());
-            let t = tape.tanh(xv);
-            let m = tape.mul(t, cv);
-            let s = tape.softmax_rows(m);
-            let root = tape.sum_all(s);
-            (xv, root)
-        };
-        let mut tape = Tape::new();
-        let (xv, root) = build(&mut tape);
-        let val1 = tape.value(root).item();
-        let grads = tape.backward(root);
-        let g1 = grads.get(xv).cloned().ok_or("no grad before reset")?;
-        grads.recycle();
-        tape.reset();
-
-        let (xv2, root2) = build(&mut tape);
-        let val2 = tape.value(root2).item();
-        if val1.to_bits() != val2.to_bits() {
-            return Err(format!("value drifted across reset: {val1} vs {val2}"));
-        }
-        let g2 = tape
-            .backward(root2)
-            .get(xv2)
-            .cloned()
-            .ok_or("no grad after reset")?;
-        if g1.data() != g2.data() {
-            return Err("gradient drifted across reset (stale pooled buffer)".into());
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn pooled_tape_serves_repeat_windows_from_the_free_list() {
-    // Steady-state contract of `with_pooled`: after the first window has
-    // retired its buffers, later identical windows are served from the
-    // pool (reuse hits climb) and still produce bit-identical outputs.
-    let x = Tensor::from_vec(4, 6, (0..24).map(|i| (i as f32 * 0.37).sin()).collect());
-    let w = Tensor::from_vec(6, 3, (0..18).map(|i| (i as f32 * 0.11).cos()).collect());
-    let run = || {
-        with_pooled(|tape| {
-            let xv = tape.input(x.clone());
-            let wv = tape.constant(w.clone());
-            let h = tape.matmul(xv, wv);
-            let t = tape.tanh(h);
-            let root = tape.sum_all(t);
-            let val = tape.value(root).item();
-            let grads = tape.backward(root);
-            let gx = grads.expect(xv).clone();
-            grads.recycle();
-            (val, gx)
-        })
-    };
-    let (v1, g1) = run();
-    let before = pool::thread_stats();
-    let (v2, g2) = run();
-    let after = pool::thread_stats();
-    assert_eq!(v1.to_bits(), v2.to_bits(), "value must not drift");
-    assert_eq!(g1, g2, "gradient must not drift");
-    assert!(
-        after.reuse_hits > before.reuse_hits,
-        "second window should reuse retired buffers ({before:?} -> {after:?})"
-    );
 }

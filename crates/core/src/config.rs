@@ -37,7 +37,7 @@ impl Default for Ablation {
 /// reported in the sensitivity analysis (Fig. 4). The training budget,
 /// whose `epochs` is `e_total`, is the `TrainerConfig` handed to
 /// [`AdapTraj::new`](crate::AdapTraj::new).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdapTrajConfig {
     /// Width of each extracted feature (H_i^i, H_ℰ^i, H_i^s, H_ℰ^s).
     pub feat_dim: usize,

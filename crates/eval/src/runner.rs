@@ -68,7 +68,7 @@ impl MethodKind {
 }
 
 /// One experiment cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     pub backbone: BackboneKind,
     pub method: MethodKind,
@@ -126,7 +126,7 @@ pub struct WindowScore {
 }
 
 /// Scale knobs for a whole experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunnerConfig {
     /// Backbone widths; AdapTraj cells add its `extra_dim`.
     pub backbone: BackboneConfig,

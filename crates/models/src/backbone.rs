@@ -194,8 +194,7 @@ impl SceneEncoder {
             let pos = tape.constant(batch_step_positions(batch, t));
             steps.push(self.embed.forward_act(store, tape, pos, Activation::Relu));
         }
-        let (_, final_state) = self.encoder.forward(store, tape, &steps);
-        let h_all = final_state.h; // [N_total, hidden]
+        let h_all = self.encoder.forward(store, tape, &steps).h; // [N_total, hidden]
         let h_focal = tape.gather_rows(h_all, &batch.focal_rows()); // [B, hidden]
 
         // Eq. 3 over the padded `[B·A_max]` slot grid.

@@ -3,7 +3,7 @@
 /// Architecture dimensions shared by the backbones. Sized for CPU training
 /// (the paper uses GPU-scale widths; the architecture is identical, only
 /// narrower — see DESIGN.md).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackboneConfig {
     /// Location-embedding width (Eq. 1).
     pub embed_dim: usize,
@@ -52,7 +52,7 @@ impl BackboneConfig {
 }
 
 /// Optimization hyperparameters for the learning-method trainers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainerConfig {
     pub epochs: usize,
     pub batch_size: usize,

@@ -190,9 +190,6 @@ impl HealthAccum {
         rec.domains = norms;
         rec.cosines = cosines;
         rec.update_ratios = self.ratios;
-        for (_, buf) in self.domains {
-            buf.recycle();
-        }
     }
 }
 

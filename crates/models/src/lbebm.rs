@@ -90,21 +90,15 @@ impl Lbebm {
     /// on a private tape; returns the gradient w.r.t. `z` (for Langevin,
     /// `[B, z]` — rows are independent) and the total energy value.
     fn energy_grad(&self, store: &ParamStore, z: &Tensor, h: &Tensor, p: &Tensor) -> (Tensor, f32) {
-        // `with_pooled` is re-entrant: during training the outer job
-        // already holds the thread's pooled tape, so this inner Langevin
-        // tape runs as a temporary that still retires its buffers.
-        adaptraj_tensor::with_pooled(|tape| {
-            let zv = tape.input(z.clone());
-            let hv = tape.constant(h.clone());
-            let pv = tape.constant(p.clone());
-            let joint = tape.concat_cols(&[zv, hv, pv]);
-            let e = self.energy.forward(store, tape, joint);
-            let e = tape.sum_all(e);
-            let grads = tape.backward(e);
-            let out = (grads.expect(zv).clone(), tape.value(e).item());
-            grads.recycle();
-            out
-        })
+        let mut tape = Tape::new();
+        let zv = tape.input(z.clone());
+        let hv = tape.constant(h.clone());
+        let pv = tape.constant(p.clone());
+        let joint = tape.concat_cols(&[zv, hv, pv]);
+        let e = self.energy.forward(store, &mut tape, joint);
+        let e = tape.sum_all(e);
+        let grads = tape.backward(e);
+        (grads.expect(zv).clone(), tape.value(e).item())
     }
 
     /// Short-run Langevin MCMC on pre-drawn [`Backbone::sample_draws`]

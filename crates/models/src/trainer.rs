@@ -240,37 +240,33 @@ impl<'a> Trainer<'a> {
                 let results = pool
                     .map(&jobs, |_, &(ref wb, key, _)| {
                         let _h = health::batch_scope(global_epoch as u64, wb.ids());
-                        // The worker pool keeps its threads alive across
-                        // batches, so in steady state every job replays onto
-                        // a tape whose node vector — and, via `Tape::reset`,
-                        // whose retired value buffers — carry over from the
-                        // previous job: the forward/backward hot path stops
-                        // touching the allocator.
-                        adaptraj_tensor::with_pooled(|tape| {
-                            let mut rngs: Vec<Rng> = wb
-                                .ids()
-                                .iter()
-                                .map(|&id| {
-                                    Rng::seed_from(window_seed(cfg.seed, global_epoch as u64, id))
-                                })
-                                .collect();
-                            let (loss, components) = per_batch(store, tape, wb, key, &mut rngs);
-                            let val = tape.value(loss).item();
-                            if !val.is_finite() {
-                                return JobResult {
-                                    val,
-                                    components,
-                                    pairs: Vec::new(),
-                                };
-                            }
-                            let grads = tape.backward(loss);
-                            let pairs = tape.take_param_grads(grads);
-                            JobResult {
+                        // The job's tape drops when the job ends, releasing
+                        // its `Arc` references to parameter leaves, so the
+                        // optimizer step below updates them in place.
+                        let mut tape = Tape::new();
+                        let mut rngs: Vec<Rng> = wb
+                            .ids()
+                            .iter()
+                            .map(|&id| {
+                                Rng::seed_from(window_seed(cfg.seed, global_epoch as u64, id))
+                            })
+                            .collect();
+                        let (loss, components) = per_batch(store, &mut tape, wb, key, &mut rngs);
+                        let val = tape.value(loss).item();
+                        if !val.is_finite() {
+                            return JobResult {
                                 val,
                                 components,
-                                pairs,
-                            }
-                        })
+                                pairs: Vec::new(),
+                            };
+                        }
+                        let grads = tape.backward(loss);
+                        let pairs = tape.take_param_grads(grads);
+                        JobResult {
+                            val,
+                            components,
+                            pairs,
+                        }
                     })
                     .unwrap_or_else(|e| panic!("training worker panicked: {e}"));
                 // Reduce in job order — bit-identical to the sequential
@@ -321,16 +317,6 @@ impl<'a> Trainer<'a> {
                 // not a window count; this counter keeps the true
                 // windows-trained number observable (bench throughput).
                 windows_trained.add(batch.len() as u64);
-                // Retire the shipped gradient buffers into this thread's
-                // pool so the next batch's reduction reuses them.
-                for r in results {
-                    for (_, g) in r.pairs {
-                        g.recycle();
-                    }
-                }
-                let [h0, h1] = halves;
-                h0.recycle();
-                h1.recycle();
                 let norm = if cfg.grad_clip > 0.0 {
                     buf.clip_global_norm(cfg.grad_clip)
                 } else {
@@ -351,7 +337,6 @@ impl<'a> Trainer<'a> {
                 } else {
                     rec.non_finite_batches += (seen - seen_before) as u64;
                 }
-                buf.recycle();
                 drop(reduce);
                 if health::halt_requested() {
                     halted = true;

@@ -203,15 +203,14 @@ pub fn sample_passes(
         rows.extend(rngs.iter_mut().map(&mut draw));
     }
     let draws = Tensor::concat_rows(&rows.iter().collect::<Vec<_>>());
-    adaptraj_tensor::with_pooled(|tape| {
-        let pred = forward(tape, &draws);
-        for (r, points) in batch_pred_points(tape.value(pred), k * b)
-            .into_iter()
-            .enumerate()
-        {
-            out[r % b].push(points);
-        }
-    });
+    let mut tape = Tape::new();
+    let pred = forward(&mut tape, &draws);
+    for (r, points) in batch_pred_points(tape.value(pred), k * b)
+        .into_iter()
+        .enumerate()
+    {
+        out[r % b].push(points);
+    }
     out
 }
 

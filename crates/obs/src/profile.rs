@@ -5,8 +5,9 @@
 //! the single [`record_op`] choke point, tagged with the op kind (`matmul`,
 //! `tanh`, ...), the direction ([`Dir::Forward`] at record time,
 //! [`Dir::Backward`] while the chain rule runs), the elapsed wall-clock,
-//! and the bytes the op freshly allocated in that direction (its result
-//! value forward, its parents' gradients backward). The phase of an op is
+//! and the bytes of every tensor the op allocated in that direction (its
+//! result value and temporaries forward, its parents' gradients and
+//! temporaries backward). The phase of an op is
 //! the thread's [`span`](crate::span()) path: spans nest into
 //! `/`-separated paths, so a `matmul` executed inside `step2/epoch/encode`
 //! attributes to that phase and — via the inclusive rollup in

@@ -9,7 +9,9 @@
 //! complete substrate the paper's models need:
 //!
 //! * [`tensor::Tensor`] — row-major rank-2 tensors with the kernels used by
-//!   every model (matmul, broadcasts, reductions, softmax, gathers).
+//!   every model (matmul, broadcasts, reductions, softmax, gathers). Each
+//!   buffer comes from the system allocator and frees on drop; the crate
+//!   only counts the bytes, for the profiler and `tensor.bytes_allocated`.
 //! * [`tape::Tape`] — an eager autodiff tape with input gradients (needed by
 //!   LBEBM's Langevin sampler), a gradient-reversal node, fused
 //!   softmax cross-entropy for the domain classifier, and fused
@@ -55,11 +57,11 @@
 //! }
 //! ```
 
+mod alloc;
 pub mod kernels;
 pub mod nn;
 pub mod optim;
 pub mod param;
-pub mod pool;
 pub mod rng;
 pub mod serialize;
 pub mod tape;
@@ -67,7 +69,6 @@ pub mod tensor;
 
 pub use kernels::Kernel;
 pub use param::{GradBuffer, GroupId, ParamId, ParamStore};
-pub use pool::{BufferPool, PoolStats};
 pub use rng::Rng;
-pub use tape::{with_pooled, Activation, Grads, Tape, Var};
+pub use tape::{Activation, Grads, Tape, Var};
 pub use tensor::Tensor;

@@ -118,23 +118,16 @@ impl Lstm {
         self.cell.hidden
     }
 
-    /// Runs the cell over `steps` (each `[n, in]`), returning every hidden
-    /// state plus the final state. Panics on an empty sequence.
-    pub fn forward(
-        &self,
-        store: &ParamStore,
-        tape: &mut Tape,
-        steps: &[Var],
-    ) -> (Vec<Var>, LstmState) {
+    /// Runs the cell over `steps` (each `[n, in]`) and returns the final
+    /// state. Panics on an empty sequence.
+    pub fn forward(&self, store: &ParamStore, tape: &mut Tape, steps: &[Var]) -> LstmState {
         assert!(!steps.is_empty(), "LSTM over an empty sequence");
         let n = tape.value(steps[0]).rows();
         let mut state = self.cell.zero_state(tape, n);
-        let mut hs = Vec::with_capacity(steps.len());
         for &x in steps {
             state = self.cell.step(store, tape, x, state);
-            hs.push(state.h);
         }
-        (hs, state)
+        state
     }
 }
 
@@ -166,8 +159,7 @@ mod tests {
         let steps: Vec<Var> = (0..5)
             .map(|_| tape.constant(Tensor::randn(3, 2, 0.0, 10.0, &mut rng)))
             .collect();
-        let (hs, last) = lstm.forward(&store, &mut tape, &steps);
-        assert_eq!(hs.len(), 5);
+        let last = lstm.forward(&store, &mut tape, &steps);
         // h = o * tanh(c) is bounded in (-1, 1).
         assert!(tape.value(last.h).max_abs() < 1.0);
     }
@@ -235,7 +227,7 @@ mod tests {
             for _ in 0..3 {
                 steps.push(tape.constant(Tensor::zeros(4, 1)));
             }
-            let (_, state) = lstm.forward(&store, &mut tape, &steps);
+            let state = lstm.forward(&store, &mut tape, &steps);
             let pred = head.forward(&store, &mut tape, state.h);
             let target = Tensor::col(&first);
             let loss = tape.mse_to(pred, &target);

@@ -104,11 +104,11 @@ impl Adam {
             let m = self.m[idx].get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
             let v = self.v[idx].get_or_insert_with(|| Tensor::zeros(g.rows(), g.cols()));
 
-            let decayed = m.scale(BETA1);
-            std::mem::replace(m, decayed).recycle();
+            m.data_mut().iter_mut().for_each(|mm| *mm *= BETA1);
             m.axpy(1.0 - BETA1, g);
-            let next_v = v.zip_map(g, |vv, gg| BETA2 * vv + (1.0 - BETA2) * gg * gg);
-            std::mem::replace(v, next_v).recycle();
+            for (vv, &gg) in v.data_mut().iter_mut().zip(g.data()) {
+                *vv = BETA2 * *vv + (1.0 - BETA2) * gg * gg;
+            }
 
             let update = m.zip_map(v, |mm, vv| {
                 let m_hat = mm / bc1;
@@ -116,7 +116,6 @@ impl Adam {
                 m_hat / (v_hat.sqrt() + EPS)
             });
             store.value_mut(id).axpy(-lr, &update);
-            update.recycle();
         }
     }
 }
@@ -154,6 +153,37 @@ mod tests {
             opt.step(&mut store, &buf);
         }
         assert!(store.value(id).max_abs() < 1e-2, "{:?}", store.value(id));
+    }
+
+    /// A tape holds `Arc` references to the parameters it bound. Once the
+    /// job's tape has dropped, a step updates each parameter's buffer in
+    /// place; a tape kept alive across the step makes it copy-on-write.
+    #[test]
+    fn step_after_the_tape_drops_updates_parameters_in_place() {
+        let (mut store, id) = quadratic_store();
+        let mut opt = Adam::new(0.1);
+        let buf = {
+            let (tape, loss) = loss_grad(&store, id);
+            let grads = tape.backward(loss);
+            let mut buf = GradBuffer::new();
+            buf.absorb(&tape, &grads);
+            buf
+        };
+        let ptr = store.value(id).data().as_ptr();
+        opt.step(&mut store, &buf);
+        assert_ne!(
+            store.value(id).data(),
+            &[4.0, -3.0],
+            "the step moved nothing"
+        );
+        assert_eq!(store.value(id).data().as_ptr(), ptr, "the step copied");
+
+        // The same step under a live tape must copy: the tape still reads
+        // the old buffer, so the new one cannot share its address.
+        let (live, _) = loss_grad(&store, id);
+        opt.step(&mut store, &buf);
+        assert_ne!(store.value(id).data().as_ptr(), ptr);
+        drop(live);
     }
 
     #[test]

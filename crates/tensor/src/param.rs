@@ -172,23 +172,9 @@ impl GradBuffer {
         self.slots.get(id.index()).and_then(|s| s.as_ref())
     }
 
-    /// Clears all accumulated gradients, keeping capacity. Dropped
-    /// gradient buffers retire into the calling thread's pool.
+    /// Clears all accumulated gradients, keeping capacity.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            if let Some(g) = s.take() {
-                g.recycle();
-            }
-        }
-    }
-
-    /// Retires every accumulated gradient buffer into the calling
-    /// thread's buffer pool. Call once the optimizer step has consumed
-    /// the buffer so the next batch's gradients reuse the storage.
-    pub fn recycle(self) {
-        for g in self.slots.into_iter().flatten() {
-            g.recycle();
-        }
+        self.slots.iter_mut().for_each(|s| *s = None);
     }
 
     /// Global L2 norm over all accumulated gradients.
@@ -209,8 +195,7 @@ impl GradBuffer {
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
             for g in self.slots.iter_mut().flatten() {
-                let scaled = g.scale(s);
-                std::mem::replace(g, scaled).recycle();
+                g.data_mut().iter_mut().for_each(|x| *x *= s);
             }
         }
         norm

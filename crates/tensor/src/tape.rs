@@ -9,8 +9,8 @@
 //! parameters, but also plain inputs when requested, which is how the LBEBM
 //! backbone obtains `∂E/∂z` for its Langevin sampler.
 
+use crate::alloc;
 use crate::param::{ParamId, ParamStore};
-use crate::pool;
 use crate::tensor::Tensor;
 use adaptraj_obs::health;
 use adaptraj_obs::profile::{self, OpTimer};
@@ -53,40 +53,6 @@ fn tape_metrics() -> &'static TapeMetrics {
             backward_ms: reg.histogram("tensor.backward_ms"),
             tape_len: reg.histogram("tensor.tape_len"),
             backward_ns_per_node: reg.histogram("tensor.backward_ns_per_node"),
-        }
-    })
-}
-
-thread_local! {
-    /// The calling thread's reusable tape (see [`with_pooled`]).
-    static POOLED_TAPE: std::cell::RefCell<Tape> = std::cell::RefCell::new(Tape::new());
-}
-
-/// Runs `f` with the calling thread's reusable tape. The tape is reset on
-/// entry (defensive: a previous job may have panicked mid-window) and on
-/// exit, so each use retires its buffers into the thread's buffer pool and
-/// drops the tape's `Arc` references to parameter leaves — letting a
-/// following optimizer step mutate `ParamStore` values in place instead of
-/// copy-on-writing them. Persistent worker threads therefore replay every
-/// window onto warm, already-sized memory.
-///
-/// Re-entrant calls (a private tape inside a pooled-tape job, e.g. an
-/// inner Langevin tape) fall back to a temporary tape that still retires
-/// its buffers on exit. Values must be copied out of the tape before `f`
-/// returns, as with any tape whose lifetime ends.
-pub fn with_pooled<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
-    POOLED_TAPE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut tape) => {
-            tape.reset();
-            let out = f(&mut tape);
-            tape.reset();
-            out
-        }
-        Err(_) => {
-            let mut tape = Tape::new();
-            let out = f(&mut tape);
-            tape.reset();
-            out
         }
     })
 }
@@ -263,15 +229,6 @@ impl Grads {
         self.get(var)
             .unwrap_or_else(|| panic!("no gradient recorded for node {}", var.0))
     }
-
-    /// Retires every gradient buffer into the calling thread's buffer
-    /// pool. Call once the gradients have been absorbed downstream (e.g.
-    /// into a `GradBuffer`) so the next backward pass reuses them.
-    pub fn recycle(self) {
-        for g in self.by_node.into_iter().flatten() {
-            g.recycle();
-        }
-    }
 }
 
 /// The autodiff tape. See the module docs for the design.
@@ -282,33 +239,20 @@ pub struct Tape {
     param_uses: Vec<(ParamId, Var)>,
 }
 
+/// A tape's values and its `Arc` references to parameter leaves free when
+/// it drops, which is what lets the next optimizer step update those
+/// parameters in place. Dropping also flushes the thread's allocation
+/// tally into `tensor.bytes_allocated`, once per tape rather than once per
+/// allocation.
+impl Drop for Tape {
+    fn drop(&mut self) {
+        alloc::flush_metrics();
+    }
+}
+
 impl Tape {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Clears the tape for reuse across window jobs. Every node's value
-    /// buffer (and op-owned tensors such as `hadamard_const` masks) is
-    /// retired into the calling thread's buffer pool, so the next forward
-    /// pass on this thread allocates from warm, cache-resident memory
-    /// instead of the heap; the node and param-use vectors keep their
-    /// capacity. Also flushes the thread's pool tallies into the global
-    /// metrics registry (`tensor.pool_reuse` & friends) — once per window
-    /// instead of once per allocation.
-    pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
-            match node.op {
-                Op::HadamardConst(_, mask) => mask.recycle(),
-                Op::LstmCell { gates, c_act, .. } => {
-                    gates.recycle();
-                    c_act.recycle();
-                }
-                _ => {}
-            }
-            node.value.recycle();
-        }
-        self.param_uses.clear();
-        pool::flush_thread_metrics();
     }
 
     /// Number of recorded nodes.
@@ -374,12 +318,11 @@ impl Tape {
     /// Records a computed node. Every forward op funnels through here with
     /// the [`OpTimer`] it started before computing, making this the single
     /// forward-side profiler choke point: elapsed wall-clock and the bytes
-    /// the op freshly allocated attribute to the op's kind and the current
+    /// the op allocated attribute to the op's kind and the current
     /// profiling phase. Bytes come from draining the thread's pending
-    /// fresh-allocation tally (see `crate::pool`), so pool reuse and
-    /// `Arc`-shared parameter leaves count as zero — only genuine heap
-    /// allocations show up in profile byte lines. With profiling disabled
-    /// the timer is inert and `record_op` returns immediately.
+    /// allocation tally (see `crate::alloc`), so `Arc`-shared parameter
+    /// leaves count as zero. With profiling disabled the timer is inert
+    /// and `record_op` returns immediately.
     ///
     /// The health tripwire probes every value here too ([`health::check_tensor`]),
     /// one relaxed atomic load when disabled. An armed tripwire supersedes the
@@ -403,7 +346,7 @@ impl Tape {
             op.kind(),
             profile::Dir::Forward,
             timer,
-            pool::drain_pending_fresh_bytes(),
+            alloc::drain_pending_bytes(),
         );
         self.nodes.push(Node {
             value,
@@ -718,7 +661,6 @@ impl Tape {
 
         let xh = Tensor::concat_cols(&[xv, hv]);
         let mut gates = xh.matmul(wv);
-        xh.recycle();
         // Cell candidate gate is tanh; i/f/o are sigmoid. Per-element math
         // and element order match the obvious single branchy loop exactly —
         // the segments exist so the hot loops carry no per-element branch
@@ -794,7 +736,7 @@ impl Tape {
             }
             let Some(g) = grads[idx].take() else { continue };
             // Backward-side profiler choke point, mirroring `push`: the
-            // whole chain-rule step for this node, and the bytes it freshly
+            // whole chain-rule step for this node, and the bytes it
             // allocated, attribute to its op kind. Inert (one atomic load)
             // when profiling is disabled.
             let t = profile::op_timer();
@@ -803,7 +745,7 @@ impl Tape {
                 self.nodes[idx].op.kind(),
                 profile::Dir::Backward,
                 t,
-                pool::drain_pending_fresh_bytes(),
+                alloc::drain_pending_bytes(),
             );
             grads[idx] = Some(g);
         }
@@ -813,16 +755,10 @@ impl Tape {
 
     fn add_grad(&self, grads: &mut [Option<Tensor>], v: Var, delta: Tensor) {
         if !self.nodes[v.0].needs_grad {
-            // A delta computed for a no-grad parent still owns a pooled
-            // buffer — retire it rather than dropping it on the floor.
-            delta.recycle();
             return;
         }
         match &mut grads[v.0] {
-            Some(g) => {
-                g.axpy(1.0, &delta);
-                delta.recycle();
-            }
+            Some(g) => g.axpy(1.0, &delta),
             slot @ None => *slot = Some(delta),
         }
     }
@@ -860,23 +796,17 @@ impl Tape {
             }
             Op::Relu(a) => {
                 let mask = self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                let dx = g.mul(&mask);
-                mask.recycle();
-                self.add_grad(grads, *a, dx);
+                self.add_grad(grads, *a, g.mul(&mask));
             }
             Op::Tanh(a) => {
                 let y = &self.nodes[idx].value;
                 let dy = y.map(|t| 1.0 - t * t);
-                let dx = g.mul(&dy);
-                dy.recycle();
-                self.add_grad(grads, *a, dx);
+                self.add_grad(grads, *a, g.mul(&dy));
             }
             Op::Sigmoid(a) => {
                 let y = &self.nodes[idx].value;
                 let dy = y.map(|s| s * (1.0 - s));
-                let dx = g.mul(&dy);
-                dy.recycle();
-                self.add_grad(grads, *a, dx);
+                self.add_grad(grads, *a, g.mul(&dy));
             }
             Op::Exp(a) => {
                 let y = &self.nodes[idx].value;
@@ -934,9 +864,7 @@ impl Tape {
             }
             Op::MeanRows(a) => {
                 let n = self.value(*a).rows();
-                let scaled = g.scale(1.0 / n as f32);
-                let dx = scaled.broadcast_rows(n);
-                scaled.recycle();
+                let dx = g.scale(1.0 / n as f32).broadcast_rows(n);
                 self.add_grad(grads, *a, dx);
             }
             Op::MeanAll(a) => {
@@ -967,9 +895,7 @@ impl Tape {
                     let v = dx.at(r, t);
                     dx.set(r, t, v - 1.0);
                 }
-                let out = dx.scale(scale);
-                dx.recycle();
-                self.add_grad(grads, *logits, out);
+                self.add_grad(grads, *logits, dx.scale(scale));
             }
             Op::FusedAffine(x, w, b, act) => {
                 // d_pre = g ⊙ act'(y), with the derivative reconstructed
@@ -984,7 +910,6 @@ impl Tape {
                 self.add_grad(grads, *x, dpre.matmul_nt(self.value(*w)));
                 self.add_grad(grads, *w, self.value(*x).matmul_tn(&dpre));
                 self.add_grad(grads, *b, dpre.sum_rows());
-                dpre.recycle();
             }
             Op::LstmCell {
                 x,
@@ -1041,11 +966,8 @@ impl Tape {
                 let dxh = dpre.matmul_nt(self.value(*w));
                 let xh = Tensor::concat_cols(&[xv, hv]);
                 self.add_grad(grads, *w, xh.matmul_tn(&dpre));
-                xh.recycle();
-                dpre.recycle();
                 self.add_grad(grads, *x, dxh.slice_cols(0, in_dim));
                 self.add_grad(grads, *h, dxh.slice_cols(in_dim, in_dim + hid));
-                dxh.recycle();
                 self.add_grad(grads, *c, dc_prev);
             }
             // Recorded only for nodes with `needs_grad == false`, which the
@@ -1072,10 +994,9 @@ impl Tape {
     }
 
     /// Like [`Tape::param_grads`] but consumes `grads`, *moving* each
-    /// gradient buffer into the result instead of cloning it and retiring
-    /// every unclaimed buffer into the thread's pool. Repeated parameter
-    /// uses are summed in the same order as `param_grads`, so the values
-    /// are bit-identical — this is the allocation-free variant the
+    /// gradient buffer into the result instead of cloning it. Repeated
+    /// parameter uses are summed in the same order as `param_grads`, so
+    /// the values are bit-identical — this is the copy-free variant the
     /// training hot path uses.
     pub fn take_param_grads(&self, grads: Grads) -> Vec<(ParamId, Tensor)> {
         let mut by_node = grads.by_node;
@@ -1084,14 +1005,10 @@ impl Tape {
             if let Some(g) = by_node.get_mut(var.0).and_then(Option::take) {
                 if let Some((_, acc)) = out.iter_mut().find(|(i, _)| *i == id) {
                     acc.axpy(1.0, &g);
-                    g.recycle();
                 } else {
                     out.push((id, g));
                 }
             }
-        }
-        for g in by_node.into_iter().flatten() {
-            g.recycle();
         }
         out
     }
@@ -1403,38 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_nodes_and_recycles_buffers() {
-        let pool_before = crate::pool::thread_stats();
-        let mut tape = Tape::new();
-        let x = tape.input(rand_t(16, 16, 30));
-        let m = tape.matmul(x, x);
-        let masked = tape.hadamard_const(m, Tensor::ones(16, 16));
-        let loss = tape.mean_all(masked);
-        let first = tape.value(loss).item();
-        tape.backward(loss).recycle();
-
-        tape.reset();
-        assert!(tape.is_empty());
-        assert!(
-            crate::pool::thread_free_buffers() > 0,
-            "reset retired no buffers into the pool"
-        );
-
-        // Same computation on the reused tape: identical result, with the
-        // kernels now drawing from the pool.
-        let x = tape.input(rand_t(16, 16, 30));
-        let m = tape.matmul(x, x);
-        let masked = tape.hadamard_const(m, Tensor::ones(16, 16));
-        let loss = tape.mean_all(masked);
-        assert_eq!(tape.value(loss).item().to_bits(), first.to_bits());
-        let pool_after = crate::pool::thread_stats();
-        assert!(
-            pool_after.reuse_hits > pool_before.reuse_hits,
-            "second pass did not reuse pooled buffers"
-        );
-    }
-
-    #[test]
     fn grad_reshape_fd() {
         let c = rand_t(3, 2, 40);
         check_grad(
@@ -1653,8 +1538,8 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.register("w", Tensor::full(16, 16, 0.5), GroupId::DEFAULT);
         // Building the store allocated on this thread; the tape charges
-        // pending fresh bytes to the next node it records, so clear them.
-        pool::drain_pending_fresh_bytes();
+        // pending bytes to the next node it records, so clear them.
+        alloc::drain_pending_bytes();
         profile::set_enabled(true);
         let (shares_buffer, snapshot) = {
             let _phase = adaptraj_obs::span("tape_param_bind");
@@ -1684,6 +1569,7 @@ mod tests {
         let _profiler = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
         let mut store = ParamStore::new();
         let id = store.register("w", Tensor::full(4, 4, 0.5), GroupId::DEFAULT);
+        alloc::drain_pending_bytes();
         profile::set_enabled(true);
         let snapshot = {
             let _phase = adaptraj_obs::span("tape_backward_bytes");
@@ -1702,9 +1588,21 @@ mod tests {
             profile::snapshot().under("tape_backward_bytes")
         };
         profile::set_enabled(false);
-        // dx = g·wᵀ and dw = xᵀ·g are fresh 1x3 and 3x1 buffers.
-        assert!(
-            bytes(&snapshot, "matmul", profile::Dir::Backward) >= 24,
+        // Every tensor is its own allocation, so the bytes are exact.
+        // Forward: the 1x3 and 3x1 inputs (24) are leaves, the 1x1 product
+        // (4) is matmul's and the 1x1 sum (4) sum_all's. Backward: the 1x1
+        // root seed and sum_all's 1x1 gradient (8) go to sum_all, and
+        // dx = g·wᵀ, dw = xᵀ·g (1x3 and 3x1: 24) to matmul.
+        let fwd = |kind| bytes(&snapshot, kind, profile::Dir::Forward);
+        let bwd = |kind| bytes(&snapshot, kind, profile::Dir::Backward);
+        assert_eq!(
+            (fwd("leaf"), fwd("matmul"), fwd("sum_all")),
+            (24, 4, 4),
+            "{snapshot:?}"
+        );
+        assert_eq!(
+            (bwd("leaf"), bwd("matmul"), bwd("sum_all")),
+            (0, 24, 8),
             "{snapshot:?}"
         );
         let next = snapshot.under("tape_backward_bytes/next_forward");

@@ -9,17 +9,17 @@
 //!
 //! # Storage
 //!
-//! A tensor's buffer is either *owned* (a plain `Vec<f32>`, drawn from the
-//! per-thread [`crate::pool`] so hot-path results reuse retired capacity) or
-//! *shared* (an `Arc<Vec<f32>>`). Shared storage is how parameter leaves
-//! avoid the full-tensor clone per forward pass: the `ParamStore` keeps its
-//! values shared, so bringing a parameter onto a tape is one refcount bump.
+//! A tensor's buffer is either *owned* (a plain `Vec<f32>` from the system
+//! allocator, freed on drop) or *shared* (an `Arc<Vec<f32>>`). Shared
+//! storage is how parameter leaves avoid the full-tensor clone per forward
+//! pass: the `ParamStore` keeps its values shared, so bringing a parameter
+//! onto a tape is one refcount bump.
 //! Mutation is copy-on-write — `data_mut` on an aliased shared buffer
 //! copies first — which preserves the old snapshot-at-`param()` semantics
 //! exactly: nodes already on a tape never observe later optimizer updates.
 
+use crate::alloc;
 use crate::kernels::{self, Kernel};
-use crate::pool;
 use crate::rng::Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -43,9 +43,10 @@ impl Storage {
 impl Clone for Storage {
     fn clone(&self) -> Self {
         match self {
-            // Deep copy through the pool so hot-path clones reuse retired
-            // buffers instead of hitting the allocator.
-            Storage::Owned(v) => Storage::Owned(pool::alloc_copy(v)),
+            Storage::Owned(v) => {
+                alloc::note(v.len());
+                Storage::Owned(v.clone())
+            }
             // Refcount bump — this is the allocation-free parameter-leaf
             // path.
             Storage::Shared(a) => Storage::Shared(Arc::clone(a)),
@@ -81,7 +82,9 @@ impl fmt::Debug for Tensor {
 
 impl Tensor {
     /// Creates a tensor from raw row-major data. Panics if the element count
-    /// does not match `rows * cols`.
+    /// does not match `rows * cols`. Every owned tensor is born here, so
+    /// this is where its bytes are charged to the profiler and to the
+    /// `tensor.bytes_allocated` counter.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(
             data.len(),
@@ -89,6 +92,7 @@ impl Tensor {
             "data length {} does not match shape {rows}x{cols}",
             data.len()
         );
+        alloc::note(data.len());
         Self {
             rows,
             cols,
@@ -98,7 +102,7 @@ impl Tensor {
 
     /// All-zeros tensor.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self::from_vec(rows, cols, pool::alloc_zeroed(rows * cols))
+        Self::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// All-ones tensor.
@@ -108,10 +112,7 @@ impl Tensor {
 
     /// Constant-filled tensor.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        let n = rows * cols;
-        let mut data = pool::alloc_empty(n);
-        data.resize(n, value);
-        Self::from_vec(rows, cols, data)
+        Self::from_vec(rows, cols, vec![value; rows * cols])
     }
 
     /// I.i.d. normal entries.
@@ -194,20 +195,6 @@ impl Tensor {
         matches!(self.data, Storage::Shared(_))
     }
 
-    /// Retires this tensor's buffer into the calling thread's
-    /// [`pool`] so the next kernel allocation can reuse it. Shared buffers
-    /// with other live holders are simply released.
-    pub fn recycle(self) {
-        match self.data {
-            Storage::Owned(v) => pool::recycle_vec(v),
-            Storage::Shared(a) => {
-                if let Ok(v) = Arc::try_unwrap(a) {
-                    pool::recycle_vec(v);
-                }
-            }
-        }
-    }
-
     /// Element access with bounds checks in debug builds.
     #[inline]
     pub fn at(&self, r: usize, c: usize) -> f32 {
@@ -273,7 +260,7 @@ impl Tensor {
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let src = self.data.as_slice();
-        let mut out = pool::alloc_empty(src.len());
+        let mut out = Vec::with_capacity(src.len());
         out.extend(src.iter().map(|&x| f(x)));
         Tensor::from_vec(self.rows, self.cols, out)
     }
@@ -283,7 +270,7 @@ impl Tensor {
         self.assert_same_shape(other, "zip_map");
         let a = self.data.as_slice();
         let b = other.data.as_slice();
-        let mut out = pool::alloc_empty(a.len());
+        let mut out = Vec::with_capacity(a.len());
         out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y)));
         Tensor::from_vec(self.rows, self.cols, out)
     }
@@ -325,7 +312,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = pool::alloc_zeroed(n * m);
+        let mut out = vec![0.0; n * m];
         kernels::gemm_nn(
             kernel,
             self.data.as_slice(),
@@ -343,15 +330,14 @@ impl Tensor {
     /// `self.matmul(&other.transpose())` without recording a transpose on
     /// the tape or allocating a transposed tensor.
     ///
-    /// The kernel packs `other`ᵀ into a pooled scratch buffer and then
+    /// The kernel packs `other`ᵀ into a scratch buffer and then
     /// runs the same NN microkernel as [`Tensor::matmul`]. The dot-product
     /// formulation (row of `self` · row of `other`) avoids the pack but
     /// serializes the f32 reduction — the accumulation-order contract
     /// forbids reassociating it, so it cannot vectorize, and it measured
     /// several times slower than pack+NN on the batched gate-projection
     /// shapes (DESIGN.md, "Kernel & memory model"). Packing costs O(k·m)
-    /// against the O(n·k·m) product and the scratch comes from (and
-    /// returns to) the thread pool, so the hot path stays allocation-free.
+    /// against the O(n·k·m) product.
     /// Per output element the k-terms accumulate ascending with the same
     /// zero-skip on the `self` factor as [`Tensor::matmul`], matching the
     /// naive composition flop for flop.
@@ -369,16 +355,15 @@ impl Tensor {
         let (n, k, m) = (self.rows, self.cols, other.rows);
         let a_data = self.data.as_slice();
         let b_data = other.data.as_slice();
-        let mut out = pool::alloc_zeroed(n * m);
+        let mut out = vec![0.0; n * m];
         if k > 0 && m > 0 {
-            let mut bt = pool::alloc_zeroed(k * m);
+            let mut bt = vec![0.0; k * m];
             for (j, b_row) in b_data.chunks_exact(k).enumerate() {
                 for (p, &v) in b_row.iter().enumerate() {
                     bt[p * m + j] = v;
                 }
             }
             kernels::gemm_nn(kernel, a_data, &bt, &mut out, n, k, m);
-            pool::recycle_vec(bt);
         }
         Tensor::from_vec(n, m, out)
     }
@@ -406,7 +391,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = pool::alloc_zeroed(n * m);
+        let mut out = vec![0.0; n * m];
         kernels::gemm_tn(
             kernel,
             self.data.as_slice(),
@@ -422,7 +407,7 @@ impl Tensor {
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         let src = self.data.as_slice();
-        let mut out = pool::alloc_zeroed(src.len());
+        let mut out = vec![0.0; src.len()];
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out[c * self.rows + r] = src[r * self.cols + c];
@@ -436,7 +421,7 @@ impl Tensor {
         assert_eq!(row.rows, 1, "broadcast source must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
         let bias = row.data.as_slice();
-        let mut out = pool::alloc_copy(self.data.as_slice());
+        let mut out = self.data.as_slice().to_vec();
         for chunk in out.chunks_mut(self.cols.max(1)) {
             for (o, &b) in chunk.iter_mut().zip(bias) {
                 *o += b;
@@ -462,7 +447,7 @@ impl Tensor {
     /// Column-wise mean: `[n, m] -> [1, m]`.
     pub fn mean_rows(&self) -> Tensor {
         assert!(self.rows > 0, "mean_rows on empty tensor");
-        let mut out = pool::alloc_zeroed(self.cols);
+        let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
             for (o, &x) in out.iter_mut().zip(self.row_slice(r)) {
                 *o += x;
@@ -477,7 +462,7 @@ impl Tensor {
 
     /// Column-wise sum: `[n, m] -> [1, m]`.
     pub fn sum_rows(&self) -> Tensor {
-        let mut out = pool::alloc_zeroed(self.cols);
+        let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
             for (o, &x) in out.iter_mut().zip(self.row_slice(r)) {
                 *o += x;
@@ -500,7 +485,7 @@ impl Tensor {
             "concat_cols: row mismatch"
         );
         let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = pool::alloc_empty(rows * cols);
+        let mut out = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for p in parts {
                 out.extend_from_slice(p.row_slice(r));
@@ -518,7 +503,7 @@ impl Tensor {
             "concat_rows: col mismatch"
         );
         let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut out = pool::alloc_empty(rows * cols);
+        let mut out = Vec::with_capacity(rows * cols);
         for p in parts {
             out.extend_from_slice(p.data.as_slice());
         }
@@ -529,7 +514,7 @@ impl Tensor {
     pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
         assert!(start <= end && end <= self.cols, "slice_cols out of range");
         let w = end - start;
-        let mut out = pool::alloc_empty(self.rows * w);
+        let mut out = Vec::with_capacity(self.rows * w);
         for r in 0..self.rows {
             out.extend_from_slice(&self.row_slice(r)[start..end]);
         }
@@ -538,7 +523,7 @@ impl Tensor {
 
     /// Row gather: `out[i] = self[indices[i]]`.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        let mut out = pool::alloc_empty(indices.len() * self.cols);
+        let mut out = Vec::with_capacity(indices.len() * self.cols);
         for &i in indices {
             assert!(i < self.rows, "gather_rows index {i} >= {}", self.rows);
             out.extend_from_slice(self.row_slice(i));
@@ -549,7 +534,7 @@ impl Tensor {
     /// Repeats a `1 x m` row `n` times.
     pub fn broadcast_rows(&self, n: usize) -> Tensor {
         assert_eq!(self.rows, 1, "broadcast_rows needs a row vector");
-        let mut out = pool::alloc_empty(n * self.cols);
+        let mut out = Vec::with_capacity(n * self.cols);
         for _ in 0..n {
             out.extend_from_slice(self.data.as_slice());
         }
@@ -565,7 +550,7 @@ impl Tensor {
             "reshape {rows}x{cols} must conserve {} elements",
             self.len()
         );
-        Tensor::from_vec(rows, cols, pool::alloc_copy(self.data.as_slice()))
+        Tensor::from_vec(rows, cols, self.data.as_slice().to_vec())
     }
 
     /// Sums each consecutive group of `k` rows: `[g*k, m] -> [g, m]`.
@@ -580,7 +565,7 @@ impl Tensor {
             self.rows
         );
         let groups = self.rows / k;
-        let mut out = pool::alloc_zeroed(groups * self.cols);
+        let mut out = vec![0.0; groups * self.cols];
         for g in 0..groups {
             let orow = &mut out[g * self.cols..(g + 1) * self.cols];
             for r in g * k..(g + 1) * k {
@@ -596,7 +581,7 @@ impl Tensor {
     /// the adjoint data movement of [`Tensor::sum_row_groups`].
     pub fn repeat_rows_each(&self, k: usize) -> Tensor {
         assert!(k > 0, "repeat_rows_each needs k > 0");
-        let mut out = pool::alloc_empty(self.rows * k * self.cols);
+        let mut out = Vec::with_capacity(self.rows * k * self.cols);
         for r in 0..self.rows {
             for _ in 0..k {
                 out.extend_from_slice(self.row_slice(r));
@@ -607,7 +592,7 @@ impl Tensor {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
-        let mut out = pool::alloc_copy(self.data.as_slice());
+        let mut out = self.data.as_slice().to_vec();
         for row in out.chunks_mut(self.cols.max(1)) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
@@ -916,19 +901,17 @@ mod tests {
     }
 
     #[test]
-    fn recycled_buffers_are_reused_by_kernels() {
-        // Warm the thread pool with a retired buffer, then check a kernel
-        // allocation reports a reuse hit (thread-local stats, so this test
-        // is isolated from the rest of the suite).
-        let before = pool::thread_stats();
-        Tensor::zeros(8, 8).recycle();
+    fn every_owned_allocation_is_charged_and_shared_clones_are_free() {
+        // Thread-local tally, so this test is isolated from the rest of
+        // the suite.
+        alloc::drain_pending_bytes();
         let z = Tensor::zeros(8, 8);
-        assert_eq!(z.sum(), 0.0);
-        let after = pool::thread_stats();
-        assert!(
-            after.reuse_hits > before.reuse_hits,
-            "kernel did not reuse the retired buffer"
-        );
+        let owned = z.clone();
+        assert_eq!(alloc::drain_pending_bytes(), 2 * 8 * 8 * 4);
+        let shared = owned.into_shared();
+        let alias = shared.clone();
+        assert_eq!(alloc::drain_pending_bytes(), 0);
+        assert_eq!(alias.data().as_ptr(), shared.data().as_ptr());
     }
 
     #[test]

@@ -92,6 +92,23 @@ cargo run --release --offline --example plug_and_play > target/plug_and_play_ci.
     echo "plug_and_play did not print one ADE/FDE line per backbone"
     cat target/plug_and_play_ci.txt; fail=1; }
 
+step "EXPERIMENTS.md embeds results/*.txt verbatim"
+# scripts/update_experiments.sh writes EXPERIMENTS.md's "Measured
+# results" section from results/*.txt. Running it on a copy of its inputs
+# must reproduce the committed file byte for byte, so a table rerun that
+# was not copied in, or a number edited by hand on one side, fails here.
+# The tree itself is left as it was.
+exp_ci="target/experiments_ci"
+rm -rf "$exp_ci"
+mkdir -p "$exp_ci/scripts" "$exp_ci/results"
+cp scripts/update_experiments.sh "$exp_ci/scripts/"
+cp EXPERIMENTS.md "$exp_ci/"
+cp results/*.txt "$exp_ci/results/"
+bash "$exp_ci/scripts/update_experiments.sh" > /dev/null &&
+    diff -u EXPERIMENTS.md "$exp_ci/EXPERIMENTS.md" || {
+    echo "EXPERIMENTS.md is not what scripts/update_experiments.sh makes of results/"
+    fail=1; }
+
 step "perfbench build + tests (the repository benchmark)"
 # perfbench is its own workspace with path dependencies on the crates,
 # so the workspace steps above never build it; a change to an API it
@@ -154,9 +171,11 @@ grep -q '"metrics":\[' target/health_ci_run/manifest.json || {
     echo "run record still holds events.jsonl"; fail=1; }
 cargo run --release --offline --bin adaptraj -- \
     doctor --run target/health_ci_run || fail=1
-# Each op's profile bytes are the fresh allocations of its forward and
-# backward steps; `leaf` allocates only the inputs it wraps, so a large
-# share there means an op's allocations are charged to the wrong node.
+# Report only. Each op's profile bytes are every tensor its forward and
+# backward steps allocate (there is no buffer reuse to discount), so the
+# total counts all tensor traffic; `leaf` allocates only the inputs it
+# wraps, so a large share there means an op's allocations are charged to
+# the wrong node.
 sed 's/,"phases".*//' target/health_ci_run/profile.json |
     grep -o '"kind":"[a-z_]*"[^}]*"bytes":[0-9]*' |
     awk -F'"' '{ b = substr($NF, 2); total += b; if ($4 == "leaf") leaf = b }
