@@ -111,6 +111,54 @@ fn scalar_and_simd_agree_bitwise_on_degenerate_shapes() {
     });
 }
 
+/// `C = A₁·B₁; C += A₂·B₂` over a K split at `k1` — the accumulate-into-
+/// `out` entry `Tape::lstm_cell` uses for `[x | h]·W` — against one
+/// `A·B` call, on `kernel`.
+fn split_k_matches_full_product(
+    kernel: Kernel,
+    a: &Tensor,
+    b: &Tensor,
+    k1: usize,
+) -> Result<(), String> {
+    let (n, k) = a.shape();
+    let m = b.shape().1;
+    let full = a.matmul_with(b, kernel);
+    let (a1, a2) = (a.slice_cols(0, k1), a.slice_cols(k1, k));
+    let (b1, b2) = b.data().split_at(k1 * m);
+    let mut out = vec![0.0; n * m];
+    kernels::gemm_nn(kernel, a1.data(), b1, &mut out, n, k1, m);
+    kernels::gemm_nn(kernel, a2.data(), b2, &mut out, n, k - k1, m);
+    let split: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+    if split != bits(&full) {
+        return Err(format!(
+            "{}: split-K at {k1} drifted from A·B ({n},{k},{m})",
+            kernel.name()
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn split_k_accumulation_matches_one_product_bitwise() {
+    let mut kernels_here = vec![Kernel::Scalar];
+    if kernels::simd_available() {
+        kernels_here.push(Kernel::Simd);
+    }
+    check("kernel-equivalence-split-k", 150, |g| {
+        let n = g.int_in(0, 5 * g.size);
+        let k = g.int_in(0, 5 * g.size);
+        let m = g.int_in(0, 5 * g.size);
+        let k1 = g.int_in(0, k);
+        let zero_pct = g.int_in(0, 100);
+        let a = sparse_tensor(g, n, k, zero_pct);
+        let b = g.tensor(k, m);
+        for &kernel in &kernels_here {
+            split_k_matches_full_product(kernel, &a, &b, k1)?;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn active_kernel_resolves_and_is_stable() {
     // Whatever the environment selected, repeated reads must agree (the

@@ -354,6 +354,7 @@ mod tests {
 
     #[test]
     fn map_preserves_item_order() {
+        let _guard = capture_lock();
         for workers in [1, 4] {
             let pool = WorkerPool::new(workers);
             let items: Vec<usize> = (0..37).collect();
@@ -373,6 +374,7 @@ mod tests {
 
     #[test]
     fn map_borrows_caller_state() {
+        let _guard = capture_lock();
         let pool = WorkerPool::new(3);
         let base = [10usize, 20, 30, 40];
         let items: Vec<usize> = (0..4).collect();
@@ -383,6 +385,7 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_maps() {
+        let _guard = capture_lock();
         let pool = WorkerPool::new(2);
         for round in 0..5 {
             let items: Vec<u64> = (0..16).collect();
@@ -393,6 +396,7 @@ mod tests {
 
     #[test]
     fn poisoned_worker_reports_clean_err_and_pool_survives() {
+        let _guard = capture_lock();
         for workers in [1, 4] {
             let pool = WorkerPool::new(workers);
             let items: Vec<usize> = (0..20).collect();
@@ -422,6 +426,7 @@ mod tests {
 
     #[test]
     fn earliest_panic_index_wins() {
+        let _guard = capture_lock();
         let pool = WorkerPool::new(4);
         let items: Vec<usize> = (0..8).collect();
         let err = pool
@@ -438,6 +443,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_noop() {
+        let _guard = capture_lock();
         let pool = WorkerPool::new(4);
         let out: Vec<usize> = pool.map(&[] as &[usize], |_, &x: &usize| x).unwrap();
         assert!(out.is_empty());
@@ -459,6 +465,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
+        let _guard = capture_lock();
         let pool = WorkerPool::new(4);
         let items: Vec<usize> = (0..8).collect();
         let _ = pool.map(&items, |_, &x| x).unwrap();
@@ -467,6 +474,7 @@ mod tests {
 
     #[test]
     fn pool_load_counters_return_to_zero_after_map() {
+        let _guard = capture_lock();
         for workers in [1, 4] {
             let pool = WorkerPool::new(workers);
             let items: Vec<usize> = (0..24).collect();
@@ -483,8 +491,11 @@ mod tests {
         }
     }
 
-    /// The capture switches are process-global, so the tests that flip
-    /// them serialize against each other.
+    /// The capture switches are process-global, and a job records its
+    /// `queue_wait` when it starts and its `job_run` when it ends, so a
+    /// capture test that turns the timeline off while another test's job
+    /// is running sees an unpaired span. Every test that runs jobs
+    /// therefore serializes on this lock.
     static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
 
     fn capture_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -525,9 +536,8 @@ mod tests {
     #[test]
     fn map_records_queue_wait_and_job_run_spans_when_enabled() {
         let _guard = capture_lock();
-        // Concurrent tests in this binary may add spans while capture is
-        // on, but every job records exactly one queue_wait and one
-        // job_run, so the counts stay paired.
+        // No other job runs while the lock is held, so every span counted
+        // here is one of this test's twelve jobs.
         timeline::set_enabled(true);
         timeline::reset();
         let items: Vec<usize> = (0..6).collect();
@@ -540,7 +550,7 @@ mod tests {
         timeline::reset();
         let job_run = counts.get("job_run").copied().unwrap_or(0);
         let queue_wait = counts.get("queue_wait").copied().unwrap_or(0);
-        assert!(job_run >= 12, "job_run spans: {counts:?}");
+        assert_eq!(job_run, 12, "job_run spans: {counts:?}");
         assert_eq!(job_run, queue_wait, "paired spans: {counts:?}");
     }
 

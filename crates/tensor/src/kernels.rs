@@ -108,8 +108,12 @@ pub fn active_kernel() -> Kernel {
 
 // ---- kernel entry points -------------------------------------------------
 
-/// `out[n,m] += a[n,k] · b[k,m]` with `out` zero-initialized by the
-/// caller. Row-major everywhere.
+/// `out[n,m] += a[n,k] · b[k,m]`, row-major everywhere. Each output
+/// element continues from its value in `out`, so a zero-initialized `out`
+/// gives the plain product, and splitting K —
+/// `out = a[.., ..k₁]·b[..k₁]; out += a[.., k₁..]·b[k₁..]` — gives the
+/// same bits as one call over all of K (the terms are still added in
+/// ascending k).
 pub fn gemm_nn(
     kernel: Kernel,
     a: &[f32],
@@ -142,7 +146,22 @@ pub fn gemm_tn(
     run_rows(kernel, a, 1, n, b, out, n, k, m);
 }
 
-/// Computes all `n` output rows into `out`. `a` is addressed as
+/// Writes `b[rows, cols]`ᵀ into `dst[cols, rows]`, the pack that turns
+/// an NT product `a · bᵀ` into an NN one over the same k-terms.
+pub fn pack_transposed(b: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    debug_assert_eq!(b.len(), rows * cols);
+    debug_assert_eq!(dst.len(), rows * cols);
+    if cols == 0 {
+        return;
+    }
+    for (j, b_row) in b.chunks_exact(cols).enumerate() {
+        for (p, &v) in b_row.iter().enumerate() {
+            dst[p * rows + j] = v;
+        }
+    }
+}
+
+/// Accumulates all `n` output rows into `out`. `a` is addressed as
 /// `a[i*as0 + p*as1]`: `(k, 1)` for the NN product, `(1, n)` for TN — the
 /// only difference between the two.
 #[allow(clippy::too_many_arguments)]
@@ -230,6 +249,9 @@ mod simd_impls {
     /// - 8-wide then scalar column tails, each with a private accumulator that
     ///   performs the same op sequence as the scalar loop.
     ///
+    /// Every accumulator starts from the value in `out`, as the scalar
+    /// loops' memory accumulators do.
+    ///
     /// # Safety
     ///
     /// The CPU must support AVX2, `a` must hold every `a[i*as0 + p*as1]`
@@ -259,14 +281,14 @@ mod simd_impls {
             let orow = |r: usize| op.add((i + r) * m);
             let mut j = 0;
             while j + 16 <= m {
-                let mut c00 = _mm256_setzero_ps();
-                let mut c01 = _mm256_setzero_ps();
-                let mut c10 = _mm256_setzero_ps();
-                let mut c11 = _mm256_setzero_ps();
-                let mut c20 = _mm256_setzero_ps();
-                let mut c21 = _mm256_setzero_ps();
-                let mut c30 = _mm256_setzero_ps();
-                let mut c31 = _mm256_setzero_ps();
+                let mut c00 = _mm256_loadu_ps(orow(0).add(j));
+                let mut c01 = _mm256_loadu_ps(orow(0).add(j + 8));
+                let mut c10 = _mm256_loadu_ps(orow(1).add(j));
+                let mut c11 = _mm256_loadu_ps(orow(1).add(j + 8));
+                let mut c20 = _mm256_loadu_ps(orow(2).add(j));
+                let mut c21 = _mm256_loadu_ps(orow(2).add(j + 8));
+                let mut c30 = _mm256_loadu_ps(orow(3).add(j));
+                let mut c31 = _mm256_loadu_ps(orow(3).add(j + 8));
                 for p in 0..k {
                     let b0 = _mm256_loadu_ps(bp.add(p * m + j));
                     let b1 = _mm256_loadu_ps(bp.add(p * m + j + 8));
@@ -307,10 +329,10 @@ mod simd_impls {
             }
             // 8-wide panel shared by the 4 rows.
             while j + 8 <= m {
-                let mut c0 = _mm256_setzero_ps();
-                let mut c1 = _mm256_setzero_ps();
-                let mut c2 = _mm256_setzero_ps();
-                let mut c3 = _mm256_setzero_ps();
+                let mut c0 = _mm256_loadu_ps(orow(0).add(j));
+                let mut c1 = _mm256_loadu_ps(orow(1).add(j));
+                let mut c2 = _mm256_loadu_ps(orow(2).add(j));
+                let mut c3 = _mm256_loadu_ps(orow(3).add(j));
                 for p in 0..k {
                     let b0 = _mm256_loadu_ps(bp.add(p * m + j));
                     let a0 = arow(0, p);
@@ -339,7 +361,7 @@ mod simd_impls {
             // Scalar column tail, 4 rows.
             while j < m {
                 for r in 0..4 {
-                    let mut acc = 0.0f32;
+                    let mut acc = *orow(r).add(j);
                     for p in 0..k {
                         let av = arow(r, p);
                         if av == 0.0 {
@@ -359,10 +381,10 @@ mod simd_impls {
             let out_row = op.add(i * m);
             let mut j = 0;
             while j + 32 <= m {
-                let mut c0 = _mm256_setzero_ps();
-                let mut c1 = _mm256_setzero_ps();
-                let mut c2 = _mm256_setzero_ps();
-                let mut c3 = _mm256_setzero_ps();
+                let mut c0 = _mm256_loadu_ps(out_row.add(j));
+                let mut c1 = _mm256_loadu_ps(out_row.add(j + 8));
+                let mut c2 = _mm256_loadu_ps(out_row.add(j + 16));
+                let mut c3 = _mm256_loadu_ps(out_row.add(j + 24));
                 for p in 0..k {
                     let av = aval(p);
                     if av == 0.0 {
@@ -382,7 +404,7 @@ mod simd_impls {
                 j += 32;
             }
             while j + 8 <= m {
-                let mut c0 = _mm256_setzero_ps();
+                let mut c0 = _mm256_loadu_ps(out_row.add(j));
                 for p in 0..k {
                     let av = aval(p);
                     if av == 0.0 {
@@ -394,7 +416,7 @@ mod simd_impls {
                 j += 8;
             }
             while j < m {
-                let mut acc = 0.0f32;
+                let mut acc = *out_row.add(j);
                 for p in 0..k {
                     let av = aval(p);
                     if av == 0.0 {

@@ -10,6 +10,7 @@
 //! backbone obtains `∂E/∂z` for its Langevin sampler.
 
 use crate::alloc;
+use crate::kernels;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use adaptraj_obs::health;
@@ -659,8 +660,16 @@ impl Tape {
         assert_eq!(wv.cols(), 4 * hid, "W must pack 4 gates");
         assert_eq!(bv.shape(), (1, 4 * hid), "bias shape mismatch");
 
-        let xh = Tensor::concat_cols(&[xv, hv]);
-        let mut gates = xh.matmul(wv);
+        // `[x | h]·W` without building `[x | h]`: W's first `in` rows meet
+        // x, the rest continue the same accumulators with h, so every gate
+        // sums its k-terms in the concatenated product's order.
+        let kernel = kernels::active_kernel();
+        let (in_dim, g4) = (xv.cols(), 4 * hid);
+        let (w_x, w_h) = wv.data().split_at(in_dim * g4);
+        let mut gates = vec![0.0; n * g4];
+        kernels::gemm_nn(kernel, xv.data(), w_x, &mut gates, n, in_dim, g4);
+        kernels::gemm_nn(kernel, hv.data(), w_h, &mut gates, n, hid, g4);
+        let mut gates = Tensor::from_vec(n, g4, gates);
         // Cell candidate gate is tanh; i/f/o are sigmoid. Per-element math
         // and element order match the obvious single branchy loop exactly —
         // the segments exist so the hot loops carry no per-element branch
@@ -961,13 +970,34 @@ impl Tape {
                     }
                 }
                 self.add_grad(grads, *b, dpre.sum_rows());
-                let (xv, hv) = (self.value(*x), self.value(*h));
-                let in_dim = xv.cols();
-                let dxh = dpre.matmul_nt(self.value(*w));
-                let xh = Tensor::concat_cols(&[xv, hv]);
-                self.add_grad(grads, *w, xh.matmul_tn(&dpre));
-                self.add_grad(grads, *x, dxh.slice_cols(0, in_dim));
-                self.add_grad(grads, *h, dxh.slice_cols(in_dim, in_dim + hid));
+                // The affine through `[x | h]` by its two blocks: dW's x
+                // and h rows, then dx and dh from the matching blocks of
+                // one Wᵀ pack. Per element these are the k-terms of
+                // `[x | h]ᵀ·dpre` and `dpre·Wᵀ` in the same order.
+                let kernel = kernels::active_kernel();
+                let (xv, hv, wv) = (self.value(*x), self.value(*h), self.value(*w));
+                let (in_dim, g4) = (xv.cols(), 4 * hid);
+                let split = in_dim * g4;
+                let mut dw = vec![0.0; wv.len()];
+                let (dw_x, dw_h) = dw.split_at_mut(split);
+                kernels::gemm_tn(kernel, xv.data(), dpre.data(), dw_x, n, in_dim, g4);
+                kernels::gemm_tn(kernel, hv.data(), dpre.data(), dw_h, n, hid, g4);
+                self.add_grad(grads, *w, Tensor::from_vec(wv.rows(), g4, dw));
+                let mut wt = vec![0.0; wv.len()];
+                let (w_x, w_h) = wv.data().split_at(split);
+                let (wt_x, wt_h) = wt.split_at_mut(split);
+                kernels::pack_transposed(w_x, in_dim, g4, wt_x);
+                kernels::pack_transposed(w_h, hid, g4, wt_h);
+                if self.needs(*x) {
+                    let mut dx = vec![0.0; n * in_dim];
+                    kernels::gemm_nn(kernel, dpre.data(), wt_x, &mut dx, n, g4, in_dim);
+                    self.add_grad(grads, *x, Tensor::from_vec(n, in_dim, dx));
+                }
+                if self.needs(*h) {
+                    let mut dh = vec![0.0; n * hid];
+                    kernels::gemm_nn(kernel, dpre.data(), wt_h, &mut dh, n, g4, hid);
+                    self.add_grad(grads, *h, Tensor::from_vec(n, hid, dh));
+                }
                 self.add_grad(grads, *c, dc_prev);
             }
             // Recorded only for nodes with `needs_grad == false`, which the

@@ -358,11 +358,7 @@ impl Tensor {
         let mut out = vec![0.0; n * m];
         if k > 0 && m > 0 {
             let mut bt = vec![0.0; k * m];
-            for (j, b_row) in b_data.chunks_exact(k).enumerate() {
-                for (p, &v) in b_row.iter().enumerate() {
-                    bt[p * m + j] = v;
-                }
-            }
+            kernels::pack_transposed(b_data, m, k, &mut bt);
             kernels::gemm_nn(kernel, a_data, &bt, &mut out, n, k, m);
         }
         Tensor::from_vec(n, m, out)
