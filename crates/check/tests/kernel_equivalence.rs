@@ -1,8 +1,9 @@
-//! Kernel-dispatch equivalence: the default SIMD GEMM path must agree
-//! **bitwise** with the scalar path on every shape and sparsity pattern —
-//! the contract that lets PR 10 ship explicit AVX2 microkernels without
-//! touching a single golden baseline (see `crates/tensor/src/kernels.rs`
-//! module docs for the IEEE lane-wise argument).
+//! Kernel-dispatch equivalence: the default SIMD GEMM and activation
+//! paths must agree **bitwise** with the scalar path on every shape,
+//! sparsity pattern and row length — the contract that lets
+//! `ADAPTRAJ_FORCE_SCALAR=1` reproduce the goldens (see
+//! `crates/tensor/src/kernels.rs` module docs for the IEEE lane-wise
+//! argument and the activations' scalar twins).
 //!
 //! Randomized through the offline `adaptraj_check::prop` harness; degenerate
 //! shapes (k=0, m=0, single row, all-zero `a`) get dedicated deterministic
@@ -154,6 +155,51 @@ fn split_k_accumulation_matches_one_product_bitwise() {
         let b = g.tensor(k, m);
         for &kernel in &kernels_here {
             split_k_matches_full_product(kernel, &a, &b, k1)?;
+        }
+        Ok(())
+    });
+}
+
+/// A row of `len` inputs spanning every branch of the activation
+/// kernels: the tanh polynomial (|x| ≤ 0.625), its exp form, exp's clamp
+/// (beyond ±100) and signed zeros.
+fn activation_inputs(g: &mut Gen, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| match g.rng().below(4) {
+            0 => g.rng().uniform(-0.7, 0.7),
+            1 => g.rng().uniform(-120.0, 120.0),
+            2 => g.value(),
+            _ => [0.0, -0.0][g.rng().below(2)],
+        })
+        .collect()
+}
+
+#[test]
+fn activation_kernels_agree_bitwise_at_every_row_length() {
+    if !kernels::simd_available() {
+        eprintln!("skipping: AVX2 unavailable on this host");
+        return;
+    }
+    type RowKernel = fn(Kernel, &mut [f32]);
+    let activations: [(&str, RowKernel); 3] = [
+        ("exp", kernels::exp),
+        ("sigmoid", kernels::sigmoid),
+        ("tanh", kernels::tanh),
+    ];
+    check("kernel-equivalence-activations", 200, |g| {
+        // Up to 40 lanes: empty rows, rows shorter than 8, and 8-lane
+        // bodies with every tail length.
+        let len = g.int_in(0, 5 * g.size);
+        let xs = activation_inputs(g, len);
+        for (name, f) in activations {
+            let (mut s, mut v) = (xs.clone(), xs.clone());
+            f(Kernel::Scalar, &mut s);
+            f(Kernel::Simd, &mut v);
+            let sb: Vec<u32> = s.iter().map(|v| v.to_bits()).collect();
+            let vb: Vec<u32> = v.iter().map(|v| v.to_bits()).collect();
+            if sb != vb {
+                return Err(format!("{name}: scalar/simd diverge at len {len}: {xs:?}"));
+            }
         }
         Ok(())
     });

@@ -1,36 +1,54 @@
-//! GEMM microkernels and runtime dispatch for the three matmul kernels.
+//! GEMM microkernels, activation row kernels, and the runtime dispatch
+//! they share.
 //!
 //! Every forward/backward in the workspace bottoms out in the three
 //! ikj/axpy kernels (`matmul` NN, `matmul_nt`, `matmul_tn` — see
-//! [`crate::tensor::Tensor`]). Until PR 10 they relied entirely on LLVM's
-//! autovectorizer at the x86-64 baseline feature level (SSE2). This module
-//! adds an explicit `std::arch` AVX2 microkernel with runtime dispatch.
+//! [`crate::tensor::Tensor`]), and every `exp`, `tanh` and sigmoid the tape
+//! computes (the standalone ops, `fused_affine`'s tanh, `lstm_cell`'s gates
+//! and cell, `softmax_rows`) runs through [`exp`], [`tanh`] or
+//! [`sigmoid`] here. Each has a scalar body and an explicit `std::arch`
+//! AVX2 body, picked by one runtime dispatch.
 //!
 //! # The accumulation-order contract
 //!
-//! Both kernels in this module honor the contract pinned by the
-//! golden-regression gate: *each output element accumulates its k-terms in
-//! ascending order, skipping terms whose left-operand factor is exactly
-//! zero, with separate mul and add roundings*. The SIMD path vectorizes
-//! across the m (output-column) axis only — 8 output elements advance
-//! through the same ascending-k sequence in lockstep, and IEEE-754
-//! `vmulps`/`vaddps` are lane-wise identical to scalar `*`/`+` — so its
-//! results are **bit-identical** to the scalar kernel for every input,
-//! including non-finite values. Register blocking (4 output rows × up to 32
-//! output columns held in ymm accumulators across the whole k loop) changes
-//! only *when* partial sums touch memory, never the per-element operation
-//! sequence.
+//! Both GEMM kernels honor the contract pinned by the golden-regression
+//! gate: *each output element accumulates its k-terms in ascending order,
+//! starting from its value in `out`, skipping terms whose left-operand
+//! factor is exactly zero, with separate mul and add roundings*. The SIMD
+//! path vectorizes across the m (output-column) axis only — 8 output
+//! elements advance through the same ascending-k sequence in lockstep, and
+//! IEEE-754 `vmulps`/`vaddps` are lane-wise identical to scalar `*`/`+` —
+//! so its results are **bit-identical** to the scalar kernel for every
+//! input, including non-finite values. Register blocking (4 output rows ×
+//! up to 32 output columns held in ymm accumulators across the whole k
+//! loop) changes only *when* partial sums touch memory, never the
+//! per-element operation sequence.
+//!
+//! # The activations' scalar twins
+//!
+//! The activations are polynomial, not libm: exp is Cody–Waite range
+//! reduction to `|r| ≤ ln2/2` and a degree-7 polynomial; sigmoid is
+//! `1/(1 + e⁻ˣ)` on it; tanh is an odd polynomial below `|x| = 0.625` and
+//! `1 − 2/(e²ˣ + 1)` above. Each AVX2 body is the 8-lane form of a scalar
+//! twin (`exp1`, `sigmoid1`, `tanh1`): the same constants, the same
+//! IEEE operations in the same order (mul and add separate, no FMA), the
+//! same round-to-nearest-even trick, and the same clamp and branch, taken
+//! per lane by a compare and blend. So the two are bit-identical by the
+//! same lane-wise argument as the GEMMs, and the scalar twin also finishes
+//! every row's `len % 8` tail. The tests print the max-ulp table against
+//! f64 (about 1 ulp for exp and tanh, 2 for sigmoid).
 //!
 //! # Dispatch
 //!
 //! The kernel is chosen once per process (cached in an atomic):
-//! `ADAPTRAJ_FORCE_SCALAR=1` forces the scalar path (tier-1 CI runs a full
-//! forced-scalar pass to pin scalar/SIMD agreement end to end); otherwise
-//! AVX2 detected → `simd`, else `scalar`.
+//! `ADAPTRAJ_FORCE_SCALAR=1` forces the scalar path for GEMMs and
+//! activations alike (tier-1 CI runs a full forced-scalar pass to pin
+//! scalar/SIMD agreement end to end); otherwise AVX2 detected → `simd`,
+//! else `scalar`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which microkernel family services the matmul entry points.
+/// Which microkernel family services the GEMM and activation entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The PR-5 autovectorized loops, bit-for-bit the historical kernels.
@@ -97,7 +115,7 @@ fn init_kernel_from_env() -> Kernel {
     k
 }
 
-/// The kernel servicing `Tensor::matmul` / `matmul_nt` / `matmul_tn`.
+/// The kernel servicing the matmuls and the tape's activations.
 /// Resolved from the environment + CPU on first use and cached.
 pub fn active_kernel() -> Kernel {
     match ACTIVE_KERNEL.load(Ordering::Relaxed) {
@@ -231,8 +249,163 @@ fn scalar_rows_tn(a: &[f32], n: usize, b: &[f32], out: &mut [f32], k: usize, m: 
     }
 }
 
+// ---- activation row kernels ----------------------------------------------
+
+/// `x ↦ eˣ` over `xs`, in place.
+pub fn exp(kernel: Kernel, xs: &mut [f32]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if kernel == Kernel::Simd {
+        // SAFETY: dispatch only selects `Simd` when AVX2 was detected.
+        return unsafe { simd_impls::exp_avx2(xs) };
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let _ = kernel;
+    for v in xs {
+        *v = exp1(*v);
+    }
+}
+
+/// `x ↦ 1 / (1 + e⁻ˣ)` over `xs`, in place.
+pub fn sigmoid(kernel: Kernel, xs: &mut [f32]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if kernel == Kernel::Simd {
+        // SAFETY: as in `exp`.
+        return unsafe { simd_impls::sigmoid_avx2(xs) };
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let _ = kernel;
+    for v in xs {
+        *v = sigmoid1(*v);
+    }
+}
+
+/// `x ↦ tanh x` over `xs`, in place.
+pub fn tanh(kernel: Kernel, xs: &mut [f32]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if kernel == Kernel::Simd {
+        // SAFETY: as in `exp`.
+        return unsafe { simd_impls::tanh_avx2(xs) };
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let _ = kernel;
+    for v in xs {
+        *v = tanh1(*v);
+    }
+}
+
+// The scalar twins below are the reference for the AVX2 bodies in
+// `simd_impls`: each line there is the 8-lane form of the same line here
+// (separate mul and add, the same constants, the same clamp and branch),
+// so the two agree bit for bit on every input that is not NaN, and both
+// return NaN for NaN.
+
+/// Inputs are clamped to `[EXP_LO, EXP_HI]`: below it eˣ rounds to 0.0,
+/// above it to +∞, and inside it `round(x·log₂e)` fits the two-factor
+/// scale of [`exp1`].
+const EXP_LO: f32 = -104.0;
+const EXP_HI: f32 = 89.0;
+/// `1.5·2²³`: adding and subtracting it rounds `|t| < 2²²` to the nearest
+/// integer, ties to even.
+const ROUND_SHIFTER: f32 = 12_582_912.0;
+/// ln 2 split Cody–Waite style: `n·LN2_HI` is exact for `|n| ≤ 2⁸`.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf` minimax coefficients for `(eʳ − 1 − r)/r²`, highest
+/// degree first, on `|r| ≤ ln2/2`.
+const EXP_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_2e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    5e-1,
+];
+/// Below this `|x|` tanh uses its odd polynomial; above, `1 − 2/(e²ˣ+1)`.
+const TANH_SMALL: f32 = 0.625;
+/// Cephes `tanhf` coefficients for `(tanh x − x)/x³` in `z = x²`, highest
+/// degree first.
+const TANH_P: [f32; 5] = [
+    -5.704_988_7e-3,
+    2.063_909e-2,
+    -5.373_971_6e-2,
+    1.333_144_2e-1,
+    -3.333_328e-1,
+];
+const SIGN: u32 = 0x8000_0000;
+
+/// `_mm256_max_ps(a, b)` lane for lane: `a` if `a > b`, else `b` — so a
+/// NaN `b` comes back out.
+#[inline(always)]
+fn max_ps(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `_mm256_min_ps(a, b)` lane for lane: `a` if `a < b`, else `b`.
+#[inline(always)]
+fn min_ps(a: f32, b: f32) -> f32 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `2ᵉ` for `-126 ≤ e ≤ 127`, straight into the exponent field.
+#[inline(always)]
+fn pow2(e: i32) -> f32 {
+    f32::from_bits(((e + 127) as u32) << 23)
+}
+
+/// eˣ: `x = n·ln2 + r` with `n = round(x·log₂e)`, a degree-7 polynomial
+/// for `eʳ`, then `·2ⁿ` as two factors `2^⌊n/2⌋·2^(n−⌊n/2⌋)`, so the
+/// scale never leaves the normal range and a subnormal result rounds
+/// once, at the last multiply.
+#[inline(always)]
+fn exp1(x: f32) -> f32 {
+    let x = min_ps(EXP_HI, max_ps(EXP_LO, x));
+    let n = (x * std::f32::consts::LOG2_E + ROUND_SHIFTER) - ROUND_SHIFTER;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut p = EXP_P[0];
+    for c in &EXP_P[1..] {
+        p = p * r + c;
+    }
+    let y = (p * (r * r) + r) + 1.0;
+    let n = n as i32;
+    let n1 = n >> 1;
+    y * pow2(n1) * pow2(n - n1)
+}
+
+#[inline(always)]
+fn sigmoid1(x: f32) -> f32 {
+    1.0 / (1.0 + exp1(-x))
+}
+
+/// `tanh |x|` by [`TANH_SMALL`]'s two branches, then `x`'s sign bit ORed
+/// back in, which keeps `tanh(-0.0) = -0.0`. NaN takes the polynomial
+/// branch (`NaN > 0.625` is false) and stays NaN.
+#[inline(always)]
+fn tanh1(x: f32) -> f32 {
+    let ax = f32::from_bits(x.to_bits() & !SIGN);
+    let t = if ax > TANH_SMALL {
+        1.0 - 2.0 / (exp1(ax + ax) + 1.0)
+    } else {
+        let z = ax * ax;
+        let mut p = TANH_P[0];
+        for c in &TANH_P[1..] {
+            p = p * z + c;
+        }
+        ax + ax * (z * p)
+    };
+    f32::from_bits(t.to_bits() | (x.to_bits() & SIGN))
+}
+
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod simd_impls {
+    use super::{EXP_HI, EXP_LO, EXP_P, LN2_HI, LN2_LO, ROUND_SHIFTER, SIGN, TANH_P, TANH_SMALL};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -430,6 +603,103 @@ mod simd_impls {
             i += 1;
         }
     }
+
+    // The 8-lane forms of `exp1`, `sigmoid1` and `tanh1`, line for line.
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> __m256 {
+        _mm256_set1_ps(v)
+    }
+
+    /// `super::exp1` on 8 lanes. `x` is the second operand of the clamp's
+    /// max/min, so a NaN lane passes through.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        let x = _mm256_min_ps(splat(EXP_HI), _mm256_max_ps(splat(EXP_LO), x));
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(x, splat(std::f32::consts::LOG2_E)),
+            splat(ROUND_SHIFTER),
+        );
+        let n = _mm256_sub_ps(t, splat(ROUND_SHIFTER));
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(n, splat(LN2_HI))),
+            _mm256_mul_ps(n, splat(LN2_LO)),
+        );
+        let mut p = splat(EXP_P[0]);
+        for &c in &EXP_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), splat(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            splat(1.0),
+        );
+        let n = _mm256_cvttps_epi32(n);
+        let n1 = _mm256_srai_epi32::<1>(n);
+        let pow2 = |e| {
+            _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+                e,
+                _mm256_set1_epi32(127),
+            )))
+        };
+        _mm256_mul_ps(_mm256_mul_ps(y, pow2(n1)), pow2(_mm256_sub_epi32(n, n1)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sigmoid8(x: __m256) -> __m256 {
+        let neg = _mm256_xor_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(SIGN as i32)));
+        _mm256_div_ps(splat(1.0), _mm256_add_ps(splat(1.0), exp8(neg)))
+    }
+
+    /// `super::tanh1` on 8 lanes: both branches are evaluated and the
+    /// ordered `|x| > TANH_SMALL` compare (false for NaN) picks one.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        let sign = _mm256_castsi256_ps(_mm256_set1_epi32(SIGN as i32));
+        let ax = _mm256_andnot_ps(sign, x);
+        let large = _mm256_sub_ps(
+            splat(1.0),
+            _mm256_div_ps(
+                splat(2.0),
+                _mm256_add_ps(exp8(_mm256_add_ps(ax, ax)), splat(1.0)),
+            ),
+        );
+        let z = _mm256_mul_ps(ax, ax);
+        let mut p = splat(TANH_P[0]);
+        for &c in &TANH_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, z), splat(c));
+        }
+        let small = _mm256_add_ps(ax, _mm256_mul_ps(ax, _mm256_mul_ps(z, p)));
+        let pick_large = _mm256_cmp_ps::<_CMP_GT_OQ>(ax, splat(TANH_SMALL));
+        let t = _mm256_blendv_ps(small, large, pick_large);
+        _mm256_or_ps(t, _mm256_and_ps(sign, x))
+    }
+
+    /// One row kernel per activation: 8-lane body, then the scalar twin
+    /// for the `len % 8` tail.
+    macro_rules! row_kernel {
+        ($name:ident, $lanes:ident, $one:path) => {
+            /// # Safety
+            ///
+            /// The CPU must support AVX2.
+            #[target_feature(enable = "avx2")]
+            pub(super) unsafe fn $name(xs: &mut [f32]) {
+                let mut chunks = xs.chunks_exact_mut(8);
+                for c in &mut chunks {
+                    let p = c.as_mut_ptr();
+                    _mm256_storeu_ps(p, $lanes(_mm256_loadu_ps(p)));
+                }
+                for v in chunks.into_remainder() {
+                    *v = $one(*v);
+                }
+            }
+        };
+    }
+    row_kernel!(exp_avx2, exp8, super::exp1);
+    row_kernel!(sigmoid_avx2, sigmoid8, super::sigmoid1);
+    row_kernel!(tanh_avx2, tanh8, super::tanh1);
 }
 
 #[cfg(test)]
@@ -440,6 +710,124 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Distance from `y` to the f64 reference `want`, in units of the f32
+    /// spacing at `want` (the subnormal spacing below `f32::MIN_POSITIVE`).
+    fn ulps(y: f32, want: f64) -> f64 {
+        let w = want as f32;
+        if w.is_infinite() || y.is_infinite() {
+            return if y == w { 0.0 } else { f64::INFINITY };
+        }
+        let mag = (want.abs() as f32).max(f32::MIN_POSITIVE);
+        let spacing = f32::from_bits(mag.to_bits() + 1) - mag;
+        (f64::from(y) - want).abs() / f64::from(spacing)
+    }
+
+    /// Every 1009th f32 of each sign: dense near zero, logarithmic out to
+    /// ±∞, about 4.2M inputs.
+    fn sweep() -> Vec<f32> {
+        (0..0x7f80_0000u32)
+            .step_by(1009)
+            .flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
+            .collect()
+    }
+
+    type Row = (&'static str, fn(Kernel, &mut [f32]), fn(f64) -> f64, f64);
+
+    /// The activations, their f64 references and the largest error in
+    /// ulps the sweep may find where the reference is a normal f32
+    /// (DESIGN.md, "Kernel & memory model").
+    const ACTIVATIONS: [Row; 3] = [
+        ("exp", exp, f64::exp, 1.0),
+        ("sigmoid", sigmoid, |x| 1.0 / (1.0 + (-x).exp()), 2.5),
+        ("tanh", tanh, f64::tanh, 1.5),
+    ];
+
+    /// Prints the max-ulp table (`--nocapture`): normal results, and
+    /// subnormal ones apart. exp rounds a subnormal result once, so it
+    /// stays within one subnormal spacing; sigmoid's `1/(1+e⁻ˣ)` returns
+    /// 0.0 once `e⁻ˣ` overflows (x < −88.72), as the libm form did.
+    #[test]
+    fn activation_max_ulp_table() {
+        let xs = sweep();
+        println!("| kernel  | inputs  | max ulp (normal) | at x          | max ulp (subnormal) |");
+        for (name, f, reference, bound) in ACTIVATIONS {
+            let mut ys = xs.clone();
+            f(Kernel::Scalar, &mut ys);
+            if simd_available() {
+                let mut simd = xs.clone();
+                f(Kernel::Simd, &mut simd);
+                let differ = ys
+                    .iter()
+                    .zip(&simd)
+                    .filter(|(a, b)| a.to_bits() != b.to_bits());
+                assert_eq!(differ.count(), 0, "{name}: scalar and simd differ");
+            }
+            let (mut normal, mut at, mut subnormal) = (0.0f64, 0.0f32, 0.0f64);
+            for (&x, &y) in xs.iter().zip(&ys) {
+                let want = reference(f64::from(x));
+                let e = ulps(y, want);
+                if want != 0.0 && want.abs() < f64::from(f32::MIN_POSITIVE) {
+                    subnormal = subnormal.max(e);
+                } else if e > normal {
+                    (normal, at) = (e, x);
+                }
+            }
+            println!(
+                "| {name:<7} | {:<7} | {normal:<16.3} | {at:<13e} | {subnormal:<19.3e} |",
+                xs.len()
+            );
+            assert!(normal <= bound, "{name}: {normal} ulp at x = {at:e}");
+            if name == "exp" {
+                assert!(subnormal <= 1.0, "exp: {subnormal} subnormal ulp");
+            }
+        }
+    }
+
+    #[test]
+    fn activations_agree_across_kernels_and_keep_special_values() {
+        let kernels: &[Kernel] = if simd_available() {
+            &[Kernel::Scalar, Kernel::Simd]
+        } else {
+            &[Kernel::Scalar]
+        };
+        // Lengths 8 and 3 send each value through the 8-lane body and the
+        // scalar tail. -1e5 is the models' `PAD_BIAS`: padded softmax
+        // slots rely on its exp being exactly 0.0.
+        let cases: [(f32, f32, f32, f32); 9] = [
+            (f32::NAN, f32::NAN, f32::NAN, f32::NAN),
+            (f32::INFINITY, f32::INFINITY, 1.0, 1.0),
+            (f32::NEG_INFINITY, 0.0, 0.0, -1.0),
+            (0.0, 1.0, 0.5, 0.0),
+            (-0.0, 1.0, 0.5, -0.0),
+            (-1e5, 0.0, 0.0, -1.0),
+            (1e5, f32::INFINITY, 1.0, 1.0),
+            (-104.5, 0.0, 0.0, -1.0),
+            (89.5, f32::INFINITY, 1.0, 1.0),
+        ];
+        for &kernel in kernels {
+            for len in [8, 3] {
+                for &(x, e, s, t) in &cases {
+                    for (f, want, name) in [
+                        (exp as fn(Kernel, &mut [f32]), e, "exp"),
+                        (sigmoid, s, "sigmoid"),
+                        (tanh, t, "tanh"),
+                    ] {
+                        let mut xs = vec![x; len];
+                        f(kernel, &mut xs);
+                        for &y in &xs {
+                            let ok = if want.is_nan() {
+                                y.is_nan()
+                            } else {
+                                y.to_bits() == want.to_bits()
+                            };
+                            assert!(ok, "{}: {name}({x}) = {y}, want {want}", kernel.name());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

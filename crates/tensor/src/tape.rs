@@ -70,13 +70,13 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Scalar forward — bit-identical to the standalone activation ops.
-    #[inline]
-    fn apply(self, x: f32) -> f32 {
+    /// Forward over a buffer, in place — bit-identical to the standalone
+    /// activation ops.
+    fn apply(self, xs: &mut [f32]) {
         match self {
-            Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
+            Activation::Identity => {}
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Tanh => kernels::tanh(kernels::active_kernel(), xs),
         }
     }
 
@@ -447,21 +447,27 @@ impl Tape {
 
     pub fn tanh(&mut self, a: Var) -> Var {
         let t = profile::op_timer();
-        let v = self.value(a).map(f32::tanh);
+        let v = self
+            .value(a)
+            .map_buffer(|xs| kernels::tanh(kernels::active_kernel(), xs));
         let ng = self.needs(a);
         self.push(t, v, Op::Tanh(a), ng)
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let t = profile::op_timer();
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self
+            .value(a)
+            .map_buffer(|xs| kernels::sigmoid(kernels::active_kernel(), xs));
         let ng = self.needs(a);
         self.push(t, v, Op::Sigmoid(a), ng)
     }
 
     pub fn exp(&mut self, a: Var) -> Var {
         let t = profile::op_timer();
-        let v = self.value(a).map(f32::exp);
+        let v = self
+            .value(a)
+            .map_buffer(|xs| kernels::exp(kernels::active_kernel(), xs));
         let ng = self.needs(a);
         self.push(t, v, Op::Exp(a), ng)
     }
@@ -635,9 +641,10 @@ impl Tape {
         let bias = bv.data();
         for row in v.data_mut().chunks_exact_mut(cols.max(1)) {
             for (o, &bj) in row.iter_mut().zip(bias) {
-                *o = act.apply(*o + bj);
+                *o += bj;
             }
         }
+        act.apply(v.data_mut());
         let ng = self.any_needs(&[x, w, b]);
         self.push(t, v, Op::FusedAffine(x, w, b, act), ng)
     }
@@ -669,42 +676,45 @@ impl Tape {
         let mut gates = vec![0.0; n * g4];
         kernels::gemm_nn(kernel, xv.data(), w_x, &mut gates, n, in_dim, g4);
         kernels::gemm_nn(kernel, hv.data(), w_h, &mut gates, n, hid, g4);
-        let mut gates = Tensor::from_vec(n, g4, gates);
-        // Cell candidate gate is tanh; i/f/o are sigmoid. Per-element math
-        // and element order match the obvious single branchy loop exactly —
-        // the segments exist so the hot loops carry no per-element branch
-        // or bounds arithmetic (the transcendental calls themselves are the
-        // scalar libm ones the goldens pin).
+        // Bias, then the gate activations on the row kernels: i/f/o are
+        // sigmoid, the cell candidate g is tanh.
         let bias = bv.data();
-        for row in gates.data_mut().chunks_exact_mut(4 * hid) {
-            for (o, &bj) in row[..2 * hid].iter_mut().zip(&bias[..2 * hid]) {
-                *o = 1.0 / (1.0 + (-(*o + bj)).exp());
+        for row in gates.chunks_exact_mut(g4) {
+            for (o, &bj) in row.iter_mut().zip(bias) {
+                *o += bj;
             }
-            for (o, &bj) in row[2 * hid..3 * hid]
-                .iter_mut()
-                .zip(&bias[2 * hid..3 * hid])
-            {
-                *o = (*o + bj).tanh();
-            }
-            for (o, &bj) in row[3 * hid..].iter_mut().zip(&bias[3 * hid..]) {
-                *o = 1.0 / (1.0 + (-(*o + bj)).exp());
-            }
+            let (i_f, rest) = row.split_at_mut(2 * hid);
+            let (g, o) = rest.split_at_mut(hid);
+            kernels::sigmoid(kernel, i_f);
+            kernels::tanh(kernel, g);
+            kernels::sigmoid(kernel, o);
         }
+        let gates = Tensor::from_vec(n, g4, gates);
 
+        // c' = f⊙c + i⊙g into the value's c half and into c_act, which
+        // one tanh call then turns into tanh(c'); h' = o⊙tanh(c').
         let mut c_act = Tensor::zeros(n, hid);
         let mut value = Tensor::zeros(n, 2 * hid);
         for r in 0..n {
             let (gi, rest) = gates.row_slice(r).split_at(hid);
             let (gf, rest) = rest.split_at(hid);
-            let (gg, go) = rest.split_at(hid);
+            let gg = &rest[..hid];
             let cprev = cv.row_slice(r);
             let carow = c_act.row_slice_mut(r);
-            let (vh, vc) = value.row_slice_mut(r).split_at_mut(hid);
+            let vc = &mut value.row_slice_mut(r)[hid..];
             for j in 0..hid {
                 let cn = gf[j] * cprev[j] + gi[j] * gg[j];
-                carow[j] = cn.tanh();
-                vh[j] = go[j] * carow[j];
+                carow[j] = cn;
                 vc[j] = cn;
+            }
+        }
+        kernels::tanh(kernel, c_act.data_mut());
+        for r in 0..n {
+            let go = &gates.row_slice(r)[3 * hid..];
+            let carow = c_act.row_slice(r);
+            let vh = &mut value.row_slice_mut(r)[..hid];
+            for j in 0..hid {
+                vh[j] = go[j] * carow[j];
             }
         }
 

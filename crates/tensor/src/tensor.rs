@@ -265,6 +265,14 @@ impl Tensor {
         Tensor::from_vec(self.rows, self.cols, out)
     }
 
+    /// A copy whose buffer `f` rewrites in place — the form of the slice
+    /// kernels in [`crate::kernels`] (`exp`, `sigmoid`, `tanh`).
+    pub fn map_buffer(&self, f: impl FnOnce(&mut [f32])) -> Tensor {
+        let mut out = self.data.as_slice().to_vec();
+        f(&mut out);
+        Tensor::from_vec(self.rows, self.cols, out)
+    }
+
     /// Elementwise zip-map against another same-shape tensor.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         self.assert_same_shape(other, "zip_map");
@@ -586,15 +594,19 @@ impl Tensor {
         Tensor::from_vec(self.rows * k, self.cols, out)
     }
 
-    /// Row-wise softmax.
+    /// Row-wise softmax, with [`kernels::exp`] on the active kernel.
     pub fn softmax_rows(&self) -> Tensor {
+        let kernel = kernels::active_kernel();
         let mut out = self.data.as_slice().to_vec();
         for row in out.chunks_mut(self.cols.max(1)) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
             for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
+                *x -= max;
+            }
+            kernels::exp(kernel, row);
+            let mut sum = 0.0;
+            for &x in row.iter() {
+                sum += x;
             }
             let inv = 1.0 / sum;
             for x in row.iter_mut() {
