@@ -40,8 +40,8 @@ pub enum CellFormat {
     AdeFde,
     /// Two columns, `ADE | FDE`.
     Split,
-    /// Median inference seconds per trajectory (Table VIII).
-    InferSeconds,
+    /// Inference µs per trajectory, median (p25–p75) (Table VIII).
+    InferMicros,
     /// Three columns from the cell's per-window scores: first-sample
     /// `ADE/FDE`, collision rate and miss rate.
     Social,
@@ -366,11 +366,11 @@ pub fn spec(name: &str, scale: Scale) -> Option<TableSpec> {
                         pass); CausalMotion ~= vanilla; AdapTraj slightly slower than vanilla\n\
                         (extractor + aggregator forwards). All within one order of magnitude.",
                 body: Body::Grid {
-                    format: CellFormat::InferSeconds,
+                    format: CellFormat::InferMicros,
                     average: false,
                 },
                 sections: single(
-                    &["Backbone", "Method", "Median inference time (s)"],
+                    &["Backbone", "Method", "Inference time, µs: median (p25–p75)"],
                     backbone_rows(&MethodKind::COMPARED, MethodKind::name, |b, m| {
                         vec![cell(b, m, &sdd_sources, Sdd, &cfg)]
                     }),
@@ -534,9 +534,7 @@ pub fn render(
                                 line.push(format!("{:.3}", res.eval.ade));
                                 line.push(format!("{:.3}", res.eval.fde));
                             }
-                            CellFormat::InferSeconds => {
-                                line.push(format!("{:.4}", res.infer_time_s))
-                            }
+                            CellFormat::InferMicros => line.push(res.latency.micros()),
                             CellFormat::Social => line.extend(social(res)),
                         }
                     }

@@ -7,7 +7,8 @@
 use adaptraj_bench::tables::{render, spec, Body, Cell, CellFormat, TableSpec};
 use adaptraj_bench::Scale;
 use adaptraj_eval::{
-    paired_bootstrap, CellResult, CellSpec, EvalAccumulator, EvalResult, RunnerConfig, WindowScore,
+    paired_bootstrap, CellResult, CellSpec, EvalAccumulator, EvalResult, Latency, RunnerConfig,
+    WindowScore,
 };
 use adaptraj_models::predictor::TrainReport;
 
@@ -37,7 +38,11 @@ fn fake(spec: &CellSpec, cfg: &RunnerConfig) -> CellResult {
             ade: k / 97.0,
             fde: k / 31.0,
         },
-        infer_time_s: f64::from(k) / 1e4,
+        latency: Latency {
+            p25_s: f64::from(k) / 1.25e4,
+            median_s: f64::from(k) / 1e4,
+            p75_s: f64::from(k) / 0.8e4,
+        },
         train_time_s: 0.0,
         final_train_loss: None,
         report: TrainReport::default(),
@@ -332,16 +337,24 @@ fn table8_cells_use_the_short_training_budget() {
     let out = check(
         "table8",
         &grid(&METHODS, &tails),
-        "| Backbone | Method       | Median inference time (s) |",
+        "| Backbone | Method       | Inference time, µs: median (p25–p75) |",
         8,
         (2, 60, 1, 60),
     );
-    let first = &smoke("table8").sections[0].rows[0].cells[0];
-    let seconds = fake(&first.spec, &first.cfg).infer_time_s;
-    assert!(
-        out.contains(&format!("| PECNet   | vanilla      | {seconds:.4} ")),
-        "{out}"
-    );
+    // Each row's cell is its fake result's `median (p25–p75)` in µs.
+    let table8 = smoke("table8");
+    let rows = &table8.sections[0].rows;
+    for (line, row) in table_lines(&out)[0][1..].iter().zip(rows) {
+        let c = &row.cells[0];
+        let l = fake(&c.spec, &c.cfg).latency;
+        let want = format!(
+            "{:.0} ({:.0}–{:.0})",
+            l.median_s * 1e6,
+            l.p25_s * 1e6,
+            l.p75_s * 1e6
+        );
+        assert_eq!(cells_of(line)[2], want, "{out}");
+    }
     let paper = spec("table8", Scale::Paper).unwrap();
     for c in cells(&paper) {
         assert_eq!(budget(&c.cfg), (2, 60, 1, 200));
@@ -585,7 +598,7 @@ fn compare_pairs_vanilla_with_adaptraj_on_sdd_and_syi() {
     let out = check(
         "compare",
         &run_order,
-        "| Backbone | Target | mean ADE diff (AdapTraj − vanilla)   | 95% CI             | resolved?         |",
+        "| Backbone | Target | mean ADE diff (AdapTraj − vanilla) | 95% CI             | resolved?         |",
         4,
         SMOKE_BUDGET,
     );

@@ -22,7 +22,7 @@ pub mod viz;
 pub use metrics::{ade, best_of_k, fde, EvalAccumulator, EvalResult};
 pub use runner::{
     build_predictor, evaluate, leave_one_out, pooled_train, run_cell, run_cell_avg, target_test,
-    train_cell, BackboneKind, CellResult, CellSpec, MethodKind, RunnerConfig, WindowScore,
+    train_cell, BackboneKind, CellResult, CellSpec, Latency, MethodKind, RunnerConfig, WindowScore,
 };
 pub use social::{collides, misses};
 pub use stats::{paired_bootstrap, PairedBootstrap};

@@ -94,10 +94,9 @@ impl CellSpec {
 pub struct CellResult {
     pub spec: CellSpec,
     pub eval: EvalResult,
-    /// Median wall-clock time of one single-window, single-sample
-    /// `predict` call (seconds, [`infer_latency`]) — the Table VIII
-    /// quantity.
-    pub infer_time_s: f64,
+    /// Wall-clock time of one single-window, single-sample `predict`
+    /// call ([`infer_latency`]) — the Table VIII quantity.
+    pub latency: Latency,
     pub train_time_s: f64,
     pub final_train_loss: Option<f32>,
     /// Full per-epoch training telemetry (feeds the run manifest). For
@@ -259,6 +258,44 @@ pub fn target_test<'a>(
 /// Single-window `predict` calls [`infer_latency`] times per cell.
 const LATENCY_PROBE_CALLS: usize = 32;
 
+/// Median and interquartile range of [`infer_latency`]'s calls, in
+/// seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Latency {
+    pub p25_s: f64,
+    pub median_s: f64,
+    pub p75_s: f64,
+}
+
+impl Latency {
+    /// Quantiles of `times` (sorted ascending, non-empty), each by
+    /// linear interpolation at `q·(len − 1)`; the median of an even count
+    /// is the mean of the middle two.
+    fn of_sorted(times: &[f64]) -> Latency {
+        let at = |q: f64| {
+            let pos = q * (times.len() - 1) as f64;
+            let (lo, frac) = (pos.floor() as usize, pos.fract());
+            let hi = (lo + 1).min(times.len() - 1);
+            times[lo] + frac * (times[hi] - times[lo])
+        };
+        Latency {
+            p25_s: at(0.25),
+            median_s: at(0.5),
+            p75_s: at(0.75),
+        }
+    }
+
+    /// `median µs (p25–p75)`, the Table VIII cell.
+    pub fn micros(&self) -> String {
+        format!(
+            "{:.0} ({:.0}–{:.0})",
+            self.median_s * 1e6,
+            self.p25_s * 1e6,
+            self.p75_s * 1e6
+        )
+    }
+}
+
 /// Evaluates a trained predictor on test windows (best-of-k).
 ///
 /// Windows are dispatched to the `adaptraj-exec` worker pool. Window `i`
@@ -308,11 +345,11 @@ pub fn evaluate(
 }
 
 /// Per-trajectory inference time, the Table VIII quantity: the median
-/// wall-clock seconds of `LATENCY_PROBE_CALLS` (32) single-window,
-/// single-sample [`Predictor::predict`] calls on the calling thread. Call
-/// `c` predicts window `i = c·len/calls` of `test` (a fixed stride
-/// subset) with an RNG seeded by `window_seed(seed, 0, i)`.
-pub fn infer_latency(predictor: &dyn Predictor, test: &[&TrajWindow], seed: u64) -> f64 {
+/// and quartiles of the wall-clock time of `LATENCY_PROBE_CALLS` (32)
+/// single-window, single-sample [`Predictor::predict`] calls on the
+/// calling thread. Call `c` predicts window `i = c·len/calls` of `test`
+/// (a fixed stride subset) with an RNG seeded by `window_seed(seed, 0, i)`.
+pub fn infer_latency(predictor: &dyn Predictor, test: &[&TrajWindow], seed: u64) -> Latency {
     assert!(!test.is_empty(), "nothing to time");
     let calls = LATENCY_PROBE_CALLS;
     let _span = adaptraj_obs::span("infer_latency");
@@ -326,12 +363,7 @@ pub fn infer_latency(predictor: &dyn Predictor, test: &[&TrajWindow], seed: u64)
         })
         .collect();
     times.sort_by(f64::total_cmp);
-    let mid = calls / 2;
-    if calls % 2 == 1 {
-        times[mid]
-    } else {
-        0.5 * (times[mid - 1] + times[mid])
-    }
+    Latency::of_sorted(&times)
 }
 
 /// Trains and evaluates one cell end to end.
@@ -359,11 +391,11 @@ pub fn train_cell(
         cfg.eval_seed,
         cfg.trainer.workers,
     );
-    let infer_time_s = infer_latency(predictor.as_ref(), &test, cfg.eval_seed);
+    let latency = infer_latency(predictor.as_ref(), &test, cfg.eval_seed);
     let result = CellResult {
         spec: spec.clone(),
         eval,
-        infer_time_s,
+        latency,
         train_time_s,
         final_train_loss: report.final_loss(),
         report,
@@ -387,7 +419,7 @@ pub fn run_cell_avg(
     assert!(!seeds.is_empty(), "need at least one seed");
     let mut ade = 0.0f32;
     let mut fde = 0.0f32;
-    let mut infer = 0.0f64;
+    let mut latency = Latency::default();
     let mut train = 0.0f64;
     let mut last_loss = None;
     let mut last_report = TrainReport::default();
@@ -399,7 +431,9 @@ pub fn run_cell_avg(
         let r = run_cell(spec, datasets, &run_cfg);
         ade += r.eval.ade;
         fde += r.eval.fde;
-        infer += r.infer_time_s;
+        latency.p25_s += r.latency.p25_s;
+        latency.median_s += r.latency.median_s;
+        latency.p75_s += r.latency.p75_s;
         train += r.train_time_s;
         last_loss = r.final_train_loss.or(last_loss);
         last_report = r.report;
@@ -412,7 +446,11 @@ pub fn run_cell_avg(
             ade: ade / n,
             fde: fde / n,
         },
-        infer_time_s: infer / seeds.len() as f64,
+        latency: Latency {
+            p25_s: latency.p25_s / seeds.len() as f64,
+            median_s: latency.median_s / seeds.len() as f64,
+            p75_s: latency.p75_s / seeds.len() as f64,
+        },
         train_time_s: train / seeds.len() as f64,
         final_train_loss: last_loss,
         report: last_report,
@@ -490,7 +528,8 @@ mod tests {
         let res = run_cell(&spec, &datasets, &tiny_runner());
         assert!(res.eval.ade.is_finite() && res.eval.ade > 0.0);
         assert!(res.eval.fde.is_finite());
-        assert!(res.infer_time_s > 0.0);
+        let l = res.latency;
+        assert!(0.0 < l.p25_s && l.p25_s <= l.median_s && l.median_s <= l.p75_s);
         assert!(res.final_train_loss.is_some());
     }
 
@@ -632,8 +671,11 @@ mod tests {
             calls: Mutex::new(Vec::new()),
         };
         let n = LATENCY_PROBE_CALLS;
-        let median = infer_latency(&probe, &test, 99);
-        assert!(median.is_finite() && median > 0.0, "median {median}");
+        let latency = infer_latency(&probe, &test, 99);
+        assert!(
+            latency.median_s.is_finite() && latency.median_s > 0.0,
+            "{latency:?}"
+        );
         let calls = probe.calls.into_inner().unwrap();
         let want: Vec<(usize, usize, usize)> = (0..n)
             .map(|c| (test[c * test.len() / n] as *const TrajWindow as usize, 1, 1))
@@ -642,6 +684,21 @@ mod tests {
             calls, want,
             "one single-window, single-sample call per timed window"
         );
+    }
+
+    #[test]
+    fn latency_quartiles_interpolate_between_ranks() {
+        let times: Vec<f64> = (1..=32).map(f64::from).collect();
+        let l = Latency::of_sorted(&times);
+        assert_eq!((l.p25_s, l.median_s, l.p75_s), (8.75, 16.5, 24.25));
+        let one = Latency::of_sorted(&[3e-4]);
+        assert_eq!((one.p25_s, one.median_s, one.p75_s), (3e-4, 3e-4, 3e-4));
+        let l = Latency {
+            p25_s: 201.4e-6,
+            median_s: 212.0e-6,
+            p75_s: 229.6e-6,
+        };
+        assert_eq!(l.micros(), "212 (201–230)");
     }
 
     #[test]

@@ -32,11 +32,13 @@ impl TextTable {
         self.rows.len()
     }
 
+    /// Column widths in chars, the unit `format!`'s padding counts, so a
+    /// column holding `µ` or `–` lines up too.
     fn widths(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut w: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
-                w[i] = w[i].max(c.len());
+                w[i] = w[i].max(c.chars().count());
             }
         }
         w
@@ -94,6 +96,16 @@ mod tests {
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
         assert!(lines[0].contains("Method"));
         assert!(lines[2].contains("PECNet-vanilla"));
+    }
+
+    #[test]
+    fn non_ascii_cells_align_by_chars() {
+        let mut t = TextTable::new(&["Model", "µs: median (p25–p75)"]);
+        t.push_row(vec!["PECNet".into(), "212 (201–230)".into()]);
+        let s = t.render();
+        let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
+        assert!(widths.iter().all(|&w| w == widths[0]), "{s}");
+        assert!(s.lines().next().unwrap().ends_with("(p25–p75) |"), "{s}");
     }
 
     #[test]

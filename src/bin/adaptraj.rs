@@ -171,7 +171,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 "ADE/FDE {}   train {:.1}s   inference {:.2} ms/trajectory",
                 res.eval,
                 res.train_time_s,
-                res.infer_time_s * 1e3
+                res.latency.median_s * 1e3
             );
             if let Some(line) = res.report.warning(health::halt_requested()) {
                 eprintln!("{line}");
@@ -205,7 +205,7 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             telemetry.eval = Some(EvalSummary {
                 ade: res.eval.ade as f64,
                 fde: res.eval.fde as f64,
-                infer_time_s: res.infer_time_s,
+                infer_time_s: res.latency.median_s,
                 num_windows: res.windows.len() as u64,
             });
             telemetry.incidents = health::incidents();
