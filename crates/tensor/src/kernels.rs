@@ -51,7 +51,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Which microkernel family services the GEMM and activation entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The PR-5 autovectorized loops, bit-for-bit the historical kernels.
+    /// The scalar loops: the historical autovectorized GEMMs and the
+    /// activations' scalar twins.
     Scalar,
     /// Explicit AVX2, mul+add (separate roundings) — bit-identical to
     /// `Scalar` by the lane-wise IEEE argument above.
