@@ -346,13 +346,7 @@ fn table8_cells_use_the_short_training_budget() {
     let rows = &table8.sections[0].rows;
     for (line, row) in table_lines(&out)[0][1..].iter().zip(rows) {
         let c = &row.cells[0];
-        let l = fake(&c.spec, &c.cfg).latency;
-        let want = format!(
-            "{:.0} ({:.0}–{:.0})",
-            l.median_s * 1e6,
-            l.p25_s * 1e6,
-            l.p75_s * 1e6
-        );
+        let want = fake(&c.spec, &c.cfg).latency.micros();
         assert_eq!(cells_of(line)[2], want, "{out}");
     }
     let paper = spec("table8", Scale::Paper).unwrap();
