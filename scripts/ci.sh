@@ -97,14 +97,15 @@ step "EXPERIMENTS.md embeds results/*.txt verbatim"
 # results" section from results/*.txt. Running it on a copy of its inputs
 # must reproduce the committed file byte for byte, so a table rerun that
 # was not copied in, or a number edited by hand on one side, fails here.
-# The tree itself is left as it was.
+# The tree itself is left as it was. The copy runs by path, not through
+# `bash`, so a script committed without its exec bit fails here too.
 exp_ci="target/experiments_ci"
 rm -rf "$exp_ci"
 mkdir -p "$exp_ci/scripts" "$exp_ci/results"
 cp scripts/update_experiments.sh "$exp_ci/scripts/"
 cp EXPERIMENTS.md "$exp_ci/"
 cp results/*.txt "$exp_ci/results/"
-bash "$exp_ci/scripts/update_experiments.sh" > /dev/null &&
+"$exp_ci/scripts/update_experiments.sh" > /dev/null &&
     diff -u EXPERIMENTS.md "$exp_ci/EXPERIMENTS.md" || {
     echo "EXPERIMENTS.md is not what scripts/update_experiments.sh makes of results/"
     fail=1; }
