@@ -534,7 +534,7 @@ fn fixtures() -> Vec<Fixture> {
                     let cv = t.constant(c0.clone());
                     // Loss over [h' | c'] so both output halves carry
                     // upstream gradient into the cell backward.
-                    let hc = t.lstm_cell(x, hv, cv, wv, bv);
+                    let hc = t.lstm_cell(x, hv, cv, wv, bv, None);
                     let sq = t.mul(hc, hc);
                     t.sum_all(sq)
                 },
@@ -561,7 +561,7 @@ fn fixtures() -> Vec<Fixture> {
                         let xv = t.constant(x0.clone());
                         let ov = t.constant(other.clone());
                         let (hv, cv) = if h_slot { (x, ov) } else { (ov, x) };
-                        let hc = t.lstm_cell(xv, hv, cv, wv, bv);
+                        let hc = t.lstm_cell(xv, hv, cv, wv, bv, None);
                         let sq = t.mul(hc, hc);
                         t.sum_all(sq)
                     },
@@ -573,6 +573,33 @@ fn fixtures() -> Vec<Fixture> {
                     "lstm_cell(c)"
                 });
             }
+        }),
+    );
+    fixture(
+        "lstm_cell(pre)",
+        Box::new(|| {
+            // The gates' starting pre-activation: its gradient is the gate
+            // pre-activation gradient, carried by no other slot.
+            let w = randn(5, 12, 164).scale(0.5);
+            let b = randn(1, 12, 165).scale(0.1);
+            let x0 = randn(2, 2, 166);
+            let h0 = randn(2, 3, 167).scale(0.5);
+            let c0 = randn(2, 3, 168).scale(0.5);
+            grad_check_input(
+                &randn(2, 12, 55).scale(0.5),
+                move |t, pre| {
+                    let wv = t.constant(w.clone());
+                    let bv = t.constant(b.clone());
+                    let xv = t.constant(x0.clone());
+                    let hv = t.constant(h0.clone());
+                    let cv = t.constant(c0.clone());
+                    let hc = t.lstm_cell(xv, hv, cv, wv, bv, Some(pre));
+                    let sq = t.mul(hc, hc);
+                    t.sum_all(sq)
+                },
+                &cfg(),
+            )
+            .assert_ok("lstm_cell(pre)");
         }),
     );
     // "leaf" is exercised by every fixture above: inputs and constants are
@@ -665,7 +692,7 @@ fn lstm_params_match_finite_differences() {
             let mut state = cell.zero_state(&mut tape, 2);
             for x in &steps {
                 let xv = tape.constant(x.clone());
-                state = cell.step(s, &mut tape, xv, state);
+                state = cell.step(s, &mut tape, xv, state, None);
             }
             let sq = tape.mul(state.h, state.h);
             let loss = tape.sum_all(sq);

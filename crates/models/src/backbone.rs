@@ -26,8 +26,8 @@
 use crate::config::BackboneConfig;
 use adaptraj_data::trajectory::{Point, TrajWindow, T_OBS, T_PRED};
 use adaptraj_data::WindowBatch;
-use adaptraj_tensor::nn::{Activation, Linear, Lstm, LstmCell, LstmState, Mlp};
-use adaptraj_tensor::{GroupId, ParamStore, Rng, Tape, Tensor, Var};
+use adaptraj_tensor::nn::{xavier_std, Activation, Linear, Lstm, LstmCell, LstmState, Mlp};
+use adaptraj_tensor::{GroupId, ParamId, ParamStore, Rng, Tape, Tensor, Var};
 
 /// Parameter group for all backbone weights (the AdapTraj schedule
 /// addresses modules by group).
@@ -277,59 +277,109 @@ impl SceneEncoder {
 }
 
 /// Stage 3: the autoregressive future-trajectory generator.
+///
+/// The context `ctx = [h | P | extra | cond]` is the same at every step,
+/// so its share of the gate projection, `ctx·W_ctx`, is computed once per
+/// rollout and each step's cell starts its gates from it
+/// ([`Tape::lstm_cell`]'s `pre`), multiplying only `[e | h_dec]`. Per
+/// gate, the forward sums the ctx, e and h_dec terms in that order, which
+/// equals one step on `[ctx | e | h_dec]` bit for bit; `dctx` and
+/// `dW_ctx` come from one matmul backward over the step-summed gate
+/// gradient, and those bits differ from a per-step reduction. `extra`
+/// sits before `cond` because only `cond` (the latent or endpoint) differs
+/// between the stacked samples of one window.
 #[derive(Debug, Clone)]
 pub struct RolloutDecoder {
     init: Mlp,
     embed: Linear,
+    /// `ctx`'s rows of the gate projection, `[ctx_dim, 4·dec_hidden]`.
+    w_ctx: ParamId,
+    /// The step cell over `[e | h_dec]`.
     cell: LstmCell,
     head: Linear,
     ctx_dim: usize,
 }
 
 impl RolloutDecoder {
-    /// `ctx_dim` is the width of the conditioning vector the backbone
-    /// assembles (`[h | P | cond | extra]`).
+    /// `cond_dim` is the width of the backbone's own conditioning (the
+    /// endpoint or latent); the context is `[h | P | extra | cond]`,
+    /// `cfg.base_ctx_dim() + cond_dim` wide.
+    ///
+    /// The initial values are those of the unhoisted layout
+    /// `[h | P | cond | extra]`, drawn in the same RNG order: the init
+    /// layer's rows are permuted to the new order, and the gate projection
+    /// is drawn whole as `[e | ctx | h_dec]` rows, then split into `W_ctx`
+    /// and the cell's `[W_e; W_h]`.
     pub fn new(
         store: &mut ParamStore,
         rng: &mut Rng,
         name: &str,
         cfg: &BackboneConfig,
-        ctx_dim: usize,
+        cond_dim: usize,
     ) -> Self {
+        let ctx_dim = cfg.base_ctx_dim() + cond_dim;
+        // Row of the old layout that each new context row takes.
+        let hp = cfg.hidden_dim + cfg.inter_dim;
+        let old_row: Vec<usize> = (0..hp)
+            .chain(hp + cond_dim..ctx_dim)
+            .chain(hp..hp + cond_dim)
+            .collect();
+        let init = Mlp::new(
+            store,
+            rng,
+            &format!("{name}.init"),
+            &[ctx_dim, cfg.dec_hidden],
+            Activation::Tanh,
+            BACKBONE_GROUP,
+        )
+        .with_output_activation();
+        let (init_w, _) = init.layers()[0].params();
+        let permuted = store.value(init_w).gather_rows(&old_row);
+        *store.value_mut(init_w) = permuted.into_shared();
+        let embed = Linear::new(
+            store,
+            rng,
+            &format!("{name}.demb"),
+            2,
+            cfg.embed_dim,
+            BACKBONE_GROUP,
+        );
+        let (e, h) = (cfg.embed_dim, cfg.dec_hidden);
+        let w = Tensor::randn(
+            e + ctx_dim + h,
+            4 * h,
+            0.0,
+            xavier_std(e + ctx_dim + h, h),
+            rng,
+        );
+        let ctx_rows: Vec<usize> = old_row.iter().map(|r| e + r).collect();
+        let cell_rows: Vec<usize> = (0..e).chain(e + ctx_dim..e + ctx_dim + h).collect();
+        let w_ctx = store.register(
+            format!("{name}.dec.w_ctx"),
+            w.gather_rows(&ctx_rows),
+            BACKBONE_GROUP,
+        );
+        let cell = LstmCell::from_weights(
+            store,
+            &format!("{name}.dec"),
+            w.gather_rows(&cell_rows),
+            e,
+            BACKBONE_GROUP,
+        );
+        let head = Linear::new(
+            store,
+            rng,
+            &format!("{name}.head"),
+            cfg.dec_hidden,
+            2,
+            BACKBONE_GROUP,
+        );
         Self {
-            init: Mlp::new(
-                store,
-                rng,
-                &format!("{name}.init"),
-                &[ctx_dim, cfg.dec_hidden],
-                Activation::Tanh,
-                BACKBONE_GROUP,
-            )
-            .with_output_activation(),
-            embed: Linear::new(
-                store,
-                rng,
-                &format!("{name}.demb"),
-                2,
-                cfg.embed_dim,
-                BACKBONE_GROUP,
-            ),
-            cell: LstmCell::new(
-                store,
-                rng,
-                &format!("{name}.dec"),
-                cfg.embed_dim + ctx_dim,
-                cfg.dec_hidden,
-                BACKBONE_GROUP,
-            ),
-            head: Linear::new(
-                store,
-                rng,
-                &format!("{name}.head"),
-                cfg.dec_hidden,
-                2,
-                BACKBONE_GROUP,
-            ),
+            init,
+            embed,
+            w_ctx,
+            cell,
+            head,
             ctx_dim,
         }
     }
@@ -350,14 +400,16 @@ impl RolloutDecoder {
         let h0 = self.init.forward(store, tape, ctx);
         let c0 = tape.constant(Tensor::zeros(b, tape.value(h0).cols()));
         let mut state = LstmState { h: h0, c: c0 };
+        // The context's gate pre-activation, once for all steps.
+        let w_ctx = tape.param(store, self.w_ctx);
+        let pre = tape.matmul(ctx, w_ctx);
 
         // Eqs. 6–7: autoregressive rollout emitting displacements.
         let mut pos = tape.constant(Tensor::zeros(b, 2));
         let mut outputs = Vec::with_capacity(T_PRED);
         for _ in 0..T_PRED {
             let e = self.embed.forward_act(store, tape, pos, Activation::Relu);
-            let x = tape.concat_cols(&[e, ctx]);
-            state = self.cell.step(store, tape, x, state);
+            state = self.cell.step(store, tape, e, state, Some(pre));
             let delta = self.head.forward(store, tape, state.h);
             pos = tape.add(pos, delta);
             outputs.push(pos);
@@ -600,9 +652,9 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(1);
         let cfg = BackboneConfig::default();
-        let dec = RolloutDecoder::new(&mut store, &mut rng, "d", &cfg, 10);
+        let dec = RolloutDecoder::new(&mut store, &mut rng, "d", &cfg, 2);
         let mut tape = Tape::new();
-        let ctx = tape.constant(Tensor::randn(3, 10, 0.0, 1.0, &mut rng));
+        let ctx = tape.constant(Tensor::randn(3, dec.ctx_dim(), 0.0, 1.0, &mut rng));
         let pred = dec.rollout(&store, &mut tape, ctx);
         assert_eq!(tape.value(pred).shape(), (T_PRED * 3, 2));
         assert!(tape.value(pred).all_finite());
@@ -662,12 +714,72 @@ mod tests {
         let w = toy_window(0);
         let batch = WindowBatch::single(&w, 0);
         let mut tape = Tape::new();
-        let ctx = tape.constant(Tensor::randn(1, 8, 0.0, 1.0, &mut rng));
+        let ctx = tape.constant(Tensor::randn(1, dec.ctx_dim(), 0.0, 1.0, &mut rng));
         let pred = dec.rollout(&store, &mut tape, ctx);
         let loss = base_loss(&mut tape, pred, &batch);
         let grads = tape.backward(loss);
         let pgrads = tape.param_grads(&grads);
         assert!(!pgrads.is_empty(), "decoder params got no gradients");
         assert!(pgrads.iter().all(|(_, g)| g.all_finite()));
+        // The hoisted context projection learns too.
+        let (_, g_ctx) = pgrads
+            .iter()
+            .find(|(id, _)| *id == dec.w_ctx)
+            .expect("W_ctx got no gradient");
+        assert!(g_ctx.max_abs() > 0.0, "W_ctx gradient is all zero");
+    }
+
+    #[test]
+    fn initial_values_are_the_unhoisted_layouts_permuted() {
+        // Same seed, same draws: the init layer and the gate projection
+        // hold the values the `[h | P | cond | extra]` layout and one
+        // `[e | ctx | h_dec]` draw had, with rows moved to the new layout.
+        let cfg = BackboneConfig::default().with_extra(3);
+        let (hp, cond) = (cfg.hidden_dim + cfg.inter_dim, 2);
+        let mut store = ParamStore::new();
+        let dec = RolloutDecoder::new(&mut store, &mut Rng::seed_from(4), "d", &cfg, cond);
+        let ctx_dim = dec.ctx_dim();
+        let mut rng = Rng::seed_from(4);
+        let mut old = ParamStore::new();
+        let init = Mlp::new(
+            &mut old,
+            &mut rng,
+            "i",
+            &[ctx_dim, cfg.dec_hidden],
+            Activation::Tanh,
+            BACKBONE_GROUP,
+        );
+        let _embed = Linear::new(&mut old, &mut rng, "e", 2, cfg.embed_dim, BACKBONE_GROUP);
+        let (e, h) = (cfg.embed_dim, cfg.dec_hidden);
+        let cell = LstmCell::new(&mut old, &mut rng, "c", e + ctx_dim, h, BACKBONE_GROUP);
+        let old_init = old.value(init.layers()[0].params().0);
+        let old_w = old.value(cell.params().0);
+        let new_init = store.value(dec.init.layers()[0].params().0);
+        let new_w_ctx = store.value(dec.w_ctx);
+        let new_w_cell = store.value(dec.cell.params().0);
+        for r in 0..ctx_dim {
+            // New row r ([h | P | extra | cond]) came from old row `o`.
+            let o = if r < hp {
+                r
+            } else if r < ctx_dim - cond {
+                r + cond
+            } else {
+                r - (ctx_dim - cond - hp)
+            };
+            assert_eq!(new_init.row_slice(r), old_init.row_slice(o), "init row {r}");
+            assert_eq!(
+                new_w_ctx.row_slice(r),
+                old_w.row_slice(e + o),
+                "W_ctx row {r}"
+            );
+        }
+        for r in 0..e + h {
+            let o = if r < e { r } else { r + ctx_dim };
+            assert_eq!(
+                new_w_cell.row_slice(r),
+                old_w.row_slice(o),
+                "cell W row {r}"
+            );
+        }
     }
 }

@@ -74,9 +74,8 @@ impl Lbebm {
             Activation::Relu,
             BACKBONE_GROUP,
         );
-        // Context: [h | P | z | extra].
-        let ctx_dim = cfg.base_ctx_dim() + cfg.z_dim;
-        let rollout = RolloutDecoder::new(store, rng, "lbebm.roll", &cfg, ctx_dim);
+        // Context: [h | P | extra | z].
+        let rollout = RolloutDecoder::new(store, rng, "lbebm.roll", &cfg, cfg.z_dim);
         Self {
             cfg,
             scene,
@@ -218,10 +217,9 @@ impl Backbone for Lbebm {
         };
 
         let tape = &mut *ctx.tape;
-        let mut parts = vec![enc.h_focal, enc.p_i, z];
-        if let Some(e) = extra {
-            parts.push(e);
-        }
+        let mut parts = vec![enc.h_focal, enc.p_i];
+        parts.extend(extra);
+        parts.push(z);
         let cond = tape.concat_cols(&parts);
         let pred = self.rollout.rollout(store, tape, cond);
         Generation { pred, aux_loss }

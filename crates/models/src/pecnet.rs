@@ -70,9 +70,8 @@ impl PecNet {
             Activation::Relu,
             BACKBONE_GROUP,
         );
-        // Context: [h | P | endpoint (2) | extra].
-        let ctx_dim = cfg.base_ctx_dim() + 2;
-        let rollout = RolloutDecoder::new(store, rng, "pecnet.roll", &cfg, ctx_dim);
+        // Context: [h | P | extra | endpoint (2)].
+        let rollout = RolloutDecoder::new(store, rng, "pecnet.roll", &cfg, 2);
         Self {
             cfg,
             scene,
@@ -174,10 +173,9 @@ impl Backbone for PecNet {
             "extra conditioning must match the configured extra_dim"
         );
         let (endpoint, aux_loss) = self.infer_endpoint(ctx, batch, enc);
-        let mut parts = vec![enc.h_focal, enc.p_i, endpoint];
-        if let Some(e) = extra {
-            parts.push(e);
-        }
+        let mut parts = vec![enc.h_focal, enc.p_i];
+        parts.extend(extra);
+        parts.push(endpoint);
         let cond = ctx.tape.concat_cols(&parts);
         let pred = self.rollout.rollout(ctx.store, ctx.tape, cond);
         Generation { pred, aux_loss }

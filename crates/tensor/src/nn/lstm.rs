@@ -37,11 +37,22 @@ impl LstmCell {
         group: GroupId,
     ) -> Self {
         let std = xavier_std(in_dim + hidden, hidden);
-        let w = store.register(
-            format!("{name}.w"),
-            Tensor::randn(in_dim + hidden, 4 * hidden, 0.0, std, rng),
-            group,
-        );
+        let w = Tensor::randn(in_dim + hidden, 4 * hidden, 0.0, std, rng);
+        Self::from_weights(store, name, w, in_dim, group)
+    }
+
+    /// A cell over an already drawn `W: [in+hidden, 4·hidden]` (rows
+    /// `[W_x; W_h]`), with the same bias initialization as [`LstmCell::new`].
+    pub fn from_weights(
+        store: &mut ParamStore,
+        name: &str,
+        w: Tensor,
+        in_dim: usize,
+        group: GroupId,
+    ) -> Self {
+        let hidden = w.cols() / 4;
+        assert_eq!(w.shape(), (in_dim + hidden, 4 * hidden), "W shape mismatch");
+        let w = store.register(format!("{name}.w"), w, group);
         // Forget-gate bias initialized to 1.0 (standard trick: remember by
         // default early in training); other gates at 0.
         let mut bias = Tensor::zeros(1, 4 * hidden);
@@ -65,6 +76,11 @@ impl LstmCell {
         self.in_dim
     }
 
+    /// Parameter handles `(w, b)`.
+    pub fn params(&self) -> (ParamId, ParamId) {
+        (self.w, self.b)
+    }
+
     /// A zeroed state for a batch of `n` sequences.
     pub fn zero_state(&self, tape: &mut Tape, n: usize) -> LstmState {
         LstmState {
@@ -76,12 +92,21 @@ impl LstmCell {
     /// One step: consumes `x: [n, in]` and the previous state, produces the
     /// next state. Gate layout in the fused projection: `[i | f | g | o]`.
     /// The whole recurrence is one [`Tape::lstm_cell`] node (plus the two
-    /// state slices), not the fifteen-node elementwise composition.
-    pub fn step(&self, store: &ParamStore, tape: &mut Tape, x: Var, state: LstmState) -> LstmState {
+    /// state slices), not the fifteen-node elementwise composition. `pre`
+    /// is the gates' starting pre-activation (see [`Tape::lstm_cell`]):
+    /// a step-invariant input's projection, computed once by the caller.
+    pub fn step(
+        &self,
+        store: &ParamStore,
+        tape: &mut Tape,
+        x: Var,
+        state: LstmState,
+        pre: Option<Var>,
+    ) -> LstmState {
         debug_assert_eq!(tape.value(x).cols(), self.in_dim, "LSTM input width");
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let hc = tape.lstm_cell(x, state.h, state.c, w, b);
+        let hc = tape.lstm_cell(x, state.h, state.c, w, b, pre);
         let h = self.hidden;
         LstmState {
             h: tape.slice_cols(hc, 0, h),
@@ -125,7 +150,7 @@ impl Lstm {
         let n = tape.value(steps[0]).rows();
         let mut state = self.cell.zero_state(tape, n);
         for &x in steps {
-            state = self.cell.step(store, tape, x, state);
+            state = self.cell.step(store, tape, x, state, None);
         }
         state
     }
@@ -145,7 +170,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(4, 3));
         let s0 = cell.zero_state(&mut tape, 4);
-        let s1 = cell.step(&store, &mut tape, x, s0);
+        let s1 = cell.step(&store, &mut tape, x, s0, None);
         assert_eq!(tape.value(s1.h).shape(), (4, 6));
         assert_eq!(tape.value(s1.c).shape(), (4, 6));
     }
@@ -180,10 +205,10 @@ mod tests {
             let mut tape = Tape::new();
             let x = tape.input(x0v);
             let mut state = cell.zero_state(&mut tape, 1);
-            state = cell.step(&store, &mut tape, x, state);
+            state = cell.step(&store, &mut tape, x, state, None);
             for xr in &x_rest {
                 let xv = tape.constant(xr.clone());
-                state = cell.step(&store, &mut tape, xv, state);
+                state = cell.step(&store, &mut tape, xv, state, None);
             }
             let sq = tape.mul(state.h, state.h);
             let loss = tape.sum_all(sq);

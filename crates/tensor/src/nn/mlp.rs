@@ -48,6 +48,11 @@ impl Mlp {
         self.layers[0].in_dim()
     }
 
+    /// The layers, input side first.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("non-empty").out_dim()
     }

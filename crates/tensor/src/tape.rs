@@ -156,6 +156,8 @@ enum Op {
         c: Var,
         w: Var,
         b: Var,
+        /// Pre-activation the gates start from (`[n, 4·hidden]`), if any.
+        pre: Option<Var>,
         /// Post-activation gates `[i|f|g|o]`, `[n, 4·hidden]`.
         gates: Tensor,
         /// `tanh(c')`, `[n, hidden]`.
@@ -312,7 +314,13 @@ impl Tape {
             | Op::GradReverse(a, _) => vec![*a],
             Op::ConcatCols(parts) | Op::ConcatRows(parts) => parts.clone(),
             Op::FusedAffine(x, w, b, _) => vec![*x, *w, *b],
-            Op::LstmCell { x, h, c, w, b, .. } => vec![*x, *h, *c, *w, *b],
+            Op::LstmCell {
+                x, h, c, w, b, pre, ..
+            } => {
+                let mut ps = vec![*x, *h, *c, *w, *b];
+                ps.extend(*pre);
+                ps
+            }
         }
     }
 
@@ -326,9 +334,11 @@ impl Tape {
     /// and `record_op` returns immediately.
     ///
     /// The health tripwire probes every value here too ([`health::check_tensor`]),
-    /// one relaxed atomic load when disabled. An armed tripwire supersedes the
-    /// `all_finite` debug assert: non-finite values are then recorded as
-    /// incidents instead of aborting debug builds.
+    /// one relaxed atomic load when disabled. The op's timer stops before
+    /// that scan, so an armed run record times the op, not its tripwire. An
+    /// armed tripwire supersedes the `all_finite` debug assert: non-finite
+    /// values are then recorded as incidents instead of aborting debug
+    /// builds.
     fn push(&mut self, timer: OpTimer, mut value: Tensor, op: Op, needs_grad: bool) -> Var {
         if health::should_inject() {
             // Fault-injection hook (ADAPTRAJ_HEALTH_INJECT_NAN=<op-index>):
@@ -338,16 +348,16 @@ impl Tape {
                 *x = f32::NAN;
             }
         }
-        health::check_tensor(op.kind(), value.data());
-        debug_assert!(
-            health::health_enabled() || value.all_finite(),
-            "non-finite value from {op:?}"
-        );
         profile::record_op(
             op.kind(),
             profile::Dir::Forward,
             timer,
             alloc::drain_pending_bytes(),
+        );
+        health::check_tensor(op.kind(), value.data());
+        debug_assert!(
+            health::health_enabled() || value.all_finite(),
+            "non-finite value from {op:?}"
         );
         self.nodes.push(Node {
             value,
@@ -655,7 +665,18 @@ impl Tape {
     /// [`Tape::slice_cols`]. Values and gradients are bit-identical to the
     /// unfused concat → affine → slice/activate → blend composition, but
     /// the step records one node instead of fifteen.
-    pub fn lstm_cell(&mut self, x: Var, h: Var, c: Var, w: Var, b: Var) -> Var {
+    ///
+    /// `pre` (`[n, 4·hidden]`) is a pre-activation the gates start from
+    /// instead of zero, for an input that stays the same across steps:
+    /// with `pre = ctx·W_ctx` the step equals a plain step on `[ctx | x]`
+    /// with W stacked as `[W_ctx; W_x; W_h]`, bit for bit, because the
+    /// GEMMs continue each gate's accumulator (split-K). Its gradient is the
+    /// gates' pre-activation gradient, which the tape sums over every step
+    /// that shares `pre`; one backward through `pre`'s own matmul then
+    /// gives `dctx` and `dW_ctx`. Those two, and only those, differ in bits
+    /// from the stacked form, which reduces over rows within each step and
+    /// then over steps.
+    pub fn lstm_cell(&mut self, x: Var, h: Var, c: Var, w: Var, b: Var, pre: Option<Var>) -> Var {
         let t = profile::op_timer();
         let (xv, hv, cv) = (self.value(x), self.value(h), self.value(c));
         let (wv, bv) = (self.value(w), self.value(b));
@@ -669,11 +690,19 @@ impl Tape {
 
         // `[x | h]·W` without building `[x | h]`: W's first `in` rows meet
         // x, the rest continue the same accumulators with h, so every gate
-        // sums its k-terms in the concatenated product's order.
+        // sums its k-terms in the concatenated product's order. With `pre`
+        // the accumulators start from it, as if its input came first.
         let kernel = kernels::active_kernel();
         let (in_dim, g4) = (xv.cols(), 4 * hid);
         let (w_x, w_h) = wv.data().split_at(in_dim * g4);
-        let mut gates = vec![0.0; n * g4];
+        let mut gates = match pre {
+            Some(p) => {
+                let pv = self.value(p);
+                assert_eq!(pv.shape(), (n, g4), "pre shape mismatch");
+                pv.data().to_vec()
+            }
+            None => vec![0.0; n * g4],
+        };
         kernels::gemm_nn(kernel, xv.data(), w_x, &mut gates, n, in_dim, g4);
         kernels::gemm_nn(kernel, hv.data(), w_h, &mut gates, n, hid, g4);
         // Bias, then the gate activations on the row kernels: i/f/o are
@@ -718,7 +747,7 @@ impl Tape {
             }
         }
 
-        let ng = self.any_needs(&[x, h, c, w, b]);
+        let ng = self.any_needs(&[x, h, c, w, b]) || pre.is_some_and(|p| self.needs(p));
         self.push(
             t,
             value,
@@ -728,6 +757,7 @@ impl Tape {
                 c,
                 w,
                 b,
+                pre,
                 gates,
                 c_act,
             },
@@ -936,6 +966,7 @@ impl Tape {
                 c,
                 w,
                 b,
+                pre,
                 gates,
                 c_act,
             } => {
@@ -1009,6 +1040,11 @@ impl Tape {
                     self.add_grad(grads, *h, Tensor::from_vec(n, hid, dh));
                 }
                 self.add_grad(grads, *c, dc_prev);
+                // `pre` entered the gates with unit weight, so it takes the
+                // gate pre-activation gradient as is.
+                if let Some(p) = pre {
+                    self.add_grad(grads, *p, dpre);
+                }
             }
             // Recorded only for nodes with `needs_grad == false`, which the
             // backward loop never visits.
@@ -1278,7 +1314,7 @@ mod tests {
         let cv = t1.input(c0.clone());
         let wv = t1.input(w.clone());
         let bv = t1.input(b.clone());
-        let hc = t1.lstm_cell(xv, hv, cv, wv, bv);
+        let hc = t1.lstm_cell(xv, hv, cv, wv, bv, None);
         let h1 = t1.slice_cols(hc, 0, hid);
         let c1 = t1.slice_cols(hc, hid, 2 * hid);
         let sq_h = t1.mul(h1, h1);
