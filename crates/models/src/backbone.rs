@@ -741,22 +741,25 @@ mod tests {
         let ctx_dim = dec.ctx_dim();
         let mut rng = Rng::seed_from(4);
         let mut old = ParamStore::new();
-        let init = Mlp::new(
+        let _init = Mlp::new(
             &mut old,
             &mut rng,
-            "i",
+            "d.init",
             &[ctx_dim, cfg.dec_hidden],
             Activation::Tanh,
             BACKBONE_GROUP,
         );
         let _embed = Linear::new(&mut old, &mut rng, "e", 2, cfg.embed_dim, BACKBONE_GROUP);
         let (e, h) = (cfg.embed_dim, cfg.dec_hidden);
-        let cell = LstmCell::new(&mut old, &mut rng, "c", e + ctx_dim, h, BACKBONE_GROUP);
-        let old_init = old.value(init.layers()[0].params().0);
-        let old_w = old.value(cell.params().0);
-        let new_init = store.value(dec.init.layers()[0].params().0);
-        let new_w_ctx = store.value(dec.w_ctx);
-        let new_w_cell = store.value(dec.cell.params().0);
+        let _cell = LstmCell::new(&mut old, &mut rng, "d.dec", e + ctx_dim, h, BACKBONE_GROUP);
+        let named = |s: &ParamStore, name: &str| {
+            let id = s.ids().find(|&id| s.name(id) == name).expect(name);
+            s.value(id).clone()
+        };
+        let (old_init, old_w) = (named(&old, "d.init.0.w"), named(&old, "d.dec.w"));
+        let new_init = named(&store, "d.init.0.w");
+        let new_w_ctx = named(&store, "d.dec.w_ctx");
+        let new_w_cell = named(&store, "d.dec.w");
         for r in 0..ctx_dim {
             // New row r ([h | P | extra | cond]) came from old row `o`.
             let o = if r < hp {

@@ -76,11 +76,6 @@ impl LstmCell {
         self.in_dim
     }
 
-    /// Parameter handles `(w, b)`.
-    pub fn params(&self) -> (ParamId, ParamId) {
-        (self.w, self.b)
-    }
-
     /// A zeroed state for a batch of `n` sequences.
     pub fn zero_state(&self, tape: &mut Tape, n: usize) -> LstmState {
         LstmState {
