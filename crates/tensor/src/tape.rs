@@ -674,8 +674,8 @@ impl Tape {
     /// gates' pre-activation gradient, which the tape sums over every step
     /// that shares `pre`; one backward through `pre`'s own matmul then
     /// gives `dctx` and `dW_ctx`. Those two, and only those, differ in bits
-    /// from the stacked form, which reduces over rows within each step and
-    /// then over steps.
+    /// from the stacked form, which multiplies each step's gate gradient
+    /// separately and then sums the per-step products.
     pub fn lstm_cell(&mut self, x: Var, h: Var, c: Var, w: Var, b: Var, pre: Option<Var>) -> Var {
         let t = profile::op_timer();
         let (xv, hv, cv) = (self.value(x), self.value(h), self.value(c));
