@@ -134,16 +134,6 @@ pub fn shuffled_batches(n: usize, batch_size: usize, rng: &mut Rng) -> Vec<Vec<u
     order.chunks(batch_size).map(|c| c.to_vec()).collect()
 }
 
-/// Sequential mini-batches (for deterministic evaluation).
-pub fn sequential_batches(n: usize, batch_size: usize) -> Vec<Vec<usize>> {
-    assert!(batch_size > 0, "batch_size must be positive");
-    (0..n)
-        .collect::<Vec<usize>>()
-        .chunks(batch_size)
-        .map(|c| c.to_vec())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,12 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_is_ordered() {
-        let batches = sequential_batches(7, 4);
-        assert_eq!(batches, vec![vec![0, 1, 2, 3], vec![4, 5, 6]]);
-    }
-
-    #[test]
     fn shuffling_changes_order() {
         let mut rng = Rng::seed_from(1);
         let flat: Vec<usize> = shuffled_batches(50, 50, &mut rng).remove(0);
@@ -236,6 +220,5 @@ mod tests {
     fn empty_input_gives_no_batches() {
         let mut rng = Rng::seed_from(2);
         assert!(shuffled_batches(0, 4, &mut rng).is_empty());
-        assert!(sequential_batches(0, 4).is_empty());
     }
 }

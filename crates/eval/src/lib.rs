@@ -9,8 +9,8 @@
 //!   the per-trajectory inference timing used by Table VIII.
 //!   [`evaluate`] is the one scoring loop: every window's best-of-k
 //!   errors and its first sample's errors and [`social`] metrics.
-//! * [`tables`] — aligned text tables matching the paper's layout,
-//!   rendered by the `adaptraj-bench` `tables` binary.
+//! * [`tables`] — the paper's tables and figures as specs, laid out as
+//!   aligned text tables by `adaptraj tables`.
 
 pub mod metrics;
 pub mod runner;

@@ -10,9 +10,10 @@ use adaptraj_data::trajectory::TrajWindow;
 use adaptraj_exec::{window_seed, WorkerPool};
 use adaptraj_models::predictor::TrainReport;
 use adaptraj_models::{
-    BackboneConfig, CausalMotion, Counter, Lbebm, PecNet, Predictor, TrainerConfig, Vanilla,
+    Backbone, BackboneConfig, CausalMotion, Counter, Lbebm, PecNet, Predictor, TrainerConfig,
+    Vanilla,
 };
-use adaptraj_tensor::Rng;
+use adaptraj_tensor::{ParamStore, Rng};
 use std::time::Instant;
 
 /// Which backbone a cell uses.
@@ -173,52 +174,38 @@ impl RunnerConfig {
 
 /// Builds the predictor for a cell.
 pub fn build_predictor(spec: &CellSpec, cfg: &RunnerConfig) -> Box<dyn Predictor> {
+    match spec.backbone {
+        BackboneKind::PecNet => predictor_over(spec, cfg, PecNet::new),
+        BackboneKind::Lbebm => predictor_over(spec, cfg, Lbebm::new),
+    }
+}
+
+/// The cell's method wrapped around the backbone that `new` constructs.
+fn predictor_over<B: Backbone + 'static>(
+    spec: &CellSpec,
+    cfg: &RunnerConfig,
+    new: fn(&mut ParamStore, &mut Rng, BackboneConfig) -> B,
+) -> Box<dyn Predictor> {
     let bcfg = cfg.backbone.clone();
     let tcfg = cfg.trainer.clone();
-    match (spec.backbone, spec.method) {
-        (BackboneKind::PecNet, MethodKind::Vanilla) => {
-            Box::new(Vanilla::new(tcfg, move |s, r| PecNet::new(s, r, bcfg)))
+    let mut acfg = cfg.adaptraj.clone();
+    match spec.method {
+        MethodKind::Vanilla => return Box::new(Vanilla::new(tcfg, move |s, r| new(s, r, bcfg))),
+        MethodKind::Counter => return Box::new(Counter::new(tcfg, move |s, r| new(s, r, bcfg))),
+        MethodKind::CausalMotion => {
+            return Box::new(CausalMotion::new(tcfg, move |s, r| new(s, r, bcfg)))
         }
-        (BackboneKind::PecNet, MethodKind::Counter) => {
-            Box::new(Counter::new(tcfg, move |s, r| PecNet::new(s, r, bcfg)))
-        }
-        (BackboneKind::PecNet, MethodKind::CausalMotion) => {
-            Box::new(CausalMotion::new(tcfg, move |s, r| PecNet::new(s, r, bcfg)))
-        }
-        (BackboneKind::Lbebm, MethodKind::Vanilla) => {
-            Box::new(Vanilla::new(tcfg, move |s, r| Lbebm::new(s, r, bcfg)))
-        }
-        (BackboneKind::Lbebm, MethodKind::Counter) => {
-            Box::new(Counter::new(tcfg, move |s, r| Lbebm::new(s, r, bcfg)))
-        }
-        (BackboneKind::Lbebm, MethodKind::CausalMotion) => {
-            Box::new(CausalMotion::new(tcfg, move |s, r| Lbebm::new(s, r, bcfg)))
-        }
-        (backbone, method) => {
-            // The AdapTraj family.
-            let mut acfg = cfg.adaptraj.clone();
-            match method {
-                MethodKind::AdapTraj => {}
-                MethodKind::AdapTrajNoSpecific => acfg.ablation.use_specific = false,
-                MethodKind::AdapTrajNoInvariant => acfg.ablation.use_invariant = false,
-                _ => unreachable!("non-AdapTraj methods handled above"),
-            }
-            match backbone {
-                BackboneKind::PecNet => Box::new(AdapTraj::new(
-                    tcfg,
-                    acfg,
-                    &spec.sources,
-                    move |s, r, extra| PecNet::new(s, r, bcfg.with_extra(extra)),
-                )),
-                BackboneKind::Lbebm => Box::new(AdapTraj::new(
-                    tcfg,
-                    acfg,
-                    &spec.sources,
-                    move |s, r, extra| Lbebm::new(s, r, bcfg.with_extra(extra)),
-                )),
-            }
-        }
+        // The AdapTraj family.
+        MethodKind::AdapTraj => {}
+        MethodKind::AdapTrajNoSpecific => acfg.ablation.use_specific = false,
+        MethodKind::AdapTrajNoInvariant => acfg.ablation.use_invariant = false,
     }
+    Box::new(AdapTraj::new(
+        tcfg,
+        acfg,
+        &spec.sources,
+        move |s, r, extra| new(s, r, bcfg.with_extra(extra)),
+    ))
 }
 
 /// Pools the training splits of the cell's source domains.

@@ -4,8 +4,7 @@
 //! its row count, its `Average` column, and the social and paired columns
 //! computed from the fake's per-window scores.
 
-use adaptraj_bench::tables::{render, spec, Body, Cell, CellFormat, TableSpec};
-use adaptraj_bench::Scale;
+use adaptraj_eval::tables::{render, spec, Body, Cell, CellFormat, Scale, TableSpec};
 use adaptraj_eval::{
     paired_bootstrap, CellResult, CellSpec, EvalAccumulator, EvalResult, Latency, RunnerConfig,
     WindowScore,

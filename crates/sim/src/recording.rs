@@ -51,32 +51,6 @@ impl Recording {
     pub fn position(&self, frame: usize, agent: AgentId) -> Option<Vec2> {
         self.frames.get(frame)?.get(agent).copied().flatten()
     }
-
-    /// Ids of agents present at `frame`.
-    pub fn active_at(&self, frame: usize) -> Vec<AgentId> {
-        match self.frames.get(frame) {
-            Some(f) => f
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.map(|_| i))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// The contiguous presence of one agent: `(first_frame, positions)`.
-    /// Returns `None` if the agent never appears.
-    pub fn trajectory_of(&self, agent: AgentId) -> Option<(usize, Vec<Vec2>)> {
-        let first = (0..self.num_frames()).find(|&t| self.position(t, agent).is_some())?;
-        let mut pts = Vec::new();
-        for t in first..self.num_frames() {
-            match self.position(t, agent) {
-                Some(p) => pts.push(p),
-                None => break,
-            }
-        }
-        Some((first, pts))
-    }
 }
 
 #[cfg(test)]
@@ -113,30 +87,15 @@ mod tests {
         );
         // Stationary agent present throughout.
         assert!(rec.position(80, 1).is_some());
-    }
-
-    #[test]
-    fn trajectory_extraction_is_contiguous() {
-        let rec = recorded_world();
-        let (start, pts) = rec.trajectory_of(0).expect("walker trajectory");
-        assert_eq!(start, 0);
-        assert!(pts.len() < rec.num_frames(), "exited early");
-        assert!(pts.len() > 5);
-        // Monotone progress toward the goal on x.
-        assert!(pts.last().unwrap().x > pts[0].x);
-    }
-
-    #[test]
-    fn active_at_lists_present_agents() {
-        let rec = recorded_world();
-        assert_eq!(rec.active_at(0), vec![0, 1]);
-        assert_eq!(rec.active_at(80), vec![1]);
-        assert!(rec.active_at(10_000).is_empty());
-    }
-
-    #[test]
-    fn missing_agent_has_no_trajectory() {
-        let rec = recorded_world();
-        assert!(rec.trajectory_of(99).is_none());
+        // The walker moves toward its goal on x while present.
+        let last = (0..rec.num_frames())
+            .take_while(|&t| rec.position(t, 0).is_some())
+            .last()
+            .unwrap();
+        assert!(last > 5);
+        assert!(rec.position(last, 0).unwrap().x > rec.position(0, 0).unwrap().x);
+        // Frames and agents that were never recorded have no position.
+        assert!(rec.position(10_000, 1).is_none());
+        assert!(rec.position(0, 99).is_none());
     }
 }

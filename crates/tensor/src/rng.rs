@@ -144,14 +144,6 @@ impl Rng {
     pub fn normal_vec(&mut self, n: usize, mean: f32, std: f32) -> Vec<f32> {
         (0..n).map(|_| self.normal(mean, std)).collect()
     }
-
-    /// Forks a child generator with an independent stream derived from this
-    /// one. Useful for giving each worker/scene its own stream while keeping
-    /// the parent deterministic.
-    pub fn fork(&mut self) -> Rng {
-        let seed = self.inner.next_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Rng::seed_from(seed)
-    }
 }
 
 #[cfg(test)]
@@ -218,14 +210,5 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         assert!(!(0..100).any(|_| rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut parent = Rng::seed_from(123);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let collisions = (0..64).filter(|_| c1.unit() == c2.unit()).count();
-        assert!(collisions < 4);
     }
 }

@@ -18,17 +18,12 @@ use adaptraj_obs::profile::{self, OpTimer};
 use std::sync::OnceLock;
 
 /// Cached handles into the global metrics registry so the hot backward
-/// path pays one atomic add + one histogram lock, not a registry lookup.
+/// path pays two atomic adds and one histogram lock, not a registry
+/// lookup.
 struct TapeMetrics {
     backward_calls: adaptraj_obs::CounterHandle,
     tape_nodes: adaptraj_obs::CounterHandle,
     backward_ms: adaptraj_obs::HistogramHandle,
-    /// Nodes-per-backward distribution (graph size per step), alongside
-    /// the `tape_nodes` counter sum.
-    tape_len: adaptraj_obs::HistogramHandle,
-    /// Per-backward cost normalized by graph size — the bench harness's
-    /// "backward ns/node" regression metric.
-    backward_ns_per_node: adaptraj_obs::HistogramHandle,
 }
 
 impl TapeMetrics {
@@ -36,11 +31,6 @@ impl TapeMetrics {
         self.backward_calls.incr();
         self.tape_nodes.add(nodes as u64);
         self.backward_ms.record(elapsed.as_secs_f64() * 1e3);
-        self.tape_len.record(nodes as f64);
-        if nodes > 0 {
-            self.backward_ns_per_node
-                .record(elapsed.as_nanos() as f64 / nodes as f64);
-        }
     }
 }
 
@@ -52,8 +42,6 @@ fn tape_metrics() -> &'static TapeMetrics {
             backward_calls: reg.counter("tensor.backward_calls"),
             tape_nodes: reg.counter("tensor.tape_nodes_total"),
             backward_ms: reg.histogram("tensor.backward_ms"),
-            tape_len: reg.histogram("tensor.tape_len"),
-            backward_ns_per_node: reg.histogram("tensor.backward_ns_per_node"),
         }
     })
 }
@@ -1546,16 +1534,6 @@ mod tests {
         // x, x*x, sum -> three nodes on this tape's backward pass.
         assert!(delta.counter("tensor.tape_nodes_total") >= 3);
         assert!(delta.hist_count("tensor.backward_ms") >= 1);
-        // Graph size lands in the distribution, not just the counter sum.
-        assert!(delta.hist_count("tensor.tape_len") >= 1);
-        assert!(delta.hist_count("tensor.backward_ns_per_node") >= 1);
-        assert!(
-            adaptraj_obs::global()
-                .histogram("tensor.tape_len")
-                .snapshot()
-                .max
-                >= 3.0
-        );
     }
 
     /// Serializes the tests that switch the process-global profiler.

@@ -72,10 +72,10 @@ empty_tmp
 TMPDIR="$ci_tmp" cargo test -q --workspace --offline --exclude adaptraj || fail=1
 tmp_left_empty
 
-step "tables smoke (Table I through the tables binary)"
+step "tables smoke (Table I through adaptraj tables)"
 # table1 synthesizes the four domains and prints their statistics beside
 # the paper's values; it trains nothing, so it takes well under a second.
-cargo run --release --offline -p adaptraj-bench --bin tables -- table1 --scale smoke \
+cargo run --release --offline --bin adaptraj -- tables table1 --scale smoke \
     > target/tables_ci_table1.txt || fail=1
 grep -qx '=== Table I: dataset statistics ===' target/tables_ci_table1.txt &&
     grep -q '^| Dataset | # sequences |' target/tables_ci_table1.txt || {
@@ -117,11 +117,17 @@ step "perfbench build + tests (the repository benchmark)"
 # benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml || fail=1
 
-step "forced-scalar pass (ADAPTRAJ_FORCE_SCALAR=1 tier-1 + golden gate)"
+step "forced-scalar pass (ADAPTRAJ_FORCE_SCALAR=1 tier-1, tape, kernel-bitwise tests + golden gate)"
 # The scalar fallback is a first-class dispatch path, not dead code: the
 # tier-1 suite and the golden micro-runs must pass with SIMD disabled,
-# proving the committed goldens do not depend on the host's ISA.
+# proving the committed goldens do not depend on the host's ISA. The
+# tensor crate's tests (the tape's bitwise fused-op tests among them) and
+# the two adaptraj-check binaries that pin results bit for bit across
+# code paths run here too, so each such contract holds on both kernels.
 ADAPTRAJ_FORCE_SCALAR=1 cargo test -q --offline || fail=1
+ADAPTRAJ_FORCE_SCALAR=1 cargo test -q --offline -p adaptraj-tensor || fail=1
+ADAPTRAJ_FORCE_SCALAR=1 cargo test -q --offline -p adaptraj-check \
+    --test batch_equivalence --test decoder_hoist || fail=1
 ADAPTRAJ_FORCE_SCALAR=1 cargo run --release --offline --bin adaptraj -- \
     check --golden-dir results || fail=1
 

@@ -6,12 +6,12 @@ set -euo pipefail
 scale="${1:-smoke}"
 cd "$(dirname "$0")/.."
 mkdir -p results
-cargo build --release --offline -p adaptraj-bench --bin tables
+cargo build --release --offline --bin adaptraj
 # cargo honours CARGO_TARGET_DIR, so the binary it just built is there.
-tables="${CARGO_TARGET_DIR:-target}/release/tables"
+adaptraj="${CARGO_TARGET_DIR:-target}/release/adaptraj"
 run() { # name seeds output
     echo "=== $1 --seeds $2 ($scale) ==="
-    "$tables" "$1" --scale "$scale" --seeds "$2" | tee "$3"
+    "$adaptraj" tables "$1" --scale "$scale" --seeds "$2" | tee "$3"
 }
 for name in table1 table2 table3 table4 table5 table6 table7 table8 fig3 fig4 social compare; do
     # compare pools the runner's per-(seed, window) scores over two

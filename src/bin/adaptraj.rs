@@ -1,10 +1,11 @@
 //! The `adaptraj` command-line tool: synthesize datasets, train/evaluate
-//! experiment cells, and render predictions.
+//! experiment cells, reproduce the paper's tables, and render predictions.
 //!
 //! ```sh
 //! cargo run --release --bin adaptraj -- help
 //! cargo run --release --bin adaptraj -- run --backbone pecnet --method adaptraj \
 //!     --sources eth_ucy,l_cas,syi --target sdd
+//! cargo run --release --bin adaptraj -- tables table4 --scale smoke --seeds 2
 //! ```
 
 use adaptraj::check::{compare, load_baselines, run_all_goldens, write_doc};
@@ -13,9 +14,10 @@ use adaptraj::data::dataset::{synthesize_all, synthesize_domain, SynthesisConfig
 use adaptraj::data::domain::DomainId;
 use adaptraj::data::io::write_csv;
 use adaptraj::doctor::{run_doctor, DoctorArgs};
+use adaptraj::eval::tables::{banner, build_datasets, render};
 use adaptraj::eval::viz::{render_window, VizOptions};
 use adaptraj::eval::{
-    build_predictor, train_cell, BackboneKind, CellSpec, MethodKind, RunnerConfig,
+    build_predictor, run_cell_avg, train_cell, BackboneKind, CellSpec, MethodKind, RunnerConfig,
 };
 use adaptraj::models::TrainerConfig;
 use adaptraj::obs::serve::TelemetryServer;
@@ -300,6 +302,25 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             );
             server.wait();
             println!("server stopped");
+        }
+        Command::Tables {
+            table,
+            scale,
+            seeds,
+        } => {
+            // The table goes to stdout, progress to stderr.
+            let seeds: Vec<u64> = (1..=seeds).collect();
+            banner(table.title, scale);
+            if seeds.len() > 1 {
+                println!("(averaging over {} training seeds per cell)\n", seeds.len());
+            }
+            let datasets = build_datasets(scale);
+            print!(
+                "{}",
+                render(&table, &datasets, |cell, cfg| {
+                    run_cell_avg(cell, &datasets, cfg, &seeds)
+                })
+            );
         }
         Command::Check {
             golden_dir,

@@ -4,6 +4,7 @@
 //! flags. See [`Command`] for the surface.
 
 use adaptraj_data::domain::DomainId;
+use adaptraj_eval::tables::{self, Scale, TableSpec};
 use adaptraj_eval::{BackboneKind, MethodKind};
 use std::collections::HashMap;
 
@@ -56,6 +57,15 @@ pub enum Command {
         target: DomainId,
         out: String,
         count: usize,
+    },
+    /// `tables <name> [--scale smoke|paper] [--seeds N]` — train, score
+    /// and print one of the paper's tables or figures (see
+    /// [`adaptraj_eval::tables`]), each cell averaged over training seeds
+    /// `1..=seeds`.
+    Tables {
+        table: TableSpec,
+        scale: Scale,
+        seeds: u64,
     },
     /// `check [--golden-dir DIR] [--update-golden]` — re-run the
     /// fixed-seed golden micro-runs and gate them against the committed
@@ -196,6 +206,16 @@ fn parse_usize(
         Some(v) => v
             .parse()
             .map_err(|_| err(format!("--{key} expects an integer, got '{v}'"))),
+    }
+}
+
+fn parse_scale(tag: Option<&str>) -> Result<Scale, ParseError> {
+    match tag {
+        None | Some("smoke") => Ok(Scale::Smoke),
+        Some("paper") => Ok(Scale::Paper),
+        Some(other) => Err(err(format!(
+            "unknown --scale '{other}' (expected smoke|paper)"
+        ))),
     }
 }
 
@@ -352,6 +372,30 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 count: parse_usize(&flags, "count", 4)?,
             })
         }
+        "tables" => {
+            let Some((name, rest)) = rest.split_first().filter(|(n, _)| !n.starts_with("--"))
+            else {
+                return Err(err("missing table name (try: adaptraj help)"));
+            };
+            let flags = parse_flags(rest, &["scale", "seeds"], &[])?;
+            let scale = parse_scale(flags.get("scale").copied())?;
+            let seeds = parse_usize(&flags, "seeds", 1)
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| {
+                    err(format!(
+                        "--seeds expects a positive integer, got '{}'",
+                        flags["seeds"]
+                    ))
+                })?;
+            let table = tables::spec(name, scale)
+                .ok_or_else(|| err(format!("unknown table '{name}' (try: adaptraj help)")))?;
+            Ok(Command::Tables {
+                table,
+                scale,
+                seeds: seeds as u64,
+            })
+        }
         "check" => {
             let mut rest = rest.to_vec();
             let update_golden = take_switch(&mut rest, "update-golden")?;
@@ -404,6 +448,8 @@ USAGE:
                  [--accept-threads N] [--queue-cap N] [--deadline-ms N]
                  [--backbone B] [--method M] [--sources d1,d2,...]
   adaptraj visualize --target <d> [--out DIR] [--count N]
+  adaptraj tables <table1|table2|table3|table4|table5|table6|table7|table8|
+                   fig3|fig4|social|compare> [--scale smoke|paper] [--seeds N]
   adaptraj check [--golden-dir DIR] [--update-golden]
   adaptraj doctor [--run DIR] [--bench-baseline FILE --bench-candidate FILE]
                   [--json]
@@ -461,6 +507,14 @@ SERVE:
   + seed. A full admission queue (--queue-cap) answers 503; requests
   older than --deadline-ms answer 504. --backbone/--method/--sources
   must match the spec the checkpoint was trained with.
+
+TABLES:
+  prints one of the paper's tables or figures to stdout (progress goes to
+  stderr): table1 is Table I's dataset statistics and trains nothing;
+  every other name trains and scores its cells (minutes each at --scale
+  smoke, the default; paper runs the full protocol) and prints the
+  paper's expected shape under the table. --seeds N averages each cell
+  over training seeds 1..=N (default 1).
 
 CHECK:
   re-runs the six fixed-seed golden micro-runs (adaptraj-golden/v1) and
@@ -849,6 +903,71 @@ mod tests {
         assert!(e.0.contains("given together"), "{e}");
         let e = parse(&args("doctor --bench-candidate b.json")).unwrap_err();
         assert!(e.0.contains("given together"), "{e}");
+    }
+
+    #[test]
+    fn tables_defaults_and_full_invocation() {
+        assert_eq!(
+            parse(&args("tables table4")).unwrap(),
+            Command::Tables {
+                table: tables::spec("table4", Scale::Smoke).unwrap(),
+                scale: Scale::Smoke,
+                seeds: 1,
+            }
+        );
+        let cmd = parse(&args("tables compare --seeds 3 --scale paper")).unwrap();
+        let Command::Tables {
+            table,
+            scale,
+            seeds,
+        } = cmd
+        else {
+            panic!("expected Tables, got {cmd:?}");
+        };
+        assert_eq!(
+            (table.body, scale, seeds),
+            (tables::Body::Paired, Scale::Paper, 3)
+        );
+    }
+
+    #[test]
+    fn help_lists_every_table() {
+        let list = USAGE.split("adaptraj tables <").nth(1).unwrap();
+        let names: Vec<&str> = list.split('>').next().unwrap().split('|').collect();
+        assert_eq!(names.len(), 12, "{names:?}");
+        for name in names {
+            let name = name.trim();
+            assert!(parse(&args(&format!("tables {name}"))).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn tables_rejects_bad_input() {
+        for (line, needle) in [
+            ("tables", "missing table name"),
+            ("tables --scale smoke", "missing table name"),
+            ("tables table9", "unknown table 'table9'"),
+            ("tables table1 --bogus 3", "unknown flag --bogus"),
+            ("tables table1 --scale papr", "unknown --scale 'papr'"),
+            ("tables table1 --scale", "--scale needs a value"),
+            (
+                "tables table1 --seeds abc",
+                "--seeds expects a positive integer",
+            ),
+            (
+                "tables table1 --seeds 0",
+                "--seeds expects a positive integer",
+            ),
+            ("tables table1 --seeds 1 --seeds 2", "--seeds given twice"),
+            (
+                "tables table1 --scale smoke --scale smoke",
+                "--scale given twice",
+            ),
+            ("tables compare --target eth_ucy", "unknown flag --target"),
+        ] {
+            let e = parse(&args(line)).unwrap_err();
+            assert!(e.0.contains(needle), "{line}: {e}");
+        }
     }
 
     #[test]
