@@ -1,37 +1,41 @@
 //! # adaptraj-exec
 //!
-//! A fixed-size worker-pool executor for data-parallel per-window work:
-//! training forward/backward passes, inference sampling, and metric
-//! evaluation are all embarrassingly parallel across trajectory windows,
-//! and this crate provides the one primitive they share — a blocking,
+//! A worker-pool executor for data-parallel per-window work: training
+//! forward/backward passes, inference sampling, and metric evaluation
+//! are all embarrassingly parallel across trajectory windows, and this
+//! crate provides the one primitive they share — a blocking,
 //! order-preserving [`WorkerPool::map`] over a slice.
 //!
 //! Design constraints (see DESIGN.md, "Execution model"):
 //!
-//! - **Zero external dependencies.** std threads + mpsc channels only
-//!   (plus the workspace's own `adaptraj-obs` for instrumentation); the
-//!   workspace stays registry-free.
+//! - **Zero external dependencies.** `std::thread::scope` only (plus the
+//!   workspace's own `adaptraj-obs` for instrumentation); the workspace
+//!   stays registry-free.
+//! - **One path for every worker count.** Each `map` opens one thread
+//!   scope: the calling thread is worker 0, `min(workers, items) - 1`
+//!   scoped threads are the others, and all of them run the same loop,
+//!   claiming the next item index from a shared counter. With
+//!   `workers <= 1` that loop runs on the caller alone and no thread is
+//!   spawned.
 //! - **Deterministic reduction.** `map` returns outputs in item order, so
 //!   callers can fold results (gradients, losses, metrics) in exactly the
 //!   order the sequential loop would have — bit-identical regardless of
 //!   worker count. Randomness must be pre-split by the caller (per-item
 //!   seeds), never drawn from a shared stream inside the closure.
-//! - **Identical degenerate path.** A pool built with `workers <= 1` runs
-//!   `map` inline on the calling thread with no channels at all, so
-//!   `--workers 1` is structurally the sequential loop.
-//! - **Panic containment.** A panicking job is caught on the worker,
-//!   reported as a clean [`ExecError`], and the pool stays usable — no
-//!   deadlock, no poisoned state, remaining jobs still drain.
+//! - **Panic containment.** A panicking job is caught on its worker, the
+//!   remaining items still run, and `map` reports the lowest-index panic
+//!   as a clean [`ExecError`]. No state outlives the call, so the pool is
+//!   immediately reusable.
 //!
 //! The pool is intentionally oblivious to tensors and tapes: callers own
 //! per-item state (a fresh `Tape`, a seeded `Rng`) and the pool only
-//! moves closures. The observability it owns is the span context around
+//! runs closures. The observability it owns is the span context around
 //! each job: while the profiler is on, `map` captures the dispatcher's
 //! [`SpanPath`] once and every job re-enters it, so ops run on a worker
 //! attribute to the dispatcher's `obs::span` path with no code in the
 //! closure; while `obs::timeline` capture is on, every item records a
-//! `queue_wait` event (enqueue → start) and a `job_run` event (start →
-//! finish) on its worker's lane; and the pool publishes
+//! `queue_wait` event (`map` start → job start) and a `job_run` event
+//! (start → finish) on its worker's lane; and the pool publishes
 //! `exec.queue_depth` / `exec.worker_utilization` gauges into the global
 //! metrics registry. All of it is off-path: one relaxed atomic load per
 //! `map` and per job when capture is off, and never any effect on
@@ -39,13 +43,8 @@
 
 use adaptraj_obs::{health, metrics, timeline, SpanPath};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-
-/// An erased job shipped to a worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Error surfaced by [`WorkerPool::map`] when a job panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,131 +77,34 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one job on the calling thread inside the dispatcher's span path
-/// (`path`), recording its `queue_wait` and `job_run` timeline events
-/// when the job was enqueued with capture on (`enqueue_us`). A panic is
-/// caught and returned.
-fn run_job<O>(
-    path: Option<SpanPath>,
-    enqueue_us: Option<u64>,
-    i: usize,
-    job: impl FnOnce() -> O,
-) -> std::thread::Result<O> {
-    let item = Some(("item", i as u64));
-    let start_us = enqueue_us.map(|t0| {
-        timeline::record_span_since("queue_wait", t0, item);
-        timeline::now_us()
-    });
-    let r = {
-        let _path = path.map(SpanPath::enter);
-        catch_unwind(AssertUnwindSafe(job))
-    };
-    if let Some(t0) = start_us {
-        timeline::record_span_since("job_run", t0, item);
-    }
-    r
-}
+/// One item's outcome: the job's result (or its caught panic) and the
+/// health incidents its worker buffered while running it.
+type Slot<O> = Mutex<Option<(std::thread::Result<O>, Vec<health::Incident>)>>;
 
-/// Pool-load bookkeeping published as global gauges. The raw counts are
-/// per-pool atomics; the gauge handles point into the process-global
-/// metrics registry, so `/metrics` scrapes see the live queue depth and
-/// busy fraction of whichever pool is running.
-struct PoolGauges {
-    queued: AtomicI64,
-    busy: AtomicI64,
-    workers: f64,
+/// A worker count plus the load gauges it publishes. Threads live only
+/// inside one [`map`](WorkerPool::map) call, so building a pool is cheap
+/// and dropping one joins nothing.
+pub struct WorkerPool {
+    workers: usize,
     queue_depth: metrics::GaugeHandle,
     utilization: metrics::GaugeHandle,
 }
 
-impl PoolGauges {
-    fn new(workers: usize) -> PoolGauges {
+impl WorkerPool {
+    /// Builds a pool of `workers` workers (at least 1).
+    pub fn new(workers: usize) -> Self {
         let queue_depth = metrics::global().gauge("exec.queue_depth");
         let utilization = metrics::global().gauge("exec.worker_utilization");
         queue_depth.set(0.0);
         utilization.set(0.0);
-        PoolGauges {
-            queued: AtomicI64::new(0),
-            busy: AtomicI64::new(0),
-            workers: workers.max(1) as f64,
+        Self {
+            workers: workers.max(1),
             queue_depth,
             utilization,
         }
     }
 
-    fn enqueued(&self) {
-        let q = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth.set(q.max(0) as f64);
-    }
-
-    fn started(&self) {
-        let q = self.queued.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.queue_depth.set(q.max(0) as f64);
-        let b = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        self.utilization.set(b.max(0) as f64 / self.workers);
-    }
-
-    fn finished(&self) {
-        let b = self.busy.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.utilization.set(b.max(0) as f64 / self.workers);
-    }
-}
-
-/// A fixed-size pool of persistent worker threads sharing one job queue.
-///
-/// Threads are spawned once at construction and live until the pool is
-/// dropped; each [`map`](WorkerPool::map) call dispatches its items onto
-/// the shared queue and blocks until every result is back.
-pub struct WorkerPool {
-    workers: usize,
-    tx: Option<mpsc::Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    gauges: PoolGauges,
-}
-
-impl WorkerPool {
-    /// Builds a pool with `workers` threads. `workers <= 1` spawns no
-    /// threads at all: `map` then runs inline on the caller.
-    pub fn new(workers: usize) -> Self {
-        if workers <= 1 {
-            return Self {
-                workers: 1,
-                tx: None,
-                handles: Vec::new(),
-                gauges: PoolGauges::new(1),
-            };
-        }
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("adaptraj-exec-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only while dequeuing, so
-                        // workers pull jobs independently.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(poisoned) => poisoned.into_inner().recv(),
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // sender dropped: shut down
-                        }
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self {
-            workers,
-            tx: Some(tx),
-            handles,
-            gauges: PoolGauges::new(workers),
-        }
-    }
-
-    /// Number of worker slots (1 for the inline pool).
+    /// Number of worker slots, the calling thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -210,10 +112,11 @@ impl WorkerPool {
     /// Applies `f` to every item, in parallel across the pool, and returns
     /// the outputs **in item order**.
     ///
-    /// Blocks until every dispatched job has reported back, which is what
-    /// makes the scoped borrows below sound. If any job panics, the first
-    /// panic (by item index) is returned as an [`ExecError`] — after all
-    /// other jobs have drained, so the pool is immediately reusable.
+    /// Blocks until every item has run. If any job panics, the first
+    /// panic (by item index) is returned as an [`ExecError`] after the
+    /// other items have run. Health incidents buffered during the jobs
+    /// are absorbed in item order, so the global incident sequence does
+    /// not depend on which worker ran what.
     pub fn map<I, O, F>(&self, items: &[I], f: F) -> Result<Vec<O>, ExecError>
     where
         I: Sync,
@@ -221,111 +124,65 @@ impl WorkerPool {
         F: Fn(usize, &I) -> O + Sync,
     {
         let path = SpanPath::current();
-        // Inline path: no threads, no channels — structurally the
-        // sequential loop (used for `--workers 1` determinism baselines).
-        // It still records the same span *set* as the channel path (the
-        // queue_wait spans just have ~zero duration), so a 1-worker trace
-        // is comparable with a 4-worker one.
-        let Some(tx) = &self.tx else {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let enqueue_us = timeline::timeline_enabled().then(timeline::now_us);
-                self.gauges.enqueued();
-                self.gauges.started();
-                let r = run_job(path, enqueue_us, i, || f(i, item));
-                self.gauges.finished();
-                // Inline jobs run in item order, so their health incidents
-                // can be absorbed directly — same sequence the channel
-                // path reconstructs from its per-item buffers.
-                health::absorb_incidents(health::take_thread_incidents());
-                match r {
-                    Ok(v) => out.push(v),
-                    Err(p) => {
-                        return Err(ExecError::JobPanicked {
-                            index: i,
-                            message: panic_message(p),
-                        })
-                    }
-                }
-            }
-            return Ok(out);
-        };
-
-        let (res_tx, res_rx) =
-            mpsc::channel::<(usize, std::thread::Result<O>, Vec<health::Incident>)>();
-        for (i, item) in items.iter().enumerate() {
-            let res_tx = res_tx.clone();
-            let f = &f;
-            let gauges = &self.gauges;
-            let enqueue_us = timeline::timeline_enabled().then(timeline::now_us);
-            gauges.enqueued();
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                gauges.started();
-                let r = run_job(path, enqueue_us, i, || f(i, item));
-                gauges.finished();
-                // Health incidents buffered on this worker thread during
-                // the job travel back with the result, so the dispatcher
-                // can absorb them in item order (deterministic for any
-                // worker count). Empty (no allocation) while disabled.
-                let incidents = health::take_thread_incidents();
-                // The receiver outlives the dispatch loop; a send failure
-                // is impossible while `map` is still draining.
-                let _ = res_tx.send((i, r, incidents));
+        let start_us = timeline::timeline_enabled().then(timeline::now_us);
+        let next = AtomicUsize::new(0);
+        let busy = AtomicUsize::new(0);
+        let slots: Vec<Slot<O>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            self.queue_depth.set((items.len() - i - 1) as f64);
+            let b = busy.fetch_add(1, Ordering::Relaxed) + 1;
+            self.utilization.set(b as f64 / self.workers as f64);
+            let arg = Some(("item", i as u64));
+            let job_start_us = start_us.map(|t0| {
+                timeline::record_span_since("queue_wait", t0, arg);
+                timeline::now_us()
             });
-            // SAFETY: the job borrows `items`, `f`, `gauges` (a field of
-            // `self`), and `res_tx`, all of which outlive this call — `map`
-            // does not return until one result per dispatched job has been
-            // received below, and every job sends exactly one result (the
-            // panic path included, via catch_unwind). Erasing the lifetime
-            // to ship the closure through the 'static channel is therefore
-            // sound.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            tx.send(job).expect("worker pool shut down mid-map");
-        }
-        drop(res_tx);
+            let r = {
+                let _path = path.map(SpanPath::enter);
+                catch_unwind(AssertUnwindSafe(|| f(i, item)))
+            };
+            if let Some(t0) = job_start_us {
+                timeline::record_span_since("job_run", t0, arg);
+            }
+            let b = busy.fetch_sub(1, Ordering::Relaxed) - 1;
+            self.utilization.set(b as f64 / self.workers as f64);
+            // Empty (no allocation) while the health observatory is off.
+            let incidents = health::take_thread_incidents();
+            *slots[i].lock().expect("slot lock poisoned") = Some((r, incidents));
+        };
+        std::thread::scope(|s| {
+            for w in 1..self.workers.min(items.len()) {
+                std::thread::Builder::new()
+                    .name(format!("adaptraj-exec-{w}"))
+                    .spawn_scoped(s, work)
+                    .expect("failed to spawn worker thread");
+            }
+            work();
+        });
+        // Every worker has joined: the pool is idle.
+        self.queue_depth.set(0.0);
+        self.utilization.set(0.0);
 
-        let mut slots: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
-        let mut incident_slots: Vec<Vec<health::Incident>> =
-            (0..items.len()).map(|_| Vec::new()).collect();
-        let mut first_panic: Option<(usize, String)> = None;
-        for _ in 0..items.len() {
-            let (i, r, incidents) = res_rx
-                .recv()
-                .expect("worker exited without reporting a result");
-            incident_slots[i] = incidents;
+        let mut out = Vec::with_capacity(items.len());
+        let mut first_panic = None;
+        for (index, slot) in slots.into_iter().enumerate() {
+            let (r, incidents) = slot
+                .into_inner()
+                .expect("slot lock poisoned")
+                .expect("every item ran");
+            health::absorb_incidents(incidents);
             match r {
-                Ok(v) => slots[i] = Some(v),
-                Err(p) => {
-                    let msg = panic_message(p);
-                    if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_panic = Some((i, msg));
-                    }
+                Ok(v) => out.push(v),
+                Err(p) if first_panic.is_none() => {
+                    let message = panic_message(p);
+                    first_panic = Some(ExecError::JobPanicked { index, message });
                 }
+                Err(_) => {}
             }
         }
-        // Flush worker health buffers in item order — the global
-        // incident sequence is then independent of dispatch interleaving.
-        for incidents in incident_slots {
-            health::absorb_incidents(incidents);
-        }
-        if let Some((index, message)) = first_panic {
-            return Err(ExecError::JobPanicked { index, message });
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every job reported exactly once"))
-            .collect())
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the sender drains the queue and lets workers exit.
-        self.tx.take();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        first_panic.map_or(Ok(out), Err)
     }
 }
 
@@ -464,31 +321,77 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_workers() {
-        let _guard = capture_lock();
-        let pool = WorkerPool::new(4);
-        let items: Vec<usize> = (0..8).collect();
-        let _ = pool.map(&items, |_, &x| x).unwrap();
-        drop(pool); // must not hang
-    }
-
-    #[test]
     fn pool_load_counters_return_to_zero_after_map() {
         let _guard = capture_lock();
         for workers in [1, 4] {
             let pool = WorkerPool::new(workers);
             let items: Vec<usize> = (0..24).collect();
             let _ = pool.map(&items, |_, &x| x + 1).unwrap();
-            // `map` blocks until every job has reported, and each job
-            // decrements before reporting, so the pool is quiescent here.
-            assert_eq!(pool.gauges.queued.load(Ordering::Relaxed), 0);
-            assert_eq!(pool.gauges.busy.load(Ordering::Relaxed), 0);
-            // The global gauges exist (values race with other tests'
-            // pools, so only registration is asserted).
+            // The lock keeps every other pool idle, and `map` publishes
+            // an idle pool once its workers have joined.
             let snap = metrics::global().snapshot();
-            assert!(snap.gauge("exec.queue_depth").is_some());
-            assert!(snap.gauge("exec.worker_utilization").is_some());
+            assert_eq!(snap.gauge("exec.queue_depth"), Some(0.0));
+            assert_eq!(snap.gauge("exec.worker_utilization"), Some(0.0));
         }
+    }
+
+    /// Blocks each arriving job until `n` jobs have arrived or 5 s have
+    /// passed; returns whether all `n` arrived. Jobs that must overlap in
+    /// time rendezvous here, so a `map` that ran them one after the other
+    /// reads `false` instead of hanging.
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        all: std::sync::Condvar,
+        n: usize,
+    }
+
+    impl Rendezvous {
+        fn new(n: usize) -> Self {
+            Rendezvous {
+                arrived: Mutex::new(0),
+                all: std::sync::Condvar::new(),
+                n,
+            }
+        }
+
+        fn arrive(&self) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all.notify_all();
+            let timeout = std::time::Duration::from_secs(5);
+            let (arrived, _) = self
+                .all
+                .wait_timeout_while(arrived, timeout, |a| *a < self.n)
+                .unwrap();
+            *arrived >= self.n
+        }
+    }
+
+    #[test]
+    fn workers_run_jobs_at_the_same_time() {
+        let _guard = capture_lock();
+        let pool = WorkerPool::new(2);
+        let both_started = Rendezvous::new(2);
+        let out = pool.map(&[0, 1], |_, _| both_started.arrive()).unwrap();
+        assert!(out[0], "job 1 never started while job 0 was running");
+    }
+
+    #[test]
+    fn map_uses_the_caller_and_at_most_one_thread_per_item() {
+        let _guard = capture_lock();
+        let pool = WorkerPool::new(8);
+        // Three jobs that wait for each other occupy three threads at
+        // once, so the caller has to run one of them.
+        let all_started = Rendezvous::new(3);
+        let ids = pool
+            .map(&[0, 1, 2], |_, _| {
+                all_started.arrive();
+                std::thread::current().id()
+            })
+            .unwrap();
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert!(distinct.len() <= 3, "{ids:?}");
+        assert!(ids.contains(&std::thread::current().id()), "{ids:?}");
     }
 
     /// The capture switches are process-global, and a job records its
@@ -552,6 +455,27 @@ mod tests {
         let queue_wait = counts.get("queue_wait").copied().unwrap_or(0);
         assert_eq!(job_run, 12, "job_run spans: {counts:?}");
         assert_eq!(job_run, queue_wait, "paired spans: {counts:?}");
+    }
+
+    #[test]
+    fn repeated_maps_reuse_the_worker_lanes() {
+        let _guard = capture_lock();
+        timeline::set_enabled(true);
+        timeline::reset();
+        let pool = WorkerPool::new(3);
+        let items: Vec<usize> = (0..6).collect();
+        for _ in 0..20 {
+            let _ = pool.map(&items, |_, &x| x).unwrap();
+        }
+        timeline::set_enabled(false);
+        let snap = timeline::snapshot();
+        timeline::reset();
+        let lanes = snap
+            .lanes
+            .iter()
+            .filter(|l| l.events.iter().any(|e| e.name == "job_run"))
+            .count();
+        assert!((1..=3).contains(&lanes), "{lanes} job_run lanes");
     }
 
     #[test]

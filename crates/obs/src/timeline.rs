@@ -1,4 +1,4 @@
-//! Execution-timeline flight recorder: spans on per-thread event
+//! Execution-timeline flight recorder: spans on per-lane event
 //! buffers, exported as Chrome trace-event JSON (loadable in Perfetto or
 //! `chrome://tracing`) and as folded stacks (flamegraph format) derived
 //! from the phase profiler.
@@ -9,13 +9,16 @@
 //! spans on its worker's lane, and every [`span`](crate::span()) guard —
 //! `epoch`, `grad_reduce`, `evaluate`, `encode`, ... — records one event
 //! on the lane of the thread that entered it, so the Perfetto view shows
-//! one lane per worker with the nesting of spans inside jobs.
+//! one lane per worker with the nesting of spans inside jobs. Lanes are
+//! keyed by thread name: executor threads last one `map` call, and each
+//! new `adaptraj-exec-{w}` records into the lane its predecessor of that
+//! name opened. An unnamed thread gets a lane of its own.
 //!
 //! Cost model (same contract as the profiler): capture is **off by
 //! default**, and a disabled recorder costs a single relaxed atomic load
 //! per span site — no clock read, no allocation. When enabled, each span
-//! pays two clock reads and a push onto its thread's buffer; the buffer
-//! mutex is per-thread and only contended by [`snapshot`]/[`reset`], so
+//! pays two clock reads and a push onto its thread's lane; the buffer
+//! mutex is per-lane and only contended by [`snapshot`]/[`reset`], so
 //! recording never serializes worker threads against each other.
 //! Recording observes wall-clock only — it never touches RNG streams or
 //! reduction order, so the bit-identity determinism contract is unaffected.
@@ -29,7 +32,6 @@ use crate::profile::{Dir, ProfileSnapshot};
 use crate::span::{capture, set_capture, TIMELINE};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -72,45 +74,49 @@ pub struct TimelineEvent {
     pub arg: Option<(&'static str, u64)>,
 }
 
-/// Per-thread event buffer. The mutex exists only so [`snapshot`] and
-/// [`reset`] can read/clear from another thread; the owning thread is the
-/// only writer, so pushes are uncontended in steady state.
+/// One lane's event buffer. The mutex exists so [`snapshot`] and
+/// [`reset`] can read/clear from another thread, and so two live threads
+/// of one name can share a lane; in steady state one thread writes a
+/// lane at a time, so pushes are uncontended.
 struct ThreadBuf {
     tid: u64,
     name: String,
     events: Mutex<Vec<TimelineEvent>>,
 }
 
+/// Every lane ever opened, in opening order: a lane's `tid` is its
+/// position plus one, so trace lanes stay small and stable within a run.
 fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     static R: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
     R.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Lane ids are process-sequential (first thread to record gets 1), so
-/// trace lanes stay small and stable within a run.
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
     static BUF: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
 }
 
+/// The calling thread's lane. A named thread records into the lane of
+/// an earlier thread with the same name: executor workers live for one
+/// `map` call, and their trace keeps one lane per worker name instead of
+/// one per call.
 fn thread_buf() -> Arc<ThreadBuf> {
     BUF.with(|cell| {
         Arc::clone(cell.get_or_init(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let name = std::thread::current()
-                .name()
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("thread-{tid}"));
+            let mut reg = registry().lock().expect("timeline registry poisoned");
+            let name = std::thread::current().name().map(str::to_string);
+            if let Some(buf) = name
+                .as_deref()
+                .and_then(|n| reg.iter().find(|b| b.name == n))
+            {
+                return Arc::clone(buf);
+            }
+            let tid = reg.len() as u64 + 1;
             let buf = Arc::new(ThreadBuf {
                 tid,
-                name,
+                name: name.unwrap_or_else(|| format!("thread-{tid}")),
                 events: Mutex::new(Vec::new()),
             });
-            registry()
-                .lock()
-                .expect("timeline registry poisoned")
-                .push(Arc::clone(&buf));
+            reg.push(Arc::clone(&buf));
             buf
         }))
     })
@@ -337,6 +343,33 @@ mod tests {
             .iter()
             .any(|l| l.thread_name.starts_with("tl-worker-")));
         reset();
+    }
+
+    #[test]
+    fn threads_with_one_name_share_one_lane() {
+        let _g = test_lock();
+        set_enabled(true);
+        reset();
+        for _ in 0..2 {
+            std::thread::Builder::new()
+                .name("tl-reused".into())
+                .spawn(|| {
+                    let _s = span("job_run");
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        reset();
+        let lanes: Vec<_> = snap
+            .lanes
+            .iter()
+            .filter(|l| l.thread_name == "tl-reused")
+            .collect();
+        assert_eq!(lanes.len(), 1, "{snap:?}");
+        assert_eq!(lanes[0].events.len(), 2, "{snap:?}");
     }
 
     #[test]

@@ -40,6 +40,16 @@ else
     echo "skipped: clippy not installed"
 fi
 
+step "no unsafe outside the SIMD kernels"
+# crates/tensor/src/kernels.rs holds the AVX2 intrinsics, the one place
+# the workspace needs unsafe code; every other source file stays free of
+# the keyword, comments included. Each hit prints as file:line.
+unsafe_hits=$(git ls-files '*.rs' | grep -vx 'crates/tensor/src/kernels.rs' |
+    xargs grep -nw unsafe || true)
+[ -z "$unsafe_hits" ] || {
+    echo "unsafe outside crates/tensor/src/kernels.rs:"
+    echo "$unsafe_hits" | cut -d: -f1,2; fail=1; }
+
 step "cargo doc -D warnings"
 # Doc links to deleted or private items fail here, not in a reader's
 # browser.
@@ -178,6 +188,12 @@ grep -q '"metrics":\[' target/health_ci_run/manifest.json || {
     echo "run record still holds events.jsonl"; fail=1; }
 cargo run --release --offline --bin adaptraj -- \
     doctor --run target/health_ci_run || fail=1
+# Executor threads last one `map` call; the timeline keys lanes by
+# thread name, so the trace holds the main lane and one lane per extra
+# worker, not one lane per batch.
+lanes=$(grep -o '"name":"thread_name"' target/health_ci_run/trace.json | wc -l)
+[ "$lanes" -le 3 ] || {
+    echo "trace.json holds $lanes thread_name lanes (at most 3 expected)"; fail=1; }
 # Report only. Each op's profile bytes are every tensor its forward and
 # backward steps allocate (there is no buffer reuse to discount), so the
 # total counts all tensor traffic; `leaf` allocates only the inputs it

@@ -13,7 +13,7 @@ use adaptraj::data::dataset::{synthesize_domain, SynthesisConfig};
 use adaptraj::data::domain::DomainId;
 use adaptraj::doctor::{diagnose, parse_manifest, run_doctor, DoctorArgs};
 use adaptraj::models::{
-    BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport, TrainerConfig,
+    BackboneConfig, CausalMotion, PecNet, Predictor, TrainReport, TrainerConfig, Vanilla,
 };
 use adaptraj::obs::health::{self, Incident};
 use adaptraj::obs::json::Value;
@@ -469,4 +469,41 @@ fn causal_motion_skips_a_non_finite_gradient_behind_a_finite_loss() {
         "the poisoned batch was not counted"
     );
     assert_eq!(report.epochs.len(), 3);
+}
+
+#[test]
+fn a_non_finite_parameter_trips_at_the_first_op_that_reads_it() {
+    let _g = LOCK.lock().unwrap();
+    let synth = SynthesisConfig::smoke();
+    let train = synthesize_domain(DomainId::EthUcy, &synth).train;
+    let mut cfg = TrainerConfig::smoke();
+    cfg.epochs = 1;
+    cfg.max_train_windows = 8;
+    let mut model = Vanilla::new(cfg, |s, r| PecNet::new(s, r, BackboneConfig::default()));
+    // The scene encoder's LSTM weights: every training pass reads them,
+    // and no ReLU (which maps NaN to 0) sits between them and the probe.
+    let store = Predictor::store_mut(&mut model);
+    let id = store
+        .ids()
+        .find(|&id| store.name(id) == "pecnet.enc.w")
+        .expect("PECNet registers its encoder LSTM");
+    store.value_mut(id).data_mut()[0] = f32::NAN;
+
+    health::reset();
+    health::set_enabled(true);
+    profile::reset();
+    profile::set_enabled(true);
+    let report = model.fit(&train);
+    let incidents = health::incidents();
+    disarm();
+
+    // Parameter leaves are not probed: the NaN is caught where an op
+    // first computes with it, inside the training phase.
+    let first = incidents.first().expect("the planted NaN tripped no wire");
+    assert_ne!(first.op, "leaf", "{incidents:?}");
+    assert!(!first.phase.is_empty(), "incident missing phase path");
+    assert!(
+        report.non_finite_total() > 0,
+        "the poisoned batch took a step"
+    );
 }
