@@ -85,7 +85,7 @@ fn inject_target() -> i64 {
     if t != INJ_UNPARSED {
         return t;
     }
-    // `N` poisons the N-th recorded tape op (process-global counter —
+    // `N` poisons the N-th probed op (process-global counter —
     // deterministic only for a single worker thread); `E:W` poisons
     // every op of window W in epoch E (deterministic for any worker
     // count, since window contexts are thread-local and seeded by
@@ -134,7 +134,7 @@ pub fn set_inject_window(target: Option<(u32, u32)>) {
 /// True when the tape should poison the current op's output with a NaN
 /// so the tripwire→run record→doctor path can be exercised end to end on a
 /// healthy model. Two trigger modes (see `ADAPTRAJ_HEALTH_INJECT_NAN`):
-/// the N-th recorded tape op (fires exactly once), or every op of one
+/// the N-th probed op (fires exactly once), or every op of one
 /// `(epoch, window)` context.
 #[inline]
 pub fn should_inject() -> bool {

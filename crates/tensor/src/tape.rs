@@ -320,27 +320,15 @@ impl Tape {
     /// allocation tally (see `crate::alloc`), so `Arc`-shared parameter
     /// leaves count as zero. With profiling disabled the timer is inert
     /// and `record_op` returns immediately.
-    fn push(&mut self, timer: OpTimer, value: Tensor, op: Op, needs_grad: bool) -> Var {
-        self.push_node(timer, value, op, needs_grad, true)
-    }
-
-    /// [`push`](Self::push), with the health tripwire's probe
-    /// ([`health::check_tensor`], one relaxed atomic load when disabled)
-    /// run when `probe` is set or the fault-injection hook poisoned the
-    /// value. The op's timer stops before that scan, so an armed run
-    /// record times the op, not its tripwire. An armed tripwire supersedes
-    /// the `all_finite` debug assert: non-finite values are then recorded
-    /// as incidents instead of aborting debug builds.
-    fn push_node(
-        &mut self,
-        timer: OpTimer,
-        mut value: Tensor,
-        op: Op,
-        needs_grad: bool,
-        probe: bool,
-    ) -> Var {
-        let inject = health::should_inject();
-        if inject {
+    ///
+    /// The health tripwire probes every value here too ([`health::check_tensor`]),
+    /// one relaxed atomic load when disabled. The op's timer stops before
+    /// that scan, so an armed run record times the op, not its tripwire. An
+    /// armed tripwire supersedes the `all_finite` debug assert: non-finite
+    /// values are then recorded as incidents instead of aborting debug
+    /// builds.
+    fn push(&mut self, timer: OpTimer, mut value: Tensor, op: Op, needs_grad: bool) -> Var {
+        if health::should_inject() {
             // Fault-injection hook (ADAPTRAJ_HEALTH_INJECT_NAN=<op-index>):
             // poison this op's output so the tripwire→run record→doctor path can
             // be exercised end to end on an otherwise healthy model.
@@ -354,13 +342,11 @@ impl Tape {
             timer,
             alloc::drain_pending_bytes(),
         );
-        if probe || inject {
-            health::check_tensor(op.kind(), value.data());
-            debug_assert!(
-                health::health_enabled() || value.all_finite(),
-                "non-finite value from {op:?}"
-            );
-        }
+        health::check_tensor(op.kind(), value.data());
+        debug_assert!(
+            health::health_enabled() || value.all_finite(),
+            "non-finite value from {op:?}"
+        );
         self.nodes.push(Node {
             value,
             op,
@@ -391,16 +377,9 @@ impl Tape {
 
     /// Brings a stored parameter onto the tape; its gradient can later be
     /// routed back to the store via [`Tape::param_grads`].
-    ///
-    /// The health probe skips it: a parameter changes only at an optimizer
-    /// step, which the trainer's non-finite gradient guard already gates.
-    /// A non-finite value that reaches a parameter some other way trips
-    /// the probe at the first op whose output it leaves non-finite (not
-    /// behind a ReLU, which maps NaN to 0). A leaf that the fault-injection
-    /// hook poisons is still probed.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let t = profile::op_timer();
-        let var = self.push_node(t, store.value(id).clone(), Op::Leaf, true, false);
+        let var = self.push(t, store.value(id).clone(), Op::Leaf, true);
         self.param_uses.push((id, var));
         var
     }

@@ -472,38 +472,41 @@ fn causal_motion_skips_a_non_finite_gradient_behind_a_finite_loss() {
 }
 
 #[test]
-fn a_non_finite_parameter_trips_at_the_first_op_that_reads_it() {
+fn a_non_finite_parameter_is_reported_where_it_is_bound() {
     let _g = LOCK.lock().unwrap();
     let synth = SynthesisConfig::smoke();
     let train = synthesize_domain(DomainId::EthUcy, &synth).train;
     let mut cfg = TrainerConfig::smoke();
     cfg.epochs = 1;
     cfg.max_train_windows = 8;
-    let mut model = Vanilla::new(cfg, |s, r| PecNet::new(s, r, BackboneConfig::default()));
-    // The scene encoder's LSTM weights: every training pass reads them,
-    // and no ReLU (which maps NaN to 0) sits between them and the probe.
-    let store = Predictor::store_mut(&mut model);
-    let id = store
-        .ids()
-        .find(|&id| store.name(id) == "pecnet.enc.w")
-        .expect("PECNet registers its encoder LSTM");
-    store.value_mut(id).data_mut()[0] = f32::NAN;
+    // `pecnet.embed.w` feeds a ReLU, which maps NaN to 0, so no later op
+    // sees its NaN; `pecnet.enc.w` is an LSTM weight, which no ReLU hides.
+    for name in ["pecnet.embed.w", "pecnet.enc.w"] {
+        let mut model = Vanilla::new(cfg.clone(), |s, r| {
+            PecNet::new(s, r, BackboneConfig::default())
+        });
+        let store = Predictor::store_mut(&mut model);
+        let id = store
+            .ids()
+            .find(|&id| store.name(id) == name)
+            .unwrap_or_else(|| panic!("PECNet registers no {name}"));
+        store.value_mut(id).data_mut()[0] = f32::NAN;
 
-    health::reset();
-    health::set_enabled(true);
-    profile::reset();
-    profile::set_enabled(true);
-    let report = model.fit(&train);
-    let incidents = health::incidents();
-    disarm();
+        health::reset();
+        health::set_enabled(true);
+        profile::reset();
+        profile::set_enabled(true);
+        model.fit(&train);
+        let incidents = health::incidents();
+        disarm();
 
-    // Parameter leaves are not probed: the NaN is caught where an op
-    // first computes with it, inside the training phase.
-    let first = incidents.first().expect("the planted NaN tripped no wire");
-    assert_ne!(first.op, "leaf", "{incidents:?}");
-    assert!(!first.phase.is_empty(), "incident missing phase path");
-    assert!(
-        report.non_finite_total() > 0,
-        "the poisoned batch took a step"
-    );
+        let first = incidents
+            .first()
+            .unwrap_or_else(|| panic!("a NaN in {name} tripped no wire"));
+        assert_eq!(first.op, "leaf", "{name}: {incidents:?}");
+        assert!(
+            !first.phase.is_empty(),
+            "{name}: incident missing phase path"
+        );
+    }
 }
